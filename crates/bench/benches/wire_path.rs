@@ -52,12 +52,55 @@ fn cluster_put_round(iters: u64, payload: usize) -> Duration {
     out[0]
 }
 
+/// Run `f` with the calling thread — and every thread it spawns inside —
+/// restricted to one CPU (the highest allowed; CPU 0 tends to take the
+/// interrupts), restoring the previous mask afterwards. Hand-rolled
+/// `sched_setaffinity` FFI, as `perf/src/pin.rs`; a no-op off Linux.
+fn on_one_cpu<T>(f: impl FnOnce() -> T) -> T {
+    #[cfg(target_os = "linux")]
+    {
+        extern "C" {
+            fn sched_setaffinity(pid: i32, cpusetsize: usize, mask: *const u64) -> i32;
+            fn sched_getaffinity(pid: i32, cpusetsize: usize, mask: *mut u64) -> i32;
+        }
+        let mut old = [0u64; 16];
+        let bytes = std::mem::size_of_val(&old);
+        // SAFETY: live buffers of exactly the byte length passed; pid 0
+        // names the calling thread.
+        let got = unsafe { sched_getaffinity(0, bytes, old.as_mut_ptr()) } == 0;
+        let cpu = (0..old.len() * 64).rev().find(|&c| old[c / 64] >> (c % 64) & 1 == 1);
+        if let (true, Some(cpu)) = (got, cpu) {
+            let mut one = [0u64; 16];
+            one[cpu / 64] = 1 << (cpu % 64);
+            // SAFETY: as above.
+            unsafe { sched_setaffinity(0, bytes, one.as_ptr()) };
+            let out = f();
+            // SAFETY: as above.
+            unsafe { sched_setaffinity(0, bytes, old.as_ptr()) };
+            return out;
+        }
+    }
+    f()
+}
+
+/// `net_small_put_round_event_loop` as measured on the parent commit
+/// (f2f7974: per-peer send channel + doorbell) with this same pinned
+/// harness on the same box, best of three — emitted beside the live
+/// number so the JSON carries the before/after pair.
+const EVENT_LOOP_BEFORE_NS: f64 = 25565.1;
+
 /// End-to-end rounds over the netfab loopback backend — real TCP frames
 /// moved by the selected IO driver — each round one 8 B `put_u64` plus a
 /// fence. Run under both drivers, this is the head-to-head for the
 /// event-loop migration: the loop must keep small-message round-trip
-/// latency flat (or better) while cutting the thread count.
+/// latency flat (or better) while cutting the thread count. Pinned to one
+/// CPU: unpinned on a small VM the number mostly says whether the IO
+/// thread happened to share a core with the caller (see `perf/README.md`).
 fn net_put_round(iters: u64, driver: IoDriver) -> Duration {
+    on_one_cpu(|| net_put_round_unpinned(iters, driver))
+}
+
+fn net_put_round_unpinned(iters: u64, driver: IoDriver) -> Duration {
     let cfg = ArmciCfg::flat(2, LatencyModel::zero()).with_io_driver(Some(driver));
     let out = run_cluster_net_loopback(cfg, move |a| {
         let seg = a.malloc(64);
@@ -243,7 +286,8 @@ fn main() {
         bench_into(&mut g, &mut recs, "net_small_put_round_threaded", 8, |iters| {
             net_put_round(iters, IoDriver::Threaded)
         });
-        bench_into(&mut g, &mut recs, "net_small_put_round_event_loop", 8, |iters| {
+        recs.push(Rec { name: "net_small_put_round_event_loop_before", bytes: 8, ns_per_op: EVENT_LOOP_BEFORE_NS });
+        bench_into(&mut g, &mut recs, "net_small_put_round_event_loop_after", 8, |iters| {
             net_put_round(iters, IoDriver::EventLoop)
         });
         // Cross-process rounds spawn a real second OS process per sample:

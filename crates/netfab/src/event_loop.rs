@@ -1,56 +1,68 @@
 //! The event-loop IO driver: one nonblocking loop per node owning every
 //! peer socket, instead of two blocking threads per peer.
 //!
-//! The loop multiplexes all peer links over [`crate::poller::PollSet`]
-//! (`poll(2)`): readiness-driven reads feed the shared
-//! [`crate::frames::FrameDecoder`]; writes drain per-peer channels into a
-//! per-peer output buffer (coalescing a burst into one `write`), with
-//! partial writes resumed on the next writability event. Every
-//! time-driven behaviour — heartbeat cadence, staleness and ring-full
-//! watchdogs, reconnect retry pacing, scripted `StallWriter` expiry —
-//! hangs off one [`crate::timer::TimerWheel`], so heartbeats keep firing
-//! no matter how busy the IO queues are. Decoded frames land in the same
-//! per-endpoint inboxes through [`crate::frames::deliver`], and all
-//! session bookkeeping goes through [`crate::frames::session_step`] —
-//! identical semantics to the threaded driver, O(1) threads per node.
+//! **Writes are doorbell-free.** Each link's write half ([`LinkTx`]) is
+//! shared by the loop and every local sender: `send` queues its message
+//! and, if nobody else holds the link, drains the queue on its own thread
+//! — sequencing, encoding into the link's output buffer, one nonblocking
+//! socket `write` for the whole burst. A sender that finds the link held
+//! just returns; the holder re-checks the queue after unlocking and takes
+//! the message along (flat combining). Only a sender that cannot finish —
+//! the socket would block, no stream is attached, a scripted fault or
+//! stall is due, the replay ring is full — leaves the rest queued and
+//! rings the loop's doorbell, so the loop alone resumes on `POLLOUT`,
+//! enacts faults and drives reconnects, and `send` never blocks.
 //!
-//! Reconnect handshakes are loop-resident too: the dial side is a
-//! [`DialAttempt`] (nonblocking `connect(2)` + hello + reply) and the
-//! accept side an [`AcceptAttempt`], both registered on the same poll set
-//! and stepped every iteration — no helper threads, the loop never blocks
-//! outside `poll`, and each node's IO is exactly one thread.
+//! **Everything else is the loop's.** It multiplexes the links over
+//! [`crate::poller::PollSet`] (`poll(2)`): readiness-driven reads feed the
+//! shared [`crate::frames::FrameDecoder`] and land in the per-endpoint
+//! inboxes through [`crate::frames::deliver`] and
+//! [`crate::frames::session_step`] (identical semantics to the threaded
+//! driver), and every time-driven behaviour — heartbeat cadence, staleness
+//! and ring-full watchdogs, reconnect pacing, scripted `StallWriter`
+//! expiry — hangs off one [`crate::timer::TimerWheel`]. Reconnect
+//! handshakes are nonblocking machines ([`DialAttempt`],
+//! [`AcceptAttempt`]) on the same poll set: no helper threads, the loop
+//! never blocks outside `poll`, each node's IO is exactly one thread.
+//!
+//! Lock order: a [`LinkTx`]'s write half, then its queue or
+//! `Session::inner` (both leaves). Nothing blocks while holding either.
 
 #![deny(clippy::unwrap_used, clippy::expect_used)] // IO loop: every failure must become a session transition
 
-use std::io::{BufReader, Write};
+use std::collections::VecDeque;
+use std::io::{BufReader, ErrorKind, IoSlice, Write};
 use std::net::{Shutdown, TcpListener, TcpStream};
 use std::os::unix::io::AsRawFd;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError, TryLockError};
 use std::time::{Duration, Instant};
 
 use armci_transport::{BodyPool, Msg, Topology};
-use crossbeam_channel::{Receiver, Sender, TryRecvError};
+use crossbeam_channel::Sender;
 
 use crate::dial::{AcceptAttempt, AcceptStep, DialAttempt, DialStep};
 use crate::fabric::{KillSwitch, WireMsg};
 use crate::fault::{FaultAction, FaultSpec};
-use crate::frames::{self, FrameDecoder, Progress, SessionStep};
-use crate::poller::{Interest, PollSet, WakePipe};
+use crate::frames::{self, DryReader, FrameDecoder, Progress, SessionStep};
+use crate::poller::{Interest, PollSet, WakeHandle, WakePipe};
 use crate::session::{EnqueueError, Session, SessionCfg, SESS_SUSPECT, SESS_UP};
 use crate::timer::TimerWheel;
-use crate::wire;
+use crate::wire::{self, HEADER_LEN, PREAMBLE_LEN};
 
-/// Pause pulling new messages once this many encoded-but-unflushed bytes
-/// are pending on a link (writability events resume the drain).
+/// Stop sequencing new messages once this many encoded-but-unflushed
+/// bytes are pending on a link (writability events resume the drain).
 const HIGH_WATER: usize = 256 * 1024;
+
+/// Bodies at least this long skip the output buffer when nothing is staged
+/// ahead of them: one vectored write straight from the caller's buffer.
+/// Below it the copy is cheaper than the extra syscall a flush-first costs.
+const BULK_MIN: usize = 16 * 1024;
 
 /// Reconnect retry cadence while a session is suspect.
 const RECONNECT_TICK: Duration = Duration::from_millis(20);
 
-/// Poll-timeout ceiling: an idle loop still looks around this often (so
-/// e.g. channel disconnects missed between a wake and a sleep are picked
-/// up promptly even if no doorbell rings again).
+/// Poll-timeout ceiling: an idle loop still looks around this often.
 const IDLE_POLL: Duration = Duration::from_millis(50);
 
 /// How long a pending accept-side handshake may take before it is
@@ -65,15 +77,258 @@ const TOK_BASE: usize = 2;
 /// dispatch has nothing to do for this token.
 const TOK_MACHINE: usize = usize::MAX;
 
-/// Everything [`run`] needs for one peer link.
-pub(crate) struct PeerSeed {
-    pub peer: usize,
-    pub sess: Arc<Session>,
-    pub rx: Receiver<WireMsg>,
+/// A panicking holder cannot leave a write half torn (every field is valid
+/// on its own), so poison is ignored rather than unwrapped.
+fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// Why a [`LinkTx::pump`] stopped short of "nothing queued, nothing
+/// staged": what is left, only the loop may resume.
+enum Stop {
+    /// The socket took only part of `out`; `POLLOUT` resumes it.
+    WouldBlock,
+    /// The stream failed mid-write; the loop must sever it.
+    StreamError,
+    /// A scripted fault is due before the front message.
+    FaultDue,
+    /// The replay ring is full; the front message waits for an ack.
+    RingFull,
+    /// No stream is attached (and this pumper may not ring streamless).
+    NoStream,
+}
+
+/// One link's write-side state: whoever holds the lock is the link's
+/// writer for that moment.
+#[derive(Default)]
+struct WriteHalf {
+    /// Write handle of the attached stream (a dup of the loop's reader).
+    stream: Option<TcpStream>,
+    /// Encoded-but-unflushed output (preambles + frames); `out_pos` marks
+    /// how much a partial write already consumed.
+    out: Vec<u8>,
+    out_pos: usize,
+    /// The last write came back short: the socket's send buffer is full.
+    blocked: bool,
+    /// Messages taken off the queue but not sequenced yet; the front one
+    /// is what a full ring, a stall or a due fault holds back.
+    pending: VecDeque<WireMsg>,
+    /// Frames sequenced on this connection, for fault trigger points —
+    /// shared, so a fault fires at the same count whoever pumped.
+    sent: u64,
     /// Scripted faults targeting this connection, each consumed once.
-    pub faults: Vec<Option<FaultSpec>>,
-    /// The peer's boot-listener address, dialed on reconnect.
-    pub addr: String,
+    faults: Vec<Option<FaultSpec>>,
+    /// Scripted `StallWriter` in effect until this instant.
+    stalled_until: Option<Instant>,
+    /// When the replay ring was first observed full with no ack progress.
+    ring_full_since: Option<Instant>,
+    /// Whether a data frame went out since the last health tick (data
+    /// preambles carry acks, so no bare ack is needed).
+    wrote_data: bool,
+    /// A pump stopped on something only the loop resumes (and the loop
+    /// knows): senders just queue until a loop pump ends clean.
+    handed_off: bool,
+}
+
+impl WriteHalf {
+    fn pending_out(&self) -> usize {
+        self.out.len() - self.out_pos
+    }
+
+    /// The slot of the next unconsumed fault due at `sent` frames, if any.
+    fn due_fault(&mut self) -> Option<&mut Option<FaultSpec>> {
+        let sent = self.sent;
+        self.faults.iter_mut().find(|f| f.is_some_and(|f| f.after_frames <= sent))
+    }
+
+    /// Write as much staged output as the socket accepts right now. A
+    /// short write means the send buffer is full: no second try.
+    fn flush(&mut self) -> Result<(), Stop> {
+        self.blocked = false;
+        let Some(mut s) = self.stream.as_ref() else {
+            self.out.clear();
+            self.out_pos = 0;
+            return Ok(());
+        };
+        while self.out_pos < self.out.len() {
+            let want = self.out.len() - self.out_pos;
+            match s.write(&self.out[self.out_pos..]) {
+                Ok(0) => return Err(Stop::StreamError),
+                Ok(n) => {
+                    self.out_pos += n;
+                    self.blocked = n < want;
+                }
+                Err(e) if e.kind() == ErrorKind::WouldBlock => self.blocked = true,
+                Err(e) if e.kind() == ErrorKind::Interrupted => {}
+                Err(_) => return Err(Stop::StreamError),
+            }
+            if self.blocked {
+                return Ok(());
+            }
+        }
+        self.out.clear();
+        self.out_pos = 0;
+        Ok(())
+    }
+
+    /// Put one sequenced frame on its way: behind whatever is staged in
+    /// `out`, or — a bulk body with nothing ahead of it and no replay ring
+    /// to feed — straight from the caller's buffer in one vectored write,
+    /// staging only the tail the socket did not take.
+    fn stage(&mut self, pre: wire::Preamble, m: &WireMsg, ring: Option<&Arc<Vec<u8>>>) -> Result<(), Stop> {
+        // Streamless (mid-reconnect) frames are ringed only; the replay on
+        // the next adopt covers them.
+        let Some(mut s) = self.stream.as_ref() else { return Ok(()) };
+        self.wrote_data = true;
+        if let Some(encoded) = ring {
+            let _ = wire::write_preamble(&mut self.out, pre);
+            self.out.extend_from_slice(encoded);
+        } else if m.body.len() < BULK_MIN || self.pending_out() > 0 {
+            let _ = wire::write_preamble(&mut self.out, pre);
+            let _ = wire::write_frame(&mut self.out, m.dst, m.src, m.tag, &m.body);
+        } else {
+            let mut head = [0u8; PREAMBLE_LEN + HEADER_LEN];
+            let mut w = &mut head[..];
+            let _ = wire::write_preamble(&mut w, pre);
+            let _ = wire::write_header(&mut w, m.dst, m.src, m.tag, m.body.len());
+            let n = match s.write_vectored(&[IoSlice::new(&head), IoSlice::new(&m.body)]) {
+                Ok(n) => n,
+                Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::Interrupted) => 0,
+                Err(_) => return Err(Stop::StreamError),
+            };
+            self.blocked = n < head.len() + m.body.len();
+            self.out.extend_from_slice(&head[n.min(head.len())..]);
+            self.out.extend_from_slice(&m.body[n.saturating_sub(head.len())..]);
+        }
+        Ok(())
+    }
+}
+
+/// One peer link's shared write half: the submit queue plus the
+/// lock-guarded writer state. Held by the fabric (for every local
+/// sender) and by the loop.
+pub(crate) struct LinkTx {
+    pub sess: Arc<Session>,
+    cfg: SessionCfg,
+    waker: Arc<WakeHandle>,
+    /// Submitted, not yet taken by a pump. Its own lock, so a sender that
+    /// loses the write half can still leave its message for the holder.
+    queue: Mutex<VecDeque<WireMsg>>,
+    half: Mutex<WriteHalf>,
+    /// Every sender is gone (fabric and mailboxes dropped): drain what is
+    /// queued, then half-close.
+    closed: AtomicBool,
+}
+
+impl LinkTx {
+    pub fn new(sess: Arc<Session>, cfg: SessionCfg, faults: Vec<Option<FaultSpec>>, waker: Arc<WakeHandle>) -> LinkTx {
+        let half = Mutex::new(WriteHalf { faults, ..WriteHalf::default() });
+        LinkTx { sess, cfg, waker, queue: Mutex::default(), half, closed: AtomicBool::new(false) }
+    }
+
+    /// Queue `m` and, unless someone else is the link's writer right now,
+    /// write the queue out on this thread. Never blocks: a busy holder
+    /// takes the message along (it re-checks the queue after unlocking),
+    /// and whatever this thread cannot finish is handed to the loop.
+    pub fn submit(&self, m: WireMsg) {
+        lock(&self.queue).push_back(m);
+        loop {
+            let mut h = match self.half.try_lock() {
+                Ok(h) => h,
+                Err(TryLockError::Poisoned(p)) => p.into_inner(),
+                Err(TryLockError::WouldBlock) => return,
+            };
+            if h.handed_off {
+                return;
+            }
+            let clean = self.pump(&mut h, false).is_ok();
+            h.handed_off = !clean;
+            drop(h);
+            if !clean {
+                self.waker.wake();
+                return;
+            }
+            if lock(&self.queue).is_empty() {
+                return;
+            }
+        }
+    }
+
+    /// The last sender is gone: let the loop drain and half-close.
+    pub fn close(&self) {
+        self.closed.store(true, Ordering::Release);
+        self.waker.wake();
+    }
+
+    /// Closed, and everything accepted before that is on the socket.
+    fn finished(&self) -> bool {
+        self.closed.load(Ordering::Acquire) && {
+            let h = lock(&self.half);
+            h.pending.is_empty() && h.pending_out() == 0 && lock(&self.queue).is_empty()
+        }
+    }
+
+    /// The single submit path, run by whoever holds the write half:
+    /// sequence queued messages into `out` (ringing them when recovery is
+    /// on) up to the high-water mark, then flush with one `write`. `Ok` is
+    /// "nothing queued, nothing staged" (or a terminal session, whose
+    /// queue is dropped). `streamless` lets the loop keep sequencing into
+    /// the replay ring while a reconnect is in flight; senders never do.
+    fn pump(&self, h: &mut WriteHalf, streamless: bool) -> Result<(), Stop> {
+        loop {
+            if self.sess.is_terminal() {
+                // Parity with the threaded writer exiting its loop:
+                // whatever is still queued is dropped, not half-sent.
+                h.pending.clear();
+                lock(&self.queue).clear();
+                return Ok(());
+            }
+            if h.stream.is_none() && !streamless {
+                return Err(Stop::NoStream);
+            }
+            h.flush()?;
+            if h.pending.is_empty() {
+                std::mem::swap(&mut h.pending, &mut *lock(&self.queue));
+            }
+            let mut stop = None;
+            while stop.is_none() && h.pending_out() < HIGH_WATER && !h.pending.is_empty() {
+                // Scripted faults fire just before the frame that would
+                // take the per-connection count past `after_frames`.
+                if h.due_fault().is_some() {
+                    stop = Some(Stop::FaultDue);
+                    continue;
+                }
+                let Some(m) = h.pending.pop_front() else { break };
+                let ring = if self.cfg.recovery { frames::encode_frame(m.dst, m.src, m.tag, &m.body) } else { None };
+                match self.sess.try_enqueue(&self.cfg, ring.clone()) {
+                    Ok(seq) => {
+                        h.sent += 1;
+                        h.ring_full_since = None;
+                        let pre = wire::Preamble::Data { seq, ack: self.sess.recv_cursor.load(Ordering::Acquire) };
+                        h.stage(pre, &m, ring.as_ref())?;
+                    }
+                    Err(EnqueueError::Full) => {
+                        // Retried once the peer's next ack prunes the ring
+                        // (an incoming readable event on the loop).
+                        h.pending.push_front(m);
+                        stop = Some(Stop::RingFull);
+                    }
+                    // Teardown with a full ring: dropped, as the blocking
+                    // enqueue gives up its ring wait.
+                    Err(EnqueueError::Terminal) => {}
+                }
+            }
+            if !h.blocked {
+                h.flush()?;
+            }
+            match stop {
+                Some(stop) => return Err(stop),
+                None if h.blocked => return Err(Stop::WouldBlock),
+                None if h.pending.is_empty() => return Ok(()),
+                None => {} // high-water reached and flushed: go again
+            }
+        }
+    }
 }
 
 /// Everything [`run`] needs for one node's loop.
@@ -88,7 +343,9 @@ pub(crate) struct LoopCfg {
     pub shutdown: Arc<AtomicBool>,
     /// Retained boot listener, present only with recovery enabled.
     pub listener: Option<TcpListener>,
-    pub peers: Vec<PeerSeed>,
+    /// Per peer link: peer node, shared write half, and the peer's
+    /// boot-listener address (dialed on reconnect).
+    pub peers: Vec<(usize, Arc<LinkTx>, String)>,
 }
 
 /// A timer-wheel entry, keyed by link index.
@@ -102,38 +359,22 @@ enum Timer {
     StallOver(usize),
 }
 
-/// One peer link's loop-local state.
+/// One peer link's loop-local state (the read half, reconnect driving,
+/// teardown); the write half lives in the link's shared [`LinkTx`].
 struct PeerLink {
     peer: usize,
     sess: Arc<Session>,
-    rx: Receiver<WireMsg>,
-    /// False once the fabric-side senders disconnected (teardown).
-    rx_open: bool,
-    faults: Vec<Option<FaultSpec>>,
     addr: String,
-    /// The attached stream (read via the buffer, written via `get_ref`);
-    /// `None` while disconnected or after teardown.
-    stream: Option<BufReader<TcpStream>>,
+    /// The attached stream's read side; `None` while disconnected or
+    /// after teardown.
+    reader: Option<BufReader<DryReader<TcpStream>>>,
     /// Cached stream generation, compared against the session's.
     gen: u64,
     dec: FrameDecoder,
     pool: BodyPool,
-    /// Encoded-but-unflushed output (preambles + frames); `out_pos` marks
-    /// how much a partial write already consumed.
-    out: Vec<u8>,
-    out_pos: usize,
-    /// A message that could not be sequenced yet (replay ring full or a
-    /// stall in progress); retried before the channel is drained further.
-    head: Option<WireMsg>,
-    /// Frames sequenced on this connection, for fault trigger points.
-    sent: u64,
-    /// Scripted `StallWriter` in effect until this instant.
-    stalled_until: Option<Instant>,
-    /// When the replay ring was first observed full with no ack progress.
-    ring_full_since: Option<Instant>,
-    /// Whether a data frame went out since the last health tick (data
-    /// preambles carry acks, so no bare ack is needed).
-    wrote_data: bool,
+    /// The last loop pump left a partial write: register for `POLLOUT`.
+    /// (A sender that blocks later rings the doorbell, which re-pumps.)
+    want_write: bool,
     /// An in-flight reconnect dial handshake, stepped by the loop.
     dial: Option<DialAttempt>,
     /// A `Reconnect` timer is armed for this link.
@@ -143,60 +384,42 @@ struct PeerLink {
 }
 
 impl PeerLink {
-    fn new(seed: PeerSeed) -> PeerLink {
+    fn new(peer: usize, sess: Arc<Session>, addr: String) -> PeerLink {
         PeerLink {
-            peer: seed.peer,
-            sess: seed.sess,
-            rx: seed.rx,
-            rx_open: true,
-            faults: seed.faults,
-            addr: seed.addr,
-            stream: None,
+            peer,
+            sess,
+            addr,
+            reader: None,
             gen: 0,
             dec: FrameDecoder::new(),
             pool: BodyPool::new(8),
-            out: Vec::new(),
-            out_pos: 0,
-            head: None,
-            sent: 0,
-            stalled_until: None,
-            ring_full_since: None,
-            wrote_data: false,
+            want_write: false,
             dial: None,
             reconnect_armed: false,
             write_shut: false,
         }
     }
 
-    /// Take the next fault due at `sent` frames, if any.
-    fn due_fault(&mut self) -> Option<FaultSpec> {
-        let sent = self.sent;
-        self.faults.iter_mut().find(|f| f.as_ref().is_some_and(|f| f.after_frames <= sent)).and_then(Option::take)
-    }
-
-    fn pending_out(&self) -> usize {
-        self.out.len() - self.out_pos
-    }
-
     /// Drop the attached stream and any output staged for it (ringed
     /// frames are replayed on reconnect; without recovery the peer is
     /// terminal anyway).
-    fn drop_stream(&mut self) {
-        self.stream = None;
-        self.out.clear();
-        self.out_pos = 0;
+    fn drop_stream(&mut self, h: &mut WriteHalf) {
+        self.reader = None;
         self.dec.reset();
+        h.stream = None;
+        h.out.clear();
+        h.out_pos = 0;
     }
 
-    /// The write half has nothing more to do: the fabric disconnected the
-    /// channel and everything accepted was flushed (or the session died).
-    fn writer_done(&self) -> bool {
-        self.sess.is_terminal() || (!self.rx_open && self.head.is_none() && self.pending_out() == 0)
+    /// The write half has nothing more to do: the fabric let go of the
+    /// link and everything accepted was flushed (or the session died).
+    fn writer_done(&self, tx: &LinkTx) -> bool {
+        self.sess.is_terminal() || tx.finished()
     }
 
     /// The read half has nothing more to do.
     fn reader_done(&self) -> bool {
-        self.sess.is_terminal() || (self.stream.is_none() && self.sess.teardown_begun())
+        self.sess.is_terminal() || (self.reader.is_none() && self.sess.teardown_begun())
     }
 }
 
@@ -215,28 +438,29 @@ struct Ctx {
 /// Adopt a freshly installed stream: nonblocking mode, fresh decoder,
 /// discarded stale output, and (recovery) the unacked ring replayed with
 /// current acks.
-fn adopt(link: &mut PeerLink, _ctx: &Ctx) {
+fn adopt(link: &mut PeerLink, tx: &LinkTx) {
     let Some(s) = link.sess.fresh_stream(&mut link.gen) else {
         return;
     };
-    if s.set_nonblocking(true).is_err() {
+    let mut h = lock(&tx.half);
+    link.drop_stream(&mut h);
+    let Ok(w) = s.set_nonblocking(true).and_then(|()| s.try_clone()) else {
         link.sess.mark_dead();
-        link.drop_stream();
         return;
-    }
-    link.drop_stream();
+    };
     for (seq, bytes) in link.sess.unacked() {
         let ack = link.sess.recv_cursor.load(Ordering::Acquire);
-        let _ = wire::write_preamble(&mut link.out, wire::Preamble::Data { seq, ack });
-        link.out.extend_from_slice(&bytes);
+        let _ = wire::write_preamble(&mut h.out, wire::Preamble::Data { seq, ack });
+        h.out.extend_from_slice(&bytes);
     }
-    link.stream = Some(BufReader::with_capacity(64 * 1024, s));
+    h.stream = Some(w);
+    link.reader = Some(BufReader::with_capacity(64 * 1024, DryReader { inner: s, dry: false }));
 }
 
 /// The link's stream failed (or desynced): sever it and transition the
 /// session — suspect + reconnect driving with recovery, dead without.
-fn on_stream_error(link: &mut PeerLink, ctx: &Ctx, wheel: &mut TimerWheel<Timer>, idx: usize) {
-    link.drop_stream();
+fn on_stream_error(link: &mut PeerLink, h: &mut WriteHalf, ctx: &Ctx, wheel: &mut TimerWheel<Timer>, idx: usize) {
+    link.drop_stream(h);
     if !ctx.session.recovery {
         link.sess.mark_dead();
         return;
@@ -254,41 +478,6 @@ fn arm_reconnect(link: &mut PeerLink, wheel: &mut TimerWheel<Timer>, idx: usize)
     }
 }
 
-/// Flush as much pending output as the socket accepts right now.
-fn flush(link: &mut PeerLink, ctx: &Ctx, wheel: &mut TimerWheel<Timer>, idx: usize) {
-    if link.stream.is_none() {
-        link.out.clear();
-        link.out_pos = 0;
-        return;
-    }
-    let mut failed = false;
-    while link.out_pos < link.out.len() {
-        let Some(r) = &link.stream else { break };
-        let mut w: &TcpStream = r.get_ref();
-        match w.write(&link.out[link.out_pos..]) {
-            Ok(0) => {
-                failed = true;
-                break;
-            }
-            Ok(n) => link.out_pos += n,
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
-            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
-            Err(_) => {
-                failed = true;
-                break;
-            }
-        }
-    }
-    if failed {
-        on_stream_error(link, ctx, wheel, idx);
-        return;
-    }
-    if link.out_pos == link.out.len() {
-        link.out.clear();
-        link.out_pos = 0;
-    }
-}
-
 /// Control flow after enacting one scripted fault in the write pump.
 enum FaultFlow {
     Continue,
@@ -296,159 +485,119 @@ enum FaultFlow {
     Stop,
 }
 
-/// Enact one scripted fault (see [`crate::fault`]) against `link`. `m` is
-/// the trigger message, not yet sequenced.
+/// Enact one scripted fault (see [`crate::fault`]) against `link`. The
+/// trigger message is the front of `h.pending`, not yet sequenced.
 fn enact_fault(
     f: FaultSpec,
     link: &mut PeerLink,
+    h: &mut WriteHalf,
     ctx: &Ctx,
     wheel: &mut TimerWheel<Timer>,
     idx: usize,
-    m: &WireMsg,
     now: Instant,
 ) -> FaultFlow {
     match f.action {
         FaultAction::StallWriter { millis } => {
             // The threaded writer sleeps in place; the loop must not, so
-            // the stall is a timer and the trigger message waits in
-            // `head` (the pump skips a stalled link entirely).
+            // the stall is a timer and the trigger message waits at the
+            // front of `pending` (nobody pumps a stalled link).
             let until = now + Duration::from_millis(millis);
-            link.stalled_until = Some(until);
+            h.stalled_until = Some(until);
             wheel.insert(until, Timer::StallOver(idx));
-            FaultFlow::Stop
+            return FaultFlow::Stop;
         }
-        FaultAction::ResetConn => {
-            if let Some(r) = &link.stream {
-                let _ = r.get_ref().shutdown(Shutdown::Both);
-            }
-            link.drop_stream();
-            if ctx.session.recovery {
-                if link.sess.mark_suspect(link.gen) {
-                    arm_reconnect(link, wheel, idx);
-                }
-                // The trigger frame still gets sequenced and ringed below
-                // (streamless), so the reconnect replays it.
-                FaultFlow::Continue
-            } else {
-                link.sess.mark_dead();
-                FaultFlow::Stop
-            }
+        FaultAction::KillNode => {
+            ctx.kill.fire();
+            return FaultFlow::Stop;
         }
+        // Boot-path only; filtered out of wire fault lists.
+        FaultAction::DialFail { .. } => return FaultFlow::Continue,
+        FaultAction::ResetConn => {}
         FaultAction::TruncateFrame => {
             // Flush what is staged, then a preamble and half a header:
             // the peer observes EOF mid-frame, the crashed-writer
             // signature. Best effort — the socket dies right after.
-            if let Some(r) = &link.stream {
-                let mut w: &TcpStream = r.get_ref();
-                let _ = w.write_all(&link.out[link.out_pos..]);
+            if let (Some(mut w), Some(m)) = (h.stream.as_ref(), h.pending.front()) {
+                let _ = w.write_all(&h.out[h.out_pos..]);
                 let mut frame = Vec::new();
                 let _ = wire::write_preamble(&mut frame, wire::Preamble::Data { seq: 0, ack: 0 });
                 let _ = wire::write_frame(&mut frame, m.dst, m.src, m.tag, &m.body);
-                let cut = (wire::PREAMBLE_LEN + wire::HEADER_LEN / 2).min(frame.len());
-                let _ = w.write_all(&frame[..cut]);
-                let _ = r.get_ref().shutdown(Shutdown::Both);
-            }
-            link.drop_stream();
-            if ctx.session.recovery {
-                if link.sess.mark_suspect(link.gen) {
-                    arm_reconnect(link, wheel, idx);
-                }
-                FaultFlow::Continue
-            } else {
-                link.sess.mark_dead();
-                FaultFlow::Stop
+                let _ = w.write_all(&frame[..(PREAMBLE_LEN + HEADER_LEN / 2).min(frame.len())]);
             }
         }
-        FaultAction::KillNode => {
-            ctx.kill.fire();
-            FaultFlow::Stop
+    }
+    // Reset or truncation: the connection dies abruptly, staged output
+    // and all.
+    if let Some(w) = &h.stream {
+        let _ = w.shutdown(Shutdown::Both);
+    }
+    link.drop_stream(h);
+    if ctx.session.recovery {
+        if link.sess.mark_suspect(link.gen) {
+            arm_reconnect(link, wheel, idx);
         }
-        // Boot-path only; filtered out of wire fault lists.
-        FaultAction::DialFail { .. } => FaultFlow::Continue,
+        // The trigger frame still gets sequenced and ringed (streamless),
+        // so the reconnect replays it.
+        FaultFlow::Continue
+    } else {
+        link.sess.mark_dead();
+        FaultFlow::Stop
     }
 }
 
-/// Drain the link's channel into its output buffer (encoding + session
-/// sequencing per frame) and flush. Stops at the byte high-water mark, a
-/// full replay ring, a scripted stall, or the channel running dry.
-fn pump_writes(link: &mut PeerLink, ctx: &Ctx, wheel: &mut TimerWheel<Timer>, idx: usize, now: Instant) {
-    if link.stalled_until.is_some_and(|t| now < t) {
-        return;
-    }
-    link.stalled_until = None;
-    flush(link, ctx, wheel, idx);
-    'fill: while link.pending_out() < HIGH_WATER {
-        if link.sess.is_terminal() {
-            // Parity with the threaded writer exiting its loop: whatever
-            // is still queued is dropped, not half-sent.
-            link.head = None;
-            break 'fill;
+/// The loop's turn as the link's writer: resume whatever a sender (or an
+/// earlier turn) could not finish — partial writes, due faults, a full
+/// ring, a missing stream — then pump like any sender. Takes the link
+/// back from `handed_off` only when a pump ends clean.
+fn pump_writes(link: &mut PeerLink, tx: &LinkTx, ctx: &Ctx, wheel: &mut TimerWheel<Timer>, idx: usize, now: Instant) {
+    loop {
+        let mut guard = lock(&tx.half);
+        let h = &mut *guard;
+        if h.stalled_until.is_some_and(|t| now < t) {
+            link.want_write = false;
+            return;
         }
-        let m = match link.head.take() {
-            Some(m) => m,
-            None => match link.rx.try_recv() {
-                Ok(m) => m,
-                Err(TryRecvError::Empty) => break 'fill,
-                Err(TryRecvError::Disconnected) => {
-                    link.rx_open = false;
-                    break 'fill;
-                }
-            },
-        };
-        // Scripted faults fire just before the frame that would take the
-        // per-connection count past `after_frames`.
-        while let Some(f) = link.due_fault() {
-            match enact_fault(f, link, ctx, wheel, idx, &m, now) {
-                FaultFlow::Continue => {}
-                FaultFlow::Stop => {
-                    if link.stalled_until.is_some() {
-                        // The stalled trigger message is retried after the
-                        // stall expires.
-                        link.head = Some(m);
+        h.stalled_until = None;
+        let clean = loop {
+            match tx.pump(h, ctx.session.recovery) {
+                Ok(()) => break true,
+                Err(Stop::FaultDue) => {
+                    let due = h.due_fault().and_then(Option::take);
+                    if due.is_some_and(|f| matches!(enact_fault(f, link, h, ctx, wheel, idx, now), FaultFlow::Stop)) {
+                        break false;
                     }
-                    break 'fill;
                 }
+                // Severed: the next round rings streamless (recovery) or
+                // finds the session dead.
+                Err(Stop::StreamError) => on_stream_error(link, h, ctx, wheel, idx),
+                Err(Stop::RingFull) => {
+                    // The health tick gives up after a full suspect window
+                    // without ack progress, mirroring the threaded
+                    // driver's blocking enqueue.
+                    h.ring_full_since.get_or_insert(now);
+                    break false;
+                }
+                Err(Stop::WouldBlock | Stop::NoStream) => break false,
             }
-        }
-        if link.sess.is_terminal() {
-            break 'fill;
-        }
-        let Some(encoded) = frames::encode_frame(m.dst, m.src, m.tag, &m.body) else {
-            break 'fill;
         };
-        match link.sess.try_enqueue(&ctx.session, encoded.clone()) {
-            Ok(seq) => {
-                link.sent += 1;
-                link.ring_full_since = None;
-                // Streamless sends (mid-reconnect) are ringed only: the
-                // replay on the next adopt covers them.
-                if link.stream.is_some() {
-                    let ack = link.sess.recv_cursor.load(Ordering::Acquire);
-                    let _ = wire::write_preamble(&mut link.out, wire::Preamble::Data { seq, ack });
-                    link.out.extend_from_slice(&encoded);
-                    link.wrote_data = true;
-                }
-            }
-            Err(EnqueueError::Full) => {
-                // Retried once the peer's next ack prunes the ring (an
-                // incoming readable event); the health tick gives up after
-                // a full suspect window without progress, mirroring the
-                // threaded driver's blocking enqueue.
-                link.head = Some(m);
-                link.ring_full_since.get_or_insert(now);
-                break 'fill;
-            }
-            Err(EnqueueError::Terminal) => break 'fill,
+        h.handed_off = !clean;
+        link.want_write = h.pending_out() > 0 && h.stalled_until.is_none();
+        drop(guard);
+        // A sender that lost the lock to us left its message queued.
+        if !clean || lock(&tx.queue).is_empty() {
+            return;
         }
     }
-    flush(link, ctx, wheel, idx);
 }
 
 /// Decode and deliver everything the socket has for us right now.
-fn pump_reads(link: &mut PeerLink, ctx: &Ctx, wheel: &mut TimerWheel<Timer>, idx: usize) {
+fn pump_reads(link: &mut PeerLink, tx: &LinkTx, ctx: &Ctx, wheel: &mut TimerWheel<Timer>, idx: usize) {
     let recovery = ctx.session.recovery;
+    if let Some(r) = &mut link.reader {
+        r.get_mut().dry = false; // a readable event: the socket holds data again
+    }
     loop {
-        let Some(r) = &mut link.stream else { return };
+        let Some(r) = &mut link.reader else { return };
         match link.dec.poll_step(r, &ctx.topo, &mut link.pool) {
             Ok(Progress::NeedMore) => return,
             Ok(Progress::Item(p, f)) => match frames::session_step(&link.sess, recovery, p) {
@@ -458,62 +607,51 @@ fn pump_reads(link: &mut PeerLink, ctx: &Ctx, wheel: &mut TimerWheel<Timer>, idx
                     }
                 }
                 SessionStep::Skip => {}
-                SessionStep::Desync => {
-                    on_stream_error(link, ctx, wheel, idx);
-                    return;
-                }
+                SessionStep::Desync => break,
             },
-            Ok(Progress::CleanEof) => {
-                if recovery {
-                    // Same as the threaded reader: suspect and (unless we
-                    // are tearing down too) drive a reconnect; replayed
-                    // sequence numbers deduplicate.
-                    on_stream_error(link, ctx, wheel, idx);
-                } else {
-                    // Collective teardown (or a peer death at an exact
-                    // boundary, which is indistinguishable).
-                    link.sess.mark_closed();
-                    link.drop_stream();
-                }
+            // With recovery, same as the threaded reader: suspect and
+            // (unless we are tearing down too) drive a reconnect; replayed
+            // sequence numbers deduplicate.
+            Ok(Progress::CleanEof) if !recovery => {
+                // Collective teardown (or a peer death at an exact
+                // boundary, which is indistinguishable).
+                link.sess.mark_closed();
+                link.drop_stream(&mut lock(&tx.half));
                 return;
             }
-            Err(_) => {
-                on_stream_error(link, ctx, wheel, idx);
-                return;
-            }
+            Ok(Progress::CleanEof) | Err(_) => break,
         }
     }
+    on_stream_error(link, &mut lock(&tx.half), ctx, wheel, idx);
 }
 
 /// Heartbeat-cadence health tick (recovery mode): idle bare ack,
 /// peer-staleness check, ring-full watchdog. Re-arms itself until the
 /// session is terminal.
-fn health_tick(link: &mut PeerLink, ctx: &Ctx, wheel: &mut TimerWheel<Timer>, idx: usize, now: Instant) {
+fn health_tick(link: &mut PeerLink, tx: &LinkTx, ctx: &Ctx, wheel: &mut TimerWheel<Timer>, idx: usize, now: Instant) {
     if link.sess.is_terminal() {
         return;
     }
-    if link.ring_full_since.is_some_and(|t| now.duration_since(t) >= ctx.session.suspect_after) {
-        // A full replay ring with no ack progress for a whole suspect
-        // window: the peer is not consuming. Give up on it.
+    let mut h = lock(&tx.half);
+    let state = link.sess.state();
+    // A full replay ring with no ack progress for a whole suspect window
+    // means the peer is not consuming; TCP saying up while the peer has
+    // been silent past the budget (it would have heartbeat if alive)
+    // means the same. Give up on it.
+    if h.ring_full_since.is_some_and(|t| now.duration_since(t) >= ctx.session.suspect_after)
+        || (state == SESS_UP && link.sess.silent_for() > ctx.session.suspect_after)
+    {
         link.sess.mark_dead();
-        link.drop_stream();
+        link.drop_stream(&mut h);
         return;
     }
-    let state = link.sess.state();
     if state == SESS_UP {
-        if link.sess.silent_for() > ctx.session.suspect_after {
-            // TCP says up but the peer has been silent past the budget
-            // (it would have heartbeat if alive): declare it.
-            link.sess.mark_dead();
-            link.drop_stream();
-            return;
-        }
-        if link.stream.is_some() && !link.wrote_data && !link.write_shut {
+        if h.stream.is_some() && !h.wrote_data && !link.write_shut {
             // Idle link: a bare ack both proves our liveness and advances
             // the peer's replay-ring pruning. Staged here, flushed by the
             // next write pump (immediately after timer dispatch).
             let ack = link.sess.recv_cursor.load(Ordering::Acquire);
-            if wire::write_preamble(&mut link.out, wire::Preamble::Ack { ack }).is_ok() {
+            if wire::write_preamble(&mut h.out, wire::Preamble::Ack { ack }).is_ok() {
                 link.sess.hb_sent.fetch_add(1, Ordering::Relaxed);
             }
         }
@@ -522,7 +660,7 @@ fn health_tick(link: &mut PeerLink, ctx: &Ctx, wheel: &mut TimerWheel<Timer>, id
         // session layer) still gets reconnect driving.
         arm_reconnect(link, wheel, idx);
     }
-    link.wrote_data = false;
+    h.wrote_data = false;
     wheel.insert(now + ctx.session.heartbeat_interval, Timer::Health(idx));
 }
 
@@ -632,7 +770,9 @@ fn step_accepts(
 pub(crate) fn run(cfg: LoopCfg, mut wake: WakePipe) {
     let LoopCfg { node, topo, local_txs, session, kill, node_dead, shutdown, listener, peers } = cfg;
     let mut ctx = Ctx { node, topo, local_txs, session, kill, shutdown };
-    let mut links: Vec<PeerLink> = peers.into_iter().map(PeerLink::new).collect();
+    let txs: Vec<Arc<LinkTx>> = peers.iter().map(|p| p.1.clone()).collect();
+    let mut links: Vec<PeerLink> =
+        peers.into_iter().map(|(peer, tx, addr)| PeerLink::new(peer, tx.sess.clone(), addr)).collect();
     let mut sessions_by_node: Vec<Option<Arc<Session>>> = Vec::new();
     for l in &links {
         if sessions_by_node.len() <= l.peer {
@@ -655,18 +795,16 @@ pub(crate) fn run(cfg: LoopCfg, mut wake: WakePipe) {
     let mut inboxes_open = true;
     loop {
         let now = Instant::now();
-        for (i, link) in links.iter_mut().enumerate() {
-            adopt(link, &ctx);
-            pump_writes(link, &ctx, &mut wheel, i, now);
-        }
-        for link in &mut links {
-            if !link.write_shut && link.writer_done() {
+        for (i, (link, tx)) in links.iter_mut().zip(&txs).enumerate() {
+            adopt(link, tx);
+            pump_writes(link, tx, &ctx, &mut wheel, i, now);
+            if !link.write_shut && link.writer_done(tx) {
                 // Clean-teardown half-close: the peer's reader sees EOF at
                 // a transmission boundary. Terminal sessions already shut
                 // their stream.
                 if link.sess.state() == SESS_UP {
-                    if let Some(r) = &link.stream {
-                        let _ = r.get_ref().shutdown(Shutdown::Write);
+                    if let Some(r) = &link.reader {
+                        let _ = r.get_ref().inner.shutdown(Shutdown::Write);
                     }
                 }
                 link.sess.begin_teardown();
@@ -682,7 +820,7 @@ pub(crate) fn run(cfg: LoopCfg, mut wake: WakePipe) {
             }
             inboxes_open = false;
         }
-        let all_done = links.iter().all(|l| l.writer_done() && l.reader_done());
+        let all_done = links.iter().all(|l| l.write_shut && l.reader_done());
         if all_done && (listener.is_none() || ctx.shutdown.load(Ordering::Acquire)) {
             return;
         }
@@ -695,10 +833,9 @@ pub(crate) fn run(cfg: LoopCfg, mut wake: WakePipe) {
             }
         }
         for (i, link) in links.iter().enumerate() {
-            if let Some(r) = &link.stream {
-                let want_write = link.pending_out() > 0 && link.stalled_until.is_none();
-                let interest = if want_write { Interest::READ_WRITE } else { Interest::READ };
-                set.register(r.get_ref().as_raw_fd(), TOK_BASE + i, interest);
+            if let Some(r) = &link.reader {
+                let interest = if link.want_write { Interest::READ_WRITE } else { Interest::READ };
+                set.register(r.get_ref().inner.as_raw_fd(), TOK_BASE + i, interest);
             }
             // Handshake machines only need poll woken on their readiness;
             // they are stepped unconditionally after dispatch.
@@ -723,8 +860,7 @@ pub(crate) fn run(cfg: LoopCfg, mut wake: WakePipe) {
                 std::thread::sleep(Duration::from_millis(1));
             }
         }
-        let ready: Vec<(usize, crate::poller::Readiness)> = set.ready().collect();
-        for (tok, r) in ready {
+        for (tok, readable) in set.ready() {
             match tok {
                 TOK_WAKE => wake.drain(),
                 TOK_LISTENER => {
@@ -733,25 +869,21 @@ pub(crate) fn run(cfg: LoopCfg, mut wake: WakePipe) {
                     }
                 }
                 TOK_MACHINE => {}
-                _ => {
+                // Writability needs no dispatch: the loop-top pump
+                // resumes the partial write and refills from the queue.
+                _ if readable => {
                     let i = tok - TOK_BASE;
-                    if r.readable {
-                        pump_reads(&mut links[i], &ctx, &mut wheel, i);
-                    }
-                    if r.writable {
-                        // Resume a partial write now; the loop-top pump
-                        // refills from the channel afterwards.
-                        flush(&mut links[i], &ctx, &mut wheel, i);
-                    }
+                    pump_reads(&mut links[i], &txs[i], &ctx, &mut wheel, i);
                 }
+                _ => {}
             }
         }
         for t in wheel.expire(Instant::now()) {
             let now = Instant::now();
             match t {
-                Timer::Health(i) => health_tick(&mut links[i], &ctx, &mut wheel, i, now),
+                Timer::Health(i) => health_tick(&mut links[i], &txs[i], &ctx, &mut wheel, i, now),
                 Timer::Reconnect(i) => reconnect_tick(&mut links[i], &ctx, &mut wheel, i, now),
-                Timer::StallOver(i) => links[i].stalled_until = None,
+                Timer::StallOver(i) => lock(&txs[i].half).stalled_until = None,
             }
         }
         // Step every handshake machine: after timers, so a dial started by
@@ -973,6 +1105,201 @@ mod tests {
             std::thread::sleep(Duration::from_millis(10));
         }
         assert!(b.peer_is_lost(NodeId(1)), "soft-killed node must report itself lost");
+        drop(a);
+        drop(b);
+        shutdown_all([f0, f1]);
+    }
+
+    /// Shrink the send buffer of `from`'s socket to `to` to the kernel's
+    /// minimum (a few KiB), so writes go partial and senders hand off to
+    /// the loop. (The receive side stays roomy: a squeezed receive window
+    /// degenerates into zero-window probing, seconds per KiB.)
+    #[cfg(target_os = "linux")]
+    fn squeeze_sndbuf(from: &NodeFabric, to: &NodeFabric) {
+        extern "C" {
+            fn setsockopt(fd: i32, level: i32, name: i32, val: *const i32, len: u32) -> i32;
+        }
+        const SOL_SOCKET: i32 = 1;
+        const SO_SNDBUF: i32 = 7;
+        let sess = from.session(to.node());
+        let inner = sess.inner.lock().unwrap();
+        let fd = inner.stream.as_ref().unwrap().as_raw_fd();
+        let tiny: i32 = 1;
+        // SAFETY: a live socket fd and a 4-byte int option value.
+        assert_eq!(unsafe { setsockopt(fd, SOL_SOCKET, SO_SNDBUF, &tiny, 4) }, 0);
+    }
+
+    #[test]
+    #[cfg(target_os = "linux")]
+    fn many_senders_over_a_squeezed_link_keep_fifo_and_frame_integrity() {
+        // Four endpoints of node 0 hammer one endpoint of node 1 through
+        // send buffer of a few KiB, so writes go partial, senders lose
+        // the link lock to each other and hand off to the loop all the
+        // time. Every frame must still arrive once, whole, and in its
+        // sender's order. Every 16th body exceeds a loopback segment, so
+        // its vectored bulk write is short by construction (the tail is
+        // staged, the loop rung). Volume is kept to a few MB: a minimal
+        // send buffer holds one segment, and small ones wait out the
+        // receiver's delayed ack.
+        const SENDERS: u32 = 4;
+        const MSGS: u32 = 200;
+        let len_of = |sender: u32, seq: u32| {
+            let x = (seq * 131 + sender * 977) as usize;
+            if seq.is_multiple_of(16) {
+                64 * 1024 + x % 8192
+            } else {
+                5 + x % 2000
+            }
+        };
+        let topo = Topology::new(2, SENDERS);
+        let mut fabrics = ev_loopback(&topo, FaultPlan::new(), SessionCfg::default());
+        let mut f1 = fabrics.pop().unwrap();
+        let mut f0 = fabrics.pop().unwrap();
+        squeeze_sndbuf(&f0, &f1);
+        let mut sink = f1.take_proc(ProcId(SENDERS));
+        let senders: Vec<_> = (0..SENDERS)
+            .map(|p| {
+                let mut mb = f0.take_proc(ProcId(p));
+                std::thread::spawn(move || {
+                    for seq in 0..MSGS {
+                        let mut body = vec![(p ^ seq) as u8; len_of(p, seq)];
+                        body[0] = p as u8;
+                        body[1..5].copy_from_slice(&seq.to_le_bytes());
+                        mb.send(Endpoint::Proc(ProcId(SENDERS)), Tag(3), body);
+                    }
+                    mb
+                })
+            })
+            .collect();
+        let mut next = [0u32; SENDERS as usize];
+        for _ in 0..SENDERS * MSGS {
+            let m = sink.recv_timeout(Duration::from_secs(30)).unwrap().expect("a frame was lost");
+            let p = u32::from(m.body[0]);
+            let seq = u32::from_le_bytes(m.body[1..5].try_into().unwrap());
+            assert_eq!(m.src, Endpoint::Proc(ProcId(p)));
+            assert_eq!(seq, next[p as usize], "sender {p}: lost, duplicated or reordered");
+            next[p as usize] += 1;
+            assert_eq!(m.body.len(), len_of(p, seq));
+            assert!(m.body[5..].iter().all(|&b| b == (p ^ seq) as u8), "sender {p} frame {seq}: foreign bytes");
+        }
+        assert_eq!(next, [MSGS; SENDERS as usize]);
+        assert!(f0.doorbell_rings() > 0, "a squeezed link must have handed writes off to the loop");
+        let boxes: Vec<_> = senders.into_iter().map(|h| h.join().unwrap()).collect();
+        drop(boxes);
+        drop(sink);
+        shutdown_all([f0, f1]);
+    }
+
+    #[test]
+    #[cfg(target_os = "linux")]
+    fn idle_ping_pong_never_rings_the_doorbell_but_backpressure_does() {
+        let topo = Topology::new(2, 1);
+        let mut fabrics = ev_loopback(&topo, FaultPlan::new(), SessionCfg::default());
+        let mut f1 = fabrics.pop().unwrap();
+        let mut f0 = fabrics.pop().unwrap();
+        let mut a = f0.take_proc(ProcId(0));
+        let mut b = f1.take_proc(ProcId(1));
+        let echo = std::thread::spawn(move || {
+            for _ in 0..1001 {
+                let m = b.recv().unwrap();
+                b.send(m.src, Tag(2), m.body);
+            }
+            b
+        });
+        let mut idle = (0, 0);
+        for round in 0..1001u32 {
+            if round == 1 {
+                // Round 0 may have raced the loops' first adopt of their
+                // boot streams (a streamless send rings); count from here.
+                idle = (f0.doorbell_rings(), f1.doorbell_rings());
+            }
+            a.send(Endpoint::Proc(ProcId(1)), Tag(1), round.to_le_bytes().to_vec());
+            assert_eq!(a.recv().unwrap().body, round.to_le_bytes());
+        }
+        let mut b = echo.join().unwrap();
+        let rings = (f0.doorbell_rings(), f1.doorbell_rings());
+        assert_eq!(rings, idle, "senders must write every frame of an idle ping-pong themselves");
+        // Now squeeze the link and push 64 KiB bodies through it: the
+        // socket takes a fraction of each, the rest is the loop's.
+        squeeze_sndbuf(&f0, &f1);
+        for i in 0..50u8 {
+            a.send(Endpoint::Proc(ProcId(1)), Tag(1), vec![i; 64 * 1024]);
+        }
+        for i in 0..50u8 {
+            let m = b.recv_timeout(Duration::from_secs(30)).unwrap().expect("flood frame lost");
+            assert!(m.body.len() == 64 * 1024 && m.body.iter().all(|&x| x == i));
+        }
+        assert!(f0.doorbell_rings() > idle.0, "a back-pressured sender must ring the loop");
+        assert_eq!(f1.doorbell_rings(), idle.1, "the receiving node sent nothing");
+        drop(a);
+        drop(b);
+        shutdown_all([f0, f1]);
+    }
+
+    #[test]
+    fn caller_submitted_frames_land_in_the_replay_ring() {
+        // Recovery on, heartbeats far apart so no ack prunes the ring
+        // during the test: frames the sending thread wrote itself must be
+        // ringed exactly like loop-written ones.
+        let cfg = SessionCfg {
+            recovery: true,
+            heartbeat_interval: Duration::from_secs(30),
+            suspect_after: Duration::from_secs(60),
+            replay_window: 1024,
+        };
+        let topo = Topology::new(2, 1);
+        let mut fabrics = ev_loopback(&topo, FaultPlan::new(), cfg);
+        let mut f1 = fabrics.pop().unwrap();
+        let mut f0 = fabrics.pop().unwrap();
+        let mut a = f0.take_proc(ProcId(0));
+        let mut b = f1.take_proc(ProcId(1));
+        // One round trip so both loops have adopted their streams.
+        a.send(Endpoint::Proc(ProcId(1)), Tag(1), vec![0xFF]);
+        b.recv().unwrap();
+        b.send(Endpoint::Proc(ProcId(0)), Tag(1), vec![0xFF]);
+        a.recv().unwrap();
+        let rings = f0.doorbell_rings();
+        for i in 0..10u8 {
+            a.send(Endpoint::Proc(ProcId(1)), Tag(1), vec![i]);
+        }
+        // Sequenced 2..=11 on the calling thread, without the loop's help.
+        let ringed: Vec<u64> = f0.session(NodeId(1)).unacked().iter().map(|(seq, _)| *seq).collect();
+        assert_eq!(ringed, (2..=11).collect::<Vec<u64>>());
+        assert_eq!(f0.doorbell_rings(), rings);
+        for i in 0..10u8 {
+            assert_eq!(b.recv_timeout(Duration::from_secs(10)).unwrap().unwrap().body, vec![i]);
+        }
+        drop(a);
+        drop(b);
+        shutdown_all([f0, f1]);
+    }
+
+    #[test]
+    fn scripted_fault_fires_at_its_frame_count_when_senders_pump() {
+        // The fault cursor lives in the shared write half: frames 0..5 are
+        // written by the sending thread, the sixth finds the reset due,
+        // stays queued and rings the loop, which enacts it. Exactly five
+        // frames get through, whoever pumped.
+        let faults =
+            FaultPlan::new().with(FaultSpec { node: 1, peer: 0, after_frames: 5, action: FaultAction::ResetConn });
+        let topo = Topology::new(2, 1);
+        let mut fabrics = ev_loopback(&topo, faults, SessionCfg::default());
+        let mut f1 = fabrics.pop().unwrap();
+        let mut f0 = fabrics.pop().unwrap();
+        let mut a = f0.take_proc(ProcId(0));
+        let mut b = f1.take_proc(ProcId(1));
+        for i in 0..20u8 {
+            b.send(Endpoint::Proc(ProcId(0)), Tag(1), vec![i]);
+        }
+        for i in 0..5u8 {
+            assert_eq!(a.recv_timeout(Duration::from_secs(10)).unwrap().unwrap().body, vec![i]);
+        }
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while !a.peer_is_lost(NodeId(1)) {
+            assert!(Instant::now() < deadline, "reset never surfaced at the receiver");
+            std::thread::sleep(Duration::from_millis(5));
+        }
+        assert!(!matches!(a.try_recv(), Ok(Some(_))), "a frame past the fault point got through");
         drop(a);
         drop(b);
         shutdown_all([f0, f1]);

@@ -18,6 +18,12 @@
 //!   buffers and demuxes them by the header's destination endpoint into
 //!   the per-endpoint inboxes.
 //!
+//! That is the threaded driver. Under the event-loop driver (the unix
+//! default, see `event_loop.rs`) one loop thread per node does all the
+//! reading, and there is no writer thread at all: `send` submits to the
+//! link's shared write half and normally issues the socket write on the
+//! sending thread.
+//!
 //! Every peer link is owned by a [`Session`] (see [`crate::session`]).
 //! With recovery off (the default) a session is a thin wrapper over the
 //! boot-time stream: connection errors are terminal and teardown is
@@ -185,7 +191,7 @@ impl KillSwitch {
 }
 
 /// A message bound for another node, queued to that peer's write path
-/// (the writer thread or the event loop's per-peer queue).
+/// (the writer thread's channel or the link's shared write half).
 pub(crate) struct WireMsg {
     pub(crate) dst: Endpoint,
     pub(crate) src: Endpoint,
@@ -193,9 +199,19 @@ pub(crate) struct WireMsg {
     pub(crate) body: Body,
 }
 
+/// Where a mailbox hands a message bound for one peer node.
+enum PeerTx {
+    /// Threaded driver: the peer's writer-thread channel.
+    Channel(Sender<WireMsg>),
+    /// Event-loop driver: the link's shared write half — the sending
+    /// thread usually writes the socket itself.
+    #[cfg(unix)]
+    Link(Arc<crate::event_loop::LinkTx>),
+}
+
 /// State shared by every local endpoint's mailbox (and nothing else: the
 /// IO threads deliberately hold only what they need, so dropping the
-/// fabric and its mailboxes is what disconnects the writer channels).
+/// fabric and its mailboxes is what disconnects the write paths).
 struct NodeShared {
     topo: Topology,
     node: NodeId,
@@ -204,8 +220,8 @@ struct NodeShared {
     /// Inbox senders, indexed by dense endpoint index; `Some` only for
     /// this node's endpoints.
     local_txs: Vec<Option<Sender<Msg>>>,
-    /// Writer-thread channels, indexed by peer node; `None` at our index.
-    peer_txs: Vec<Option<Sender<WireMsg>>>,
+    /// Write paths, indexed by peer node; `None` at our index.
+    peer_txs: Vec<Option<PeerTx>>,
     /// Per-endpoint wire counters (messages / payload bytes sent across
     /// the network), indexed by dense endpoint index.
     wire_msgs: Vec<AtomicU64>,
@@ -215,11 +231,24 @@ struct NodeShared {
     sessions: Vec<Option<Arc<Session>>>,
     /// Set by a soft [`FaultAction::KillNode`]: this node itself is gone.
     node_dead: Arc<AtomicBool>,
-    /// Event-loop doorbell: rung after queueing a wire message so the
-    /// loop wakes from `poll`. `None` under the threaded driver (blocking
-    /// channel receives need no doorbell).
+    /// Event-loop doorbell, rung here only at teardown (senders ring it
+    /// through their link when they cannot finish a write themselves).
+    /// `None` under the threaded driver.
     #[cfg(unix)]
     waker: Option<Arc<WakeHandle>>,
+}
+
+impl Drop for NodeShared {
+    fn drop(&mut self) {
+        // The last mailbox is gone: the event-loop counterpart of the
+        // writer channels disconnecting.
+        #[cfg(unix)]
+        for tx in self.peer_txs.iter().flatten() {
+            if let PeerTx::Link(link) = tx {
+                link.close();
+            }
+        }
+    }
 }
 
 /// The TCP implementation of [`MailboxBackend`].
@@ -257,12 +286,14 @@ impl MailboxBackend for NetMailbox {
         } else {
             sh.wire_msgs[self.my_index].fetch_add(1, Ordering::Relaxed);
             sh.wire_bytes[self.my_index].fetch_add(body.len() as u64, Ordering::Relaxed);
-            if let Some(tx) = &sh.peer_txs[dst_node.idx()] {
-                let _ = tx.send(WireMsg { dst, src: self.me, tag, body });
-                #[cfg(unix)]
-                if let Some(w) = &sh.waker {
-                    w.wake();
+            let m = WireMsg { dst, src: self.me, tag, body };
+            match &sh.peer_txs[dst_node.idx()] {
+                Some(PeerTx::Channel(tx)) => {
+                    let _ = tx.send(m);
                 }
+                #[cfg(unix)]
+                Some(PeerTx::Link(link)) => link.submit(m),
+                None => {}
             }
         }
     }
@@ -833,7 +864,7 @@ impl NodeFabric {
         let driver = IoDriver::resolve(opts.io_driver);
 
         let mut io_threads = Vec::new();
-        let mut peer_txs: Vec<Option<Sender<WireMsg>>> = (0..topo.nnodes()).map(|_| None).collect();
+        let mut peer_txs: Vec<Option<PeerTx>> = (0..topo.nnodes()).map(|_| None).collect();
         let accept_shutdown = Arc::new(AtomicBool::new(false));
         #[cfg(unix)]
         let mut waker: Option<Arc<WakeHandle>> = None;
@@ -845,15 +876,11 @@ impl NodeFabric {
             let mut peers = Vec::new();
             for (peer, sess) in sessions.iter().enumerate() {
                 let Some(sess) = sess else { continue };
-                let (tx, rx) = crossbeam_channel::unbounded();
-                peer_txs[peer] = Some(tx);
-                peers.push(crate::event_loop::PeerSeed {
-                    peer,
-                    sess: sess.clone(),
-                    rx,
-                    faults: wire_faults.iter().filter(|f| f.peer as usize == peer).map(|&f| Some(f)).collect(),
-                    addr: addrs.get(peer).cloned().unwrap_or_default(),
-                });
+                let faults = wire_faults.iter().filter(|f| f.peer as usize == peer).map(|&f| Some(f)).collect();
+                let tx =
+                    Arc::new(crate::event_loop::LinkTx::new(sess.clone(), opts.session.clone(), faults, wake.handle()));
+                peer_txs[peer] = Some(PeerTx::Link(tx.clone()));
+                peers.push((peer, tx, addrs.get(peer).cloned().unwrap_or_default()));
             }
             let lc = crate::event_loop::LoopCfg {
                 node: node.0,
@@ -879,7 +906,7 @@ impl NodeFabric {
             for (peer, sess) in sessions.iter().enumerate() {
                 let Some(sess) = sess else { continue };
                 let (tx, rx) = crossbeam_channel::unbounded();
-                peer_txs[peer] = Some(tx);
+                peer_txs[peer] = Some(PeerTx::Channel(tx));
                 let ctx = WriterCtx {
                     node: node.0,
                     coalesce: opts.coalesce.max(1),
@@ -1084,6 +1111,24 @@ impl NodeFabric {
     /// recovery mode, where idle links are probed).
     pub fn heartbeats_sent(&self, peer: NodeId) -> u64 {
         self.shared.sessions.get(peer.idx()).and_then(|s| s.as_ref()).map_or(0, |s| s.hb_sent.load(Ordering::Relaxed))
+    }
+
+    /// How many times this node's senders (or its teardown) actually rang
+    /// the event loop's doorbell — one wake-pipe write each. A sender
+    /// rings only when it could not finish a socket write itself, so an
+    /// unpressured run reads 0 until shutdown. Always 0 under the
+    /// threaded driver.
+    pub fn doorbell_rings(&self) -> u64 {
+        #[cfg(unix)]
+        return self.shared.waker.as_ref().map_or(0, |w| w.rings());
+        #[cfg(not(unix))]
+        0
+    }
+
+    /// The session with `peer` (unit tests reach its socket and ring).
+    #[cfg(test)]
+    pub(crate) fn session(&self, peer: NodeId) -> Arc<Session> {
+        self.shared.sessions[peer.idx()].clone().expect("no session with that peer")
     }
 
     /// Total wire traffic sent by this node's endpoints.

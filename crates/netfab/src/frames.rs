@@ -9,10 +9,11 @@
 //! accounting, replay dedup by sequence number, desync detection), so the
 //! drivers cannot drift semantically.
 //!
-//! Outgoing frames are encoded once by [`encode_frame`] into an
-//! `Arc<Vec<u8>>` — the exact representation the session replay ring
-//! stores — so a frame is serialized exactly once no matter how many
-//! times a reconnect replays it.
+//! With recovery on, outgoing frames are encoded once by [`encode_frame`]
+//! into an `Arc<Vec<u8>>` — the exact representation the session replay
+//! ring stores — so a frame is serialized exactly once no matter how many
+//! times a reconnect replays it. With recovery off the event loop's submit
+//! path encodes straight into its output buffer instead.
 
 use std::io::{self, Read};
 use std::sync::atomic::Ordering;
@@ -44,12 +45,34 @@ pub(crate) fn read_transmission(
     }
 }
 
+/// A nonblocking socket that remembers when it ran dry, for use under a
+/// `BufReader`. A read that returns fewer bytes than it asked for emptied
+/// the receive queue, so the next one is guaranteed `EAGAIN`: instead of
+/// issuing it, `read` reports `WouldBlock` itself until the owner clears
+/// `dry` on the next readable event (level-triggered `poll` reports
+/// anything that arrived in between).
+pub(crate) struct DryReader<R> {
+    pub inner: R,
+    pub dry: bool,
+}
+
+impl<R: Read> Read for DryReader<R> {
+    fn read(&mut self, out: &mut [u8]) -> io::Result<usize> {
+        if self.dry {
+            return Err(io::ErrorKind::WouldBlock.into());
+        }
+        let n = self.inner.read(out)?;
+        self.dry = n < out.len();
+        Ok(n)
+    }
+}
+
 /// Progress of one [`FrameDecoder::poll_step`] call.
 pub(crate) enum Progress {
     /// A complete transmission (preamble + optional data frame).
     Item(wire::Preamble, Option<wire::Frame>),
-    /// The socket ran dry (`WouldBlock`) mid-field; call again on the
-    /// next readable event.
+    /// The socket ran dry (`WouldBlock`, or a short read through a
+    /// [`DryReader`]); call again on the next readable event.
     NeedMore,
     /// Clean EOF exactly at a transmission boundary.
     CleanEof,
@@ -322,6 +345,44 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn dry_reader_skips_the_read_that_would_only_return_eagain() {
+        /// Hands out `data` in one short read, then `WouldBlock`s,
+        /// counting raw reads.
+        struct Sock<'a> {
+            data: &'a [u8],
+            reads: usize,
+        }
+        impl Read for Sock<'_> {
+            fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+                self.reads += 1;
+                if self.data.is_empty() {
+                    return Err(io::ErrorKind::WouldBlock.into());
+                }
+                let n = self.data.len().min(buf.len());
+                buf[..n].copy_from_slice(&self.data[..n]);
+                self.data = &self.data[n..];
+                Ok(n)
+            }
+        }
+        let (topo, buf) = sample_stream();
+        let mut r = io::BufReader::new(DryReader { inner: Sock { data: &buf, reads: 0 }, dry: false });
+        let mut dec = FrameDecoder::new();
+        let mut pool = BodyPool::new(4);
+        let mut items = 0;
+        while let Progress::Item(..) = dec.poll_step(&mut r, &topo, &mut pool).unwrap() {
+            items += 1;
+        }
+        assert_eq!(items, 3);
+        assert_eq!(r.get_ref().inner.reads, 1, "the short read proved the socket dry: no EAGAIN probe");
+        // Still dry until the next readable event re-arms it.
+        assert!(matches!(dec.poll_step(&mut r, &topo, &mut pool).unwrap(), Progress::NeedMore));
+        assert_eq!(r.get_ref().inner.reads, 1);
+        r.get_mut().dry = false;
+        assert!(matches!(dec.poll_step(&mut r, &topo, &mut pool).unwrap(), Progress::NeedMore));
+        assert_eq!(r.get_ref().inner.reads, 2);
     }
 
     #[test]

@@ -21,9 +21,11 @@
 //!   [`armci_transport::MailboxBackend`] contract, fed by one of two IO
 //!   drivers ([`IoDriver`]): the legacy *threaded* model (one blocking
 //!   reader + writer thread per peer) or the default *event loop* (one
-//!   nonblocking `poll(2)` loop per node owning every peer socket — O(1)
-//!   threads regardless of cluster size, with write coalescing, idle
-//!   heartbeats and reconnect driving all on a single timer wheel);
+//!   nonblocking `poll(2)` loop per node reading every peer socket — O(1)
+//!   threads regardless of cluster size, idle heartbeats and reconnect
+//!   driving all on a single timer wheel — while the sending thread
+//!   writes the socket itself through a lock-guarded, combining write
+//!   half per link);
 //! * [`launch`] — helpers for spawning one process per node (used by the
 //!   `armci-launch` tool and `armci-core`'s self-spawning
 //!   `run_cluster_spawned`).

@@ -7,17 +7,18 @@
 //! sub-microsecond copy, far below the syscall itself.
 //!
 //! [`WakePipe`] is the cross-thread doorbell: mailbox `send()` runs on
-//! arbitrary user threads while the loop sleeps in `poll`, so the sender
-//! writes one byte into a nonblocking [`UnixStream`] pair. An atomic
-//! "already pending" flag coalesces the byte: a burst of sends costs one
-//! wake syscall, not one per message.
+//! arbitrary user threads and normally writes the peer socket itself; when
+//! it cannot finish (see [`crate::event_loop::LinkTx`]) it writes one byte
+//! into a nonblocking [`UnixStream`] pair to wake the loop out of `poll`.
+//! An atomic "already pending" flag coalesces the byte, so at most one is
+//! ever in flight.
 
 #![cfg(unix)]
 
 use std::io::{self, Read, Write};
 use std::os::unix::io::{AsRawFd, RawFd};
 use std::os::unix::net::UnixStream;
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -52,15 +53,6 @@ impl Interest {
     pub const READ: Interest = Interest { readable: true, writable: false };
     pub const WRITE: Interest = Interest { readable: false, writable: true };
     pub const READ_WRITE: Interest = Interest { readable: true, writable: true };
-}
-
-/// Readiness reported for one registered fd. Error/hangup conditions are
-/// folded into both directions so the owner's next read/write discovers
-/// the concrete `io::Error` and turns it into a session transition.
-#[derive(Debug, Clone, Copy, Default)]
-pub(crate) struct Readiness {
-    pub readable: bool,
-    pub writable: bool,
 }
 
 /// A rebuilt-per-call `poll(2)` set mapping fds to caller tokens.
@@ -119,19 +111,26 @@ impl PollSet {
         }
     }
 
-    /// Tokens that came back ready from the last [`PollSet::poll`], with
-    /// their readiness.
-    pub fn ready(&self) -> impl Iterator<Item = (usize, Readiness)> + '_ {
-        self.fds.iter().zip(&self.tokens).filter(|(f, _)| f.revents != 0).map(|(f, &token)| {
-            let err = f.revents & (POLLERR | POLLHUP) != 0;
-            (token, Readiness { readable: f.revents & POLLIN != 0 || err, writable: f.revents & POLLOUT != 0 || err })
-        })
+    /// Tokens that came back ready from the last [`PollSet::poll`], each
+    /// with whether it is readable (otherwise it is only writable — the
+    /// owner's next pump resumes its write without being told).
+    /// Error/hangup conditions count as readable, so the owner's next
+    /// read discovers the concrete `io::Error` and turns it into a
+    /// session transition.
+    pub fn ready(&self) -> impl Iterator<Item = (usize, bool)> + '_ {
+        self.fds
+            .iter()
+            .zip(&self.tokens)
+            .filter(|(f, _)| f.revents != 0)
+            .map(|(f, &token)| (token, f.revents & (POLLIN | POLLERR | POLLHUP) != 0))
     }
 }
 
 /// The sender half of the loop's doorbell, cloned into every mailbox.
 pub(crate) struct WakeHandle {
     pending: AtomicBool,
+    /// Bytes actually written to the pipe (coalesced wakes not counted).
+    rings: AtomicU64,
     tx: UnixStream,
 }
 
@@ -141,8 +140,14 @@ impl WakeHandle {
     /// drain it anyway.
     pub fn wake(&self) {
         if !self.pending.swap(true, Ordering::AcqRel) {
+            self.rings.fetch_add(1, Ordering::Relaxed);
             let _ = (&self.tx).write(&[1u8]);
         }
+    }
+
+    /// How many times the doorbell actually rang (one pipe write each).
+    pub fn rings(&self) -> u64 {
+        self.rings.load(Ordering::Relaxed)
     }
 }
 
@@ -157,7 +162,8 @@ impl WakePipe {
         let (tx, rx) = UnixStream::pair()?;
         tx.set_nonblocking(true)?;
         rx.set_nonblocking(true)?;
-        Ok(WakePipe { rx, handle: Arc::new(WakeHandle { pending: AtomicBool::new(false), tx }) })
+        let handle = WakeHandle { pending: AtomicBool::new(false), rings: AtomicU64::new(0), tx };
+        Ok(WakePipe { rx, handle: Arc::new(handle) })
     }
 
     pub fn handle(&self) -> Arc<WakeHandle> {
@@ -171,10 +177,12 @@ impl WakePipe {
     /// Drain pending wake bytes and re-arm the doorbell. Call on every
     /// readable event for [`WakePipe::fd`], *before* draining the work
     /// queues: a send landing after the queue sweep then rings anew
-    /// instead of being lost.
+    /// instead of being lost. One read suffices — the pending flag keeps
+    /// at most one byte in flight (a racing second costs one spurious
+    /// wake, never a lost one).
     pub fn drain(&mut self) {
         let mut sink = [0u8; 64];
-        while matches!(self.rx.read(&mut sink), Ok(n) if n > 0) {}
+        let _ = self.rx.read(&mut sink);
         self.handle.pending.store(false, Ordering::Release);
     }
 }
@@ -196,8 +204,8 @@ mod tests {
         assert_eq!(set.poll(Duration::from_secs(1)).unwrap(), 1);
         let ready: Vec<_> = set.ready().collect();
         assert_eq!(ready.len(), 1);
-        assert_eq!(ready[0].0, 7);
-        assert!(ready[0].1.readable);
+        assert_eq!(ready[0], (7, true));
+        assert_eq!(h.rings(), 1, "three wakes before a drain cost one pipe write");
         pipe.drain();
         // Drained and re-armed: no stale readiness...
         set.clear();
@@ -243,8 +251,7 @@ mod tests {
         let mut set = PollSet::new();
         set.register(a.as_raw_fd(), 3, Interest::READ_WRITE);
         assert!(set.poll(Duration::from_secs(1)).unwrap() >= 1);
-        let r = set.ready().find(|(t, _)| *t == 3).unwrap().1;
-        assert!(r.writable, "an idle connected socket is writable");
-        assert!(!r.readable, "nothing was sent, so not readable");
+        let readable = set.ready().find(|(t, _)| *t == 3).unwrap().1;
+        assert!(!readable, "an idle connected socket is reported for writability only");
     }
 }

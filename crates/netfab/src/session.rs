@@ -312,10 +312,12 @@ impl Session {
 
     /// Nonblocking [`Session::enqueue`]: assign the next sequence number
     /// (ringing the frame when recovery is on) or report why not. Used by
-    /// the event-loop driver, which must never park on a condvar — a full
-    /// ring is retried after the next ack arrives (ack arrival is a
-    /// readable event on the same loop).
-    pub fn try_enqueue(&self, cfg: &SessionCfg, encoded: Arc<Vec<u8>>) -> Result<u64, EnqueueError> {
+    /// the event-loop driver's submit path, which runs on caller threads
+    /// and the loop alike and must never park on a condvar — a full ring
+    /// is retried after the next ack arrives (a readable event on the
+    /// loop). `encoded` is the frame for the replay ring: `Some` exactly
+    /// when recovery is on, so the recovery-off path never allocates one.
+    pub fn try_enqueue(&self, cfg: &SessionCfg, encoded: Option<Arc<Vec<u8>>>) -> Result<u64, EnqueueError> {
         let Ok(mut inner) = self.inner.lock() else { return Err(EnqueueError::Terminal) };
         if self.is_terminal() {
             return Err(EnqueueError::Terminal);
@@ -333,7 +335,8 @@ impl Session {
         }
         inner.next_seq += 1;
         let seq = inner.next_seq;
-        if cfg.recovery {
+        debug_assert_eq!(cfg.recovery, encoded.is_some());
+        if let Some(encoded) = encoded {
             debug_assert_eq!(inner.ring_first + inner.ring.len() as u64, seq);
             inner.ring.push_back(encoded);
         }

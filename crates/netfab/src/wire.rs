@@ -186,6 +186,13 @@ pub fn read_preamble(r: &mut impl Read) -> io::Result<Option<Preamble>> {
 
 /// Serialize one frame into `w` (no flush — the writer thread batches).
 pub fn write_frame(w: &mut impl Write, dst: Endpoint, src: Endpoint, tag: Tag, body: &[u8]) -> io::Result<()> {
+    write_header(w, dst, src, tag, body.len())?;
+    w.write_all(body)
+}
+
+/// Serialize only a frame's header, announcing a body of `len` bytes the
+/// caller transmits itself (the vectored bulk path never copies it).
+pub fn write_header(w: &mut impl Write, dst: Endpoint, src: Endpoint, tag: Tag, len: usize) -> io::Result<()> {
     let mut hdr = [0u8; HEADER_LEN];
     let (dk, di) = encode_endpoint(dst);
     let (sk, si) = encode_endpoint(src);
@@ -194,9 +201,8 @@ pub fn write_frame(w: &mut impl Write, dst: Endpoint, src: Endpoint, tag: Tag, b
     hdr[5] = sk;
     hdr[6..10].copy_from_slice(&si.to_le_bytes());
     hdr[10..14].copy_from_slice(&tag.0.to_le_bytes());
-    hdr[14..18].copy_from_slice(&(body.len() as u32).to_le_bytes());
-    w.write_all(&hdr)?;
-    w.write_all(body)
+    hdr[14..18].copy_from_slice(&(len as u32).to_le_bytes());
+    w.write_all(&hdr)
 }
 
 /// Read one frame from `r`, landing the body in a buffer from `pool`.
