@@ -11,7 +11,7 @@
 use std::time::{Duration, Instant};
 
 use armci_core::msg::{Req, ReqView};
-use armci_core::{run_cluster, run_cluster_net_loopback, run_cluster_spawned, ArmciCfg, GlobalAddr, IoDriver};
+use armci_core::{run_cluster, run_cluster_net_loopback, run_cluster_spawned, ArmciCfg, GlobalAddr};
 use armci_transport::{LatencyModel, ProcId, SegId};
 use criterion::{black_box, BenchmarkGroup, Criterion};
 
@@ -83,25 +83,17 @@ fn on_one_cpu<T>(f: impl FnOnce() -> T) -> T {
     f()
 }
 
-/// `net_small_put_round_event_loop` as measured on the parent commit
-/// (f2f7974: per-peer send channel + doorbell) with this same pinned
-/// harness on the same box, best of three — emitted beside the live
-/// number so the JSON carries the before/after pair.
-const EVENT_LOOP_BEFORE_NS: f64 = 25565.1;
-
 /// End-to-end rounds over the netfab loopback backend — real TCP frames
-/// moved by the selected IO driver — each round one 8 B `put_u64` plus a
-/// fence. Run under both drivers, this is the head-to-head for the
-/// event-loop migration: the loop must keep small-message round-trip
-/// latency flat (or better) while cutting the thread count. Pinned to one
-/// CPU: unpinned on a small VM the number mostly says whether the IO
-/// thread happened to share a core with the caller (see `perf/README.md`).
-fn net_put_round(iters: u64, driver: IoDriver) -> Duration {
-    on_one_cpu(|| net_put_round_unpinned(iters, driver))
+/// through the node event loops — each round one 8 B `put_u64` plus a
+/// fence. Pinned to one CPU: unpinned on a small VM the number mostly says
+/// whether the loop thread happened to share a core with the caller (see
+/// `perf/README.md`).
+fn net_put_round(iters: u64) -> Duration {
+    on_one_cpu(|| net_put_round_unpinned(iters))
 }
 
-fn net_put_round_unpinned(iters: u64, driver: IoDriver) -> Duration {
-    let cfg = ArmciCfg::flat(2, LatencyModel::zero()).with_io_driver(Some(driver));
+fn net_put_round_unpinned(iters: u64) -> Duration {
+    let cfg = ArmciCfg::flat(2, LatencyModel::zero());
     let out = run_cluster_net_loopback(cfg, move |a| {
         let seg = a.malloc(64);
         let dst = GlobalAddr::new(ProcId(1), seg, 0);
@@ -283,13 +275,7 @@ fn main() {
         bench_into(&mut g, &mut recs, "small_put_round", 8, |iters| cluster_put_round(iters, 8));
         bench_into(&mut g, &mut recs, "put_64k_round", 64 * 1024, |iters| cluster_put_round(iters, 64 * 1024));
         g.sample_size(200);
-        bench_into(&mut g, &mut recs, "net_small_put_round_threaded", 8, |iters| {
-            net_put_round(iters, IoDriver::Threaded)
-        });
-        recs.push(Rec { name: "net_small_put_round_event_loop_before", bytes: 8, ns_per_op: EVENT_LOOP_BEFORE_NS });
-        bench_into(&mut g, &mut recs, "net_small_put_round_event_loop_after", 8, |iters| {
-            net_put_round(iters, IoDriver::EventLoop)
-        });
+        bench_into(&mut g, &mut recs, "net_small_put_round", 8, net_put_round);
         // Cross-process rounds spawn a real second OS process per sample:
         // keep the sample count low, the per-round numbers are stable.
         g.sample_size(10);

@@ -4,7 +4,7 @@
 
 use std::time::Duration;
 
-use armci_netfab::{FaultPlan, IoDriver, RetryPolicy};
+use armci_netfab::{FaultPlan, RetryPolicy};
 use armci_transport::LatencyModel;
 use serde::{Deserialize, Error, Serialize, Value};
 
@@ -151,13 +151,6 @@ pub struct ArmciCfg {
     /// after a reconnect. A sender that outruns the window by this many
     /// frames with no acknowledgement progress declares the peer dead.
     pub replay_window: usize,
-    /// Which netfab IO driver moves bytes (ignored by the emulator):
-    /// `Some(IoDriver::EventLoop)` pins the single-thread nonblocking
-    /// `poll(2)` loop, `Some(IoDriver::Threaded)` pins the legacy
-    /// two-threads-per-peer model, and `None` (the default) resolves via
-    /// the `ARMCI_NETFAB_IO` environment variable or the platform default
-    /// (event loop on unix).
-    pub io_driver: Option<IoDriver>,
     /// Cross-process shared-memory data plane (netfab backends only):
     /// segments are backed by `mmap`ed tmpfs files so same-host peers in
     /// *other processes* serve put/get/acc/rmw with direct loads, stores
@@ -167,8 +160,7 @@ pub struct ArmciCfg {
     /// via the `ARMCI_SHM_PLANE` environment variable (`on`/`off`) — off
     /// for in-process runs, **on** for [`crate::run_cluster_spawned`]
     /// (which resolves the default to a pin before serializing the config
-    /// for its child node processes) — the same knob pattern as
-    /// `io_driver`.
+    /// for its child node processes).
     pub shm_plane: Option<bool>,
     /// Base directory for shm-plane segment files. `None` (the default)
     /// picks `/dev/shm` when present, else the system temp dir. Must be
@@ -216,7 +208,6 @@ impl Default for ArmciCfg {
             suspect_after: Duration::from_secs(2),
             detect_slice: Duration::from_millis(25),
             replay_window: 1024,
-            io_driver: None,
             shm_plane: None,
             shm_dir: None,
             hier_collectives: true,
@@ -322,17 +313,10 @@ impl ArmciCfg {
         self
     }
 
-    /// Pin the netfab IO driver (see [`ArmciCfg::io_driver`]); `None`
-    /// restores env/platform resolution.
-    pub fn with_io_driver(mut self, d: Option<IoDriver>) -> Self {
-        self.io_driver = d;
-        self
-    }
-
     /// Pin the shm data plane on or off (see [`ArmciCfg::shm_plane`]);
     /// `None` restores `ARMCI_SHM_PLANE` resolution. Tests comparing wire
     /// traffic against the emulator pin `Some(false)` to stay immune to
-    /// the env override, mirroring `with_io_driver`.
+    /// the env override.
     pub fn with_shm_plane(mut self, on: Option<bool>) -> Self {
         self.shm_plane = on;
         self
@@ -560,12 +544,6 @@ impl ArmciCfgBuilder {
         self
     }
 
-    /// Pin the netfab IO driver (`None` = env/platform resolution).
-    pub fn io_driver(mut self, d: Option<IoDriver>) -> Self {
-        self.cfg.io_driver = d;
-        self
-    }
-
     /// Pin the shm data plane (`None` = `ARMCI_SHM_PLANE` resolution).
     pub fn shm_plane(mut self, on: Option<bool>) -> Self {
         self.cfg.shm_plane = on;
@@ -711,7 +689,6 @@ impl Serialize for ArmciCfg {
             ("suspect_after_us", Value::U64(self.suspect_after.as_micros() as u64)),
             ("detect_slice_us", Value::U64(self.detect_slice.as_micros() as u64)),
             ("replay_window", Value::U64(self.replay_window as u64)),
-            ("io_driver", Value::Str(self.io_driver.map_or("auto", IoDriver::name).to_string())),
             (
                 "shm_plane",
                 Value::Str(match self.shm_plane {
@@ -748,12 +725,6 @@ impl Deserialize for ArmciCfg {
             suspect_after: Duration::from_micros(u64::from_value(v.field("suspect_after_us")?)?),
             detect_slice: Duration::from_micros(u64::from_value(v.field("detect_slice_us")?)?),
             replay_window: u64::from_value(v.field("replay_window")?)? as usize,
-            io_driver: match v.field("io_driver")?.as_str()? {
-                "auto" => None,
-                name => {
-                    Some(IoDriver::from_name(name).ok_or_else(|| Error::new(format!("unknown io driver {name:?}")))?)
-                }
-            },
             shm_plane: match v.field("shm_plane")?.as_str()? {
                 "auto" => None,
                 "on" => Some(true),
@@ -813,7 +784,6 @@ mod tests {
             suspect_after: Duration::from_millis(750),
             detect_slice: Duration::from_millis(5),
             replay_window: 33,
-            io_driver: Some(armci_netfab::IoDriver::Threaded),
             shm_plane: Some(true),
             shm_dir: Some("/dev/shm/armci-test".to_string()),
             hier_collectives: true,
@@ -844,18 +814,16 @@ mod tests {
         assert_eq!(back.suspect_after, Duration::from_millis(750));
         assert_eq!(back.detect_slice, Duration::from_millis(5));
         assert_eq!(back.replay_window, 33);
-        assert_eq!(back.io_driver, Some(armci_netfab::IoDriver::Threaded));
         assert_eq!(back.shm_plane, Some(true));
         assert_eq!(back.shm_dir.as_deref(), Some("/dev/shm/armci-test"));
         assert!(back.hier_collectives);
         assert_eq!(back.on_peer_loss, OnPeerLoss::Degrade);
         assert_eq!(back.retry, cfg.retry);
 
-        // The default (`None` = resolve via env/platform) serializes as
-        // "auto" and survives the trip too.
+        // The default (`None` = resolve via the environment) serializes
+        // as "auto" and survives the trip too.
         let auto = ArmciCfg::default();
         let back: ArmciCfg = serde::from_str(&serde::to_string(&auto)).unwrap();
-        assert_eq!(back.io_driver, None);
         assert_eq!(back.shm_plane, None);
         assert_eq!(back.shm_dir, None);
     }

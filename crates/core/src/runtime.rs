@@ -363,14 +363,8 @@ where
     F: Fn(&mut Armci) -> T + Send + Sync + 'static,
 {
     let topo = Topology::new(cfg.nodes, cfg.procs_per_node);
-    let fabrics = armci_netfab::NodeFabric::loopback_driver(
-        &topo,
-        cfg.trace,
-        cfg.faults.clone(),
-        session_cfg_of(&cfg),
-        cfg.io_driver,
-    )
-    .expect("loopback fabric");
+    let fabrics = armci_netfab::NodeFabric::loopback_cfg(&topo, cfg.trace, cfg.faults.clone(), session_cfg_of(&cfg))
+        .expect("loopback fabric");
     let trace = fabrics[0].trace();
     let f = Arc::new(f);
     // One runner thread per node process-equivalent; teardown inside
@@ -426,7 +420,6 @@ where
 /// take the coordinator and node 0 down with it).
 fn net_opts_for(cfg: &ArmciCfg, process_faults: bool) -> armci_netfab::NetOpts {
     armci_netfab::NetOpts {
-        io_driver: cfg.io_driver,
         faults: cfg.faults.clone(),
         process_faults,
         boot: armci_netfab::BootOpts { dial: cfg.retry, deadline: cfg.boot_timeout, ..Default::default() },
@@ -510,8 +503,7 @@ where
     let topo = Topology::new(cfg.nodes, cfg.procs_per_node);
     let nnodes = topo.nnodes();
     if nnodes == 1 {
-        let fabrics =
-            NodeFabric::loopback_driver(&topo, false, cfg.faults.clone(), session_cfg_of(&cfg), cfg.io_driver);
+        let fabrics = NodeFabric::loopback_cfg(&topo, false, cfg.faults.clone(), session_cfg_of(&cfg));
         return match fabrics {
             Ok(mut fabrics) => (run_cluster_net(cfg, fabrics.pop().unwrap(), f), Ok(())),
             Err(e) => (Vec::new(), Err(ArmciError::Boot { detail: format!("loopback fabric: {e}") })),

@@ -265,8 +265,8 @@ pub fn join_mesh_opts(rendezvous: &str, topo: &Topology, node: NodeId, opts: &Bo
         if peer <= node.idx() || peer >= nnodes {
             return Err(io::Error::new(io::ErrorKind::InvalidData, format!("unexpected hello from node {peer}")));
         }
-        // Back to unbounded blocking reads: the fabric's reader threads
-        // block on these streams for the lifetime of the run.
+        // Drop the boot-deadline read timeout: the stream lives for the
+        // whole run.
         s.set_read_timeout(None)?;
         if streams[peer].replace(s).is_some() {
             return Err(io::Error::new(io::ErrorKind::InvalidData, format!("node {peer} connected twice")));

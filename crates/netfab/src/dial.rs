@@ -1,10 +1,11 @@
-//! Nonblocking reconnect handshakes for the event-loop IO driver.
+//! The reconnect handshake, as nonblocking state machines.
 //!
-//! The threaded driver runs the reconnect handshake (dial → 16-byte
-//! hello → 12-byte reply, see [`crate::session`]) on blocking sockets;
-//! the event loop must never block outside `poll(2)`, so both sides of
-//! the handshake become resumable state machines whose sockets register
-//! on the loop's [`crate::poller::PollSet`] like any peer link:
+//! A suspect session is re-established by a dial → 16-byte hello →
+//! 12-byte reply exchange (hello: magic, dialer's node id, dialer's
+//! delivered cursor; reply: status word, then the acceptor's delivered
+//! cursor unless it rejects). The event loop must never block outside
+//! `poll(2)`, so both sides are resumable state machines whose sockets
+//! register on the loop's [`crate::poller::PollSet`] like any peer link:
 //!
 //! * [`DialAttempt`] — the suspect-side dialer: a nonblocking
 //!   `connect(2)` (hand-rolled FFI, matching the repo's `poll(2)` and
@@ -14,14 +15,12 @@
 //!   decision (session lookup, liveness) back to the loop, then write
 //!   the accept/reject reply.
 //!
-//! These replace the short-lived `netfab-dial{n}`/`netfab-hs{n}` helper
-//! threads: the loop's thread budget is exactly one, reconnects
-//! included. Connect-failure detection needs no `SO_ERROR` probe — the
-//! first hello write on a failed socket returns the stored error, and a
-//! still-connecting socket returns `WouldBlock`, so the write itself is
-//! the probe.
+//! No helper threads: the node's thread budget is exactly one,
+//! reconnects included. Connect-failure detection needs no `SO_ERROR`
+//! probe — the first hello write on a failed socket returns the stored
+//! error, and a still-connecting socket returns `WouldBlock`, so the
+//! write itself is the probe.
 
-#![cfg(unix)]
 #![deny(clippy::unwrap_used, clippy::expect_used)] // handshake path: every failure must become a step verdict
 
 use std::io::{self, Read, Write};
@@ -30,7 +29,9 @@ use std::os::unix::io::{AsRawFd, RawFd};
 use std::time::Instant;
 
 use crate::poller::Interest;
-use crate::session::{ReconnectHello, MAGIC_RECONNECT};
+
+/// Reconnect hello magic word (suspect dialer → accepting peer).
+const MAGIC_RECONNECT: u32 = 0x4152_4d03;
 
 /// What one [`DialAttempt::step`] observed.
 pub(crate) enum DialStep {
@@ -139,10 +140,10 @@ impl DialAttempt {
 pub(crate) enum AcceptStep {
     /// Still in flight; poll the fd with [`AcceptAttempt::interest`].
     Pending,
-    /// The dialer's hello is complete: the loop must decide with
-    /// [`AcceptAttempt::accept`] or [`AcceptAttempt::reject`], then step
-    /// again to write the reply.
-    Hello(ReconnectHello),
+    /// The hello of dialing node `peer` is complete: the loop must decide
+    /// with [`AcceptAttempt::accept`] or [`AcceptAttempt::reject`], then
+    /// step again to write the reply.
+    Hello { peer: u32 },
     /// Accepted and the reply is flushed: install `stream` into node
     /// `peer`'s session with the dialer's cursor.
     Done { stream: TcpStream, peer: u32, peer_cursor: u64 },
@@ -248,7 +249,7 @@ impl AcceptAttempt {
                 self.peer = u32::from_le_bytes(peer);
                 self.peer_cursor = u64::from_le_bytes(cursor);
                 self.phase = AcceptPhase::Decide;
-                AcceptStep::Hello(ReconnectHello { peer: self.peer, peer_cursor: self.peer_cursor })
+                AcceptStep::Hello { peer: self.peer }
             }
             AcceptPhase::Decide => AcceptStep::Pending,
             AcceptPhase::Reply { close } => {
@@ -380,8 +381,8 @@ mod tests {
             if acc_done.is_none() {
                 match acc.step(Instant::now()) {
                     AcceptStep::Pending => {}
-                    AcceptStep::Hello(h) => {
-                        assert_eq!((h.peer, h.peer_cursor), (3, 41));
+                    AcceptStep::Hello { peer } => {
+                        assert_eq!(peer, 3);
                         acc.accept(17);
                     }
                     AcceptStep::Done { peer, peer_cursor, .. } => acc_done = Some((peer, peer_cursor)),
@@ -415,7 +416,7 @@ mod tests {
         while !rejected && Instant::now() < deadline {
             if acc_alive {
                 match acc.step(Instant::now()) {
-                    AcceptStep::Hello(_) => acc.reject(),
+                    AcceptStep::Hello { .. } => acc.reject(),
                     AcceptStep::Failed => acc_alive = false, // rejection flushed, socket dropped
                     _ => {}
                 }

@@ -1,5 +1,5 @@
-//! The event-loop IO driver: one nonblocking loop per node owning every
-//! peer socket, instead of two blocking threads per peer.
+//! The node's IO path: one nonblocking event loop per node owning every
+//! peer socket.
 //!
 //! **Writes are doorbell-free.** Each link's write half ([`LinkTx`]) is
 //! shared by the loop and every local sender: `send` queues its message
@@ -17,10 +17,10 @@
 //! [`crate::poller::PollSet`] (`poll(2)`): readiness-driven reads feed the
 //! shared [`crate::frames::FrameDecoder`] and land in the per-endpoint
 //! inboxes through [`crate::frames::deliver`] and
-//! [`crate::frames::session_step`] (identical semantics to the threaded
-//! driver), and every time-driven behaviour — heartbeat cadence, staleness
-//! and ring-full watchdogs, reconnect pacing, scripted `StallWriter`
-//! expiry — hangs off one [`crate::timer::TimerWheel`]. Reconnect
+//! [`crate::frames::session_step`], and every time-driven behaviour —
+//! heartbeat cadence, staleness and ring-full watchdogs, reconnect
+//! pacing, scripted `StallWriter` expiry — hangs off one
+//! [`crate::timer::TimerWheel`]. Reconnect
 //! handshakes are nonblocking machines ([`DialAttempt`],
 //! [`AcceptAttempt`]) on the same poll set: no helper threads, the loop
 //! never blocks outside `poll`, each node's IO is exactly one thread.
@@ -66,7 +66,7 @@ const RECONNECT_TICK: Duration = Duration::from_millis(20);
 const IDLE_POLL: Duration = Duration::from_millis(50);
 
 /// How long a pending accept-side handshake may take before it is
-/// abandoned (same budget the old helper threads gave `read_timeout`).
+/// abandoned, so a stuck dialer cannot pin a socket on the loop.
 const ACCEPT_HANDSHAKE: Duration = Duration::from_secs(2);
 
 const TOK_WAKE: usize = 0;
@@ -277,8 +277,8 @@ impl LinkTx {
     fn pump(&self, h: &mut WriteHalf, streamless: bool) -> Result<(), Stop> {
         loop {
             if self.sess.is_terminal() {
-                // Parity with the threaded writer exiting its loop:
-                // whatever is still queued is dropped, not half-sent.
+                // Nobody reads a terminal session's stream: whatever is
+                // still queued is dropped, not half-sent.
                 h.pending.clear();
                 lock(&self.queue).clear();
                 return Ok(());
@@ -313,8 +313,8 @@ impl LinkTx {
                         h.pending.push_front(m);
                         stop = Some(Stop::RingFull);
                     }
-                    // Teardown with a full ring: dropped, as the blocking
-                    // enqueue gives up its ring wait.
+                    // Teardown with a full ring: dropped — nobody waits
+                    // for the ack that would make room.
                     Err(EnqueueError::Terminal) => {}
                 }
             }
@@ -424,8 +424,8 @@ impl PeerLink {
 }
 
 /// Loop-wide immutable-ish context (only `local_txs` is ever mutated:
-/// the senders are dropped once every link's reader is done, mirroring
-/// the threaded driver's reader threads exiting).
+/// the senders are dropped once every link's reader is done, so blocked
+/// receivers see the disconnect).
 struct Ctx {
     node: u32,
     topo: Topology,
@@ -498,9 +498,9 @@ fn enact_fault(
 ) -> FaultFlow {
     match f.action {
         FaultAction::StallWriter { millis } => {
-            // The threaded writer sleeps in place; the loop must not, so
-            // the stall is a timer and the trigger message waits at the
-            // front of `pending` (nobody pumps a stalled link).
+            // The loop must not sleep, so the stall is a timer and the
+            // trigger message waits at the front of `pending` (nobody
+            // pumps a stalled link).
             let until = now + Duration::from_millis(millis);
             h.stalled_until = Some(until);
             wheel.insert(until, Timer::StallOver(idx));
@@ -572,8 +572,7 @@ fn pump_writes(link: &mut PeerLink, tx: &LinkTx, ctx: &Ctx, wheel: &mut TimerWhe
                 Err(Stop::StreamError) => on_stream_error(link, h, ctx, wheel, idx),
                 Err(Stop::RingFull) => {
                     // The health tick gives up after a full suspect window
-                    // without ack progress, mirroring the threaded
-                    // driver's blocking enqueue.
+                    // without ack progress.
                     h.ring_full_since.get_or_insert(now);
                     break false;
                 }
@@ -609,9 +608,9 @@ fn pump_reads(link: &mut PeerLink, tx: &LinkTx, ctx: &Ctx, wheel: &mut TimerWhee
                 SessionStep::Skip => {}
                 SessionStep::Desync => break,
             },
-            // With recovery, same as the threaded reader: suspect and
-            // (unless we are tearing down too) drive a reconnect; replayed
-            // sequence numbers deduplicate.
+            // With recovery: suspect and (unless we are tearing down
+            // too) drive a reconnect; replayed sequence numbers
+            // deduplicate.
             Ok(Progress::CleanEof) if !recovery => {
                 // Collective teardown (or a peer death at an exact
                 // boundary, which is indistinguishable).
@@ -742,9 +741,9 @@ fn step_accepts(
     accepts.retain_mut(|acc| loop {
         match acc.step(now) {
             AcceptStep::Pending => return true,
-            AcceptStep::Hello(h) => {
-                let Some(sess) = sessions.get(h.peer as usize).and_then(|o| o.as_ref()) else {
-                    return false; // unknown peer: drop the socket, as before
+            AcceptStep::Hello { peer } => {
+                let Some(sess) = sessions.get(peer as usize).and_then(|o| o.as_ref()) else {
+                    return false; // unknown peer: drop the socket
                 };
                 if node_dead.load(Ordering::Acquire) || sess.is_terminal() {
                     acc.reject();
@@ -812,9 +811,9 @@ pub(crate) fn run(cfg: LoopCfg, mut wake: WakePipe) {
             }
         }
         if inboxes_open && links.iter().all(PeerLink::reader_done) {
-            // Mirror the threaded reader threads exiting: drop our inbox
-            // senders so endpoints blocked in recv get their RecvError as
-            // soon as the fabric side lets go too.
+            // Nothing more can arrive: drop our inbox senders so
+            // endpoints blocked in recv get their RecvError as soon as
+            // the fabric side lets go too.
             for tx in ctx.local_txs.iter_mut() {
                 *tx = None;
             }
@@ -901,12 +900,13 @@ pub(crate) fn run(cfg: LoopCfg, mut wake: WakePipe) {
 #[allow(clippy::unwrap_used, clippy::expect_used)]
 mod tests {
     use super::*;
-    use crate::fabric::{IoDriver, NodeFabric};
+    use crate::boot::Mesh;
+    use crate::fabric::{NetOpts, NodeFabric};
     use crate::fault::{FaultPlan, FaultSpec};
     use armci_transport::{Endpoint, NodeId, ProcId, Tag};
 
-    fn ev_loopback(topo: &Topology, faults: FaultPlan, session: SessionCfg) -> Vec<NodeFabric> {
-        NodeFabric::loopback_driver(topo, false, faults, session, Some(IoDriver::EventLoop)).unwrap()
+    fn loopback(topo: &Topology, faults: FaultPlan, session: SessionCfg) -> Vec<NodeFabric> {
+        NodeFabric::loopback_cfg(topo, false, faults, session).unwrap()
     }
 
     fn shutdown_all(fabrics: impl IntoIterator<Item = NodeFabric>) {
@@ -921,9 +921,9 @@ mod tests {
     }
 
     #[test]
-    fn cross_node_traffic_and_fifo_on_the_event_loop() {
+    fn cross_node_burst_keeps_fifo_then_replies() {
         let topo = Topology::new(2, 1);
-        let mut fabrics = ev_loopback(&topo, FaultPlan::new(), SessionCfg::default());
+        let mut fabrics = loopback(&topo, FaultPlan::new(), SessionCfg::default());
         let mut f1 = fabrics.pop().unwrap();
         let mut f0 = fabrics.pop().unwrap();
         let mut a = f0.take_proc(ProcId(0));
@@ -950,12 +950,11 @@ mod tests {
     #[test]
     fn shutdown_flushes_messages_queued_before_teardown() {
         // Regression: `NodeFabric::shutdown` flags session teardown before
-        // the loop has drained the write channels. Queued messages must
-        // still reach the peer (the threaded driver's blocking writer
-        // always drained them); `try_enqueue` rejecting on the teardown
+        // the loop has drained the submit queues. Queued messages must
+        // still reach the peer; `try_enqueue` rejecting on the teardown
         // flag silently dropped them, wedging the peer's final barrier.
         let topo = Topology::new(2, 1);
-        let mut fabrics = ev_loopback(&topo, FaultPlan::new(), SessionCfg::default());
+        let mut fabrics = loopback(&topo, FaultPlan::new(), SessionCfg::default());
         let mut f1 = fabrics.pop().unwrap();
         let mut f0 = fabrics.pop().unwrap();
         let mut a = f0.take_proc(ProcId(0));
@@ -978,15 +977,13 @@ mod tests {
 
     #[test]
     fn heartbeats_fire_under_sustained_outbound_load() {
-        // Satellite check for the writer-idle-tick coupling bug: under the
-        // threaded driver, heartbeats only fired when the writer's
-        // blocking receive timed out, so a saturated channel starved them.
-        // On the timer wheel they are due when the clock says so. Flood
+        // Heartbeats hang off the timer wheel, so they are due when the
+        // clock says so, not when the link happens to be quiet. Flood
         // A -> B; B's write path stays idle (it only acks), so B must keep
         // emitting bare acks at heartbeat cadence while its loop is busy
         // reading the flood.
         let topo = Topology::new(2, 1);
-        let mut fabrics = ev_loopback(&topo, FaultPlan::new(), recovery_cfg(Duration::from_secs(5)));
+        let mut fabrics = loopback(&topo, FaultPlan::new(), recovery_cfg(Duration::from_secs(5)));
         let mut f1 = fabrics.pop().unwrap();
         let mut f0 = fabrics.pop().unwrap();
         let mut a = f0.take_proc(ProcId(0));
@@ -1035,14 +1032,14 @@ mod tests {
     }
 
     #[test]
-    fn reconnect_replays_after_reset_on_the_event_loop() {
+    fn reconnect_replays_after_reset() {
         // Node 1 resets its connection to node 0 after 5 frames; with
         // recovery on, the loop's reconnect timer re-dials and replays
         // the unacked tail. All 50 messages arrive in order, once.
         let faults =
             FaultPlan::new().with(FaultSpec { node: 1, peer: 0, after_frames: 5, action: FaultAction::ResetConn });
         let topo = Topology::new(2, 1);
-        let mut fabrics = ev_loopback(&topo, faults, recovery_cfg(Duration::from_secs(5)));
+        let mut fabrics = loopback(&topo, faults, recovery_cfg(Duration::from_secs(5)));
         let mut f1 = fabrics.pop().unwrap();
         let mut f0 = fabrics.pop().unwrap();
         let mut a = f0.take_proc(ProcId(0));
@@ -1069,7 +1066,7 @@ mod tests {
             action: FaultAction::StallWriter { millis: 120 },
         });
         let topo = Topology::new(2, 1);
-        let mut fabrics = ev_loopback(&topo, faults, SessionCfg::default());
+        let mut fabrics = loopback(&topo, faults, SessionCfg::default());
         let mut f1 = fabrics.pop().unwrap();
         let mut f0 = fabrics.pop().unwrap();
         let mut a = f0.take_proc(ProcId(0));
@@ -1088,22 +1085,27 @@ mod tests {
     }
 
     #[test]
-    fn kill_node_severs_all_links_under_the_event_loop() {
+    fn node_kill_rejects_reconnect_and_survivor_declares_dead() {
+        // A soft-killed node severs all links and rejects reconnects; the
+        // survivor must declare it dead within the suspect window instead
+        // of retrying forever.
         let suspect_after = Duration::from_millis(400);
         let faults =
             FaultPlan::new().with(FaultSpec { node: 1, peer: 0, after_frames: 0, action: FaultAction::KillNode });
         let topo = Topology::new(2, 1);
-        let mut fabrics = ev_loopback(&topo, faults, recovery_cfg(suspect_after));
+        let mut fabrics = loopback(&topo, faults, recovery_cfg(suspect_after));
         let mut f1 = fabrics.pop().unwrap();
         let mut f0 = fabrics.pop().unwrap();
         let a = f0.take_proc(ProcId(0));
         let mut b = f1.take_proc(ProcId(1));
+        // Trigger the kill: node 1's first wire frame fires the fault.
         b.send(Endpoint::Proc(ProcId(0)), Tag(1), vec![1]);
         let deadline = Instant::now() + suspect_after + Duration::from_secs(5);
         while !a.peer_is_lost(NodeId(1)) {
             assert!(Instant::now() < deadline, "survivor never declared the killed node dead");
             std::thread::sleep(Duration::from_millis(10));
         }
+        assert_eq!(a.lost_peers(), vec![NodeId(1)]);
         assert!(b.peer_is_lost(NodeId(1)), "soft-killed node must report itself lost");
         drop(a);
         drop(b);
@@ -1152,7 +1154,7 @@ mod tests {
             }
         };
         let topo = Topology::new(2, SENDERS);
-        let mut fabrics = ev_loopback(&topo, FaultPlan::new(), SessionCfg::default());
+        let mut fabrics = loopback(&topo, FaultPlan::new(), SessionCfg::default());
         let mut f1 = fabrics.pop().unwrap();
         let mut f0 = fabrics.pop().unwrap();
         squeeze_sndbuf(&f0, &f1);
@@ -1194,7 +1196,7 @@ mod tests {
     #[cfg(target_os = "linux")]
     fn idle_ping_pong_never_rings_the_doorbell_but_backpressure_does() {
         let topo = Topology::new(2, 1);
-        let mut fabrics = ev_loopback(&topo, FaultPlan::new(), SessionCfg::default());
+        let mut fabrics = loopback(&topo, FaultPlan::new(), SessionCfg::default());
         let mut f1 = fabrics.pop().unwrap();
         let mut f0 = fabrics.pop().unwrap();
         let mut a = f0.take_proc(ProcId(0));
@@ -1248,7 +1250,7 @@ mod tests {
             replay_window: 1024,
         };
         let topo = Topology::new(2, 1);
-        let mut fabrics = ev_loopback(&topo, FaultPlan::new(), cfg);
+        let mut fabrics = loopback(&topo, FaultPlan::new(), cfg);
         let mut f1 = fabrics.pop().unwrap();
         let mut f0 = fabrics.pop().unwrap();
         let mut a = f0.take_proc(ProcId(0));
@@ -1275,6 +1277,60 @@ mod tests {
     }
 
     #[test]
+    fn full_ring_without_ack_progress_kills_the_session_after_suspect_after() {
+        // Node 0 over a hand-built mesh whose only peer is a bare socket
+        // that reads everything and keeps saying "alive, delivered
+        // nothing" (bare acks of 0): TCP is up and the peer is not silent,
+        // so only the ring-full watchdog can give up on it.
+        let suspect_after = Duration::from_millis(300);
+        let cfg = SessionCfg {
+            recovery: true,
+            heartbeat_interval: Duration::from_millis(20),
+            suspect_after,
+            replay_window: 2,
+        };
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let ours = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        let (mut theirs, _) = listener.accept().unwrap();
+        theirs.set_read_timeout(Some(Duration::from_millis(10))).unwrap();
+        let peer = std::thread::spawn(move || {
+            let mut sink = [0u8; 4096];
+            loop {
+                match std::io::Read::read(&mut theirs, &mut sink) {
+                    Ok(0) => return,
+                    Ok(_) => {}
+                    Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => {}
+                    Err(_) => return,
+                }
+                if wire::write_preamble(&mut theirs, wire::Preamble::Ack { ack: 0 }).is_err() {
+                    return;
+                }
+            }
+        });
+        let mesh = Mesh { node: NodeId(0), streams: vec![None, Some(ours)], listener: None, addrs: Vec::new() };
+        let opts = NetOpts { session: cfg, ..NetOpts::default() };
+        let mut f0 = NodeFabric::from_mesh(Topology::new(2, 1), mesh, opts).unwrap();
+        let mut a = f0.take_proc(ProcId(0));
+
+        let t0 = Instant::now();
+        for i in 0..5u8 {
+            a.send(Endpoint::Proc(ProcId(1)), Tag(1), vec![i]);
+        }
+        assert!(t0.elapsed() < suspect_after, "send must not wait for ring room");
+        while !a.peer_is_lost(NodeId(1)) {
+            assert!(t0.elapsed() < 10 * suspect_after, "a full ring with no ack progress never killed the session");
+            std::thread::sleep(Duration::from_millis(5));
+        }
+        assert!(t0.elapsed() >= suspect_after, "gave up on the peer before a full suspect window");
+        let sess = f0.session(NodeId(1));
+        assert!(sess.is_terminal());
+        assert_eq!(sess.unacked().len(), 2, "the ring never grew past its window");
+        peer.join().unwrap();
+        drop(a);
+        f0.shutdown();
+    }
+
+    #[test]
     fn scripted_fault_fires_at_its_frame_count_when_senders_pump() {
         // The fault cursor lives in the shared write half: frames 0..5 are
         // written by the sending thread, the sixth finds the reset due,
@@ -1283,7 +1339,7 @@ mod tests {
         let faults =
             FaultPlan::new().with(FaultSpec { node: 1, peer: 0, after_frames: 5, action: FaultAction::ResetConn });
         let topo = Topology::new(2, 1);
-        let mut fabrics = ev_loopback(&topo, faults, SessionCfg::default());
+        let mut fabrics = loopback(&topo, faults, SessionCfg::default());
         let mut f1 = fabrics.pop().unwrap();
         let mut f0 = fabrics.pop().unwrap();
         let mut a = f0.take_proc(ProcId(0));

@@ -4,18 +4,20 @@
 //! exhibits: a node process dies, a connection is reset mid-stream, a
 //! slow writer stalls a collective. To make those failure modes
 //! *deterministic and testable*, a [`FaultPlan`] scripts per-peer faults
-//! that the fabric's writer threads (and the boot dialer) enact at exact
-//! points in the frame stream. The plan travels inside `ArmciCfg`, so a
+//! that the node's event loop (and the boot dialer) enacts at exact
+//! points in the frame stream: a sender that finds a fault due before its
+//! frame leaves the frame queued and rings the loop — senders never enact
+//! faults themselves. The plan travels inside `ArmciCfg`, so a
 //! spawned node process receives its share of the script through the
 //! launch payload like any other configuration.
 //!
 //! | action                                 | enacted by      | observable effect                                  |
 //! |----------------------------------------|-----------------|----------------------------------------------------|
-//! | [`FaultAction::ResetConn`]             | writer thread   | abrupt socket shutdown; peer sees EOF/reset        |
-//! | [`FaultAction::TruncateFrame`]         | writer thread   | partial header then shutdown; peer sees mid-frame EOF |
-//! | [`FaultAction::StallWriter`]           | writer thread   | one-shot delay before a frame (slow-writer stall)  |
+//! | [`FaultAction::ResetConn`]             | event loop      | abrupt socket shutdown; peer sees EOF/reset        |
+//! | [`FaultAction::TruncateFrame`]         | event loop      | partial header then shutdown; peer sees mid-frame EOF |
+//! | [`FaultAction::StallWriter`]           | event loop      | one-shot delay before a frame (slow-writer stall)  |
 //! | [`FaultAction::DialFail`]              | boot dialer     | first `times` dial attempts fail (exercises retry) |
-//! | [`FaultAction::KillNode`]              | writer thread   | node process aborts (spawned) / all links cut (loopback) |
+//! | [`FaultAction::KillNode`]              | event loop      | node process aborts (spawned) / all links cut (loopback) |
 
 use serde::{Deserialize, Error, Serialize, Value};
 
@@ -30,9 +32,9 @@ pub enum FaultAction {
     /// down: the peer's reader observes EOF *mid-frame*, the signature of
     /// a crashed writer (distinct from clean teardown EOF).
     TruncateFrame,
-    /// Sleep this many milliseconds before writing the trigger frame,
-    /// once. Models a descheduled/overloaded writer; the run should still
-    /// complete if timeouts are generous.
+    /// Hold the link's writes back for this many milliseconds before the
+    /// trigger frame, once. Models a descheduled/overloaded writer; the
+    /// run should still complete if timeouts are generous.
     StallWriter {
         /// Stall duration in milliseconds.
         millis: u64,
@@ -58,7 +60,7 @@ pub struct FaultSpec {
     pub node: u32,
     /// The peer node whose connection (or dial) is targeted.
     pub peer: u32,
-    /// How many frames the writer lets through first (`0` = fault before
+    /// How many frames the link lets through first (`0` = fault before
     /// the first frame). Ignored by [`FaultAction::DialFail`].
     pub after_frames: u64,
     /// The fault to enact.
@@ -92,7 +94,7 @@ impl FaultPlan {
     }
 
     /// The wire-path faults (everything except dial faults) that `node`'s
-    /// writer threads must enact, keyed by target peer.
+    /// event loop must enact, keyed by target peer.
     pub fn wire_faults_for(&self, node: u32) -> Vec<FaultSpec> {
         self.entries
             .iter()

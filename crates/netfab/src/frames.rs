@@ -1,13 +1,12 @@
-//! The one frame read/decode/ingest path shared by both IO drivers.
+//! The frame read/decode/ingest path of the event loop.
 //!
-//! The threaded driver reads with blocking calls ([`read_transmission`]);
-//! the event-loop driver reads incrementally from nonblocking sockets
+//! The loop reads incrementally from nonblocking sockets
 //! ([`FrameDecoder`]), parking mid-field on `WouldBlock` and resuming on
-//! the next readable event. Both decode through the same
-//! [`wire::parse_preamble`] / [`wire::parse_header`] primitives and both
-//! feed [`session_step`] for the session-layer bookkeeping (ack
-//! accounting, replay dedup by sequence number, desync detection), so the
-//! drivers cannot drift semantically.
+//! the next readable event. Decoding goes through the
+//! [`wire::parse_preamble`] / [`wire::parse_header`] primitives and every
+//! decoded transmission feeds [`session_step`] for the session-layer
+//! bookkeeping (ack accounting, replay dedup by sequence number, desync
+//! detection).
 //!
 //! With recovery on, outgoing frames are encoded once by [`encode_frame`]
 //! into an `Arc<Vec<u8>>` — the exact representation the session replay
@@ -24,26 +23,6 @@ use crossbeam_channel::Sender;
 
 use crate::session::Session;
 use crate::wire::{self, FrameHeader, HEADER_LEN, PREAMBLE_LEN};
-
-/// One decoded unit off the stream: a session preamble, plus the data
-/// frame it announced (absent for bare-ack transmissions). `Ok(None)` is
-/// clean EOF at a transmission boundary.
-pub(crate) fn read_transmission(
-    r: &mut impl Read,
-    topo: &Topology,
-    pool: &mut BodyPool,
-) -> io::Result<Option<(wire::Preamble, Option<wire::Frame>)>> {
-    let Some(p) = wire::read_preamble(r)? else {
-        return Ok(None);
-    };
-    match p {
-        wire::Preamble::Ack { .. } => Ok(Some((p, None))),
-        wire::Preamble::Data { .. } => match wire::read_frame(r, topo, pool)? {
-            Some(f) => Ok(Some((p, Some(f)))),
-            None => Err(io::Error::new(io::ErrorKind::UnexpectedEof, "connection closed after data preamble")),
-        },
-    }
-}
 
 /// A nonblocking socket that remembers when it ran dry, for use under a
 /// `BufReader`. A read that returns fewer bytes than it asked for emptied
@@ -98,9 +77,9 @@ enum Fill {
 ///
 /// Completed bodies land in [`BodyPool`] buffers (inline for small
 /// payloads), keeping the zero-copy apply path downstream; the cost over
-/// the blocking reader is one copy out of the decoder's reusable body
-/// scratch for payloads above the inline cap, since a pool buffer cannot
-/// be held open across loop iterations.
+/// a blocking `read_exact` into the pool buffer is one copy out of the
+/// decoder's reusable body scratch for payloads above the inline cap,
+/// since a pool buffer cannot be held open across loop iterations.
 pub(crate) struct FrameDecoder {
     state: State,
     /// Scratch for the fixed-size preamble/header fields.
@@ -216,9 +195,8 @@ pub(crate) enum SessionStep {
 }
 
 /// The session-layer bookkeeping every received transmission goes
-/// through, identical for both IO drivers: record peer liveness and
-/// acks, deduplicate replays by sequence, detect desync, advance the
-/// delivery cursor.
+/// through: record peer liveness and acks, deduplicate replays by
+/// sequence, detect desync, advance the delivery cursor.
 pub(crate) fn session_step(sess: &Session, recovery: bool, p: wire::Preamble) -> SessionStep {
     match p {
         wire::Preamble::Ack { ack } => {
@@ -270,6 +248,27 @@ mod tests {
     use super::*;
     use armci_transport::{NodeId, ProcId};
     use std::io::Write;
+
+    /// The blocking reference reader the incremental decoder is compared
+    /// against: one session preamble plus the data frame it announced (absent
+    /// for bare-ack transmissions). `Ok(None)` is clean EOF at a transmission
+    /// boundary.
+    fn read_transmission(
+        r: &mut impl Read,
+        topo: &Topology,
+        pool: &mut BodyPool,
+    ) -> io::Result<Option<(wire::Preamble, Option<wire::Frame>)>> {
+        let Some(p) = wire::read_preamble(r)? else {
+            return Ok(None);
+        };
+        match p {
+            wire::Preamble::Ack { .. } => Ok(Some((p, None))),
+            wire::Preamble::Data { .. } => match wire::read_frame(r, topo, pool)? {
+                Some(f) => Ok(Some((p, Some(f)))),
+                None => Err(io::Error::new(io::ErrorKind::UnexpectedEof, "connection closed after data preamble")),
+            },
+        }
+    }
 
     /// Feeds an inner byte stream in `chunk`-sized slices, interposing a
     /// `WouldBlock` after every chunk — a worst-case nonblocking socket.
@@ -442,7 +441,7 @@ mod tests {
 
     #[test]
     fn session_step_dedups_and_detects_desync() {
-        let sess = Session::new(1, None);
+        let sess = Session::new(None);
         // In-order data advances the cursor and delivers.
         assert_eq!(session_step(&sess, true, wire::Preamble::Data { seq: 1, ack: 0 }), SessionStep::Deliver);
         assert_eq!(session_step(&sess, true, wire::Preamble::Data { seq: 2, ack: 0 }), SessionStep::Deliver);
@@ -453,7 +452,7 @@ mod tests {
         // Bare acks are skipped but note liveness/acks.
         assert_eq!(session_step(&sess, true, wire::Preamble::Ack { ack: 0 }), SessionStep::Skip);
         // Without recovery everything data is delivered verbatim.
-        let plain = Session::new(1, None);
+        let plain = Session::new(None);
         assert_eq!(session_step(&plain, false, wire::Preamble::Data { seq: 9, ack: 0 }), SessionStep::Deliver);
     }
 

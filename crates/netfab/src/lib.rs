@@ -18,14 +18,12 @@
 //!   listener address and broadcasts the table, then the nodes form a
 //!   full TCP mesh directly;
 //! * [`fabric`] — [`NodeFabric`]: per-endpoint inboxes behind the
-//!   [`armci_transport::MailboxBackend`] contract, fed by one of two IO
-//!   drivers ([`IoDriver`]): the legacy *threaded* model (one blocking
-//!   reader + writer thread per peer) or the default *event loop* (one
-//!   nonblocking `poll(2)` loop per node reading every peer socket — O(1)
-//!   threads regardless of cluster size, idle heartbeats and reconnect
-//!   driving all on a single timer wheel — while the sending thread
-//!   writes the socket itself through a lock-guarded, combining write
-//!   half per link);
+//!   [`armci_transport::MailboxBackend`] contract, fed by one
+//!   nonblocking `poll(2)` event loop per node reading every peer socket
+//!   — O(1) threads regardless of cluster size, idle heartbeats and
+//!   reconnect driving all on a single timer wheel — while the sending
+//!   thread writes the socket itself through a lock-guarded, combining
+//!   write half per link;
 //! * [`launch`] — helpers for spawning one process per node (used by the
 //!   `armci-launch` tool and `armci-core`'s self-spawning
 //!   `run_cluster_spawned`).
@@ -36,26 +34,28 @@
 //! FIFO per pair) is deterministic here. Functional tests run equally on
 //! both; timing assertions belong on the emulator or the `armci-simnet`
 //! discrete-event simulator.
+//!
+//! Unix only: the IO path is `poll(2)` with a `UnixStream` doorbell (and
+//! the shm plane above it is `mmap`).
+
+#[cfg(not(unix))]
+compile_error!("armci-netfab needs unix: its IO path is poll(2) with a UnixStream doorbell");
 
 pub mod boot;
-#[cfg(unix)]
 mod dial;
-#[cfg(unix)]
 mod event_loop;
 pub mod fabric;
 pub mod fault;
 mod frames;
 pub mod launch;
-#[cfg(unix)]
 mod poller;
 pub mod retry;
 pub mod session;
-#[cfg(unix)]
 mod timer;
 pub mod wire;
 
 pub use boot::{coordinate, coordinate_deadline, join_mesh, join_mesh_opts, BootOpts, Mesh};
-pub use fabric::{IoDriver, NetMailbox, NetOpts, NodeFabric};
+pub use fabric::{NetMailbox, NetOpts, NodeFabric};
 pub use fault::{FaultAction, FaultPlan, FaultSpec};
 pub use launch::{
     bind_rendezvous, kill_nodes, node_spec_from_env, spawn_nodes, wait_nodes, wait_nodes_deadline, NodeSpec,

@@ -1,4 +1,4 @@
-//! A minimal readiness poller for the event-loop IO driver.
+//! A minimal readiness poller for the event loop.
 //!
 //! Hand-rolled over `poll(2)` — consistent with the repo's vendored-serde
 //! stance, no `mio`/`libc` dependency. The fd set is tiny (one socket per
@@ -12,8 +12,6 @@
 //! into a nonblocking [`UnixStream`] pair to wake the loop out of `poll`.
 //! An atomic "already pending" flag coalesces the byte, so at most one is
 //! ever in flight.
-
-#![cfg(unix)]
 
 use std::io::{self, Read, Write};
 use std::os::unix::io::{AsRawFd, RawFd};

@@ -1,4 +1,4 @@
-//! A single-level hashed timing wheel for the event-loop driver.
+//! A single-level hashed timing wheel for the event loop.
 //!
 //! Every time-driven behaviour of a node's fabric — heartbeat cadence,
 //! suspect/staleness deadlines, scripted `StallWriter` expiry, reconnect

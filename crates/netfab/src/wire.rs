@@ -30,8 +30,8 @@
 //!
 //! The destination endpoint is part of the header because one socket
 //! carries traffic for *all* endpoints of the destination node (its
-//! processes, its server thread, its NIC agent): the per-peer reader
-//! thread demuxes frames into per-endpoint inboxes by this field.
+//! processes, its server thread, its NIC agent): the receiving node's
+//! event loop demuxes frames into per-endpoint inboxes by this field.
 //! Received bodies land in [`BodyPool`] buffers, so the zero-copy apply
 //! path downstream (borrowed decode, direct-to-segment writes) works
 //! unchanged on the network path.
@@ -123,8 +123,8 @@ pub fn write_preamble(w: &mut impl Write, p: Preamble) -> io::Result<()> {
 }
 
 /// Decode a complete preamble from its fixed-size wire image. Shared by
-/// the blocking reader ([`read_preamble`]) and the event loop's
-/// incremental decoder, so the two drivers cannot drift.
+/// the blocking reference reader ([`read_preamble`]) and the event
+/// loop's incremental decoder, so the two cannot drift.
 pub fn parse_preamble(buf: &[u8; PREAMBLE_LEN]) -> io::Result<Preamble> {
     let seq = u64::from_le_bytes(buf[1..9].try_into().unwrap());
     let ack = u64::from_le_bytes(buf[9..17].try_into().unwrap());
@@ -150,8 +150,8 @@ pub struct FrameHeader {
 }
 
 /// Decode a complete frame header from its fixed-size wire image. Shared
-/// by the blocking reader ([`read_frame`]) and the event loop's
-/// incremental decoder.
+/// by the blocking reference reader ([`read_frame`]) and the event
+/// loop's incremental decoder.
 pub fn parse_header(hdr: &[u8; HEADER_LEN], topo: &Topology) -> io::Result<FrameHeader> {
     let dst = decode_endpoint(hdr[0], u32::from_le_bytes(hdr[1..5].try_into().unwrap()), topo)?;
     let src = decode_endpoint(hdr[5], u32::from_le_bytes(hdr[6..10].try_into().unwrap()), topo)?;
@@ -184,7 +184,7 @@ pub fn read_preamble(r: &mut impl Read) -> io::Result<Option<Preamble>> {
     parse_preamble(&buf).map(Some)
 }
 
-/// Serialize one frame into `w` (no flush — the writer thread batches).
+/// Serialize one frame into `w` (no flush — the caller batches).
 pub fn write_frame(w: &mut impl Write, dst: Endpoint, src: Endpoint, tag: Tag, body: &[u8]) -> io::Result<()> {
     write_header(w, dst, src, tag, body.len())?;
     w.write_all(body)

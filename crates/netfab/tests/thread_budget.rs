@@ -1,21 +1,17 @@
-//! Thread-budget contract of the two netfab IO drivers, counted against
-//! the live process via `/proc/self/task`.
+//! Thread-budget contract of netfab's IO path, counted against the live
+//! process via `/proc/self/task`.
 //!
-//! The event-loop driver's reason to exist is O(1) IO threads per node:
-//! one `netfab-ev*` loop thread owns every peer socket, regardless of
-//! cluster size — reconnect handshakes included, since both sides run as
-//! nonblocking state machines on the loop itself (no transient
-//! dial/handshake helper threads). The legacy threaded driver spends one
-//! blocking writer plus one blocking reader per peer — 2·(n−1) threads
-//! per node — which this test also pins down so the comparison stays
-//! honest.
+//! IO costs O(1) threads per node: one `netfab-ev*` loop thread owns every
+//! peer socket, regardless of cluster size — reconnect handshakes
+//! included, since both sides run as nonblocking state machines on the
+//! loop itself (no per-peer writer, reader or accept threads, no transient
+//! dial/handshake helpers).
 
 #![cfg(target_os = "linux")]
 
-use std::collections::HashMap;
 use std::time::{Duration, Instant};
 
-use armci_netfab::{FaultPlan, IoDriver, NodeFabric, SessionCfg};
+use armci_netfab::NodeFabric;
 use armci_transport::{Endpoint, Mailbox, ProcId, Tag, Topology};
 
 /// Names of live threads in this process that belong to a netfab fabric.
@@ -35,22 +31,6 @@ fn netfab_threads() -> Vec<String> {
         }
     }
     out
-}
-
-/// The node index embedded in a netfab thread name: the first digit run
-/// after the role tag (`netfab-ev3`, `netfab-w0-2`, `netfab-r1-0`, …).
-fn node_of(name: &str) -> u32 {
-    let tail = name.trim_start_matches("netfab-").trim_start_matches(|c: char| c.is_ascii_alphabetic());
-    let digits: String = tail.chars().take_while(|c| c.is_ascii_digit()).collect();
-    digits.parse().unwrap_or_else(|_| panic!("unparseable netfab thread name {name:?}"))
-}
-
-fn per_node_counts(names: &[String]) -> HashMap<u32, usize> {
-    let mut counts = HashMap::new();
-    for n in names {
-        *counts.entry(node_of(n)).or_insert(0) += 1;
-    }
-    counts
 }
 
 /// Prove every cross-node link is live: each rank sends one frame to
@@ -73,56 +53,35 @@ fn shutdown_all(fabrics: Vec<NodeFabric>) {
     }
 }
 
-fn wait_for_drain(phase: &str) {
+fn wait_for_drain() {
     let deadline = Instant::now() + Duration::from_secs(10);
     loop {
         let left = netfab_threads();
         if left.is_empty() {
             return;
         }
-        assert!(Instant::now() < deadline, "{phase}: netfab threads leaked after shutdown: {left:?}");
+        assert!(Instant::now() < deadline, "netfab threads leaked after shutdown: {left:?}");
         std::thread::sleep(Duration::from_millis(10));
     }
 }
 
-/// One #[test] with sequential phases: thread counting is process-global,
-/// so the phases must not overlap with each other (or any concurrent
-/// fabric).
+/// Thread counting is process-global, so this file holds exactly one
+/// #[test]: nothing else may run a fabric concurrently.
 #[test]
-fn event_loop_runs_o1_threads_per_node_where_threaded_runs_o_peers() {
-    // Phase 1 — event loop, 16 loopback nodes in this one process.
+fn each_node_runs_exactly_one_io_thread() {
+    // 16 loopback nodes in this one process, 15 peers each.
     let nodes = 16u32;
     let topo = Topology::new(nodes, 1);
-    let mut fabrics =
-        NodeFabric::loopback_driver(&topo, false, FaultPlan::new(), SessionCfg::default(), Some(IoDriver::EventLoop))
-            .expect("event-loop loopback fabric");
+    let mut fabrics = NodeFabric::loopback(&topo, false).expect("loopback fabric");
     exchange(&mut fabrics, nodes);
 
-    let names = netfab_threads();
-    let ev = names.iter().filter(|n| n.starts_with("netfab-ev")).count();
-    assert_eq!(ev, nodes as usize, "one loop thread per node, found {names:?}");
-    for (node, count) in per_node_counts(&names) {
-        assert_eq!(count, 1, "node {node} must run exactly one IO thread: {names:?}");
-    }
+    // One loop thread per node and no other netfab thread of any name
+    // (`netfab-w*`, `-r*`, `-a*`, boot or handshake helpers).
+    let mut names = netfab_threads();
+    names.sort();
+    let mut want: Vec<String> = (0..nodes).map(|n| format!("netfab-ev{n}")).collect();
+    want.sort();
+    assert_eq!(names, want);
     shutdown_all(fabrics);
-    wait_for_drain("event loop");
-
-    // Phase 2 — threaded driver, 4 nodes: 2·(n−1) = 6 threads per node
-    // (one writer + one reader per peer; no accept thread without
-    // recovery). This is the O(n) budget the event loop replaces.
-    let nodes = 4u32;
-    let topo = Topology::new(nodes, 1);
-    let mut fabrics =
-        NodeFabric::loopback_driver(&topo, false, FaultPlan::new(), SessionCfg::default(), Some(IoDriver::Threaded))
-            .expect("threaded loopback fabric");
-    exchange(&mut fabrics, nodes);
-
-    let names = netfab_threads();
-    let per_peer = 2 * (nodes as usize - 1);
-    for (node, count) in per_node_counts(&names) {
-        assert_eq!(count, per_peer, "node {node} under the threaded driver: {names:?}");
-    }
-    assert_eq!(names.len(), per_peer * nodes as usize);
-    shutdown_all(fabrics);
-    wait_for_drain("threaded");
+    wait_for_drain();
 }
