@@ -348,17 +348,19 @@ fn main() {
         ));
     }
     // Deterministic scaling sweep (simulator, unit-latency inter-node
-    // wire): critical-path step counts of the flat combined barrier vs
-    // the topology-hierarchical barrier on square SMP clusters. The
-    // hierarchy halves the flat SMP step count — log2(nodes) inter-node
-    // rounds instead of 2·log2(ranks·ppn)/2.
+    // wire): critical-path steps and inter-node messages of one GA_Sync
+    // on square SMP clusters, flat combined barrier vs the hierarchical
+    // one the runtime executes — after a Figure-7 scatter (dirty: the
+    // flat 2·log2(nodes) steps on a ppn-th of the messages) and with
+    // nothing put since the last barrier (clean: log2(nodes)).
     json.push_str("  ],\n  \"sweep_steps\": [\n");
     let rows = sweep_hier_vs_flat(&[(16, 16), (32, 32), (64, 64)]);
     for (i, r) in rows.iter().enumerate() {
         let sep = if i + 1 == rows.len() { "" } else { "," };
         json.push_str(&format!(
-            "    {{\"ranks\": {}, \"ppn\": {}, \"flat_steps\": {}, \"hier_steps\": {}}}{}\n",
-            r.nprocs, r.ppn, r.flat_steps, r.hier_steps, sep
+            "    {{\"ranks\": {}, \"ppn\": {}, \"flat_steps\": {}, \"hier_dirty_steps\": {}, \
+             \"hier_clean_steps\": {}, \"flat_msgs\": {}, \"hier_msgs\": {}}}{}\n",
+            r.nprocs, r.ppn, r.flat_steps, r.hier_dirty_steps, r.hier_clean_steps, r.flat_msgs, r.hier_msgs, sep
         ));
     }
     json.push_str("  ]\n}\n");

@@ -86,7 +86,7 @@ pub struct Armci {
     pub(crate) last_barrier_log: Vec<SendRecord>,
     /// Whether groups form the node-locality hierarchy at creation
     /// (`ArmciCfg::hier_collectives`) and group barriers run the
-    /// hierarchical sweep instead of the flat member-set exchange.
+    /// combined protocol over domains instead of over the member set.
     pub(crate) hier_collectives: bool,
     /// Send log of the most recent hierarchical group barrier, drained by
     /// [`Armci::take_hier_log`].

@@ -168,9 +168,11 @@ pub struct ArmciCfg {
     pub shm_dir: Option<String>,
     /// Topology-hierarchical group collectives: when on (the default), a
     /// group barrier synchronizes each node's co-located members through
-    /// a shared counter (shm plane or in-process atomics), and one leader
-    /// per node runs the inter-node binary exchange — `log2(nodes)`
-    /// inter-node rounds instead of `log2(ranks)`. Set to `false` for
+    /// shared counters (shm plane or in-process atomics), and one leader
+    /// per node carries the node's op counts through the inter-node
+    /// passes — the combined fence + barrier at `2·log2(nodes)`
+    /// inter-node rounds, `log2(nodes)` when nothing was put since the
+    /// last barrier. Set to `false` for
     /// the flat combined protocol over all members (the escape hatch
     /// wire-count and trace suites pin so their expected schedules stay
     /// topology-independent).

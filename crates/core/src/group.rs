@@ -19,13 +19,19 @@
 //! segment and the slot index is allgathered so members can map it.
 //!
 //! The barrier itself ([`Armci::barrier_group`]) drives the sans-IO
-//! [`HierBarrier`] engine: intra-domain `Arrive`/`Release` actions become
-//! fetch-adds and spins on the cumulative counters (zero wire messages),
-//! leader-to-leader exchange messages ride the wire under a group-epoch
-//! [`hier_bx_tag`] — `log2(domains)` inter-node rounds instead of
-//! `log2(ranks)`.
+//! [`HierBarrier`] engine — the paper's combined fence + barrier run over
+//! domains. Intra-domain `Arrive`/`Release` actions become fetch-adds and
+//! spins on the cumulative counters (zero wire messages), with each
+//! member's op counts added into the domain's [`layout::hier_vec`] ahead
+//! of its arrival; the leaders' two passes ride the wire under
+//! group-epoch tags — `2·log2(domains)` inter-node rounds when anything
+//! was put since the last barrier, `log2(domains)` when not, and no
+//! server message either way. The completion wait is delegated: a leader
+//! watches the `op_from` counters of every member of its domain, so a
+//! member's only wait is the release counter.
 
-use std::cell::Cell;
+use std::cell::{Cell, RefCell};
+use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
 use armci_msglib::{allreduce_tag, barrier_bx_tag, hier_bx_tag, CommError, Group, P2p};
@@ -47,6 +53,12 @@ use crate::layout;
 /// configured, the node-locality hierarchy the group barrier exploits.
 pub struct ProcGroup {
     msg: Group,
+    /// World ranks in group order, and this process's group rank.
+    members: Vec<usize>,
+    me_g: usize,
+    /// `op_from` offset of every member: a completion wait sums these
+    /// words of a member's sync segment.
+    op_from: Vec<usize>,
     hier: Option<HierState>,
 }
 
@@ -73,45 +85,72 @@ impl ProcGroup {
     /// `None` for a flat group. Exposed for the conformance suite, which
     /// replays the same partition through the simulator.
     pub fn domains(&self) -> Option<&[Vec<usize>]> {
-        self.hier.as_ref().map(|h| h.domains.as_slice())
+        self.hier.as_ref().map(|h| &*h.domains)
+    }
+
+    /// Member-initiated puts completed at the owner of sync segment
+    /// `sync`: non-member traffic can neither satisfy a wait on this sum
+    /// early nor block it.
+    fn completed_at(&self, sync: &Segment) -> u64 {
+        self.op_from.iter().map(|&o| sync.atomic_u64(o).load(Ordering::Acquire)).sum()
     }
 }
 
 /// The hierarchy of one group, fixed at creation.
 struct HierState {
     /// Group ranks per domain, leader first; ordered by least group rank.
-    domains: Vec<Vec<usize>>,
+    /// Shared with each barrier's engine.
+    domains: Arc<[Vec<usize>]>,
     /// Index of this member's domain.
     my_dom: usize,
-    /// This member's handle on its domain's counter pair (`None` when the
-    /// domain has a single member — no intra-domain sweep to run).
+    /// This member's handle on its domain's counter block (`None` when
+    /// the domain has a single member — no intra-domain sweep to run).
     counters: Option<DomainCounters>,
+    /// Leaders: the sync segment of every member of the domain (own
+    /// first), for the completion wait on their behalf. Empty otherwise.
+    member_syncs: Vec<Arc<Segment>>,
     /// Completed barriers on this group: the cumulative counter protocol
     /// compares against `round · k` thresholds, so the counters are never
     /// reset and back-to-back barriers cannot race a slow reader.
     round: Cell<u64>,
+    /// Non-leaders: the cumulative `op_init` toward each member already
+    /// added to the domain vector; the next barrier adds the difference.
+    contributed: RefCell<Vec<u64>>,
+    /// Leaders: the group totals the last completed barrier reduced to.
+    /// Equal totals next time mean nothing was put since.
+    totals: Cell<Vec<u64>>,
 }
 
-/// Where a domain's arrive/release counters live: a slot in the *leader's*
-/// sync segment, reached through the in-process registry (same node) or
-/// the shm plane (same host, different process).
+/// Where a domain's counter block lives: a slot in the *leader's* sync
+/// segment, reached through the in-process registry (same node) or the
+/// shm plane (same host, different process).
 struct DomainCounters {
     seg: Arc<Segment>,
     arrive: usize,
     release: usize,
+    /// Word 0 of the domain vector ([`layout::hier_vec`]).
+    vec: usize,
 }
 
-/// Wire encoding of a leader-exchange message (`[0]`=Enter, `[1]`=Exit,
-/// `[2, r]`=Round(r)).
-fn encode_xchg(m: XchgMsg) -> Vec<u8> {
-    match m {
-        XchgMsg::Enter => vec![0],
-        XchgMsg::Exit => vec![1],
-        XchgMsg::Round(r) => vec![2, r],
+/// Wire encoding of a leader-pass message: two header bytes (`[0, 0]` =
+/// Enter, `[1, 0]` = Exit, `[2, r]` = Round(r)), then the reduce pass's
+/// partial sums as little-endian words (none on the closing pass).
+fn encode_xchg(m: XchgMsg, vals: &[u64]) -> Vec<u8> {
+    let mut b = Vec::with_capacity(2 + 8 * vals.len());
+    b.extend_from_slice(&match m {
+        XchgMsg::Enter => [0, 0],
+        XchgMsg::Exit => [1, 0],
+        XchgMsg::Round(r) => [2, r],
+    });
+    for v in vals {
+        b.extend_from_slice(&v.to_le_bytes());
     }
+    b
 }
 
-fn decode_xchg(b: &[u8]) -> XchgMsg {
+/// Decode a leader-pass message, appending its payload to `vals`.
+fn decode_xchg(b: &[u8], vals: &mut Vec<u64>) -> XchgMsg {
+    vals.extend(b[2..].chunks_exact(8).map(|w| u64::from_le_bytes(w.try_into().expect("8-byte chunk"))));
     match b[0] {
         0 => XchgMsg::Enter,
         1 => XchgMsg::Exit,
@@ -131,10 +170,16 @@ impl Armci {
     /// Groups may overlap freely; each carries its own message-epoch
     /// space, so collectives on overlapping groups cannot cross-talk.
     pub fn group(&mut self, ranks: &[usize]) -> ProcGroup {
-        let msg = Group::from_ranks(ranks);
-        let me_g = msg.group_rank(self.rank()).expect("group() is collective among the members only");
+        self.form_group(Group::from_ranks(ranks))
+    }
+
+    /// Everything a group barrier needs per call, resolved once.
+    fn form_group(&mut self, msg: Group) -> ProcGroup {
+        let me_g = msg.group_rank(self.rank()).expect("group creation is collective among the members only");
+        let members: Vec<usize> = msg.ranks().collect();
+        let op_from = members.iter().map(|&m| layout::op_from(self.locks_per_proc, m as u32)).collect();
         let hier = self.maybe_form_hier(&msg, me_g);
-        ProcGroup { msg, hier }
+        ProcGroup { msg, members, me_g, op_from, hier }
     }
 
     /// Shrink a group to its survivors under this process's current
@@ -147,8 +192,8 @@ impl Armci {
     ///
     /// Group-scoped fence accounting needs no rebuild here: eviction
     /// under [`crate::OnPeerLoss::Degrade`] already folds the dead node
-    /// out of the fence counters (`FenceEngine::forget_node`), and each
-    /// group barrier reads its member vector fresh. Hierarchical groups
+    /// out of the fence counters (`FenceEngine::forget_node`), and the
+    /// shrunk group's member vector lists survivors only. Hierarchical groups
     /// claim *fresh* domain counter slots — slots owned by old groups are
     /// never reused, so a dead rank's stale counters cannot alias a
     /// survivor's (retired slots are reclaimed only at namespace GC).
@@ -159,10 +204,7 @@ impl Armci {
     /// Fallible [`Armci::shrink_group`].
     pub fn try_shrink_group(&mut self, g: &ProcGroup) -> Result<ProcGroup, ArmciError> {
         let view = self.membership_view();
-        let msg = g.msg.shrink(&view);
-        let me_g = msg.group_rank(self.rank()).expect("shrink_group caller evicted itself from its own view");
-        let hier = self.maybe_form_hier(&msg, me_g);
-        Ok(ProcGroup { msg, hier })
+        Ok(self.form_group(g.msg.shrink(&view)))
     }
 
     /// Form the hierarchy only when the group can actually hold one.
@@ -233,21 +275,38 @@ impl Armci {
         let counters = multi.then(|| {
             let leader_g = domains[my_dom][0];
             let slot = u32::from(slots[leader_g][0].checked_sub(1).expect("domain leader claimed no counter slot"));
-            let lw = ProcId(g.world_rank(leader_g) as u32);
-            let seg = if i_lead {
-                self.my_sync.clone()
-            } else if self.is_local(lw) {
-                self.registry.lookup(lw, SegId(0))
-            } else {
-                self.shm_route(lw, SegId(0)).expect("domain member lost its shm route to the leader")
-            };
             DomainCounters {
-                seg,
+                seg: self.domain_sync(g, leader_g),
                 arrive: layout::hier_arrive(self.locks_per_proc, slot),
                 release: layout::hier_release(self.locks_per_proc, slot),
+                vec: layout::hier_vec(self.locks_per_proc, self.nprocs() as u32, slot, 0),
             }
         });
-        HierState { domains, my_dom, counters, round: Cell::new(0) }
+        let member_syncs =
+            if i_lead { domains[my_dom].iter().map(|&gr| self.domain_sync(g, gr)).collect() } else { Vec::new() };
+        HierState {
+            domains: domains.into(),
+            my_dom,
+            counters,
+            member_syncs,
+            round: Cell::new(0),
+            contributed: RefCell::new(vec![0; g.len()]),
+            totals: Cell::new(vec![0; g.len()]),
+        }
+    }
+
+    /// The sync segment of group rank `gr`, a member of this process's
+    /// own domain: mine, or mapped through the in-process registry (same
+    /// node) or the shm plane (same host) — what made it a domain mate.
+    fn domain_sync(&self, g: &Group, gr: usize) -> Arc<Segment> {
+        let w = ProcId(g.world_rank(gr) as u32);
+        if w.idx() == self.rank() {
+            self.my_sync.clone()
+        } else if self.is_local(w) {
+            self.registry.lookup(w, SegId(0))
+        } else {
+            self.shm_route(w, SegId(0)).expect("lost the shm route to a member of my own domain")
+        }
     }
 
     /// Group-scoped `ARMCI_AllFence()`: block until every put this
@@ -262,7 +321,6 @@ impl Armci {
     /// Fallible [`Armci::allfence_group`].
     pub fn try_allfence_group(&mut self, g: &ProcGroup) -> Result<(), ArmciError> {
         let deadline = self.op_deadline();
-        let members: Vec<usize> = g.msg.ranks().collect();
         match self.ack_mode {
             AckMode::Gm => {
                 // Sequential confirm over the member-hosting nodes with
@@ -270,7 +328,7 @@ impl Armci {
                 // the `2·(k-1)` baseline). Each round-trip flushes the
                 // whole node FIFO, so `try_fence_node`'s full
                 // `node_confirmed` is exact, not an over-claim.
-                for (node, _) in self.fence.group_confirm_targets(&members) {
+                for (node, _) in self.fence.group_confirm_targets(&g.members) {
                     self.try_fence_node(NodeId(node as u32), deadline)?;
                 }
             }
@@ -288,10 +346,11 @@ impl Armci {
     /// of `g` only. Flat groups run the paper's combined three-stage
     /// protocol over the member set (`2·log2(|g|)` latencies, with the
     /// stage-2 wait counting only member-initiated puts via the per-source
-    /// `op_from` counters). Hierarchical groups fence first, then run the
-    /// [`HierBarrier`] sweep: co-located members synchronize through a
-    /// shared counter and one leader per domain joins the `log2(domains)`
-    /// inter-node exchange.
+    /// `op_from` counters). Hierarchical groups run the same three stages
+    /// over *domains* ([`HierBarrier`]): co-located members synchronize
+    /// through shared counters, and one leader per domain carries the
+    /// domain's op counts through the inter-node passes and waits for its
+    /// members' puts on their behalf.
     pub fn barrier_group(&mut self, g: &ProcGroup) {
         unwrap_op(self.try_barrier_group(g));
     }
@@ -309,12 +368,11 @@ impl Armci {
     fn try_barrier_group_flat(&mut self, g: &ProcGroup) -> Result<(), ArmciError> {
         self.stats.barriers += 1;
         let deadline = self.op_deadline();
-        let members: Vec<usize> = g.msg.ranks().collect();
+        let members = &g.members;
         if self.ack_mode == AckMode::Via {
             self.try_drain_all_acks(deadline)?;
         }
-        let me_g = g.msg.group_rank(self.rank()).expect("barrier_group called by a non-member");
-        let mut eng = CombinedBarrier::new(me_g, self.fence.barrier_vector_for(&members));
+        let mut eng = CombinedBarrier::new(g.me_g, self.fence.barrier_vector_for(members));
         let mut acts = Vec::new();
         eng.poll(BarrierEvent::Start, &mut acts);
         let ar_tag = allreduce_tag(g.msg.scoped(self).next_epoch());
@@ -343,14 +401,7 @@ impl Armci {
                         // split, so non-member traffic cannot satisfy the
                         // wait early.
                         let sync = self.my_sync.clone();
-                        let offs: Vec<usize> =
-                            members.iter().map(|&m| layout::op_from(self.locks_per_proc, m as u32)).collect();
-                        self.wait_local_cond("group_barrier", deadline, move || {
-                            offs.iter()
-                                .map(|&o| sync.atomic_u64(o).load(std::sync::atomic::Ordering::Acquire))
-                                .sum::<u64>()
-                                >= target
-                        })?;
+                        self.wait_local_cond("group_barrier", deadline, || g.completed_at(&sync) >= target)?;
                         bx_tag = barrier_bx_tag(g.msg.scoped(self).next_epoch());
                         eng.poll(BarrierEvent::OpDoneReached, &mut acts);
                     }
@@ -398,42 +449,65 @@ impl Armci {
         }
         self.last_barrier_log = eng.take_log();
         // Only member-directed traffic is known complete.
-        self.fence.group_confirmed(&members);
+        self.fence.group_confirmed(members);
         Ok(())
     }
 
-    /// The hierarchical group barrier: group fence, then the three-sweep
-    /// [`HierBarrier`] schedule with counter-backed intra-domain legs.
+    /// The hierarchical group barrier: the [`HierBarrier`] schedule with
+    /// counter-backed intra-domain legs and a delegated completion wait.
     fn try_barrier_group_hier(&mut self, g: &ProcGroup, hs: &HierState) -> Result<(), ArmciError> {
-        // The hier sweep carries no op counts, so outstanding puts are
-        // fenced (group-scoped) before anyone can be released.
-        self.try_allfence_group(g)?;
         self.stats.barriers += 1;
         let deadline = self.op_deadline();
-        let me_g = g.msg.group_rank(self.rank()).expect("barrier_group called by a non-member");
+        if self.ack_mode == AckMode::Via {
+            self.try_drain_all_acks(deadline)?;
+        }
         // Every member burns one group epoch per hier barrier — leaders
-        // use it to tag exchange messages; non-leaders stay aligned.
-        let tag = hier_bx_tag(g.msg.scoped(self).next_epoch());
+        // tag their two passes with it (distinct collective ops, so the
+        // passes cannot capture each other's messages); non-leaders stay
+        // aligned.
+        let epoch = g.msg.scoped(self).next_epoch();
+        let (reduce_tag, close_tag) = (hier_bx_tag(epoch), barrier_bx_tag(epoch));
         let round = hs.round.get() + 1;
         hs.round.set(round);
-        let locals = (hs.domains[hs.my_dom].len() - 1) as u64;
+        let my_domain = &hs.domains[hs.my_dom];
+        let locals = (my_domain.len() - 1) as u64;
+        let i_lead = my_domain[0] == g.me_g;
 
-        let mut eng = HierBarrier::new(me_g, hs.domains.clone());
+        // What this rank hands the reduction: a leader its cumulative
+        // op_init toward the members, a non-leader only what it has not
+        // yet added to the (cumulative) domain vector.
+        let mut counts = self.fence.barrier_vector_for(&g.members);
+        if !i_lead {
+            for (c, done) in counts.iter_mut().zip(hs.contributed.borrow_mut().iter_mut()) {
+                (*c, *done) = (*c - *done, *c);
+            }
+        }
+        let mut eng = HierBarrier::counted(g.me_g, hs.domains.clone(), counts, hs.totals.take());
         let mut acts = Vec::new();
+        let mut vals: Vec<u64> = Vec::new();
         let mut released = false;
         eng.poll(HierEvent::Start, &mut acts);
         loop {
-            for a in std::mem::take(&mut acts) {
+            for a in acts.drain(..) {
                 match a.msg {
                     HierMsg::Arrive { .. } => {
-                        // Check in with my leader: one shared-memory add.
+                        // Check in with my leader: my new op counts into
+                        // the domain vector, then one add on the arrive
+                        // counter — its Release half orders the vector
+                        // adds before the leader's Acquire read of it.
                         let c = hs.counters.as_ref().expect("Arrive action in a single-member domain");
+                        for (i, &d) in eng.take_payload().iter().enumerate() {
+                            if d != 0 {
+                                c.seg.fetch_add_u64(c.vec + 8 * i, d);
+                            }
+                        }
                         c.seg.fetch_add_u64(c.arrive, 1);
                     }
                     HierMsg::Xchg(m) => {
-                        let world_to = g.msg.world_rank(a.to);
-                        self.send_to(world_to, tag, encode_xchg(m));
+                        let body = encode_xchg(m, &eng.take_payload());
+                        self.send_to(g.msg.world_rank(a.to), reduce_tag, body);
                     }
+                    HierMsg::Close(m) => self.send_to(g.msg.world_rank(a.to), close_tag, encode_xchg(m, &[])),
                     HierMsg::Release => {
                         // One add releases the whole domain (members spin
                         // on the same counter); the engine logs one
@@ -451,39 +525,68 @@ impl Armci {
             match exp {
                 HierExpect::Arrive(_) => {
                     // Leader: the domain has gathered when the cumulative
-                    // arrive counter reaches round·(members−1).
+                    // arrive counter reaches round·(members−1); the
+                    // domain vector then holds every member's counts, and
+                    // is credited to the first arrival.
                     let c = hs.counters.as_ref().expect("gather wait in a single-member domain");
-                    let seg = c.seg.clone();
-                    let off = c.arrive;
                     let want = round * locals;
-                    self.wait_local_cond("group_barrier", deadline, move || {
-                        seg.atomic_u64(off).load(std::sync::atomic::Ordering::Acquire) >= want
+                    self.wait_local_cond("group_barrier", deadline, || {
+                        c.seg.atomic_u64(c.arrive).load(Ordering::Acquire) >= want
                     })?;
-                    for i in 1..hs.domains[hs.my_dom].len() {
-                        let from = hs.domains[hs.my_dom][i] as u32;
-                        eng.poll(HierEvent::Recv(HierMsg::Arrive { from }), &mut acts);
+                    vals.clear();
+                    vals.extend((0..g.len()).map(|i| c.seg.read_u64(c.vec + 8 * i)));
+                    for (i, &from) in my_domain[1..].iter().enumerate() {
+                        let ev = HierEvent::Recv(HierMsg::Arrive { from: from as u32 });
+                        eng.poll_vals(ev, if i == 0 { &vals } else { &[] }, &mut acts);
                     }
                 }
-                HierExpect::Xchg(from_g, _) => {
-                    let world_from = g.msg.world_rank(from_g);
-                    let body = match self.recv_from_deadline(world_from, tag, deadline) {
+                HierExpect::Xchg(from_g, _) | HierExpect::Close(from_g, _) => {
+                    let reduce = matches!(exp, HierExpect::Xchg(..));
+                    let tag = if reduce { reduce_tag } else { close_tag };
+                    let body = match self.recv_from_deadline(g.msg.world_rank(from_g), tag, deadline) {
                         Ok(b) => b,
+                        // A lost leader is never folded out, in either
+                        // pass: its domain's counts (or its word that
+                        // their puts have landed) are unrecoverable.
                         Err(e) => return Err(self.map_comm_err("group_barrier", e)),
                     };
-                    eng.poll(HierEvent::Recv(HierMsg::Xchg(decode_xchg(&body))), &mut acts);
+                    vals.clear();
+                    let m = decode_xchg(&body, &mut vals);
+                    let msg = if reduce { HierMsg::Xchg(m) } else { HierMsg::Close(m) };
+                    eng.poll_vals(HierEvent::Recv(msg), &vals, &mut acts);
+                }
+                HierExpect::OpDone => {
+                    // Leader, on behalf of its whole domain: every
+                    // member-initiated put destined to any of us must
+                    // have completed. The server's Release add on
+                    // `op_from` pairs with this Acquire load, and the
+                    // Release add on the release counter below with each
+                    // member's Acquire spin, so members see the data.
+                    let totals = eng.totals();
+                    let mut landed = 0;
+                    self.wait_local_cond("group_barrier", deadline, || {
+                        while landed < my_domain.len()
+                            && g.completed_at(&hs.member_syncs[landed]) >= totals[my_domain[landed]]
+                        {
+                            landed += 1;
+                        }
+                        landed == my_domain.len()
+                    })?;
+                    eng.poll(HierEvent::OpDoneReached, &mut acts);
                 }
                 HierExpect::Release(_) => {
                     let c = hs.counters.as_ref().expect("release wait in a single-member domain");
-                    let seg = c.seg.clone();
-                    let off = c.release;
-                    self.wait_local_cond("group_barrier", deadline, move || {
-                        seg.atomic_u64(off).load(std::sync::atomic::Ordering::Acquire) >= round
+                    self.wait_local_cond("group_barrier", deadline, || {
+                        c.seg.atomic_u64(c.release).load(Ordering::Acquire) >= round
                     })?;
                     eng.poll(HierEvent::Recv(HierMsg::Release), &mut acts);
                 }
             }
         }
         self.last_hier_log = eng.take_log();
+        hs.totals.set(eng.into_totals());
+        // Only member-directed traffic is known complete.
+        self.fence.group_confirmed(&g.members);
         Ok(())
     }
 

@@ -13,7 +13,9 @@
 //!   `ticket`/`counter` words and the MCS `Lock` variable (again in both
 //!   encodings);
 //! * per-source `op_from` completed-put counters (group barriers) and
-//!   [`NOTIFY_SLOTS`] notification counters (`put_notify`/`wait_notify`).
+//!   [`NOTIFY_SLOTS`] notification counters (`put_notify`/`wait_notify`);
+//! * the hierarchical barrier's per-group domain block: an
+//!   arrive/release counter pair and the [`hier_vec`] op-count vector.
 //!
 //! Keeping this state in an ordinary registered segment (rather than
 //! private runtime fields) is what lets node-local processes operate on
@@ -123,10 +125,21 @@ pub fn notify_slot(locks_per_proc: u32, nprocs: u32, slot: u32) -> usize {
     op_from(locks_per_proc, nprocs) + slot as usize * 8
 }
 
+/// Offset of word `i` of hier slot `slot`'s *domain vector*: `nprocs`
+/// cumulative words, indexed by group rank, into which each non-leader
+/// member adds the counted puts it initiated toward that group rank
+/// since its last barrier on the group — before it bumps
+/// [`hier_arrive`], so a leader that has seen the arrivals reads the
+/// domain's whole contribution. Like the counters it is never reset.
+/// The vectors sit past the notify slots so no older offset moves.
+pub fn hier_vec(locks_per_proc: u32, nprocs: u32, slot: u32, i: usize) -> usize {
+    op_from(locks_per_proc, nprocs) + (NOTIFY_SLOTS as usize + slot as usize * nprocs as usize + i) * 8
+}
+
 /// Total sync-segment size for `locks_per_proc` lock slots in a world of
 /// `nprocs` processes.
 pub fn sync_segment_len(locks_per_proc: u32, nprocs: u32) -> usize {
-    op_from(locks_per_proc, nprocs) + NOTIFY_SLOTS as usize * 8
+    hier_vec(locks_per_proc, nprocs, HIER_SLOTS, 0)
 }
 
 #[cfg(test)]
@@ -168,7 +181,17 @@ mod tests {
         let locks = 8;
         let nprocs = 4;
         assert_eq!(hier_next(locks), mcs_lease_epoch(locks - 1) + 8);
-        assert_eq!(sync_segment_len(locks, nprocs), notify_slot(locks, nprocs, NOTIFY_SLOTS - 1) + 8);
+        assert_eq!(hier_vec(locks, nprocs, 0, 0), notify_slot(locks, nprocs, NOTIFY_SLOTS - 1) + 8);
+        let last = hier_vec(locks, nprocs, HIER_SLOTS - 1, nprocs as usize - 1);
+        assert_eq!(sync_segment_len(locks, nprocs), last + 8);
+    }
+
+    #[test]
+    fn hier_vectors_are_disjoint_per_slot() {
+        let (locks, nprocs) = (4u32, 6u32);
+        for s in 0..HIER_SLOTS - 1 {
+            assert_eq!(hier_vec(locks, nprocs, s, nprocs as usize - 1) + 8, hier_vec(locks, nprocs, s + 1, 0));
+        }
     }
 
     #[test]

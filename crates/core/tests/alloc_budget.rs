@@ -12,12 +12,20 @@
 //! magnitude of headroom while catching any reintroduced per-message
 //! `Vec`.
 //!
-//! This test lives in its own binary so the counting `#[global_allocator]`
-//! observes only this scenario, and so no sibling test thread allocates
-//! concurrently during the measured window.
+//! The second scenario budgets the hierarchical group barrier the same
+//! way: everything that scales with the group — the domain table, the
+//! member list, the `op_from` offsets — is built once at group formation,
+//! so a barrier allocates only its engine's fixed handful of small
+//! buffers and one body per leader message.
+//!
+//! This file is its own binary so the counting `#[global_allocator]`
+//! observes only these scenarios; each measures inside a window in which
+//! the other ranks of its own cluster run the same operation, and the two
+//! tests serialize on [`WINDOW`] so neither allocates during the other's.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Mutex;
 
 use armci_core::runtime::run_cluster;
 use armci_core::{ArmciCfg, GlobalAddr};
@@ -54,11 +62,15 @@ static GLOBAL: CountingAlloc = CountingAlloc;
 const WARMUP: usize = 2000;
 const MEASURED: usize = 1000;
 
+/// Held by a test for its whole cluster run (see module docs).
+static WINDOW: Mutex<()> = Mutex::new(());
+
 /// A steady stream of remote `put_u64` + one fence must average at most
 /// one heap allocation per put *process-wide* (client, server and ack
 /// path combined).
 #[test]
 fn remote_put_stays_within_allocation_budget() {
+    let _window = WINDOW.lock().unwrap_or_else(|e| e.into_inner());
     let cfg = ArmciCfg::flat(2, LatencyModel::zero());
     let deltas = run_cluster(cfg, |a| {
         let seg = a.malloc(1 << 12);
@@ -89,5 +101,50 @@ fn remote_put_stays_within_allocation_budget() {
     assert!(
         delta <= MEASURED as u64,
         "allocation budget exceeded: {delta} allocations for {MEASURED} puts (budget: 1 per put)"
+    );
+}
+
+/// A hierarchical `barrier_group` on 2 nodes x 2 ppn, alternating dirty
+/// epochs (one counted put per rank outstanding: both leader passes and
+/// the delegated completion wait) with clean ones, must average at most
+/// 44 allocations per barrier *process-wide* — all four ranks' engines,
+/// the leaders' four (dirty) or two (clean) messages and every other
+/// put together; measured: 37.4. Cloning the domain table per call, as
+/// the driver used to, alone adds three per rank — twelve here, past the
+/// budget — and grows with the group.
+#[test]
+fn hier_group_barrier_stays_within_allocation_budget() {
+    let _window = WINDOW.lock().unwrap_or_else(|e| e.into_inner());
+    const BARRIERS: u64 = 400;
+    const BUDGET_PER_BARRIER: u64 = 44;
+    let cfg = ArmciCfg { nodes: 2, procs_per_node: 2, latency: LatencyModel::zero(), ..Default::default() }
+        .with_hier_collectives(true);
+    let deltas = run_cluster(cfg, |a| {
+        let n = a.nprocs();
+        let seg = a.malloc(8 * n);
+        let g = a.group(&(0..n).collect::<Vec<_>>());
+        assert!(g.is_hierarchical());
+        let across = GlobalAddr::new(ProcId(((a.rank() + 2) % n) as u32), seg, 8 * a.rank());
+        let epochs = |a: &mut armci_core::Armci, count: u64| {
+            for i in 0..count {
+                if i % 2 == 0 {
+                    a.put_u64(across, i);
+                }
+                a.barrier_group(&g);
+            }
+        };
+        epochs(a, 200);
+        a.barrier();
+        let before = ALLOCS.load(Ordering::SeqCst);
+        epochs(a, BARRIERS);
+        // Every rank is past its last barrier once this one completes.
+        a.barrier();
+        ALLOCS.load(Ordering::SeqCst) - before
+    });
+    let delta = deltas[0];
+    eprintln!("{BARRIERS} hier barrier_group on 2x2: {delta} allocations process-wide");
+    assert!(
+        delta <= BARRIERS * BUDGET_PER_BARRIER,
+        "allocation budget exceeded: {delta} allocations for {BARRIERS} barriers (budget: {BUDGET_PER_BARRIER} each)"
     );
 }

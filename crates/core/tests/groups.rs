@@ -1,9 +1,16 @@
 //! Processor groups end to end on the threaded emulator: flat subset
 //! barriers (member-scoped op counting + fencing), overlapping groups,
-//! non-power-of-two member counts, and the topology-hierarchical barrier
-//! with its `log2(nodes)` leader exchange.
+//! non-power-of-two member counts, and the topology-hierarchical
+//! combined barrier — its `log2(nodes)` leader passes, its delegated
+//! completion wait, and its deadline and peer-loss failures (the last
+//! over loopback TCP, where a peer can actually be lost).
 
-use armci_core::{run_cluster, ArmciCfg, GlobalAddr};
+use std::time::{Duration, Instant};
+
+use armci_core::{
+    run_cluster, run_cluster_net_loopback, ArmciCfg, ArmciError, FaultAction, FaultPlan, FaultSpec, GlobalAddr,
+    OnPeerLoss,
+};
 use armci_proto::HierMsg;
 use armci_transport::{LatencyModel, ProcId};
 
@@ -130,8 +137,10 @@ fn allfence_group_completes_member_directed_puts() {
 
 /// The hierarchical world-group barrier on an SMP emulator cluster:
 /// domains are exactly the node partition, data put before the barrier is
-/// visible after it, and each node's leader runs precisely
-/// `log2(nodes)` inter-node exchange rounds while non-leaders send none.
+/// visible after it, and each node's leader runs precisely `log2(nodes)`
+/// inter-node rounds per pass while non-leaders send none — two passes
+/// closing a dirty epoch, one closing a clean one, alternating back to
+/// back (dirty → clean → dirty …) on the same cumulative counters.
 #[test]
 fn hier_barrier_domains_are_nodes_and_leaders_exchange_log2_rounds() {
     let cfg = ArmciCfg { nodes: 4, procs_per_node: 2, latency: LatencyModel::zero(), ..Default::default() }
@@ -152,18 +161,23 @@ fn hier_barrier_domains_are_nodes_and_leaders_exchange_log2_rounds() {
             a.barrier_group(&g);
             let prev = (a.rank() + n - 1) % n;
             assert_eq!(a.local_segment(seg).read_u64(8 * prev), round * 1000 + prev as u64);
-            let log = a.take_hier_log();
-            let xchg = log.iter().filter(|r| matches!(r.msg, HierMsg::Xchg(_))).count();
-            let is_leader = a.rank() % 2 == 0;
-            if is_leader {
-                assert_eq!(xchg, 2, "log2(4 nodes) exchange rounds per leader");
-            } else {
-                assert_eq!(xchg, 0, "non-leaders never touch the wire");
-                let arrives = log.iter().filter(|r| matches!(r.msg, HierMsg::Arrive { .. })).count();
-                assert_eq!(arrives, 1, "non-leaders check in exactly once");
-            }
-            // Separate the read from the next round's overwrite.
+            let dirty = a.take_hier_log();
+            // Separate the read from the next round's overwrite; nothing
+            // was put since the barrier above, so this epoch is clean.
             a.barrier_group(&g);
+            let clean = a.take_hier_log();
+            for (log, passes) in [(&dirty, 2), (&clean, 1)] {
+                let reduces = log.iter().filter(|r| matches!(r.msg, HierMsg::Xchg(_))).count();
+                let closes = log.iter().filter(|r| matches!(r.msg, HierMsg::Close(_))).count();
+                if a.rank() % 2 == 0 {
+                    assert_eq!(reduces, 2, "log2(4 nodes) reduce rounds per leader");
+                    assert_eq!(closes, 2 * (passes - 1), "a closing pass only when something was put");
+                } else {
+                    assert_eq!(reduces + closes, 0, "non-leaders never touch the wire");
+                    let arrives = log.iter().filter(|r| matches!(r.msg, HierMsg::Arrive { .. })).count();
+                    assert_eq!(arrives, 1, "non-leaders check in exactly once");
+                }
+            }
         }
         a.barrier();
         true
@@ -171,29 +185,33 @@ fn hier_barrier_domains_are_nodes_and_leaders_exchange_log2_rounds() {
     assert!(out.into_iter().all(|ok| ok));
 }
 
-/// A hierarchical *subset* group with ragged domains (one node
-/// contributes a single member, member count is non-pow2) still
-/// synchronizes correctly.
+/// Hierarchical *subset* groups with ragged domains — three nodes with
+/// one contributing a single member and a non-pow2 member count, and two
+/// nodes split 2 + 1 — complete an all-to-all scatter among the members.
 #[test]
-fn hier_subset_group_with_ragged_domains() {
+fn hier_subset_groups_with_ragged_domains() {
     let cfg = ArmciCfg { nodes: 4, procs_per_node: 2, latency: LatencyModel::zero(), ..Default::default() }
         .with_hier_collectives(true);
-    let members = [0usize, 1, 2, 3, 4]; // node 2 contributes only rank 4; node 3 absent
+    let shapes: [(&[usize], &[&[usize]]); 2] =
+        [(&[0, 1, 2, 3, 4], &[&[0, 1], &[2, 3], &[4]]), (&[5, 2, 3], &[&[0], &[1, 2]])];
     let out = run_cluster(cfg, move |a| {
-        let seg = a.malloc(8);
-        let mut ok = true;
-        if members.contains(&a.rank()) {
-            let g = a.group(&members);
-            assert_eq!(g.domains().unwrap(), &[vec![0, 1], vec![2, 3], vec![4]]);
-            let me_g = members.iter().position(|&m| m == a.rank()).unwrap();
-            let next = members[(me_g + 1) % members.len()];
-            a.put_u64(GlobalAddr::new(ProcId(next as u32), seg, 0), 300 + me_g as u64);
-            a.barrier_group(&g);
-            let prev_g = (me_g + members.len() - 1) % members.len();
-            ok = a.local_segment(seg).read_u64(0) == 300 + prev_g as u64;
+        let seg = a.malloc(8 * a.nprocs());
+        for (members, domains) in shapes {
+            let me = a.rank();
+            if members.contains(&me) {
+                let g = a.group(members);
+                assert_eq!(g.domains().unwrap(), domains);
+                for &m in members.iter().filter(|&&m| m != me) {
+                    a.put_u64(GlobalAddr::new(ProcId(m as u32), seg, 8 * me), 300 + me as u64);
+                }
+                a.barrier_group(&g);
+                for &m in members.iter().filter(|&&m| m != me) {
+                    assert_eq!(a.local_segment(seg).read_u64(8 * m), 300 + m as u64, "put from member {m}");
+                }
+            }
+            a.barrier();
         }
-        a.barrier();
-        ok
+        true
     });
     assert!(out.into_iter().all(|ok| ok));
 }
@@ -227,4 +245,162 @@ fn two_hier_groups_claim_distinct_counter_slots() {
         true
     });
     assert!(out.into_iter().all(|ok| ok));
+}
+
+/// The paper's cost restored where the hierarchy engages: on 4 nodes × 2
+/// ppn at 100 µs one-way, a Figure-7 scatter plus the hierarchical
+/// barrier lands every put in two leader passes — `2·log2(4) = 4`
+/// latencies — without one fence round trip. (A fence per dirty node
+/// ahead of the sweep, as before, is `2·3 + 2 = 8`.)
+#[test]
+fn hier_scatter_barrier_costs_two_leader_passes_and_no_fence_round_trip() {
+    const L: Duration = Duration::from_micros(100);
+    let cfg = ArmciCfg {
+        nodes: 4,
+        procs_per_node: 2,
+        latency: LatencyModel::zero().with_inter_node(L),
+        ..Default::default()
+    }
+    .with_hier_collectives(true);
+    let out = run_cluster(cfg, |a| {
+        let (me, n) = (a.rank(), a.nprocs());
+        let seg = a.malloc(8 * n);
+        let g = a.group(&(0..n).collect::<Vec<_>>());
+        let remote: Vec<usize> = (0..n).filter(|r| r / 2 != me / 2).collect();
+        // Thread scheduling on a shared box only ever adds time, so the
+        // protocol's cost is the best round.
+        let mut best = Duration::MAX;
+        for round in 1..=5u64 {
+            for &dst in &remote {
+                a.put_u64(GlobalAddr::new(ProcId(dst as u32), seg, 8 * me), round * 100 + me as u64);
+            }
+            // Align the ranks with messages alone: completes no put.
+            g.msg().barrier_binary_exchange(a);
+            let fences = a.stats().fence_roundtrips;
+            let t0 = Instant::now();
+            a.barrier_group(&g);
+            best = best.min(t0.elapsed());
+            assert_eq!(a.stats().fence_roundtrips, fences, "the hier barrier sends no fence request");
+            for &src in &remote {
+                assert_eq!(a.local_segment(seg).read_u64(8 * src), round * 100 + src as u64, "put from {src}");
+            }
+            // Separate the reads from the next round's overwrites.
+            a.barrier_group(&g);
+        }
+        best
+    });
+    let slowest = out.into_iter().max().unwrap();
+    assert!(slowest < 6 * L, "dirty hier barrier took {slowest:?}, want < 6 x {L:?}");
+}
+
+/// The delegated completion wait counts member-initiated puts only: a
+/// non-member's landed puts to the same target cannot satisfy it while a
+/// member's large put is still in flight — here toward a *non-leader*,
+/// whose counters its leader watches.
+#[test]
+fn hier_wait_is_not_satisfied_by_non_member_traffic() {
+    // 64 KiB at 100 ns/byte flies ~6.5 ms; the leaders' reduce messages
+    // (a few words) arrive within ~0.2 ms and would release at once.
+    const WORDS: usize = 8192;
+    let latency =
+        LatencyModel::zero().with_inter_node(Duration::from_micros(200)).with_per_byte(Duration::from_nanos(100));
+    let cfg = ArmciCfg { nodes: 2, procs_per_node: 2, latency, ..Default::default() }.with_hier_collectives(true);
+    let members = [0usize, 1, 2];
+    let out = run_cluster(cfg, move |a| {
+        let seg = a.malloc(8 * WORDS);
+        let to_1 = |at: usize| GlobalAddr::new(ProcId(1), seg, at);
+        if a.rank() == 3 {
+            // Non-member: twenty puts into member 1, landed and fenced
+            // before the members even start.
+            for i in 0..20u64 {
+                a.put_u64(to_1(0), i);
+            }
+            a.allfence();
+            a.barrier();
+        } else {
+            let g = a.group(&members);
+            assert_eq!(g.domains().unwrap(), &[vec![0, 1], vec![2]]);
+            a.barrier(); // rank 3's noise has landed
+            if a.rank() == 2 {
+                let payload: Vec<u8> = (0..WORDS as u64).flat_map(|w| (w + 1).to_le_bytes()).collect();
+                a.put(to_1(0), &payload);
+            }
+            a.barrier_group(&g);
+            if a.rank() == 1 {
+                assert_eq!(a.local_segment(seg).read_u64(0), 1, "member 2's put had not landed");
+                assert_eq!(a.local_segment(seg).read_u64(8 * (WORDS - 1)), WORDS as u64);
+            }
+        }
+        a.barrier();
+        true
+    });
+    assert!(out.into_iter().all(|ok| ok));
+}
+
+/// A member that never enters the barrier costs every other member
+/// exactly one operation deadline: the leader's gather wait, the other
+/// leader's reduce receive and the non-leader's release wait all return
+/// `Timeout { op: "group_barrier" }`.
+#[test]
+fn hier_barrier_times_out_on_every_member_when_one_never_enters() {
+    let op_timeout = Duration::from_millis(300);
+    let cfg = ArmciCfg { nodes: 2, procs_per_node: 2, latency: LatencyModel::zero(), ..Default::default() }
+        .with_hier_collectives(true)
+        .with_op_timeout(op_timeout);
+    let out = run_cluster(cfg, move |a| {
+        let g = a.group(&[0, 1, 2, 3]);
+        // The non-leader of node 1 stays out.
+        (a.rank() != 3).then(|| {
+            let t0 = Instant::now();
+            (a.try_barrier_group(&g), t0.elapsed())
+        })
+    });
+    for (rank, res) in out.into_iter().enumerate().take(3) {
+        let (res, took) = res.unwrap();
+        assert_eq!(res, Err(ArmciError::Timeout { op: "group_barrier" }), "rank {rank}");
+        assert!(took >= op_timeout && took < 2 * op_timeout, "rank {rank} gave up after {took:?}");
+    }
+}
+
+/// Under `OnPeerLoss::Degrade` a leader lost during the value-carrying
+/// pass is never folded out — its domain's op counts are unrecoverable —
+/// so every survivor's barrier aborts with `PeerLost { epoch }`. Over
+/// loopback TCP: node 1's scripted kill fires while its leader, instead
+/// of entering the barrier, storms puts at rank 0.
+#[test]
+fn hier_barrier_aborts_with_peer_lost_when_a_leader_dies_before_contributing() {
+    let faults =
+        FaultPlan::new().with(FaultSpec { node: 1, peer: 0, after_frames: 200, action: FaultAction::KillNode });
+    let cfg = ArmciCfg::builder()
+        .nodes(2)
+        .procs_per_node(2)
+        .latency(LatencyModel::zero())
+        .op_timeout(Duration::from_secs(10))
+        .on_peer_loss(OnPeerLoss::Degrade)
+        // The kill is driven by frames crossing the wire.
+        .shm_plane(Some(false))
+        .faults(faults)
+        .build()
+        .expect("valid config")
+        .with_hier_collectives(true);
+    let out = run_cluster_net_loopback(cfg, |a| {
+        let seg = a.malloc(8);
+        let g = a.group(&[0, 1, 2, 3]);
+        assert!(g.is_hierarchical());
+        a.try_barrier()?; // everyone has formed the hierarchy
+        if a.rank() == 2 {
+            for i in 0..100_000u64 {
+                a.try_put(GlobalAddr::new(ProcId(0), seg, 0), &i.to_le_bytes())?;
+                a.try_fence(ProcId(0))?;
+            }
+            panic!("doomed leader outlived its kill");
+        }
+        a.try_barrier_group(&g)
+    });
+    for (rank, res) in out.iter().enumerate().take(2) {
+        assert!(
+            matches!(res, Err(ArmciError::PeerLost { epoch, .. }) if *epoch >= 1),
+            "survivor {rank} must abort with PeerLost, got {res:?}"
+        );
+    }
 }

@@ -75,9 +75,10 @@ pub fn barrier_bx_tag(epoch: u32) -> u32 {
     mk_tag(op::BARRIER_BX, epoch)
 }
 
-/// Tag of the hierarchical barrier's inter-domain leg for a given epoch
-/// (see [`allreduce_tag`]; the ARMCI runtime drives the
-/// `armci-proto` `HierBarrier` engine directly).
+/// Tag of the hierarchical barrier's inter-domain reduce pass for a
+/// given epoch (see [`allreduce_tag`]; the ARMCI runtime drives the
+/// `armci-proto` `HierBarrier` engine directly, and tags the closing
+/// pass [`barrier_bx_tag`] of the same epoch).
 pub fn hier_bx_tag(epoch: u32) -> u32 {
     mk_tag(op::HIER_BX, epoch)
 }

@@ -86,17 +86,117 @@ enum Phase {
     Done,
 }
 
+/// A value-carrying exchange stage: the [`Exchange`] schedule plus the
+/// vector it reduces. Shared by [`CombinedBarrier`] (over ranks) and
+/// [`crate::HierBarrier`] (over domain leaders), so the
+/// recursive-doubling dataflow exists once. The vector's length is the
+/// caller's business — it need not equal the participant count.
+#[derive(Clone, Debug)]
+pub(crate) struct Allreduce {
+    vals: Vec<u64>,
+    x: Exchange,
+    /// Payloads received ahead of their schedule position:
+    /// `[Enter, Round(0).., Exit]`, folded in at `Consume` time.
+    pending: Vec<Option<Vec<u64>>>,
+    /// Scratch for the inner exchange's actions.
+    acts: Vec<XchgAction>,
+}
+
+/// One send of an [`Allreduce`] stage with the value snapshot to transmit.
+pub(crate) struct ValueSend {
+    pub(crate) to: usize,
+    pub(crate) msg: XchgMsg,
+    pub(crate) vals: Vec<u64>,
+}
+
+impl Allreduce {
+    /// Stage for participant `me` of `n`, contributing `vals`.
+    pub(crate) fn new(n: usize, me: usize, vals: Vec<u64>) -> Self {
+        let x = Exchange::new(n, me);
+        let pending = vec![None; x.rounds() + 2];
+        Allreduce { vals, x, pending, acts: Vec::new() }
+    }
+
+    /// The vector: partially reduced while the stage runs, the totals
+    /// once it is complete.
+    pub(crate) fn values(&self) -> &[u64] {
+        &self.vals
+    }
+
+    /// Fold a contribution in before the stage starts.
+    pub(crate) fn add(&mut self, vals: &[u64]) {
+        debug_assert_eq!(vals.len(), self.vals.len(), "allreduce vector length mismatch");
+        for (a, b) in self.vals.iter_mut().zip(vals) {
+            *a = a.wrapping_add(*b);
+        }
+    }
+
+    pub(crate) fn into_values(self) -> Vec<u64> {
+        self.vals
+    }
+
+    pub(crate) fn is_complete(&self) -> bool {
+        self.x.is_complete()
+    }
+
+    pub(crate) fn expected_recv(&self) -> Option<(usize, XchgMsg)> {
+        self.x.expected_recv()
+    }
+
+    /// Feed `Start` or a received message with its decoded payload (empty
+    /// when the harness does not model data); sends are appended to `out`
+    /// with the in-order value snapshot.
+    pub(crate) fn poll(&mut self, ev: XchgEvent, vals: &[u64], out: &mut Vec<ValueSend>) {
+        if let XchgEvent::Recv(msg) = ev {
+            if !vals.is_empty() {
+                let slot = self.slot(msg);
+                self.pending[slot] = Some(vals.to_vec());
+            }
+        }
+        let mut acts = std::mem::take(&mut self.acts);
+        self.x.poll(ev, &mut acts);
+        for a in acts.drain(..) {
+            match a {
+                XchgAction::Send { to, msg } => out.push(ValueSend { to, msg, vals: self.vals.clone() }),
+                XchgAction::Consume(msg) => {
+                    let slot = self.slot(msg);
+                    let Some(got) = self.pending[slot].take() else {
+                        continue; // harness does not model data
+                    };
+                    match msg {
+                        // Enter and Round payloads combine (the wrapping
+                        // sum is the op_init[] operator)...
+                        XchgMsg::Enter | XchgMsg::Round(_) => self.add(&got),
+                        // ...while the Exit release carries the final
+                        // totals and replaces.
+                        XchgMsg::Exit => {
+                            debug_assert_eq!(got.len(), self.vals.len(), "allreduce vector length mismatch");
+                            self.vals.copy_from_slice(&got);
+                        }
+                    }
+                }
+            }
+        }
+        self.acts = acts;
+    }
+
+    /// Pending-buffer slot of a message.
+    fn slot(&self, msg: XchgMsg) -> usize {
+        match msg {
+            XchgMsg::Enter => 0,
+            XchgMsg::Round(r) => 1 + r as usize,
+            XchgMsg::Exit => 1 + self.x.rounds(),
+        }
+    }
+}
+
 /// One rank's combined-barrier engine (see module docs).
 #[derive(Clone, Debug)]
 pub struct CombinedBarrier {
     me: usize,
-    vals: Vec<u64>,
-    allreduce: Exchange,
+    allreduce: Allreduce,
     barrier: Exchange,
     phase: Phase,
-    /// Stage-0 payloads received ahead of their schedule position:
-    /// `[Enter, Round(0).., Exit]`, folded in at `Consume` time.
-    pending: Vec<Option<Vec<u64>>>,
     log: Vec<SendRecord>,
 }
 
@@ -105,15 +205,11 @@ impl CombinedBarrier {
     /// per rank; `op_init.len()` is the group size).
     pub fn new(me: usize, op_init: Vec<u64>) -> Self {
         let n = op_init.len();
-        let allreduce = Exchange::new(n, me);
-        let pending = vec![None; allreduce.rounds() + 2];
         CombinedBarrier {
             me,
-            vals: op_init,
-            allreduce,
+            allreduce: Allreduce::new(n, me, op_init),
             barrier: Exchange::new(n, me),
             phase: Phase::Allreduce,
-            pending,
             log: Vec::new(),
         }
     }
@@ -121,7 +217,7 @@ impl CombinedBarrier {
     /// Current value vector: `op_init[]` partially reduced during stage 0,
     /// the group-wide totals afterwards.
     pub fn values(&self) -> &[u64] {
-        &self.vals
+        self.allreduce.values()
     }
 
     /// Whether the barrier has completed.
@@ -162,7 +258,7 @@ impl CombinedBarrier {
             Phase::Barrier => {
                 let mut acts = Vec::new();
                 self.barrier.evict(rank, &mut acts);
-                self.apply(STAGE_BARRIER, acts, out);
+                self.relay_barrier(acts, out);
                 if self.barrier.is_complete() {
                     self.phase = Phase::Done;
                     out.push(BarrierAction::Done);
@@ -175,26 +271,19 @@ impl CombinedBarrier {
 
     /// Feed one event; actions are appended to `out`.
     pub fn poll(&mut self, ev: BarrierEvent<'_>, out: &mut Vec<BarrierAction>) {
-        let mut acts = Vec::new();
         match ev {
             BarrierEvent::Start => {
                 debug_assert_eq!(self.phase, Phase::Allreduce);
-                self.allreduce.poll(XchgEvent::Start, &mut acts);
-                self.apply(STAGE_ALLREDUCE, acts, out);
+                self.poll_allreduce(XchgEvent::Start, &[], out);
             }
             BarrierEvent::Recv { stage: STAGE_ALLREDUCE, msg, vals } => {
                 debug_assert_eq!(self.phase, Phase::Allreduce, "late allreduce message");
-                if !vals.is_empty() {
-                    self.pending[Self::slot(&self.allreduce, msg)] = Some(vals.to_vec());
-                }
-                self.allreduce.poll(XchgEvent::Recv(msg), &mut acts);
-                self.apply(STAGE_ALLREDUCE, acts, out);
+                self.poll_allreduce(XchgEvent::Recv(msg), vals, out);
             }
             BarrierEvent::Recv { stage: STAGE_BARRIER, msg, .. } => {
                 // A peer that finished its op_done wait first may already
                 // be in the barrier stage; the inner exchange buffers it.
-                self.barrier.poll(XchgEvent::Recv(msg), &mut acts);
-                self.apply(STAGE_BARRIER, acts, out);
+                self.poll_barrier(XchgEvent::Recv(msg), out);
             }
             BarrierEvent::Recv { stage, .. } => {
                 debug_assert!(false, "unknown barrier stage {stage}");
@@ -202,14 +291,13 @@ impl CombinedBarrier {
             BarrierEvent::OpDoneReached => {
                 debug_assert_eq!(self.phase, Phase::WaitOpDone);
                 self.phase = Phase::Barrier;
-                self.barrier.poll(XchgEvent::Start, &mut acts);
-                self.apply(STAGE_BARRIER, acts, out);
+                self.poll_barrier(XchgEvent::Start, out);
             }
         }
         // Phase transitions triggered by inner-exchange completion.
         if self.phase == Phase::Allreduce && self.allreduce.is_complete() {
             self.phase = Phase::WaitOpDone;
-            out.push(BarrierAction::AwaitOpDone { target: self.vals[self.me] });
+            out.push(BarrierAction::AwaitOpDone { target: self.allreduce.values()[self.me] });
         }
         if self.phase == Phase::Barrier && self.barrier.is_complete() {
             self.phase = Phase::Done;
@@ -217,46 +305,28 @@ impl CombinedBarrier {
         }
     }
 
-    /// Pending-buffer slot of a stage-0 message.
-    fn slot(x: &Exchange, msg: XchgMsg) -> usize {
-        match msg {
-            XchgMsg::Enter => 0,
-            XchgMsg::Round(r) => 1 + r as usize,
-            XchgMsg::Exit => 1 + x.rounds(),
+    fn poll_allreduce(&mut self, ev: XchgEvent, vals: &[u64], out: &mut Vec<BarrierAction>) {
+        let mut sends = Vec::new();
+        self.allreduce.poll(ev, vals, &mut sends);
+        for ValueSend { to, msg, vals } in sends {
+            self.log.push(SendRecord { stage: STAGE_ALLREDUCE, to: to as u32, msg });
+            out.push(BarrierAction::Send { stage: STAGE_ALLREDUCE, to, msg, vals });
         }
     }
 
-    /// Translate inner-exchange actions: snapshot payloads for sends,
-    /// fold buffered payloads at consume points, record the log.
-    fn apply(&mut self, stage: u8, acts: Vec<XchgAction>, out: &mut Vec<BarrierAction>) {
+    fn poll_barrier(&mut self, ev: XchgEvent, out: &mut Vec<BarrierAction>) {
+        let mut acts = Vec::new();
+        self.barrier.poll(ev, &mut acts);
+        self.relay_barrier(acts, out);
+    }
+
+    /// Translate the schedule-only barrier stage's sends; its `Consume`
+    /// markers carry nothing.
+    fn relay_barrier(&mut self, acts: Vec<XchgAction>, out: &mut Vec<BarrierAction>) {
         for a in acts {
-            match a {
-                XchgAction::Send { to, msg } => {
-                    self.log.push(SendRecord { stage, to: to as u32, msg });
-                    let vals = if stage == STAGE_ALLREDUCE { self.vals.clone() } else { Vec::new() };
-                    out.push(BarrierAction::Send { stage, to, msg, vals });
-                }
-                XchgAction::Consume(msg) => {
-                    if stage != STAGE_ALLREDUCE {
-                        continue;
-                    }
-                    let Some(got) = self.pending[Self::slot(&self.allreduce, msg)].take() else {
-                        continue; // harness does not model data
-                    };
-                    debug_assert_eq!(got.len(), self.vals.len(), "allreduce vector length mismatch");
-                    match msg {
-                        // Enter and Round payloads combine (the wrapping
-                        // sum is the op_init[] operator)...
-                        XchgMsg::Enter | XchgMsg::Round(_) => {
-                            for (a, b) in self.vals.iter_mut().zip(&got) {
-                                *a = a.wrapping_add(*b);
-                            }
-                        }
-                        // ...while the Exit release carries the final
-                        // totals and replaces.
-                        XchgMsg::Exit => self.vals.copy_from_slice(&got),
-                    }
-                }
+            if let XchgAction::Send { to, msg } = a {
+                self.log.push(SendRecord { stage: STAGE_BARRIER, to: to as u32, msg });
+                out.push(BarrierAction::Send { stage: STAGE_BARRIER, to, msg, vals: Vec::new() });
             }
         }
     }

@@ -1,41 +1,63 @@
-//! Topology-hierarchical barrier as a pure state machine.
+//! Topology-hierarchical *combined* barrier as a pure state machine.
 //!
 //! One [`HierBarrier`] instance is one rank's view of one hierarchical
-//! barrier over a processor group partitioned into *domains* — sets of
-//! ranks that share a fast synchronization plane (the processes of one
-//! SMP node reaching each other's memory, or same-host processes bridged
-//! by the shm plane). The schedule is the classical three-sweep tree:
+//! fence + barrier over a processor group partitioned into *domains* —
+//! sets of ranks that share a fast synchronization plane (the processes
+//! of one SMP node reaching each other's memory, or same-host processes
+//! bridged by the shm plane). It is the paper's three-stage
+//! `ARMCI_Barrier()` run over domains instead of ranks:
 //!
-//! 1. **Gather**: every non-leader sends `Arrive` to its domain leader
-//!    (the first-listed member of the domain);
-//! 2. **Exchange**: the leaders — one per domain — run a binary-exchange
-//!    barrier ([`Exchange`]) over `log2(domains)` rounds, so the
-//!    inter-domain step count scales with *domains*, not ranks;
-//! 3. **Release**: each leader sends `Release` to its domain members.
+//! 1. **Gather**: every non-leader hands its per-target counted-put
+//!    vector to its domain leader (the first-listed member) with
+//!    `Arrive`; the leader sums its domain;
+//! 2. **Reduce**: the leaders — one per domain — allreduce the domain
+//!    sums over `log2(domains)` value-carrying rounds (the stage
+//!    [`crate::CombinedBarrier`] runs over ranks), after which every
+//!    leader holds the group totals;
+//! 3. **Delegated completion wait**: each leader waits *on behalf of its
+//!    domain* until every domain member's completed-put count reaches
+//!    its total ([`HierExpect::OpDone`] → [`HierEvent::OpDoneReached`]:
+//!    the engine has no clock or memory access, so the harness waits);
+//! 4. **Close + release**: the leaders run a payload-less closing
+//!    exchange, then each sends `Release` to its domain members.
+//!
+//! When the reduced totals equal the totals of the previous barrier on
+//! the group — a value every leader holds, so they decide alike — nothing
+//! was put since and stages 3–4 are vacuous: leaders release straight
+//! after the reduce, and a *clean* barrier costs `log2(domains)` rounds
+//! against a dirty one's `2·log2(domains)`.
 //!
 //! Like every engine in this crate it is sans-IO: harnesses perform the
 //! emitted [`HierAction`]s and feed [`HierEvent`]s back. The *runtime*
 //! harness maps intra-domain `Arrive`/`Release` sends onto shared-memory
-//! counter operations (zero wire messages) and only the leaders' exchange
+//! counter operations (zero wire messages) and only the leaders' passes
 //! onto real sends; the *simulator* harness maps everything onto modelled
 //! messages. Both drive the identical schedule, which is what the
 //! cross-harness conformance suite asserts via [`HierBarrier::take_log`].
 
+use std::collections::VecDeque;
+use std::sync::Arc;
+
+use crate::barrier::{Allreduce, ValueSend};
 use crate::exchange::{Exchange, XchgAction, XchgEvent, XchgMsg};
 use crate::math::{log2_exact, pow2_floor};
 
 /// A protocol message of the hierarchical schedule.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum HierMsg {
-    /// A domain member checks in with its leader (gather sweep). Carries
-    /// the sender's group rank so counter-based transports can tell the
-    /// leader who has arrived without a wire message.
+    /// A domain member checks in with its leader (gather sweep), handing
+    /// over its counted-put vector. Carries the sender's group rank so
+    /// counter-based transports can tell the leader who has arrived
+    /// without a wire message.
     Arrive {
         /// Group rank of the arriving member.
         from: u32,
     },
-    /// An inter-domain exchange message between two leaders.
+    /// A message of the leaders' value-carrying reduce pass; its payload
+    /// is the sender's partial sums ([`HierBarrier::take_payload`]).
     Xchg(XchgMsg),
+    /// A message of the leaders' closing exchange (dirty epochs only).
+    Close(XchgMsg),
     /// A leader releases a domain member (release sweep).
     Release,
 }
@@ -46,9 +68,13 @@ pub enum HierEvent {
     /// The harness reached the barrier; the engine may start sending.
     Start,
     /// A message arrived. Inter-domain messages may legitimately arrive
-    /// before this rank's own domain has fully gathered — they are
-    /// buffered and acted on in schedule order.
+    /// before this rank's own domain has fully gathered, and closing
+    /// messages before this leader's own completion wait is over — they
+    /// are buffered and acted on in schedule order.
     Recv(HierMsg),
+    /// The harness observed every member of this leader's domain at its
+    /// total (answers [`HierExpect::OpDone`]).
+    OpDoneReached,
 }
 
 /// An action emitted by [`HierBarrier::poll`]: transmit `msg` to group
@@ -73,16 +99,46 @@ pub struct HierRecord {
     pub msg: HierMsg,
 }
 
-/// What a *blocking* driver must wait for next (see
-/// [`HierBarrier::expected_recv`]). Event-driven harnesses ignore this.
+/// What the engine is blocked on (see [`HierBarrier::expected_recv`]):
+/// the single message a *blocking* driver must wait for next, or the
+/// completion wait every harness must perform.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum HierExpect {
     /// Wait for `Arrive` from this group rank (leaders, gather sweep).
     Arrive(usize),
-    /// Wait for this exchange message from this group rank (leaders).
+    /// Wait for this reduce-pass message from this group rank (leaders).
     Xchg(usize, XchgMsg),
+    /// Wait until every member `m` of [`HierBarrier::my_domain`] has
+    /// completed [`HierBarrier::totals`]`[m]` group-initiated puts, then
+    /// feed [`HierEvent::OpDoneReached`] (leaders, dirty epochs).
+    OpDone,
+    /// Wait for this closing-exchange message from this group rank
+    /// (leaders, dirty epochs).
+    Close(usize, XchgMsg),
     /// Wait for `Release` from this group rank (non-leaders).
     Release(usize),
+}
+
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+enum LeaderPhase {
+    Gather,
+    Reduce,
+    WaitOpDone,
+    Close,
+}
+
+/// The leader-only half of the schedule.
+#[derive(Clone, Debug)]
+struct Leader {
+    phase: LeaderPhase,
+    /// Gather sweep: `Arrive`s received so far.
+    arrived: usize,
+    /// The value-carrying pass over domains, seeded with this leader's
+    /// own counts and grown by its members' during the gather.
+    reduce: Allreduce,
+    close: Exchange,
+    /// Group totals of the previous barrier: equal totals ⇒ clean epoch.
+    prev_totals: Vec<u64>,
 }
 
 /// One rank's hierarchical barrier schedule (see module docs).
@@ -90,22 +146,26 @@ pub enum HierExpect {
 pub struct HierBarrier {
     me: usize,
     /// Group ranks per domain; `domains[d][0]` is domain `d`'s leader.
-    domains: Vec<Vec<usize>>,
+    domains: Arc<[Vec<usize>]>,
     my_dom: usize,
-    /// Leaders' inter-domain exchange (`None` for non-leaders).
-    exchange: Option<Exchange>,
+    /// `None` for non-leaders.
+    lead: Option<Leader>,
+    /// Non-leaders: the vector handed to the leader with `Arrive`.
+    counts: Vec<u64>,
     active: bool,
-    /// Gather sweep: `Arrive`s received so far (leaders).
-    arrived: usize,
-    /// Arrive sent / exchange started.
+    /// Non-leaders: `Arrive` sent.
     started: bool,
     released: bool,
     complete: bool,
+    /// Payloads of the emitted value-carrying sends, in emission order.
+    payloads: VecDeque<Vec<u64>>,
     log: Vec<HierRecord>,
 }
 
 impl HierBarrier {
-    /// Engine for group rank `me` under the given domain partition.
+    /// Zero-count engine for group rank `me` under the given domain
+    /// partition: no counted puts now or before, so the epoch is clean —
+    /// a single leader pass, no completion wait, no payloads.
     ///
     /// `domains` lists every group rank exactly once; the first member of
     /// each domain is its leader. All ranks of one barrier must be
@@ -116,18 +176,40 @@ impl HierBarrier {
             let mut seen = vec![false; n];
             domains.iter().flatten().all(|&r| r < n && !std::mem::replace(&mut seen[r], true))
         });
+        Self::counted(me, domains.into(), Vec::new(), Vec::new())
+    }
+
+    /// Engine for group rank `me` that carries op counts: `counts[t]` is
+    /// what this rank contributes toward group rank `t`, and
+    /// `prev_totals` (leaders only; anything for non-leaders) the group
+    /// totals the previous barrier on this group reduced to — all zero
+    /// before the first. Every rank of one barrier passes vectors of one
+    /// length; the partition rules are [`HierBarrier::new`]'s.
+    pub fn counted(me: usize, domains: Arc<[Vec<usize>]>, counts: Vec<u64>, prev_totals: Vec<u64>) -> Self {
         let my_dom = domains.iter().position(|d| d.contains(&me)).expect("rank not in any domain");
-        let exchange = (domains[my_dom][0] == me).then(|| Exchange::new(domains.len(), my_dom));
+        let (lead, counts) = if domains[my_dom][0] == me {
+            let lead = Leader {
+                phase: LeaderPhase::Gather,
+                arrived: 0,
+                reduce: Allreduce::new(domains.len(), my_dom, counts),
+                close: Exchange::new(domains.len(), my_dom),
+                prev_totals,
+            };
+            (Some(lead), Vec::new())
+        } else {
+            (None, counts)
+        };
         HierBarrier {
             me,
             domains,
             my_dom,
-            exchange,
+            lead,
+            counts,
             active: false,
-            arrived: 0,
             started: false,
             released: false,
             complete: false,
+            payloads: VecDeque::new(),
             log: Vec::new(),
         }
     }
@@ -139,10 +221,10 @@ impl HierBarrier {
 
     /// True if this rank leads its domain (first-listed member).
     pub fn is_leader(&self) -> bool {
-        self.exchange.is_some()
+        self.lead.is_some()
     }
 
-    /// Number of domains (= participants in the inter-domain exchange).
+    /// Number of domains (= participants in the inter-domain passes).
     pub fn ndomains(&self) -> usize {
         self.domains.len()
     }
@@ -152,12 +234,33 @@ impl HierBarrier {
         &self.domains[self.my_dom]
     }
 
-    /// Pairwise rounds of the leaders' exchange:
+    /// Pairwise rounds of one leader pass:
     /// `log2(pow2_floor(domains))` — the `log2(nodes)` inter-node step
     /// count the hierarchy exists to deliver (surplus domains add the
-    /// usual two-latency fold).
+    /// usual two-latency fold). A clean epoch runs one pass, a dirty one
+    /// two.
     pub fn inter_domain_rounds(&self) -> usize {
         log2_exact(pow2_floor(self.domains.len()))
+    }
+
+    /// Leaders: the reduce pass's vector — the group totals once the
+    /// pass is over (from [`HierExpect::OpDone`] on, and at completion).
+    /// Empty for non-leaders.
+    pub fn totals(&self) -> &[u64] {
+        self.lead.as_ref().map_or(&[], |l| l.reduce.values())
+    }
+
+    /// Consume a completed leader's engine into the group totals — the
+    /// next barrier's `prev_totals`.
+    pub fn into_totals(self) -> Vec<u64> {
+        self.lead.map_or_else(Vec::new, |l| l.reduce.into_values())
+    }
+
+    /// The payload of the oldest emitted `Arrive` or `Xchg` send not yet
+    /// taken: call once per such action, in emission order. Zero-count
+    /// engines ([`HierBarrier::new`]) queue none.
+    pub fn take_payload(&mut self) -> Vec<u64> {
+        self.payloads.pop_front().unwrap_or_default()
     }
 
     /// Drain the send log (for conformance tracing).
@@ -170,26 +273,51 @@ impl HierBarrier {
         &self.log
     }
 
-    /// Feed one event; emitted actions are appended to `out`.
+    /// Feed one event that carries no payload; emitted actions are
+    /// appended to `out`.
     pub fn poll(&mut self, ev: HierEvent, out: &mut Vec<HierAction>) {
+        self.poll_vals(ev, &[], out);
+    }
+
+    /// Feed one event. `vals` is the payload that rode a received
+    /// `Arrive` or `Xchg` (empty: a zero contribution).
+    pub fn poll_vals(&mut self, ev: HierEvent, vals: &[u64], out: &mut Vec<HierAction>) {
         match ev {
             HierEvent::Start => self.active = true,
-            HierEvent::Recv(HierMsg::Arrive { .. }) => {
-                debug_assert!(self.is_leader(), "non-leader received Arrive");
-                self.arrived += 1;
-            }
             HierEvent::Recv(HierMsg::Release) => {
                 debug_assert!(!self.is_leader(), "leader received Release");
                 self.released = true;
             }
+            HierEvent::Recv(HierMsg::Arrive { .. }) => {
+                let l = self.lead.as_mut().expect("non-leader received Arrive");
+                debug_assert_eq!(l.phase, LeaderPhase::Gather, "Arrive after the gather closed");
+                l.arrived += 1;
+                if !vals.is_empty() {
+                    l.reduce.add(vals);
+                }
+            }
             HierEvent::Recv(HierMsg::Xchg(m)) => {
-                // The inner exchange buffers out-of-order (and pre-Start)
-                // messages itself; sends stay gated on its own Start,
-                // which we only deliver once the domain has gathered.
-                let ex = self.exchange.as_mut().expect("non-leader received exchange message");
+                // The inner stages buffer out-of-order (and pre-Start)
+                // messages themselves; sends stay gated on their own
+                // Start, delivered once the previous phase is over.
+                let l = self.lead.as_mut().expect("non-leader received a reduce message");
+                let mut sends = Vec::new();
+                l.reduce.poll(XchgEvent::Recv(m), vals, &mut sends);
+                self.relay_reduce(sends, out);
+            }
+            HierEvent::Recv(HierMsg::Close(m)) => {
+                let l = self.lead.as_mut().expect("non-leader received a closing message");
                 let mut acts = Vec::new();
-                ex.poll(XchgEvent::Recv(m), &mut acts);
-                self.relay_exchange(acts, out);
+                l.close.poll(XchgEvent::Recv(m), &mut acts);
+                self.relay_close(acts, out);
+            }
+            HierEvent::OpDoneReached => {
+                let l = self.lead.as_mut().expect("non-leader fed OpDoneReached");
+                debug_assert_eq!(l.phase, LeaderPhase::WaitOpDone, "OpDoneReached outside the completion wait");
+                l.phase = LeaderPhase::Close;
+                let mut acts = Vec::new();
+                l.close.poll(XchgEvent::Start, &mut acts);
+                self.relay_close(acts, out);
             }
         }
         if self.active {
@@ -197,20 +325,23 @@ impl HierBarrier {
         }
     }
 
-    /// The single message a blocking driver must wait for next; `None`
-    /// once complete (or before `Start`).
+    /// What the engine is blocked on; `None` once complete (or before
+    /// `Start`). Event-driven harnesses deliver whatever arrives and only
+    /// look for [`HierExpect::OpDone`].
     pub fn expected_recv(&self) -> Option<HierExpect> {
         if self.complete || !self.active {
             return None;
         }
-        if let Some(ex) = &self.exchange {
-            let locals = self.domains[self.my_dom].len() - 1;
-            if self.arrived < locals {
-                return Some(HierExpect::Arrive(self.domains[self.my_dom][1 + self.arrived]));
-            }
-            return ex.expected_recv().map(|(dom, msg)| HierExpect::Xchg(self.domains[dom][0], msg));
+        let leader_of = |dom: usize| self.domains[dom][0];
+        let Some(l) = &self.lead else {
+            return Some(HierExpect::Release(leader_of(self.my_dom)));
+        };
+        match l.phase {
+            LeaderPhase::Gather => Some(HierExpect::Arrive(self.my_domain()[1 + l.arrived])),
+            LeaderPhase::Reduce => l.reduce.expected_recv().map(|(dom, msg)| HierExpect::Xchg(leader_of(dom), msg)),
+            LeaderPhase::WaitOpDone => Some(HierExpect::OpDone),
+            LeaderPhase::Close => l.close.expected_recv().map(|(dom, msg)| HierExpect::Close(leader_of(dom), msg)),
         }
-        Some(HierExpect::Release(self.domains[self.my_dom][0]))
     }
 
     /// Run the schedule as far as the received set allows.
@@ -218,40 +349,63 @@ impl HierBarrier {
         if self.complete {
             return;
         }
-        match &mut self.exchange {
-            None => {
-                if !self.started {
-                    self.started = true;
-                    self.send(self.domains[self.my_dom][0], HierMsg::Arrive { from: self.me as u32 }, out);
+        let leader = self.domains[self.my_dom][0];
+        let Some(l) = self.lead.as_mut() else {
+            if !self.started {
+                self.started = true;
+                if !self.counts.is_empty() {
+                    self.payloads.push_back(std::mem::take(&mut self.counts));
                 }
-                if self.released {
-                    self.complete = true;
-                }
+                self.send(leader, HierMsg::Arrive { from: self.me as u32 }, out);
             }
-            Some(ex) => {
-                let locals = self.domains[self.my_dom].len() - 1;
-                if !self.started && self.arrived == locals {
-                    self.started = true;
-                    let mut acts = Vec::new();
-                    ex.poll(XchgEvent::Start, &mut acts);
-                    self.relay_exchange(acts, out);
-                }
-                if self.started && self.exchange.as_ref().is_some_and(Exchange::is_complete) {
-                    for i in 1..self.domains[self.my_dom].len() {
-                        self.send(self.domains[self.my_dom][i], HierMsg::Release, out);
-                    }
-                    self.complete = true;
-                }
+            self.complete = self.released;
+            return;
+        };
+        if l.phase == LeaderPhase::Gather && l.arrived == self.domains[self.my_dom].len() - 1 {
+            l.phase = LeaderPhase::Reduce;
+            let mut sends = Vec::new();
+            l.reduce.poll(XchgEvent::Start, &[], &mut sends);
+            self.relay_reduce(sends, out);
+        }
+        let l = self.lead.as_mut().expect("leader checked above");
+        if l.phase == LeaderPhase::Reduce && l.reduce.is_complete() {
+            if l.reduce.values() == l.prev_totals {
+                // Clean epoch: nothing was put since the totals last
+                // matched, so the completion wait and the closing
+                // exchange are vacuous on every leader.
+                self.release(out);
+            } else {
+                l.phase = LeaderPhase::WaitOpDone;
             }
+            return;
+        }
+        if l.phase == LeaderPhase::Close && l.close.is_complete() {
+            self.release(out);
         }
     }
 
-    /// Translate inner-exchange actions (domain indices) into group-rank
-    /// sends to the partner domains' leaders.
-    fn relay_exchange(&mut self, acts: Vec<XchgAction>, out: &mut Vec<HierAction>) {
+    fn release(&mut self, out: &mut Vec<HierAction>) {
+        for i in 1..self.domains[self.my_dom].len() {
+            self.send(self.domains[self.my_dom][i], HierMsg::Release, out);
+        }
+        self.complete = true;
+    }
+
+    /// Translate reduce-pass sends (domain indices) into group-rank sends
+    /// to the partner domains' leaders, queueing their payloads.
+    fn relay_reduce(&mut self, sends: Vec<ValueSend>, out: &mut Vec<HierAction>) {
+        for ValueSend { to, msg, vals } in sends {
+            if !vals.is_empty() {
+                self.payloads.push_back(vals);
+            }
+            self.send(self.domains[to][0], HierMsg::Xchg(msg), out);
+        }
+    }
+
+    fn relay_close(&mut self, acts: Vec<XchgAction>, out: &mut Vec<HierAction>) {
         for a in acts {
             if let XchgAction::Send { to, msg } = a {
-                self.send(self.domains[to][0], HierMsg::Xchg(msg), out);
+                self.send(self.domains[to][0], HierMsg::Close(msg), out);
             }
         }
     }
@@ -359,8 +513,8 @@ mod tests {
 
     #[test]
     fn blocking_replay_via_expected_recv() {
-        // Leader of domain 0 in a 2x2 cluster: gather rank 1, exchange
-        // with leader 2, release rank 1.
+        // Leader of domain 0 in a 2x2 cluster: gather rank 1, reduce
+        // with leader 2, release rank 1 (zero counts: a clean epoch).
         let domains = chunked(2, 2);
         let mut e = HierBarrier::new(0, domains);
         let mut out = Vec::new();
@@ -375,6 +529,48 @@ mod tests {
         assert_eq!(out, vec![HierAction { to: 1, msg: HierMsg::Release }]);
         assert!(e.is_complete());
         assert_eq!(e.expected_recv(), None);
+    }
+
+    #[test]
+    fn dirty_epoch_replay_waits_for_op_done_between_the_two_passes() {
+        // Same leader, but rank 1 put once to rank 2 and leader 2's
+        // domain put twice to rank 1 since the (all-zero) last barrier.
+        let mut e = HierBarrier::counted(0, chunked(2, 2).into(), vec![0; 4], vec![0; 4]);
+        let mut out = Vec::new();
+        e.poll(HierEvent::Start, &mut out);
+        e.poll_vals(HierEvent::Recv(HierMsg::Arrive { from: 1 }), &[0, 0, 1, 0], &mut out);
+        assert_eq!(out, vec![HierAction { to: 2, msg: HierMsg::Xchg(XchgMsg::Round(0)) }]);
+        assert_eq!(e.take_payload(), vec![0, 0, 1, 0], "the reduce send carries the domain sum");
+        out.clear();
+        // The partner's closing message overtakes its reduce message.
+        e.poll(HierEvent::Recv(HierMsg::Close(XchgMsg::Round(0))), &mut out);
+        assert!(out.is_empty());
+        e.poll_vals(HierEvent::Recv(HierMsg::Xchg(XchgMsg::Round(0))), &[0, 2, 0, 0], &mut out);
+        assert!(out.is_empty(), "nothing may be sent, and nobody released, before the completion wait");
+        assert_eq!(e.expected_recv(), Some(HierExpect::OpDone));
+        assert_eq!(e.totals(), &[0, 2, 1, 0]);
+        e.poll(HierEvent::OpDoneReached, &mut out);
+        assert_eq!(
+            out,
+            vec![
+                HierAction { to: 2, msg: HierMsg::Close(XchgMsg::Round(0)) },
+                HierAction { to: 1, msg: HierMsg::Release },
+            ]
+        );
+        assert!(e.is_complete());
+        assert_eq!(e.into_totals(), vec![0, 2, 1, 0]);
+    }
+
+    #[test]
+    fn unchanged_totals_short_circuit_to_a_single_pass() {
+        let mut e = HierBarrier::counted(0, chunked(2, 2).into(), vec![0; 4], vec![0, 2, 1, 0]);
+        let mut out = Vec::new();
+        e.poll(HierEvent::Start, &mut out);
+        e.poll_vals(HierEvent::Recv(HierMsg::Arrive { from: 1 }), &[0, 0, 1, 0], &mut out);
+        out.clear();
+        e.poll_vals(HierEvent::Recv(HierMsg::Xchg(XchgMsg::Round(0))), &[0, 2, 0, 0], &mut out);
+        assert_eq!(out, vec![HierAction { to: 1, msg: HierMsg::Release }]);
+        assert!(e.is_complete());
     }
 
     #[test]
@@ -403,5 +599,163 @@ mod tests {
         assert_eq!(HierBarrier::new(0, chunked(8, 2)).inter_domain_rounds(), 3);
         assert_eq!(HierBarrier::new(0, chunked(5, 1)).inter_domain_rounds(), 2);
         assert_eq!(HierBarrier::new(0, chunked(1, 4)).inter_domain_rounds(), 0);
+    }
+
+    // ---- Exhaustive schedule exploration --------------------------------
+
+    /// One reachable state of a whole barrier: every rank's engine, the
+    /// messages in flight (deliverable in *any* order — a superset of
+    /// what FIFO links allow), and which leaders were asked for / have
+    /// reported their domain's completion wait.
+    #[derive(Clone)]
+    struct World {
+        engines: Vec<HierBarrier>,
+        flight: Vec<(usize, HierMsg, Vec<u64>)>,
+        asked: Vec<bool>,
+        reported: Vec<bool>,
+    }
+
+    impl World {
+        fn key(&self) -> u64 {
+            use std::hash::{Hash, Hasher};
+            let mut flight: Vec<String> = self.flight.iter().map(|m| format!("{m:?}")).collect();
+            flight.sort();
+            let mut h = std::collections::hash_map::DefaultHasher::new();
+            format!("{:?}{flight:?}{:?}", self.engines, self.reported).hash(&mut h);
+            h.finish()
+        }
+
+        /// Perform `rank`'s freshly emitted actions and check the
+        /// per-step invariants.
+        fn settle(&mut self, rank: usize, out: &mut Vec<HierAction>, leaders: &[usize]) {
+            for a in out.drain(..) {
+                let vals = match a.msg {
+                    HierMsg::Arrive { .. } | HierMsg::Xchg(_) => self.engines[rank].take_payload(),
+                    HierMsg::Close(_) | HierMsg::Release => Vec::new(),
+                };
+                self.flight.push((a.to, a.msg, vals));
+            }
+            if self.engines[rank].expected_recv() == Some(HierExpect::OpDone) {
+                self.asked[rank] = true;
+            }
+            let anyone_asked = self.asked.iter().any(|&a| a);
+            if self.engines[rank].is_complete() && anyone_asked {
+                assert!(
+                    leaders.iter().all(|&l| self.reported[l]),
+                    "rank {rank} left a dirty barrier before every leader reported op_done"
+                );
+            }
+        }
+    }
+
+    /// Enumerate every delivery order of one barrier. Returns how many
+    /// leaders took the completion wait (the same in every schedule) and
+    /// the number of distinct states visited.
+    fn explore(domains: &[Vec<usize>], counts: &[Vec<u64>], prev_totals: &[u64]) -> (usize, usize) {
+        let n = counts.len();
+        let leaders: Vec<usize> = domains.iter().map(|d| d[0]).collect();
+        let want: Vec<u64> = (0..counts[0].len()).map(|t| counts.iter().map(|c| c[t]).sum()).collect();
+        let shared: Arc<[Vec<usize>]> = domains.into();
+        let mut w0 = World {
+            engines: (0..n)
+                .map(|me| HierBarrier::counted(me, shared.clone(), counts[me].clone(), prev_totals.to_vec()))
+                .collect(),
+            flight: Vec::new(),
+            asked: vec![false; n],
+            reported: vec![false; n],
+        };
+        let mut out = Vec::new();
+        for me in 0..n {
+            w0.engines[me].poll(HierEvent::Start, &mut out);
+            w0.settle(me, &mut out, &leaders);
+        }
+        let mut seen = std::collections::HashSet::new();
+        let mut stack = vec![w0];
+        let mut waits = None;
+        while let Some(w) = stack.pop() {
+            if !seen.insert(w.key()) {
+                continue;
+            }
+            let pending_waits: Vec<usize> = leaders
+                .iter()
+                .copied()
+                .filter(|&l| !w.reported[l] && w.engines[l].expected_recv() == Some(HierExpect::OpDone))
+                .collect();
+            if w.flight.is_empty() && pending_waits.is_empty() {
+                // A maximal schedule: nobody may be left behind.
+                for (me, e) in w.engines.iter().enumerate() {
+                    assert!(e.is_complete(), "rank {me} wedged: {:?}", e.expected_recv());
+                    if e.is_leader() {
+                        assert_eq!(e.totals(), want, "leader {me} reduced to the wrong totals");
+                    }
+                }
+                let asked = leaders.iter().filter(|&&l| w.asked[l]).count();
+                assert!(asked == 0 || asked == leaders.len(), "leaders disagreed on clean vs dirty: {asked}");
+                assert_eq!(*waits.get_or_insert(asked), asked, "dirtiness depended on the schedule");
+                continue;
+            }
+            for i in 0..w.flight.len() {
+                if w.flight[..i].contains(&w.flight[i]) {
+                    continue; // delivering either twin reaches the same state
+                }
+                let mut next = w.clone();
+                let (to, msg, vals) = next.flight.swap_remove(i);
+                next.engines[to].poll_vals(HierEvent::Recv(msg), &vals, &mut out);
+                next.settle(to, &mut out, &leaders);
+                stack.push(next);
+            }
+            for l in pending_waits {
+                let mut next = w.clone();
+                next.reported[l] = true;
+                next.engines[l].poll(HierEvent::OpDoneReached, &mut out);
+                next.settle(l, &mut out, &leaders);
+                stack.push(next);
+            }
+        }
+        (waits.expect("no maximal schedule"), seen.len())
+    }
+
+    /// The Figure-7 scatter: every rank put once to every rank outside
+    /// its own domain (intra-domain puts are uncounted memory stores).
+    fn scatter_counts(domains: &[Vec<usize>]) -> Vec<Vec<u64>> {
+        let n: usize = domains.iter().map(Vec::len).sum();
+        let dom_of = |r: usize| domains.iter().position(|d| d.contains(&r)).unwrap();
+        (0..n).map(|s| (0..n).map(|t| u64::from(dom_of(s) != dom_of(t))).collect()).collect()
+    }
+
+    fn explored_shapes() -> Vec<Vec<Vec<usize>>> {
+        vec![chunked(2, 2), chunked(3, 2), chunked(5, 1), vec![vec![0, 3, 4], vec![1], vec![2, 5]]]
+    }
+
+    #[test]
+    fn every_delivery_order_of_a_dirty_epoch_completes_behind_every_leaders_wait() {
+        for domains in explored_shapes() {
+            let counts = scatter_counts(&domains);
+            let (waits, states) = explore(&domains, &counts, &vec![0; counts.len()]);
+            assert_eq!(waits, domains.len(), "{domains:?}: every leader waits in a dirty epoch");
+            eprintln!("{domains:?} dirty: {states} states");
+        }
+    }
+
+    #[test]
+    fn every_delivery_order_of_a_clean_epoch_is_a_single_pass() {
+        for domains in explored_shapes() {
+            // The same cumulative counts as the barrier before: clean.
+            let counts = scatter_counts(&domains);
+            let n = counts.len();
+            let totals: Vec<u64> = (0..n).map(|t| counts.iter().map(|c| c[t]).sum()).collect();
+            let (waits, states) = explore(&domains, &counts, &totals);
+            assert_eq!(waits, 0, "{domains:?}: unchanged totals must skip the wait on every leader");
+            eprintln!("{domains:?} clean: {states} states");
+        }
+    }
+
+    #[test]
+    fn zero_count_engines_never_ask_for_an_op_done_wait() {
+        for domains in explored_shapes() {
+            let n: usize = domains.iter().map(Vec::len).sum();
+            let (waits, _) = explore(&domains, &vec![Vec::new(); n], &[]);
+            assert_eq!(waits, 0, "{domains:?}");
+        }
     }
 }

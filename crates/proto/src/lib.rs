@@ -31,9 +31,12 @@
 //!   stage), non-power-of-two folding included;
 //! * [`CombinedBarrier`] — the full `ARMCI_Barrier()`:
 //!   allreduce(`op_init`) → `op_done` wait → barrier;
-//! * [`HierBarrier`] — the topology-hierarchical barrier: domain
-//!   gather → leaders-only [`Exchange`] (`log2(domains)` rounds) →
-//!   domain release;
+//! * [`HierBarrier`] — the combined barrier over shared-memory
+//!   *domains*: gather(`op_init`) into one leader per domain →
+//!   leaders-only allreduce (`log2(domains)` rounds) → each leader's
+//!   `op_done` wait for its whole domain → leaders-only closing
+//!   exchange → domain release (the last three skipped when nothing
+//!   was put);
 //! * [`HybridHome`]/[`HybridAcquire`], [`McsAcquire`]/[`McsRelease`]/
 //!   [`McsReclaim`], [`Backoff`] — lock word transitions;
 //! * [`Membership`] — epoch-stamped cluster membership views

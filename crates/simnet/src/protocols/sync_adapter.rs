@@ -30,8 +30,8 @@
 //!   complete), and the binary-exchange barrier: `2·log2(n)` latencies.
 
 use armci_proto::{
-    Exchange as XchgEngine, HierBarrier, HierEvent, HierMsg, HierRecord, NotifyAction, NotifyEngine, NotifyEvent,
-    NotifyRecord, SendRecord, XchgAction, XchgEvent, XchgMsg,
+    Exchange as XchgEngine, HierBarrier, HierEvent, HierExpect, HierMsg, HierRecord, NotifyAction, NotifyEngine,
+    NotifyEvent, NotifyRecord, SendRecord, XchgAction, XchgEvent, XchgMsg,
 };
 
 use crate::net::NetModel;
@@ -379,6 +379,8 @@ pub struct SyncResult {
     pub per_proc: Vec<Time>,
     /// Total messages delivered.
     pub messages: u64,
+    /// Of those, the ones that crossed between nodes.
+    pub inter_node_messages: u64,
 }
 
 impl SyncResult {
@@ -444,7 +446,7 @@ fn run_cfg_logged(cfg: RunCfg, mk_stages: impl Fn(usize) -> Vec<Stage>) -> (Sync
             SyncNode::Server(_) => unreachable!(),
         }
     }
-    (SyncResult { per_proc, messages: sim.delivered() }, logs)
+    (SyncResult { per_proc, messages: sim.delivered(), inter_node_messages: sim.delivered_inter_node() }, logs)
 }
 
 fn run_cfg(cfg: RunCfg, mk_stages: impl Fn(usize) -> Vec<Stage>) -> SyncResult {
@@ -707,7 +709,7 @@ pub fn simulate_notify_exchange_logged(
         per_proc.push(a.finish_at.unwrap_or_else(|| panic!("rank {p} never finished the notified exchange")));
         logs.push(a.eng.log().to_vec());
     }
-    (SyncResult { per_proc, messages: sim.delivered() }, logs)
+    (SyncResult { per_proc, messages: sim.delivered(), inter_node_messages: sim.delivered_inter_node() }, logs)
 }
 
 /// [`simulate_notify_exchange_logged`] for the ring ghost pattern every
@@ -726,32 +728,39 @@ pub fn simulate_notify_ring(n: usize, bytes: usize, iters: u64, model: NetModel)
 /// A process driving the [`HierBarrier`] engine over the modeled network.
 /// Every engine action — the intra-domain `Arrive`/`Release` legs the
 /// runtime turns into shared-memory counter ops as well as the leaders'
-/// inter-domain exchange — becomes a modeled message, so intra-domain
+/// inter-domain passes — becomes a modeled message, so intra-domain
 /// traffic is costed at `intra_node` (zero in shared-memory-faithful
-/// models) while leader-to-leader hops pay the wire.
+/// models) while leader-to-leader hops pay the wire. The leaders'
+/// completion wait is free: as in the flat models, puts have landed.
 struct HierProc {
     eng: HierBarrier,
     out: Vec<armci_proto::HierAction>,
-    start_at: Time,
-    started: bool,
+    /// Bytes of one value-carrying message (`8·|group|`).
+    vec_bytes: usize,
     finish_at: Option<Time>,
 }
 
-/// Message type of the hierarchical barrier simulation.
-#[derive(Clone, Copy, Debug)]
-pub enum HierSimMsg {
-    /// Self-timer: a skewed process begins its barrier now.
-    Start,
-    /// An engine message (arrive, exchange, or release).
-    Proto(HierMsg),
-}
+/// Message type of the hierarchical barrier simulation: an engine
+/// message and the payload it carries. The schedule depends on the data
+/// only through "did the totals move", so the model reduces a one-word
+/// summary in place of the `|group|`-word vector and charges the full
+/// vector's size.
+pub struct HierSimMsg(HierMsg, Vec<u64>);
 
 impl HierProc {
     fn advance(&mut self, ctx: &mut Ctx<'_, HierSimMsg>) {
-        for a in self.out.drain(..) {
-            // Exchange payloads are 1-2 bytes; arrive/release are counter
-            // bumps. All small enough that size-dependent cost is noise.
-            ctx.send(a.to, HierSimMsg::Proto(a.msg), 0);
+        loop {
+            for a in std::mem::take(&mut self.out) {
+                let (vals, size) = match a.msg {
+                    HierMsg::Arrive { .. } | HierMsg::Xchg(_) => (self.eng.take_payload(), self.vec_bytes),
+                    HierMsg::Close(_) | HierMsg::Release => (Vec::new(), 0),
+                };
+                ctx.send(a.to, HierSimMsg(a.msg, vals), size);
+            }
+            if self.eng.expected_recv() != Some(HierExpect::OpDone) {
+                break;
+            }
+            self.eng.poll(HierEvent::OpDoneReached, &mut self.out);
         }
         if self.eng.is_complete() && self.finish_at.is_none() {
             self.finish_at = Some(ctx.now);
@@ -761,38 +770,40 @@ impl HierProc {
 
 impl Actor<HierSimMsg> for HierProc {
     fn on_start(&mut self, ctx: &mut Ctx<'_, HierSimMsg>) {
-        if self.start_at == 0 {
-            self.started = true;
-            self.eng.poll(HierEvent::Start, &mut self.out);
-            self.advance(ctx);
-        } else {
-            ctx.wake_after(self.start_at, HierSimMsg::Start);
-        }
-    }
-
-    fn on_message(&mut self, ctx: &mut Ctx<'_, HierSimMsg>, _from: ActorId, msg: HierSimMsg) {
-        match msg {
-            HierSimMsg::Start => {
-                assert!(!self.started, "duplicate start");
-                self.started = true;
-                self.eng.poll(HierEvent::Start, &mut self.out);
-            }
-            // The engine buffers pre-gather exchange deliveries itself, so
-            // messages can be fed in arrival order unconditionally.
-            HierSimMsg::Proto(m) => self.eng.poll(HierEvent::Recv(m), &mut self.out),
-        }
+        self.eng.poll(HierEvent::Start, &mut self.out);
         self.advance(ctx);
     }
+
+    fn on_message(&mut self, ctx: &mut Ctx<'_, HierSimMsg>, _from: ActorId, HierSimMsg(m, vals): HierSimMsg) {
+        // The engine buffers early deliveries itself, so messages can be
+        // fed in arrival order unconditionally.
+        self.eng.poll_vals(HierEvent::Recv(m), &vals, &mut self.out);
+        self.advance(ctx);
+    }
+}
+
+/// Which epoch a simulated hierarchical barrier closes.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub enum HierEpoch {
+    /// The Figure-7 scatter preceded it: every rank has counted puts
+    /// outstanding, so the leaders run both passes.
+    Dirty,
+    /// Nothing was put since the previous barrier on the group.
+    Clean,
 }
 
 /// Simulate one hierarchical group barrier over the given domain
 /// partition (`domains[d]` = group ranks of domain `d`, leader first —
 /// the same shape [`armci_proto::HierBarrier::new`] takes and the
 /// runtime's group formation produces). Each domain is placed on its own
-/// node, so intra-domain legs cost `intra_node` and leader exchanges pay
+/// node, so intra-domain legs cost `intra_node` and leader passes pay
 /// the full wire. Returns per-rank sync times plus each rank's engine
 /// send trace for cross-harness conformance.
-pub fn simulate_hier_barrier_logged(domains: &[Vec<usize>], model: NetModel) -> (SyncResult, Vec<Vec<HierRecord>>) {
+pub fn simulate_hier_barrier_logged(
+    domains: &[Vec<usize>],
+    epoch: HierEpoch,
+    model: NetModel,
+) -> (SyncResult, Vec<Vec<HierRecord>>) {
     let n: usize = domains.iter().map(|d| d.len()).sum();
     let mut node_of = vec![0usize; n];
     for (d, members) in domains.iter().enumerate() {
@@ -800,12 +811,13 @@ pub fn simulate_hier_barrier_logged(domains: &[Vec<usize>], model: NetModel) -> 
             node_of[g] = d;
         }
     }
+    let shared: std::sync::Arc<[Vec<usize>]> = domains.into();
+    let puts = u64::from(epoch == HierEpoch::Dirty);
     let actors: Vec<HierProc> = (0..n)
         .map(|g| HierProc {
-            eng: HierBarrier::new(g, domains.to_vec()),
+            eng: HierBarrier::counted(g, shared.clone(), vec![puts], vec![0]),
             out: Vec::new(),
-            start_at: 0,
-            started: false,
+            vec_bytes: 8 * n,
             finish_at: None,
         })
         .collect();
@@ -818,17 +830,18 @@ pub fn simulate_hier_barrier_logged(domains: &[Vec<usize>], model: NetModel) -> 
         per_proc.push(p.finish_at.unwrap_or_else(|| panic!("rank {g} never finished the hier barrier")));
         logs.push(p.eng.log().to_vec());
     }
-    (SyncResult { per_proc, messages: sim.delivered() }, logs)
+    (SyncResult { per_proc, messages: sim.delivered(), inter_node_messages: sim.delivered_inter_node() }, logs)
 }
 
 /// [`simulate_hier_barrier_logged`] over the uniform `nodes × ppn`
 /// partition (domain `d` = ranks `d*ppn..(d+1)*ppn`).
-pub fn simulate_hier_barrier_smp(nodes: usize, ppn: usize, model: NetModel) -> SyncResult {
+pub fn simulate_hier_barrier_smp(nodes: usize, ppn: usize, epoch: HierEpoch, model: NetModel) -> SyncResult {
     let domains: Vec<Vec<usize>> = (0..nodes).map(|d| (d * ppn..(d + 1) * ppn).collect()).collect();
-    simulate_hier_barrier_logged(&domains, model).0
+    simulate_hier_barrier_logged(&domains, epoch, model).0
 }
 
-/// One row of the flat-vs-hierarchical cost sweep.
+/// One row of the flat-vs-hierarchical cost sweep: what the runtime
+/// executes for one `GA_Sync` on a `nodes × ppn` cluster.
 #[derive(Clone, Copy, Debug)]
 pub struct HierSweepRow {
     /// Total ranks (`nodes * ppn`).
@@ -838,25 +851,40 @@ pub struct HierSweepRow {
     /// Inter-node latency steps of the flat combined barrier
     /// (virtual time / wire latency under an intra-node-free model).
     pub flat_steps: u64,
-    /// Inter-node latency steps of the hierarchical barrier.
-    pub hier_steps: u64,
+    /// Inter-node latency steps of the hierarchical barrier closing a
+    /// Figure-7 scatter.
+    pub hier_dirty_steps: u64,
+    /// Inter-node latency steps of the hierarchical barrier when nothing
+    /// was put since the last one.
+    pub hier_clean_steps: u64,
+    /// Inter-node messages of the flat combined barrier.
+    pub flat_msgs: u64,
+    /// Inter-node messages of the dirty hierarchical barrier.
+    pub hier_msgs: u64,
 }
 
 /// Sweep flat combined barrier vs hierarchical barrier at `(nodes, ppn)`
 /// shapes, measuring *inter-node latency steps*: the network model
 /// charges one unit per inter-node hop and nothing intra-node, so the
-/// critical-path virtual time *is* the inter-node step count — the
-/// `2·log2(N)` vs `log2(nodes)`-ish structural comparison the
-/// hierarchy exists to win.
+/// critical-path virtual time *is* the inter-node step count. A dirty
+/// hierarchical barrier is the flat protocol's `2·log2(nodes)` steps with
+/// a `ppn`-th of its inter-node messages; a clean one halves the steps.
 pub fn sweep_hier_vs_flat(shapes: &[(usize, usize)]) -> Vec<HierSweepRow> {
     let m = NetModel::latency_only(1);
     shapes
         .iter()
-        .map(|&(nodes, ppn)| HierSweepRow {
-            nprocs: nodes * ppn,
-            ppn,
-            flat_steps: simulate_combined_barrier_smp(nodes, ppn, m).max(),
-            hier_steps: simulate_hier_barrier_smp(nodes, ppn, m).max(),
+        .map(|&(nodes, ppn)| {
+            let flat = simulate_combined_barrier_smp(nodes, ppn, m);
+            let dirty = simulate_hier_barrier_smp(nodes, ppn, HierEpoch::Dirty, m);
+            HierSweepRow {
+                nprocs: nodes * ppn,
+                ppn,
+                flat_steps: flat.max(),
+                hier_dirty_steps: dirty.max(),
+                hier_clean_steps: simulate_hier_barrier_smp(nodes, ppn, HierEpoch::Clean, m).max(),
+                flat_msgs: flat.inter_node_messages,
+                hier_msgs: dirty.inter_node_messages,
+            }
         })
         .collect()
 }
@@ -1110,24 +1138,33 @@ mod tests {
     }
 
     #[test]
-    fn hier_barrier_inter_node_steps_are_log2_nodes() {
+    fn hier_barrier_inter_node_steps_are_log2_nodes_per_leader_pass() {
         // intra_node = 0 in the latency-only model, so the critical path
-        // is exactly the leaders' exchange: log2(nodes) wire latencies.
+        // is exactly the leaders' passes: one of log2(nodes) wire
+        // latencies when clean, two when dirty.
         let l = 1000;
         for (nodes, ppn) in [(2usize, 2usize), (4, 2), (8, 4), (16, 2)] {
-            let r = simulate_hier_barrier_smp(nodes, ppn, NetModel::latency_only(l));
-            assert_eq!(r.max(), nodes.trailing_zeros() as u64 * l, "nodes={nodes} ppn={ppn}");
+            let rounds = nodes.trailing_zeros() as u64;
+            let clean = simulate_hier_barrier_smp(nodes, ppn, HierEpoch::Clean, NetModel::latency_only(l));
+            assert_eq!(clean.max(), rounds * l, "nodes={nodes} ppn={ppn}");
+            let dirty = simulate_hier_barrier_smp(nodes, ppn, HierEpoch::Dirty, NetModel::latency_only(l));
+            assert_eq!(dirty.max(), 2 * rounds * l, "nodes={nodes} ppn={ppn}");
+            assert_eq!(dirty.inter_node_messages, 2 * clean.inter_node_messages);
         }
     }
 
     #[test]
-    fn hier_sweep_halves_flat_smp_steps() {
+    fn hier_sweep_matches_flat_steps_dirty_and_halves_them_clean() {
         // Flat combined barrier: 2 exchange stages, each log2(nodes)
-        // inter-node rounds (intra-node rounds are free). Hier: one
-        // log2(nodes) leader exchange. Exactly half.
+        // inter-node rounds (intra-node rounds are free). Hier, dirty: the
+        // same two stages over leaders only — equal steps, a ppn-th of
+        // the inter-node messages. Hier, clean: one stage.
         for row in sweep_hier_vs_flat(&[(4, 2), (8, 8), (32, 32), (64, 16)]) {
-            assert_eq!(row.flat_steps, 2 * row.hier_steps, "nprocs={} ppn={}", row.nprocs, row.ppn);
-            assert_eq!(row.hier_steps, (row.nprocs / row.ppn).trailing_zeros() as u64);
+            let rounds = (row.nprocs / row.ppn).trailing_zeros() as u64;
+            assert_eq!(row.flat_steps, 2 * rounds, "nprocs={} ppn={}", row.nprocs, row.ppn);
+            assert_eq!(row.hier_dirty_steps, row.flat_steps);
+            assert_eq!(row.hier_clean_steps, rounds);
+            assert_eq!(row.hier_msgs * row.ppn as u64, row.flat_msgs);
         }
     }
 
@@ -1136,25 +1173,28 @@ mod tests {
         let l = 1000;
         // 3 domains of different sizes, non-contiguous membership.
         let domains = vec![vec![0, 3, 5], vec![1, 4], vec![2, 6, 7, 8]];
-        let (r, logs) = simulate_hier_barrier_logged(&domains, NetModel::latency_only(l));
-        assert_eq!(r.per_proc.len(), 9);
-        // Fold: pow2_floor(3)=2 → 1 exchange round plus Enter/Exit legs.
-        assert!(r.max() >= l && r.max() <= 4 * l, "got {}", r.max());
-        // Every non-leader logs exactly one Arrive to its leader.
-        for &g in domains.iter().flat_map(|d| &d[1..]) {
-            let arrives = logs[g].iter().filter(|rec| matches!(rec.msg, armci_proto::HierMsg::Arrive { .. })).count();
-            assert_eq!(arrives, 1, "rank {g}");
+        for (epoch, passes) in [(HierEpoch::Clean, 1), (HierEpoch::Dirty, 2)] {
+            let (r, logs) = simulate_hier_barrier_logged(&domains, epoch, NetModel::latency_only(l));
+            assert_eq!(r.per_proc.len(), 9);
+            // Fold: pow2_floor(3)=2 → 1 round plus Enter/Exit legs a pass.
+            assert!(r.max() >= passes * l && r.max() <= passes * 4 * l, "{epoch:?}: got {}", r.max());
+            // Every non-leader logs exactly one Arrive to its leader.
+            for &g in domains.iter().flat_map(|d| &d[1..]) {
+                assert_eq!(logs[g], vec![HierRecord { to: logs[g][0].to, msg: HierMsg::Arrive { from: g as u32 } }]);
+            }
         }
     }
 
     #[test]
-    fn hier_logged_leaders_send_log2_domains_exchange_rounds() {
+    fn hier_logged_leaders_send_log2_domains_rounds_per_pass() {
         let domains: Vec<Vec<usize>> = (0..8).map(|d| (d * 2..d * 2 + 2).collect()).collect();
-        let (_, logs) = simulate_hier_barrier_logged(&domains, NetModel::latency_only(1000));
-        for d in 0..8 {
-            let leader = d * 2;
-            let xchg = logs[leader].iter().filter(|rec| matches!(rec.msg, armci_proto::HierMsg::Xchg(_))).count();
-            assert_eq!(xchg, 3, "leader {leader}: log2(8) exchange rounds");
+        for (epoch, closes) in [(HierEpoch::Clean, 0), (HierEpoch::Dirty, 3)] {
+            let (_, logs) = simulate_hier_barrier_logged(&domains, epoch, NetModel::latency_only(1000));
+            for d in 0..8 {
+                let count = |f: fn(&HierMsg) -> bool| logs[d * 2].iter().filter(|rec| f(&rec.msg)).count();
+                assert_eq!(count(|m| matches!(m, HierMsg::Xchg(_))), 3, "leader {}: log2(8) reduce rounds", d * 2);
+                assert_eq!(count(|m| matches!(m, HierMsg::Close(_))), closes, "leader {}: {epoch:?}", d * 2);
+            }
         }
     }
 

@@ -115,6 +115,7 @@ pub struct Sim<M, A> {
     now: Time,
     seq: u64,
     delivered: u64,
+    delivered_inter_node: u64,
 }
 
 impl<M, A: Actor<M>> Sim<M, A> {
@@ -122,7 +123,17 @@ impl<M, A: Actor<M>> Sim<M, A> {
     pub fn new(actors: Vec<A>, node_of: Vec<usize>, model: NetModel) -> Self {
         assert_eq!(actors.len(), node_of.len());
         let n = actors.len();
-        Sim { actors, node_of, model, queue: BinaryHeap::new(), ready_at: vec![0; n], now: 0, seq: 0, delivered: 0 }
+        Sim {
+            actors,
+            node_of,
+            model,
+            queue: BinaryHeap::new(),
+            ready_at: vec![0; n],
+            now: 0,
+            seq: 0,
+            delivered: 0,
+            delivered_inter_node: 0,
+        }
     }
 
     fn flush(&mut self, pending: Vec<(Time, ActorId, ActorId, M)>) {
@@ -152,6 +163,7 @@ impl<M, A: Actor<M>> Sim<M, A> {
                 panic!("simulation exceeded {max_events} events — livelocked protocol?");
             }
             self.delivered += 1;
+            self.delivered_inter_node += u64::from(self.node_of[ev.from] != self.node_of[ev.dst]);
             let start = ev.time.max(self.ready_at[ev.dst]);
             self.now = self.now.max(start);
             let mut ctx = Ctx {
@@ -181,6 +193,12 @@ impl<M, A: Actor<M>> Sim<M, A> {
     /// Number of messages delivered so far.
     pub fn delivered(&self) -> u64 {
         self.delivered
+    }
+
+    /// Of [`Sim::delivered`], the messages whose sender and receiver
+    /// live on different nodes (the ones that pay the wire).
+    pub fn delivered_inter_node(&self) -> u64 {
+        self.delivered_inter_node
     }
 
     /// Inspect an actor after (or between) runs.

@@ -8,8 +8,9 @@
 //! are completed by a *row* barrier (the column, and the rest of the
 //! machine, is never touched), then a column-group allreduce combines
 //! per-column results. With `hier_collectives` on, each group barrier
-//! synchronizes co-located members through a shared-memory counter and
-//! sends only `log2(domains)` inter-node exchange messages per leader.
+//! synchronizes co-located members through shared-memory counters and
+//! sends only `log2(domains)` inter-node messages per leader and pass
+//! (two passes when puts were outstanding, one when not).
 //!
 //! Run with:
 //! ```text

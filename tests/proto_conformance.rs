@@ -7,6 +7,7 @@
 //! model plane provably simulates the protocol the runtime executes.
 
 use armci_proto::{HierMsg, HierRecord, SendRecord};
+use armci_repro::armci_simnet::protocols::sync::{simulate_hier_barrier_logged, HierEpoch};
 use armci_repro::prelude::*;
 
 /// Deterministic per-rank put schedule: a few counted puts at seeded
@@ -412,19 +413,41 @@ fn fold_keeps_survivor_schedules_identical_to_healthy_run() {
 
 // ---- Hierarchical conformance -------------------------------------------
 
-/// Per-rank (domains, hier log) from an SMP cluster with hierarchical
+/// One rank's view of [`hier_logs`]: the domain partition, and the hier
+/// log of the dirty epoch then of the clean one.
+type HierRun = (Vec<Vec<usize>>, [Vec<HierRecord>; 2]);
+
+/// Per-rank domains and hier logs of a dirty epoch (a Figure-7 scatter
+/// to every rank on another node, then the barrier) followed by a clean
+/// one (the barrier again), from an SMP cluster with hierarchical
 /// collectives on, via the emulator or netfab loopback.
-fn hier_logs(nodes: u32, ppn: u32, net: bool) -> Vec<(Vec<Vec<usize>>, Vec<HierRecord>)> {
+fn hier_logs(nodes: u32, ppn: u32, net: bool) -> Vec<HierRun> {
+    // A dirty epoch needs counted puts, and only the wire produces
+    // them: with the shm plane on, loopback nodes share a host, fall into
+    // one domain and store directly (`hier_spawn` covers that shape).
     let cfg = ArmciCfg { nodes, procs_per_node: ppn, latency: LatencyModel::zero(), ..Default::default() }
-        .with_hier_collectives(true);
-    let body = |a: &mut Armci| {
-        let members: Vec<usize> = (0..a.nprocs()).collect();
+        .with_hier_collectives(true)
+        .with_shm_plane(Some(false));
+    let body = move |a: &mut Armci| {
+        let (me, n) = (a.rank(), a.nprocs());
+        let seg = a.malloc(8 * n);
+        let members: Vec<usize> = (0..n).collect();
         let g = a.group(&members);
         let domains = g.domains().expect("hier_collectives on").to_vec();
+        for dst in (0..n).filter(|&r| r as u32 / ppn != me as u32 / ppn) {
+            a.put_u64(GlobalAddr::new(ProcId(dst as u32), seg, 8 * me), 0xF7 + me as u64);
+        }
+        let fences = a.stats().fence_roundtrips;
         a.barrier_group(&g);
-        let log = a.take_hier_log();
+        let dirty = a.take_hier_log();
+        for src in (0..n).filter(|&r| r as u32 / ppn != me as u32 / ppn) {
+            assert_eq!(a.local_segment(seg).read_u64(8 * src), 0xF7 + src as u64, "put from {src} not landed");
+        }
+        a.barrier_group(&g);
+        let clean = a.take_hier_log();
+        assert_eq!(a.stats().fence_roundtrips, fences, "the hier barrier sends no fence request");
         a.barrier();
-        (domains, log)
+        (domains, [dirty, clean])
     };
     if net {
         armci_repro::armci_core::run_cluster_net_loopback(cfg, body)
@@ -433,45 +456,41 @@ fn hier_logs(nodes: u32, ppn: u32, net: bool) -> Vec<(Vec<Vec<usize>>, Vec<HierR
     }
 }
 
-/// The hierarchical barrier's schedule — counter legs and leader
-/// exchange alike — is identical whether the engine is driven by the
+/// Check every rank's dirty and clean runtime traces against the
+/// simulator replaying the same domain partition.
+fn assert_hier_traces_match_simnet(per_rank: &[HierRun], nodes: usize, what: &str) {
+    let domains = &per_rank[0].0;
+    assert_eq!(domains.len(), nodes, "domains are the node partition");
+    let rounds = nodes.ilog2() as usize;
+    for (i, epoch) in [HierEpoch::Dirty, HierEpoch::Clean].into_iter().enumerate() {
+        let (_, sim) =
+            simulate_hier_barrier_logged(domains, epoch, armci_repro::armci_simnet::NetModel::myrinet_2000());
+        for (rank, (doms, logs)) in per_rank.iter().enumerate() {
+            assert_eq!(doms, domains, "rank {rank}: divergent domain partition");
+            let log = &logs[i];
+            assert_eq!(log, &sim[rank], "{what} nodes={nodes} rank={rank} {epoch:?}: hier engines diverged");
+            let reduces = log.iter().filter(|r| matches!(r.msg, HierMsg::Xchg(_))).count();
+            let closes = log.iter().filter(|r| matches!(r.msg, HierMsg::Close(_))).count();
+            let is_leader = domains.iter().any(|d| d[0] == rank);
+            assert_eq!(reduces, if is_leader { rounds } else { 0 }, "reduce pass: log2(nodes) rounds, leaders only");
+            let want_closes = if is_leader && epoch == HierEpoch::Dirty { rounds } else { 0 };
+            assert_eq!(closes, want_closes, "closing pass: dirty epochs and leaders only");
+        }
+    }
+}
+
+/// The hierarchical barrier's schedule — counter legs and both leader
+/// passes alike — is identical whether the engine is driven by the
 /// emulator runtime or by the simulator replaying the same domain
-/// partition; leaders send exactly `log2(domains)` exchange messages.
+/// partition, for a dirty epoch and a clean one.
 #[test]
 fn hier_barrier_trace_identical_emulator_vs_simnet() {
     for (nodes, ppn) in [(2u32, 2u32), (4, 2), (4, 3)] {
-        let per_rank = hier_logs(nodes, ppn, false);
-        let domains = per_rank[0].0.clone();
-        assert_eq!(domains.len(), nodes as usize, "domains are the node partition");
-        let (_, sim) = armci_repro::armci_simnet::protocols::sync::simulate_hier_barrier_logged(
-            &domains,
-            armci_repro::armci_simnet::NetModel::myrinet_2000(),
-        );
-        let rounds = (nodes as usize).ilog2() as usize;
-        for (rank, (doms, log)) in per_rank.iter().enumerate() {
-            assert_eq!(doms, &domains, "rank {rank}: divergent domain partition");
-            assert_eq!(log, &sim[rank], "nodes={nodes} ppn={ppn} rank={rank}: hier engines diverged");
-            let xchg = log.iter().filter(|r| matches!(r.msg, HierMsg::Xchg(_))).count();
-            let is_leader = domains.iter().any(|d| d[0] == rank);
-            if is_leader {
-                assert_eq!(xchg, rounds, "leader exchange rounds must be log2(nodes)");
-            } else {
-                assert_eq!(xchg, 0, "non-leaders never exchange");
-            }
-        }
+        assert_hier_traces_match_simnet(&hier_logs(nodes, ppn, false), nodes as usize, "emulator");
     }
 }
 
 #[test]
 fn hier_barrier_trace_identical_netfab_vs_simnet() {
-    let per_rank = hier_logs(2, 2, true);
-    let domains = per_rank[0].0.clone();
-    let (_, sim) = armci_repro::armci_simnet::protocols::sync::simulate_hier_barrier_logged(
-        &domains,
-        armci_repro::armci_simnet::NetModel::myrinet_2000(),
-    );
-    for (rank, (doms, log)) in per_rank.iter().enumerate() {
-        assert_eq!(doms, &domains);
-        assert_eq!(log, &sim[rank], "rank={rank}: netfab and simulator hier engines diverged");
-    }
+    assert_hier_traces_match_simnet(&hier_logs(2, 2, true), 2, "netfab");
 }
