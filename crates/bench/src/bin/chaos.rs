@@ -82,16 +82,13 @@ fn parse_opts() -> Result<Opts, String> {
 }
 
 fn soak_cfg(nodes: u32, faults: FaultPlan) -> ArmciCfg {
-    ArmciCfg::builder()
-        .nodes(nodes)
-        .procs_per_node(1)
-        .latency(LatencyModel::zero())
-        .lock_algo(LockAlgo::Mcs)
-        .op_timeout(Duration::from_secs(30))
-        .recovery(true)
-        .heartbeat_interval(Duration::from_millis(25))
-        .suspect_after(Duration::from_secs(2))
-        .faults(faults)
+    ArmciCfg::flat(nodes, LatencyModel::zero())
+        .with_lock_algo(LockAlgo::Mcs)
+        .with_op_timeout(Duration::from_secs(30))
+        .with_recovery(true)
+        .with_heartbeat_interval(Duration::from_millis(25))
+        .with_suspect_after(Duration::from_secs(2))
+        .with_faults(faults)
         .build()
         .expect("valid soak config")
 }
@@ -192,19 +189,16 @@ fn run_degrade_iteration(seed: u64, nodes: u32) -> Result<(), String> {
         after_frames: 40,
         action: FaultAction::KillNode,
     });
-    let cfg = ArmciCfg::builder()
-        .nodes(nodes)
-        .procs_per_node(1)
-        .latency(LatencyModel::zero())
-        .lock_algo(LockAlgo::Mcs)
-        .op_timeout(Duration::from_secs(5))
-        .recovery(true)
-        .heartbeat_interval(Duration::from_millis(25))
-        .suspect_after(DEGRADE_SUSPECT)
-        .on_peer_loss(OnPeerLoss::Degrade)
+    let cfg = ArmciCfg::flat(nodes, LatencyModel::zero())
+        .with_lock_algo(LockAlgo::Mcs)
+        .with_op_timeout(Duration::from_secs(5))
+        .with_recovery(true)
+        .with_heartbeat_interval(Duration::from_millis(25))
+        .with_suspect_after(DEGRADE_SUSPECT)
+        .with_on_peer_loss(OnPeerLoss::Degrade)
         // The kill counts wire frames, so the storm must ride the wire.
-        .shm_plane(Some(false))
-        .faults(faults)
+        .with_shm_plane(Some(false))
+        .with_faults(faults)
         .build()
         .expect("valid degrade config");
     let out = run_cluster_net_loopback(cfg, move |a| degrade_workload(a, seed, victim));

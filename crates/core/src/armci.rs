@@ -22,14 +22,11 @@ use crate::errors::ArmciError;
 use crate::gptr::GlobalAddr;
 use crate::layout;
 use crate::msg::{enc, Req, RmwOp, TAG_FENCE_ACK, TAG_GET_REPLY, TAG_PUT_ACK, TAG_REQ, TAG_RMW_REPLY};
+use crate::route::{NotifyRoute, Route, Via};
 use crate::server::apply_rmw;
 use crate::shm::ShmDataPlane;
-use crate::stats::Stats;
-use crate::strided::Strided2D;
-
-// The dead-peer detection slice used to be a hardcoded 25 ms constant
-// here; it now comes from `ArmciCfg::detect_slice` via the `detect_slice`
-// field below, so tight-deadline tests can shrink it.
+use crate::stats::{OpClass, Stats};
+use crate::strided::{gather, runs_len, scatter, widen, Strided2D};
 
 /// Unwrap a fallible operation for the classic infallible API: the
 /// original ARMCI would crash the job on a communication failure, and the
@@ -146,7 +143,8 @@ pub struct Armci {
 /// [`Armci::nbget_wait`].
 #[must_use = "a non-blocking get must be waited, or its reply will corrupt later matching"]
 pub enum NbGet {
-    /// The source was node-local; data is already here.
+    /// The source was on a direct route (node-local or shm-mapped); data
+    /// is already here.
     Ready(Vec<u8>),
     /// A reply from `node` is in flight.
     Pending {
@@ -221,10 +219,6 @@ impl Armci {
         self.topology().node_of(p) == self.my_node
     }
 
-    fn server_of(&self, p: ProcId) -> NodeId {
-        self.topology().node_of(p)
-    }
-
     /// The agent serving *synchronization* traffic (atomics, lock
     /// messages, fence confirmations for sync-path puts) at `node`: the
     /// NIC in NIC-assisted mode, the host server otherwise.
@@ -234,20 +228,6 @@ impl Armci {
         } else {
             Endpoint::Server(node)
         }
-    }
-
-    fn seg_of(&self, addr: GlobalAddr) -> Arc<Segment> {
-        self.registry.lookup(addr.proc, addr.seg)
-    }
-
-    /// Shared-memory route to a *non-node-local* peer's segment (same
-    /// host, different process), or `None` for the wire. Callers check
-    /// [`Armci::is_local`] first — node-local targets use the in-process
-    /// registry directly. Operations served this way are synchronous, so
-    /// they are never counted for fences (`note_put` is skipped), exactly
-    /// like node-local operations.
-    pub(crate) fn shm_route(&self, p: ProcId, seg: SegId) -> Option<Arc<Segment>> {
-        self.shm.as_ref()?.route(p, seg)
     }
 
     // ------------------------------------------------------------------
@@ -406,17 +386,27 @@ impl Armci {
         self.send_req_framed(agent, |buf| req.encode_into(buf));
     }
 
-    /// Record bookkeeping for a counted put sent to `dst`'s node, via the
-    /// bulk-data server (`via_nic = false`) or the NIC agent.
-    fn note_counted_put_via(&mut self, dst: ProcId, via_nic: bool) {
-        let node = self.server_of(dst);
-        self.fence.note_put(dst.idx(), node.idx(), via_nic);
-        self.stats.remote_puts += 1;
+    /// The `Wire` arm of every put-class operation: frame the request to
+    /// `agent` (the bulk-data server or the sync agent of `dst`'s node)
+    /// and enter it in the fence ledger as one counted put.
+    fn wire_put(&mut self, agent: Endpoint, dst: ProcId, frame: impl FnOnce(&mut Vec<u8>)) {
+        self.send_req_framed(agent, frame);
+        self.fence.note_put(dst.idx(), self.topology().node_of(dst).idx(), agent.is_nic());
+        self.stats.count(OpClass::Put, Via::Wire);
     }
 
-    /// Record bookkeeping for a counted put sent to `dst`'s server.
-    fn note_counted_put(&mut self, dst: ProcId) {
-        self.note_counted_put_via(dst, false);
+    /// Refuse to queue a one-way request for a node whose link is already
+    /// known dead — the only failure a sender can observe at issue time;
+    /// later losses surface at the next fence or barrier. Direct routes
+    /// never come here: the memory is mapped, no connection is involved
+    /// (this is how lease reclamation clears a dead holder's words for
+    /// real under shm).
+    fn refuse_lost(&mut self, node: NodeId) -> Result<(), ArmciError> {
+        if self.mb.peer_is_lost(node) {
+            let epoch = self.observe_loss(node);
+            return Err(ArmciError::PeerLost { peer: node, epoch });
+        }
+        Ok(())
     }
 
     // ------------------------------------------------------------------
@@ -478,39 +468,38 @@ impl Armci {
     /// [`Armci::fence`]/[`Armci::allfence`]/[`Armci::barrier`] to await
     /// completion (§2 of the paper).
     pub fn put(&mut self, dst: GlobalAddr, data: &[u8]) {
-        if self.is_local(dst.proc) {
-            self.seg_of(dst).write_bytes(dst.offset, data);
-            self.stats.local_puts += 1;
-        } else if let Some(s) = self.shm_route(dst.proc, dst.seg) {
-            s.write_bytes(dst.offset, data);
-            self.stats.shm_puts += 1;
-        } else {
-            let node = self.server_of(dst.proc);
-            // Frame the user's slice straight into a pooled buffer: no
-            // intermediate `data.to_vec()`, no per-request body allocation.
-            self.send_req_framed(Endpoint::Server(node), |buf| {
-                enc::put(buf, dst.proc, dst.seg, dst.offset as u64, data)
-            });
-            self.note_counted_put(dst.proc);
-        }
+        unwrap_op(self.put_core(dst, data, false));
     }
 
     /// Fallible [`Armci::put`]: refuse to queue data for a destination
     /// node whose connection is already known dead. A put is one-way, so
     /// this is the only failure a sender can observe at issue time; later
     /// losses surface at the next fence or barrier. A target reachable
-    /// through the shm plane succeeds even when its *wire* link is down —
-    /// the memory is mapped, no connection is involved (this is how lease
-    /// reclamation clears a dead holder's words for real under shm).
+    /// through the shm plane succeeds even when its *wire* link is down.
     pub fn try_put(&mut self, dst: GlobalAddr, data: &[u8]) -> Result<(), ArmciError> {
-        if !self.is_local(dst.proc) && self.shm_route(dst.proc, dst.seg).is_none() {
-            let node = self.server_of(dst.proc);
-            if self.mb.peer_is_lost(node) {
-                let epoch = self.observe_loss(node);
-                return Err(ArmciError::PeerLost { peer: node, epoch });
+        self.put_core(dst, data, true)
+    }
+
+    /// The one contiguous put. `refuse_lost` is the whole difference
+    /// between the two spellings: the classic call queues to a dead node
+    /// silently (one-way), the `try_` call reports it.
+    fn put_core(&mut self, dst: GlobalAddr, data: &[u8], refuse_lost: bool) -> Result<(), ArmciError> {
+        match self.route(dst.proc, dst.seg) {
+            Route::Direct(s, via) => {
+                scatter(&s, std::iter::once((dst.offset, data.len())), data);
+                self.stats.count(OpClass::Put, via);
+            }
+            Route::Wire(node) => {
+                if refuse_lost {
+                    self.refuse_lost(node)?;
+                }
+                // Frame the user's slice straight into a pooled buffer: no
+                // intermediate `data.to_vec()`, no per-request body allocation.
+                self.wire_put(Endpoint::Server(node), dst.proc, |buf| {
+                    enc::put(buf, dst.proc, dst.seg, dst.offset as u64, data)
+                });
             }
         }
-        self.put(dst, data);
         Ok(())
     }
 
@@ -523,33 +512,31 @@ impl Armci {
     /// same node (two independent queues, as on real NIC offload);
     /// fences and the combined barrier cover both.
     pub fn put_u64(&mut self, dst: GlobalAddr, val: u64) {
-        if self.is_local(dst.proc) {
-            self.seg_of(dst).write_u64(dst.offset, val);
-            self.stats.local_puts += 1;
-        } else if let Some(s) = self.shm_route(dst.proc, dst.seg) {
-            s.write_u64(dst.offset, val);
-            self.stats.shm_puts += 1;
-        } else {
-            let req = Req::PutU64 { dst: dst.proc, seg: dst.seg, offset: dst.offset as u64, val };
-            let agent = self.sync_agent(self.server_of(dst.proc));
-            self.send_req_to(agent, &req);
-            self.note_counted_put_via(dst.proc, agent.is_nic());
+        match self.route(dst.proc, dst.seg) {
+            Route::Direct(s, via) => {
+                s.write_u64(dst.offset, val);
+                self.stats.count(OpClass::Put, via);
+            }
+            Route::Wire(node) => {
+                let req = Req::PutU64 { dst: dst.proc, seg: dst.seg, offset: dst.offset as u64, val };
+                self.wire_put(self.sync_agent(node), dst.proc, |buf| req.encode_into(buf));
+            }
         }
     }
 
     /// Non-blocking atomic pair put (paired-long variant of
-    /// [`Armci::put_u64`]). Always rides the wire for other processes —
-    /// pair atomicity is stripe-lock-based, so the shm plane never serves
-    /// it (see [`RmwOp::is_pair`]).
+    /// [`Armci::put_u64`]). Never served by the shm plane: pair atomicity
+    /// comes from stripe locks private to the owning process.
     pub fn put_pair(&mut self, dst: GlobalAddr, val: [u64; 2]) {
-        if self.is_local(dst.proc) {
-            self.seg_of(dst).pair_swap(dst.offset, val);
-            self.stats.local_puts += 1;
-        } else {
-            let req = Req::PutPair { dst: dst.proc, seg: dst.seg, offset: dst.offset as u64, val };
-            let agent = self.sync_agent(self.server_of(dst.proc));
-            self.send_req_to(agent, &req);
-            self.note_counted_put_via(dst.proc, agent.is_nic());
+        match self.route_node_local(dst.proc, dst.seg) {
+            Route::Direct(s, via) => {
+                s.pair_swap(dst.offset, val);
+                self.stats.count(OpClass::Put, via);
+            }
+            Route::Wire(node) => {
+                let req = Req::PutPair { dst: dst.proc, seg: dst.seg, offset: dst.offset as u64, val };
+                self.wire_put(self.sync_agent(node), dst.proc, |buf| req.encode_into(buf));
+            }
         }
     }
 
@@ -575,24 +562,15 @@ impl Armci {
     /// ```
     pub fn put_strided(&mut self, dst: ProcId, seg: SegId, desc: Strided2D, data: &[u8]) {
         assert_eq!(data.len(), desc.total_bytes(), "payload does not match strided shape");
-        let direct = if self.is_local(dst) {
-            self.stats.local_puts += 1;
-            Some(self.registry.lookup(dst, seg))
-        } else if let Some(s) = self.shm_route(dst, seg) {
-            self.stats.shm_puts += 1;
-            Some(s)
-        } else {
-            None
-        };
-        if let Some(s) = direct {
-            desc.validate(s.len());
-            for (row, off) in desc.row_offsets().enumerate() {
-                s.write_bytes(off, &data[row * desc.row_bytes..(row + 1) * desc.row_bytes]);
+        match self.route(dst, seg) {
+            Route::Direct(s, via) => {
+                desc.validate(s.len());
+                scatter(&s, desc.runs(), data);
+                self.stats.count(OpClass::Put, via);
             }
-        } else {
-            let node = self.server_of(dst);
-            self.send_req_framed(Endpoint::Server(node), |buf| enc::put_strided(buf, dst, seg, &desc, data));
-            self.note_counted_put(dst);
+            Route::Wire(node) => {
+                self.wire_put(Endpoint::Server(node), dst, |buf| enc::put_strided(buf, dst, seg, &desc, data));
+            }
         }
     }
 
@@ -602,59 +580,42 @@ impl Armci {
     /// transfer, of which [`Armci::put_strided`] is the regular special
     /// case.
     pub fn put_vector(&mut self, dst: ProcId, seg: SegId, runs: &[(u64, u32)], data: &[u8]) {
-        let total: usize = runs.iter().map(|&(_, l)| l as usize).sum();
-        assert_eq!(data.len(), total, "payload does not match run list");
-        let direct = if self.is_local(dst) {
-            self.stats.local_puts += 1;
-            Some(self.registry.lookup(dst, seg))
-        } else if let Some(s) = self.shm_route(dst, seg) {
-            self.stats.shm_puts += 1;
-            Some(s)
-        } else {
-            None
-        };
-        if let Some(s) = direct {
-            let mut pos = 0usize;
-            for &(off, len) in runs {
-                s.write_bytes(off as usize, &data[pos..pos + len as usize]);
-                pos += len as usize;
+        assert_eq!(data.len(), runs_len(runs), "payload does not match run list");
+        match self.route(dst, seg) {
+            Route::Direct(s, via) => {
+                scatter(&s, runs.iter().copied().map(widen), data);
+                self.stats.count(OpClass::Put, via);
             }
-        } else {
-            let node = self.server_of(dst);
-            self.send_req_framed(Endpoint::Server(node), |buf| enc::put_vector(buf, dst, seg, runs, data));
-            self.note_counted_put(dst);
+            Route::Wire(node) => {
+                self.wire_put(Endpoint::Server(node), dst, |buf| enc::put_vector(buf, dst, seg, runs, data));
+            }
         }
     }
 
-    /// Blocking generalized I/O-vector get (`ARMCI_GetV`): gather the
-    /// listed runs into one contiguous result.
-    pub fn get_vector(&mut self, src: ProcId, seg: SegId, runs: &[(u64, u32)]) -> Vec<u8> {
-        let direct = if self.is_local(src) {
-            self.stats.local_gets += 1;
-            Some(self.registry.lookup(src, seg))
-        } else if let Some(s) = self.shm_route(src, seg) {
-            self.stats.shm_gets += 1;
-            Some(s)
-        } else {
-            None
-        };
-        if let Some(s) = direct {
-            let total: usize = runs.iter().map(|&(_, l)| l as usize).sum();
-            let mut out = vec![0u8; total];
-            let mut pos = 0usize;
-            for &(off, len) in runs {
-                s.read_bytes(off as usize, &mut out[pos..pos + len as usize]);
-                pos += len as usize;
+    /// Non-blocking atomic accumulate: `mem[i] += scale * vals[i]` on
+    /// `f64` elements. Element-wise atomic, so concurrent accumulates
+    /// from any mix of local processes and the server never lose updates
+    /// (the CAS loops are cross-process safe: every mapping of a page
+    /// resolves to the same physical word).
+    pub fn acc_f64(&mut self, dst: GlobalAddr, scale: f64, vals: &[f64]) {
+        match self.route(dst.proc, dst.seg) {
+            Route::Direct(s, via) => {
+                for (i, &v) in vals.iter().enumerate() {
+                    s.fetch_add_f64(dst.offset + 8 * i, scale * v);
+                }
+                self.stats.count(OpClass::Put, via);
             }
-            out
-        } else {
-            let node = self.server_of(src);
-            self.send_req(node, &Req::GetVector { dst: src, seg, runs: runs.to_vec() });
-            self.stats.remote_gets += 1;
-            let m = unwrap_op(self.recv_reply("get_vector", Endpoint::Server(node), TAG_GET_REPLY));
-            m.body.into_vec()
+            Route::Wire(node) => {
+                self.wire_put(Endpoint::Server(node), dst.proc, |buf| {
+                    enc::acc_f64(buf, dst.proc, dst.seg, dst.offset as u64, scale, vals)
+                });
+            }
         }
     }
+
+    // ------------------------------------------------------------------
+    // Gets, blocking and not (ARMCI_Get / ARMCI_NbGet)
+    // ------------------------------------------------------------------
 
     /// Blocking contiguous get.
     pub fn get(&mut self, src: GlobalAddr, out: &mut [u8]) {
@@ -664,78 +625,137 @@ impl Armci {
     /// Fallible [`Armci::get`]: surface a dead source node or an expired
     /// operation deadline as an [`ArmciError`] instead of panicking.
     pub fn try_get(&mut self, src: GlobalAddr, out: &mut [u8]) -> Result<(), ArmciError> {
-        if self.is_local(src.proc) {
-            self.seg_of(src).read_bytes(src.offset, out);
-            self.stats.local_gets += 1;
-            Ok(())
-        } else if let Some(s) = self.shm_route(src.proc, src.seg) {
-            s.read_bytes(src.offset, out);
-            self.stats.shm_gets += 1;
-            Ok(())
-        } else {
-            let node = self.server_of(src.proc);
-            let req = Req::Get { dst: src.proc, seg: src.seg, offset: src.offset as u64, len: out.len() as u32 };
-            self.send_req(node, &req);
-            self.stats.remote_gets += 1;
-            let m = self.recv_reply("get", Endpoint::Server(node), TAG_GET_REPLY)?;
-            out.copy_from_slice(&m.body);
-            Ok(())
+        match self.route(src.proc, src.seg) {
+            Route::Direct(s, via) => {
+                gather(&s, std::iter::once((src.offset, out.len())), out);
+                self.stats.count(OpClass::Get, via);
+            }
+            Route::Wire(node) => {
+                let req = Req::Get { dst: src.proc, seg: src.seg, offset: src.offset as u64, len: out.len() as u32 };
+                let seq = self.wire_get(node, &req);
+                out.copy_from_slice(&self.wire_get_reply("get", node, seq)?);
+            }
         }
+        Ok(())
     }
 
     /// Blocking strided get; returns the packed rows.
     pub fn get_strided(&mut self, src: ProcId, seg: SegId, desc: Strided2D) -> Vec<u8> {
-        let direct = if self.is_local(src) {
-            self.stats.local_gets += 1;
-            Some(self.registry.lookup(src, seg))
-        } else if let Some(s) = self.shm_route(src, seg) {
-            self.stats.shm_gets += 1;
-            Some(s)
-        } else {
-            None
-        };
-        if let Some(s) = direct {
-            desc.validate(s.len());
-            let mut out = vec![0u8; desc.total_bytes()];
-            for (row, off) in desc.row_offsets().enumerate() {
-                s.read_bytes(off, &mut out[row * desc.row_bytes..(row + 1) * desc.row_bytes]);
+        let h = self.nbget_strided(src, seg, desc);
+        unwrap_op(self.nbget_complete("get_strided", h))
+    }
+
+    /// Blocking generalized I/O-vector get (`ARMCI_GetV`): gather the
+    /// listed runs into one contiguous result.
+    pub fn get_vector(&mut self, src: ProcId, seg: SegId, runs: &[(u64, u32)]) -> Vec<u8> {
+        let len = runs_len(runs);
+        let h = match self.route(src, seg) {
+            Route::Direct(s, via) => self.read_runs(&s, via, len, runs.iter().copied().map(widen)),
+            Route::Wire(node) => {
+                let seq = self.wire_get(node, &Req::GetVector { dst: src, seg, runs: runs.to_vec() });
+                NbGet::Pending { node, seq, len }
             }
-            out
-        } else {
-            let node = self.server_of(src);
-            self.send_req(node, &Req::GetStrided { dst: src, seg, desc });
-            self.stats.remote_gets += 1;
-            let m = unwrap_op(self.recv_reply("get_strided", Endpoint::Server(node), TAG_GET_REPLY));
-            m.body.into_vec()
+        };
+        unwrap_op(self.nbget_complete("get_vector", h))
+    }
+
+    /// Issue a non-blocking get of `len` bytes; overlap computation, then
+    /// call [`Armci::nbget_wait`]. Sources on a direct route (node-local
+    /// or shm-mapped) complete immediately and never join the per-node
+    /// reply stream.
+    ///
+    /// Outstanding gets to the *same* node must be waited in issue order
+    /// (enforced by an assertion): replies travel a FIFO channel, so
+    /// out-of-order waits would mismatch data. Gets to different nodes
+    /// are independent.
+    pub fn nbget(&mut self, src: GlobalAddr, len: usize) -> NbGet {
+        match self.route(src.proc, src.seg) {
+            Route::Direct(s, via) => self.read_runs(&s, via, len, std::iter::once((src.offset, len))),
+            Route::Wire(node) => {
+                let req = Req::Get { dst: src.proc, seg: src.seg, offset: src.offset as u64, len: len as u32 };
+                NbGet::Pending { node, seq: self.wire_get(node, &req), len }
+            }
         }
     }
 
-    /// Non-blocking atomic accumulate: `mem[i] += scale * vals[i]` on
-    /// `f64` elements. Element-wise atomic, so concurrent accumulates
-    /// from any mix of local processes and the server never lose updates.
-    pub fn acc_f64(&mut self, dst: GlobalAddr, scale: f64, vals: &[f64]) {
-        let direct = if self.is_local(dst.proc) {
-            self.stats.local_puts += 1;
-            Some(self.seg_of(dst))
-        } else if let Some(s) = self.shm_route(dst.proc, dst.seg) {
-            // Element-wise CAS loops are cross-process safe: every mapping
-            // of the page resolves to the same physical word.
-            self.stats.shm_puts += 1;
-            Some(s)
-        } else {
-            None
-        };
-        if let Some(s) = direct {
-            for (i, &v) in vals.iter().enumerate() {
-                s.fetch_add_f64(dst.offset + 8 * i, scale * v);
+    /// Issue a non-blocking strided get; same ordering rules as
+    /// [`Armci::nbget`].
+    pub fn nbget_strided(&mut self, src: ProcId, seg: SegId, desc: Strided2D) -> NbGet {
+        match self.route(src, seg) {
+            Route::Direct(s, via) => {
+                desc.validate(s.len());
+                self.read_runs(&s, via, desc.total_bytes(), desc.runs())
             }
-        } else {
-            let node = self.server_of(dst.proc);
-            self.send_req_framed(Endpoint::Server(node), |buf| {
-                enc::acc_f64(buf, dst.proc, dst.seg, dst.offset as u64, scale, vals)
-            });
-            self.note_counted_put(dst.proc);
+            Route::Wire(node) => {
+                let seq = self.wire_get(node, &Req::GetStrided { dst: src, seg, desc });
+                NbGet::Pending { node, seq, len: desc.total_bytes() }
+            }
         }
+    }
+
+    /// The `Direct` arm of every get that returns its data: gather `runs`
+    /// (`len` bytes in all) into a fresh buffer, already complete.
+    fn read_runs(&mut self, s: &Segment, via: Via, len: usize, runs: impl Iterator<Item = (usize, usize)>) -> NbGet {
+        let mut out = vec![0u8; len];
+        gather(s, runs, &mut out);
+        self.stats.count(OpClass::Get, via);
+        NbGet::Ready(out)
+    }
+
+    /// The `Wire` arm of every get, first half: send the request to
+    /// `node`'s server and take the next slot in that node's FIFO reply
+    /// stream.
+    fn wire_get(&mut self, node: NodeId, req: &Req) -> u64 {
+        self.send_req(node, req);
+        self.stats.count(OpClass::Get, Via::Wire);
+        let seq = self.nbget_issued[node.idx()];
+        self.nbget_issued[node.idx()] += 1;
+        seq
+    }
+
+    /// The `Wire` arm of every get, second half: await reply `seq` from
+    /// `node`. The slot is consumed even when the wait fails — the reply
+    /// is lost with the peer, and a later get to that node must report
+    /// the fault again rather than trip the ordering assertion.
+    ///
+    /// # Panics
+    /// Panics if an older get to the same node is still outstanding
+    /// (waits must be FIFO per node — a usage error, not a fault).
+    fn wire_get_reply(&mut self, op: &'static str, node: NodeId, seq: u64) -> Result<Body, ArmciError> {
+        assert_eq!(seq, self.nbget_completed[node.idx()], "non-blocking gets to {node} must be waited in issue order");
+        self.nbget_completed[node.idx()] += 1;
+        Ok(self.recv_reply(op, Endpoint::Server(node), TAG_GET_REPLY)?.body)
+    }
+
+    /// Complete a get handle under the error label `op`.
+    fn nbget_complete(&mut self, op: &'static str, h: NbGet) -> Result<Vec<u8>, ArmciError> {
+        match h {
+            NbGet::Ready(data) => Ok(data),
+            NbGet::Pending { node, seq, len } => {
+                let body = self.wire_get_reply(op, node, seq)?;
+                debug_assert_eq!(body.len(), len);
+                Ok(body.into_vec())
+            }
+        }
+    }
+
+    /// Complete a non-blocking get, returning the data.
+    ///
+    /// # Panics
+    /// Panics if an older get to the same node is still outstanding
+    /// (waits must be FIFO per node).
+    pub fn nbget_wait(&mut self, h: NbGet) -> Vec<u8> {
+        unwrap_op(self.try_nbget_wait(h))
+    }
+
+    /// Fallible [`Armci::nbget_wait`]: a dead reply source or an expired
+    /// deadline becomes an [`ArmciError`] instead of a hang.
+    ///
+    /// # Panics
+    /// Panics if an older get to the same node is still outstanding
+    /// (waits must be FIFO per node — a usage error, not a fault).
+    pub fn try_nbget_wait(&mut self, h: NbGet) -> Result<Vec<u8>, ArmciError> {
+        self.nbget_complete("nbget_wait", h)
     }
 
     // ------------------------------------------------------------------
@@ -793,91 +813,6 @@ impl Armci {
     }
 
     // ------------------------------------------------------------------
-    // Non-blocking gets (ARMCI_NbGet)
-    // ------------------------------------------------------------------
-
-    /// Issue a non-blocking get of `len` bytes; overlap computation, then
-    /// call [`Armci::nbget_wait`]. Node-local sources complete
-    /// immediately.
-    ///
-    /// Outstanding gets to the *same* node must be waited in issue order
-    /// (enforced by an assertion): replies travel a FIFO channel, so
-    /// out-of-order waits would mismatch data. Gets to different nodes
-    /// are independent.
-    pub fn nbget(&mut self, src: GlobalAddr, len: usize) -> NbGet {
-        if self.is_local(src.proc) {
-            let mut out = vec![0u8; len];
-            self.seg_of(src).read_bytes(src.offset, &mut out);
-            self.stats.local_gets += 1;
-            NbGet::Ready(out)
-        } else if let Some(s) = self.shm_route(src.proc, src.seg) {
-            // Shared-memory sources complete immediately, like node-local
-            // ones; they never join the per-node FIFO reply stream.
-            let mut out = vec![0u8; len];
-            s.read_bytes(src.offset, &mut out);
-            self.stats.shm_gets += 1;
-            NbGet::Ready(out)
-        } else {
-            let node = self.server_of(src.proc);
-            let req = Req::Get { dst: src.proc, seg: src.seg, offset: src.offset as u64, len: len as u32 };
-            self.send_req(node, &req);
-            self.stats.remote_gets += 1;
-            let seq = self.nbget_issued[node.idx()];
-            self.nbget_issued[node.idx()] += 1;
-            NbGet::Pending { node, seq, len }
-        }
-    }
-
-    /// Issue a non-blocking strided get; same ordering rules as
-    /// [`Armci::nbget`].
-    pub fn nbget_strided(&mut self, src: ProcId, seg: SegId, desc: Strided2D) -> NbGet {
-        if self.is_local(src) || self.shm_route(src, seg).is_some() {
-            // `get_strided` re-resolves and takes the matching direct path.
-            let out = self.get_strided(src, seg, desc);
-            NbGet::Ready(out)
-        } else {
-            let node = self.server_of(src);
-            self.send_req(node, &Req::GetStrided { dst: src, seg, desc });
-            self.stats.remote_gets += 1;
-            let seq = self.nbget_issued[node.idx()];
-            self.nbget_issued[node.idx()] += 1;
-            NbGet::Pending { node, seq, len: desc.total_bytes() }
-        }
-    }
-
-    /// Complete a non-blocking get, returning the data.
-    ///
-    /// # Panics
-    /// Panics if an older get to the same node is still outstanding
-    /// (waits must be FIFO per node).
-    pub fn nbget_wait(&mut self, h: NbGet) -> Vec<u8> {
-        unwrap_op(self.try_nbget_wait(h))
-    }
-
-    /// Fallible [`Armci::nbget_wait`]: a dead reply source or an expired
-    /// deadline becomes an [`ArmciError`] instead of a hang.
-    ///
-    /// # Panics
-    /// Panics if an older get to the same node is still outstanding
-    /// (waits must be FIFO per node — a usage error, not a fault).
-    pub fn try_nbget_wait(&mut self, h: NbGet) -> Result<Vec<u8>, ArmciError> {
-        match h {
-            NbGet::Ready(data) => Ok(data),
-            NbGet::Pending { node, seq, len } => {
-                assert_eq!(
-                    seq,
-                    self.nbget_completed[node.idx()],
-                    "non-blocking gets to {node} must be waited in issue order"
-                );
-                let m = self.recv_reply("nbget_wait", Endpoint::Server(node), TAG_GET_REPLY)?;
-                self.nbget_completed[node.idx()] += 1;
-                debug_assert_eq!(m.body.len(), len);
-                Ok(m.body.into_vec())
-            }
-        }
-    }
-
-    // ------------------------------------------------------------------
     // Read-modify-write
     // ------------------------------------------------------------------
 
@@ -891,26 +826,22 @@ impl Armci {
     /// Fallible [`Armci::rmw`]: a dead target node or an expired deadline
     /// becomes an [`ArmciError`] instead of a hang.
     pub fn try_rmw(&mut self, dst: GlobalAddr, op: RmwOp) -> Result<[u64; 2], ArmciError> {
-        if self.is_local(dst.proc) {
-            self.stats.local_rmws += 1;
-            Ok(apply_rmw(&self.seg_of(dst), dst.offset, op))
-        } else {
-            // Single-word rmws are plain `AtomicU64` operations, safe
-            // across independent mappings of the same page. Pair ops are
-            // serialized by process-local stripe locks, so they must keep
-            // round-tripping through the owner's server.
-            if !op.is_pair() {
-                if let Some(s) = self.shm_route(dst.proc, dst.seg) {
-                    self.stats.shm_rmws += 1;
-                    return Ok(apply_rmw(&s, dst.offset, op));
-                }
+        // Single-word rmws are plain `AtomicU64` operations, safe across
+        // independent mappings of the same page; pair ops are not.
+        let route = if op.is_pair() { self.route_node_local(dst.proc, dst.seg) } else { self.route(dst.proc, dst.seg) };
+        match route {
+            Route::Direct(s, via) => {
+                self.stats.count(OpClass::Rmw, via);
+                Ok(apply_rmw(&s, dst.offset, op))
             }
-            let agent = self.sync_agent(self.server_of(dst.proc));
-            self.send_req_to(agent, &Req::Rmw { dst: dst.proc, seg: dst.seg, offset: dst.offset as u64, op });
-            self.stats.remote_rmws += 1;
-            let m = self.recv_reply("rmw", agent, TAG_RMW_REPLY)?;
-            let mut r = Reader::new(&m.body);
-            Ok([r.u64(), r.u64()])
+            Route::Wire(node) => {
+                let agent = self.sync_agent(node);
+                self.send_req_to(agent, &Req::Rmw { dst: dst.proc, seg: dst.seg, offset: dst.offset as u64, op });
+                self.stats.count(OpClass::Rmw, Via::Wire);
+                let m = self.recv_reply("rmw", agent, TAG_RMW_REPLY)?;
+                let mut r = Reader::new(&m.body);
+                Ok([r.u64(), r.u64()])
+            }
         }
     }
 
@@ -1001,15 +932,7 @@ impl Armci {
     /// a destination node whose connection is already known dead (same
     /// issue-time contract as [`Armci::try_put`]).
     pub fn try_put_notify(&mut self, dst: GlobalAddr, data: &[u8], slot: u32) -> Result<(), ArmciError> {
-        if !self.is_local(dst.proc) && self.shm_route(dst.proc, dst.seg).is_none() {
-            let node = self.server_of(dst.proc);
-            if self.mb.peer_is_lost(node) {
-                let epoch = self.observe_loss(node);
-                return Err(ArmciError::PeerLost { peer: node, epoch });
-            }
-        }
-        self.put_notify(dst, data, slot);
-        Ok(())
+        self.put_notify_core(dst.proc, dst.seg, &[(dst.offset as u64, data.len() as u32)], data, slot, true)
     }
 
     /// I/O-vector [`Armci::put_notify`]: scatter `data` into the listed
@@ -1019,53 +942,51 @@ impl Armci {
     /// [`crate::plan::TransferPlan`] aggregate many small puts under one
     /// notification.
     pub fn put_notify_v(&mut self, dst: ProcId, seg: SegId, runs: &[(u64, u32)], data: &[u8], slot: u32) {
-        let total: usize = runs.iter().map(|&(_, l)| l as usize).sum();
-        assert_eq!(data.len(), total, "payload does not match run list");
+        unwrap_op(self.put_notify_core(dst, seg, runs, data, slot, false));
+    }
+
+    /// The one notified put; `refuse_lost` as in `put_core`.
+    fn put_notify_core(
+        &mut self,
+        dst: ProcId,
+        seg: SegId,
+        runs: &[(u64, u32)],
+        data: &[u8],
+        slot: u32,
+        refuse_lost: bool,
+    ) -> Result<(), ArmciError> {
+        assert_eq!(data.len(), runs_len(runs), "payload does not match run list");
         assert!(slot < layout::NOTIFY_SLOTS, "notify slot {slot} out of range");
-        // Drive the sans-IO engine first: issue accounting and the
-        // conformance log are route-independent by construction.
-        let mut acts = Vec::new();
-        self.notify.poll(NotifyEvent::Issue { dst: dst.idx(), slot }, &mut acts);
-        debug_assert!(matches!(acts.as_slice(), [NotifyAction::Send { .. }]));
-        let notify_at = layout::notify_slot(self.locks_per_proc, self.nprocs() as u32, slot);
-        // A direct route must cover *both* the data segment and the sync
-        // segment (the notification counter lives in the latter); anything
-        // less rides the wire so data and notification stay one operation.
-        let direct = if self.is_local(dst) {
-            self.stats.local_puts += 1;
-            Some((self.registry.lookup(dst, seg), self.registry.lookup(dst, SegId(0))))
-        } else {
-            match (self.shm_route(dst, seg), self.shm_route(dst, SegId(0))) {
-                (Some(s), Some(sync)) => {
-                    // Zero-wire fast path: the data store and the
-                    // notification bump are both direct stores into the
-                    // peer's mapped segments.
-                    self.stats.shm_puts += 1;
-                    Some((s, sync))
-                }
-                _ => None,
-            }
-        };
-        match direct {
-            Some((s, sync)) => {
-                let mut pos = 0usize;
-                for &(off, len) in runs {
-                    s.write_bytes(off as usize, &data[pos..pos + len as usize]);
-                    pos += len as usize;
-                }
+        match self.route_notified(dst, seg) {
+            NotifyRoute::Direct { data: s, sync, via } => {
+                self.notify_issue(dst, slot);
+                scatter(&s, runs.iter().copied().map(widen), data);
                 // Bump strictly after the data, mirroring the server's
                 // completion-site order: a consumer observing the counter
                 // sees the payload.
-                sync.fetch_add_u64(notify_at, 1);
+                sync.fetch_add_u64(layout::notify_slot(self.locks_per_proc, self.nprocs() as u32, slot), 1);
+                self.stats.count(OpClass::Put, via);
             }
-            None => {
-                let node = self.server_of(dst);
-                self.send_req_framed(Endpoint::Server(node), |buf| enc::put_notify(buf, dst, seg, slot, runs, data));
-                // A notified put is a counted put: it feeds the same
-                // ledger fences and barriers drain.
-                self.note_counted_put(dst);
+            // A notified put is a counted put: it feeds the same ledger
+            // fences and barriers drain.
+            NotifyRoute::Wire(node) => {
+                if refuse_lost {
+                    self.refuse_lost(node)?;
+                }
+                self.notify_issue(dst, slot);
+                self.wire_put(Endpoint::Server(node), dst, |buf| enc::put_notify(buf, dst, seg, slot, runs, data));
             }
         }
+        Ok(())
+    }
+
+    /// Drive the sans-IO notify engine for one put that is now certain to
+    /// be issued: issue accounting and the conformance log are
+    /// route-independent by construction.
+    fn notify_issue(&mut self, dst: ProcId, slot: u32) {
+        let mut acts = Vec::new();
+        self.notify.poll(NotifyEvent::Issue { dst: dst.idx(), slot }, &mut acts);
+        debug_assert!(matches!(acts.as_slice(), [NotifyAction::Send { .. }]));
     }
 
     /// Register the producer set feeding notification slot `slot` — the
@@ -1181,7 +1102,7 @@ impl Armci {
     /// confirmation that can never arrive.
     pub fn try_fence(&mut self, proc: ProcId) -> Result<(), ArmciError> {
         let deadline = self.op_deadline();
-        self.try_fence_node(self.server_of(proc), deadline)
+        self.try_fence_node(self.topology().node_of(proc), deadline)
     }
 
     pub(crate) fn try_fence_node(&mut self, node: NodeId, deadline: Instant) -> Result<(), ArmciError> {

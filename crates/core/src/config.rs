@@ -360,17 +360,30 @@ impl ArmciCfg {
         matches!(std::env::var("ARMCI_SHM_PLANE").ok().as_deref().map(str::trim), Some("on") | Some("1") | Some("true"))
     }
 
-    /// Start a validating builder. Unlike the infallible `with_*` chain
-    /// (kept for tests and benchmarks that construct known-good configs),
-    /// [`ArmciCfgBuilder::build`] rejects degenerate cluster shapes, zero
-    /// timeouts and inconsistent latency models with a
-    /// [`ConfigError`] instead of failing later inside the runtime.
-    pub fn builder() -> ArmciCfgBuilder {
-        ArmciCfgBuilder { cfg: ArmciCfg::default() }
+    /// Validating finisher for a `with_*` chain: rejects degenerate
+    /// cluster shapes, zero timeouts and inconsistent latency models with
+    /// a [`ConfigError`] instead of failing later inside the runtime.
+    ///
+    /// ```
+    /// use armci_core::ArmciCfg;
+    /// use armci_transport::LatencyModel;
+    /// use std::time::Duration;
+    ///
+    /// let cfg = ArmciCfg::flat(4, LatencyModel::zero())
+    ///     .with_procs_per_node(2)
+    ///     .with_op_timeout(Duration::from_secs(5))
+    ///     .build()
+    ///     .unwrap();
+    /// assert_eq!(cfg.nodes, 4);
+    /// assert!(ArmciCfg::flat(0, LatencyModel::zero()).build().is_err());
+    /// ```
+    pub fn build(self) -> Result<ArmciCfg, ConfigError> {
+        self.validate()?;
+        Ok(self)
     }
 
     /// Validate an already-assembled config (the check
-    /// [`ArmciCfgBuilder::build`] runs).
+    /// [`ArmciCfg::build`] runs).
     pub fn validate(&self) -> Result<(), ConfigError> {
         if self.nodes == 0 {
             return Err(ConfigError::ZeroNodes);
@@ -415,172 +428,6 @@ impl ArmciCfg {
             }
         }
         validate_latency(&self.latency)
-    }
-}
-
-/// Validating builder for [`ArmciCfg`], produced by [`ArmciCfg::builder`].
-///
-/// ```
-/// use armci_core::ArmciCfg;
-/// use armci_transport::LatencyModel;
-/// use std::time::Duration;
-///
-/// let cfg = ArmciCfg::builder()
-///     .nodes(4)
-///     .procs_per_node(2)
-///     .latency(LatencyModel::zero())
-///     .op_timeout(Duration::from_secs(5))
-///     .build()
-///     .unwrap();
-/// assert_eq!(cfg.nodes, 4);
-/// assert!(ArmciCfg::builder().nodes(0).build().is_err());
-/// ```
-#[derive(Clone, Debug)]
-pub struct ArmciCfgBuilder {
-    cfg: ArmciCfg,
-}
-
-impl ArmciCfgBuilder {
-    /// Set the node count (must be at least 1).
-    pub fn nodes(mut self, n: u32) -> Self {
-        self.cfg.nodes = n;
-        self
-    }
-
-    /// Set processes per node (must be at least 1).
-    pub fn procs_per_node(mut self, p: u32) -> Self {
-        self.cfg.procs_per_node = p;
-        self
-    }
-
-    /// Set the network cost model.
-    pub fn latency(mut self, l: LatencyModel) -> Self {
-        self.cfg.latency = l;
-        self
-    }
-
-    /// Set the put acknowledgement mode.
-    pub fn ack_mode(mut self, m: AckMode) -> Self {
-        self.cfg.ack_mode = m;
-        self
-    }
-
-    /// Set the default lock algorithm.
-    pub fn lock_algo(mut self, a: LockAlgo) -> Self {
-        self.cfg.lock_algo = a;
-        self
-    }
-
-    /// Set the lock slot count per process.
-    pub fn locks_per_proc(mut self, n: u32) -> Self {
-        self.cfg.locks_per_proc = n;
-        self
-    }
-
-    /// Set the jitter seed.
-    pub fn seed(mut self, s: u64) -> Self {
-        self.cfg.seed = s;
-        self
-    }
-
-    /// Enable transport tracing.
-    pub fn trace(mut self, on: bool) -> Self {
-        self.cfg.trace = on;
-        self
-    }
-
-    /// Enable NIC-assisted synchronization.
-    pub fn nic_assist(mut self, on: bool) -> Self {
-        self.cfg.nic_assist = on;
-        self
-    }
-
-    /// Set the per-operation deadline (must be nonzero).
-    pub fn op_timeout(mut self, t: Duration) -> Self {
-        self.cfg.op_timeout = t;
-        self
-    }
-
-    /// Set the bootstrap deadline (must be nonzero).
-    pub fn boot_timeout(mut self, t: Duration) -> Self {
-        self.cfg.boot_timeout = t;
-        self
-    }
-
-    /// Install a scripted fault-injection plan.
-    pub fn faults(mut self, f: FaultPlan) -> Self {
-        self.cfg.faults = f;
-        self
-    }
-
-    /// Enable session-layer recovery.
-    pub fn recovery(mut self, on: bool) -> Self {
-        self.cfg.recovery = on;
-        self
-    }
-
-    /// Set the idle-link heartbeat interval (must be nonzero).
-    pub fn heartbeat_interval(mut self, t: Duration) -> Self {
-        self.cfg.heartbeat_interval = t;
-        self
-    }
-
-    /// Set the silence budget before a peer is declared dead (must be
-    /// nonzero).
-    pub fn suspect_after(mut self, t: Duration) -> Self {
-        self.cfg.suspect_after = t;
-        self
-    }
-
-    /// Set the failure-detection slice inside blocking waits (must be
-    /// nonzero).
-    pub fn detect_slice(mut self, t: Duration) -> Self {
-        self.cfg.detect_slice = t;
-        self
-    }
-
-    /// Set the per-peer replay ring capacity (must be nonzero when
-    /// recovery is enabled).
-    pub fn replay_window(mut self, n: usize) -> Self {
-        self.cfg.replay_window = n;
-        self
-    }
-
-    /// Pin the shm data plane (`None` = `ARMCI_SHM_PLANE` resolution).
-    pub fn shm_plane(mut self, on: Option<bool>) -> Self {
-        self.cfg.shm_plane = on;
-        self
-    }
-
-    /// Enable topology-hierarchical group collectives.
-    pub fn hier_collectives(mut self, on: bool) -> Self {
-        self.cfg.hier_collectives = on;
-        self
-    }
-
-    /// Set the peer-loss reaction.
-    pub fn on_peer_loss(mut self, p: OnPeerLoss) -> Self {
-        self.cfg.on_peer_loss = p;
-        self
-    }
-
-    /// Set the unified retry policy (must allow at least one attempt).
-    pub fn retry(mut self, r: RetryPolicy) -> Self {
-        self.cfg.retry = r;
-        self
-    }
-
-    /// Override the shm-plane base directory (must be a nonempty absolute
-    /// path, and is rejected when the plane is explicitly disabled).
-    pub fn shm_dir(mut self, dir: Option<String>) -> Self {
-        self.cfg.shm_dir = dir;
-        self
-    }
-
-    /// Validate and produce the config.
-    pub fn build(self) -> Result<ArmciCfg, ConfigError> {
-        self.cfg.validate()?;
-        Ok(self.cfg)
     }
 }
 
@@ -842,25 +689,23 @@ mod tests {
     }
 
     #[test]
-    fn builder_validates_shm_settings() {
+    fn build_validates_shm_settings() {
         use crate::errors::ConfigError;
         // Valid combinations.
-        assert!(ArmciCfg::builder().shm_plane(Some(true)).build().is_ok());
-        assert!(ArmciCfg::builder().shm_plane(Some(true)).shm_dir(Some("/dev/shm".into())).build().is_ok());
-        assert!(ArmciCfg::builder().shm_dir(Some("/tmp/armci".into())).build().is_ok());
+        let base = ArmciCfg::default;
+        assert!(base().with_shm_plane(Some(true)).build().is_ok());
+        assert!(base().with_shm_plane(Some(true)).with_shm_dir(Some("/dev/shm".into())).build().is_ok());
+        assert!(base().with_shm_dir(Some("/tmp/armci".into())).build().is_ok());
         // Degenerate shm_dir values.
+        assert!(matches!(base().with_shm_dir(Some(String::new())).build().unwrap_err(), ConfigError::BadShmDir { .. }));
         assert!(matches!(
-            ArmciCfg::builder().shm_dir(Some(String::new())).build().unwrap_err(),
-            ConfigError::BadShmDir { .. }
-        ));
-        assert!(matches!(
-            ArmciCfg::builder().shm_dir(Some("relative/path".into())).build().unwrap_err(),
+            base().with_shm_dir(Some("relative/path".into())).build().unwrap_err(),
             ConfigError::BadShmDir { .. }
         ));
         // A directory override for a plane that is pinned off is a
-        // contradiction the builder refuses.
+        // contradiction `build` refuses.
         assert!(matches!(
-            ArmciCfg::builder().shm_plane(Some(false)).shm_dir(Some("/dev/shm".into())).build().unwrap_err(),
+            base().with_shm_plane(Some(false)).with_shm_dir(Some("/dev/shm".into())).build().unwrap_err(),
             ConfigError::BadShmDir { .. }
         ));
     }
@@ -875,51 +720,50 @@ mod tests {
     }
 
     #[test]
-    fn builder_accepts_valid_and_rejects_degenerate_configs() {
-        let ok = ArmciCfg::builder()
-            .nodes(3)
-            .procs_per_node(2)
-            .latency(armci_transport::LatencyModel::zero())
-            .ack_mode(AckMode::Via)
-            .op_timeout(Duration::from_secs(2))
-            .boot_timeout(Duration::from_secs(4))
+    fn build_accepts_valid_and_rejects_degenerate_configs() {
+        let ok = ArmciCfg::flat(3, armci_transport::LatencyModel::zero())
+            .with_procs_per_node(2)
+            .with_ack_mode(AckMode::Via)
+            .with_op_timeout(Duration::from_secs(2))
+            .with_boot_timeout(Duration::from_secs(4))
             .build()
             .unwrap();
         assert_eq!((ok.nodes, ok.procs_per_node, ok.ack_mode), (3, 2, AckMode::Via));
         assert_eq!(ok.op_timeout, Duration::from_secs(2));
 
         use crate::errors::ConfigError;
-        assert_eq!(ArmciCfg::builder().nodes(0).build().unwrap_err(), ConfigError::ZeroNodes);
-        assert_eq!(ArmciCfg::builder().procs_per_node(0).build().unwrap_err(), ConfigError::ZeroProcsPerNode);
+        let base = ArmciCfg::default;
+        assert_eq!(ArmciCfg { nodes: 0, ..base() }.build().unwrap_err(), ConfigError::ZeroNodes);
+        assert_eq!(base().with_procs_per_node(0).build().unwrap_err(), ConfigError::ZeroProcsPerNode);
         assert_eq!(
-            ArmciCfg::builder().op_timeout(Duration::ZERO).build().unwrap_err(),
+            base().with_op_timeout(Duration::ZERO).build().unwrap_err(),
             ConfigError::ZeroTimeout { which: "op_timeout" }
         );
         assert_eq!(
-            ArmciCfg::builder().boot_timeout(Duration::ZERO).build().unwrap_err(),
+            base().with_boot_timeout(Duration::ZERO).build().unwrap_err(),
             ConfigError::ZeroTimeout { which: "boot_timeout" }
         );
         assert_eq!(
-            ArmciCfg::builder().detect_slice(Duration::ZERO).build().unwrap_err(),
+            base().with_detect_slice(Duration::ZERO).build().unwrap_err(),
             ConfigError::ZeroTimeout { which: "detect_slice" }
         );
         assert_eq!(
-            ArmciCfg::builder().heartbeat_interval(Duration::ZERO).build().unwrap_err(),
+            base().with_heartbeat_interval(Duration::ZERO).build().unwrap_err(),
             ConfigError::ZeroTimeout { which: "heartbeat_interval" }
         );
         assert_eq!(
-            ArmciCfg::builder().suspect_after(Duration::ZERO).build().unwrap_err(),
+            base().with_suspect_after(Duration::ZERO).build().unwrap_err(),
             ConfigError::ZeroTimeout { which: "suspect_after" }
         );
         // A zero replay window is only degenerate when recovery needs it.
-        assert!(ArmciCfg::builder().replay_window(0).build().is_ok());
+        assert!(base().with_replay_window(0).build().is_ok());
         assert_eq!(
-            ArmciCfg::builder().recovery(true).replay_window(0).build().unwrap_err(),
+            base().with_recovery(true).with_replay_window(0).build().unwrap_err(),
             ConfigError::ZeroReplayWindow
         );
         // A retry policy with no attempts can never succeed.
         assert_eq!(
-            ArmciCfg::builder().retry(RetryPolicy { attempts: 0, ..Default::default() }).build().unwrap_err(),
+            base().with_retry(RetryPolicy { attempts: 0, ..Default::default() }).build().unwrap_err(),
             ConfigError::ZeroRetryAttempts
         );
     }
@@ -936,19 +780,19 @@ mod tests {
     }
 
     #[test]
-    fn builder_rejects_inconsistent_latency_models() {
+    fn build_rejects_inconsistent_latency_models() {
         use armci_transport::LatencyModel;
         // Jitter larger than the inter-node latency it perturbs.
         let mut l = LatencyModel::myrinet_like();
         l.jitter = l.inter_node + Duration::from_micros(1);
-        assert!(matches!(ArmciCfg::builder().latency(l).build(), Err(crate::errors::ConfigError::BadLatency { .. })));
+        assert!(matches!(ArmciCfg::flat(1, l).build(), Err(crate::errors::ConfigError::BadLatency { .. })));
         // Intra-node cost above inter-node cost.
         let mut l = LatencyModel::myrinet_like();
         l.intra_node = l.inter_node + Duration::from_micros(1);
-        assert!(ArmciCfg::builder().latency(l).build().is_err());
+        assert!(ArmciCfg::flat(1, l).build().is_err());
         // The stock models are all valid.
         for l in [LatencyModel::zero(), LatencyModel::myrinet_like()] {
-            assert!(ArmciCfg::builder().latency(l).build().is_ok());
+            assert!(ArmciCfg::flat(1, l).build().is_ok());
         }
     }
 

@@ -61,7 +61,7 @@ impl fmt::Display for ArmciError {
 
 impl std::error::Error for ArmciError {}
 
-/// Why [`crate::ArmciCfgBuilder::build`] rejected a configuration.
+/// Why [`crate::ArmciCfg::build`] rejected a configuration.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum ConfigError {
     /// `nodes` was zero.

@@ -236,7 +236,7 @@ impl Armci {
     fn form_hier(&mut self, g: &Group, me_g: usize) -> HierState {
         let leader0 = ProcId(g.world_rank(0) as u32);
         // Can I reach group-rank 0's sync segment without the wire?
-        let reach0 = self.is_local(leader0) || self.shm_route(leader0, SegId(0)).is_some();
+        let reach0 = self.route(leader0, SegId(0)).direct().is_some();
         let bits = g.allgather(self, vec![reach0 as u8]);
 
         // Domain 0: members memory-adjacent to rank 0 (rank 0's own bit is
@@ -296,17 +296,11 @@ impl Armci {
     }
 
     /// The sync segment of group rank `gr`, a member of this process's
-    /// own domain: mine, or mapped through the in-process registry (same
-    /// node) or the shm plane (same host) — what made it a domain mate.
+    /// own domain (possibly this process): the direct route that made it
+    /// a domain mate.
     fn domain_sync(&self, g: &Group, gr: usize) -> Arc<Segment> {
         let w = ProcId(g.world_rank(gr) as u32);
-        if w.idx() == self.rank() {
-            self.my_sync.clone()
-        } else if self.is_local(w) {
-            self.registry.lookup(w, SegId(0))
-        } else {
-            self.shm_route(w, SegId(0)).expect("lost the shm route to a member of my own domain")
-        }
+        self.route(w, SegId(0)).direct().expect("lost the direct route to a member of my own domain")
     }
 
     /// Group-scoped `ARMCI_AllFence()`: block until every put this

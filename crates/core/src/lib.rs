@@ -50,6 +50,7 @@ pub mod lock;
 pub mod model;
 pub mod msg;
 pub mod plan;
+mod route;
 pub mod runtime;
 pub mod server;
 pub(crate) mod shm;
@@ -61,7 +62,7 @@ mod try_error_paths;
 pub use armci::{Armci, LockId};
 pub use armci_netfab::{FaultAction, FaultPlan, FaultSpec, RetryPolicy};
 pub use chaos::{chaos_plan, chaos_workload, ChaosError, ChaosRng};
-pub use config::{AckMode, ArmciCfg, ArmciCfgBuilder, LockAlgo, OnPeerLoss};
+pub use config::{AckMode, ArmciCfg, LockAlgo, OnPeerLoss};
 pub use errors::{ArmciError, ConfigError};
 pub use gptr::{GlobalAddr, PackedPtr};
 pub use group::ProcGroup;

@@ -118,7 +118,9 @@ impl Armci {
     /// operations and message exchanges it asks for.
     pub fn try_lock_hybrid(&mut self, id: LockId) -> Result<(), ArmciError> {
         self.check_lock_id(id);
-        let mut eng = HybridAcquire::new(self.is_local(id.owner));
+        // The ticket fast path exists only on the lock's home node.
+        let home = self.route_node_local(id.owner, SegId(0)).direct();
+        let mut eng = HybridAcquire::new(home.is_some());
         let mut acts = Vec::new();
         eng.poll(HybridEvent::Start, &mut acts);
         let mut i = 0;
@@ -127,14 +129,14 @@ impl Armci {
                 HybridAction::FetchAddTicket => {
                     // Figure 3a/b: fetch-and-increment the ticket directly
                     // through shared memory.
-                    let sync = self.registry.lookup(id.owner, SegId(0));
+                    let sync = home.as_ref().expect("ticket fast path planned for a remote lock");
                     let ticket = sync.fetch_add_u64(layout::hybrid_ticket(id.idx), 1);
                     eng.poll(HybridEvent::Ticket(ticket), &mut acts);
                 }
                 HybridAction::AwaitCounter { ticket } => {
-                    let sync = self.registry.lookup(id.owner, SegId(0));
+                    let sync = home.as_ref().expect("ticket fast path planned for a remote lock");
                     let deadline = self.op_deadline();
-                    self.wait_local_cond("lock", deadline, move || {
+                    self.wait_local_cond("lock", deadline, || {
                         sync.atomic_u64(layout::hybrid_counter(id.idx)).load(Ordering::Acquire) == ticket
                     })?;
                     eng.poll(HybridEvent::CounterReached, &mut acts);
@@ -212,8 +214,7 @@ impl Armci {
         self.check_lock_id(id);
         let ticket_addr = GlobalAddr::new(id.owner, SegId(0), layout::hybrid_ticket(id.idx));
         let counter_addr = GlobalAddr::new(id.owner, SegId(0), layout::hybrid_counter(id.idx));
-        if self.is_local(id.owner) {
-            let sync = self.registry.lookup(id.owner, SegId(0));
+        if let Some(sync) = self.route_node_local(id.owner, SegId(0)).direct() {
             let ticket = sync.fetch_add_u64(layout::hybrid_ticket(id.idx), 1);
             let deadline = self.op_deadline();
             return self.wait_local_cond("lock", deadline, move || {
@@ -242,12 +243,7 @@ impl Armci {
     /// never involved).
     pub fn unlock_ticket_poll(&mut self, id: LockId) {
         self.check_lock_id(id);
-        let counter_addr = GlobalAddr::new(id.owner, SegId(0), layout::hybrid_counter(id.idx));
-        if self.is_local(id.owner) {
-            self.registry.lookup(id.owner, SegId(0)).fetch_add_u64(layout::hybrid_counter(id.idx), 1);
-        } else {
-            self.fetch_add_u64(counter_addr, 1);
-        }
+        self.fetch_add_u64(GlobalAddr::new(id.owner, SegId(0), layout::hybrid_counter(id.idx)), 1);
     }
 
     // ------------------------------------------------------------------

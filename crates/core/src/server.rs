@@ -21,6 +21,7 @@ use crate::armci::encode_rmw_reply;
 use crate::config::AckMode;
 use crate::layout;
 use crate::msg::{ReqView, RmwOp, TAG_FENCE_ACK, TAG_GET_REPLY, TAG_LOCK_GRANT, TAG_PUT_ACK, TAG_RMW_REPLY};
+use crate::strided::{gather, scatter, widen};
 
 /// Apply a read-modify-write to a segment; returns the two result words
 /// (second zero for single-word ops). Shared by the server (remote RMWs)
@@ -90,10 +91,7 @@ pub(crate) fn server_loop(mut mb: Mailbox, registry: Arc<MemoryRegistry>, ack_mo
             ReqView::PutStrided { dst, seg, desc, data } => {
                 let s = registry.lookup(dst, seg);
                 desc.validate(s.len());
-                debug_assert_eq!(data.len(), desc.total_bytes());
-                for (row, off) in desc.row_offsets().enumerate() {
-                    s.write_bytes(off, &data[row * desc.row_bytes..(row + 1) * desc.row_bytes]);
-                }
+                scatter(&s, desc.runs(), data);
             }
             ReqView::PutU64 { dst, seg, offset, val } => {
                 registry.lookup(dst, seg).write_u64(offset as usize, val);
@@ -107,37 +105,19 @@ pub(crate) fn server_loop(mut mb: Mailbox, registry: Arc<MemoryRegistry>, ack_mo
                     s.fetch_add_f64(offset as usize + 8 * i, scale * v);
                 }
             }
-            ReqView::PutVector { dst, seg, runs, data } => {
-                let s = registry.lookup(dst, seg);
-                let mut pos = 0usize;
-                for (off, len) in runs.iter() {
-                    s.write_bytes(off as usize, &data[pos..pos + len as usize]);
-                    pos += len as usize;
-                }
-                debug_assert_eq!(pos, data.len());
-            }
-            ReqView::PutNotify { dst, seg, runs, data, .. } => {
-                // Data exactly like PutVector; the notification bump rides
-                // in the counted-put accounting below, *after* the data is
-                // applied — a consumer observing the counter sees the data.
-                let s = registry.lookup(dst, seg);
-                let mut pos = 0usize;
-                for (off, len) in runs.iter() {
-                    s.write_bytes(off as usize, &data[pos..pos + len as usize]);
-                    pos += len as usize;
-                }
-                debug_assert_eq!(pos, data.len());
+            // A notified put's data lands exactly like PutVector; the
+            // notification bump rides in the counted-put accounting below,
+            // *after* the data is applied — a consumer observing the
+            // counter sees the data.
+            ReqView::PutVector { dst, seg, runs, data } | ReqView::PutNotify { dst, seg, runs, data, .. } => {
+                scatter(&registry.lookup(dst, seg), runs.iter().map(widen), data);
             }
             ReqView::GetVector { dst, seg, runs } => {
                 let s = registry.lookup(dst, seg);
                 let total: usize = runs.iter().map(|(_, l)| l as usize).sum();
                 let out = reply_pool.with_buf(|buf| {
                     buf.resize(total, 0);
-                    let mut pos = 0usize;
-                    for (off, len) in runs.iter() {
-                        s.read_bytes(off as usize, &mut buf[pos..pos + len as usize]);
-                        pos += len as usize;
-                    }
+                    gather(&s, runs.iter().map(widen), buf);
                 });
                 mb.send(src, TAG_GET_REPLY, out);
             }
@@ -154,9 +134,7 @@ pub(crate) fn server_loop(mut mb: Mailbox, registry: Arc<MemoryRegistry>, ack_mo
                 desc.validate(s.len());
                 let out = reply_pool.with_buf(|buf| {
                     buf.resize(desc.total_bytes(), 0);
-                    for (row, off) in desc.row_offsets().enumerate() {
-                        s.read_bytes(off, &mut buf[row * desc.row_bytes..(row + 1) * desc.row_bytes]);
-                    }
+                    gather(&s, desc.runs(), buf);
                 });
                 mb.send(src, TAG_GET_REPLY, out);
             }

@@ -5,6 +5,19 @@
 //! fence-and-barrier). These counters let tests assert those counts
 //! directly instead of relying on noisy wall-clock measurements.
 
+use crate::route::Via;
+
+/// The operation classes counted once per route (see [`Stats::count`]).
+#[derive(Clone, Copy, Debug)]
+pub(crate) enum OpClass {
+    /// Put-class: puts of every shape, accumulates, notified puts.
+    Put,
+    /// Gets of every shape, blocking or not.
+    Get,
+    /// Read-modify-writes.
+    Rmw,
+}
+
 /// Counts of operations performed by one process since init.
 #[derive(Clone, Copy, Default, Debug, PartialEq, Eq)]
 pub struct Stats {
@@ -51,6 +64,23 @@ impl Stats {
     /// Total messages this process has sent.
     pub fn total_msgs(&self) -> u64 {
         self.server_msgs + self.p2p_msgs
+    }
+
+    /// Count one operation of `class` that reached its target `via` a
+    /// route — the only place the `{local,shm,remote}_*` columns move.
+    #[inline]
+    pub(crate) fn count(&mut self, class: OpClass, via: Via) {
+        *match (class, via) {
+            (OpClass::Put, Via::Local) => &mut self.local_puts,
+            (OpClass::Put, Via::Shm) => &mut self.shm_puts,
+            (OpClass::Put, Via::Wire) => &mut self.remote_puts,
+            (OpClass::Get, Via::Local) => &mut self.local_gets,
+            (OpClass::Get, Via::Shm) => &mut self.shm_gets,
+            (OpClass::Get, Via::Wire) => &mut self.remote_gets,
+            (OpClass::Rmw, Via::Local) => &mut self.local_rmws,
+            (OpClass::Rmw, Via::Shm) => &mut self.shm_rmws,
+            (OpClass::Rmw, Via::Wire) => &mut self.remote_rmws,
+        } += 1;
     }
 }
 

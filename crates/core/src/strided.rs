@@ -8,6 +8,14 @@
 //! transfer is always a packed contiguous buffer (`rows * row_bytes`
 //! bytes), which is what a library layered above (e.g. Global Arrays
 //! patches) hands in.
+//!
+//! Every non-contiguous shape — a strided region, an I/O-vector run list,
+//! and the degenerate single run of a contiguous transfer — reduces to a
+//! sequence of `(offset, len)` runs, and [`scatter`]/[`gather`] are the
+//! only loops that move packed bytes through one: the initiator's direct
+//! path and the server's apply path both call them.
+
+use armci_transport::Segment;
 
 /// Shape of a 2-D strided region within a remote segment.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -66,6 +74,44 @@ impl Strided2D {
     pub fn row_offsets(&self) -> impl Iterator<Item = usize> + '_ {
         (0..self.rows).map(move |r| self.offset + r * self.stride)
     }
+
+    /// The shape as `(offset, len)` runs, one per row.
+    pub(crate) fn runs(&self) -> impl Iterator<Item = (usize, usize)> + '_ {
+        self.row_offsets().map(move |off| (off, self.row_bytes))
+    }
+}
+
+/// One `(offset, len)` record of an I/O-vector run list, as `usize`s.
+#[inline]
+pub(crate) fn widen((off, len): (u64, u32)) -> (usize, usize) {
+    (off as usize, len as usize)
+}
+
+/// Total payload bytes of an I/O-vector run list.
+pub(crate) fn runs_len(runs: &[(u64, u32)]) -> usize {
+    runs.iter().map(|&(_, len)| len as usize).sum()
+}
+
+/// Scatter packed `data` into the `runs` of `seg`, in order.
+#[inline]
+pub(crate) fn scatter(seg: &Segment, runs: impl Iterator<Item = (usize, usize)>, data: &[u8]) {
+    let mut pos = 0;
+    for (off, len) in runs {
+        seg.write_bytes(off, &data[pos..pos + len]);
+        pos += len;
+    }
+    debug_assert_eq!(pos, data.len(), "payload does not match run list");
+}
+
+/// Gather the `runs` of `seg` into packed `out`, in order.
+#[inline]
+pub(crate) fn gather(seg: &Segment, runs: impl Iterator<Item = (usize, usize)>, out: &mut [u8]) {
+    let mut pos = 0;
+    for (off, len) in runs {
+        seg.read_bytes(off, &mut out[pos..pos + len]);
+        pos += len;
+    }
+    debug_assert_eq!(pos, out.len(), "output does not match run list");
 }
 
 #[cfg(test)]

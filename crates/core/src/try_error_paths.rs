@@ -270,3 +270,51 @@ fn timeout_errors_name_the_operation() {
     let r = stub_armci(StubMode::Silent).try_lock(remote_lock());
     assert!(matches!(r, Err(ArmciError::Timeout { op: "lock" })), "got {r:?}");
 }
+
+/// A notified put rides the wire unless the data segment *and* the
+/// target's sync segment are both mapped, so the lost-peer refusal must
+/// ask that same two-segment question: with only the data segment
+/// mapped, the request would be queued to a node already known dead.
+#[test]
+#[cfg(unix)]
+fn try_put_notify_refuses_a_lost_peer_when_only_the_data_segment_is_mapped() {
+    use crate::config::ArmciCfg;
+    use crate::shm::ShmDataPlane;
+
+    let mut cfg = ArmciCfg::default().with_shm_plane(Some(true));
+    cfg.boot_timeout = Duration::from_millis(30); // caps the wait for the sync-segment file that never appears
+    let rendezvous = format!("try-error-paths-{}-half-mapped", std::process::id());
+    // A second plane in this process stands in for node 1: it exports
+    // rank 1's data segment (id 1) but never its sync segment (id 0).
+    let owner = ShmDataPlane::for_run(&cfg, &rendezvous).expect("plane");
+    let _data = owner.create_local(ProcId(1), 1, 64).expect("create");
+
+    let mut a = stub_armci(StubMode::LostPeer(NodeId(1)));
+    a.shm = ShmDataPlane::for_run(&cfg, &rendezvous);
+    let dst = GlobalAddr::new(ProcId(1), SegId(1), 0);
+    // The mapped data segment alone is reachable without the link...
+    assert_eq!(a.try_put(dst, &7u64.to_le_bytes()), Ok(()));
+    assert_eq!(a.stats().shm_puts, 1);
+    // ...but the notification counter is not, so the notified put is a
+    // wire operation and must be refused like one.
+    let r = a.try_put_notify(dst, &7u64.to_le_bytes(), 0);
+    assert!(matches!(r, Err(ArmciError::PeerLost { peer: NodeId(1), .. })), "got {r:?}");
+    assert!(a.take_notify_log().is_empty(), "a refused put must not be logged as issued");
+    assert_eq!(a.stats().remote_puts, 0);
+    drop((a, owner));
+    ShmDataPlane::purge_run(&cfg, &rendezvous);
+}
+
+/// A get whose reply never comes consumes its slot in the per-node reply
+/// stream: the next get to that node reports the fault again instead of
+/// tripping the issue-order assertion.
+#[test]
+fn a_failed_get_does_not_wedge_the_reply_stream() {
+    let mut a = stub_armci(StubMode::LostPeer(NodeId(1)));
+    for _ in 0..2 {
+        let r = a.try_get(remote_addr(), &mut [0u8; 8]);
+        assert!(matches!(r, Err(ArmciError::PeerLost { peer: NodeId(1), .. })), "got {r:?}");
+    }
+    let h = a.nbget(remote_addr(), 8);
+    assert!(a.try_nbget_wait(h).is_err());
+}

@@ -84,19 +84,16 @@ fn degrade_workload(a: &mut Armci) -> Result<Duration, String> {
 #[test]
 fn spawned_node_kill_under_degrade() {
     let faults = FaultPlan::new().with(FaultSpec { node: 1, peer: 0, after_frames: 40, action: FaultAction::KillNode });
-    let cfg = ArmciCfg::builder()
-        .nodes(4)
-        .procs_per_node(1)
-        .latency(LatencyModel::zero())
-        .lock_algo(LockAlgo::Mcs)
-        .op_timeout(Duration::from_secs(2))
-        .recovery(true)
-        .heartbeat_interval(Duration::from_millis(25))
-        .suspect_after(SUSPECT_AFTER)
-        .on_peer_loss(OnPeerLoss::Degrade)
+    let cfg = ArmciCfg::flat(4, LatencyModel::zero())
+        .with_lock_algo(LockAlgo::Mcs)
+        .with_op_timeout(Duration::from_secs(2))
+        .with_recovery(true)
+        .with_heartbeat_interval(Duration::from_millis(25))
+        .with_suspect_after(SUSPECT_AFTER)
+        .with_on_peer_loss(OnPeerLoss::Degrade)
         // The kill counts wire frames, so the storm must ride the wire.
-        .shm_plane(Some(false))
-        .faults(faults)
+        .with_shm_plane(Some(false))
+        .with_faults(faults)
         .build()
         .expect("valid config");
     let child_args: Vec<String> =

@@ -371,15 +371,13 @@ fn hier_barrier_times_out_on_every_member_when_one_never_enters() {
 fn hier_barrier_aborts_with_peer_lost_when_a_leader_dies_before_contributing() {
     let faults =
         FaultPlan::new().with(FaultSpec { node: 1, peer: 0, after_frames: 200, action: FaultAction::KillNode });
-    let cfg = ArmciCfg::builder()
-        .nodes(2)
-        .procs_per_node(2)
-        .latency(LatencyModel::zero())
-        .op_timeout(Duration::from_secs(10))
-        .on_peer_loss(OnPeerLoss::Degrade)
+    let cfg = ArmciCfg::flat(2, LatencyModel::zero())
+        .with_procs_per_node(2)
+        .with_op_timeout(Duration::from_secs(10))
+        .with_on_peer_loss(OnPeerLoss::Degrade)
         // The kill is driven by frames crossing the wire.
-        .shm_plane(Some(false))
-        .faults(faults)
+        .with_shm_plane(Some(false))
+        .with_faults(faults)
         .build()
         .expect("valid config")
         .with_hier_collectives(true);

@@ -22,16 +22,13 @@ use armci_transport::{LatencyModel, ProcId};
 const SEED: u64 = 0x0c0f_fee0_dead_beef;
 
 fn chaos_cfg(nodes: u32, faults: FaultPlan) -> ArmciCfg {
-    ArmciCfg::builder()
-        .nodes(nodes)
-        .procs_per_node(1)
-        .latency(LatencyModel::zero())
-        .lock_algo(LockAlgo::Mcs)
-        .op_timeout(Duration::from_secs(20))
-        .recovery(true)
-        .heartbeat_interval(Duration::from_millis(25))
-        .suspect_after(Duration::from_millis(600))
-        .faults(faults)
+    ArmciCfg::flat(nodes, LatencyModel::zero())
+        .with_lock_algo(LockAlgo::Mcs)
+        .with_op_timeout(Duration::from_secs(20))
+        .with_recovery(true)
+        .with_heartbeat_interval(Duration::from_millis(25))
+        .with_suspect_after(Duration::from_millis(600))
+        .with_faults(faults)
         .build()
         .expect("valid config")
 }
@@ -98,20 +95,17 @@ fn truncated_frame_recovers_with_replay() {
 fn node_kill_surfaces_peer_lost_and_lock_is_reclaimed() {
     let suspect_after = Duration::from_millis(600);
     let faults = FaultPlan::new().with(FaultSpec { node: 1, peer: 0, after_frames: 30, action: FaultAction::KillNode });
-    let cfg = ArmciCfg::builder()
-        .nodes(3)
-        .procs_per_node(1)
-        .latency(LatencyModel::zero())
-        .lock_algo(LockAlgo::Mcs)
-        .op_timeout(Duration::from_secs(2))
-        .recovery(true)
-        .heartbeat_interval(Duration::from_millis(25))
-        .suspect_after(suspect_after)
+    let cfg = ArmciCfg::flat(3, LatencyModel::zero())
+        .with_lock_algo(LockAlgo::Mcs)
+        .with_op_timeout(Duration::from_secs(2))
+        .with_recovery(true)
+        .with_heartbeat_interval(Duration::from_millis(25))
+        .with_suspect_after(suspect_after)
         // The kill is triggered by the doomed rank's put storm crossing
         // the wire; pinned off so the shm CI leg can't reroute it (the
         // shm-plane variant below covers that configuration).
-        .shm_plane(Some(false))
-        .faults(faults)
+        .with_shm_plane(Some(false))
+        .with_faults(faults)
         .build()
         .expect("valid config");
 
@@ -185,17 +179,14 @@ fn node_kill_surfaces_peer_lost_and_lock_is_reclaimed() {
 fn node_kill_with_shm_plane_reclaims_lock() {
     let suspect_after = Duration::from_millis(600);
     let faults = FaultPlan::new().with(FaultSpec { node: 1, peer: 0, after_frames: 30, action: FaultAction::KillNode });
-    let cfg = ArmciCfg::builder()
-        .nodes(3)
-        .procs_per_node(1)
-        .latency(LatencyModel::zero())
-        .lock_algo(LockAlgo::Mcs)
-        .op_timeout(Duration::from_secs(2))
-        .recovery(true)
-        .heartbeat_interval(Duration::from_millis(25))
-        .suspect_after(suspect_after)
-        .shm_plane(Some(true))
-        .faults(faults)
+    let cfg = ArmciCfg::flat(3, LatencyModel::zero())
+        .with_lock_algo(LockAlgo::Mcs)
+        .with_op_timeout(Duration::from_secs(2))
+        .with_recovery(true)
+        .with_heartbeat_interval(Duration::from_millis(25))
+        .with_suspect_after(suspect_after)
+        .with_shm_plane(Some(true))
+        .with_faults(faults)
         .build()
         .expect("valid config");
 
@@ -260,20 +251,17 @@ fn node_kill_under_degrade_converges_and_completes_shrunk_barrier() {
     let suspect_after = Duration::from_secs(1);
     let budget = 2 * suspect_after;
     let faults = FaultPlan::new().with(FaultSpec { node: 1, peer: 0, after_frames: 30, action: FaultAction::KillNode });
-    let cfg = ArmciCfg::builder()
-        .nodes(3)
-        .procs_per_node(1)
-        .latency(LatencyModel::zero())
-        .lock_algo(LockAlgo::Mcs)
-        .op_timeout(Duration::from_secs(2))
-        .recovery(true)
-        .heartbeat_interval(Duration::from_millis(25))
-        .suspect_after(suspect_after)
-        .on_peer_loss(OnPeerLoss::Degrade)
+    let cfg = ArmciCfg::flat(3, LatencyModel::zero())
+        .with_lock_algo(LockAlgo::Mcs)
+        .with_op_timeout(Duration::from_secs(2))
+        .with_recovery(true)
+        .with_heartbeat_interval(Duration::from_millis(25))
+        .with_suspect_after(suspect_after)
+        .with_on_peer_loss(OnPeerLoss::Degrade)
         // The kill is driven by the doomed rank's put storm crossing the
         // wire; pinned off so a shm CI leg cannot reroute it.
-        .shm_plane(Some(false))
-        .faults(faults)
+        .with_shm_plane(Some(false))
+        .with_faults(faults)
         .build()
         .expect("valid config");
 

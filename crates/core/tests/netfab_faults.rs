@@ -18,16 +18,13 @@ use armci_core::{
 use armci_transport::LatencyModel;
 
 fn faulty_cfg(op_timeout: Duration, faults: FaultPlan) -> ArmciCfg {
-    ArmciCfg::builder()
-        .nodes(2)
-        .procs_per_node(1)
-        .latency(LatencyModel::zero())
-        .op_timeout(op_timeout)
+    ArmciCfg::flat(2, LatencyModel::zero())
+        .with_op_timeout(op_timeout)
         // These tests assert that *wire* faults surface as errors; the
         // shm plane would legitimately route around a dead link, so it
         // stays off regardless of `ARMCI_SHM_PLANE`.
-        .shm_plane(Some(false))
-        .faults(faults)
+        .with_shm_plane(Some(false))
+        .with_faults(faults)
         .build()
         .expect("valid config")
 }

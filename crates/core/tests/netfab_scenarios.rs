@@ -8,8 +8,8 @@
 //! backends; results must agree wherever the scenario is deterministic.
 
 use armci_core::runtime::{run_cluster, run_cluster_net_loopback};
-use armci_core::{run_cluster_spawned, AckMode, Armci, ArmciCfg, GlobalAddr, LockAlgo, LockId, Strided2D};
-use armci_transport::{LatencyModel, ProcId};
+use armci_core::{run_cluster_spawned, AckMode, Armci, ArmciCfg, GlobalAddr, LockAlgo, LockId, Stats, Strided2D};
+use armci_transport::{LatencyModel, ProcId, SegId};
 
 #[derive(Clone, Copy, Debug)]
 enum Backend {
@@ -361,17 +361,129 @@ fn tcp_loopback_trace_matches_emulator_structure() {
 // shm data plane: two ranks, one host, separate OS processes
 // ----------------------------------------------------------------------
 
-/// The probe both shm-plane runs execute: one-sided put/get/rmw at the
+/// FNV-1a, folding in the bytes an operation observed.
+fn fold(h: &mut u64, bytes: &[u8]) {
+    for &b in bytes {
+        *h = (*h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
+    }
+}
+
+/// The nine per-route operation counters, `[local, shm, remote] x [puts,
+/// gets, rmws]`.
+fn route_counters(s: &Stats) -> [u64; 9] {
+    [
+        s.local_puts,
+        s.local_gets,
+        s.local_rmws,
+        s.shm_puts,
+        s.shm_gets,
+        s.shm_rmws,
+        s.remote_puts,
+        s.remote_gets,
+        s.remote_rmws,
+    ]
+}
+
+/// One rank's sweep report: the digest of every byte it read back, the
+/// wire messages its single-word and bulk ops sent, then the route
+/// counters those ops moved and the route counters the pair ops moved.
+const SWEEP_WORDS: usize = 20;
+type Sweep = [u64; SWEEP_WORDS];
+
+fn sweep_parts(w: &Sweep) -> (u64, u64, [u64; 9], [u64; 9]) {
+    (w[0], w[1], w[2..11].try_into().unwrap(), w[11..20].try_into().unwrap())
+}
+
+/// Every data operation once against the other rank's segment `big`:
+/// each shape of put, the accumulate and the notified put, read back
+/// through each shape of get, then the single-word rmws — and, counted
+/// apart because they are wire-only by design, the pair operations.
+/// Only this rank writes the peer's `big`, so everything read back is a
+/// function of the rank alone and must not depend on the route taken.
+fn data_op_sweep(a: &mut Armci, big: SegId) -> Sweep {
+    let me = a.rank() as u64;
+    let peer = ProcId(((a.rank() + 1) % 2) as u32);
+    let at = |offset: usize| GlobalAddr::new(peer, big, offset);
+    let bytes = |n: usize, salt: u8| -> Vec<u8> {
+        (0..n).map(|i| (i as u8).wrapping_mul(7) ^ salt ^ (me as u8) << 6).collect()
+    };
+    let desc = Strided2D { offset: 256, rows: 4, row_bytes: 24, stride: 40 };
+    let runs = [(512u64, 16u32), (560, 8), (600, 40)];
+    let mut h = 0xcbf2_9ce4_8422_2325u64;
+
+    let before = a.stats();
+    a.put(at(3), &bytes(100, 1)); // unaligned head and tail
+    a.put_strided(peer, big, desc, &bytes(desc.total_bytes(), 2));
+    a.put_vector(peer, big, &runs, &bytes(64, 3));
+    a.put_notify(at(768), &bytes(32, 4), 0);
+    a.acc_f64(at(1024), 2.0, &[1.5, 2.5, 3.5]);
+    a.acc_f64(at(1024), -0.5, &[1.0, 1.0, 1.0]);
+    a.put_u64(at(1088), 0xfeed + me);
+    a.fence(peer);
+
+    let mut contiguous = [0u8; 100];
+    a.get(at(3), &mut contiguous);
+    fold(&mut h, &contiguous);
+    fold(&mut h, &a.get_strided(peer, big, desc));
+    fold(&mut h, &a.get_vector(peer, big, &runs));
+    let notified = a.nbget(at(768), 32);
+    let rows = a.nbget_strided(peer, big, desc);
+    fold(&mut h, &a.nbget_wait(notified));
+    fold(&mut h, &a.nbget_wait(rows));
+    for v in a.get_f64_slice(at(1024), 3) {
+        fold(&mut h, &v.to_le_bytes());
+    }
+    for v in [a.fetch_add_u64(at(1088), 1), a.swap_u64(at(1088), 5), a.cas_u64(at(1088), 5, 9)] {
+        fold(&mut h, &v.to_le_bytes());
+    }
+    // The peer's notified put into *my* segment: one notification
+    // implies its payload is visible here.
+    a.wait_notify(0, 1);
+    let mut theirs = [0u8; 32];
+    a.local_segment(big).read_bytes(768, &mut theirs);
+    fold(&mut h, &theirs);
+    let bulk = a.stats();
+
+    let old = a.pair_swap(at(2048), [me + 1, me + 2]);
+    a.put_pair(at(2064), [me + 3, me + 4]);
+    a.fence(peer);
+    let put = a.pair_cas(at(2064), [me + 3, me + 4], [me + 5, me + 6]);
+    for v in old.into_iter().chain(put) {
+        fold(&mut h, &v.to_le_bytes());
+    }
+    let pair = a.stats();
+
+    let mut out = [0; SWEEP_WORDS];
+    out[0] = h;
+    out[1] = bulk.wire_msgs - before.wire_msgs;
+    let (c0, c1, c2) = (route_counters(&before), route_counters(&bulk), route_counters(&pair));
+    for i in 0..9 {
+        out[2 + i] = c1[i] - c0[i];
+        out[11 + i] = c2[i] - c1[i];
+    }
+    out
+}
+
+/// What rank 0 brings back from one probe run.
+#[derive(Clone, Copy, Debug)]
+struct Probe {
+    /// `(echoed, ticket, counter)`: the data results of the word ops and
+    /// the lock region, identical whatever the route.
+    data: (u64, u64, u64),
+    /// Wire messages each rank sent across that region.
+    lock_wire: [u64; 2],
+    /// Each rank's [`data_op_sweep`] report.
+    sweep: [Sweep; 2],
+}
+
+/// The probe every route column runs: one-sided put/get/rmw at the
 /// other process, then an MCS lock ping-pong, with the wire-message
 /// delta measured across the whole contention region (no barriers
-/// inside it). Each rank ships its delta to rank 0 so node 0's result
-/// carries both.
-///
-/// Returns `(echoed, ticket, counter, delta_rank0, delta_rank1)`; the
-/// first three are the data results and must be identical whether the
-/// ops rode the shm plane or the wire.
-fn shm_probe(a: &mut Armci) -> (u64, u64, u64, u64, u64) {
+/// inside it), then [`data_op_sweep`]. Each rank ships its delta and its
+/// sweep report to rank 0 so node 0's result carries both.
+fn shm_probe(a: &mut Armci) -> Probe {
     let seg = a.malloc(256);
+    let big = a.malloc(4096);
     let lock = LockId { owner: ProcId(0), idx: 0 };
     let me = a.rank() as u64;
     let peer = ProcId(((a.rank() + 1) % 2) as u32);
@@ -393,18 +505,36 @@ fn shm_probe(a: &mut Armci) -> (u64, u64, u64, u64, u64) {
         a.unlock(lock);
     }
     let wire_delta = a.stats().wire_msgs - wire_before;
+    let sweep = data_op_sweep(a, big);
 
     a.barrier();
     // +1 so a genuine zero delta is distinguishable from an unwritten slot.
     a.put_u64(GlobalAddr::new(ProcId(0), seg, 160 + 8 * a.rank()), wire_delta + 1);
+    a.put_u64_slice(GlobalAddr::new(ProcId(0), big, 3072 + 8 * SWEEP_WORDS * a.rank()), &sweep);
     a.barrier();
     let counter = a.get_u64(ctr);
     a.barrier();
+    let mut probe = Probe { data: (echoed, ticket, counter), lock_wire: [0; 2], sweep: [[0; SWEEP_WORDS]; 2] };
     if a.rank() == 0 {
-        let mine = a.local_segment(seg);
-        (echoed, ticket, counter, mine.read_u64(160) - 1, mine.read_u64(168) - 1)
-    } else {
-        (echoed, ticket, counter, 0, 0)
+        let (mine, reports) = (a.local_segment(seg), a.local_segment(big));
+        for r in 0..2 {
+            probe.lock_wire[r] = mine.read_u64(160 + 8 * r) - 1;
+            for (i, w) in probe.sweep[r].iter_mut().enumerate() {
+                *w = reports.read_u64(3072 + 8 * (SWEEP_WORDS * r + i));
+            }
+        }
+    }
+    probe
+}
+
+fn shm_probe_cfg(nodes: u32, procs_per_node: u32, shm_plane: Option<bool>) -> ArmciCfg {
+    ArmciCfg {
+        nodes,
+        procs_per_node,
+        latency: LatencyModel::zero(),
+        lock_algo: LockAlgo::Mcs,
+        shm_plane,
+        ..Default::default()
     }
 }
 
@@ -412,33 +542,44 @@ fn shm_probe(a: &mut Armci) -> (u64, u64, u64, u64, u64) {
 /// re-enter `shm_plane_spawned_zero_wire` with an `--exact` filter, land
 /// here, and take their cluster config from the environment payload —
 /// so the parent can invoke it for both the shm-on and shm-off runs.
-fn run_shm_probe(shm_on: bool) -> (u64, u64, u64, u64, u64) {
-    let cfg = ArmciCfg {
-        nodes: 2,
-        procs_per_node: 1,
-        latency: LatencyModel::zero(),
-        lock_algo: LockAlgo::Mcs,
-        shm_plane: Some(shm_on),
-        ..Default::default()
-    };
+fn run_shm_probe(shm_on: bool) -> Probe {
     let child_args: Vec<String> =
         ["shm_plane_spawned_zero_wire", "--exact", "--test-threads=1"].iter().map(|s| s.to_string()).collect();
-    run_cluster_spawned(cfg, &child_args, shm_probe)[0]
+    run_cluster_spawned(shm_probe_cfg(2, 1, Some(shm_on)), &child_args, shm_probe)[0]
 }
 
 #[test]
 #[cfg(unix)]
 fn shm_plane_spawned_zero_wire() {
-    // Two OS processes on this host, with the shm plane on and off.
+    // Two OS processes on this host, with the shm plane on and off, then
+    // the same two ranks as threads of one node: the three route columns.
     let on = run_shm_probe(true);
     let off = run_shm_probe(false);
+    let local = run_cluster(shm_probe_cfg(1, 2, None), shm_probe)[0];
     // Identical data results either way — the plane changes the route,
     // never the bytes.
-    assert_eq!((on.0, on.1, on.2), (off.0, off.1, off.2), "shm and wire paths disagree: {on:?} vs {off:?}");
-    assert_eq!((on.0, on.1, on.2), (0xA0, 0, 10));
+    assert_eq!(on.data, off.data, "shm and wire paths disagree: {on:?} vs {off:?}");
+    assert_eq!(on.data, (0xA0, 0, 10));
     // With the plane on, the whole put/get/rmw + MCS-lock region crossed
     // the wire exactly zero times in *both* processes...
-    assert_eq!((on.3, on.4), (0, 0), "local-target ops sent wire messages with shm plane on: {on:?}");
+    assert_eq!(on.lock_wire, [0, 0], "local-target ops sent wire messages with shm plane on: {on:?}");
     // ...and with it off, the same region demonstrably used the wire.
-    assert!(off.3 > 0 && off.4 > 0, "wire run produced no wire traffic to compare against: {off:?}");
+    assert!(off.lock_wire[0] > 0 && off.lock_wire[1] > 0, "wire run produced no wire traffic: {off:?}");
+
+    // Every data op, per rank: 7 put-class, 6 gets and 3 rmws in the
+    // single-word/bulk region; one put and two rmws in the pair region.
+    for r in 0..2 {
+        let (on, off, local) = (sweep_parts(&on.sweep[r]), sweep_parts(&off.sweep[r]), sweep_parts(&local.sweep[r]));
+        assert!(on.0 == off.0 && on.0 == local.0, "rank {r}: digests differ by route: {on:?} / {off:?} / {local:?}");
+        assert_eq!((local.1, local.2), (0, [7, 6, 3, 0, 0, 0, 0, 0, 0]), "rank {r}, node-local");
+        assert_eq!((on.1, on.2), (0, [0, 0, 0, 7, 6, 3, 0, 0, 0]), "rank {r}, shm plane on");
+        assert_eq!(off.2, [0, 0, 0, 0, 0, 0, 7, 6, 3], "rank {r}, shm plane off");
+        assert!(off.1 > 0, "rank {r}: the wire run sent no wire messages");
+        // Pair atomicity is process-local, so a mapping never serves it:
+        // the plane being on changes nothing.
+        assert_eq!(local.3, [1, 0, 2, 0, 0, 0, 0, 0, 0], "rank {r}, node-local pair ops");
+        assert_eq!(on.3, [0, 0, 0, 0, 0, 0, 1, 0, 2], "rank {r}, pair ops with the shm plane on");
+        assert_eq!(off.3, on.3, "rank {r}, pair ops with the shm plane off");
+    }
+    assert_ne!(on.sweep[0][0], on.sweep[1][0], "the two ranks wrote different patterns");
 }

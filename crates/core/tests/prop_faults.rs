@@ -118,7 +118,7 @@ proptest! {
         tail in arb_path_tail(1..24),
     ) {
         // `shm_dir` must be absolute and only makes sense when the plane
-        // is not explicitly disabled — mirror the builder's rules.
+        // is not explicitly disabled — mirror `ArmciCfg::validate`'s rules.
         let shm_dir = (with_dir && shm_plane != Some(false)).then(|| format!("/dev/shm/{tail}"));
         let cfg = ArmciCfg::flat(2, LatencyModel::zero())
             .with_shm_plane(shm_plane)
@@ -205,24 +205,20 @@ proptest! {
         prop_assert_eq!(serde::to_string(&back), json);
     }
 
-    /// Invalid shm settings must be *rejected by the builder*, never
+    /// Invalid shm settings must be *rejected by `ArmciCfg::build`*, never
     /// silently accepted: a relative or empty directory, or a directory
     /// supplied while the plane is explicitly off.
     #[test]
-    fn builder_rejects_bad_shm_dirs(tail in arb_path_tail(0..16)) {
+    fn build_rejects_bad_shm_dirs(tail in arb_path_tail(0..16)) {
         // Relative path (or the empty string when `tail` is empty).
-        let rel = ArmciCfg::builder()
-            .nodes(2)
-            .latency(LatencyModel::zero())
-            .shm_dir(Some(tail.clone()))
+        let rel = ArmciCfg::flat(2, LatencyModel::zero())
+            .with_shm_dir(Some(tail.clone()))
             .build();
         prop_assert!(rel.is_err(), "relative shm_dir {:?} accepted", tail);
         // Directory with the plane pinned off.
-        let off = ArmciCfg::builder()
-            .nodes(2)
-            .latency(LatencyModel::zero())
-            .shm_plane(Some(false))
-            .shm_dir(Some(format!("/dev/shm/{tail}")))
+        let off = ArmciCfg::flat(2, LatencyModel::zero())
+            .with_shm_plane(Some(false))
+            .with_shm_dir(Some(format!("/dev/shm/{tail}")))
             .build();
         prop_assert!(off.is_err(), "shm_dir with shm_plane=off accepted");
     }

@@ -50,6 +50,10 @@ fn jitter_injection_does_not_break_protocols() {
             a.barrier();
             let mine = a.local_segment(seg);
             let sum: u64 = (0..a.nprocs()).map(|r| mine.read_u64(8 * r)).sum();
+            // The gauntlet's counter is rank 0's slot 0: nobody may bump it
+            // before rank 0 has summed (a late last barrier message lets a
+            // fast peer get there first).
+            a.barrier();
 
             // And a lock gauntlet under jitter.
             let lock = LockId { owner: ProcId(0), idx: 0 };
