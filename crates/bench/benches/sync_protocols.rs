@@ -9,6 +9,7 @@
 //! layer's perf trajectory is tracked from PR to PR.
 
 use std::collections::VecDeque;
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use armci_proto::{
@@ -138,11 +139,14 @@ fn notify_ring(iters: u64, n: usize) -> Duration {
 /// routed in memory as a message — the engine-decision cost of the
 /// topology-hierarchical schedule.
 fn hier_barrier(iters: u64, ndomains: usize, ppn: usize) -> Duration {
-    let domains: Vec<Vec<usize>> = (0..ndomains).map(|d| (d * ppn..(d + 1) * ppn).collect()).collect();
+    // One shared domain table, as the runtime holds it per group: cloning
+    // it per engine would time an O(n²) copy, not the schedule.
+    let domains: Arc<[Vec<usize>]> = (0..ndomains).map(|d| (d * ppn..(d + 1) * ppn).collect()).collect();
     let n = ndomains * ppn;
     let t0 = Instant::now();
     for _ in 0..iters {
-        let mut engines: Vec<HierBarrier> = (0..n).map(|me| HierBarrier::new(me, domains.clone())).collect();
+        let mut engines: Vec<HierBarrier> =
+            (0..n).map(|me| HierBarrier::counted(me, domains.clone(), Vec::new(), Vec::new())).collect();
         let mut wire: VecDeque<(usize, armci_proto::HierMsg)> = VecDeque::new();
         let mut out: Vec<HierAction> = Vec::new();
         for eng in engines.iter_mut() {

@@ -3,14 +3,14 @@
 //!
 //! Lock operations live in [`crate::lock`] (same struct, separate module).
 
+use std::rc::Rc;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use armci_msglib::{allreduce_tag, barrier_bx_tag, CommError, Group, P2p};
-use armci_msglib::{Reader, Writer};
+use armci_msglib::{CommError, P2p, Reader};
 use armci_proto::{
-    BarrierAction, BarrierEvent, CombinedBarrier, FenceEngine, HierRecord, MemberEvent, Membership, MembershipView,
-    NotifyAction, NotifyEngine, NotifyEvent, NotifyRecord, SendRecord, SeqConfirm, STAGE_ALLREDUCE,
+    FenceEngine, HierRecord, MemberEvent, Membership, MembershipView, NotifyAction, NotifyEngine, NotifyEvent,
+    NotifyRecord, SendRecord,
 };
 use armci_transport::wait::spin_until_deadline;
 use armci_transport::{
@@ -20,6 +20,7 @@ use armci_transport::{
 use crate::config::{AckMode, LockAlgo, OnPeerLoss};
 use crate::errors::ArmciError;
 use crate::gptr::GlobalAddr;
+use crate::group::ProcGroup;
 use crate::layout;
 use crate::msg::{enc, Req, RmwOp, TAG_FENCE_ACK, TAG_GET_REPLY, TAG_PUT_ACK, TAG_REQ, TAG_RMW_REPLY};
 use crate::route::{NotifyRoute, Route, Via};
@@ -88,6 +89,8 @@ pub struct Armci {
     /// Send log of the most recent hierarchical group barrier, drained by
     /// [`Armci::take_hier_log`].
     pub(crate) last_hier_log: Vec<HierRecord>,
+    /// The world scope as a group ([`Armci::world`]): all ranks, flat.
+    pub(crate) world: Rc<ProcGroup>,
     pub(crate) epoch: u32,
     /// MCS nesting guards: each variant has one node structure per
     /// process, so at most one lock of that variant may be held.
@@ -239,13 +242,6 @@ impl Armci {
         Instant::now() + self.op_timeout
     }
 
-    /// First peer node the transport knows to be dead, if any, with the
-    /// membership epoch after its ranks were evicted.
-    fn lost_peer(&mut self) -> Option<(NodeId, u64)> {
-        let node = self.mb.lost_peers().into_iter().next()?;
-        Some((node, self.observe_loss(node)))
-    }
-
     /// Fold a confirmed node death into the membership engine: every rank
     /// hosted on `node` is evicted (idempotent — re-observing a known
     /// loss emits nothing). In degraded mode the dead node's fence
@@ -293,6 +289,33 @@ impl Armci {
         self.membership.view()
     }
 
+    /// A wait slice (`detect_slice`) ended with nothing to show: the error
+    /// that ends the whole wait, if any. `on` names the losses that doom
+    /// it — `None`: any dead node (the historical abort semantics);
+    /// `Some(ranks)`: only the eviction of one of those world ranks, the
+    /// only peers that can still satisfy the wait (degraded mode). A
+    /// confirmed loss wins over an expired deadline.
+    fn slice_expired(&mut self, op: &'static str, deadline: Instant, on: Option<&[usize]>) -> Result<(), ArmciError> {
+        let lost = self.mb.lost_peers();
+        let peer = match on {
+            None => lost.first().copied(),
+            Some(ranks) => {
+                // Transport-confirmed losses become evictions first (those
+                // injected via `evict_node` already are).
+                for &node in &lost {
+                    self.observe_loss(node);
+                }
+                let dead = ranks.iter().find(|&&r| !self.membership.is_alive(r));
+                dead.map(|&r| self.topology().node_of(ProcId(r as u32)))
+            }
+        };
+        match peer {
+            Some(peer) => Err(ArmciError::PeerLost { peer, epoch: self.observe_loss(peer) }),
+            None if Instant::now() >= deadline => Err(ArmciError::Timeout { op }),
+            None => Ok(()),
+        }
+    }
+
     /// Wait for a message matching `pred`, giving up at `deadline` or as
     /// soon as a peer is known dead. Every message-wait in the fallible
     /// API funnels through here: waits happen in short slices
@@ -303,20 +326,25 @@ impl Armci {
         &mut self,
         op: &'static str,
         deadline: Instant,
+        pred: impl FnMut(&Msg) -> bool,
+    ) -> Result<Msg, ArmciError> {
+        self.recv_wait_on(op, deadline, None, pred)
+    }
+
+    /// [`Armci::recv_wait`] with the relevant losses named (see
+    /// [`Armci::slice_expired`]). The one wait loop on the mailbox.
+    fn recv_wait_on(
+        &mut self,
+        op: &'static str,
+        deadline: Instant,
+        senders: Option<&[usize]>,
         mut pred: impl FnMut(&Msg) -> bool,
     ) -> Result<Msg, ArmciError> {
         loop {
             let until = deadline.min(Instant::now() + self.detect_slice);
             match self.mb.recv_match_deadline(&mut pred, until) {
                 Ok(Some(m)) => return Ok(m),
-                Ok(None) => {
-                    if let Some((peer, epoch)) = self.lost_peer() {
-                        return Err(ArmciError::PeerLost { peer, epoch });
-                    }
-                    if Instant::now() >= deadline {
-                        return Err(ArmciError::Timeout { op });
-                    }
-                }
+                Ok(None) => self.slice_expired(op, deadline, senders)?,
                 Err(_) => return Err(ArmciError::TransportDown { op }),
             }
         }
@@ -330,13 +358,24 @@ impl Armci {
     }
 
     /// Spin on a local (shared-memory) condition, giving up at `deadline`
-    /// or when a peer is known dead — the fallible counterpart of the
-    /// `spin_until*` helpers, for waits whose progress depends on a remote
-    /// process eventually writing into local memory.
+    /// or when a peer is known dead — for waits whose progress depends on
+    /// a remote process eventually writing into local memory.
     pub(crate) fn wait_local_cond(
         &mut self,
         op: &'static str,
         deadline: Instant,
+        cond: impl FnMut() -> bool,
+    ) -> Result<(), ArmciError> {
+        self.wait_local_cond_on(op, deadline, None, cond)
+    }
+
+    /// [`Armci::wait_local_cond`] with the relevant losses named (see
+    /// [`Armci::slice_expired`]). The one wait loop on memory.
+    pub(crate) fn wait_local_cond_on(
+        &mut self,
+        op: &'static str,
+        deadline: Instant,
+        writers: Option<&[usize]>,
         mut cond: impl FnMut() -> bool,
     ) -> Result<(), ArmciError> {
         loop {
@@ -344,12 +383,26 @@ impl Armci {
             if spin_until_deadline(&mut cond, until) {
                 return Ok(());
             }
-            if let Some((peer, epoch)) = self.lost_peer() {
-                return Err(ArmciError::PeerLost { peer, epoch });
-            }
-            if Instant::now() >= deadline {
-                return Err(ArmciError::Timeout { op });
-            }
+            self.slice_expired(op, deadline, writers)?;
+        }
+    }
+
+    /// The one msglib receive: a message from rank `src` under the
+    /// collective tag `tag`, in the collective layer's error taxonomy.
+    fn recv_from_on(
+        &mut self,
+        src: usize,
+        tag: u32,
+        deadline: Instant,
+        senders: Option<&[usize]>,
+    ) -> Result<Vec<u8>, CommError> {
+        let want_src = Endpoint::Proc(ProcId(src as u32));
+        let want_tag = Tag(Tag::MSGLIB_BASE + tag);
+        match self.recv_wait_on("collective", deadline, senders, |m| m.src == want_src && m.tag == want_tag) {
+            Ok(m) => Ok(m.body.into_vec()),
+            Err(ArmciError::Timeout { .. }) => Err(CommError::Timeout),
+            Err(ArmciError::PeerLost { peer, .. }) => Err(CommError::PeerLost(peer)),
+            Err(_) => Err(CommError::Disconnected),
         }
     }
 
@@ -430,7 +483,7 @@ impl Armci {
             }
             None => self.registry.register(self.me, len).0,
         };
-        Group::world(self.nprocs()).barrier(self);
+        self.world().msg().barrier(self);
         id
     }
 
@@ -454,7 +507,7 @@ impl Armci {
         let idx = self.lock_alloc[owner.idx()];
         assert!(idx < self.locks_per_proc, "no free lock slots at {owner} (locks_per_proc = {})", self.locks_per_proc);
         self.lock_alloc[owner.idx()] += 1;
-        Group::world(self.nprocs()).barrier(self);
+        self.world().msg().barrier(self);
         LockId { owner, idx }
     }
 
@@ -1019,50 +1072,24 @@ impl Armci {
     pub fn try_wait_notify(&mut self, slot: u32, target: u64) -> Result<(), ArmciError> {
         let deadline = self.op_deadline();
         let at = layout::notify_slot(self.locks_per_proc, self.nprocs() as u32, slot);
-        let producers = self.notify_producers[slot as usize].clone();
+        // The engine's watch gets the one copy of the producer set; the
+        // wait borrows the original, out of `self` for its duration.
+        let producers = std::mem::take(&mut self.notify_producers[slot as usize]);
         let mut acts = Vec::new();
         self.notify.poll(NotifyEvent::Expect { slot, target, producers: producers.clone() }, &mut acts);
+        let writers = (self.on_peer_loss == OnPeerLoss::Degrade).then_some(&producers[..]);
         let sync = self.my_sync.clone();
-        loop {
-            let until = deadline.min(Instant::now() + self.detect_slice);
-            let mut cond = || sync.atomic_u64(at).load(std::sync::atomic::Ordering::Acquire) >= target;
-            if spin_until_deadline(&mut cond, until) {
-                acts.clear();
+        let landed = || sync.atomic_u64(at).load(std::sync::atomic::Ordering::Acquire) >= target;
+        let waited = self.wait_local_cond_on("wait_notify", deadline, writers, landed);
+        self.notify_producers[slot as usize] = producers;
+        match waited {
+            Ok(()) => {
                 self.notify.poll(NotifyEvent::Observed { slot, value: sync.read_u64(at) }, &mut acts);
                 debug_assert!(acts.contains(&NotifyAction::Complete { slot }));
-                return Ok(());
             }
-            match self.on_peer_loss {
-                OnPeerLoss::Abort => {
-                    // Historical semantics: any confirmed loss aborts.
-                    if let Some((peer, epoch)) = self.lost_peer() {
-                        self.disarm_notify_wait(slot);
-                        return Err(ArmciError::PeerLost { peer, epoch });
-                    }
-                }
-                OnPeerLoss::Degrade => {
-                    // Fold confirmed transport losses into membership,
-                    // then abort only if a producer of *this* slot died
-                    // (deterministic evictions injected via
-                    // `evict_node` are already folded in).
-                    for node in self.mb.lost_peers() {
-                        self.observe_loss(node);
-                    }
-                    if let Some(&dead) = producers.iter().find(|&&r| !self.membership.is_alive(r)) {
-                        let epoch = self.membership.epoch();
-                        acts.clear();
-                        self.notify.poll(NotifyEvent::Evict { rank: dead, epoch }, &mut acts);
-                        debug_assert!(acts.iter().any(|a| matches!(a, NotifyAction::Abort { .. })));
-                        let peer = self.topology().node_of(ProcId(dead as u32));
-                        return Err(ArmciError::PeerLost { peer, epoch });
-                    }
-                }
-            }
-            if Instant::now() >= deadline {
-                self.disarm_notify_wait(slot);
-                return Err(ArmciError::Timeout { op: "wait_notify" });
-            }
+            Err(_) => self.disarm_notify_wait(slot),
         }
+        waited
     }
 
     /// Drop an armed engine watch on `slot` after a failed wait, so a
@@ -1170,23 +1197,7 @@ impl Armci {
     /// Fallible [`Armci::allfence`] with one overall deadline across every
     /// per-node confirmation.
     pub fn try_allfence(&mut self) -> Result<(), ArmciError> {
-        let deadline = self.op_deadline();
-        match self.ack_mode {
-            AckMode::Gm => {
-                // The paper's sequential plan: each ack releases the next
-                // confirmation request.
-                let mut plan = SeqConfirm::new((0..self.topology().nnodes()).collect());
-                while let Some(n) = plan.current() {
-                    self.try_fence_node(NodeId(n as u32), deadline)?;
-                    plan.ack();
-                }
-            }
-            AckMode::Via => {
-                self.try_drain_all_acks(deadline)?;
-                self.fence.all_confirmed();
-            }
-        }
-        Ok(())
+        self.try_allfence_group(&self.world())
     }
 
     /// A *pipelined* `ARMCI_AllFence()`: fire confirmation requests at
@@ -1236,8 +1247,9 @@ impl Armci {
     /// by the message-passing library's binary-exchange barrier — what
     /// `GA_Sync()` did before the paper's optimization.
     pub fn sync_baseline(&mut self) {
-        self.allfence();
-        Group::world(self.nprocs()).barrier_binary_exchange(self);
+        let world = self.world();
+        self.allfence_group(&world);
+        world.msg().barrier_binary_exchange(self);
     }
 
     /// `ARMCI_Barrier()` — the paper's new combined global fence +
@@ -1265,8 +1277,12 @@ impl Armci {
     /// Three stages:
     /// 1. binary-exchange allreduce sums everyone's `op_init[]`, so each
     ///    process learns how many puts target *its* server;
-    /// 2. wait until the local `op_done` counter reaches that total;
+    /// 2. wait until the local `op_done` — the sum of the per-source
+    ///    `op_from` counters — reaches that total;
     /// 3. binary-exchange barrier.
+    ///
+    /// This is [`Armci::barrier_group`] on [`Armci::world`]: a flat group,
+    /// so always the classic schedule above.
     pub fn barrier(&mut self) {
         unwrap_op(self.try_barrier());
     }
@@ -1277,92 +1293,7 @@ impl Armci {
     /// surfaces as an [`ArmciError`] within roughly that budget instead of
     /// hanging the rank forever.
     pub fn try_barrier(&mut self) -> Result<(), ArmciError> {
-        self.stats.barriers += 1;
-        let deadline = self.op_deadline();
-        if self.ack_mode == AckMode::Via {
-            // Paper §3.1.1: with acknowledged puts a process already knows
-            // when its own puts complete; drain them so the op_done wait
-            // below cannot be starved by our own unconsumed acks.
-            self.try_drain_all_acks(deadline)?;
-        }
-        // The sans-IO engine runs all three stages; this loop only moves
-        // bytes and waits. One msglib epoch per exchange stage, consumed
-        // exactly where the collective calls used to consume them, so the
-        // wire tags match the historical implementation byte for byte.
-        let mut eng = CombinedBarrier::new(self.rank(), self.fence.barrier_vector());
-        let mut acts = Vec::new();
-        eng.poll(BarrierEvent::Start, &mut acts);
-        let ar_tag = allreduce_tag(self.next_epoch());
-        let mut bx_tag = 0;
-        let mut scratch: Vec<u64> = Vec::with_capacity(self.nprocs());
-        loop {
-            let mut i = 0;
-            while i < acts.len() {
-                match std::mem::replace(&mut acts[i], BarrierAction::Done) {
-                    BarrierAction::Send { stage, to, vals, .. } => {
-                        let (tag, body) = if stage == STAGE_ALLREDUCE {
-                            let mut w = Writer::with_capacity(vals.len() * 8);
-                            for &v in &vals {
-                                w = w.u64(v);
-                            }
-                            (ar_tag, w.finish())
-                        } else {
-                            (bx_tag, Vec::new())
-                        };
-                        self.send_to(to, tag, body);
-                    }
-                    BarrierAction::AwaitOpDone { target } => {
-                        // Stage 2: all puts destined to me must complete.
-                        let sync = self.my_sync.clone();
-                        self.wait_local_cond("barrier", deadline, move || {
-                            sync.atomic_u64(layout::OP_DONE).load(std::sync::atomic::Ordering::Acquire) >= target
-                        })?;
-                        bx_tag = barrier_bx_tag(self.next_epoch());
-                        eng.poll(BarrierEvent::OpDoneReached, &mut acts);
-                    }
-                    BarrierAction::Done => {}
-                }
-                i += 1;
-            }
-            acts.clear();
-            if eng.is_complete() {
-                break;
-            }
-            let (stage, from, kind) = eng.expected_recv().expect("blocking barrier driver stalled");
-            let tag = if stage == STAGE_ALLREDUCE { ar_tag } else { bx_tag };
-            let body = match self.recv_from_deadline(from, tag, deadline) {
-                Ok(b) => b,
-                Err(CommError::PeerLost(peer)) if self.on_peer_loss == OnPeerLoss::Degrade => {
-                    // Degraded mode: fold the dead node's ranks out of the
-                    // in-flight engine when sound (barrier stage), else
-                    // abort with the epoch so survivors can shrink+retry.
-                    let epoch = self.observe_loss(peer);
-                    let dead: Vec<usize> =
-                        (0..self.nprocs()).filter(|&r| self.mb.topology().node_of(ProcId(r as u32)) == peer).collect();
-                    let mut folded = true;
-                    for r in dead {
-                        folded &= eng.evict(r, &mut acts);
-                    }
-                    if !folded {
-                        return Err(ArmciError::PeerLost { peer, epoch });
-                    }
-                    continue;
-                }
-                Err(e) => return Err(self.map_comm_err("barrier", e)),
-            };
-            scratch.clear();
-            if stage == STAGE_ALLREDUCE {
-                let mut r = Reader::new(&body);
-                for _ in 0..self.nprocs() {
-                    scratch.push(r.u64());
-                }
-            }
-            eng.poll(BarrierEvent::Recv { stage, msg: kind, vals: &scratch }, &mut acts);
-        }
-        self.last_barrier_log = eng.take_log();
-        // Everything outstanding anywhere is now globally complete.
-        self.fence.all_confirmed();
-        Ok(())
+        self.try_barrier_group(&self.world())
     }
 
     /// Drain the send log of the most recent [`Armci::barrier`] — the
@@ -1391,25 +1322,19 @@ impl P2p for Armci {
         self.mb.send(Endpoint::Proc(ProcId(dst as u32)), Tag(Tag::MSGLIB_BASE + tag), body);
     }
 
+    /// The infallible spelling of [`P2p::recv_from_deadline`] under the
+    /// operation deadline. Under [`OnPeerLoss::Degrade`] only the sender's
+    /// own eviction dooms the receive: a survivors' collective (group
+    /// formation after a shrink) must outlive the death it recovers from.
     fn recv_from(&mut self, src: usize, tag: u32) -> Vec<u8> {
-        let want_src = Endpoint::Proc(ProcId(src as u32));
-        let want_tag = Tag(Tag::MSGLIB_BASE + tag);
-        self.mb
-            .recv_match(|m| m.src == want_src && m.tag == want_tag)
-            .expect("transport down during collective")
-            .body
-            .into_vec()
+        let from = [src];
+        let senders = (self.on_peer_loss == OnPeerLoss::Degrade).then_some(&from[..]);
+        let r = self.recv_from_on(src, tag, self.op_deadline(), senders);
+        unwrap_op(r.map_err(|e| self.map_comm_err("collective", e)))
     }
 
     fn recv_from_deadline(&mut self, src: usize, tag: u32, deadline: Instant) -> Result<Vec<u8>, CommError> {
-        let want_src = Endpoint::Proc(ProcId(src as u32));
-        let want_tag = Tag(Tag::MSGLIB_BASE + tag);
-        match self.recv_wait("collective", deadline, |m| m.src == want_src && m.tag == want_tag) {
-            Ok(m) => Ok(m.body.into_vec()),
-            Err(ArmciError::Timeout { .. }) => Err(CommError::Timeout),
-            Err(ArmciError::PeerLost { peer, .. }) => Err(CommError::PeerLost(peer)),
-            Err(_) => Err(CommError::Disconnected),
-        }
+        self.recv_from_on(src, tag, deadline, None)
     }
 
     fn next_epoch(&mut self) -> u32 {

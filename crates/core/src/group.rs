@@ -31,6 +31,7 @@
 //! member's only wait is the release counter.
 
 use std::cell::{Cell, RefCell};
+use std::rc::Rc;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
@@ -88,9 +89,18 @@ impl ProcGroup {
         self.hier.as_ref().map(|h| &*h.domains)
     }
 
-    /// Member-initiated puts completed at the owner of sync segment
-    /// `sync`: non-member traffic can neither satisfy a wait on this sum
-    /// early nor block it.
+    /// A group with no hierarchy, formed without a message: everything a
+    /// flat barrier or fence needs per call, resolved once.
+    pub(crate) fn flat(msg: Group, me: usize, locks_per_proc: u32) -> ProcGroup {
+        let me_g = msg.group_rank(me).expect("group creation is collective among the members only");
+        let members: Vec<usize> = msg.ranks().collect();
+        let op_from = members.iter().map(|&m| layout::op_from(locks_per_proc, m as u32)).collect();
+        ProcGroup { msg, members, me_g, op_from, hier: None }
+    }
+
+    /// The `op_done` of this scope: member-initiated puts completed at
+    /// the owner of sync segment `sync`. Non-member traffic can neither
+    /// satisfy a wait on this sum early nor block it.
     fn completed_at(&self, sync: &Segment) -> u64 {
         self.op_from.iter().map(|&o| sync.atomic_u64(o).load(Ordering::Acquire)).sum()
     }
@@ -173,13 +183,22 @@ impl Armci {
         self.form_group(Group::from_ranks(ranks))
     }
 
-    /// Everything a group barrier needs per call, resolved once.
+    /// The flat group plus, when one can be formed, its hierarchy.
     fn form_group(&mut self, msg: Group) -> ProcGroup {
-        let me_g = msg.group_rank(self.rank()).expect("group creation is collective among the members only");
-        let members: Vec<usize> = msg.ranks().collect();
-        let op_from = members.iter().map(|&m| layout::op_from(self.locks_per_proc, m as u32)).collect();
-        let hier = self.maybe_form_hier(&msg, me_g);
-        ProcGroup { msg, members, me_g, op_from, hier }
+        let mut g = ProcGroup::flat(msg, self.rank(), self.locks_per_proc);
+        g.hier = self.maybe_form_hier(&g.msg, g.me_g);
+        g
+    }
+
+    /// The cached world group: all ranks in rank order, flat, formed at
+    /// construction with no communication. `barrier`, `allfence` and
+    /// `sync_baseline` are the group operations on it, and they put the
+    /// classic world protocols on the wire: [`Group::world`] draws the
+    /// endpoint's own epoch counter and its rank translation is the
+    /// identity. Its [`ProcGroup::msg`] is the world scope of the msglib
+    /// collectives.
+    pub fn world(&self) -> Rc<ProcGroup> {
+        self.world.clone()
     }
 
     /// Shrink a group to its survivors under this process's current
@@ -307,7 +326,8 @@ impl Armci {
     /// process issued toward a *member* of `g` has completed at its
     /// destination. Traffic to non-members is not waited for (though a
     /// confirmation round-trip, which flushes a whole node FIFO, may
-    /// confirm some of it as a side effect).
+    /// confirm some of it as a side effect). [`Armci::allfence`] is this
+    /// on the world group.
     pub fn allfence_group(&mut self, g: &ProcGroup) {
         unwrap_op(self.try_allfence_group(g));
     }
@@ -357,15 +377,23 @@ impl Armci {
         }
     }
 
-    /// The flat group barrier: the combined three-stage protocol of
-    /// [`Armci::try_barrier`], scoped to the member set.
+    /// The flat barrier — the paper's combined three-stage protocol
+    /// (§3.1.2) over the member set, and the only `CombinedBarrier`
+    /// driver: [`Armci::try_barrier`] is this on the world group.
     fn try_barrier_group_flat(&mut self, g: &ProcGroup) -> Result<(), ArmciError> {
         self.stats.barriers += 1;
+        let op = if g.msg.is_world() { "barrier" } else { "group_barrier" };
         let deadline = self.op_deadline();
         let members = &g.members;
         if self.ack_mode == AckMode::Via {
+            // Paper §3.1.1: with acknowledged puts a process already knows
+            // when its own puts complete; drain them so the op_done wait
+            // below cannot be starved by our own unconsumed acks.
             self.try_drain_all_acks(deadline)?;
         }
+        // The sans-IO engine runs all three stages; this loop only moves
+        // bytes and waits. One group epoch per exchange stage (the world
+        // group draws the endpoint's own counter).
         let mut eng = CombinedBarrier::new(g.me_g, self.fence.barrier_vector_for(members));
         let mut acts = Vec::new();
         eng.poll(BarrierEvent::Start, &mut acts);
@@ -395,7 +423,7 @@ impl Armci {
                         // split, so non-member traffic cannot satisfy the
                         // wait early.
                         let sync = self.my_sync.clone();
-                        self.wait_local_cond("group_barrier", deadline, || g.completed_at(&sync) >= target)?;
+                        self.wait_local_cond(op, deadline, || g.completed_at(&sync) >= target)?;
                         bx_tag = barrier_bx_tag(g.msg.scoped(self).next_epoch());
                         eng.poll(BarrierEvent::OpDoneReached, &mut acts);
                     }
@@ -407,7 +435,7 @@ impl Armci {
             if eng.is_complete() {
                 break;
             }
-            let (stage, from, kind) = eng.expected_recv().expect("blocking group barrier driver stalled");
+            let (stage, from, kind) = eng.expected_recv().expect("blocking barrier driver stalled");
             let tag = if stage == STAGE_ALLREDUCE { ar_tag } else { bx_tag };
             let world_from = g.msg.world_rank(from);
             let body = match self.recv_from_deadline(world_from, tag, deadline) {
@@ -430,7 +458,7 @@ impl Armci {
                     }
                     continue;
                 }
-                Err(e) => return Err(self.map_comm_err("group_barrier", e)),
+                Err(e) => return Err(self.map_comm_err(op, e)),
             };
             scratch.clear();
             if stage == STAGE_ALLREDUCE {
@@ -442,7 +470,8 @@ impl Armci {
             eng.poll(BarrierEvent::Recv { stage, msg: kind, vals: &scratch }, &mut acts);
         }
         self.last_barrier_log = eng.take_log();
-        // Only member-directed traffic is known complete.
+        // Only member-directed traffic is known complete (at world scope:
+        // everything outstanding anywhere).
         self.fence.group_confirmed(members);
         Ok(())
     }

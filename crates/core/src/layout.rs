@@ -4,15 +4,17 @@
 //! `SegId(0)`) holding the shared synchronization state the paper's
 //! algorithms poll on:
 //!
-//! * the `op_done` counter the server increments per completed put and
-//!   the hosting process polls in stage 2 of `ARMCI_Barrier()` (§3.1.2);
+//! * a reserved first word (nothing lives at offset 0; the fixed
+//!   offsets below are what every mapping of the segment agrees on);
 //! * the process's MCS *node structure* (`next` pointer + `locked` flag,
 //!   Figure 5) — one per process regardless of lock count, in both the
 //!   packed-pointer and paired-long encodings;
 //! * `locks_per_proc` lock slots, each holding the hybrid lock's
 //!   `ticket`/`counter` words and the MCS `Lock` variable (again in both
 //!   encodings);
-//! * per-source `op_from` completed-put counters (group barriers) and
+//! * per-source `op_from` completed-put counters — the server bumps
+//!   the initiator's per landed put, and a barrier's stage-2 wait polls
+//!   their sum over its scope (`op_done` = `Σ op_from`) — and
 //!   [`NOTIFY_SLOTS`] notification counters (`put_notify`/`wait_notify`);
 //! * the hierarchical barrier's per-group domain block: an
 //!   arrive/release counter pair and the [`hier_vec`] op-count vector.
@@ -22,8 +24,6 @@
 //! it directly through shared memory while remote processes go through
 //! the server — the locality distinction all of §3.2's analysis rests on.
 
-/// Offset of the `op_done` completed-put counter.
-pub const OP_DONE: usize = 0;
 /// Offset of the MCS node's `next` pointer (packed encoding).
 pub const MCS_NEXT: usize = 16;
 /// Offset of the MCS node's `locked` flag (packed encoding).
@@ -105,9 +105,10 @@ pub fn hier_release(locks_per_proc: u32, slot: u32) -> usize {
     hier_arrive(locks_per_proc, slot) + 8
 }
 
-/// Offset of the per-source completed-put counter for initiator `src`:
-/// the server splits [`OP_DONE`] by initiating process, so a *group*
-/// barrier's stage-2 wait can count only member-initiated puts.
+/// Offset of the per-source completed-put counter for initiator `src`.
+/// The paper's `op_done` (§3.1.2) is the sum of these over a barrier's
+/// scope: all sources for `ARMCI_Barrier()`, the members for a group
+/// barrier, whose stage-2 wait must count only member-initiated puts.
 pub fn op_from(locks_per_proc: u32, src: u32) -> usize {
     hier_arrive(locks_per_proc, HIER_SLOTS) + src as usize * 8
 }

@@ -26,7 +26,7 @@
 //! §5 future work points at: move per-operation synchronization work to
 //! plan time.
 
-use armci_msglib::{Group, Reader, Writer};
+use armci_msglib::{Reader, Writer};
 use armci_transport::{ProcId, SegId};
 
 use crate::armci::{unwrap_op, Armci};
@@ -106,7 +106,7 @@ impl PlanBuilder {
         for &c in &counts {
             w = w.u64(c);
         }
-        let all = Group::world(n).allgather(a, w.finish());
+        let all = a.world().msg().allgather(a, w.finish());
         let me = a.rank();
         let mut expected = 0u64;
         let mut producers: Vec<u32> = Vec::new();

@@ -18,11 +18,13 @@
 
 use std::sync::Arc;
 
+use armci_msglib::Group;
 use armci_transport::{Cluster, Endpoint, Mailbox, MemoryRegistry, NodeId, ProcId, SegId, Topology};
 
 use crate::armci::Armci;
 use crate::config::ArmciCfg;
 use crate::errors::ArmciError;
+use crate::group::ProcGroup;
 use crate::layout;
 use crate::msg::Req;
 use crate::server::server_loop;
@@ -223,6 +225,7 @@ where
         last_barrier_log: Vec::new(),
         hier_collectives: cfg.hier_collectives,
         last_hier_log: Vec::new(),
+        world: ProcGroup::flat(Group::world(nprocs), p.idx(), cfg.locks_per_proc).into(),
         epoch: 0,
         mcs_held: None,
         mcs_pair_held: None,

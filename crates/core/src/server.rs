@@ -170,24 +170,22 @@ pub(crate) fn server_loop(mut mb: Mailbox, registry: Arc<MemoryRegistry>, ack_mo
 
         if let Some((dst, notify)) = counted_dst {
             // The counters live at well-known offsets in the destination's
-            // sync segment; which ones to bump — per-source op_from (group
-            // barriers), aggregate op_done (ARMCI_Barrier stage 2), and a
-            // notification slot for notified puts, ordered last so a
+            // sync segment; which ones to bump — the initiator's op_from
+            // (every barrier's stage-2 wait sums these over its scope) and
+            // a notification slot for notified puts, ordered last so a
             // consumer observing it sees everything — is the completion
-            // module's plan, shared with the initiator-side ledger.
-            let sync = registry.lookup(dst, SegId(0));
+            // module's plan, shared with the initiator-side ledger. Only
+            // processes initiate counted operations.
             if let Some(initiator) = src.proc() {
+                let sync = registry.lookup(dst, SegId(0));
                 let nprocs = mb.topology().nprocs() as u32;
                 for site in completion_sites(initiator.0 as usize, notify) {
                     let at = match site {
                         CompletionSite::OpFrom { src } => layout::op_from(locks_per_proc, src as u32),
-                        CompletionSite::OpDone => layout::OP_DONE,
                         CompletionSite::Notify { slot } => layout::notify_slot(locks_per_proc, nprocs, slot),
                     };
                     sync.fetch_add_u64(at, 1);
                 }
-            } else {
-                sync.fetch_add_u64(layout::OP_DONE, 1);
             }
             if ack_mode == AckMode::Via {
                 mb.send(src, TAG_PUT_ACK, Body::from(my_node.0.to_le_bytes()));

@@ -131,6 +131,7 @@ fn stub_armci(mode: StubMode) -> Armci {
         last_barrier_log: Vec::new(),
         hier_collectives: false,
         last_hier_log: Vec::new(),
+        world: crate::group::ProcGroup::flat(armci_msglib::Group::world(nprocs), me.idx(), LOCKS_PER_PROC).into(),
         epoch: 0,
         mcs_held: None,
         mcs_pair_held: None,
@@ -216,6 +217,33 @@ fn peer_lost_preempts_a_generous_deadline() {
     let elapsed = t.elapsed();
     assert!(matches!(r, Err(ArmciError::PeerLost { peer: NodeId(1), .. })), "got {r:?}");
     assert!(elapsed < Duration::from_secs(5), "detection took {elapsed:?}, should be ~detect_slice");
+}
+
+/// The msglib collectives receive through the infallible `recv_from`,
+/// which is the same deadline-bound wait unwrapped: the dissemination
+/// barrier inside `malloc`/`create_lock` (and every `bcast`/`allgather`)
+/// panics with the typed error on a silent or dead peer instead of
+/// blocking forever. Run under a watchdog so a regression to an unbounded
+/// receive fails the test rather than wedging it.
+#[test]
+fn msglib_collectives_panic_with_the_typed_error_instead_of_hanging() {
+    for (mode, want) in [(StubMode::Silent, "collective timed out"), (StubMode::LostPeer(NodeId(1)), "peer n1 lost")] {
+        let (tx, rx) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            let mut a = stub_armci(mode);
+            let t = Instant::now();
+            let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                armci_msglib::Group::world(2).barrier(&mut a);
+            }));
+            let _ = tx.send((r.map_err(|p| p.downcast_ref::<String>().cloned().unwrap_or_default()), t.elapsed()));
+        });
+        let (r, elapsed) =
+            rx.recv_timeout(Duration::from_secs(20)).expect("Group::barrier hung on a stub that never answers");
+        let msg = r.expect_err("a barrier with a peer that never answers cannot complete");
+        assert!(msg.contains(want), "expected a panic naming {want:?}, got {msg:?}");
+        // `op_timeout` is 40 ms; allow a loaded machine its scheduling noise.
+        assert!(elapsed < Duration::from_secs(5), "gave up after {elapsed:?}, should be ~op_timeout");
+    }
 }
 
 /// `wait_notify` is a pure local-memory wait (no receive channel), so a

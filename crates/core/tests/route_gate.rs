@@ -55,14 +55,86 @@ fn only_the_resolver_looks_up_a_peer_segment_or_tests_locality() {
     }
 }
 
+/// The body of the method whose signature starts with `sig`, braces aside.
+fn method_body<'a>(text: &'a str, sig: &str) -> &'a str {
+    let rest = text.split(sig).nth(1).unwrap_or_else(|| panic!("{sig} not found"));
+    &rest[rest.find("{\n").expect("body") + 2..rest.find("\n    }\n").expect("end of method")]
+}
+
 #[test]
 fn the_try_spellings_hold_no_route_logic() {
     let armci = std::fs::read_to_string(Path::new(env!("CARGO_MANIFEST_DIR")).join("src/armci.rs")).expect("armci.rs");
     for sig in ["pub fn try_put(", "pub fn try_put_notify("] {
-        let body = armci.split(sig).nth(1).unwrap_or_else(|| panic!("{sig} not found"));
-        let body = &body[..body.find("\n    }\n").expect("end of method")];
+        let body = method_body(&armci, sig);
         for needle in ["route", "is_local", "peer_is_lost"] {
             assert!(!body.contains(needle), "{sig}..) resolves or preflights on its own ({needle}):\n{body}");
         }
+    }
+}
+
+/// `(path, text)` of every `.rs` file under `dir`, recursively.
+fn rs_files(dir: &Path, out: &mut Vec<(String, String)>) {
+    for entry in std::fs::read_dir(dir).unwrap_or_else(|e| panic!("read {}: {e}", dir.display())) {
+        let path = entry.expect("dir entry").path();
+        if path.is_dir() {
+            rs_files(&path, out);
+        } else if path.extension().is_some_and(|e| e == "rs") {
+            out.push((path.display().to_string(), std::fs::read_to_string(&path).expect("read source")));
+        }
+    }
+}
+
+/// One scope-parametric driver per protocol: the world is the group of
+/// all ranks, so nothing may keep a world copy of what a group does — a
+/// second `CombinedBarrier` driver, an aggregate `op_done` counter beside
+/// `op_from`, a world fork of `GA_Sync`, or a per-call `Group::world`.
+#[test]
+fn the_world_is_a_group() {
+    let crates = Path::new(env!("CARGO_MANIFEST_DIR")).parent().expect("crates/").to_path_buf();
+    let mut all = Vec::new();
+    rs_files(&crates, &mut all);
+    // This file names the needles it greps for.
+    all.retain(|(path, _)| !path.ends_with("route_gate.rs"));
+    assert!(all.len() >= 80, "expected every crate's sources under {}", crates.display());
+    let count = |files: &[&(String, String)], needle: &str| -> Vec<String> {
+        files.iter().flat_map(|(p, t)| code_lines(t, needle).map(move |l| format!("{p}: {}", l.trim()))).collect()
+    };
+    let under = |dir: &str| -> Vec<&(String, String)> {
+        let dir = crates.join(dir).display().to_string();
+        all.iter().filter(|(p, _)| p.starts_with(&dir) && !p.ends_with("try_error_paths.rs")).collect()
+    };
+
+    let drivers = count(&under("core/src"), "CombinedBarrier::new(");
+    assert_eq!(drivers.len(), 1, "exactly one CombinedBarrier driver in armci-core: {drivers:#?}");
+
+    let everything: Vec<_> = all.iter().collect();
+    for needle in ["OP_DONE", "CompletionSite::OpDone", "run_sync_world"] {
+        let hits = count(&everything, needle);
+        assert!(hits.is_empty(), "{needle} is back: {hits:#?}");
+    }
+
+    let mut worlds = count(&under("core/src"), "Group::world(");
+    worlds.extend(count(&under("ga/src"), "Group::world("));
+    assert_eq!(worlds.len(), 1, "Group::world( outside the cached world group's construction: {worlds:#?}");
+    assert!(worlds[0].contains("runtime.rs"), "the world group is built with its handle: {worlds:#?}");
+
+    let seq = count(&under("core/src"), "SeqConfirm");
+    assert!(seq.is_empty(), "armci-core walks a world-only fence plan again: {seq:#?}");
+
+    // The world spellings only name the scope; the protocol is the group's.
+    let thin = [
+        ("core/src/armci.rs", "pub fn barrier("),
+        ("core/src/armci.rs", "pub fn try_barrier("),
+        ("core/src/armci.rs", "pub fn allfence("),
+        ("core/src/armci.rs", "pub fn try_allfence("),
+        ("core/src/armci.rs", "pub fn sync_baseline("),
+        ("core/src/armci.rs", "pub fn take_barrier_log("),
+        ("ga/src/array.rs", "pub fn sync_world("),
+        ("ga/src/vector.rs", "pub fn sync_world("),
+    ];
+    for (file, sig) in thin {
+        let text = std::fs::read_to_string(crates.join(file)).expect("read source");
+        let body = method_body(&text, sig);
+        assert!(body.lines().count() <= 3, "{file}: {sig}..) grew a body of its own:\n{body}");
     }
 }

@@ -145,3 +145,59 @@ fn lock_handoff_message_counts() {
         }
     }
 }
+
+/// The world is a group: `barrier`, `allfence` and `sync_baseline` are the
+/// group drivers on `a.world()`, so spelling the scope out must put the
+/// same messages on the wire and the same sends in the engine log — on a
+/// flat cluster and on an SMP one (where the world group stays flat and
+/// the barrier therefore stays the classic schedule).
+#[test]
+fn world_spellings_trace_identically_to_the_group_drivers_on_world() {
+    use std::collections::BTreeMap;
+    for (nodes, ppn) in [(4u32, 1u32), (3, 2)] {
+        let run = |spell_out_the_group: bool| {
+            let cfg = traced_cfg(nodes).with_procs_per_node(ppn);
+            let (logs, trace) = run_cluster_traced(cfg, move |a| {
+                let seg = a.malloc(8 * a.nprocs());
+                let world = a.world();
+                let mut logs = Vec::new();
+                for round in 0..3u64 {
+                    for r in 0..a.nprocs() {
+                        a.put_u64(GlobalAddr::new(ProcId(r as u32), seg, 8 * a.rank()), round);
+                    }
+                    match (round, spell_out_the_group) {
+                        (0, false) => a.barrier(),
+                        (0, true) => a.barrier_group(&world),
+                        (1, false) => a.allfence(),
+                        (1, true) => a.allfence_group(&world),
+                        (_, false) => a.sync_baseline(),
+                        (_, true) => {
+                            a.allfence_group(&world);
+                            world.msg().barrier_binary_exchange(a);
+                        }
+                    }
+                    logs.push(a.take_barrier_log());
+                }
+                logs
+            });
+            // Each process sends in program order; a server answers in
+            // arrival order, which varies run to run — compare its sends
+            // as a multiset.
+            let mut sends: BTreeMap<String, Vec<(String, u32, usize)>> = BTreeMap::new();
+            for ev in trace.unwrap().snapshot() {
+                sends.entry(format!("{:?}", ev.src)).or_default().push((format!("{:?}", ev.dst), ev.tag.0, ev.size));
+            }
+            for (src, sent) in &mut sends {
+                if !src.starts_with("Proc") {
+                    sent.sort();
+                }
+            }
+            (logs, sends)
+        };
+        let (world_logs, world_sends) = run(false);
+        let (group_logs, group_sends) = run(true);
+        assert!(world_logs.iter().all(|l| !l[0].is_empty()), "{nodes}x{ppn}: the barrier round logs its sends");
+        assert_eq!(world_logs, group_logs, "{nodes}x{ppn}: engine send logs");
+        assert_eq!(world_sends, group_sends, "{nodes}x{ppn}: transport traces");
+    }
+}

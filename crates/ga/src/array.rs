@@ -31,34 +31,16 @@ pub enum SyncAlg {
 
 /// The one sync implementation behind every `sync` surface in the crate
 /// ([`GlobalArray::sync`], [`crate::GlobalVector::sync`] and their
-/// `sync_world` conveniences): completion of outstanding one-sided
-/// operations *toward the group* plus a barrier *over the group*, with
-/// the selected algorithm.
-///
-/// A flat group spanning every rank takes the classic world paths
-/// (wire-identical to the historical `GA_Sync` implementations);
-/// hierarchical groups always go through the group engines so the
-/// node-locality hierarchy is exploited even at world scope.
+/// `sync_world` conveniences, which pass [`Armci::world`]): completion of
+/// outstanding one-sided operations *toward the group* plus a barrier
+/// *over the group*, with the selected algorithm.
 pub(crate) fn run_sync(armci: &mut Armci, alg: SyncAlg, group: &ProcGroup) {
-    if group.is_hierarchical() || group.len() < armci.nprocs() {
-        match alg {
-            SyncAlg::Baseline => {
-                armci.allfence_group(group);
-                group.msg().barrier_binary_exchange(armci);
-            }
-            SyncAlg::CombinedBarrier => armci.barrier_group(group),
-            SyncAlg::Notify => notify_needs_a_plan(),
-        }
-    } else {
-        run_sync_world(armci, alg);
-    }
-}
-
-/// [`run_sync`] at world scope, without needing a group in hand.
-pub(crate) fn run_sync_world(armci: &mut Armci, alg: SyncAlg) {
     match alg {
-        SyncAlg::Baseline => armci.sync_baseline(),
-        SyncAlg::CombinedBarrier => armci.barrier(),
+        SyncAlg::Baseline => {
+            armci.allfence_group(group);
+            group.msg().barrier_binary_exchange(armci);
+        }
+        SyncAlg::CombinedBarrier => armci.barrier_group(group),
         SyncAlg::Notify => notify_needs_a_plan(),
     }
 }
@@ -187,7 +169,7 @@ impl GlobalArray {
 
     /// `GA_Sync()` over all processes — the historical surface.
     pub fn sync_world(&self, armci: &mut Armci, alg: SyncAlg) {
-        run_sync_world(armci, alg);
+        run_sync(armci, alg, &armci.world());
     }
 
     /// Collectively fill the whole array with `value`.

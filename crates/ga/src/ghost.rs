@@ -82,7 +82,7 @@ impl GhostArray {
     pub fn update(&mut self, armci: &mut Armci) {
         self.ga.sync_world(armci, SyncAlg::CombinedBarrier);
         self.buf = self.ga.get(armci, self.ext);
-        armci_msglib::Group::world(armci.nprocs()).barrier(armci);
+        armci.world().msg().barrier(armci);
     }
 
     /// Read element `(r, c)` in *global* coordinates; must lie within the

@@ -6,7 +6,6 @@
 //! implements these calls over ARMCI.
 
 use armci_core::Armci;
-use armci_msglib::Group;
 
 use crate::array::{GlobalArray, SyncAlg};
 
@@ -51,7 +50,7 @@ impl GlobalArray {
             partial += f64::from_bits(a.read_u64(i * 8)) * f64::from_bits(b.read_u64(i * 8));
         }
         let mut v = [partial];
-        Group::world(armci.nprocs()).allreduce_sum_f64(armci, &mut v);
+        armci.world().msg().allreduce_sum_f64(armci, &mut v);
         v[0]
     }
 
@@ -103,7 +102,7 @@ impl GlobalArray {
             partial += f64::from_bits(seg.read_u64(i * 8));
         }
         let mut v = [partial];
-        Group::world(armci.nprocs()).allreduce_sum_f64(armci, &mut v);
+        armci.world().msg().allreduce_sum_f64(armci, &mut v);
         v[0]
     }
 }

@@ -8,7 +8,7 @@ use std::collections::BTreeMap;
 use armci_core::{Armci, GlobalAddr, ProcGroup};
 use armci_transport::{ProcId, SegId};
 
-use crate::array::{run_sync, run_sync_world, SyncAlg};
+use crate::array::{run_sync, SyncAlg};
 
 /// Element positions grouped by owning rank: `(input position, (byte offset, len))`.
 type RunsByOwner = BTreeMap<u32, Vec<(usize, (u64, u32))>>;
@@ -137,7 +137,7 @@ impl GlobalVector {
 
     /// Completion + barrier over all processes — the historical surface.
     pub fn sync_world(&self, armci: &mut Armci, alg: SyncAlg) {
-        run_sync_world(armci, alg);
+        run_sync(armci, alg, &armci.world());
     }
 
     /// Global dot product with another vector of the same shape.
@@ -151,7 +151,7 @@ impl GlobalVector {
             partial += f64::from_bits(a.read_u64(i * 8)) * f64::from_bits(b.read_u64(i * 8));
         }
         let mut v = [partial];
-        armci_msglib::Group::world(armci.nprocs()).allreduce_sum_f64(armci, &mut v);
+        armci.world().msg().allreduce_sum_f64(armci, &mut v);
         v[0]
     }
 

@@ -28,15 +28,14 @@
 /// derived from the same operation description.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum CompletionSite {
-    /// The per-source operation counter for `src` (group fences wait on
-    /// member-directed counts, so the bump is attributed to the
-    /// initiator).
+    /// The per-source operation counter for `src`. A barrier's stage-2
+    /// wait sums these over its scope — every source for the world, the
+    /// members for a group — so the bump is attributed to the initiator
+    /// and `op_done` is a derived sum, not a second counter.
     OpFrom {
         /// World rank of the initiating process.
         src: usize,
     },
-    /// The aggregate `op_done` counter the combined barrier waits on.
-    OpDone,
     /// A notification counter slot (put-with-notify only).
     Notify {
         /// Notify slot index in the target's sync segment.
@@ -45,20 +44,16 @@ pub enum CompletionSite {
 }
 
 /// The counters a target bumps for one landed operation: every counted
-/// operation feeds the per-source and aggregate fence counters, and a
-/// notified put additionally bumps its notification slot. The notify
-/// bump is ordered *last* so a consumer that observes the notification
-/// is guaranteed the fence counters (and the data, which precedes all
-/// bumps) are already visible. Allocation-free: servers walk this once
+/// operation feeds its initiator's per-source counter, and a notified
+/// put additionally bumps its notification slot. The notify bump is
+/// ordered *last* so a consumer that observes the notification is
+/// guaranteed the fence counter (and the data, which precedes all
+/// bumps) is already visible. Allocation-free: servers walk this once
 /// per landed operation on their hot path.
 pub fn completion_sites(initiator: usize, notify: Option<u32>) -> impl Iterator<Item = CompletionSite> {
-    [
-        Some(CompletionSite::OpFrom { src: initiator }),
-        Some(CompletionSite::OpDone),
-        notify.map(|slot| CompletionSite::Notify { slot }),
-    ]
-    .into_iter()
-    .flatten()
+    [Some(CompletionSite::OpFrom { src: initiator }), notify.map(|slot| CompletionSite::Notify { slot })]
+        .into_iter()
+        .flatten()
 }
 
 /// Initiator-side counted-operation ledger (extracted from the fence
@@ -397,13 +392,10 @@ mod tests {
 
     #[test]
     fn sites_order_notify_last() {
-        assert_eq!(
-            completion_sites(3, None).collect::<Vec<_>>(),
-            vec![CompletionSite::OpFrom { src: 3 }, CompletionSite::OpDone]
-        );
+        assert_eq!(completion_sites(3, None).collect::<Vec<_>>(), vec![CompletionSite::OpFrom { src: 3 }]);
         assert_eq!(
             completion_sites(1, Some(7)).collect::<Vec<_>>(),
-            vec![CompletionSite::OpFrom { src: 1 }, CompletionSite::OpDone, CompletionSite::Notify { slot: 7 }]
+            vec![CompletionSite::OpFrom { src: 1 }, CompletionSite::Notify { slot: 7 }]
         );
     }
 

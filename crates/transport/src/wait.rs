@@ -6,7 +6,6 @@
 //! whole cluster behind the scheduler tick. The helpers here spin briefly
 //! (to catch the common fast path), then yield, then sleep for long waits.
 
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 
 /// How many iterations to busy-spin before starting to yield.
@@ -32,32 +31,16 @@ pub fn wait_until(deadline: Instant) {
     }
 }
 
-/// Spin-then-yield until `cond` returns true.
-///
-/// This is the waiting discipline for the polling loops the paper's
-/// algorithms prescribe (ticket-lock `counter` polls, MCS `locked` flag
-/// polls, the `op_done` wait in `ARMCI_Barrier`). On a real cluster those
-/// are pure spins on cache-resident locations; here we must yield so that
-/// the thread actually holding the resource can run.
-#[inline]
-pub fn spin_until(mut cond: impl FnMut() -> bool) {
-    let mut iters = 0u32;
-    while !cond() {
-        if iters < SPIN_ITERS {
-            std::hint::spin_loop();
-            iters += 1;
-        } else {
-            std::thread::yield_now();
-        }
-    }
-}
-
 /// Spin-then-yield until `cond` returns true or `deadline` passes.
 ///
 /// Returns `true` if the condition was observed, `false` on timeout. This
-/// is the bounded form of [`spin_until`] used by the fault-aware waits:
-/// callers alternate short bounded spins with peer-liveness checks so a
-/// dead peer turns a forever-spin into an error.
+/// is the waiting discipline for the polling loops the paper's algorithms
+/// prescribe (ticket-lock `counter` polls, MCS `locked` flag polls, the
+/// `op_done` wait in `ARMCI_Barrier`). On a real cluster those are pure
+/// spins on cache-resident locations; here we must yield so that the
+/// thread actually holding the resource can run. Callers alternate short
+/// bounded spins with peer-liveness checks so a dead peer turns a
+/// forever-spin into an error.
 #[inline]
 pub fn spin_until_deadline(mut cond: impl FnMut() -> bool, deadline: Instant) -> bool {
     let mut iters = 0u32;
@@ -77,23 +60,9 @@ pub fn spin_until_deadline(mut cond: impl FnMut() -> bool, deadline: Instant) ->
     }
 }
 
-/// Spin-then-yield until the atomic equals `want` (Acquire load).
-#[inline]
-pub fn spin_until_eq(word: &AtomicU64, want: u64) {
-    spin_until(|| word.load(Ordering::Acquire) == want)
-}
-
-/// Spin-then-yield until the atomic is at least `want` (Acquire load).
-#[inline]
-pub fn spin_until_ge(word: &AtomicU64, want: u64) {
-    spin_until(|| word.load(Ordering::Acquire) >= want)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::AtomicBool;
-    use std::sync::Arc;
 
     #[test]
     fn wait_until_past_deadline_returns_immediately() {
@@ -111,39 +80,11 @@ mod tests {
     }
 
     #[test]
-    fn spin_until_sees_flag_from_other_thread() {
-        let flag = Arc::new(AtomicBool::new(false));
-        let f2 = flag.clone();
-        let h = std::thread::spawn(move || {
-            std::thread::sleep(Duration::from_millis(2));
-            f2.store(true, Ordering::Release);
-        });
-        spin_until(|| flag.load(Ordering::Acquire));
-        h.join().unwrap();
-    }
-
-    #[test]
     fn spin_until_deadline_times_out_and_succeeds() {
         let t0 = Instant::now();
         assert!(!spin_until_deadline(|| false, t0 + Duration::from_millis(3)));
         assert!(t0.elapsed() >= Duration::from_millis(3));
         // A condition that is already true wins even with a past deadline.
         assert!(spin_until_deadline(|| true, t0));
-    }
-
-    #[test]
-    fn spin_until_eq_and_ge() {
-        let w = Arc::new(AtomicU64::new(0));
-        let w2 = w.clone();
-        let h = std::thread::spawn(move || {
-            for i in 1..=5 {
-                std::thread::sleep(Duration::from_millis(1));
-                w2.store(i, Ordering::Release);
-            }
-        });
-        spin_until_ge(&w, 3);
-        assert!(w.load(Ordering::Acquire) >= 3);
-        spin_until_eq(&w, 5);
-        h.join().unwrap();
     }
 }

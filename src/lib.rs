@@ -19,9 +19,7 @@
 
 pub use armci_core;
 pub use armci_ga;
-pub use armci_mpi2win;
 pub use armci_msglib;
-pub use armci_shmem;
 pub use armci_simnet;
 pub use armci_transport;
 
