@@ -1,7 +1,6 @@
 //! Micro-benchmarks of the atomic substrate: single-word atomics vs the
-//! stripe-locked paired-long emulation (the mechanism behind ablation
-//! A3), plus the remote RMW round-trip at zero network latency (pure
-//! software-path cost).
+//! stripe-locked paired-long emulation, plus the remote RMW round-trip at
+//! zero network latency (pure software-path cost).
 
 use std::time::Duration;
 

@@ -15,7 +15,7 @@ use std::time::{Duration, Instant};
 use armci_proto::{
     BarrierAction, BarrierEvent, CombinedBarrier, Exchange, FenceEngine, FenceMode, HierAction, HierBarrier, HierEvent,
     HybridAcquire, HybridEvent, HybridHome, McsAcquire, McsAcquireAction, McsAcquireEvent, McsRelease,
-    McsReleaseAction, McsReleaseEvent, PipeConfirm, SeqConfirm, XchgAction, XchgEvent, XchgMsg,
+    McsReleaseAction, McsReleaseEvent, XchgAction, XchgEvent, XchgMsg,
 };
 use armci_simnet::protocols::sync::sweep_hier_vs_flat;
 use criterion::{black_box, BenchmarkGroup, Criterion};
@@ -163,10 +163,10 @@ fn hier_barrier(iters: u64, ndomains: usize, ppn: usize) -> Duration {
     t0.elapsed()
 }
 
-/// Fence accounting + AllFence confirmation plan: `puts` counted puts
-/// scattered over `nnodes` nodes, then a sequential-confirm round and a
-/// pipelined-confirm round over the armed targets.
-fn fence_allfence(iters: u64, nnodes: usize, puts: usize) -> Duration {
+/// Fence accounting: `puts` counted puts scattered over `nnodes` nodes,
+/// then the sequential `AllFence`'s walk — confirm every armed node in
+/// turn.
+fn fence_accounting(iters: u64, nnodes: usize, puts: usize) -> Duration {
     let nprocs = nnodes; // one proc per node, as in the flat layouts
     let t0 = Instant::now();
     for _ in 0..iters {
@@ -174,19 +174,11 @@ fn fence_allfence(iters: u64, nnodes: usize, puts: usize) -> Duration {
         for i in 0..puts {
             eng.note_put(i % nprocs, i % nnodes, false);
         }
-        let armed: Vec<usize> = (0..nnodes).filter(|&nd| !eng.confirm_targets(nd).is_empty()).collect();
-        let mut seq = SeqConfirm::new(armed.clone());
-        while let Some(node) = seq.current() {
-            eng.node_confirmed(node);
-            seq.ack();
+        for node in 0..nnodes {
+            if !eng.confirm_targets(node).is_empty() {
+                eng.node_confirmed(node);
+            }
         }
-        debug_assert!(seq.is_complete());
-        let mut pipe = PipeConfirm::new(armed.len());
-        for _ in &armed {
-            pipe.ack();
-        }
-        debug_assert!(pipe.is_complete());
-        eng.all_confirmed();
         black_box(&eng);
     }
     t0.elapsed()
@@ -337,7 +329,7 @@ fn main() {
         bench_into(&mut g, &mut recs, "notify_ring_n16", 16, |it| notify_ring(it, 16));
         bench_into(&mut g, &mut recs, "hier_barrier_16x16_n256", 256, |it| hier_barrier(it, 16, 16));
         bench_into(&mut g, &mut recs, "hier_barrier_32x32_n1024", 1024, |it| hier_barrier(it, 32, 32));
-        bench_into(&mut g, &mut recs, "fence_allfence_8nodes_64puts", 8, |it| fence_allfence(it, 8, 64));
+        bench_into(&mut g, &mut recs, "fence_accounting_8nodes_64puts", 8, |it| fence_accounting(it, 8, 64));
         bench_into(&mut g, &mut recs, "hybrid_lock_convoy_n8", 8, |it| hybrid_lock_cycle(it, 8));
         bench_into(&mut g, &mut recs, "mcs_lock_convoy_n8", 8, |it| mcs_lock_cycle(it, 8));
         g.finish();

@@ -1,8 +1,8 @@
 //! `reproduce` — regenerate every table/figure of the IPPS 2003 paper.
 //!
 //! ```text
-//! reproduce [all|fig7|fig8|fig9|fig10|model|ablation-ack|ablation-crossover|ablation-atomics]
-//!           [--quick] [--net] [--nodes N]
+//! reproduce [all|fig7|fig8|fig9|fig10|model|ablation-ack|ablation-crossover|ablation-nic|
+//!            lock-hold|smp|lock-detail|net-selftest] [--quick] [--net] [--nodes N] [--csv DIR]
 //! ```
 //!
 //! Each figure is printed twice: on the **model plane** (deterministic
@@ -24,10 +24,37 @@ use armci_msglib::Group;
 use armci_simnet::NetModel;
 use armci_transport::{LatencyModel, ProcId};
 
+/// Command-line switches every experiment may read.
+struct Opts {
+    quick: bool,
+    net: bool,
+    nodes: Option<usize>,
+}
+
+/// A `reproduce` subcommand: its name and what it runs.
+type Experiment = (&'static str, fn(&Opts));
+
+/// Every experiment, in the order `all` runs them: the dispatch, `all`
+/// and the usage line are all read from this one table.
+const EXPERIMENTS: [Experiment; 11] = [
+    ("fig7", |o| if o.net { fig7_net(o.quick, o.nodes.unwrap_or(4)) } else { fig7(o.quick) }),
+    ("fig8", |o| fig8(o.quick)),
+    ("fig9", |o| fig9(o.quick)),
+    ("fig10", |o| fig10(o.quick)),
+    ("model", |_| model_scaling()),
+    ("ablation-ack", |o| ablation_ack(o.quick)),
+    ("ablation-crossover", |_| ablation_crossover()),
+    ("ablation-nic", |o| ablation_nic(o.quick)),
+    ("lock-hold", |_| lock_hold_sweep()),
+    ("smp", |_| smp_and_skew()),
+    ("lock-detail", |o| lock_detail(o.quick)),
+];
+
+/// The launcher smoke test: dispatched by name, never part of `all`.
+const SELFTEST: &str = "net-selftest";
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let quick = args.iter().any(|a| a == "--quick");
-    let net = args.iter().any(|a| a == "--net");
     let nodes = args.iter().position(|a| a == "--nodes").map(|p| {
         let v = args.get(p + 1).map(String::as_str).unwrap_or("");
         v.parse::<usize>().ok().filter(|&n| n >= 2).unwrap_or_else(|| {
@@ -35,6 +62,7 @@ fn main() {
             std::process::exit(2);
         })
     });
+    let opts = Opts { quick: args.iter().any(|a| a == "--quick"), net: args.iter().any(|a| a == "--net"), nodes };
     if let Some(pos) = args.iter().position(|a| a == "--csv") {
         let dir = args.get(pos + 1).map(String::as_str).unwrap_or("results");
         armci_bench::table::set_csv_dir(dir);
@@ -50,50 +78,22 @@ fn main() {
 
     let t0 = Instant::now();
     match what {
-        "fig7" if net => fig7_net(quick, nodes.unwrap_or(4)),
-        "fig7" => fig7(quick),
-        "net-selftest" => net_selftest(),
-        "fig8" => fig8(quick),
-        "fig9" => fig9(quick),
-        "fig10" => fig10(quick),
-        "model" => model_scaling(),
-        "ablation-ack" => ablation_ack(quick),
-        "ablation-crossover" => ablation_crossover(),
-        "ablation-atomics" => ablation_atomics(quick),
-        "ablation-pipelined" => ablation_pipelined(),
-        "ablation-swap-release" => ablation_swap_release(quick),
-        "ablation-strawman" => ablation_strawman(quick),
-        "ablation-nic" => ablation_nic(quick),
-        "lock-hold" => lock_hold_sweep(),
-        "smp" => smp_and_skew(),
-        "lock-detail" => lock_detail(quick),
-        "all" => {
-            fig7(quick);
-            fig8(quick);
-            fig9(quick);
-            fig10(quick);
-            model_scaling();
-            ablation_ack(quick);
-            ablation_crossover();
-            ablation_atomics(quick);
-            ablation_pipelined();
-            ablation_swap_release(quick);
-            ablation_strawman(quick);
-            ablation_nic(quick);
-            lock_hold_sweep();
-            smp_and_skew();
-            lock_detail(quick);
-        }
-        other => {
-            eprintln!("unknown experiment '{other}'");
-            eprintln!(
-                "usage: reproduce [all|fig7|fig8|fig9|fig10|model|ablation-ack|ablation-crossover|\
-                 ablation-atomics|ablation-pipelined|ablation-swap-release|net-selftest] [--quick] \
-                 [--net (fig7 only: real TCP, one process per node)] \
-                 [--nodes N (fig7 --net only: node-process count, default 4)]"
-            );
-            std::process::exit(2);
-        }
+        "all" => EXPERIMENTS.iter().for_each(|(_, run)| run(&opts)),
+        name if name == SELFTEST => net_selftest(),
+        name => match EXPERIMENTS.iter().find(|(n, _)| *n == name) {
+            Some((_, run)) => run(&opts),
+            None => {
+                let names: Vec<&str> = EXPERIMENTS.iter().map(|(n, _)| *n).collect();
+                eprintln!("unknown experiment '{name}'");
+                eprintln!(
+                    "usage: reproduce [all|{}|{SELFTEST}] [--quick] \
+                     [--net (fig7 only: real TCP, one process per node)] \
+                     [--nodes N (fig7 --net only: node-process count, default 4)] [--csv DIR]",
+                    names.join("|")
+                );
+                std::process::exit(2);
+            }
+        },
     }
     eprintln!("\n(total harness time: {:.1}s)", t0.elapsed().as_secs_f64());
 }
@@ -384,102 +384,6 @@ fn ablation_crossover() {
     }
     t.print();
     println!("(paper threshold: log2({n})/2 = {} touched servers)", model::allfence_crossover(n));
-}
-
-// ---------------------------------------------------------------------
-// Ablation: packed single-word vs paired-long MCS pointers
-// ---------------------------------------------------------------------
-
-fn ablation_atomics(quick: bool) {
-    println!("\n################ Ablation: packed vs paired-long MCS pointers ################");
-    println!("# The paper added paired-long atomics because ARMCI addresses are");
-    println!("# (proc, address) tuples; packing them into one word allows plain");
-    println!("# single-word atomics. Same algorithm, different encoding.");
-    let iters = lock_iters(quick);
-    let n = 4usize;
-    let mut t =
-        Table::new(format!("{n} procs contending, wall-clock (us)"), &["encoding", "acquire", "release", "cycle"]);
-    for (algo, name) in [(LockAlgo::Mcs, "packed u64"), (LockAlgo::McsPair, "paired longs")] {
-        let p = measure_lock(algo, n, iters, WALLCLOCK_LATENCY_NS);
-        t.row(vec![name.to_string(), us(p.acquire_ns), us(p.release_ns), us(p.cycle_ns)]);
-    }
-    t.print();
-}
-
-// ---------------------------------------------------------------------
-// Ablation: sequential vs pipelined AllFence vs the combined barrier
-// ---------------------------------------------------------------------
-
-fn ablation_pipelined() {
-    println!("\n################ Ablation: pipelining the AllFence ################");
-    println!("# An obvious improvement over the sequential baseline (fire all fence");
-    println!("# requests, then collect acks) — the paper's future-work direction of");
-    println!("# reducing user/server interaction. Still loses to the combined");
-    println!("# barrier: 2(N-1) messages per process vs 2*log2(N).");
-    use armci_simnet::protocols::sync::{simulate_combined_barrier, simulate_sync_baseline, simulate_sync_pipelined};
-    let net = armci_simnet::NetModel::myrinet_2000();
-    let mut t = Table::new("GA_Sync variants — model plane (us)", &["procs", "sequential", "pipelined", "combined"]);
-    for n in [4usize, 8, 16, 32, 64] {
-        t.row(vec![
-            n.to_string(),
-            us(simulate_sync_baseline(n, n - 1, net).mean()),
-            us(simulate_sync_pipelined(n, n - 1, net).mean()),
-            us(simulate_combined_barrier(n, net).mean()),
-        ]);
-    }
-    t.print();
-}
-
-// ---------------------------------------------------------------------
-// Ablation: MCS release with compare&swap vs swap-only (future work)
-// ---------------------------------------------------------------------
-
-fn ablation_swap_release(quick: bool) {
-    println!("\n################ Ablation: CAS-release vs swap-release MCS ################");
-    println!("# Paper 5 (future work): eliminate the compare&swap when releasing.");
-    println!("# The swap-release variant recovers from racing requesters by");
-    println!("# re-appending the orphaned waiter chain; both must preserve mutual");
-    println!("# exclusion, and their costs are compared here.");
-    let iters = lock_iters(quick);
-    let mut t = Table::new("lock cycle, wall-clock (us)", &["procs", "MCS (cas release)", "MCS (swap release)"]);
-    for n in [1usize, 4, 8] {
-        let cas = measure_lock(LockAlgo::Mcs, n, iters, WALLCLOCK_LATENCY_NS);
-        let swp = measure_lock(LockAlgo::McsSwap, n, iters, WALLCLOCK_LATENCY_NS);
-        t.row(vec![n.to_string(), us(cas.cycle_ns), us(swp.cycle_ns)]);
-    }
-    t.print();
-}
-
-// ---------------------------------------------------------------------
-// Ablation: the remote-polling ticket strawman of 3.2.1
-// ---------------------------------------------------------------------
-
-fn ablation_strawman(quick: bool) {
-    println!("\n################ Ablation: remote-polling ticket lock ################");
-    println!("# Paper 3.2.1: 'ticket-based locks require polling on a variable,");
-    println!("# they are not well suited for remote locks.' Quantified: each remote");
-    println!("# poll is a server round-trip, so waiters flood the lock home and");
-    println!("# handoff latency includes the backoff interval.");
-    let iters = lock_iters(quick).min(60); // polling is slow by design
-    let mut t = Table::new("lock cycle, wall-clock (us)", &["procs", "ticket-poll", "hybrid", "MCS"]);
-    for n in [2usize, 4, 8] {
-        let tp = measure_lock(LockAlgo::TicketPoll, n, iters, WALLCLOCK_LATENCY_NS);
-        let hy = measure_lock(LockAlgo::Hybrid, n, iters, WALLCLOCK_LATENCY_NS);
-        let mc = measure_lock(LockAlgo::Mcs, n, iters, WALLCLOCK_LATENCY_NS);
-        t.row(vec![n.to_string(), us(tp.cycle_ns), us(hy.cycle_ns), us(mc.cycle_ns)]);
-    }
-    t.print();
-
-    use armci_simnet::protocols::lock::{simulate_lock, LockAlgo as SimAlgo};
-    let net = armci_simnet::NetModel::myrinet_2000();
-    let mut t = Table::new("lock cycle, model plane (us)", &["procs", "ticket-poll", "hybrid", "MCS"]);
-    for n in [2usize, 4, 8, 16] {
-        let tp = simulate_lock(SimAlgo::TicketPoll, n, 500, 0, net);
-        let hy = simulate_lock(SimAlgo::Hybrid, n, 500, 0, net);
-        let mc = simulate_lock(SimAlgo::Mcs, n, 500, 0, net);
-        t.row(vec![n.to_string(), us(tp.cycle_ns), us(hy.cycle_ns), us(mc.cycle_ns)]);
-    }
-    t.print();
 }
 
 // ---------------------------------------------------------------------

@@ -92,10 +92,9 @@ pub struct Armci {
     /// The world scope as a group ([`Armci::world`]): all ranks, flat.
     pub(crate) world: Rc<ProcGroup>,
     pub(crate) epoch: u32,
-    /// MCS nesting guards: each variant has one node structure per
-    /// process, so at most one lock of that variant may be held.
+    /// MCS nesting guard: one node structure per process, so at most one
+    /// MCS lock may be held.
     pub(crate) mcs_held: Option<LockId>,
-    pub(crate) mcs_pair_held: Option<LockId>,
     /// Non-blocking get ordering (issued/completed per node).
     pub(crate) nbget_issued: Vec<u64>,
     pub(crate) nbget_completed: Vec<u64>,
@@ -1198,49 +1197,6 @@ impl Armci {
     /// per-node confirmation.
     pub fn try_allfence(&mut self) -> Result<(), ArmciError> {
         self.try_allfence_group(&self.world())
-    }
-
-    /// A *pipelined* `ARMCI_AllFence()`: fire confirmation requests at
-    /// every touched server first, then collect all the acknowledgements.
-    /// Costs ~2 latencies plus per-message gaps instead of the sequential
-    /// `2·k` of [`Armci::allfence`] — an optimization in the direction of
-    /// the paper's future work (reducing user/server interaction), kept
-    /// separate so the baseline stays faithful to the original ARMCI.
-    ///
-    /// Still loses to [`Armci::barrier`] for global synchronization: each
-    /// process fences `k` servers with 2k total messages, versus the
-    /// combined barrier's `2·log2(N)` per process.
-    pub fn allfence_pipelined(&mut self) {
-        match self.ack_mode {
-            AckMode::Gm => {
-                let mut agents: Vec<Endpoint> = Vec::new();
-                for n in (0..self.topology().nnodes() as u32).map(NodeId) {
-                    if n == self.my_node {
-                        continue;
-                    }
-                    let t = self.fence.confirm_targets(n.idx());
-                    if t.server {
-                        agents.push(Endpoint::Server(n));
-                    }
-                    if t.nic {
-                        agents.push(Endpoint::Nic(n));
-                    }
-                }
-                for &a in &agents {
-                    self.send_req_to(a, &Req::FenceReq);
-                    self.stats.fence_roundtrips += 1;
-                }
-                let mut plan = armci_proto::PipeConfirm::new(agents.len());
-                let deadline = self.op_deadline();
-                for &a in &agents {
-                    unwrap_op(self.recv_wait("allfence", deadline, |m| m.src == a && m.tag == TAG_FENCE_ACK));
-                    plan.ack();
-                }
-                debug_assert!(plan.is_complete());
-                self.fence.all_confirmed();
-            }
-            AckMode::Via => self.allfence(),
-        }
     }
 
     /// The *baseline* global synchronization: `ARMCI_AllFence()` followed

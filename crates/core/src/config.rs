@@ -47,27 +47,6 @@ pub enum LockAlgo {
     /// The paper's contribution: MCS software queuing lock with global
     /// pointers packed into single words (§3.2.2).
     Mcs,
-    /// The MCS lock using the paper's literal paired-long atomics instead
-    /// of packed single words (ablation).
-    McsPair,
-    /// Pure server-based queue locking: *every* request and release goes
-    /// through the server, even node-local ones — the other half of the
-    /// hybrid, kept separate to quantify what the hybrid's shared-memory
-    /// fast path buys on SMP nodes.
-    ServerOnly,
-    /// The strawman §3.2.1 argues against: a plain ticket lock where
-    /// *remote* requesters poll the `counter` word over the network
-    /// (with exponential backoff). Local requesters are as fast as the
-    /// hybrid's, but every remote poll is a server round-trip — included
-    /// to demonstrate why the hybrid combines ticket and server-queue
-    /// locking.
-    TicketPoll,
-    /// The paper's *future work*, realized: an MCS-style queuing lock
-    /// whose release uses only `swap` (never `compare&swap`), recovering
-    /// from racing requesters by re-appending the orphaned waiter chain
-    /// (Fu/Tzeng-style). Usurpers may overtake queued waiters, so
-    /// ordering is no longer strictly FIFO.
-    McsSwap,
 }
 
 /// What the synchronization layer does when membership confirms a peer
@@ -465,10 +444,6 @@ impl LockAlgo {
         match self {
             LockAlgo::Hybrid => "hybrid",
             LockAlgo::Mcs => "mcs",
-            LockAlgo::McsPair => "mcs_pair",
-            LockAlgo::ServerOnly => "server_only",
-            LockAlgo::TicketPoll => "ticket_poll",
-            LockAlgo::McsSwap => "mcs_swap",
         }
     }
 }
@@ -484,10 +459,6 @@ impl Deserialize for LockAlgo {
         match v.as_str()? {
             "hybrid" => Ok(LockAlgo::Hybrid),
             "mcs" => Ok(LockAlgo::Mcs),
-            "mcs_pair" => Ok(LockAlgo::McsPair),
-            "server_only" => Ok(LockAlgo::ServerOnly),
-            "ticket_poll" => Ok(LockAlgo::TicketPoll),
-            "mcs_swap" => Ok(LockAlgo::McsSwap),
             other => Err(Error::new(format!("unknown lock algorithm {other:?}"))),
         }
     }
@@ -618,7 +589,7 @@ mod tests {
             procs_per_node: 2,
             latency: armci_transport::LatencyModel::myrinet_like(),
             ack_mode: AckMode::Via,
-            lock_algo: LockAlgo::McsSwap,
+            lock_algo: LockAlgo::Hybrid,
             locks_per_proc: 7,
             seed: 99,
             trace: true,
@@ -650,7 +621,7 @@ mod tests {
         assert_eq!(back.procs_per_node, 2);
         assert_eq!(back.latency, cfg.latency);
         assert_eq!(back.ack_mode, AckMode::Via);
-        assert_eq!(back.lock_algo, LockAlgo::McsSwap);
+        assert_eq!(back.lock_algo, LockAlgo::Hybrid);
         assert_eq!(back.locks_per_proc, 7);
         assert_eq!(back.seed, 99);
         assert!(back.trace);
@@ -798,16 +769,18 @@ mod tests {
 
     #[test]
     fn every_lock_algo_roundtrips() {
-        for algo in [
-            LockAlgo::Hybrid,
-            LockAlgo::Mcs,
-            LockAlgo::McsPair,
-            LockAlgo::ServerOnly,
-            LockAlgo::TicketPoll,
-            LockAlgo::McsSwap,
-        ] {
+        for algo in [LockAlgo::Hybrid, LockAlgo::Mcs] {
+            // Exhaustive: a new variant does not compile until listed above.
+            match algo {
+                LockAlgo::Hybrid | LockAlgo::Mcs => {}
+            }
             let json = serde::to_string(&algo);
             assert_eq!(serde::from_str::<LockAlgo>(&json), Ok(algo));
+        }
+        // A retired algorithm name fails loudly instead of silently
+        // running another lock.
+        for stale in ["mcs_swap", "mcs_pair", "ticket_poll", "server_only"] {
+            assert!(serde::from_str::<LockAlgo>(&format!("\"{stale}\"")).is_err(), "{stale}");
         }
     }
 }

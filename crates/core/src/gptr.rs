@@ -12,9 +12,8 @@
 //!   with `0` reserved as NULL, so plain `AtomicU64` swap/CAS implement
 //!   the MCS list operations (the preferred encoding);
 //! * a two-word form ([`GlobalAddr::to_pair`]/[`GlobalAddr::from_pair`])
-//!   that mirrors the paper's paired-long operands, used by the
-//!   `mcs_pair` lock variant so the paper's literal mechanism can be
-//!   ablated against the packed one.
+//!   that mirrors the paper's paired-long operands, for storing an address
+//!   with the pair atomics.
 
 use armci_transport::{ProcId, SegId};
 

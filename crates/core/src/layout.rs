@@ -4,14 +4,13 @@
 //! `SegId(0)`) holding the shared synchronization state the paper's
 //! algorithms poll on:
 //!
-//! * a reserved first word (nothing lives at offset 0; the fixed
+//! * reserved words (nothing lives at offsets 0..16 or 32..64; the fixed
 //!   offsets below are what every mapping of the segment agrees on);
 //! * the process's MCS *node structure* (`next` pointer + `locked` flag,
-//!   Figure 5) — one per process regardless of lock count, in both the
-//!   packed-pointer and paired-long encodings;
+//!   Figure 5) — one per process regardless of lock count;
 //! * `locks_per_proc` lock slots, each holding the hybrid lock's
-//!   `ticket`/`counter` words and the MCS `Lock` variable (again in both
-//!   encodings);
+//!   `ticket`/`counter` words, the MCS `Lock` variable and its lease
+//!   words (16 reserved bytes between the last two);
 //! * per-source `op_from` completed-put counters — the server bumps
 //!   the initiator's per landed put, and a barrier's stage-2 wait polls
 //!   their sum over its scope (`op_done` = `Σ op_from`) — and
@@ -24,15 +23,10 @@
 //! it directly through shared memory while remote processes go through
 //! the server — the locality distinction all of §3.2's analysis rests on.
 
-/// Offset of the MCS node's `next` pointer (packed encoding).
+/// Offset of the MCS node's `next` pointer.
 pub const MCS_NEXT: usize = 16;
-/// Offset of the MCS node's `locked` flag (packed encoding).
+/// Offset of the MCS node's `locked` flag.
 pub const MCS_LOCKED: usize = 24;
-/// Offset of the MCS node's `next` pointer (paired-long encoding;
-/// 16-aligned, two words).
-pub const MCS_PAIR_NEXT: usize = 32;
-/// Offset of the MCS node's `locked` flag (paired-long variant).
-pub const MCS_PAIR_LOCKED: usize = 48;
 /// First lock slot.
 pub const LOCK_SLOTS: usize = 64;
 /// Bytes per lock slot (widened from 48 to make room for the lease
@@ -50,20 +44,14 @@ pub fn hybrid_counter(idx: u32) -> usize {
     hybrid_ticket(idx) + 8
 }
 
-/// Per-slot offset of the MCS `Lock` variable (packed encoding;
-/// 16-aligned so the same cell can also be used by pair ops in tests).
+/// Per-slot offset of the MCS `Lock` variable (16-aligned so the same
+/// cell can also be used by pair ops in tests).
 pub fn mcs_lock(idx: u32) -> usize {
     hybrid_ticket(idx) + 16
 }
 
-/// Per-slot offset of the MCS `Lock` variable (paired-long encoding,
-/// 16-aligned, two words).
-pub fn mcs_pair_lock(idx: u32) -> usize {
-    hybrid_ticket(idx) + 32
-}
-
 /// Per-slot offset of the MCS lease *holder* word: `rank + 1` of the
-/// process currently believed to hold the packed-encoding MCS lock, `0`
+/// process currently believed to hold the MCS lock, `0`
 /// when free/unknown. Written by holders only when session recovery is
 /// enabled; consulted by [`crate::Armci::try_lock`]'s reclamation path to
 /// decide whether a wedged lock's holder is dead.
@@ -151,15 +139,13 @@ mod tests {
     fn slots_do_not_overlap_header() {
         assert!(hybrid_ticket(0) >= 64);
         const {
-            assert!(MCS_PAIR_LOCKED + 8 <= LOCK_SLOTS);
+            assert!(MCS_LOCKED + 8 <= LOCK_SLOTS);
         }
     }
 
     #[test]
-    fn pair_cells_are_16_aligned() {
-        assert_eq!(MCS_PAIR_NEXT % 16, 0);
+    fn lock_cells_are_16_aligned() {
         for idx in 0..8 {
-            assert_eq!(mcs_pair_lock(idx) % 16, 0, "slot {idx}");
             assert_eq!(mcs_lock(idx) % 16, 0, "slot {idx}");
         }
     }
@@ -170,8 +156,7 @@ mod tests {
             let end = hybrid_ticket(idx) + LOCK_SLOT_SIZE;
             assert_eq!(end, hybrid_ticket(idx + 1));
             assert!(hybrid_counter(idx) < mcs_lock(idx));
-            assert!(mcs_lock(idx) + 16 <= mcs_pair_lock(idx));
-            assert!(mcs_pair_lock(idx) + 16 <= mcs_lease_holder(idx));
+            assert!(mcs_lock(idx) + 16 <= mcs_lease_holder(idx));
             assert!(mcs_lease_holder(idx) + 8 <= mcs_lease_epoch(idx));
             assert!(mcs_lease_epoch(idx) + 8 <= end);
         }
@@ -185,6 +170,12 @@ mod tests {
         assert_eq!(hier_vec(locks, nprocs, 0, 0), notify_slot(locks, nprocs, NOTIFY_SLOTS - 1) + 8);
         let last = hier_vec(locks, nprocs, HIER_SLOTS - 1, nprocs as usize - 1);
         assert_eq!(sync_segment_len(locks, nprocs), last + 8);
+        // Absolute offsets for one shape: a retired field's words stay
+        // reserved, so no other offset (and no wire byte) moves.
+        assert_eq!(
+            [mcs_lock(2), mcs_lease_holder(2), mcs_lease_epoch(2), hier_next(locks), op_from(locks, 3)],
+            [208, 240, 248, 576, 1120]
+        );
     }
 
     #[test]

@@ -19,17 +19,12 @@
 //!   release must round-trip a `compare&swap` where the hybrid release
 //!   was a fire-and-forget message (§3.2.2 last paragraph — visible in
 //!   Figure 10).
-//!
-//! A third variant ([`Armci::lock_mcs_pair`]) runs the identical MCS
-//! algorithm over the paper's literal *paired-long* atomic operations
-//! instead of packed single-word pointers, for the encoding ablation.
 
 use std::sync::atomic::Ordering;
-use std::time::Instant;
 
 use armci_proto::{
-    Backoff, HybridAcquire, HybridAction, HybridEvent, McsAcquire, McsAcquireAction, McsAcquireEvent, McsReclaim,
-    McsRelease, McsReleaseAction, McsReleaseEvent, ReclaimAction, ReclaimEvent,
+    HybridAcquire, HybridAction, HybridEvent, McsAcquire, McsAcquireAction, McsAcquireEvent, McsReclaim, McsRelease,
+    McsReleaseAction, McsReleaseEvent, ReclaimAction, ReclaimEvent,
 };
 use armci_transport::{ProcId, SegId};
 
@@ -86,21 +81,15 @@ impl Armci {
     pub fn try_lock(&mut self, id: LockId) -> Result<(), ArmciError> {
         match self.lock_algo() {
             LockAlgo::Hybrid => self.try_lock_hybrid(id),
-            LockAlgo::ServerOnly => self.try_lock_server_only(id),
-            LockAlgo::TicketPoll => self.try_lock_ticket_poll(id),
-            LockAlgo::Mcs | LockAlgo::McsSwap => self.try_lock_mcs(id),
-            LockAlgo::McsPair => self.try_lock_mcs_pair(id),
+            LockAlgo::Mcs => self.try_lock_mcs(id),
         }
     }
 
     /// Release `id` with the configured default algorithm.
     pub fn unlock(&mut self, id: LockId) {
         match self.lock_algo() {
-            LockAlgo::Hybrid | LockAlgo::ServerOnly => self.unlock_hybrid(id),
-            LockAlgo::TicketPoll => self.unlock_ticket_poll(id),
+            LockAlgo::Hybrid => self.unlock_hybrid(id),
             LockAlgo::Mcs => self.unlock_mcs(id),
-            LockAlgo::McsPair => self.unlock_mcs_pair(id),
-            LockAlgo::McsSwap => self.unlock_mcs_swap(id),
         }
     }
 
@@ -164,86 +153,12 @@ impl Armci {
         Ok(())
     }
 
-    /// Acquire through the server even when the lock is node-local — the
-    /// pure server-based queue algorithm (no ticket fast path).
-    pub fn lock_server_only(&mut self, id: LockId) {
-        unwrap_op(self.try_lock_server_only(id));
-    }
-
-    /// Fallible [`Armci::lock_server_only`].
-    pub fn try_lock_server_only(&mut self, id: LockId) -> Result<(), ArmciError> {
-        self.check_lock_id(id);
-        let agent = self.sync_agent(self.topology().node_of(id.owner));
-        self.send_req_to(agent, &Req::LockReq { owner: id.owner, idx: id.idx });
-        let deadline = self.op_deadline();
-        let m = self.recv_wait("lock", deadline, |m| {
-            m.tag == TAG_LOCK_GRANT && m.src == agent && decode_grant(&m.body) == (id.owner, id.idx)
-        })?;
-        debug_assert_eq!(decode_grant(&m.body), (id.owner, id.idx));
-        Ok(())
-    }
-
     /// Release with the original hybrid algorithm. Always messages the
     /// server (Figure 4), fire-and-forget — the releaser does not wait.
     pub fn unlock_hybrid(&mut self, id: LockId) {
         self.check_lock_id(id);
         let agent = self.sync_agent(self.topology().node_of(id.owner));
         self.send_req_to(agent, &Req::UnlockReq { owner: id.owner, idx: id.idx });
-    }
-
-    // ------------------------------------------------------------------
-    // Remote-polling ticket lock (the strawman of §3.2.1)
-    // ------------------------------------------------------------------
-
-    /// Acquire with a plain ticket lock, polling the `counter` word over
-    /// the network when remote — the approach §3.2.1 rules out
-    /// ("ticket-based locks require polling on a variable, they are not
-    /// well suited for remote locks"). Each remote poll is a full
-    /// server round-trip; exponential backoff caps the traffic but adds
-    /// handoff latency. Uses the same slot words as the hybrid lock, but
-    /// the two algorithms must not be mixed on one lock (the hybrid's
-    /// server queue would miss these direct releases).
-    pub fn lock_ticket_poll(&mut self, id: LockId) {
-        unwrap_op(self.try_lock_ticket_poll(id));
-    }
-
-    /// Fallible [`Armci::lock_ticket_poll`]: the remote poll loop checks
-    /// the operation deadline between backoff sleeps, so a vanished lock
-    /// host cannot keep the requester polling forever.
-    pub fn try_lock_ticket_poll(&mut self, id: LockId) -> Result<(), ArmciError> {
-        self.check_lock_id(id);
-        let ticket_addr = GlobalAddr::new(id.owner, SegId(0), layout::hybrid_ticket(id.idx));
-        let counter_addr = GlobalAddr::new(id.owner, SegId(0), layout::hybrid_counter(id.idx));
-        if let Some(sync) = self.route_node_local(id.owner, SegId(0)).direct() {
-            let ticket = sync.fetch_add_u64(layout::hybrid_ticket(id.idx), 1);
-            let deadline = self.op_deadline();
-            return self.wait_local_cond("lock", deadline, move || {
-                sync.atomic_u64(layout::hybrid_counter(id.idx)).load(Ordering::Acquire) == ticket
-            });
-        }
-        let ticket = self.try_rmw(ticket_addr, RmwOp::FetchAddU64(1))?[0];
-        // Remote poll loop with capped exponential backoff (the shared
-        // `armci-proto` policy; the simulator uses the same doubling).
-        let deadline = self.op_deadline();
-        let mut backoff = Backoff::new(1, 256);
-        loop {
-            let counter = self.try_rmw(counter_addr, RmwOp::FetchAddU64(0))?[0];
-            if counter == ticket {
-                return Ok(());
-            }
-            if Instant::now() >= deadline {
-                return Err(ArmciError::Timeout { op: "lock" });
-            }
-            std::thread::sleep(std::time::Duration::from_micros(backoff.next_delay()));
-        }
-    }
-
-    /// Release the remote-polling ticket lock: a direct atomic increment
-    /// of `counter` (one round-trip when remote; the server queue is
-    /// never involved).
-    pub fn unlock_ticket_poll(&mut self, id: LockId) {
-        self.check_lock_id(id);
-        self.fetch_add_u64(GlobalAddr::new(id.owner, SegId(0), layout::hybrid_counter(id.idx)), 1);
     }
 
     // ------------------------------------------------------------------
@@ -562,146 +477,5 @@ impl Armci {
             }
         }
         Ok(reclaimed)
-    }
-
-    // ------------------------------------------------------------------
-    // Swap-only release (the paper's future work, realized)
-    // ------------------------------------------------------------------
-
-    /// Release an MCS-queued lock using only `swap` — the paper's §5
-    /// future work ("eliminate the need for the compare&swap operation
-    /// when releasing a lock"). Acquire with [`Armci::lock_mcs`] as
-    /// usual; the two release styles interoperate on the same lock.
-    ///
-    /// Algorithm (Fu/Tzeng-style recovery): with no known successor, swing
-    /// the `Lock` word to NULL with a `swap`. If the swap returns our own
-    /// node, the lock is free. Otherwise one or more waiters enqueued
-    /// behind us (`me → W1 → … → Wk`, where the swap returned `Wk`) and
-    /// the NULL we just stored may admit *usurpers*. Wait for `W1` to
-    /// link into our `next`, then `swap` the orphan tail `Wk` back into
-    /// `Lock`:
-    ///
-    /// * swap returned NULL — no usurper; grant `W1` directly;
-    /// * swap returned a usurper tail `Um` — a usurper holds the lock;
-    ///   append the orphan chain after it (`Um.next = W1`) and do *not*
-    ///   grant. Global queue becomes `U1 … Um → W1 … Wk` with `Lock = Wk`.
-    ///
-    /// Usurpers overtake the orphaned waiters, so strict FIFO ordering is
-    /// traded away; mutual exclusion and liveness are preserved.
-    pub fn unlock_mcs_swap(&mut self, id: LockId) {
-        self.check_lock_id(id);
-        assert_eq!(self.mcs_held, Some(id), "releasing an MCS lock not held");
-        if self.mcs_lease_stale(id) {
-            // Same lease-epoch validation as [`Armci::unlock_mcs`].
-            self.mcs_held = None;
-            return;
-        }
-        let me_ptr = self.my_mcs_node().pack();
-
-        let next = PackedPtr(self.my_sync.read_u64(layout::MCS_NEXT));
-        if let Some(next_addr) = next.decode() {
-            // Successor known: plain single-message handoff.
-            let _ = self.mcs_lease_set(id, u64::from(next_addr.proc.0) + 1);
-            self.put_u64(next_addr.add(8), 0);
-            self.mcs_held = None;
-            return;
-        }
-        // No visible successor: detach the queue with a swap.
-        let prev = PackedPtr(self.swap_u64(self.mcs_lock_var(id), PackedPtr::NULL.0));
-        if prev == me_ptr {
-            let _ = self.mcs_lease_set(id, 0);
-            self.mcs_held = None;
-            return; // we really were the tail: lock is free
-        }
-        // Orphaned chain me → W1 … Wk (= prev). Wait for W1's link.
-        let deadline = self.op_deadline();
-        let sync = self.my_sync.clone();
-        unwrap_op(self.wait_local_cond("unlock", deadline, move || {
-            sync.atomic_u64(layout::MCS_NEXT).load(Ordering::Acquire) != 0
-        }));
-        let w1 = PackedPtr(self.my_sync.read_u64(layout::MCS_NEXT));
-        let w1_addr = w1.decode().expect("linked successor decodes");
-        // Restore the orphan tail; learn whether usurpers slipped in.
-        let usurper = PackedPtr(self.swap_u64(self.mcs_lock_var(id), prev.0));
-        if let Some(um_addr) = usurper.decode() {
-            // A usurper holds the lock; queue the orphans behind its tail.
-            // (The usurper recorded its own lease when it acquired, so no
-            // lease write here.)
-            self.put_u64(um_addr, w1.0); // Um.next = W1
-        } else {
-            // Nobody usurped: hand the lock to W1.
-            let _ = self.mcs_lease_set(id, u64::from(w1_addr.proc.0) + 1);
-            self.put_u64(w1_addr.add(8), 0);
-        }
-        self.mcs_held = None;
-    }
-
-    // ------------------------------------------------------------------
-    // MCS over paired-long atomics (encoding ablation)
-    // ------------------------------------------------------------------
-
-    fn my_mcs_pair_node(&self) -> GlobalAddr {
-        GlobalAddr::new(self.me(), SegId(0), layout::MCS_PAIR_NEXT)
-    }
-
-    fn mcs_pair_lock_var(&self, id: LockId) -> GlobalAddr {
-        GlobalAddr::new(id.owner, SegId(0), layout::mcs_pair_lock(id.idx))
-    }
-
-    /// Acquire with the MCS lock over paired-long atomics — the paper's
-    /// literal mechanism (it extended ARMCI with atomic operations on
-    /// pairs of longs because `(proc, address)` tuples did not fit one
-    /// word).
-    pub fn lock_mcs_pair(&mut self, id: LockId) {
-        unwrap_op(self.try_lock_mcs_pair(id));
-    }
-
-    /// Fallible [`Armci::lock_mcs_pair`].
-    pub fn try_lock_mcs_pair(&mut self, id: LockId) -> Result<(), ArmciError> {
-        self.check_lock_id(id);
-        assert!(self.mcs_pair_held.is_none(), "paired MCS locks cannot nest, already holding {:?}", self.mcs_pair_held);
-        let mynode = self.my_mcs_pair_node();
-        let me_pair = mynode.to_pair();
-
-        self.my_sync.pair_swap(layout::MCS_PAIR_NEXT, [0, 0]);
-        let lock_var = self.mcs_pair_lock_var(id);
-        let prev = self.try_rmw(lock_var, RmwOp::PairSwap(me_pair))?;
-        if let Some(prev_addr) = GlobalAddr::from_pair(prev) {
-            self.my_sync.write_u64(layout::MCS_PAIR_LOCKED, 1);
-            self.put_pair(prev_addr, me_pair);
-            let deadline = self.op_deadline();
-            let sync = self.my_sync.clone();
-            self.wait_local_cond("lock", deadline, move || {
-                sync.atomic_u64(layout::MCS_PAIR_LOCKED).load(Ordering::Acquire) == 0
-            })?;
-        }
-        self.mcs_pair_held = Some(id);
-        Ok(())
-    }
-
-    /// Release the paired-long MCS lock.
-    pub fn unlock_mcs_pair(&mut self, id: LockId) {
-        self.check_lock_id(id);
-        assert_eq!(self.mcs_pair_held, Some(id), "releasing a paired MCS lock not held");
-        let me_pair = self.my_mcs_pair_node().to_pair();
-
-        let mut next = self.my_sync.pair_read(layout::MCS_PAIR_NEXT);
-        if next == [0, 0] {
-            let observed = self.pair_cas(self.mcs_pair_lock_var(id), me_pair, [0, 0]);
-            if observed == me_pair {
-                self.mcs_pair_held = None;
-                return;
-            }
-            let deadline = self.op_deadline();
-            let sync = self.my_sync.clone();
-            unwrap_op(
-                self.wait_local_cond("unlock", deadline, move || sync.pair_read(layout::MCS_PAIR_NEXT) != [0, 0]),
-            );
-            next = self.my_sync.pair_read(layout::MCS_PAIR_NEXT);
-        }
-        let next_addr = GlobalAddr::from_pair(next).expect("non-null next decodes");
-        // locked flag sits 16 bytes above the pair next field.
-        self.put_u64(GlobalAddr::new(next_addr.proc, next_addr.seg, layout::MCS_PAIR_LOCKED), 0);
-        self.mcs_pair_held = None;
     }
 }

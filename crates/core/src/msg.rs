@@ -105,9 +105,8 @@ pub enum Req {
         val: u64,
     },
     /// Non-blocking atomic store of a pair of `u64`s (16-aligned); the
-    /// paired-long analogue of [`Req::PutU64`], used by the `mcs_pair`
-    /// lock variant so its `prev->next = me` write cannot be observed
-    /// half-written.
+    /// paired-long analogue of [`Req::PutU64`], so a two-word value (such
+    /// as a paired global pointer) cannot be observed half-written.
     PutPair {
         /// Destination process.
         dst: ProcId,

@@ -228,7 +228,6 @@ where
         world: ProcGroup::flat(Group::world(nprocs), p.idx(), cfg.locks_per_proc).into(),
         epoch: 0,
         mcs_held: None,
-        mcs_pair_held: None,
         nbget_issued: vec![0; nnodes],
         nbget_completed: vec![0; nnodes],
         lock_alloc: vec![0; nprocs],

@@ -134,7 +134,6 @@ fn stub_armci(mode: StubMode) -> Armci {
         world: crate::group::ProcGroup::flat(armci_msglib::Group::world(nprocs), me.idx(), LOCKS_PER_PROC).into(),
         epoch: 0,
         mcs_held: None,
-        mcs_pair_held: None,
         nbget_issued: vec![0; nnodes],
         nbget_completed: vec![0; nnodes],
         lock_alloc: vec![0; nprocs],

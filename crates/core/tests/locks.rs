@@ -45,150 +45,8 @@ fn hybrid_mutual_exclusion_flat() {
 }
 
 #[test]
-fn server_only_mutual_exclusion_flat() {
-    mutual_exclusion_torture(cfg(4, 1, LockAlgo::ServerOnly), 25);
-}
-
-#[test]
-fn server_only_mutual_exclusion_smp() {
-    mutual_exclusion_torture(cfg(2, 2, LockAlgo::ServerOnly), 25);
-}
-
-#[test]
-fn server_only_local_lock_still_messages() {
-    // Unlike the hybrid, the pure server-queue lock messages the server
-    // even for a node-local acquire — the overhead the hybrid's ticket
-    // fast path removes (paper §3.2.1).
-    let out = run_cluster(cfg(1, 2, LockAlgo::ServerOnly), |a| {
-        let lock = LockId { owner: ProcId(0), idx: 0 };
-        a.barrier();
-        if a.rank() == 0 {
-            let before = a.stats().server_msgs;
-            a.lock(lock);
-            a.unlock(lock);
-            assert_eq!(a.stats().server_msgs - before, 2, "LockReq + UnlockReq");
-        }
-        a.barrier();
-        true
-    });
-    assert!(out.into_iter().all(|ok| ok));
-}
-
-#[test]
-fn ticket_poll_mutual_exclusion_flat() {
-    mutual_exclusion_torture(cfg(4, 1, LockAlgo::TicketPoll), 15);
-}
-
-#[test]
-fn ticket_poll_mutual_exclusion_smp() {
-    mutual_exclusion_torture(cfg(2, 2, LockAlgo::TicketPoll), 15);
-}
-
-#[test]
-fn ticket_poll_generates_poll_traffic() {
-    // The strawman's defining flaw: a remote waiter burns server
-    // round-trips while waiting. Hold the lock hostage briefly and count
-    // the waiter's RMWs.
-    let out = run_cluster(cfg(2, 1, LockAlgo::TicketPoll), |a| {
-        let lock = LockId { owner: ProcId(0), idx: 0 };
-        a.barrier();
-        if a.rank() == 0 {
-            a.lock(lock);
-            std::thread::sleep(std::time::Duration::from_millis(20));
-            a.unlock(lock);
-        } else {
-            std::thread::sleep(std::time::Duration::from_millis(3));
-            let before = a.stats().remote_rmws;
-            a.lock(lock); // must poll until rank 0 releases
-            let polls = a.stats().remote_rmws - before;
-            a.unlock(lock);
-            assert!(polls >= 3, "expected repeated remote polls, saw {polls}");
-        }
-        a.barrier();
-        true
-    });
-    assert!(out.into_iter().all(|ok| ok));
-}
-
-#[test]
-fn mcs_swap_mutual_exclusion_flat() {
-    mutual_exclusion_torture(cfg(4, 1, LockAlgo::McsSwap), 25);
-}
-
-#[test]
-fn mcs_swap_mutual_exclusion_smp() {
-    mutual_exclusion_torture(cfg(2, 2, LockAlgo::McsSwap), 25);
-}
-
-#[test]
-fn mcs_swap_usurper_stress() {
-    // Hammer the swap-release recovery path: many processes, zero
-    // latency, tight loop — the release-vs-enqueue race (and hence the
-    // usurper append) fires regularly. Mutual exclusion must hold and
-    // every iteration must finish (no lost wakeups).
-    mutual_exclusion_torture(cfg(6, 1, LockAlgo::McsSwap), 40);
-}
-
-#[test]
-fn mcs_swap_release_uses_no_cas() {
-    // The whole point of the future-work variant: the release path stays
-    // CAS-free. We can't observe op kinds directly, but an uncontended
-    // *local* release must stay message-free and an uncontended *remote*
-    // release must cost exactly one remote RMW (the swap), same count as
-    // the CAS version — while the contended handoff is one put.
-    let out = run_cluster(cfg(2, 1, LockAlgo::McsSwap), |a| {
-        let lock = LockId { owner: ProcId(0), idx: 0 };
-        a.barrier();
-        if a.rank() == 1 {
-            a.lock(lock);
-            let before = a.stats().remote_rmws;
-            a.unlock(lock);
-            assert_eq!(a.stats().remote_rmws - before, 1, "swap-release = one remote swap");
-        }
-        a.barrier();
-        true
-    });
-    assert!(out.into_iter().all(|ok| ok));
-}
-
-#[test]
-fn mcs_and_mcs_swap_releases_interoperate() {
-    // Both release styles on the same lock, alternating.
-    let out = run_cluster(cfg(3, 1, LockAlgo::Mcs), |a| {
-        let seg = a.malloc(8);
-        let lock = LockId { owner: ProcId(0), idx: 0 };
-        let ctr = armci_core::GlobalAddr::new(ProcId(0), seg, 0);
-        a.barrier();
-        for i in 0..20 {
-            a.lock_mcs(lock);
-            let mut b = [0u8; 8];
-            a.get(ctr, &mut b);
-            a.put(ctr, &(u64::from_le_bytes(b) + 1).to_le_bytes());
-            a.fence(ProcId(0));
-            if i % 2 == 0 {
-                a.unlock_mcs(lock);
-            } else {
-                a.unlock_mcs_swap(lock);
-            }
-        }
-        a.barrier();
-        let mut b = [0u8; 8];
-        a.get(ctr, &mut b);
-        u64::from_le_bytes(b)
-    });
-    for v in out {
-        assert_eq!(v, 60);
-    }
-}
-
-#[test]
 fn mcs_mutual_exclusion_flat() {
     mutual_exclusion_torture(cfg(4, 1, LockAlgo::Mcs), 25);
-}
-
-#[test]
-fn mcs_pair_mutual_exclusion_flat() {
-    mutual_exclusion_torture(cfg(4, 1, LockAlgo::McsPair), 25);
 }
 
 #[test]
@@ -202,13 +60,8 @@ fn mcs_mutual_exclusion_smp() {
 }
 
 #[test]
-fn mcs_pair_mutual_exclusion_smp() {
-    mutual_exclusion_torture(cfg(2, 2, LockAlgo::McsPair), 25);
-}
-
-#[test]
 fn single_process_lock_unlock_local_and_remote() {
-    for algo in [LockAlgo::Hybrid, LockAlgo::Mcs, LockAlgo::McsPair] {
+    for algo in [LockAlgo::Hybrid, LockAlgo::Mcs] {
         let out = run_cluster(cfg(2, 1, algo), |a| {
             // Local lock (owner = me) and remote lock (owner = peer).
             for owner in 0..2u32 {

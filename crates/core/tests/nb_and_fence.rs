@@ -1,5 +1,5 @@
-//! Integration tests for the non-blocking get API and the pipelined
-//! AllFence extension.
+//! Integration tests for the non-blocking get API and the sequential
+//! AllFence's cost.
 
 use armci_core::{run_cluster, ArmciCfg, GlobalAddr, Strided2D};
 use armci_transport::{LatencyModel, ProcId};
@@ -114,63 +114,27 @@ fn nbget_out_of_order_wait_rejected() {
 }
 
 #[test]
-fn pipelined_allfence_is_correct() {
-    let out = run_cluster(zero_lat(5), |a| {
-        let seg = a.malloc(8 * a.nprocs());
-        for r in 0..a.nprocs() {
-            if r != a.rank() {
-                a.put_u64(GlobalAddr::new(ProcId(r as u32), seg, 8 * a.rank()), 5);
-            }
-        }
-        a.allfence_pipelined();
-        armci_msglib::Group::world(a.nprocs()).barrier_binary_exchange(a);
-        let mine = a.local_segment(seg);
-        (0..a.nprocs()).filter(|&r| r != a.rank()).all(|r| mine.read_u64(8 * r) == 5)
-    });
-    assert!(out.into_iter().all(|ok| ok));
-}
-
-#[test]
-fn pipelined_allfence_overlaps_roundtrips() {
-    // With L = 5ms and 3 touched servers: sequential allfence >= 30ms,
-    // pipelined ~10ms.
+fn allfence_pays_one_roundtrip_per_touched_server() {
+    // With L = 5ms and 3 touched servers the sequential AllFence confirms
+    // one server at a time: >= 3 round trips = 30ms, one confirmation each.
     let lat = LatencyModel::zero().with_inter_node(Duration::from_millis(5));
     let out = run_cluster(ArmciCfg::flat(4, lat), |a| {
         let seg = a.malloc(8 * a.nprocs());
         a.barrier();
-        let mut durations = (Duration::ZERO, Duration::ZERO);
+        let mut cost = (Duration::ZERO, 0);
         if a.rank() == 0 {
             for r in 1..4u32 {
                 a.put_u64(GlobalAddr::new(ProcId(r), seg, 0), 1);
             }
-            let t0 = Instant::now();
-            a.allfence_pipelined();
-            durations.0 = t0.elapsed();
-
-            for r in 1..4u32 {
-                a.put_u64(GlobalAddr::new(ProcId(r), seg, 0), 2);
-            }
+            let before = a.stats().fence_roundtrips;
             let t0 = Instant::now();
             a.allfence();
-            durations.1 = t0.elapsed();
+            cost = (t0.elapsed(), a.stats().fence_roundtrips - before);
         }
         a.barrier();
-        durations
+        cost
     });
-    let (piped, seq) = out[0];
-    assert!(piped >= Duration::from_millis(10), "pipelined must still round-trip: {piped:?}");
+    let (seq, roundtrips) = out[0];
     assert!(seq >= Duration::from_millis(30), "sequential pays per-server: {seq:?}");
-    assert!(piped < seq / 2, "pipelining must overlap: {piped:?} !< {seq:?}/2");
-}
-
-#[test]
-fn pipelined_allfence_skips_untouched() {
-    let out = run_cluster(zero_lat(4), |a| {
-        a.barrier();
-        let before = a.stats().fence_roundtrips;
-        a.allfence_pipelined(); // nothing outstanding anywhere
-        a.barrier();
-        a.stats().fence_roundtrips == before
-    });
-    assert!(out.into_iter().all(|ok| ok));
+    assert_eq!(roundtrips, 3, "one confirmation per touched server");
 }

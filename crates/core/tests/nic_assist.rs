@@ -56,7 +56,7 @@ fn fence_covers_both_agents() {
 
 #[test]
 fn locks_work_under_nic_assist() {
-    for algo in [LockAlgo::Hybrid, LockAlgo::Mcs, LockAlgo::McsPair, LockAlgo::McsSwap] {
+    for algo in [LockAlgo::Hybrid, LockAlgo::Mcs] {
         let nprocs = 4u64;
         let out = run_cluster(nic_cfg(nprocs as u32, algo), move |a| {
             let seg = a.malloc(8);

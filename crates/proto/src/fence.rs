@@ -1,4 +1,4 @@
-//! Fence accounting and fence-confirmation plans (paper §3.1.1).
+//! Fence accounting (paper §3.1.1).
 //!
 //! ARMCI's fence guarantees remote completion of previously issued
 //! counted operations. The bookkeeping is pure counting and lives here:
@@ -12,11 +12,6 @@
 //! * `unacked[node]` — outstanding per-put acknowledgements under a
 //!   VIA-style reliable NIC ([`FenceMode::DrainAcks`]), where fencing
 //!   means draining acks rather than a confirmation round-trip.
-//!
-//! [`SeqConfirm`] and [`PipeConfirm`] are the two `AllFence` shapes the
-//! paper compares: confirm one node at a time (the baseline whose cost is
-//! `2·(N-1)` latencies) or fire every confirmation and collect the acks
-//! overlapped (the pipelined optimization).
 //!
 //! The counters themselves live in the unified completion
 //! [`Ledger`](crate::completion::Ledger); [`FenceEngine`] is the
@@ -185,67 +180,6 @@ impl FenceEngine {
     }
 }
 
-/// Sequential `AllFence` baseline: confirm one target after another, each
-/// ack releasing the next request — the `2·(N-1)`-latency shape of paper
-/// Figure 7's baseline `GA_Sync`.
-#[derive(Clone, Debug)]
-pub struct SeqConfirm {
-    targets: Vec<usize>,
-    next: usize,
-}
-
-impl SeqConfirm {
-    /// Plan over `targets` in the given order.
-    pub fn new(targets: Vec<usize>) -> Self {
-        SeqConfirm { targets, next: 0 }
-    }
-
-    /// The target currently being confirmed (request outstanding or about
-    /// to be sent); `None` when the plan is complete.
-    pub fn current(&self) -> Option<usize> {
-        self.targets.get(self.next).copied()
-    }
-
-    /// The current target acked; returns the next target to confirm.
-    pub fn ack(&mut self) -> Option<usize> {
-        debug_assert!(self.next < self.targets.len(), "ack past end of plan");
-        self.next += 1;
-        self.current()
-    }
-
-    /// All targets confirmed.
-    pub fn is_complete(&self) -> bool {
-        self.next >= self.targets.len()
-    }
-}
-
-/// Pipelined `AllFence`: all confirmation requests fired at once, acks
-/// collected in any order (cost `2 + log` instead of `2·(N-1)`).
-#[derive(Clone, Debug)]
-pub struct PipeConfirm {
-    total: usize,
-    acks: usize,
-}
-
-impl PipeConfirm {
-    /// Plan awaiting `total` acks (the harness fires the requests).
-    pub fn new(total: usize) -> Self {
-        PipeConfirm { total, acks: 0 }
-    }
-
-    /// One ack arrived; returns `true` when all are in.
-    pub fn ack(&mut self) -> bool {
-        debug_assert!(self.acks < self.total, "ack past end of plan");
-        self.acks += 1;
-        self.is_complete()
-    }
-
-    /// All acks collected.
-    pub fn is_complete(&self) -> bool {
-        self.acks >= self.total
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -346,30 +280,5 @@ mod tests {
         assert!(f.group_confirm_targets(&[2, 3]).is_empty());
         // op_init survives: the shrunk group stops summing those slots.
         assert_eq!(f.op_init(), &[0, 0, 1, 1]);
-    }
-
-    #[test]
-    fn seq_confirm_walks_targets_in_order() {
-        let mut p = SeqConfirm::new(vec![3, 1, 2]);
-        assert_eq!(p.current(), Some(3));
-        assert_eq!(p.ack(), Some(1));
-        assert_eq!(p.ack(), Some(2));
-        assert_eq!(p.ack(), None);
-        assert!(p.is_complete());
-    }
-
-    #[test]
-    fn empty_seq_confirm_is_complete() {
-        assert!(SeqConfirm::new(Vec::new()).is_complete());
-    }
-
-    #[test]
-    fn pipe_confirm_completes_on_last_ack() {
-        let mut p = PipeConfirm::new(3);
-        assert!(!p.ack());
-        assert!(!p.ack());
-        assert!(p.ack());
-        assert!(p.is_complete());
-        assert!(PipeConfirm::new(0).is_complete());
     }
 }

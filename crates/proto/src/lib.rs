@@ -24,9 +24,8 @@
 //!   one set of counted-op books shared by fences and notified RMA,
 //!   plus the put-with-notify engine (issue counting, consumer waits,
 //!   membership-aware aborts);
-//! * [`FenceEngine`] + [`SeqConfirm`]/[`PipeConfirm`] — fence
-//!   accounting (a mode-policy layer over the ledger) and `AllFence`
-//!   confirmation plans;
+//! * [`FenceEngine`] — fence accounting (a mode-policy layer over the
+//!   ledger);
 //! * [`Exchange`] — the binary-exchange schedule (barrier or allreduce
 //!   stage), non-power-of-two folding included;
 //! * [`CombinedBarrier`] — the full `ARMCI_Barrier()`:
@@ -38,7 +37,7 @@
 //!   exchange → domain release (the last three skipped when nothing
 //!   was put);
 //! * [`HybridHome`]/[`HybridAcquire`], [`McsAcquire`]/[`McsRelease`]/
-//!   [`McsReclaim`], [`Backoff`] — lock word transitions;
+//!   [`McsReclaim`] — lock word transitions;
 //! * [`Membership`] — epoch-stamped cluster membership views
 //!   (suspect → confirm → evict) that degraded-mode collectives shrink
 //!   to.
@@ -55,10 +54,10 @@ pub mod membership;
 pub use barrier::{BarrierAction, BarrierEvent, CombinedBarrier, STAGE_ALLREDUCE, STAGE_BARRIER};
 pub use completion::{completion_sites, CompletionSite, Ledger, NotifyAction, NotifyEngine, NotifyEvent, NotifyRecord};
 pub use exchange::{Exchange, SendRecord, XchgAction, XchgEvent, XchgMsg};
-pub use fence::{ConfirmTargets, FenceEngine, FenceMode, PipeConfirm, SeqConfirm};
+pub use fence::{ConfirmTargets, FenceEngine, FenceMode};
 pub use hier::{HierAction, HierBarrier, HierEvent, HierExpect, HierMsg, HierRecord};
 pub use lock::{
-    Backoff, HybridAcquire, HybridAction, HybridEvent, HybridHome, McsAcquire, McsAcquireAction, McsAcquireEvent,
-    McsReclaim, McsRelease, McsReleaseAction, McsReleaseEvent, ReclaimAction, ReclaimEvent,
+    HybridAcquire, HybridAction, HybridEvent, HybridHome, McsAcquire, McsAcquireAction, McsAcquireEvent, McsReclaim,
+    McsRelease, McsReleaseAction, McsReleaseEvent, ReclaimAction, ReclaimEvent,
 };
 pub use membership::{MemberAction, MemberEvent, Membership, MembershipView, RankSet};

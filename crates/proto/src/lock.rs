@@ -1,6 +1,5 @@
 //! Lock protocol engines (paper §3.2): the hybrid server-queued lock and
-//! the MCS queuing lock's word transitions, plus the shared poll backoff
-//! of the naive ticket-polling strawman.
+//! the MCS queuing lock's word transitions.
 //!
 //! As with the other engines these are sans-IO: memory words are read,
 //! swapped, and CAS'd by the *harness* (against real segments in the
@@ -474,35 +473,6 @@ impl McsReclaim {
     }
 }
 
-// ---------------------------------------------------------------------------
-// Ticket-polling strawman backoff.
-// ---------------------------------------------------------------------------
-
-/// Capped exponential backoff used by the ticket-polling strawman while
-/// re-reading the remote counter. Unit-agnostic: the runtime counts
-/// microseconds, the simulator nanoseconds, with the same doubling
-/// policy.
-#[derive(Clone, Copy, Debug)]
-pub struct Backoff {
-    cur: u64,
-    cap: u64,
-}
-
-impl Backoff {
-    /// Start at `initial`, double up to `cap`.
-    pub fn new(initial: u64, cap: u64) -> Self {
-        debug_assert!(initial > 0 && initial <= cap);
-        Backoff { cur: initial, cap }
-    }
-
-    /// The delay to use for this poll; doubles (capped) for the next.
-    pub fn next_delay(&mut self) -> u64 {
-        let d = self.cur;
-        self.cur = (self.cur * 2).min(self.cap);
-        d
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -682,11 +652,5 @@ mod tests {
                 ReclaimAction::Finished(false),
             ]
         );
-    }
-
-    #[test]
-    fn backoff_doubles_to_cap() {
-        let mut b = Backoff::new(1, 8);
-        assert_eq!([b.next_delay(), b.next_delay(), b.next_delay(), b.next_delay(), b.next_delay()], [1, 2, 4, 8, 8]);
     }
 }

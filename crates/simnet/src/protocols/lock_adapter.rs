@@ -7,8 +7,8 @@
 //! release can fire a single wake versus when it must CAS and wait for
 //! its successor's link — are not modeled here: each actor is a thin
 //! adapter around the sans-IO engines in [`armci_proto`]
-//! ([`HybridHome`], [`HybridAcquire`], [`McsAcquire`], [`McsRelease`],
-//! [`Backoff`]), the same code the runtime's lock paths drive against
+//! ([`HybridHome`], [`HybridAcquire`], [`McsAcquire`], [`McsRelease`]),
+//! the same code the runtime's lock paths drive against
 //! real memory segments. The adapter performs the modeled word
 //! operations and messages, feeds the observed values back as events,
 //! and charges virtual time.
@@ -31,8 +31,8 @@
 //! * **cycle** — acquire + release (the Figure 8 quantity).
 
 use armci_proto::{
-    Backoff, HybridAcquire, HybridAction, HybridEvent, HybridHome, McsAcquire, McsAcquireAction, McsAcquireEvent,
-    McsRelease, McsReleaseAction, McsReleaseEvent,
+    HybridAcquire, HybridAction, HybridEvent, HybridHome, McsAcquire, McsAcquireAction, McsAcquireEvent, McsRelease,
+    McsReleaseAction, McsReleaseEvent,
 };
 
 use crate::net::NetModel;
@@ -45,9 +45,6 @@ pub enum LockAlgo {
     Hybrid,
     /// MCS software queuing lock (the paper's contribution, §3.2.2).
     Mcs,
-    /// Plain ticket lock with *remote polling* of the counter (capped
-    /// exponential backoff) — the strawman §3.2.1 rules out.
-    TicketPoll,
 }
 
 /// Messages of the lock protocols.
@@ -74,18 +71,6 @@ pub enum Msg {
     Wake,
     /// Local timer: the hold time expired, release now.
     ReleaseTimer,
-    /// TicketPoll: take a ticket (fetch-and-increment, to home).
-    TakeTicket,
-    /// TicketPoll: the drawn ticket number (home → process).
-    TicketReply(u64),
-    /// TicketPoll: read the counter (to home).
-    Poll,
-    /// TicketPoll: current counter value (home → process).
-    PollReply(u64),
-    /// TicketPoll: increment the counter, fire-and-forget (to home).
-    IncCounter,
-    /// TicketPoll: local backoff timer expired — poll again.
-    PollTimer,
 }
 
 /// All simulated locks are the same lock; the engine keys by (owner, idx).
@@ -142,9 +127,6 @@ struct Proc {
     /// The release engine issued `AwaitSuccessor`: the next `SetNext`
     /// delivery resumes it.
     awaiting_successor: bool,
-    // TicketPoll state.
-    my_ticket: u64,
-    backoff: Backoff,
 }
 
 /// Actors of the lock simulation.
@@ -168,10 +150,6 @@ impl Proc {
             LockAlgo::Mcs => {
                 self.acq = Some(McsAcquire::new(false));
                 self.drive_mcs_acquire(ctx, McsAcquireEvent::Start, delay);
-            }
-            LockAlgo::TicketPoll => {
-                self.backoff = Backoff::new(1_000, 256_000); // 1 µs initial
-                ctx.send_after(delay, self.home, Msg::TakeTicket, 0);
             }
         }
     }
@@ -318,20 +296,6 @@ impl Actor<Msg> for LockNode {
                     }
                     ctx.send(from, Msg::CasReply(ok), 0);
                 }
-                Msg::TakeTicket => {
-                    h.charge(ctx, from, false);
-                    let t = h.ticket;
-                    h.ticket += 1;
-                    ctx.send(from, Msg::TicketReply(t), 0);
-                }
-                Msg::Poll => {
-                    h.charge(ctx, from, false);
-                    ctx.send(from, Msg::PollReply(h.counter), 0);
-                }
-                Msg::IncCounter => {
-                    h.charge(ctx, from, false);
-                    h.counter += 1;
-                }
                 other => panic!("home received {other:?}"),
             },
             LockNode::P(p) => match msg {
@@ -357,11 +321,6 @@ impl Actor<Msg> for LockNode {
                             ctx.send_after(p.send_overhead, p.home, Msg::Unlock, 0);
                             p.finish_release(ctx, p.send_overhead);
                         }
-                        LockAlgo::TicketPoll => {
-                            // Fire-and-forget counter increment.
-                            ctx.send_after(p.send_overhead, p.home, Msg::IncCounter, 0);
-                            p.finish_release(ctx, p.send_overhead);
-                        }
                         LockAlgo::Mcs => {
                             // Successor known: single-message handoff at
                             // `send_overhead`; otherwise the engine CASes
@@ -382,21 +341,6 @@ impl Actor<Msg> for LockNode {
                         (ctx.now + p.send_overhead) - p.t_rel
                     };
                     p.drive_mcs_release(ctx, McsReleaseEvent::CasResult { won: ok }, dur);
-                }
-                Msg::TicketReply(t) => {
-                    p.my_ticket = t;
-                    ctx.send(p.home, Msg::Poll, 0);
-                }
-                Msg::PollReply(counter) => {
-                    if counter == p.my_ticket {
-                        p.acquired(ctx);
-                    } else {
-                        // Back off, then poll again (capped exponential).
-                        ctx.wake_after(p.backoff.next_delay(), Msg::PollTimer);
-                    }
-                }
-                Msg::PollTimer => {
-                    ctx.send(p.home, Msg::Poll, 0);
                 }
                 other => panic!("process received {other:?}"),
             },
@@ -434,8 +378,6 @@ fn mk_proc(me: u32, home: ActorId, algo: LockAlgo, iters: u64, hold: Time, model
         acq: None,
         rel: None,
         awaiting_successor: false,
-        my_ticket: 0,
-        backoff: Backoff::new(1_000, 256_000),
     }
 }
 
@@ -644,27 +586,6 @@ mod tests {
         let a = simulate_lock(LockAlgo::Mcs, 8, 100, 0, model());
         let b = simulate_lock(LockAlgo::Mcs, 8, 100, 0, model());
         assert_eq!(a, b);
-    }
-
-    #[test]
-    fn ticket_poll_is_worst_under_contention() {
-        for n in [4usize, 8, 16] {
-            let tp = simulate_lock(LockAlgo::TicketPoll, n, 100, 0, model());
-            let hy = simulate_lock(LockAlgo::Hybrid, n, 100, 0, model());
-            let mc = simulate_lock(LockAlgo::Mcs, n, 100, 0, model());
-            assert!(tp.cycle_ns > hy.cycle_ns, "n={n}: poll {} !> hybrid {}", tp.cycle_ns, hy.cycle_ns);
-            assert!(tp.cycle_ns > mc.cycle_ns, "n={n}: poll {} !> mcs {}", tp.cycle_ns, mc.cycle_ns);
-        }
-    }
-
-    #[test]
-    fn ticket_poll_uncontended_is_reasonable() {
-        // With no contention the first poll succeeds: take-ticket RTT +
-        // poll RTT — twice the hybrid's single round-trip, but bounded.
-        let m = NetModel::latency_only(1000);
-        let tp = simulate_lock_at(LockAlgo::TicketPoll, 1, 10, 0, m, false);
-        assert_eq!(tp.acquire_ns, 4000.0, "two round trips");
-        assert_eq!(tp.release_ns, 0.0, "fire-and-forget increment");
     }
 
     #[test]

@@ -152,9 +152,6 @@ fn msg_stage(m: &Msg) -> Option<u8> {
 enum Stage {
     /// Sequentially round-trip fence confirmations with `targets` servers.
     SeqFence { targets: Vec<ActorId>, next: usize },
-    /// Fire confirmations at all `targets` at once, then collect the acks
-    /// (the pipelined AllFence extension).
-    PipeFence { targets: Vec<ActorId>, fired: bool, acks: usize },
     /// One binary-exchange stage.
     Exchange(Exchange),
 }
@@ -245,18 +242,6 @@ impl ProcActor {
                     }
                     self.cur += 1;
                 }
-                Stage::PipeFence { targets, fired, acks } => {
-                    if !*fired {
-                        *fired = true;
-                        for &t in targets.iter() {
-                            ctx.send(t, Msg::FenceReq, 0);
-                        }
-                    }
-                    if *acks < targets.len() {
-                        return; // resume on FenceAck
-                    }
-                    self.cur += 1;
-                }
                 Stage::Exchange(x) => {
                     if x.advance(ctx) {
                         self.cur += 1;
@@ -298,13 +283,6 @@ impl ProcActor {
                 *next = targets.len();
                 self.cur += 1;
                 self.advance(ctx);
-            }
-            Stage::PipeFence { targets, acks, .. } => {
-                *acks += 1;
-                if *acks == targets.len() {
-                    self.cur += 1;
-                    self.advance(ctx);
-                }
             }
             Stage::Exchange(_) => panic!("unexpected FenceAck inside an exchange stage"),
         }
@@ -469,17 +447,6 @@ pub fn simulate_sync_baseline(n: usize, targets_per_proc: usize, model: NetModel
         // worse than its ideal 2(n-1)·L once server occupancy is nonzero.
         let targets: Vec<ActorId> = (0..n).filter(|&s| s != p).take(targets_per_proc).map(|s| n + s).collect();
         vec![Stage::SeqFence { targets, next: 0 }, Stage::Exchange(Exchange::new(1, 0, n, p))]
-    })
-}
-
-/// Simulate the *pipelined* AllFence extension + barrier: every process
-/// fires all its confirmation requests at once, collects the acks, then
-/// barriers. `~2 latencies + queueing` instead of the sequential `2k`.
-pub fn simulate_sync_pipelined(n: usize, targets_per_proc: usize, model: NetModel) -> SyncResult {
-    assert!(targets_per_proc < n, "cannot fence more than n-1 remote servers");
-    run(n, model, |p| {
-        let targets: Vec<ActorId> = (0..n).filter(|&s| s != p).take(targets_per_proc).map(|s| n + s).collect();
-        vec![Stage::PipeFence { targets, fired: false, acks: 0 }, Stage::Exchange(Exchange::new(1, 0, n, p))]
     })
 }
 
@@ -930,40 +897,6 @@ mod tests {
             let hi = 2 * (m.trailing_zeros() as u64 + 2) * l;
             assert!(r.max() >= lo && r.max() <= hi, "n={n}: {} not in [{lo}, {hi}]", r.max());
         }
-    }
-
-    #[test]
-    fn pipelined_matches_overlap_formula_pure_latency() {
-        // All fences overlap: 2L for the fence phase + log2(n)*L barrier.
-        let l = 1000;
-        for n in [2usize, 4, 8, 16] {
-            let r = simulate_sync_pipelined(n, n - 1, NetModel::latency_only(l));
-            let expect = (2 + n.trailing_zeros() as u64) * l;
-            assert_eq!(r.max(), expect, "n={n}");
-        }
-    }
-
-    #[test]
-    fn pipelined_sits_between_sequential_and_combined() {
-        let net = NetModel::myrinet_2000();
-        for n in [8usize, 16, 32] {
-            let seq = simulate_sync_baseline(n, n - 1, net).mean();
-            let pipe = simulate_sync_pipelined(n, n - 1, net).mean();
-            let comb = simulate_combined_barrier(n, net).mean();
-            assert!(pipe < seq, "n={n}: pipelined {pipe} !< sequential {seq}");
-            assert!(comb < pipe, "n={n}: combined {comb} !< pipelined {pipe} (per-proc acks still scale with n)");
-        }
-    }
-
-    #[test]
-    fn pipelined_still_pays_server_queueing() {
-        // With occupancy, n-1 simultaneous requests at each server
-        // serialize: the pipelined fence scales with n despite overlap.
-        let mut m = NetModel::latency_only(1000);
-        m.server_occupancy = 2000;
-        let small = simulate_sync_pipelined(4, 3, m).max();
-        let large = simulate_sync_pipelined(16, 15, m).max();
-        assert!(large > small + 10_000, "queueing must grow with n: {small} vs {large}");
     }
 
     #[test]

@@ -118,14 +118,14 @@ fn chaos_flat_hybrid() {
 }
 
 #[test]
-fn chaos_smp_mcs_swap() {
-    chaos_run(0x5EED, 2, 2, LockAlgo::McsSwap, 6);
+fn chaos_smp_mcs() {
+    chaos_run(0x5EED, 2, 2, LockAlgo::Mcs, 6);
 }
 
 #[test]
-fn chaos_smp_pair_multi_seed() {
+fn chaos_smp_hybrid_multi_seed() {
     for seed in [1u64, 2, 3] {
-        chaos_run(seed, 2, 2, LockAlgo::McsPair, 3);
+        chaos_run(seed, 2, 2, LockAlgo::Hybrid, 3);
     }
 }
 

@@ -69,7 +69,7 @@ fn visibility_matrix_ack_modes_x_topologies() {
 #[test]
 fn lock_matrix_algos_x_topologies() {
     for (nodes, ppn) in topologies() {
-        for algo in [LockAlgo::Hybrid, LockAlgo::TicketPoll, LockAlgo::Mcs, LockAlgo::McsPair, LockAlgo::McsSwap] {
+        for algo in [LockAlgo::Hybrid, LockAlgo::Mcs] {
             let cfg = ArmciCfg {
                 nodes,
                 procs_per_node: ppn,

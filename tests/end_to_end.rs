@@ -116,7 +116,7 @@ fn msglib_collectives_inside_armci_runtime() {
 
 #[test]
 fn all_three_lock_algorithms_protect_ga_state() {
-    for algo in [LockAlgo::Hybrid, LockAlgo::Mcs, LockAlgo::McsPair] {
+    for algo in [LockAlgo::Hybrid, LockAlgo::Mcs] {
         let cfg = ArmciCfg::flat(3, LatencyModel::zero()).with_lock_algo(algo);
         let out = armci_core::run_cluster(cfg, |a| {
             let ga = GlobalArray::create(a, 8, 8);

@@ -59,33 +59,13 @@ fn intervals_disjoint_hybrid() {
 }
 
 #[test]
-fn intervals_disjoint_server_only() {
-    assert_disjoint(record_intervals(LockAlgo::ServerOnly, 4, 1, 40), LockAlgo::ServerOnly);
-}
-
-#[test]
-fn intervals_disjoint_ticket_poll() {
-    assert_disjoint(record_intervals(LockAlgo::TicketPoll, 4, 1, 25), LockAlgo::TicketPoll);
-}
-
-#[test]
 fn intervals_disjoint_mcs() {
     assert_disjoint(record_intervals(LockAlgo::Mcs, 4, 1, 40), LockAlgo::Mcs);
 }
 
 #[test]
-fn intervals_disjoint_mcs_pair() {
-    assert_disjoint(record_intervals(LockAlgo::McsPair, 4, 1, 40), LockAlgo::McsPair);
-}
-
-#[test]
-fn intervals_disjoint_mcs_swap() {
-    assert_disjoint(record_intervals(LockAlgo::McsSwap, 4, 1, 40), LockAlgo::McsSwap);
-}
-
-#[test]
 fn intervals_disjoint_smp_mixed() {
-    for algo in [LockAlgo::Hybrid, LockAlgo::Mcs, LockAlgo::McsSwap] {
+    for algo in [LockAlgo::Hybrid, LockAlgo::Mcs] {
         assert_disjoint(record_intervals(algo, 2, 3, 25), algo);
     }
 }
