@@ -175,7 +175,7 @@ fn fence_accounting(iters: u64, nnodes: usize, puts: usize) -> Duration {
             eng.note_put(i % nprocs, i % nnodes, false);
         }
         for node in 0..nnodes {
-            if !eng.confirm_targets(node).is_empty() {
+            if eng.confirm_targets(node) {
                 eng.node_confirmed(node);
             }
         }

@@ -1,8 +1,8 @@
 //! `reproduce` — regenerate every table/figure of the IPPS 2003 paper.
 //!
 //! ```text
-//! reproduce [all|fig7|fig8|fig9|fig10|model|ablation-ack|ablation-crossover|ablation-nic|
-//!            lock-hold|smp|lock-detail|net-selftest] [--quick] [--net] [--nodes N] [--csv DIR]
+//! reproduce [all|fig7|fig8|fig9|fig10|model|ablation-ack|ablation-crossover|lock-hold|
+//!            smp|lock-detail|net-selftest] [--quick] [--net] [--nodes N] [--csv DIR]
 //! ```
 //!
 //! Each figure is printed twice: on the **model plane** (deterministic
@@ -36,7 +36,7 @@ type Experiment = (&'static str, fn(&Opts));
 
 /// Every experiment, in the order `all` runs them: the dispatch, `all`
 /// and the usage line are all read from this one table.
-const EXPERIMENTS: [Experiment; 11] = [
+const EXPERIMENTS: [Experiment; 10] = [
     ("fig7", |o| if o.net { fig7_net(o.quick, o.nodes.unwrap_or(4)) } else { fig7(o.quick) }),
     ("fig8", |o| fig8(o.quick)),
     ("fig9", |o| fig9(o.quick)),
@@ -44,7 +44,6 @@ const EXPERIMENTS: [Experiment; 11] = [
     ("model", |_| model_scaling()),
     ("ablation-ack", |o| ablation_ack(o.quick)),
     ("ablation-crossover", |_| ablation_crossover()),
-    ("ablation-nic", |o| ablation_nic(o.quick)),
     ("lock-hold", |_| lock_hold_sweep()),
     ("smp", |_| smp_and_skew()),
     ("lock-detail", |o| lock_detail(o.quick)),
@@ -384,64 +383,6 @@ fn ablation_crossover() {
     }
     t.print();
     println!("(paper threshold: log2({n})/2 = {} touched servers)", model::allfence_crossover(n));
-}
-
-// ---------------------------------------------------------------------
-// Extension: NIC-assisted synchronization under server interference
-// ---------------------------------------------------------------------
-
-fn ablation_nic(quick: bool) {
-    println!("\n################ Extension: NIC-assisted operations (5, future work) ################");
-    println!("# The paper's future work: serve synchronization from the NIC so it");
-    println!("# neither wakes the host server thread nor queues behind bulk data.");
-    println!("# Here: ranks 1-2 cycle a lock at rank 0 while rank 3 streams large");
-    println!("# puts into rank 0's node, saturating its host server thread.");
-    let iters = lock_iters(quick).min(100);
-    let mut t = Table::new("contended lock cycle under bulk-put interference (us)", &["mode", "cycle(us)"]);
-    for nic in [false, true] {
-        let cfg = ArmciCfg::flat(4, lat_model()).with_lock_algo(LockAlgo::Mcs).with_nic_assist(nic);
-        let out = run_cluster(cfg, move |a| {
-            use armci_core::LockId;
-            let seg = a.malloc(1 << 20);
-            let lock = LockId { owner: ProcId(0), idx: 0 };
-            let done = GlobalAddr::new(ProcId(0), seg, 0);
-            a.barrier();
-            let mut cycle_ns = 0.0f64;
-            match a.rank() {
-                1 | 2 => {
-                    let t0 = Instant::now();
-                    for _ in 0..iters {
-                        a.lock(lock);
-                        a.unlock(lock);
-                    }
-                    cycle_ns = t0.elapsed().as_nanos() as f64 / iters as f64;
-                    a.fetch_add_u64(done, 1);
-                }
-                3 => {
-                    // Saturate rank 0's host server with 64 KiB puts until
-                    // both lockers report done.
-                    let blob = vec![0xAAu8; 64 * 1024];
-                    loop {
-                        for _ in 0..8 {
-                            a.put(GlobalAddr::new(ProcId(0), seg, 4096), &blob);
-                        }
-                        a.fence(ProcId(0));
-                        let mut b = [0u8; 8];
-                        a.get(done, &mut b);
-                        if u64::from_le_bytes(b) >= 2 {
-                            break;
-                        }
-                    }
-                }
-                _ => {}
-            }
-            a.barrier();
-            cycle_ns
-        });
-        let mean = (out[1] + out[2]) / 2.0;
-        t.row(vec![if nic { "NIC-assisted" } else { "host server" }.to_string(), us(mean)]);
-    }
-    t.print();
 }
 
 // ---------------------------------------------------------------------

@@ -61,9 +61,6 @@ pub struct Armci {
     pub(crate) locks_per_proc: u32,
     /// This process's sync segment (always `SegId(0)`).
     pub(crate) my_sync: Arc<Segment>,
-    /// NIC-assisted mode: route synchronization traffic to the per-node
-    /// NIC agent instead of the host server thread (§5 future work).
-    pub(crate) nic_assist: bool,
     /// Sans-IO fence accounting (paper §3.1.1): the cumulative `op_init[]`
     /// array plus the per-node unfenced/unacked counters — the same
     /// `armci-proto` engine the simulator drives.
@@ -221,17 +218,6 @@ impl Armci {
         self.topology().node_of(p) == self.my_node
     }
 
-    /// The agent serving *synchronization* traffic (atomics, lock
-    /// messages, fence confirmations for sync-path puts) at `node`: the
-    /// NIC in NIC-assisted mode, the host server otherwise.
-    pub(crate) fn sync_agent(&self, node: NodeId) -> Endpoint {
-        if self.nic_assist {
-            Endpoint::Nic(node)
-        } else {
-            Endpoint::Server(node)
-        }
-    }
-
     // ------------------------------------------------------------------
     // Failure-aware waiting (the fault plane's receive side)
     // ------------------------------------------------------------------
@@ -349,11 +335,10 @@ impl Armci {
         }
     }
 
-    /// Wait for a reply from `agent` with `tag` under this operation's
-    /// deadline.
-    fn recv_reply(&mut self, op: &'static str, agent: Endpoint, tag: Tag) -> Result<Msg, ArmciError> {
-        let deadline = self.op_deadline();
-        self.recv_wait(op, deadline, |m| m.src == agent && m.tag == tag)
+    /// Wait for a reply from `node`'s server with `tag` by `deadline`.
+    fn recv_reply(&mut self, op: &'static str, node: NodeId, tag: Tag, deadline: Instant) -> Result<Msg, ArmciError> {
+        let server = Endpoint::Server(node);
+        self.recv_wait(op, deadline, |m| m.src == server && m.tag == tag)
     }
 
     /// Spin on a local (shared-memory) condition, giving up at `deadline`
@@ -419,31 +404,26 @@ impl Armci {
         }
     }
 
-    /// Frame a request into a pooled buffer (or inline body) and send it —
-    /// the choke point every outgoing request passes through, so all of
-    /// them get the zero-allocation encode path and are counted in
-    /// [`Stats::server_msgs`].
-    pub(crate) fn send_req_framed(&mut self, agent: Endpoint, frame: impl FnOnce(&mut Vec<u8>)) {
-        debug_assert!(agent.is_agent());
+    /// Frame a request into a pooled buffer (or inline body) and send it
+    /// to `node`'s server — the choke point every outgoing request passes
+    /// through, so all of them get the zero-allocation encode path and are
+    /// counted in [`Stats::server_msgs`].
+    fn send_req_framed(&mut self, node: NodeId, frame: impl FnOnce(&mut Vec<u8>)) {
         self.stats.server_msgs += 1;
         let body = self.encode_pool.with_buf(frame);
-        self.mb.send(agent, TAG_REQ, body);
+        self.mb.send(Endpoint::Server(node), TAG_REQ, body);
     }
 
     pub(crate) fn send_req(&mut self, node: NodeId, req: &Req) {
-        self.send_req_to(Endpoint::Server(node), req);
-    }
-
-    pub(crate) fn send_req_to(&mut self, agent: Endpoint, req: &Req) {
-        self.send_req_framed(agent, |buf| req.encode_into(buf));
+        self.send_req_framed(node, |buf| req.encode_into(buf));
     }
 
     /// The `Wire` arm of every put-class operation: frame the request to
-    /// `agent` (the bulk-data server or the sync agent of `dst`'s node)
-    /// and enter it in the fence ledger as one counted put.
-    fn wire_put(&mut self, agent: Endpoint, dst: ProcId, frame: impl FnOnce(&mut Vec<u8>)) {
-        self.send_req_framed(agent, frame);
-        self.fence.note_put(dst.idx(), self.topology().node_of(dst).idx(), agent.is_nic());
+    /// the server of `dst`'s node and enter it in the fence ledger as one
+    /// counted put.
+    fn wire_put(&mut self, node: NodeId, dst: ProcId, frame: impl FnOnce(&mut Vec<u8>)) {
+        self.send_req_framed(node, frame);
+        self.fence.note_put(dst.idx(), node.idx(), false);
         self.stats.count(OpClass::Put, Via::Wire);
     }
 
@@ -547,9 +527,7 @@ impl Armci {
                 }
                 // Frame the user's slice straight into a pooled buffer: no
                 // intermediate `data.to_vec()`, no per-request body allocation.
-                self.wire_put(Endpoint::Server(node), dst.proc, |buf| {
-                    enc::put(buf, dst.proc, dst.seg, dst.offset as u64, data)
-                });
+                self.wire_put(node, dst.proc, |buf| enc::put(buf, dst.proc, dst.seg, dst.offset as u64, data));
             }
         }
         Ok(())
@@ -557,12 +535,9 @@ impl Armci {
 
     /// Non-blocking atomic word put (Release store). One-way even for
     /// remote destinations — the property that makes MCS lock handoff a
-    /// single message (§3.2.2).
-    ///
-    /// In NIC-assisted mode this rides the NIC agent's FIFO, which is
-    /// *unordered* with respect to bulk [`Armci::put`] traffic to the
-    /// same node (two independent queues, as on real NIC offload);
-    /// fences and the combined barrier cover both.
+    /// single message (§3.2.2). It shares the destination server's FIFO
+    /// with every other request, so it is ordered after earlier puts from
+    /// this process to the same node.
     pub fn put_u64(&mut self, dst: GlobalAddr, val: u64) {
         match self.route(dst.proc, dst.seg) {
             Route::Direct(s, via) => {
@@ -571,7 +546,7 @@ impl Armci {
             }
             Route::Wire(node) => {
                 let req = Req::PutU64 { dst: dst.proc, seg: dst.seg, offset: dst.offset as u64, val };
-                self.wire_put(self.sync_agent(node), dst.proc, |buf| req.encode_into(buf));
+                self.wire_put(node, dst.proc, |buf| req.encode_into(buf));
             }
         }
     }
@@ -587,7 +562,7 @@ impl Armci {
             }
             Route::Wire(node) => {
                 let req = Req::PutPair { dst: dst.proc, seg: dst.seg, offset: dst.offset as u64, val };
-                self.wire_put(self.sync_agent(node), dst.proc, |buf| req.encode_into(buf));
+                self.wire_put(node, dst.proc, |buf| req.encode_into(buf));
             }
         }
     }
@@ -621,7 +596,7 @@ impl Armci {
                 self.stats.count(OpClass::Put, via);
             }
             Route::Wire(node) => {
-                self.wire_put(Endpoint::Server(node), dst, |buf| enc::put_strided(buf, dst, seg, &desc, data));
+                self.wire_put(node, dst, |buf| enc::put_strided(buf, dst, seg, &desc, data));
             }
         }
     }
@@ -639,7 +614,7 @@ impl Armci {
                 self.stats.count(OpClass::Put, via);
             }
             Route::Wire(node) => {
-                self.wire_put(Endpoint::Server(node), dst, |buf| enc::put_vector(buf, dst, seg, runs, data));
+                self.wire_put(node, dst, |buf| enc::put_vector(buf, dst, seg, runs, data));
             }
         }
     }
@@ -658,7 +633,7 @@ impl Armci {
                 self.stats.count(OpClass::Put, via);
             }
             Route::Wire(node) => {
-                self.wire_put(Endpoint::Server(node), dst.proc, |buf| {
+                self.wire_put(node, dst.proc, |buf| {
                     enc::acc_f64(buf, dst.proc, dst.seg, dst.offset as u64, scale, vals)
                 });
             }
@@ -776,7 +751,8 @@ impl Armci {
     fn wire_get_reply(&mut self, op: &'static str, node: NodeId, seq: u64) -> Result<Body, ArmciError> {
         assert_eq!(seq, self.nbget_completed[node.idx()], "non-blocking gets to {node} must be waited in issue order");
         self.nbget_completed[node.idx()] += 1;
-        Ok(self.recv_reply(op, Endpoint::Server(node), TAG_GET_REPLY)?.body)
+        let deadline = self.op_deadline();
+        Ok(self.recv_reply(op, node, TAG_GET_REPLY, deadline)?.body)
     }
 
     /// Complete a get handle under the error label `op`.
@@ -887,10 +863,10 @@ impl Armci {
                 Ok(apply_rmw(&s, dst.offset, op))
             }
             Route::Wire(node) => {
-                let agent = self.sync_agent(node);
-                self.send_req_to(agent, &Req::Rmw { dst: dst.proc, seg: dst.seg, offset: dst.offset as u64, op });
+                self.send_req(node, &Req::Rmw { dst: dst.proc, seg: dst.seg, offset: dst.offset as u64, op });
                 self.stats.count(OpClass::Rmw, Via::Wire);
-                let m = self.recv_reply("rmw", agent, TAG_RMW_REPLY)?;
+                let deadline = self.op_deadline();
+                let m = self.recv_reply("rmw", node, TAG_RMW_REPLY, deadline)?;
                 let mut r = Reader::new(&m.body);
                 Ok([r.u64(), r.u64()])
             }
@@ -1026,7 +1002,7 @@ impl Armci {
                     self.refuse_lost(node)?;
                 }
                 self.notify_issue(dst, slot);
-                self.wire_put(Endpoint::Server(node), dst, |buf| enc::put_notify(buf, dst, seg, slot, runs, data));
+                self.wire_put(node, dst, |buf| enc::put_notify(buf, dst, seg, slot, runs, data));
             }
         }
         Ok(())
@@ -1138,22 +1114,12 @@ impl Armci {
         }
         match self.ack_mode {
             AckMode::Gm => {
-                // Confirm with each agent holding unconfirmed puts; the
-                // two round-trips (server + NIC) overlap.
-                let targets = self.fence.confirm_targets(node.idx());
-                let mut pending = Vec::with_capacity(2);
-                if targets.server {
+                // One FIFO per node: the confirmation reply covers every
+                // unconfirmed put queued ahead of it.
+                if self.fence.confirm_targets(node.idx()) {
                     self.send_req(node, &Req::FenceReq);
                     self.stats.fence_roundtrips += 1;
-                    pending.push(Endpoint::Server(node));
-                }
-                if targets.nic {
-                    self.send_req_to(Endpoint::Nic(node), &Req::FenceReq);
-                    self.stats.fence_roundtrips += 1;
-                    pending.push(Endpoint::Nic(node));
-                }
-                for agent in pending {
-                    self.recv_wait("fence", deadline, |m| m.src == agent && m.tag == TAG_FENCE_ACK)?;
+                    self.recv_reply("fence", node, TAG_FENCE_ACK, deadline)?;
                 }
             }
             AckMode::Via => {

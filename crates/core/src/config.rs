@@ -87,12 +87,6 @@ pub struct ArmciCfg {
     /// Record every message send into a transport trace, retrievable via
     /// [`crate::runtime::run_cluster_traced`].
     pub trace: bool,
-    /// NIC-assisted mode — the paper's §5 future work: atomic operations,
-    /// lock traffic and fence confirmations are served by a per-node NIC
-    /// agent instead of the host server thread, so synchronization never
-    /// queues behind bulk data handling (and never waits for the server
-    /// to wake from its blocking receive).
-    pub nic_assist: bool,
     /// Deadline for each blocking ARMCI operation (fence, barrier, get
     /// reply, lock grant, …): past it, a `try_*` call returns
     /// [`crate::ArmciError::Timeout`] and an infallible call panics instead
@@ -180,7 +174,6 @@ impl Default for ArmciCfg {
             locks_per_proc: 4,
             seed: 1,
             trace: false,
-            nic_assist: false,
             op_timeout: Duration::from_secs(30),
             boot_timeout: Duration::from_secs(30),
             faults: FaultPlan::new(),
@@ -233,12 +226,6 @@ impl ArmciCfg {
     /// Set the jitter seed.
     pub fn with_seed(mut self, s: u64) -> Self {
         self.seed = s;
-        self
-    }
-
-    /// Enable NIC-assisted synchronization operations (§5 future work).
-    pub fn with_nic_assist(mut self, on: bool) -> Self {
-        self.nic_assist = on;
         self
     }
 
@@ -500,7 +487,6 @@ impl Serialize for ArmciCfg {
             ("locks_per_proc", Value::U64(self.locks_per_proc as u64)),
             ("seed", Value::U64(self.seed)),
             ("trace", Value::Bool(self.trace)),
-            ("nic_assist", Value::Bool(self.nic_assist)),
             ("op_timeout_us", Value::U64(self.op_timeout.as_micros() as u64)),
             ("boot_timeout_us", Value::U64(self.boot_timeout.as_micros() as u64)),
             ("faults", self.faults.to_value()),
@@ -527,6 +513,13 @@ impl Serialize for ArmciCfg {
 
 impl Deserialize for ArmciCfg {
     fn from_value(v: &Value) -> Result<Self, Error> {
+        // Accept exactly the keys `to_value` writes: a config naming a
+        // deleted knob fails loudly instead of silently losing it.
+        if let (Value::Map(got), Value::Map(known)) = (v, ArmciCfg::default().to_value()) {
+            if let Some(key) = got.keys().find(|k| !known.contains_key(*k)) {
+                return Err(Error::new(format!("unknown config key `{key}`")));
+            }
+        }
         Ok(ArmciCfg {
             nodes: u32::from_value(v.field("nodes")?)?,
             procs_per_node: u32::from_value(v.field("procs_per_node")?)?,
@@ -536,7 +529,6 @@ impl Deserialize for ArmciCfg {
             locks_per_proc: u32::from_value(v.field("locks_per_proc")?)?,
             seed: u64::from_value(v.field("seed")?)?,
             trace: bool::from_value(v.field("trace")?)?,
-            nic_assist: bool::from_value(v.field("nic_assist")?)?,
             op_timeout: Duration::from_micros(u64::from_value(v.field("op_timeout_us")?)?),
             boot_timeout: Duration::from_micros(u64::from_value(v.field("boot_timeout_us")?)?),
             faults: FaultPlan::from_value(v.field("faults")?)?,
@@ -593,7 +585,6 @@ mod tests {
             locks_per_proc: 7,
             seed: 99,
             trace: true,
-            nic_assist: true,
             op_timeout: Duration::from_millis(2500),
             boot_timeout: Duration::from_secs(9),
             faults: FaultPlan::new()
@@ -625,7 +616,6 @@ mod tests {
         assert_eq!(back.locks_per_proc, 7);
         assert_eq!(back.seed, 99);
         assert!(back.trace);
-        assert!(back.nic_assist);
         assert_eq!(back.op_timeout, Duration::from_millis(2500));
         assert_eq!(back.boot_timeout, Duration::from_secs(9));
         assert_eq!(back.faults, cfg.faults);
@@ -646,6 +636,16 @@ mod tests {
         let back: ArmciCfg = serde::from_str(&serde::to_string(&auto)).unwrap();
         assert_eq!(back.shm_plane, None);
         assert_eq!(back.shm_dir, None);
+    }
+
+    #[test]
+    fn stale_config_keys_are_rejected_by_name() {
+        let json = serde::to_string(&ArmciCfg::default());
+        for (stale, value) in [("nic_assist", "true"), ("io_driver", "\"event\"")] {
+            let with_stale = json.replacen('{', &format!("{{\"{stale}\":{value},"), 1);
+            let err = serde::from_str::<ArmciCfg>(&with_stale).unwrap_err();
+            assert!(err.to_string().contains(stale), "{stale}: {err}");
+        }
     }
 
     #[test]

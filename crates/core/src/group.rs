@@ -342,7 +342,7 @@ impl Armci {
                 // the `2·(k-1)` baseline). Each round-trip flushes the
                 // whole node FIFO, so `try_fence_node`'s full
                 // `node_confirmed` is exact, not an over-claim.
-                for (node, _) in self.fence.group_confirm_targets(&g.members) {
+                for node in self.fence.group_confirm_targets(&g.members) {
                     self.try_fence_node(NodeId(node as u32), deadline)?;
                 }
             }

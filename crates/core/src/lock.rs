@@ -26,7 +26,7 @@ use armci_proto::{
     HybridAcquire, HybridAction, HybridEvent, McsAcquire, McsAcquireAction, McsAcquireEvent, McsReclaim, McsRelease,
     McsReleaseAction, McsReleaseEvent, ReclaimAction, ReclaimEvent,
 };
-use armci_transport::{ProcId, SegId};
+use armci_transport::{Endpoint, ProcId, SegId};
 
 use crate::armci::{unwrap_op, Armci, LockId};
 use crate::config::LockAlgo;
@@ -131,16 +131,15 @@ impl Armci {
                     eng.poll(HybridEvent::CounterReached, &mut acts);
                 }
                 HybridAction::SendLockReq => {
-                    // Figure 3c/d: ask the serving agent to take a ticket
+                    // Figure 3c/d: ask the home server to take a ticket
                     // on our behalf and queue us until it comes up.
-                    let agent = self.sync_agent(self.topology().node_of(id.owner));
-                    self.send_req_to(agent, &Req::LockReq { owner: id.owner, idx: id.idx });
+                    self.send_req(self.topology().node_of(id.owner), &Req::LockReq { owner: id.owner, idx: id.idx });
                 }
                 HybridAction::AwaitGrant => {
-                    let agent = self.sync_agent(self.topology().node_of(id.owner));
+                    let home = Endpoint::Server(self.topology().node_of(id.owner));
                     let deadline = self.op_deadline();
                     let m = self.recv_wait("lock", deadline, |m| {
-                        m.tag == TAG_LOCK_GRANT && m.src == agent && decode_grant(&m.body) == (id.owner, id.idx)
+                        m.tag == TAG_LOCK_GRANT && m.src == home && decode_grant(&m.body) == (id.owner, id.idx)
                     })?;
                     debug_assert_eq!(decode_grant(&m.body), (id.owner, id.idx));
                     eng.poll(HybridEvent::Granted, &mut acts);
@@ -157,8 +156,7 @@ impl Armci {
     /// server (Figure 4), fire-and-forget — the releaser does not wait.
     pub fn unlock_hybrid(&mut self, id: LockId) {
         self.check_lock_id(id);
-        let agent = self.sync_agent(self.topology().node_of(id.owner));
-        self.send_req_to(agent, &Req::UnlockReq { owner: id.owner, idx: id.idx });
+        self.send_req(self.topology().node_of(id.owner), &Req::UnlockReq { owner: id.owner, idx: id.idx });
     }
 
     // ------------------------------------------------------------------

@@ -28,7 +28,7 @@ pub(crate) enum Via {
     Local,
     /// Same host, other process: the segment is mapped by the shm plane.
     Shm,
-    /// Through the destination node's server (or NIC agent).
+    /// Through the destination node's server.
     Wire,
 }
 

@@ -13,13 +13,13 @@
 //!   one child process per extra node.
 //!
 //! Either way, a node's endpoints are identical: one thread per user
-//! process (each receiving its own [`Armci`] handle), a server thread,
-//! and optionally a NIC agent, all sharing the node's `Segment`s.
+//! process (each receiving its own [`Armci`] handle) and one server
+//! thread, all sharing the node's `Segment`s.
 
 use std::sync::Arc;
 
 use armci_msglib::Group;
-use armci_transport::{Cluster, Endpoint, Mailbox, MemoryRegistry, NodeId, ProcId, SegId, Topology};
+use armci_transport::{Cluster, Mailbox, MemoryRegistry, NodeId, ProcId, SegId, Topology};
 
 use crate::armci::Armci;
 use crate::config::ArmciCfg;
@@ -104,19 +104,18 @@ where
         .all_nodes()
         .map(|n| {
             let procs = topo.procs_on(n).map(|r| (ProcId(r), cluster.take_proc(ProcId(r)))).collect();
-            let nic = cfg.nic_assist.then(|| cluster.take_nic(n));
             // The emulator keeps every node in this process: the in-process
             // registry already covers all memory, so no shm plane.
             let mem = MemPlanes { registry: &registry, shm: &None };
-            spawn_node(n, procs, cluster.take_server(n), nic, mem, &cfg, &f)
+            spawn_node(n, procs, cluster.take_server(n), mem, &cfg, &f)
         })
         .collect();
     (join_nodes(nodes), trace)
 }
 
-/// The threads of one node: its server(s) and its user processes.
+/// The threads of one node: its server and its user processes.
 struct NodeThreads<T> {
-    servers: Vec<std::thread::JoinHandle<()>>,
+    server: std::thread::JoinHandle<()>,
     users: Vec<std::thread::JoinHandle<T>>,
 }
 
@@ -128,14 +127,12 @@ struct MemPlanes<'a> {
 }
 
 /// Spawn one node's endpoint threads over already-taken mailboxes: the
-/// host server, the NIC agent when enabled, and one user-process thread
-/// per local rank. Backend-agnostic — the mailboxes may be emulator or
-/// netfab ones.
+/// node's one server and one user-process thread per local rank.
+/// Backend-agnostic — the mailboxes may be emulator or netfab ones.
 fn spawn_node<T, F>(
     node: NodeId,
     procs: Vec<(ProcId, Mailbox)>,
     server_mb: Mailbox,
-    nic_mb: Option<Mailbox>,
     mem: MemPlanes<'_>,
     cfg: &ArmciCfg,
     f: &Arc<F>,
@@ -144,31 +141,12 @@ where
     T: Send + 'static,
     F: Fn(&mut Armci) -> T + Send + Sync + 'static,
 {
-    let mut servers = Vec::new();
-    {
-        let registry = mem.registry.clone();
-        let ack = cfg.ack_mode;
-        let locks = cfg.locks_per_proc;
-        servers.push(
-            std::thread::Builder::new()
-                .name(format!("server-{}", node.0))
-                .spawn(move || server_loop(server_mb, registry, ack, locks))
-                .expect("spawn server thread"),
-        );
-    }
-    if let Some(mb) = nic_mb {
-        // NIC agents run the same request loop; they only ever receive
-        // the synchronization traffic the processes route to them.
-        let registry = mem.registry.clone();
-        let ack = cfg.ack_mode;
-        let locks = cfg.locks_per_proc;
-        servers.push(
-            std::thread::Builder::new()
-                .name(format!("nic-{}", node.0))
-                .spawn(move || server_loop(mb, registry, ack, locks))
-                .expect("spawn NIC agent thread"),
-        );
-    }
+    let registry = mem.registry.clone();
+    let (ack, locks) = (cfg.ack_mode, cfg.locks_per_proc);
+    let server = std::thread::Builder::new()
+        .name(format!("server-{}", node.0))
+        .spawn(move || server_loop(server_mb, registry, ack, locks))
+        .expect("spawn server thread");
 
     let users = procs
         .into_iter()
@@ -184,7 +162,7 @@ where
         })
         .collect();
 
-    NodeThreads { servers, users }
+    NodeThreads { server, users }
 }
 
 /// The body of one user-process thread: build the [`Armci`] handle, run
@@ -215,7 +193,6 @@ where
         ack_mode: cfg.ack_mode,
         lock_algo: cfg.lock_algo,
         locks_per_proc: cfg.locks_per_proc,
-        nic_assist: cfg.nic_assist,
         my_sync,
         fence: armci_proto::FenceEngine::new(cfg.ack_mode.fence_mode(), nprocs, nnodes),
         notify: armci_proto::NotifyEngine::new(nprocs),
@@ -249,26 +226,21 @@ where
     let teardown = armci.try_barrier();
     if armci.rank() == 0 || teardown.is_err() {
         for n in 0..nnodes {
-            armci.send_req_to(Endpoint::Server(NodeId(n as u32)), &Req::Shutdown);
-            if cfg.nic_assist {
-                armci.send_req_to(Endpoint::Nic(NodeId(n as u32)), &Req::Shutdown);
-            }
+            armci.send_req(NodeId(n as u32), &Req::Shutdown);
         }
     }
     out
 }
 
-/// Join every node's user threads (collecting results in rank order —
-/// ranks are node-major, so node order is rank order), then the servers.
+/// Join each node's user threads (collecting results in rank order —
+/// ranks are node-major, so node order is rank order), then its server.
+/// Rank 0 stops every server before it returns, so no join waits on a
+/// server nobody will stop.
 fn join_nodes<T>(nodes: Vec<NodeThreads<T>>) -> Vec<T> {
     let mut results = Vec::new();
-    let mut servers = Vec::new();
     for nt in nodes {
         results.extend(nt.users.into_iter().map(|h| h.join().expect("user process panicked")));
-        servers.extend(nt.servers);
-    }
-    for h in servers {
-        h.join().expect("server thread panicked");
+        nt.server.join().expect("server thread panicked");
     }
     results
 }
@@ -278,8 +250,8 @@ fn join_nodes<T>(nodes: Vec<NodeThreads<T>>) -> Vec<T> {
 // ----------------------------------------------------------------------
 
 /// Run this *node's* share of an SPMD program over an established netfab
-/// fabric: spawn the node's server (and NIC agent when enabled) plus one
-/// thread per local rank, run `f` on each, tear down collectively.
+/// fabric: spawn the node's server plus one thread per local rank, run
+/// `f` on each, tear down collectively.
 ///
 /// Returns the results of the ranks hosted on this node, in rank order.
 /// Teardown matches the emulator path — after the final barrier, rank 0
@@ -332,9 +304,8 @@ where
     }
 
     let procs = topo.procs_on(node).map(|r| (ProcId(r), fabric.take_proc(ProcId(r)))).collect();
-    let nic = cfg.nic_assist.then(|| fabric.take_nic());
     let mem = MemPlanes { registry: &registry, shm: &shm };
-    let nt = spawn_node(node, procs, fabric.take_server(), nic, mem, &cfg, &f);
+    let nt = spawn_node(node, procs, fabric.take_server(), mem, &cfg, &f);
     let results = join_nodes(vec![nt]);
     fabric.shutdown();
     results

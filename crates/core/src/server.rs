@@ -1,10 +1,12 @@
 //! The per-node server thread (paper §2, Figure 1).
 //!
 //! One server thread runs per node, handling remote-memory requests for
-//! every user process hosted there. It shares the node's memory segments
-//! (through the registry), processes its inbox strictly in arrival order
-//! — the FIFO property GM-mode fencing relies on — and sleeps in a
-//! blocking receive when idle, as the paper describes.
+//! every user process hosted there; it is the node's only service agent,
+//! so data, atomics, lock traffic and fence confirmations share one
+//! inbox. It shares the node's memory segments (through the registry),
+//! processes that inbox strictly in arrival order — the FIFO property
+//! GM-mode fencing relies on — and sleeps in a blocking receive when
+//! idle, as the paper describes.
 //!
 //! The server also implements the *server side* of the baseline hybrid
 //! lock (§3.2.1): it takes tickets on behalf of remote requesters, queues
@@ -38,13 +40,10 @@ pub(crate) fn apply_rmw(seg: &Segment, offset: usize, op: RmwOp) -> [u64; 2] {
     }
 }
 
-/// Run a node's service-agent loop until a `Shutdown` request arrives.
-/// The same loop drives both the host **server thread** and, in
-/// NIC-assisted mode, the per-node **NIC agent** — they differ only in
-/// which requests the user processes route to them.
+/// Run a node's server loop until a `Shutdown` request arrives.
 pub(crate) fn server_loop(mut mb: Mailbox, registry: Arc<MemoryRegistry>, ack_mode: AckMode, locks_per_proc: u32) {
     let my_node = match mb.me() {
-        Endpoint::Server(n) | Endpoint::Nic(n) => n,
+        Endpoint::Server(n) => n,
         Endpoint::Proc(_) => unreachable!("server loop started on a process endpoint"),
     };
     // Server side of the hybrid lock (§3.2.1): the grant/queue decisions
@@ -65,7 +64,7 @@ pub(crate) fn server_loop(mut mb: Mailbox, registry: Arc<MemoryRegistry>, ack_mo
         // copy (the tentpole zero-copy path).
         let req = ReqView::decode(&m.body);
         debug_assert!(
-            !req.is_counted_put() || !matches!(src, Endpoint::Proc(p) if registry_is_local(&mb, p)),
+            !req.is_counted_put() || !matches!(src, Endpoint::Proc(p) if mb.topology().node_of(p) == my_node),
             "node-local processes must use shared memory, not the server"
         );
 
@@ -205,11 +204,4 @@ fn send_grant(mb: &mut Mailbox, requester: ProcId, owner: ProcId, idx: u32) {
 pub(crate) fn decode_grant(body: &[u8]) -> (ProcId, u32) {
     let mut r = Reader::new(body);
     (ProcId(r.u32()), r.u32())
-}
-
-fn registry_is_local(mb: &Mailbox, p: ProcId) -> bool {
-    match mb.me() {
-        Endpoint::Server(n) | Endpoint::Nic(n) => mb.topology().node_of(p) == n,
-        Endpoint::Proc(_) => false,
-    }
 }

@@ -121,7 +121,6 @@ fn stub_armci(mode: StubMode) -> Armci {
         ack_mode: AckMode::Gm,
         lock_algo: LockAlgo::Hybrid,
         locks_per_proc: LOCKS_PER_PROC,
-        nic_assist: false,
         my_sync,
         fence: armci_proto::FenceEngine::new(AckMode::Gm.fence_mode(), nprocs, nnodes),
         notify: armci_proto::NotifyEngine::new(nprocs),

@@ -18,10 +18,14 @@
 //! so a barrier allocates only its engine's fixed handful of small
 //! buffers and one body per leader message.
 //!
+//! The third budgets `fence` alone: a node has one service agent, so a
+//! fence is one confirmation round-trip with nothing to collect, and the
+//! only allocation left on its path is the channel's amortized block.
+//!
 //! This file is its own binary so the counting `#[global_allocator]`
 //! observes only these scenarios; each measures inside a window in which
-//! the other ranks of its own cluster run the same operation, and the two
-//! tests serialize on [`WINDOW`] so neither allocates during the other's.
+//! the other ranks of its own cluster run the same operation or wait, and
+//! the tests serialize on [`WINDOW`] so none allocates during another's.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -101,6 +105,45 @@ fn remote_put_stays_within_allocation_budget() {
     assert!(
         delta <= MEASURED as u64,
         "allocation budget exceeded: {delta} allocations for {MEASURED} puts (budget: 1 per put)"
+    );
+}
+
+/// 1000 remote `put_u64` + `fence` cycles on 2 nodes x 1, counting
+/// process-wide allocations inside the `fence` calls only, must average at
+/// most 0.25 allocations per fence: the request and its confirmation ride
+/// inline bodies, and the channels' one block per ~32 sends is the whole
+/// allowance. Collecting the agents to confirm in a `Vec`, as the fence
+/// used to, costs at least one per fence.
+#[test]
+fn fence_stays_within_allocation_budget() {
+    let _window = WINDOW.lock().unwrap_or_else(|e| e.into_inner());
+    const FENCES: u64 = 1000;
+    let cfg = ArmciCfg::flat(2, LatencyModel::zero());
+    let deltas = run_cluster(cfg, |a| {
+        let seg = a.malloc(1 << 12);
+        let peer = ProcId(((a.rank() + 1) % a.nprocs()) as u32);
+        a.barrier();
+        let mut in_fence = 0;
+        if a.rank() == 0 {
+            for i in 0..WARMUP {
+                a.put_u64(GlobalAddr::new(peer, seg, 8 * (i % 64)), i as u64);
+                a.fence(peer);
+            }
+            for i in 0..FENCES {
+                a.put_u64(GlobalAddr::new(peer, seg, 8 * (i as usize % 64)), i);
+                let before = ALLOCS.load(Ordering::SeqCst);
+                a.fence(peer);
+                in_fence += ALLOCS.load(Ordering::SeqCst) - before;
+            }
+        }
+        a.barrier();
+        in_fence
+    });
+    let delta = deltas[0];
+    eprintln!("{FENCES} put_u64 + fence: {delta} allocations inside fence, process-wide");
+    assert!(
+        delta * 4 <= FENCES,
+        "allocation budget exceeded: {delta} allocations in {FENCES} fences (budget: 0.25 each)"
     );
 }
 

@@ -347,7 +347,6 @@ fn tcp_loopback_trace_matches_emulator_structure() {
     let ep_key = |e: armci_transport::Endpoint| match e {
         armci_transport::Endpoint::Proc(p) => (0u8, p.0),
         armci_transport::Endpoint::Server(n) => (1, n.0),
-        armci_transport::Endpoint::Nic(n) => (2, n.0),
     };
     let key = |t: &armci_transport::Trace| {
         let mut v: Vec<_> = t.snapshot().iter().map(|e| (ep_key(e.src), ep_key(e.dst), e.tag.0, e.size)).collect();

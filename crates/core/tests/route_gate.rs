@@ -136,12 +136,10 @@ fn the_world_is_a_group() {
     }
 }
 
-/// Two locks and one `AllFence`: the paper's baseline and contribution
-/// for each. The lock ablations, the pipelined fence and the engines only
-/// they drove are gone from every crate, test and example; a quoted name
-/// is a config spelling a test asserts is rejected, not a use.
-#[test]
-fn two_locks_and_one_allfence() {
+/// `(path, text)` of every `.rs` file under the workspace's `crates/`,
+/// `tests/`, `examples/` and `src/`, this file aside (it names the
+/// needles it greps for).
+fn workspace_sources() -> Vec<(String, String)> {
     let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
     let mut all = Vec::new();
     for dir in ["crates", "tests", "examples", "src"] {
@@ -149,6 +147,26 @@ fn two_locks_and_one_allfence() {
     }
     all.retain(|(path, _)| !path.ends_with("route_gate.rs"));
     assert!(all.len() >= 100, "expected the workspace's sources under {}", root.display());
+    all
+}
+
+/// Code lines naming `needle` outside a quoted `"needle"` — a quoted name
+/// is a config spelling a test asserts is rejected, not a use.
+fn unquoted_uses(all: &[(String, String)], needle: &str) -> Vec<String> {
+    let quoted = format!("\"{needle}\"");
+    all.iter()
+        .flat_map(|(p, t)| code_lines(t, needle).map(move |l| (p, l)))
+        .filter(|(_, l)| l.replace(&quoted, "").contains(needle))
+        .map(|(p, l)| format!("{p}: {}", l.trim()))
+        .collect()
+}
+
+/// Two locks and one `AllFence`: the paper's baseline and contribution
+/// for each. The lock ablations, the pipelined fence and the engines only
+/// they drove are gone from every crate, test and example.
+#[test]
+fn two_locks_and_one_allfence() {
+    let all = workspace_sources();
     let needles = [
         "McsPair",
         "McsSwap",
@@ -162,13 +180,40 @@ fn two_locks_and_one_allfence() {
         "ticket_poll",
     ];
     for needle in needles {
-        let quoted = format!("\"{needle}\"");
-        let hits: Vec<String> = all
-            .iter()
-            .flat_map(|(p, t)| code_lines(t, needle).map(move |l| (p, l)))
-            .filter(|(_, l)| l.replace(&quoted, "").contains(needle))
-            .map(|(p, l)| format!("{p}: {}", l.trim()))
-            .collect();
+        let hits = unquoted_uses(&all, needle);
         assert!(hits.is_empty(), "{needle} is back: {hits:#?}");
     }
+}
+
+/// One service agent per node: every request to a node rides its
+/// server's FIFO, so a fence confirms with one reply. The second agent —
+/// its endpoint, wire kind, mailboxes, config knob, routing helper and
+/// ledger half — is gone from every crate, test and example. `via_nic`
+/// survives only as `FenceEngine::note_put`'s must-be-false parameter.
+#[test]
+fn one_agent_per_node() {
+    let mut all = workspace_sources();
+    let needles = [
+        "nic_assist",
+        "Endpoint::Nic",
+        "take_nic",
+        "KIND_NIC",
+        "sync_agent",
+        "unfenced_nic",
+        "is_nic",
+        "ConfirmTargets",
+    ];
+    for needle in needles {
+        let hits = unquoted_uses(&all, needle);
+        assert!(hits.is_empty(), "{needle} is back: {hits:#?}");
+    }
+
+    let fence = all.iter_mut().find(|(p, _)| p.ends_with("proto/src/fence.rs")).expect("proto/src/fence.rs");
+    let sig = "pub fn note_put(";
+    let start = fence.1.find(sig).expect("FenceEngine::note_put");
+    let end = start + fence.1[start..].find("\n    }\n").expect("end of note_put");
+    assert!(fence.1[start..end].contains("debug_assert!(!via_nic"), "note_put must reject via_nic = true");
+    fence.1.replace_range(start..end, "");
+    let hits = unquoted_uses(&all, "via_nic");
+    assert!(hits.is_empty(), "via_nic outside FenceEngine::note_put: {hits:#?}");
 }

@@ -1,10 +1,9 @@
 //! The per-node network fabric: endpoint mailboxes backed by TCP.
 //!
-//! One OS process hosts one *node* — its user processes (threads), its
-//! server thread, and its NIC agent, exactly the SMP-node model of the
-//! emulator. Intra-node messages hop directly between in-process channels
-//! (node-local endpoints share `Segment`s anyway); inter-node messages go
-//! through:
+//! One OS process hosts one *node* — its user processes (threads) and its
+//! server thread, exactly the SMP-node model of the emulator. Intra-node
+//! messages hop directly between in-process channels (node-local
+//! endpoints share `Segment`s anyway); inter-node messages go through:
 //!
 //! ```text
 //! sender thread ── peer_txs[n].submit ──▶ TCP ──▶ peer's event loop ── local_txs[ep] ──▶ inbox
@@ -288,11 +287,8 @@ impl NodeFabric {
 
         let mut local_txs: Vec<Option<Sender<Msg>>> = (0..n_endpoints).map(|_| None).collect();
         let mut local_rxs: Vec<Option<Receiver<Msg>>> = (0..n_endpoints).map(|_| None).collect();
-        let local_endpoints: Vec<Endpoint> = topo
-            .procs_on(node)
-            .map(|p| Endpoint::Proc(ProcId(p)))
-            .chain([Endpoint::Server(node), Endpoint::Nic(node)])
-            .collect();
+        let local_endpoints: Vec<Endpoint> =
+            topo.procs_on(node).map(|p| Endpoint::Proc(ProcId(p))).chain([Endpoint::Server(node)]).collect();
         for &ep in &local_endpoints {
             let (tx, rx) = crossbeam_channel::unbounded();
             let i = endpoint_index(&topo, ep);
@@ -483,11 +479,6 @@ impl NodeFabric {
     /// Take ownership of this node's server mailbox.
     pub fn take_server(&mut self) -> Mailbox {
         self.take(Endpoint::Server(self.node))
-    }
-
-    /// Take ownership of this node's NIC-agent mailbox.
-    pub fn take_nic(&mut self) -> Mailbox {
-        self.take(Endpoint::Nic(self.node))
     }
 
     /// How many bare ack/heartbeat transmissions this node has sent to

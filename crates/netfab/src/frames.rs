@@ -301,7 +301,7 @@ mod tests {
         wire::write_preamble(&mut buf, wire::Preamble::Ack { ack: 1 }).unwrap();
         wire::write_preamble(&mut buf, wire::Preamble::Data { seq: 2, ack: 0 }).unwrap();
         let big: Vec<u8> = (0..200u8).collect();
-        wire::write_frame(&mut buf, Endpoint::Server(NodeId(0)), Endpoint::Nic(NodeId(1)), Tag(9), &big).unwrap();
+        wire::write_frame(&mut buf, Endpoint::Server(NodeId(0)), Endpoint::Server(NodeId(1)), Tag(9), &big).unwrap();
         (topo, buf)
     }
 

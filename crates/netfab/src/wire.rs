@@ -16,7 +16,7 @@
 //!
 //! ```text
 //! offset  size  field
-//!      0     1  dst kind   (0 = Proc, 1 = Server, 2 = Nic)
+//!      0     1  dst kind   (0 = Proc, 1 = Server; any other value is malformed)
 //!      1     4  dst id     (rank or node number, little-endian)
 //!      5     1  src kind
 //!      6     4  src id
@@ -30,7 +30,7 @@
 //!
 //! The destination endpoint is part of the header because one socket
 //! carries traffic for *all* endpoints of the destination node (its
-//! processes, its server thread, its NIC agent): the receiving node's
+//! processes and its server thread): the receiving node's
 //! event loop demuxes frames into per-endpoint inboxes by this field.
 //! Received bodies land in [`BodyPool`] buffers, so the zero-copy apply
 //! path downstream (borrowed decode, direct-to-segment writes) works
@@ -51,7 +51,6 @@ const SESSION_ACK: u8 = 1;
 
 const KIND_PROC: u8 = 0;
 const KIND_SERVER: u8 = 1;
-const KIND_NIC: u8 = 2;
 
 /// Sanity cap on body length (1 GiB): a corrupt or misaligned header is
 /// reported as an error instead of an absurd allocation.
@@ -61,7 +60,6 @@ fn encode_endpoint(ep: Endpoint) -> (u8, u32) {
     match ep {
         Endpoint::Proc(p) => (KIND_PROC, p.0),
         Endpoint::Server(n) => (KIND_SERVER, n.0),
-        Endpoint::Nic(n) => (KIND_NIC, n.0),
     }
 }
 
@@ -69,7 +67,6 @@ fn decode_endpoint(kind: u8, id: u32, topo: &Topology) -> io::Result<Endpoint> {
     let ep = match kind {
         KIND_PROC if (id as usize) < topo.nprocs() => Endpoint::Proc(ProcId(id)),
         KIND_SERVER if (id as usize) < topo.nnodes() => Endpoint::Server(NodeId(id)),
-        KIND_NIC if (id as usize) < topo.nnodes() => Endpoint::Nic(NodeId(id)),
         _ => {
             return Err(io::Error::new(io::ErrorKind::InvalidData, format!("bad wire endpoint: kind {kind}, id {id}")))
         }
@@ -244,7 +241,7 @@ mod tests {
         let mut buf = Vec::new();
         write_frame(&mut buf, Endpoint::Server(NodeId(1)), Endpoint::Proc(ProcId(0)), Tag(0x0001_0000), &[1, 2, 3])
             .unwrap();
-        write_frame(&mut buf, Endpoint::Proc(ProcId(3)), Endpoint::Nic(NodeId(0)), Tag(7), &[]).unwrap();
+        write_frame(&mut buf, Endpoint::Proc(ProcId(3)), Endpoint::Server(NodeId(0)), Tag(7), &[]).unwrap();
         let mut pool = BodyPool::new(2);
         let mut r = &buf[..];
         let f1 = read_frame(&mut r, &topo, &mut pool).unwrap().unwrap();
@@ -366,5 +363,22 @@ mod tests {
         write_frame(&mut buf, Endpoint::Proc(ProcId(5)), Endpoint::Server(NodeId(0)), Tag(1), &[]).unwrap();
         let mut pool = BodyPool::new(2);
         assert!(read_frame(&mut &buf[..], &topo, &mut pool).is_err());
+    }
+
+    #[test]
+    fn unknown_endpoint_kind_is_invalid_data() {
+        // Kind 2 (and up) names no endpoint: a hand-built header carrying
+        // it in either the dst or the src slot is malformed input.
+        let topo = Topology::new(2, 1);
+        let mut good = Vec::new();
+        write_frame(&mut good, Endpoint::Server(NodeId(1)), Endpoint::Proc(ProcId(0)), Tag(1), &[]).unwrap();
+        for kind_at in [0, 5] {
+            let mut hdr: [u8; HEADER_LEN] = good[..HEADER_LEN].try_into().unwrap();
+            hdr[kind_at] = 2;
+            assert_eq!(parse_header(&hdr, &topo).unwrap_err().kind(), io::ErrorKind::InvalidData, "kind at {kind_at}");
+            let mut pool = BodyPool::new(2);
+            let err = read_frame(&mut &hdr[..], &topo, &mut pool).unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData, "kind at {kind_at}");
+        }
     }
 }

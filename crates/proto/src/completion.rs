@@ -61,10 +61,10 @@ pub fn completion_sites(initiator: usize, notify: Option<u32>) -> impl Iterator<
 ///
 /// * `op_init[dst]` — counted operations initiated toward each process
 ///   (cumulative; the combined barrier allreduces this vector);
-/// * `unfenced[node]` / `unfenced_nic[node]` — operations issued to a
-///   node's server (or NIC agent) since the last fence;
-/// * `unfenced_to[dst]` / `unfenced_to_nic[dst]` — the per-destination
-///   split, so group-scoped fences confirm member traffic only;
+/// * `unfenced[node]` — operations issued to a node's server since the
+///   last fence;
+/// * `unfenced_to[dst]` — the per-destination split, so group-scoped
+///   fences confirm member traffic only;
 /// * `unacked[node]` — outstanding per-put acknowledgements (only
 ///   armed when constructed with `track_acks`, i.e. VIA-style NICs);
 /// * `dst_node[dst]` — which node each destination lives on, learned
@@ -73,10 +73,8 @@ pub fn completion_sites(initiator: usize, notify: Option<u32>) -> impl Iterator<
 pub struct Ledger {
     op_init: Vec<u64>,
     unfenced: Vec<u64>,
-    unfenced_nic: Vec<u64>,
     unacked: Vec<u64>,
     unfenced_to: Vec<u64>,
-    unfenced_to_nic: Vec<u64>,
     dst_node: Vec<usize>,
     track_acks: bool,
 }
@@ -89,27 +87,20 @@ impl Ledger {
         Ledger {
             op_init: vec![0; nprocs],
             unfenced: vec![0; nnodes],
-            unfenced_nic: vec![0; nnodes],
             unacked: vec![0; nnodes],
             unfenced_to: vec![0; nprocs],
-            unfenced_to_nic: vec![0; nprocs],
             dst_node: vec![usize::MAX; nprocs],
             track_acks,
         }
     }
 
     /// Record one counted remote operation toward process `dst` on node
-    /// `node`, issued through the NIC agent when `via_nic`.
-    pub fn note(&mut self, dst: usize, node: usize, via_nic: bool) {
+    /// `node`.
+    pub fn note(&mut self, dst: usize, node: usize) {
         self.op_init[dst] += 1;
         self.dst_node[dst] = node;
-        if via_nic {
-            self.unfenced_nic[node] += 1;
-            self.unfenced_to_nic[dst] += 1;
-        } else {
-            self.unfenced[node] += 1;
-            self.unfenced_to[dst] += 1;
-        }
+        self.unfenced[node] += 1;
+        self.unfenced_to[dst] += 1;
         if self.track_acks {
             self.unacked[node] += 1;
         }
@@ -125,14 +116,14 @@ impl Ledger {
         members.iter().map(|&m| self.op_init[m]).collect()
     }
 
-    /// Unfenced traffic toward `node`, split by agent.
-    pub fn unfenced(&self, node: usize) -> (u64, u64) {
-        (self.unfenced[node], self.unfenced_nic[node])
+    /// Unfenced traffic toward `node`.
+    pub fn unfenced(&self, node: usize) -> u64 {
+        self.unfenced[node]
     }
 
-    /// Unfenced traffic toward destination `dst`, split by agent.
-    pub fn unfenced_to(&self, dst: usize) -> (u64, u64) {
-        (self.unfenced_to[dst], self.unfenced_to_nic[dst])
+    /// Unfenced traffic toward destination `dst`.
+    pub fn unfenced_to(&self, dst: usize) -> u64 {
+        self.unfenced_to[dst]
     }
 
     /// The node `dst` was last seen on (`usize::MAX` if never targeted).
@@ -150,20 +141,16 @@ impl Ledger {
                 continue;
             }
             self.unfenced[node] = self.unfenced[node].saturating_sub(self.unfenced_to[m]);
-            self.unfenced_nic[node] = self.unfenced_nic[node].saturating_sub(self.unfenced_to_nic[m]);
             self.unfenced_to[m] = 0;
-            self.unfenced_to_nic[m] = 0;
         }
     }
 
-    /// The round-trip(s) for `node` completed; its counters reset.
+    /// The round-trip for `node` completed; its counters reset.
     pub fn node_confirmed(&mut self, node: usize) {
         self.unfenced[node] = 0;
-        self.unfenced_nic[node] = 0;
         for (dst, &n) in self.dst_node.iter().enumerate() {
             if n == node {
                 self.unfenced_to[dst] = 0;
-                self.unfenced_to_nic[dst] = 0;
             }
         }
     }
@@ -173,12 +160,10 @@ impl Ledger {
     /// (group shrink stops summing those slots).
     pub fn forget_node(&mut self, node: usize) {
         self.unfenced[node] = 0;
-        self.unfenced_nic[node] = 0;
         self.unacked[node] = 0;
         for (dst, &n) in self.dst_node.iter().enumerate() {
             if n == node {
                 self.unfenced_to[dst] = 0;
-                self.unfenced_to_nic[dst] = 0;
             }
         }
     }
@@ -203,9 +188,7 @@ impl Ledger {
     /// reset per-node unfenced counters (never cumulative `op_init`).
     pub fn all_confirmed(&mut self) {
         self.unfenced.iter_mut().for_each(|c| *c = 0);
-        self.unfenced_nic.iter_mut().for_each(|c| *c = 0);
         self.unfenced_to.iter_mut().for_each(|c| *c = 0);
-        self.unfenced_to_nic.iter_mut().for_each(|c| *c = 0);
     }
 }
 
@@ -400,26 +383,30 @@ mod tests {
     }
 
     #[test]
-    fn ledger_tracks_per_agent_and_per_dst() {
+    fn ledger_tracks_per_node_and_per_dst() {
         let mut l = Ledger::new(4, 2, false);
-        l.note(2, 1, false);
-        l.note(3, 1, true);
-        assert_eq!(l.op_init(), &[0, 0, 1, 1]);
-        assert_eq!(l.unfenced(1), (1, 1));
-        assert_eq!(l.unfenced_to(2), (1, 0));
-        assert_eq!(l.unfenced_to(3), (0, 1));
+        l.note(2, 1);
+        l.note(3, 1);
+        l.note(3, 1);
+        assert_eq!(l.op_init(), &[0, 0, 1, 2]);
+        assert_eq!(l.unfenced(1), 3);
+        assert_eq!(l.unfenced_to(2), 1);
+        assert_eq!(l.unfenced_to(3), 2);
         assert_eq!(l.node_of(2), 1);
         assert!(!l.any_acks_pending(), "acks only tracked when armed");
+        l.group_confirmed(&[3]);
+        assert_eq!((l.unfenced(1), l.unfenced_to(2), l.unfenced_to(3)), (1, 1, 0), "member-directed only");
         l.node_confirmed(1);
-        assert_eq!(l.unfenced(1), (0, 0));
-        assert_eq!(l.op_init(), &[0, 0, 1, 1], "op_init is cumulative");
+        assert_eq!(l.unfenced(1), 0);
+        assert_eq!(l.unfenced_to(2), 0);
+        assert_eq!(l.op_init(), &[0, 0, 1, 2], "op_init is cumulative");
     }
 
     #[test]
     fn ledger_ack_tracking_is_opt_in() {
         let mut l = Ledger::new(2, 2, true);
-        l.note(1, 1, false);
-        l.note(1, 1, false);
+        l.note(1, 1);
+        l.note(1, 1);
         assert_eq!(l.acks_pending(1), 2);
         l.ack_received(1);
         l.ack_received(1);
@@ -490,9 +477,9 @@ mod tests {
         let mut ledger = Ledger::new(3, 3, false);
         let mut e = NotifyEngine::new(3);
         let mut out = Vec::new();
-        ledger.note(1, 1, false); // plain counted put
+        ledger.note(1, 1); // plain counted put
         e.poll(NotifyEvent::Issue { dst: 1, slot: 0 }, &mut out);
-        ledger.note(1, 1, false); // the notified put is counted too
+        ledger.note(1, 1); // the notified put is counted too
         assert_eq!(ledger.op_init(), &[0, 2, 0]);
         assert_eq!(e.issued_to(1), 1);
     }

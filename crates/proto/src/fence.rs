@@ -5,10 +5,9 @@
 //!
 //! * `op_init[dst]` — counted operations initiated toward each process,
 //!   the vector the combined barrier allreduces;
-//! * `unfenced[node]` / `unfenced_nic[node]` — operations issued to a
-//!   node's server (or NIC agent) since the last fence, deciding which
-//!   agents a GM-style fence must confirm with a round-trip
-//!   ([`FenceMode::Confirm`]);
+//! * `unfenced[node]` — operations issued to a node's server since the
+//!   last fence, deciding which nodes a GM-style fence must confirm with
+//!   a round-trip ([`FenceMode::Confirm`]);
 //! * `unacked[node]` — outstanding per-put acknowledgements under a
 //!   VIA-style reliable NIC ([`FenceMode::DrainAcks`]), where fencing
 //!   means draining acks rather than a confirmation round-trip.
@@ -30,24 +29,6 @@ pub enum FenceMode {
     DrainAcks,
 }
 
-/// Which agents of a node a [`FenceMode::Confirm`] fence must round-trip
-/// with (both can be armed when NIC-assisted puts are mixed with plain
-/// server puts).
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
-pub struct ConfirmTargets {
-    /// The node's server (host agent) has unfenced operations.
-    pub server: bool,
-    /// The node's NIC agent has unfenced operations.
-    pub nic: bool,
-}
-
-impl ConfirmTargets {
-    /// No round-trip needed at all.
-    pub fn is_empty(&self) -> bool {
-        !self.server && !self.nic
-    }
-}
-
 /// Per-rank fence accounting engine (see module docs).
 ///
 /// The counter storage is the unified [`Ledger`] in
@@ -67,9 +48,12 @@ impl FenceEngine {
     }
 
     /// Record one counted remote operation toward process `dst` on node
-    /// `node`, issued through the NIC agent when `via_nic`.
+    /// `node`. `via_nic` must be `false`: a node has one service agent,
+    /// and the parameter stays only so the `perf/` ladder's call site
+    /// compiles unchanged; removed with ROADMAP item 1(a).
     pub fn note_put(&mut self, dst: usize, node: usize, via_nic: bool) {
-        self.ledger.note(dst, node, via_nic);
+        debug_assert!(!via_nic, "every request to a node goes through its server");
+        self.ledger.note(dst, node);
     }
 
     /// The fence mode this engine was built with.
@@ -102,33 +86,19 @@ impl FenceEngine {
         self.ledger.op_init_for(members)
     }
 
-    /// Confirm-mode: which agents of `node` need a fence round-trip.
-    pub fn confirm_targets(&self, node: usize) -> ConfirmTargets {
-        let (server, nic) = self.ledger.unfenced(node);
-        ConfirmTargets { server: server > 0, nic: nic > 0 }
+    /// Confirm-mode: whether `node`'s server needs a fence round-trip.
+    pub fn confirm_targets(&self, node: usize) -> bool {
+        self.ledger.unfenced(node) > 0
     }
 
     /// Confirm-mode: the nodes (ascending) a *group* fence must
     /// round-trip with — those hosting a member of `members` with
-    /// member-directed unfenced traffic — and the agents involved.
-    pub fn group_confirm_targets(&self, members: &[usize]) -> Vec<(usize, ConfirmTargets)> {
-        let mut nodes: Vec<(usize, ConfirmTargets)> = Vec::new();
-        for &m in members {
-            let (server, nic) = self.ledger.unfenced_to(m);
-            let t = ConfirmTargets { server: server > 0, nic: nic > 0 };
-            if t.is_empty() {
-                continue;
-            }
-            let node = self.ledger.node_of(m);
-            match nodes.iter_mut().find(|(n, _)| *n == node) {
-                Some((_, agg)) => {
-                    agg.server |= t.server;
-                    agg.nic |= t.nic;
-                }
-                None => nodes.push((node, t)),
-            }
-        }
-        nodes.sort_by_key(|&(n, _)| n);
+    /// member-directed unfenced traffic.
+    pub fn group_confirm_targets(&self, members: &[usize]) -> Vec<usize> {
+        let mut nodes: Vec<usize> =
+            members.iter().filter(|&&m| self.ledger.unfenced_to(m) > 0).map(|&m| self.ledger.node_of(m)).collect();
+        nodes.sort_unstable();
+        nodes.dedup();
         nodes
     }
 
@@ -141,7 +111,7 @@ impl FenceEngine {
         self.ledger.group_confirmed(members);
     }
 
-    /// Confirm-mode: the round-trip(s) for `node` completed; its counters
+    /// Confirm-mode: the round-trip for `node` completed; its counters
     /// reset.
     pub fn node_confirmed(&mut self, node: usize) {
         self.ledger.node_confirmed(node);
@@ -185,17 +155,16 @@ mod tests {
     use super::*;
 
     #[test]
-    fn confirm_mode_tracks_per_agent_counters() {
+    fn confirm_mode_tracks_per_node_counters() {
         let mut f = FenceEngine::new(FenceMode::Confirm, 4, 2);
-        assert!(f.confirm_targets(1).is_empty());
+        assert!(!f.confirm_targets(1));
         f.note_put(2, 1, false);
-        f.note_put(3, 1, true);
+        f.note_put(3, 1, false);
         assert_eq!(f.op_init(), &[0, 0, 1, 1]);
-        let t = f.confirm_targets(1);
-        assert!(t.server && t.nic);
-        assert!(f.confirm_targets(0).is_empty());
+        assert!(f.confirm_targets(1));
+        assert!(!f.confirm_targets(0));
         f.node_confirmed(1);
-        assert!(f.confirm_targets(1).is_empty());
+        assert!(!f.confirm_targets(1));
         // op_init is cumulative and survives the fence.
         assert_eq!(f.op_init(), &[0, 0, 1, 1]);
         assert!(!f.any_acks_pending(), "Confirm mode never arms acks");
@@ -218,30 +187,27 @@ mod tests {
         let mut f = FenceEngine::new(FenceMode::Confirm, 2, 2);
         f.note_put(1, 1, false);
         f.all_confirmed();
-        assert!(f.confirm_targets(1).is_empty());
+        assert!(!f.confirm_targets(1));
         assert_eq!(f.barrier_vector(), vec![0, 1]);
     }
 
     #[test]
     fn group_fence_confirms_only_member_directed_traffic() {
-        // 6 procs, 2 per node. Traffic to 2 (node 1, server), 3 (node 1,
-        // nic) and 5 (node 2, server).
+        // 6 procs, 2 per node. Traffic to 2 and 3 (both on node 1) and 5
+        // (node 2).
         let mut f = FenceEngine::new(FenceMode::Confirm, 6, 3);
         f.note_put(2, 1, false);
-        f.note_put(3, 1, true);
+        f.note_put(3, 1, false);
         f.note_put(5, 2, false);
         // Group {0, 2, 4}: only the put to 2 is member-directed.
         assert_eq!(f.barrier_vector_for(&[0, 2, 4]), vec![0, 1, 0]);
-        let t = f.group_confirm_targets(&[0, 2, 4]);
-        assert_eq!(t.len(), 1);
-        assert_eq!(t[0].0, 1);
-        assert!(t[0].1.server && !t[0].1.nic);
+        assert_eq!(f.group_confirm_targets(&[0, 2, 4]), vec![1]);
         f.group_confirmed(&[0, 2, 4]);
-        // Node 1 still owes the NIC-side confirmation for proc 3; node 2
-        // is untouched by the group fence.
-        let left = f.confirm_targets(1);
-        assert!(!left.server && left.nic);
-        assert!(f.confirm_targets(2).server);
+        // Node 1 still owes the confirmation for proc 3, a non-member on
+        // the same node; node 2 is untouched by the group fence.
+        assert!(f.confirm_targets(1));
+        assert_eq!(f.group_confirm_targets(&[3]), vec![1]);
+        assert!(f.confirm_targets(2));
         assert!(f.group_confirm_targets(&[0, 2, 4]).is_empty());
     }
 
@@ -249,10 +215,8 @@ mod tests {
     fn group_targets_aggregate_members_per_node() {
         let mut f = FenceEngine::new(FenceMode::Confirm, 4, 2);
         f.note_put(2, 1, false);
-        f.note_put(3, 1, true);
-        let t = f.group_confirm_targets(&[2, 3]);
-        assert_eq!(t.len(), 1);
-        assert!(t[0].1.server && t[0].1.nic);
+        f.note_put(3, 1, false);
+        assert_eq!(f.group_confirm_targets(&[2, 3]), vec![1]);
     }
 
     #[test]
@@ -265,17 +229,17 @@ mod tests {
         // And group_confirmed after that must not underflow aggregates.
         f.note_put(2, 1, false);
         f.group_confirmed(&[2, 3]);
-        assert!(f.confirm_targets(1).is_empty());
+        assert!(!f.confirm_targets(1));
     }
 
     #[test]
     fn forget_node_clears_every_wait_source_but_keeps_op_init() {
         let mut f = FenceEngine::new(FenceMode::DrainAcks, 4, 2);
         f.note_put(2, 1, false);
-        f.note_put(3, 1, true);
+        f.note_put(3, 1, false);
         assert_eq!(f.acks_pending(1), 2);
         f.forget_node(1);
-        assert!(f.confirm_targets(1).is_empty());
+        assert!(!f.confirm_targets(1));
         assert_eq!(f.acks_pending(1), 0);
         assert!(f.group_confirm_targets(&[2, 3]).is_empty());
         // op_init survives: the shrunk group stops summing those slots.

@@ -54,7 +54,7 @@ pub mod membership;
 pub use barrier::{BarrierAction, BarrierEvent, CombinedBarrier, STAGE_ALLREDUCE, STAGE_BARRIER};
 pub use completion::{completion_sites, CompletionSite, Ledger, NotifyAction, NotifyEngine, NotifyEvent, NotifyRecord};
 pub use exchange::{Exchange, SendRecord, XchgAction, XchgEvent, XchgMsg};
-pub use fence::{ConfirmTargets, FenceEngine, FenceMode};
+pub use fence::{FenceEngine, FenceMode};
 pub use hier::{HierAction, HierBarrier, HierEvent, HierExpect, HierMsg, HierRecord};
 pub use lock::{
     HybridAcquire, HybridAction, HybridEvent, HybridHome, McsAcquire, McsAcquireAction, McsAcquireEvent, McsReclaim,

@@ -1,9 +1,10 @@
-//! Cluster construction: wiring mailboxes, the memory registry and the
-//! topology together, and a convenience SPMD runner.
+//! Cluster construction: wiring mailboxes (one per process and one per
+//! node server), the memory registry and the topology together, and a
+//! convenience SPMD runner.
 
 use std::sync::Arc;
 
-use crate::fabric::{endpoint_index, FabricInner, Mailbox};
+use crate::fabric::{endpoint_count, endpoint_index, FabricInner, Mailbox};
 use crate::ids::{NodeId, ProcId, Topology};
 use crate::latency::LatencyModel;
 use crate::memory::MemoryRegistry;
@@ -65,7 +66,7 @@ impl ClusterBuilder {
     /// plus a fresh memory registry.
     pub fn build(self) -> Cluster {
         let topology = Topology::new(self.nodes, self.procs_per_node);
-        let n_endpoints = topology.nprocs() + 2 * topology.nnodes();
+        let n_endpoints = endpoint_count(&topology);
         let (txs, rxs): (Vec<_>, Vec<_>) = (0..n_endpoints).map(|_| crossbeam_channel::unbounded()).unzip();
         let trace = self.trace.then(|| Arc::new(crate::trace::Trace::new(n_endpoints)));
         let inner = Arc::new(FabricInner {
@@ -75,35 +76,12 @@ impl ClusterBuilder {
             seed: self.seed,
             trace: trace.clone(),
         });
-        let mut rxs: Vec<Option<_>> = rxs.into_iter().map(Some).collect();
-
-        let proc_mailboxes = topology
-            .all_procs()
-            .map(|p| {
-                let ep = Endpoint::Proc(p);
-                let rx = rxs[endpoint_index(&topology, ep)].take().unwrap();
-                Some(Mailbox::new(ep, inner.clone(), rx))
-            })
-            .collect();
-        let server_mailboxes = topology
-            .all_nodes()
-            .map(|n| {
-                let ep = Endpoint::Server(n);
-                let rx = rxs[endpoint_index(&topology, ep)].take().unwrap();
-                Some(Mailbox::new(ep, inner.clone(), rx))
-            })
-            .collect();
-        let nic_mailboxes = topology
-            .all_nodes()
-            .map(|n| {
-                let ep = Endpoint::Nic(n);
-                let rx = rxs[endpoint_index(&topology, ep)].take().unwrap();
-                Some(Mailbox::new(ep, inner.clone(), rx))
-            })
-            .collect();
+        // Dense endpoint order (see `endpoint_index`): processes, then servers.
+        let endpoints = topology.all_procs().map(Endpoint::Proc).chain(topology.all_nodes().map(Endpoint::Server));
+        let mailboxes = endpoints.zip(rxs).map(|(ep, rx)| Some(Mailbox::new(ep, inner.clone(), rx))).collect();
 
         let registry = Arc::new(MemoryRegistry::new(topology.nprocs()));
-        Cluster { topology, registry, proc_mailboxes, server_mailboxes, nic_mailboxes, trace }
+        Cluster { topology, registry, mailboxes, trace }
     }
 }
 
@@ -113,9 +91,8 @@ impl ClusterBuilder {
 pub struct Cluster {
     topology: Topology,
     registry: Arc<MemoryRegistry>,
-    proc_mailboxes: Vec<Option<Mailbox>>,
-    server_mailboxes: Vec<Option<Mailbox>>,
-    nic_mailboxes: Vec<Option<Mailbox>>,
+    /// Indexed by [`endpoint_index`].
+    mailboxes: Vec<Option<Mailbox>>,
     trace: Option<Arc<crate::trace::Trace>>,
 }
 
@@ -140,12 +117,18 @@ impl Cluster {
         self.registry.clone()
     }
 
+    fn take(&mut self, ep: Endpoint) -> Mailbox {
+        self.mailboxes[endpoint_index(&self.topology, ep)]
+            .take()
+            .unwrap_or_else(|| panic!("mailbox of {ep:?} already taken"))
+    }
+
     /// Take ownership of process `p`'s mailbox.
     ///
     /// # Panics
     /// Panics if taken twice.
     pub fn take_proc(&mut self, p: ProcId) -> Mailbox {
-        self.proc_mailboxes[p.idx()].take().unwrap_or_else(|| panic!("mailbox of {p} already taken"))
+        self.take(Endpoint::Proc(p))
     }
 
     /// Take ownership of node `n`'s server mailbox.
@@ -153,16 +136,7 @@ impl Cluster {
     /// # Panics
     /// Panics if taken twice.
     pub fn take_server(&mut self, n: NodeId) -> Mailbox {
-        self.server_mailboxes[n.idx()].take().unwrap_or_else(|| panic!("server mailbox of {n} already taken"))
-    }
-
-    /// Take ownership of node `n`'s NIC mailbox (only needed by layers
-    /// implementing NIC-assisted operations).
-    ///
-    /// # Panics
-    /// Panics if taken twice.
-    pub fn take_nic(&mut self, n: NodeId) -> Mailbox {
-        self.nic_mailboxes[n.idx()].take().unwrap_or_else(|| panic!("NIC mailbox of {n} already taken"))
+        self.take(Endpoint::Server(n))
     }
 
     /// Run an SPMD function on every *process* endpoint (no servers), each

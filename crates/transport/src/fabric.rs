@@ -140,8 +140,8 @@ pub(crate) struct FabricInner {
 }
 
 /// Dense index of an endpoint in fabric tables: processes first, then
-/// node servers, then node NICs. This is also the trace-shard index and
-/// the endpoint numbering used by network backends' address tables.
+/// node servers. This is also the trace-shard index and the endpoint
+/// numbering used by network backends' address tables.
 pub fn endpoint_index(topo: &Topology, ep: Endpoint) -> usize {
     match ep {
         Endpoint::Proc(p) => {
@@ -152,24 +152,20 @@ pub fn endpoint_index(topo: &Topology, ep: Endpoint) -> usize {
             debug_assert!(n.idx() < topo.nnodes());
             topo.nprocs() + n.idx()
         }
-        Endpoint::Nic(n) => {
-            debug_assert!(n.idx() < topo.nnodes());
-            topo.nprocs() + topo.nnodes() + n.idx()
-        }
     }
 }
 
 /// Total number of endpoints (the [`endpoint_index`] domain size):
-/// every process, plus one server and one NIC per node.
+/// every process, plus one server per node.
 pub fn endpoint_count(topo: &Topology) -> usize {
-    topo.nprocs() + 2 * topo.nnodes()
+    topo.nprocs() + topo.nnodes()
 }
 
 /// The node an endpoint lives on.
 pub fn node_of_endpoint(topo: &Topology, ep: Endpoint) -> crate::ids::NodeId {
     match ep {
         Endpoint::Proc(p) => topo.node_of(p),
-        Endpoint::Server(n) | Endpoint::Nic(n) => n,
+        Endpoint::Server(n) => n,
     }
 }
 

@@ -13,13 +13,9 @@ use crate::ids::{NodeId, ProcId};
 pub enum Endpoint {
     /// A user process, addressed by global rank.
     Proc(ProcId),
-    /// The server thread of a node.
+    /// The server thread of a node: the node's one service agent, so every
+    /// request to a node shares one FIFO.
     Server(NodeId),
-    /// The programmable NIC of a node — the paper's §5 future-work agent
-    /// (NIC-based atomic and synchronization operations, paper references 1–5).
-    /// Wired on every cluster; only used when the layer above enables
-    /// NIC-assisted mode.
-    Nic(NodeId),
 }
 
 impl Endpoint {
@@ -29,24 +25,12 @@ impl Endpoint {
         matches!(self, Endpoint::Server(_))
     }
 
-    /// True if this endpoint is a NIC agent.
-    #[inline]
-    pub fn is_nic(&self) -> bool {
-        matches!(self, Endpoint::Nic(_))
-    }
-
-    /// True for any per-node service agent (server thread or NIC).
-    #[inline]
-    pub fn is_agent(&self) -> bool {
-        self.is_server() || self.is_nic()
-    }
-
     /// The process id, if this is a process endpoint.
     #[inline]
     pub fn proc(&self) -> Option<ProcId> {
         match self {
             Endpoint::Proc(p) => Some(*p),
-            Endpoint::Server(_) | Endpoint::Nic(_) => None,
+            Endpoint::Server(_) => None,
         }
     }
 }

@@ -1,46 +1,9 @@
-//! Transport-level integration tests: multi-endpoint messaging (procs,
-//! servers, NICs), tracing with latency, and topology properties.
+//! Transport-level integration tests: multi-endpoint messaging, tracing
+//! with latency, and topology properties.
 
-use armci_transport::{Cluster, Endpoint, LatencyModel, NodeId, ProcId, Tag, Topology};
+use armci_transport::{Cluster, Endpoint, LatencyModel, ProcId, Tag, Topology};
 use proptest::prelude::*;
 use std::time::Duration;
-
-#[test]
-fn nic_endpoints_are_wired_and_addressable() {
-    let mut c = Cluster::builder().nodes(2).procs_per_node(1).latency(LatencyModel::zero()).build();
-    let mut p0 = c.take_proc(ProcId(0));
-    let mut nic1 = c.take_nic(NodeId(1));
-    let nic_thread = std::thread::spawn(move || {
-        let m = nic1.recv().unwrap();
-        assert_eq!(m.src, Endpoint::Proc(ProcId(0)));
-        nic1.send(m.src, Tag(Tag::INTERNAL_BASE + 1), vec![m.body[0] * 2]);
-    });
-    p0.send(Endpoint::Nic(NodeId(1)), Tag(Tag::INTERNAL_BASE), vec![21]);
-    let reply = p0.recv().unwrap();
-    assert_eq!(reply.src, Endpoint::Nic(NodeId(1)));
-    assert_eq!(reply.body, vec![42]);
-    nic_thread.join().unwrap();
-}
-
-#[test]
-fn server_and_nic_queues_are_independent() {
-    let mut c = Cluster::builder().nodes(2).procs_per_node(1).latency(LatencyModel::zero()).build();
-    let mut p0 = c.take_proc(ProcId(0));
-    let mut srv = c.take_server(NodeId(1));
-    let mut nic = c.take_nic(NodeId(1));
-    // Interleave sends to both agents of node 1; each sees only its own.
-    for i in 0..6u8 {
-        let (ep, tag) =
-            if i % 2 == 0 { (Endpoint::Server(NodeId(1)), Tag(1)) } else { (Endpoint::Nic(NodeId(1)), Tag(2)) };
-        p0.send(ep, tag, vec![i]);
-    }
-    for want in [0u8, 2, 4] {
-        assert_eq!(srv.recv().unwrap().body, vec![want]);
-    }
-    for want in [1u8, 3, 5] {
-        assert_eq!(nic.recv().unwrap().body, vec![want]);
-    }
-}
 
 #[test]
 fn trace_includes_latency_annotated_sends() {

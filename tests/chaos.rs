@@ -130,55 +130,6 @@ fn chaos_smp_hybrid_multi_seed() {
 }
 
 #[test]
-fn chaos_nic_assist() {
-    let nprocs = 4u64;
-    let cfg = ArmciCfg {
-        nodes: 4,
-        procs_per_node: 1,
-        latency: LatencyModel::zero(),
-        lock_algo: LockAlgo::Mcs,
-        nic_assist: true,
-        seed: 0x817C,
-        ..Default::default()
-    };
-    let out = armci_repro::armci_core::run_cluster(cfg, move |a| {
-        let seg = a.malloc(512);
-        let lock = LockId { owner: ProcId(0), idx: 0 };
-        let ctr = GlobalAddr::new(ProcId(0), seg, 0);
-        let mut rng = StdRng::seed_from_u64(a.rank() as u64 + 7);
-        a.barrier();
-        let mut mine = 0u64;
-        for _ in 0..40 {
-            match rng.gen_range(0..3u32) {
-                0 => {
-                    a.put_u64(GlobalAddr::new(ProcId(rng.gen_range(0..4)), seg, 256 + 8 * rng.gen_range(0..8usize)), 1)
-                }
-                1 => {
-                    let _ = a.fetch_add_u64(GlobalAddr::new(ProcId(rng.gen_range(0..4)), seg, 128), 1);
-                }
-                _ => {
-                    a.lock(lock);
-                    let v = a.get_u64(ctr);
-                    a.put_u64(ctr, v + 1);
-                    a.fence(ProcId(0));
-                    a.unlock(lock);
-                    mine += 1;
-                }
-            }
-        }
-        a.barrier();
-        let total = a.get_u64(ctr);
-        let mut sums = vec![mine];
-        armci_repro::armci_msglib::Group::world(a.nprocs()).allreduce_sum_u64(a, &mut sums);
-        (total, sums[0])
-    });
-    let _ = nprocs;
-    for (total, want) in out {
-        assert_eq!(total, want, "NIC-assisted locked increments lost");
-    }
-}
-
-#[test]
 fn chaos_with_jitter() {
     let nodes = 3u32;
     let cfg = ArmciCfg {
