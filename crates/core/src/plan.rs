@@ -14,8 +14,9 @@
 //!   batch counts so every rank learns how many notifications it will
 //!   *receive* per iteration and from whom (the producer set, registered
 //!   for degraded-mode aborts);
-//! * [`TransferPlan::post`] ships this iteration's payloads as
-//!   [`crate::Armci::put_notify_v`] batches;
+//! * [`TransferPlan::post`] ships this iteration's payloads, packed
+//!   back to back in one caller-owned buffer, as
+//!   [`crate::Armci::put_notify_v`] batches sent straight from it;
 //! * [`TransferPlan::sync`] waits until the cumulative notification
 //!   counter reaches `iterations × expected` — **zero synchronization
 //!   wire messages**, versus the combined barrier's allreduce +
@@ -32,6 +33,7 @@ use armci_transport::{ProcId, SegId};
 use crate::armci::{unwrap_op, Armci};
 use crate::errors::ArmciError;
 use crate::layout;
+use crate::strided::runs_len;
 
 /// One recorded logical put: `len` bytes into `(dst, seg)` at `off`.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -70,6 +72,19 @@ fn batches_of(puts: &[PlannedPut]) -> Vec<Batch> {
     batches
 }
 
+/// Whether every batch's members are one consecutive run of record
+/// indices, in batch order — i.e. the puts of each `(dst, seg)` were
+/// recorded back to back, so each batch is one slice of the packed
+/// payload [`TransferPlan::post`] takes.
+fn grouped(batches: &[Batch]) -> bool {
+    let mut next = 0;
+    batches.iter().all(|b| {
+        let ok = b.members.iter().enumerate().all(|(k, &m)| m == next + k);
+        next += b.members.len();
+        ok
+    })
+}
+
 /// Records the puts of one iteration of a repeating exchange; consumed
 /// by the collective [`PlanBuilder::build`]. See the module docs.
 #[derive(Clone, Debug)]
@@ -80,8 +95,10 @@ pub struct PlanBuilder {
 
 impl PlanBuilder {
     /// Record one logical put of `len` bytes into `(dst, seg)` at byte
-    /// offset `off`; returns the payload index [`TransferPlan::post`]
-    /// expects this put's bytes at.
+    /// offset `off`; returns its index in record order, which is the
+    /// order [`TransferPlan::post`] expects the payloads packed in. All
+    /// puts to one `(dst, seg)` must be recorded consecutively
+    /// ([`PlanBuilder::build`] checks).
     pub fn put(&mut self, dst: ProcId, seg: SegId, off: usize, len: usize) -> usize {
         assert!(len > 0, "zero-length planned put");
         self.puts.push(PlannedPut { dst: dst.0, seg: seg.0, off: off as u64, len: len as u32 });
@@ -94,9 +111,14 @@ impl PlanBuilder {
     /// rank learns its expected notifications per iteration and its
     /// producer set; the producers are registered with the notify engine
     /// for degraded-mode aborts.
+    ///
+    /// # Panics
+    /// Panics if the puts to some `(dst, seg)` were not recorded
+    /// consecutively.
     pub fn build(self, a: &mut Armci) -> TransferPlan {
         let n = a.nprocs();
         let batches = batches_of(&self.puts);
+        assert!(grouped(&batches), "puts to one (dst, seg) must be recorded consecutively");
         // counts[d] = notifications this rank sends rank d per iteration.
         let mut counts = vec![0u64; n];
         for b in &batches {
@@ -144,7 +166,7 @@ impl PlanBuilder {
 ///     let mut plan = b.build(a); // collective
 ///     for step in 0..3u64 {
 ///         let word = (a.rank() as u64) << 8 | step;
-///         plan.post(a, &[&word.to_le_bytes()]);
+///         plan.post(a, &word.to_le_bytes());
 ///         plan.sync(a); // waits on notifications, no sync messages
 ///         let left = (a.rank() + a.nprocs() - 1) % a.nprocs();
 ///         assert_eq!(a.local_segment(seg).read_u64(0), (left as u64) << 8 | step);
@@ -206,20 +228,18 @@ impl TransferPlan {
         self.iter
     }
 
-    /// Ship one iteration's payloads: `payloads[i]` is the bytes of the
-    /// `i`-th recorded put (the index [`PlanBuilder::put`] returned), and
-    /// must match its recorded length. Every batch goes out as one
-    /// `put_notify_v`.
-    pub fn post(&self, a: &mut Armci, payloads: &[&[u8]]) {
-        assert_eq!(payloads.len(), self.puts.len(), "one payload per recorded put");
-        let mut data = Vec::new();
+    /// Ship one iteration's payloads: `packed` holds every recorded
+    /// put's bytes back to back in record order, and must be exactly the
+    /// recorded lengths long. Every batch goes out as one
+    /// `put_notify_v`, sent straight from its slice of `packed`.
+    pub fn post(&self, a: &mut Armci, packed: &[u8]) {
+        let total: usize = self.batches.iter().map(|b| runs_len(&b.runs)).sum();
+        assert_eq!(packed.len(), total, "packed payload does not match the recorded lengths");
+        let mut at = 0;
         for b in &self.batches {
-            data.clear();
-            for &i in &b.members {
-                assert_eq!(payloads[i].len(), self.puts[i].len as usize, "payload {i} does not match recorded length");
-                data.extend_from_slice(payloads[i]);
-            }
-            a.put_notify_v(ProcId(b.dst), SegId(b.seg), &b.runs, &data, self.slot);
+            let len = runs_len(&b.runs);
+            a.put_notify_v(ProcId(b.dst), SegId(b.seg), &b.runs, &packed[at..at + len], self.slot);
+            at += len;
         }
     }
 
@@ -291,6 +311,9 @@ impl serde::Deserialize for TransferPlan {
         // deterministic, so a restored plan is structurally identical to
         // the one serialized.
         let batches = batches_of(&puts);
+        if !grouped(&batches) {
+            return Err(serde::Error::new("puts to one (dst, seg) are not recorded consecutively"));
+        }
         Ok(TransferPlan {
             slot,
             batches,
@@ -322,6 +345,12 @@ mod tests {
         assert_eq!(b[1].runs, vec![(16, 8), (32, 8)]);
         assert_eq!((b[2].dst, b[2].seg), (1, 1));
         assert_eq!(b[2].runs, vec![(0, 8)]);
+    }
+
+    #[test]
+    fn grouped_requires_each_batch_recorded_back_to_back() {
+        assert!(grouped(&batches_of(&[put(1, 0, 0, 8), put(1, 0, 8, 8), put(2, 0, 0, 8), put(1, 1, 0, 8)])));
+        assert!(!grouped(&batches_of(&[put(1, 0, 0, 8), put(2, 0, 0, 8), put(1, 0, 8, 8)])));
     }
 
     #[test]
@@ -368,7 +397,7 @@ mod tests {
             /// Batching is a partition: every recorded put lands in
             /// exactly one batch, in a batch keyed by its own `(dst,
             /// seg)`, with its run aligned to its payload index — the
-            /// invariant `post` relies on to concatenate payloads.
+            /// invariant that lets `post` slice the packed payload.
             #[test]
             fn batching_partitions_puts(puts in arb_puts()) {
                 let batches = batches_of(&puts);
@@ -387,8 +416,9 @@ mod tests {
                 prop_assert_eq!(seen, (0..puts.len()).collect::<Vec<_>>());
             }
 
-            /// Any built plan survives serialize → deserialize intact,
-            /// including the re-derived batches.
+            /// Any buildable plan (puts grouped by `(dst, seg)`) survives
+            /// serialize → deserialize intact, including the re-derived
+            /// batches.
             #[test]
             fn plan_serde_roundtrips(
                 puts in arb_puts(),
@@ -397,12 +427,22 @@ mod tests {
                 iter in any::<u64>(),
                 producers in proptest::collection::vec(0u32..8, 0..8),
             ) {
+                let mut puts = puts;
+                puts.sort_by_key(|p| (p.dst, p.seg));
                 let batches = batches_of(&puts);
                 let plan = TransferPlan { slot, puts, batches, expected_per_iter, producers, iter };
                 let back: TransferPlan = serde::from_str(&serde::to_string(&plan)).expect("roundtrip");
                 prop_assert_eq!(back, plan);
             }
         }
+    }
+
+    #[test]
+    fn deserialize_rejects_interleaved_puts() {
+        let puts = vec![put(1, 0, 0, 8), put(0, 0, 0, 8), put(1, 0, 8, 8)];
+        let batches = batches_of(&puts);
+        let plan = TransferPlan { slot: 0, puts, batches, expected_per_iter: 0, producers: Vec::new(), iter: 0 };
+        assert!(serde::from_str::<TransferPlan>(&serde::to_string(&plan)).is_err());
     }
 
     #[test]

@@ -14,10 +14,12 @@
 //! its boundary rows straight into its neighbours' halo buffers with
 //! `put_notify` — and [`GhostArray::update_with_plan`] then completes
 //! each step by waiting on notification counts alone: no `op_init`
-//! exchange, no barrier, zero synchronization messages.
+//! exchange, no barrier, zero synchronization messages. Only the
+//! boundary moves: a rank reads its own interior in place from the
+//! [`GlobalArray`] block, and the step allocates nothing.
 
 use armci_core::{Armci, ArmciError, TransferPlan};
-use armci_transport::{ProcId, SegId};
+use armci_transport::{ProcId, SegId, Segment};
 
 use crate::array::{GlobalArray, SyncAlg};
 use crate::patch::Patch;
@@ -87,15 +89,21 @@ impl GhostArray {
 
     /// Read element `(r, c)` in *global* coordinates; must lie within the
     /// extended patch.
+    #[inline]
     pub fn at(&self, r: usize, c: usize) -> f64 {
-        assert!(self.ext.contains(r, c), "({r},{c}) outside the halo-extended patch {:?}", self.ext);
+        if !self.ext.contains(r, c) {
+            outside(r, c, &self.ext, "halo-extended patch");
+        }
         self.buf[(r - self.ext.row_lo) * self.ext.cols() + (c - self.ext.col_lo)]
     }
 
     /// Write element `(r, c)` of the *interior* in the local buffer (not
     /// yet visible globally — call [`GhostArray::flush`]).
+    #[inline]
     pub fn set(&mut self, r: usize, c: usize, v: f64) {
-        assert!(self.own.contains(r, c), "({r},{c}) outside the interior {:?}", self.own);
+        if !self.own.contains(r, c) {
+            outside(r, c, &self.own, "interior");
+        }
         self.buf[(r - self.ext.row_lo) * self.ext.cols() + (c - self.ext.col_lo)] = v;
     }
 
@@ -121,16 +129,18 @@ impl GhostArray {
     /// ([`SyncAlg::Notify`] for this access pattern): a halo segment on
     /// every rank plus two [`TransferPlan`]s (notify slots `slot` and
     /// `slot + 1`) in which each rank records one put per boundary row it
-    /// contributes to each rank's halo — including its own, so the
-    /// interior flows through the same plan. Batching collapses all rows
-    /// bound for one neighbour into a single `put_notify` message.
+    /// contributes to each *neighbour's* halo. Its own interior never
+    /// rides the plan: the owner reads it in place. Batching collapses
+    /// all rows bound for one neighbour into a single `put_notify`
+    /// message.
     ///
     /// Two plans alternate over a double-buffered halo: a neighbour may
     /// only post iteration `k + 2` after syncing `k + 1`, which needs
     /// this rank's `k + 1` rows, which are sent only after iteration `k`
     /// of the halo has been copied out — so a fast neighbour can never
     /// overwrite a half that is still being read, with no extra
-    /// messages.
+    /// messages. (Neighbourhood is symmetric, so every rank that writes
+    /// this halo also waits on this rank's rows.)
     pub fn plan_update(&self, armci: &mut Armci, slot: u32) -> GhostUpdatePlan {
         let halo = armci.malloc(self.ext.len().max(1) * 8 * 2);
         let dist = *self.ga.distribution();
@@ -140,21 +150,19 @@ impl GhostArray {
         let mut plans = Vec::with_capacity(2);
         for parity in 0..2usize {
             let mut b = TransferPlan::builder(slot + parity as u32);
-            for q in 0..armci.nprocs() {
+            for q in (0..armci.nprocs()).filter(|&q| q != me) {
                 let ext_q = ext_patch(&dist.owned_patch(q), self.width, rows, cols);
-                for (owner, piece) in dist.split_by_owner(&ext_q) {
-                    if owner != me {
-                        continue;
-                    }
-                    for r in piece.row_lo..piece.row_hi {
-                        let dst_off = parity * ext_q.len() * 8
-                            + ((r - ext_q.row_lo) * ext_q.cols() + (piece.col_lo - ext_q.col_lo)) * 8;
-                        b.put(ProcId(q as u32), halo, dst_off, piece.cols() * 8);
-                        if parity == 0 {
-                            let src_off =
-                                ((r - self.own.row_lo) * self.own.cols() + (piece.col_lo - self.own.col_lo)) * 8;
-                            src.push((src_off, piece.cols() * 8));
-                        }
+                let piece = ext_q.intersect(&self.own);
+                if piece.is_empty() {
+                    continue;
+                }
+                for r in piece.row_lo..piece.row_hi {
+                    let dst_off = parity * ext_q.len() * 8
+                        + ((r - ext_q.row_lo) * ext_q.cols() + (piece.col_lo - ext_q.col_lo)) * 8;
+                    b.put(ProcId(q as u32), halo, dst_off, piece.cols() * 8);
+                    if parity == 0 {
+                        let src_off = ((r - self.own.row_lo) * self.own.cols() + (piece.col_lo - self.own.col_lo)) * 8;
+                        src.push((src_off, piece.cols() * 8));
                     }
                 }
             }
@@ -162,14 +170,16 @@ impl GhostArray {
         }
         let odd = plans.pop().expect("two plans");
         let even = plans.pop().expect("two plans");
-        GhostUpdatePlan { halo, plans: [even, odd], src, parity: 0 }
+        let packed = vec![0; src.iter().map(|&(_, len)| len).sum()];
+        GhostUpdatePlan { halo, plans: [even, odd], src, packed, parity: 0 }
     }
 
-    /// One notified ghost exchange: push this rank's current block rows
-    /// (read from the authoritative [`GlobalArray`] storage) into every
-    /// consumer's halo, wait on the notification counter, and refresh the
-    /// local buffer from the halo. Collective over the plan's builders;
-    /// sends **zero** synchronization messages.
+    /// One notified ghost exchange: push this rank's current boundary
+    /// rows (read from the authoritative [`GlobalArray`] storage) into
+    /// every neighbour's halo, wait on the notification counter, and
+    /// refresh the local buffer — the ghost ring from the halo, the
+    /// interior from the array block. Collective over the plan's
+    /// builders; sends **zero** synchronization messages.
     pub fn update_with_plan(&mut self, armci: &mut Armci, plan: &mut GhostUpdatePlan) {
         if let Err(e) = self.try_update_with_plan(armci, plan) {
             panic!("ghost plan update failed: {e}");
@@ -180,38 +190,71 @@ impl GhostArray {
     /// (degraded mode) or an expired deadline surfaces as an
     /// [`ArmciError`] instead of panicking.
     pub fn try_update_with_plan(&mut self, armci: &mut Armci, plan: &mut GhostUpdatePlan) -> Result<(), ArmciError> {
-        let seg = armci.local_segment(self.ga.seg_id());
-        let mut payloads = Vec::with_capacity(plan.src.len());
+        let block = armci.local_segment(self.ga.seg_id());
+        let mut at = 0;
         for &(off, len) in &plan.src {
-            let mut bytes = vec![0u8; len];
-            seg.read_bytes(off, &mut bytes);
-            payloads.push(bytes);
+            block.read_bytes(off, &mut plan.packed[at..at + len]);
+            at += len;
         }
-        let refs: Vec<&[u8]> = payloads.iter().map(|p| p.as_slice()).collect();
         let p = plan.parity;
-        plan.plans[p].post(armci, &refs);
+        plan.plans[p].post(armci, &plan.packed);
         plan.plans[p].try_sync(armci)?;
         plan.parity ^= 1;
-        let half = self.ext.len() * 8;
         let halo = armci.local_segment(plan.halo);
-        let mut bytes = vec![0u8; half];
-        halo.read_bytes(p * half, &mut bytes);
-        for (i, c) in bytes.chunks_exact(8).enumerate() {
-            self.buf[i] = f64::from_le_bytes(c.try_into().unwrap());
+        let (ext, own) = (self.ext, self.own);
+        let half = p * ext.len() * 8;
+        for r in ext.row_lo..ext.row_hi {
+            let row = (r - ext.row_lo) * ext.cols();
+            let dst = &mut self.buf[row..row + ext.cols()];
+            if !(own.row_lo..own.row_hi).contains(&r) {
+                read_f64s(&halo, half + row * 8, dst);
+                continue;
+            }
+            let (west, rest) = dst.split_at_mut(own.col_lo - ext.col_lo);
+            let (mid, east) = rest.split_at_mut(own.cols());
+            read_f64s(&halo, half + row * 8, west);
+            read_f64s(&block, (r - own.row_lo) * own.cols() * 8, mid);
+            read_f64s(&halo, half + (row + ext.cols() - east.len()) * 8, east);
         }
         Ok(())
     }
 }
 
+/// The panic of [`GhostArray::at`] and [`GhostArray::set`], kept out of
+/// line so the accessors stay small enough to inline.
+#[cold]
+#[inline(never)]
+fn outside(r: usize, c: usize, patch: &Patch, what: &str) -> ! {
+    panic!("({r},{c}) outside the {what} {patch:?}")
+}
+
+/// Fill `dst` with the little-endian `f64`s at byte `off` of `seg`,
+/// through a stack buffer.
+fn read_f64s(seg: &Segment, off: usize, dst: &mut [f64]) {
+    const WORDS: usize = 64;
+    let mut bytes = [0u8; WORDS * 8];
+    for (k, part) in dst.chunks_mut(WORDS).enumerate() {
+        let chunk = &mut bytes[..part.len() * 8];
+        seg.read_bytes(off + k * WORDS * 8, chunk);
+        for (v, b) in part.iter_mut().zip(chunk.chunks_exact(8)) {
+            *v = f64::from_le_bytes(b.try_into().unwrap());
+        }
+    }
+}
+
 /// A built notified ghost-exchange schedule — see
 /// [`GhostArray::plan_update`]. Holds the double-buffered halo segment,
-/// the even/odd [`TransferPlan`]s, and the local source row map.
+/// the even/odd [`TransferPlan`]s, the local source row map and the
+/// buffer the rows are gathered into.
 pub struct GhostUpdatePlan {
     halo: SegId,
     plans: [TransferPlan; 2],
     /// Per recorded put, in payload order: `(byte offset, byte length)`
     /// of the source row inside this rank's own block.
     src: Vec<(usize, usize)>,
+    /// The gathered payloads of one exchange, back to back in `src`
+    /// order; sized at build time.
+    packed: Vec<u8>,
     /// Which plan (and halo half) the next update uses.
     parity: usize,
 }
@@ -285,27 +328,29 @@ mod tests {
         assert!(out.into_iter().all(|ok| ok));
     }
 
-    #[test]
-    fn plan_update_matches_pull_update() {
-        let out = run_cluster(cfg(4), |a| {
-            let ga = GlobalArray::create(a, 8, 8);
+    /// Run `steps` planned exchanges of a `rows x cols` array over `n`
+    /// ranks with ghost width `width`. Element `(r, c)` holds `r * cols + c`
+    /// plus a per-step bump, so every cell of every extended patch —
+    /// interior, edge ghosts and corner ghosts — has one right answer.
+    fn check_planned_exchange(n: u32, rows: usize, cols: usize, width: usize, steps: u64) {
+        let out = run_cluster(cfg(n), move |a| {
+            let ga = GlobalArray::create(a, rows, cols);
             let own = ga.owned_patch(a.rank());
             let base: Vec<f64> = (own.row_lo..own.row_hi)
-                .flat_map(|r| (own.col_lo..own.col_hi).map(move |c| (r * 8 + c) as f64))
+                .flat_map(|r| (own.col_lo..own.col_hi).map(move |c| (r * cols + c) as f64))
                 .collect();
             ga.put(a, own, &base);
-            let mut g = GhostArray::new(a, ga, 1);
+            let mut g = GhostArray::new(a, ga, width);
             let mut plan = g.plan_update(a, 0);
-            // Three exchanges so both parities and the cumulative counter
-            // targets are exercised.
-            for step in 1..=3u64 {
+            for step in 1..=steps {
                 let bump: Vec<f64> = base.iter().map(|v| v + 1000.0 * step as f64).collect();
                 ga.put(a, own, &bump); // local-only write to own block
                 g.update_with_plan(a, &mut plan);
                 let ext = g.extended();
                 for r in ext.row_lo..ext.row_hi {
                     for c in ext.col_lo..ext.col_hi {
-                        assert_eq!(g.at(r, c), (r * 8 + c) as f64 + 1000.0 * step as f64, "({r},{c}) step {step}");
+                        let want = (r * cols + c) as f64 + 1000.0 * step as f64;
+                        assert_eq!(g.at(r, c), want, "rank {} ({r},{c}) step {step}", a.rank());
                     }
                 }
             }
@@ -313,6 +358,107 @@ mod tests {
             true
         });
         assert!(out.into_iter().all(|ok| ok));
+    }
+
+    #[test]
+    fn plan_update_matches_pull_update() {
+        // Three exchanges so both parities and the cumulative counter
+        // targets are exercised.
+        check_planned_exchange(4, 8, 8, 1, 3);
+    }
+
+    #[test]
+    fn plan_update_matches_pull_update_width_2() {
+        // Rank 0's ext is rows/cols 0..6: a 2x2 corner block of ghosts
+        // comes from rank 3 alone.
+        check_planned_exchange(4, 8, 8, 2, 3);
+    }
+
+    #[test]
+    fn plan_update_uneven_2x3_grid() {
+        // 6 ranks form a 2x3 grid; 7x11 splits into 4+3 rows and 4+4+3
+        // columns. Five steps wrap each parity's halo half twice.
+        check_planned_exchange(6, 7, 11, 1, 5);
+    }
+
+    #[test]
+    fn plan_update_after_set_and_flush() {
+        // Alternate steps publish the interior through `set` + `flush`
+        // and through a bare array `put` that leaves `buf` stale: either
+        // way the planned update must show the array's interior.
+        let out = run_cluster(cfg(4), |a| {
+            let ga = GlobalArray::create(a, 8, 8);
+            ga.fill(a, -1.0);
+            let mut g = GhostArray::new(a, ga, 1);
+            let mut plan = g.plan_update(a, 0);
+            let own = g.interior();
+            let value = |r: usize, c: usize, step: u64| (r * 8 + c) as f64 + 100.0 * step as f64;
+            for step in 1..=4u64 {
+                if step % 2 == 1 {
+                    for r in own.row_lo..own.row_hi {
+                        for c in own.col_lo..own.col_hi {
+                            g.set(r, c, value(r, c, step));
+                        }
+                    }
+                    g.flush(a);
+                } else {
+                    let vals: Vec<f64> = (own.row_lo..own.row_hi)
+                        .flat_map(|r| (own.col_lo..own.col_hi).map(move |c| value(r, c, step)))
+                        .collect();
+                    g.global().put(a, own, &vals);
+                }
+                g.update_with_plan(a, &mut plan);
+                let ext = g.extended();
+                for r in ext.row_lo..ext.row_hi {
+                    for c in ext.col_lo..ext.col_hi {
+                        assert_eq!(g.at(r, c), value(r, c, step), "({r},{c}) step {step}");
+                    }
+                }
+            }
+            a.barrier();
+            true
+        });
+        assert!(out.into_iter().all(|ok| ok));
+    }
+
+    /// True if `f` panics.
+    fn panics(f: impl FnOnce()) -> bool {
+        std::panic::catch_unwind(std::panic::AssertUnwindSafe(f)).is_err()
+    }
+
+    #[test]
+    fn at_and_set_reject_every_coordinate_outside_their_patch() {
+        let out = run_cluster(cfg(4), |a| {
+            let ga = GlobalArray::create(a, 8, 8);
+            let mut g = GhostArray::new(a, ga, 1);
+            let (ext, own) = (g.extended(), g.interior());
+            // One past the last column: a row-major index alone would
+            // wrap into the first cell of the next row.
+            assert!(panics(|| {
+                g.at(ext.row_lo, ext.col_hi);
+            }));
+            assert!(panics(|| {
+                g.at(ext.row_hi, ext.col_lo);
+            }));
+            if ext.row_lo > 0 {
+                assert!(panics(|| {
+                    g.at(ext.row_lo - 1, ext.col_lo);
+                }));
+            }
+            if ext.col_lo > 0 {
+                assert!(panics(|| {
+                    g.at(ext.row_lo, ext.col_lo - 1);
+                }));
+            }
+            // Every in-ext coordinate reads; ghost cells refuse writes.
+            g.at(ext.row_hi - 1, ext.col_hi - 1);
+            assert!(panics(|| g.set(own.row_lo, own.col_hi, 0.0)));
+            let ghost_row = if own.row_hi < ext.row_hi { own.row_hi } else { own.row_lo - 1 };
+            assert!(panics(|| g.set(ghost_row, own.col_lo, 0.0)));
+            a.barrier();
+            ext.row_lo > 0
+        });
+        assert_eq!(out, vec![false, false, true, true], "ranks 2 and 3 start past row 0");
     }
 
     #[test]

@@ -58,8 +58,12 @@ impl Patch {
     }
 
     /// True if `(r, c)` lies inside.
+    #[inline]
     pub fn contains(&self, r: usize, c: usize) -> bool {
-        (self.row_lo..self.row_hi).contains(&r) && (self.col_lo..self.col_hi).contains(&c)
+        // Offsets from the origin, unsigned: a coordinate below the
+        // origin wraps to a huge value, so one compare per axis rejects
+        // both sides.
+        r.wrapping_sub(self.row_lo) < self.rows() && c.wrapping_sub(self.col_lo) < self.cols()
     }
 }
 
@@ -102,6 +106,9 @@ mod tests {
         assert!(p.contains(1, 2));
         assert!(!p.contains(3, 2));
         assert!(!p.contains(2, 0));
+        assert!(!p.contains(0, 2), "below the row origin");
+        assert!(!p.contains(1, 3), "one past the last column");
+        assert!(!Patch::new(2, 2, 0, 1).contains(2, 0), "empty patch");
     }
 
     #[test]
