@@ -1,8 +1,7 @@
 //! Wire-path throughput: the cost of moving one put through the full
 //! client-encode → transport → server-decode → segment-apply pipeline,
-//! plus codec-level before/after micro-benches isolating what the
-//! zero-copy work changed (owned `encode()`/`decode()` versus pooled
-//! `encode_into` / borrowed `ReqView::decode`).
+//! plus the segment-store micro-benches. The codec's own costs are
+//! `perf/`'s `codec.*` rungs.
 //!
 //! Besides the usual console report, this bench emits its numbers to
 //! `BENCH_wire_path.json` at the repository root so the perf trajectory
@@ -10,9 +9,8 @@
 
 use std::time::{Duration, Instant};
 
-use armci_core::msg::{Req, ReqView};
 use armci_core::{run_cluster, run_cluster_net_loopback, run_cluster_spawned, ArmciCfg, GlobalAddr};
-use armci_transport::{LatencyModel, ProcId, SegId};
+use armci_transport::{LatencyModel, ProcId};
 use criterion::{black_box, BenchmarkGroup, Criterion};
 
 /// End-to-end rounds on a 2-node zero-latency cluster: each round is one
@@ -189,49 +187,6 @@ fn seg_write_64k_batched(iters: u64) -> Duration {
     t0.elapsed()
 }
 
-/// The pre-optimization client encode: a fresh heap `Vec` per request.
-fn encode_small_owned(iters: u64) -> Duration {
-    let req = Req::PutU64 { dst: ProcId(1), seg: SegId(0), offset: 16, val: 42 };
-    let t0 = Instant::now();
-    for _ in 0..iters {
-        black_box(black_box(&req).encode());
-    }
-    t0.elapsed()
-}
-
-/// The new client encode: frame into a reused buffer, zero heap traffic.
-fn encode_small_pooled(iters: u64) -> Duration {
-    let req = Req::PutU64 { dst: ProcId(1), seg: SegId(0), offset: 16, val: 42 };
-    let mut buf = Vec::with_capacity(64);
-    let t0 = Instant::now();
-    for _ in 0..iters {
-        buf.clear();
-        black_box(&req).encode_into(&mut buf);
-        black_box(&buf);
-    }
-    t0.elapsed()
-}
-
-/// The pre-optimization server decode: `Req::decode` copies the payload
-/// into an owned `Vec` before the segment write.
-fn decode_64k_owned(iters: u64, frame: &[u8]) -> Duration {
-    let t0 = Instant::now();
-    for _ in 0..iters {
-        black_box(Req::decode(black_box(frame)));
-    }
-    t0.elapsed()
-}
-
-/// The new server decode: `ReqView::decode` borrows the payload straight
-/// out of the message body.
-fn decode_64k_borrowed(iters: u64, frame: &[u8]) -> Duration {
-    let t0 = Instant::now();
-    for _ in 0..iters {
-        black_box(ReqView::decode(black_box(frame)));
-    }
-    t0.elapsed()
-}
-
 struct Rec {
     name: &'static str,
     bytes: u64,
@@ -267,8 +222,6 @@ fn main() {
     let mut c = Criterion::default();
     let mut recs: Vec<Rec> = Vec::new();
 
-    let frame_64k = Req::Put { dst: ProcId(1), seg: SegId(0), offset: 0, data: vec![0xA5u8; 64 * 1024] }.encode();
-
     {
         let mut g = c.benchmark_group("wire_path");
         g.sample_size(400).measurement_time(Duration::from_secs(4));
@@ -284,15 +237,6 @@ fn main() {
         g.sample_size(2000);
         bench_into(&mut g, &mut recs, "seg_write_64k_per_word_before", 64 * 1024, seg_write_64k_per_word);
         bench_into(&mut g, &mut recs, "seg_write_64k_batched_after", 64 * 1024, seg_write_64k_batched);
-        g.sample_size(20000);
-        bench_into(&mut g, &mut recs, "encode_small_owned_before", 25, encode_small_owned);
-        bench_into(&mut g, &mut recs, "encode_small_pooled_after", 25, encode_small_pooled);
-        bench_into(&mut g, &mut recs, "decode_64k_owned_before", frame_64k.len() as u64, |iters| {
-            decode_64k_owned(iters, &frame_64k)
-        });
-        bench_into(&mut g, &mut recs, "decode_64k_borrowed_after", frame_64k.len() as u64, |iters| {
-            decode_64k_borrowed(iters, &frame_64k)
-        });
         g.finish();
     }
 

@@ -7,7 +7,7 @@ use std::rc::Rc;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use armci_msglib::{CommError, P2p, Reader};
+use armci_msglib::{CommError, DecodeError, P2p, Reader};
 use armci_proto::{
     FenceEngine, HierRecord, MemberEvent, Membership, MembershipView, NotifyAction, NotifyEngine, NotifyEvent,
     NotifyRecord, SendRecord,
@@ -22,7 +22,7 @@ use crate::errors::ArmciError;
 use crate::gptr::GlobalAddr;
 use crate::group::ProcGroup;
 use crate::layout;
-use crate::msg::{enc, Req, RmwOp, TAG_FENCE_ACK, TAG_GET_REPLY, TAG_PUT_ACK, TAG_REQ, TAG_RMW_REPLY};
+use crate::msg::{ReqRef, RmwOp, TAG_FENCE_ACK, TAG_GET_REPLY, TAG_PUT_ACK, TAG_REQ, TAG_RMW_REPLY};
 use crate::route::{NotifyRoute, Route, Via};
 use crate::server::apply_rmw;
 use crate::shm::ShmDataPlane;
@@ -401,28 +401,26 @@ impl Armci {
                 ArmciError::PeerLost { peer, epoch }
             }
             CommError::Disconnected => ArmciError::TransportDown { op },
+            CommError::Malformed(_) => ArmciError::Malformed { op },
         }
     }
 
     /// Frame a request into a pooled buffer (or inline body) and send it
     /// to `node`'s server — the choke point every outgoing request passes
     /// through, so all of them get the zero-allocation encode path and are
-    /// counted in [`Stats::server_msgs`].
-    fn send_req_framed(&mut self, node: NodeId, frame: impl FnOnce(&mut Vec<u8>)) {
+    /// counted in [`Stats::server_msgs`]. Payloads are framed straight
+    /// from the caller's slices: no intermediate copy.
+    pub(crate) fn send_req(&mut self, node: NodeId, req: &ReqRef<'_>) {
         self.stats.server_msgs += 1;
-        let body = self.encode_pool.with_buf(frame);
+        let body = self.encode_pool.with_buf(|buf| req.encode_into(buf));
         self.mb.send(Endpoint::Server(node), TAG_REQ, body);
-    }
-
-    pub(crate) fn send_req(&mut self, node: NodeId, req: &Req) {
-        self.send_req_framed(node, |buf| req.encode_into(buf));
     }
 
     /// The `Wire` arm of every put-class operation: frame the request to
     /// the server of `dst`'s node and enter it in the fence ledger as one
     /// counted put.
-    fn wire_put(&mut self, node: NodeId, dst: ProcId, frame: impl FnOnce(&mut Vec<u8>)) {
-        self.send_req_framed(node, frame);
+    fn wire_put(&mut self, node: NodeId, dst: ProcId, req: &ReqRef<'_>) {
+        self.send_req(node, req);
         self.fence.note_put(dst.idx(), node.idx(), false);
         self.stats.count(OpClass::Put, Via::Wire);
     }
@@ -525,9 +523,8 @@ impl Armci {
                 if refuse_lost {
                     self.refuse_lost(node)?;
                 }
-                // Frame the user's slice straight into a pooled buffer: no
-                // intermediate `data.to_vec()`, no per-request body allocation.
-                self.wire_put(node, dst.proc, |buf| enc::put(buf, dst.proc, dst.seg, dst.offset as u64, data));
+                let req = ReqRef::Put { dst: dst.proc, seg: dst.seg, offset: dst.offset as u64, data };
+                self.wire_put(node, dst.proc, &req);
             }
         }
         Ok(())
@@ -545,8 +542,8 @@ impl Armci {
                 self.stats.count(OpClass::Put, via);
             }
             Route::Wire(node) => {
-                let req = Req::PutU64 { dst: dst.proc, seg: dst.seg, offset: dst.offset as u64, val };
-                self.wire_put(node, dst.proc, |buf| req.encode_into(buf));
+                let req = ReqRef::PutU64 { dst: dst.proc, seg: dst.seg, offset: dst.offset as u64, val };
+                self.wire_put(node, dst.proc, &req);
             }
         }
     }
@@ -561,8 +558,8 @@ impl Armci {
                 self.stats.count(OpClass::Put, via);
             }
             Route::Wire(node) => {
-                let req = Req::PutPair { dst: dst.proc, seg: dst.seg, offset: dst.offset as u64, val };
-                self.wire_put(node, dst.proc, |buf| req.encode_into(buf));
+                let req = ReqRef::PutPair { dst: dst.proc, seg: dst.seg, offset: dst.offset as u64, val };
+                self.wire_put(node, dst.proc, &req);
             }
         }
     }
@@ -591,13 +588,11 @@ impl Armci {
         assert_eq!(data.len(), desc.total_bytes(), "payload does not match strided shape");
         match self.route(dst, seg) {
             Route::Direct(s, via) => {
-                desc.validate(s.len());
+                desc.validate(s.len()).unwrap_or_else(|e| panic!("{e}"));
                 scatter(&s, desc.runs(), data);
                 self.stats.count(OpClass::Put, via);
             }
-            Route::Wire(node) => {
-                self.wire_put(node, dst, |buf| enc::put_strided(buf, dst, seg, &desc, data));
-            }
+            Route::Wire(node) => self.wire_put(node, dst, &ReqRef::PutStrided { dst, seg, desc, data }),
         }
     }
 
@@ -613,9 +608,7 @@ impl Armci {
                 scatter(&s, runs.iter().copied().map(widen), data);
                 self.stats.count(OpClass::Put, via);
             }
-            Route::Wire(node) => {
-                self.wire_put(node, dst, |buf| enc::put_vector(buf, dst, seg, runs, data));
-            }
+            Route::Wire(node) => self.wire_put(node, dst, &ReqRef::PutVector { dst, seg, runs, data }),
         }
     }
 
@@ -633,9 +626,8 @@ impl Armci {
                 self.stats.count(OpClass::Put, via);
             }
             Route::Wire(node) => {
-                self.wire_put(node, dst.proc, |buf| {
-                    enc::acc_f64(buf, dst.proc, dst.seg, dst.offset as u64, scale, vals)
-                });
+                let req = ReqRef::AccF64 { dst: dst.proc, seg: dst.seg, offset: dst.offset as u64, scale, vals };
+                self.wire_put(node, dst.proc, &req);
             }
         }
     }
@@ -658,9 +650,9 @@ impl Armci {
                 self.stats.count(OpClass::Get, via);
             }
             Route::Wire(node) => {
-                let req = Req::Get { dst: src.proc, seg: src.seg, offset: src.offset as u64, len: out.len() as u32 };
+                let req = ReqRef::Get { dst: src.proc, seg: src.seg, offset: src.offset as u64, len: out.len() as u32 };
                 let seq = self.wire_get(node, &req);
-                out.copy_from_slice(&self.wire_get_reply("get", node, seq)?);
+                out.copy_from_slice(&self.wire_get_reply("get", node, seq, out.len())?);
             }
         }
         Ok(())
@@ -679,7 +671,7 @@ impl Armci {
         let h = match self.route(src, seg) {
             Route::Direct(s, via) => self.read_runs(&s, via, len, runs.iter().copied().map(widen)),
             Route::Wire(node) => {
-                let seq = self.wire_get(node, &Req::GetVector { dst: src, seg, runs: runs.to_vec() });
+                let seq = self.wire_get(node, &ReqRef::GetVector { dst: src, seg, runs });
                 NbGet::Pending { node, seq, len }
             }
         };
@@ -699,7 +691,7 @@ impl Armci {
         match self.route(src.proc, src.seg) {
             Route::Direct(s, via) => self.read_runs(&s, via, len, std::iter::once((src.offset, len))),
             Route::Wire(node) => {
-                let req = Req::Get { dst: src.proc, seg: src.seg, offset: src.offset as u64, len: len as u32 };
+                let req = ReqRef::Get { dst: src.proc, seg: src.seg, offset: src.offset as u64, len: len as u32 };
                 NbGet::Pending { node, seq: self.wire_get(node, &req), len }
             }
         }
@@ -710,11 +702,11 @@ impl Armci {
     pub fn nbget_strided(&mut self, src: ProcId, seg: SegId, desc: Strided2D) -> NbGet {
         match self.route(src, seg) {
             Route::Direct(s, via) => {
-                desc.validate(s.len());
+                desc.validate(s.len()).unwrap_or_else(|e| panic!("{e}"));
                 self.read_runs(&s, via, desc.total_bytes(), desc.runs())
             }
             Route::Wire(node) => {
-                let seq = self.wire_get(node, &Req::GetStrided { dst: src, seg, desc });
+                let seq = self.wire_get(node, &ReqRef::GetStrided { dst: src, seg, desc });
                 NbGet::Pending { node, seq, len: desc.total_bytes() }
             }
         }
@@ -732,7 +724,7 @@ impl Armci {
     /// The `Wire` arm of every get, first half: send the request to
     /// `node`'s server and take the next slot in that node's FIFO reply
     /// stream.
-    fn wire_get(&mut self, node: NodeId, req: &Req) -> u64 {
+    fn wire_get(&mut self, node: NodeId, req: &ReqRef<'_>) -> u64 {
         self.send_req(node, req);
         self.stats.count(OpClass::Get, Via::Wire);
         let seq = self.nbget_issued[node.idx()];
@@ -741,29 +733,30 @@ impl Armci {
     }
 
     /// The `Wire` arm of every get, second half: await reply `seq` from
-    /// `node`. The slot is consumed even when the wait fails — the reply
-    /// is lost with the peer, and a later get to that node must report
-    /// the fault again rather than trip the ordering assertion.
+    /// `node`, which must carry `len` bytes. The slot is consumed even when
+    /// the wait fails — the reply is lost with the peer, and a later get to
+    /// that node must report the fault again rather than trip the ordering
+    /// assertion.
     ///
     /// # Panics
     /// Panics if an older get to the same node is still outstanding
     /// (waits must be FIFO per node — a usage error, not a fault).
-    fn wire_get_reply(&mut self, op: &'static str, node: NodeId, seq: u64) -> Result<Body, ArmciError> {
+    fn wire_get_reply(&mut self, op: &'static str, node: NodeId, seq: u64, len: usize) -> Result<Body, ArmciError> {
         assert_eq!(seq, self.nbget_completed[node.idx()], "non-blocking gets to {node} must be waited in issue order");
         self.nbget_completed[node.idx()] += 1;
         let deadline = self.op_deadline();
-        Ok(self.recv_reply(op, node, TAG_GET_REPLY, deadline)?.body)
+        let body = self.recv_reply(op, node, TAG_GET_REPLY, deadline)?.body;
+        if body.len() != len {
+            return Err(ArmciError::Malformed { op });
+        }
+        Ok(body)
     }
 
     /// Complete a get handle under the error label `op`.
     fn nbget_complete(&mut self, op: &'static str, h: NbGet) -> Result<Vec<u8>, ArmciError> {
         match h {
             NbGet::Ready(data) => Ok(data),
-            NbGet::Pending { node, seq, len } => {
-                let body = self.wire_get_reply(op, node, seq)?;
-                debug_assert_eq!(body.len(), len);
-                Ok(body.into_vec())
-            }
+            NbGet::Pending { node, seq, len } => Ok(self.wire_get_reply(op, node, seq, len)?.into_vec()),
         }
     }
 
@@ -863,12 +856,11 @@ impl Armci {
                 Ok(apply_rmw(&s, dst.offset, op))
             }
             Route::Wire(node) => {
-                self.send_req(node, &Req::Rmw { dst: dst.proc, seg: dst.seg, offset: dst.offset as u64, op });
+                self.send_req(node, &ReqRef::Rmw { dst: dst.proc, seg: dst.seg, offset: dst.offset as u64, op });
                 self.stats.count(OpClass::Rmw, Via::Wire);
                 let deadline = self.op_deadline();
                 let m = self.recv_reply("rmw", node, TAG_RMW_REPLY, deadline)?;
-                let mut r = Reader::new(&m.body);
-                Ok([r.u64(), r.u64()])
+                decode_rmw_reply(&m.body).map_err(|_| ArmciError::Malformed { op: "rmw" })
             }
         }
     }
@@ -1002,7 +994,7 @@ impl Armci {
                     self.refuse_lost(node)?;
                 }
                 self.notify_issue(dst, slot);
-                self.wire_put(node, dst, |buf| enc::put_notify(buf, dst, seg, slot, runs, data));
+                self.wire_put(node, dst, &ReqRef::PutNotify { dst, seg, slot, runs, data });
             }
         }
         Ok(())
@@ -1117,7 +1109,7 @@ impl Armci {
                 // One FIFO per node: the confirmation reply covers every
                 // unconfirmed put queued ahead of it.
                 if self.fence.confirm_targets(node.idx()) {
-                    self.send_req(node, &Req::FenceReq);
+                    self.send_req(node, &ReqRef::FenceReq);
                     self.stats.fence_roundtrips += 1;
                     self.recv_reply("fence", node, TAG_FENCE_ACK, deadline)?;
                 }
@@ -1134,8 +1126,9 @@ impl Armci {
 
     fn try_consume_put_ack(&mut self, deadline: Instant) -> Result<(), ArmciError> {
         let m = self.recv_wait("fence", deadline, |m| m.tag == TAG_PUT_ACK)?;
-        let node = Reader::new(&m.body).u32() as usize;
-        self.fence.ack_received(node);
+        // The body names the acknowledging node.
+        let node = Reader::new(&m.body).u32().ok().map(|n| n as usize).filter(|&n| n < self.topology().nnodes());
+        self.fence.ack_received(node.ok_or(ArmciError::Malformed { op: "fence" })?);
         Ok(())
     }
 
@@ -1273,4 +1266,10 @@ pub(crate) fn encode_rmw_reply(vals: [u64; 2]) -> Body {
     b[..8].copy_from_slice(&vals[0].to_le_bytes());
     b[8..].copy_from_slice(&vals[1].to_le_bytes());
     Body::from(b)
+}
+
+/// Decode an RMW reply body: the two result words.
+fn decode_rmw_reply(body: &[u8]) -> Result<[u64; 2], DecodeError> {
+    let mut r = Reader::new(body);
+    Ok([r.u64()?, r.u64()?])
 }

@@ -40,6 +40,11 @@ pub enum ArmciError {
         /// The operation that observed the dead transport.
         op: &'static str,
     },
+    /// A peer's reply or collective frame could not be decoded.
+    Malformed {
+        /// The operation that received it.
+        op: &'static str,
+    },
     /// Cluster bootstrap failed (rendezvous, mesh formation, or node
     /// process spawn).
     Boot {
@@ -54,6 +59,7 @@ impl fmt::Display for ArmciError {
             ArmciError::Timeout { op } => write!(f, "{op} timed out"),
             ArmciError::PeerLost { peer, .. } => write!(f, "peer {peer} lost"),
             ArmciError::TransportDown { op } => write!(f, "transport down during {op}"),
+            ArmciError::Malformed { op } => write!(f, "malformed frame during {op}"),
             ArmciError::Boot { detail } => write!(f, "bootstrap failed: {detail}"),
         }
     }

@@ -35,7 +35,7 @@ use std::rc::Rc;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
-use armci_msglib::{allreduce_tag, barrier_bx_tag, hier_bx_tag, CommError, Group, P2p};
+use armci_msglib::{allreduce_tag, barrier_bx_tag, hier_bx_tag, BufWriter, CommError, DecodeError, Group, P2p, Reader};
 use armci_proto::{
     BarrierAction, BarrierEvent, CombinedBarrier, HierBarrier, HierEvent, HierExpect, HierMsg, HierRecord, XchgMsg,
     STAGE_ALLREDUCE,
@@ -147,26 +147,29 @@ struct DomainCounters {
 /// partial sums as little-endian words (none on the closing pass).
 fn encode_xchg(m: XchgMsg, vals: &[u64]) -> Vec<u8> {
     let mut b = Vec::with_capacity(2 + 8 * vals.len());
-    b.extend_from_slice(&match m {
-        XchgMsg::Enter => [0, 0],
-        XchgMsg::Exit => [1, 0],
-        XchgMsg::Round(r) => [2, r],
-    });
-    for v in vals {
-        b.extend_from_slice(&v.to_le_bytes());
-    }
+    let (kind, round) = match m {
+        XchgMsg::Enter => (0, 0),
+        XchgMsg::Exit => (1, 0),
+        XchgMsg::Round(r) => (2, r),
+    };
+    vals.iter().fold(BufWriter::new(&mut b).u8(kind).u8(round), |w, &v| w.u64(v));
     b
 }
 
-/// Decode a leader-pass message, appending its payload to `vals`.
-fn decode_xchg(b: &[u8], vals: &mut Vec<u64>) -> XchgMsg {
-    vals.extend(b[2..].chunks_exact(8).map(|w| u64::from_le_bytes(w.try_into().expect("8-byte chunk"))));
-    match b[0] {
-        0 => XchgMsg::Enter,
-        1 => XchgMsg::Exit,
-        2 => XchgMsg::Round(b[1]),
-        k => unreachable!("bad exchange wire byte {k}"),
+/// Decode a leader-pass message, appending its payload to `vals`. An
+/// unknown header byte or a payload that is not whole words is an `Err`.
+fn decode_xchg(b: &[u8], vals: &mut Vec<u64>) -> Result<XchgMsg, DecodeError> {
+    let mut r = Reader::new(b);
+    let m = match (r.u8()?, r.u8()?) {
+        (0, _) => XchgMsg::Enter,
+        (1, _) => XchgMsg::Exit,
+        (2, round) => XchgMsg::Round(round),
+        (k, _) => return Err(DecodeError::BadTag(k)),
+    };
+    while r.remaining() > 0 {
+        vals.push(r.u64()?);
     }
+    Ok(m)
 }
 
 impl Armci {
@@ -406,11 +409,9 @@ impl Armci {
                 match std::mem::replace(&mut acts[i], BarrierAction::Done) {
                     BarrierAction::Send { stage, to, vals, .. } => {
                         let (tag, body) = if stage == STAGE_ALLREDUCE {
-                            let mut w = armci_msglib::Writer::with_capacity(vals.len() * 8);
-                            for &v in &vals {
-                                w = w.u64(v);
-                            }
-                            (ar_tag, w.finish())
+                            let mut body = Vec::with_capacity(vals.len() * 8);
+                            vals.iter().fold(BufWriter::new(&mut body), |w, &v| w.u64(v));
+                            (ar_tag, body)
                         } else {
                             (bx_tag, Vec::new())
                         };
@@ -462,9 +463,9 @@ impl Armci {
             };
             scratch.clear();
             if stage == STAGE_ALLREDUCE {
-                let mut r = armci_msglib::Reader::new(&body);
+                let mut r = Reader::new(&body);
                 for _ in 0..members.len() {
-                    scratch.push(r.u64());
+                    scratch.push(r.u64().map_err(|_| ArmciError::Malformed { op })?);
                 }
             }
             eng.poll(BarrierEvent::Recv { stage, msg: kind, vals: &scratch }, &mut acts);
@@ -574,7 +575,7 @@ impl Armci {
                         Err(e) => return Err(self.map_comm_err("group_barrier", e)),
                     };
                     vals.clear();
-                    let m = decode_xchg(&body, &mut vals);
+                    let m = decode_xchg(&body, &mut vals).map_err(|_| ArmciError::Malformed { op: "group_barrier" })?;
                     let msg = if reduce { HierMsg::Xchg(m) } else { HierMsg::Close(m) };
                     eng.poll_vals(HierEvent::Recv(msg), &vals, &mut acts);
                 }
@@ -619,5 +620,30 @@ impl Armci {
     /// conformance suite.
     pub fn take_hier_log(&mut self) -> Vec<HierRecord> {
         std::mem::take(&mut self.last_hier_log)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn leader_pass_frames_roundtrip() {
+        for (m, vals) in [(XchgMsg::Enter, vec![]), (XchgMsg::Exit, vec![7]), (XchgMsg::Round(3), vec![1, u64::MAX])] {
+            let mut got = Vec::new();
+            assert_eq!(decode_xchg(&encode_xchg(m, &vals), &mut got), Ok(m));
+            assert_eq!(got, vals);
+        }
+        assert_eq!(encode_xchg(XchgMsg::Round(2), &[1]), [2, 2, 1, 0, 0, 0, 0, 0, 0, 0]);
+    }
+
+    /// A bad header byte or a ragged payload is an error the barrier
+    /// surfaces, not a panic.
+    #[test]
+    fn malformed_leader_pass_frames_are_errors() {
+        let mut vals = Vec::new();
+        assert_eq!(decode_xchg(&[3, 0], &mut vals), Err(DecodeError::BadTag(3)));
+        assert_eq!(decode_xchg(&[2], &mut vals), Err(DecodeError::Truncated));
+        assert_eq!(decode_xchg(&[0, 0, 1, 2, 3], &mut vals), Err(DecodeError::Truncated));
     }
 }

@@ -33,7 +33,7 @@ use crate::config::LockAlgo;
 use crate::errors::ArmciError;
 use crate::gptr::{GlobalAddr, PackedPtr};
 use crate::layout;
-use crate::msg::{Req, RmwOp, TAG_LOCK_GRANT};
+use crate::msg::{ReqRef, RmwOp, TAG_LOCK_GRANT};
 use crate::server::decode_grant;
 
 impl Armci {
@@ -133,15 +133,15 @@ impl Armci {
                 HybridAction::SendLockReq => {
                     // Figure 3c/d: ask the home server to take a ticket
                     // on our behalf and queue us until it comes up.
-                    self.send_req(self.topology().node_of(id.owner), &Req::LockReq { owner: id.owner, idx: id.idx });
+                    self.send_req(self.topology().node_of(id.owner), &ReqRef::LockReq { owner: id.owner, idx: id.idx });
                 }
                 HybridAction::AwaitGrant => {
                     let home = Endpoint::Server(self.topology().node_of(id.owner));
                     let deadline = self.op_deadline();
                     let m = self.recv_wait("lock", deadline, |m| {
-                        m.tag == TAG_LOCK_GRANT && m.src == home && decode_grant(&m.body) == (id.owner, id.idx)
+                        m.tag == TAG_LOCK_GRANT && m.src == home && decode_grant(&m.body) == Ok((id.owner, id.idx))
                     })?;
-                    debug_assert_eq!(decode_grant(&m.body), (id.owner, id.idx));
+                    debug_assert_eq!(decode_grant(&m.body), Ok((id.owner, id.idx)));
                     eng.poll(HybridEvent::Granted, &mut acts);
                 }
                 HybridAction::Acquired => {}
@@ -156,7 +156,7 @@ impl Armci {
     /// server (Figure 4), fire-and-forget — the releaser does not wait.
     pub fn unlock_hybrid(&mut self, id: LockId) {
         self.check_lock_id(id);
-        self.send_req(self.topology().node_of(id.owner), &Req::UnlockReq { owner: id.owner, idx: id.idx });
+        self.send_req(self.topology().node_of(id.owner), &ReqRef::UnlockReq { owner: id.owner, idx: id.idx });
     }
 
     // ------------------------------------------------------------------

@@ -6,7 +6,17 @@
 //! confirmation algorithm relies on); replies are distinguished by tag so
 //! a blocked caller can match exactly the reply it is waiting for while
 //! unrelated traffic (e.g. VIA-mode put acks) is deferred.
+//!
+//! The requests are declared once, as [`Request`], generic over the
+//! containers holding their payloads. The aliases name the three holders:
+//! [`Req`] owns them, [`ReqRef`] borrows the caller's slices (what the
+//! send paths encode, so a payload is copied once, into the frame), and
+//! [`ReqView`] borrows a received frame (what the server decodes and
+//! applies in place). Each opcode has one encoder,
+//! [`Request::encode_into`], and one decoder, [`ReqView::decode`], which
+//! answers a malformed frame with an error rather than a panic.
 
+pub use armci_msglib::DecodeError;
 use armci_msglib::{BufWriter, Reader};
 use armci_transport::{ProcId, SegId, Tag};
 
@@ -67,9 +77,11 @@ impl RmwOp {
     }
 }
 
-/// A request to a server thread.
-#[derive(Clone, PartialEq, Debug)]
-pub enum Req {
+/// A request to a server thread, generic over its payload containers: `B`
+/// holds bytes, `R` the `(offset, len)` runs of a vector request, `F`
+/// accumulate values. Name it through [`Req`], [`ReqRef`] or [`ReqView`].
+#[derive(Clone, Copy, PartialEq, Debug)]
+pub enum Request<B, R, F> {
     /// Non-blocking contiguous put into `(<dst>, seg, offset)`.
     Put {
         /// Destination process (must be hosted by the receiving server).
@@ -79,7 +91,7 @@ pub enum Req {
         /// Destination byte offset.
         offset: u64,
         /// Payload.
-        data: Vec<u8>,
+        data: B,
     },
     /// Non-blocking strided put; `data` is the packed rows.
     PutStrided {
@@ -90,7 +102,7 @@ pub enum Req {
         /// Remote shape.
         desc: Strided2D,
         /// Packed payload, `desc.total_bytes()` long.
-        data: Vec<u8>,
+        data: B,
     },
     /// Non-blocking atomic word store (Release); used by the MCS lock for
     /// `prev->next = me` and `next->locked = FALSE` (Figure 5 lines 12/22).
@@ -105,8 +117,8 @@ pub enum Req {
         val: u64,
     },
     /// Non-blocking atomic store of a pair of `u64`s (16-aligned); the
-    /// paired-long analogue of [`Req::PutU64`], so a two-word value (such
-    /// as a paired global pointer) cannot be observed half-written.
+    /// paired-long analogue of [`Request::PutU64`], so a two-word value
+    /// (such as a paired global pointer) cannot be observed half-written.
     PutPair {
         /// Destination process.
         dst: ProcId,
@@ -128,7 +140,7 @@ pub enum Req {
         /// Scale factor applied to each value.
         scale: f64,
         /// Values to accumulate.
-        vals: Vec<f64>,
+        vals: F,
     },
     /// Blocking contiguous get; server replies [`TAG_GET_REPLY`].
     Get {
@@ -169,9 +181,9 @@ pub enum Req {
         /// Destination segment.
         seg: SegId,
         /// Destination runs; `data` holds their concatenation.
-        runs: Vec<(u64, u32)>,
+        runs: R,
         /// Concatenated payload.
-        data: Vec<u8>,
+        data: B,
     },
     /// Blocking generalized I/O-vector get: gather the listed runs into
     /// one reply.
@@ -181,10 +193,10 @@ pub enum Req {
         /// Source segment.
         seg: SegId,
         /// Source runs to gather.
-        runs: Vec<(u64, u32)>,
+        runs: R,
     },
     /// Non-blocking put-with-notify (UNR-style notified RMA): scatter
-    /// `data` into the listed runs like [`Req::PutVector`], then bump
+    /// `data` into the listed runs like [`Request::PutVector`], then bump
     /// notification counter `slot` in the destination's sync segment —
     /// data and notification in one wire message, so a consumer's
     /// `wait_notify` replaces the producer's fence.
@@ -196,9 +208,9 @@ pub enum Req {
         /// Notification slot bumped after the data lands.
         slot: u32,
         /// Destination runs; `data` holds their concatenation.
-        runs: Vec<(u64, u32)>,
+        runs: R,
         /// Concatenated payload.
-        data: Vec<u8>,
+        data: B,
     },
     /// GM-mode fence: confirm all previously received puts from this
     /// sender are complete. FIFO channels make the reply itself the
@@ -223,6 +235,18 @@ pub enum Req {
     Shutdown,
 }
 
+/// A request owning its payloads.
+pub type Req = Request<Vec<u8>, Vec<(u64, u32)>, Vec<f64>>;
+
+/// A request borrowing its payloads from the caller: what the send paths
+/// frame straight from the user's slices.
+pub type ReqRef<'a> = Request<&'a [u8], &'a [(u64, u32)], &'a [f64]>;
+
+/// A request decoded in place: payloads borrow the message body, so a
+/// server applies a put or accumulate straight from the wire buffer into
+/// the target segment.
+pub type ReqView<'a> = Request<&'a [u8], RunsView<'a>, F64sView<'a>>;
+
 mod opcode {
     pub const PUT: u8 = 1;
     pub const PUT_STRIDED: u8 = 2;
@@ -241,29 +265,6 @@ mod opcode {
     pub const PUT_NOTIFY: u8 = 15;
 }
 
-/// Bytes of one encoded `(offset, len)` run record.
-const RUN_RECORD_BYTES: usize = 12;
-
-fn enc_runs<'a>(mut w: BufWriter<'a>, runs: &[(u64, u32)]) -> BufWriter<'a> {
-    w = w.u32(runs.len() as u32);
-    for &(off, len) in runs {
-        w = w.u64(off).u32(len);
-    }
-    w
-}
-
-fn dec_runs(r: &mut Reader<'_>) -> Vec<(u64, u32)> {
-    let n = r.u32() as usize;
-    (0..n).map(|_| (r.u64(), r.u32())).collect()
-}
-
-/// Borrow the runs region without materializing a `Vec` (the records are
-/// fixed-stride, so a view over the raw bytes suffices).
-fn dec_runs_view<'a>(r: &mut Reader<'a>) -> RunsView<'a> {
-    let n = r.u32() as usize;
-    RunsView { raw: r.raw(n * RUN_RECORD_BYTES) }
-}
-
 mod rmw_code {
     pub const FETCH_ADD_U64: u8 = 1;
     pub const FETCH_ADD_I64: u8 = 2;
@@ -273,102 +274,94 @@ mod rmw_code {
     pub const PAIR_CAS: u8 = 6;
 }
 
+/// Bytes of one encoded `(offset, len)` run record.
+const RUN_RECORD_BYTES: usize = 12;
+
+fn enc_runs<'a>(w: BufWriter<'a>, runs: &[(u64, u32)]) -> BufWriter<'a> {
+    runs.iter().fold(w.u32(runs.len() as u32), |w, &(off, len)| w.u64(off).u32(len))
+}
+
 fn enc_desc<'a>(w: BufWriter<'a>, d: &Strided2D) -> BufWriter<'a> {
     w.u64(d.offset as u64).u64(d.rows as u64).u64(d.row_bytes as u64).u64(d.stride as u64)
 }
 
-fn dec_desc(r: &mut Reader<'_>) -> Strided2D {
-    Strided2D {
-        offset: r.u64() as usize,
-        rows: r.u64() as usize,
-        row_bytes: r.u64() as usize,
-        stride: r.u64() as usize,
-    }
+fn dec_desc(r: &mut Reader<'_>) -> Result<Strided2D, DecodeError> {
+    Ok(Strided2D {
+        offset: r.u64()? as usize,
+        rows: r.u64()? as usize,
+        row_bytes: r.u64()? as usize,
+        stride: r.u64()? as usize,
+    })
 }
 
-/// Borrowed-payload encoders for the bulk-data requests: the hot put
-/// paths in [`crate::Armci`] call these with the *user's* slice, writing
-/// the frame straight into a pooled buffer — no intermediate
-/// `data.to_vec()`. [`Req::encode_into`] delegates here, so each format
-/// is still defined exactly once.
-pub(crate) mod enc {
-    use super::*;
-
-    pub(crate) fn put(out: &mut Vec<u8>, dst: ProcId, seg: SegId, offset: u64, data: &[u8]) {
-        out.reserve(data.len() + 25);
-        BufWriter::new(out).u8(opcode::PUT).u32(dst.0).u32(seg.0).u64(offset).bytes(data);
-    }
-
-    pub(crate) fn put_strided(out: &mut Vec<u8>, dst: ProcId, seg: SegId, desc: &Strided2D, data: &[u8]) {
-        out.reserve(data.len() + 45);
-        enc_desc(BufWriter::new(out).u8(opcode::PUT_STRIDED).u32(dst.0).u32(seg.0), desc).bytes(data);
-    }
-
-    pub(crate) fn put_vector(out: &mut Vec<u8>, dst: ProcId, seg: SegId, runs: &[(u64, u32)], data: &[u8]) {
-        out.reserve(data.len() + runs.len() * RUN_RECORD_BYTES + 17);
-        enc_runs(BufWriter::new(out).u8(opcode::PUT_VECTOR).u32(dst.0).u32(seg.0), runs).bytes(data);
-    }
-
-    pub(crate) fn put_notify(out: &mut Vec<u8>, dst: ProcId, seg: SegId, slot: u32, runs: &[(u64, u32)], data: &[u8]) {
-        out.reserve(data.len() + runs.len() * RUN_RECORD_BYTES + 21);
-        enc_runs(BufWriter::new(out).u8(opcode::PUT_NOTIFY).u32(dst.0).u32(seg.0).u32(slot), runs).bytes(data);
-    }
-
-    pub(crate) fn acc_f64(out: &mut Vec<u8>, dst: ProcId, seg: SegId, offset: u64, scale: f64, vals: &[f64]) {
-        out.reserve(vals.len() * 8 + 29);
-        BufWriter::new(out).u8(opcode::ACC_F64).u32(dst.0).u32(seg.0).u64(offset).f64(scale).f64_slice(vals);
-    }
+fn dec_rmw(r: &mut Reader<'_>) -> Result<RmwOp, DecodeError> {
+    Ok(match r.u8()? {
+        rmw_code::FETCH_ADD_U64 => RmwOp::FetchAddU64(r.u64()?),
+        rmw_code::FETCH_ADD_I64 => RmwOp::FetchAddI64(r.i64()?),
+        rmw_code::SWAP_U64 => RmwOp::SwapU64(r.u64()?),
+        rmw_code::CAS_U64 => RmwOp::CasU64 { expect: r.u64()?, new: r.u64()? },
+        rmw_code::PAIR_SWAP => RmwOp::PairSwap([r.u64()?, r.u64()?]),
+        rmw_code::PAIR_CAS => RmwOp::PairCas { expect: [r.u64()?, r.u64()?], new: [r.u64()?, r.u64()?] },
+        c => return Err(DecodeError::BadTag(c)),
+    })
 }
 
-impl Req {
-    /// Does completing this request bump the destination's `op_done`
-    /// counter (and, in VIA mode, generate a put ack)? True exactly for
-    /// the non-blocking deposit operations a fence must cover.
-    pub fn is_counted_put(&self) -> bool {
-        matches!(
-            self,
-            Req::Put { .. }
-                | Req::PutStrided { .. }
-                | Req::PutU64 { .. }
-                | Req::PutPair { .. }
-                | Req::PutVector { .. }
-                | Req::PutNotify { .. }
-                | Req::AccF64 { .. }
-        )
-    }
-
-    /// The notification slot this request bumps after its data lands
-    /// (`Some` only for [`Req::PutNotify`]) — the argument fed to
-    /// [`armci_proto::completion_sites`].
-    pub fn notify_slot(&self) -> Option<u32> {
-        match self {
-            Req::PutNotify { slot, .. } => Some(*slot),
+impl<B, R, F> Request<B, R, F> {
+    /// For a counted put — a non-blocking deposit a fence must cover,
+    /// which bumps the destination's completion counters (and, in VIA
+    /// mode, draws a put ack) — its destination process and the
+    /// notification slot it bumps after the data lands (`Some` only for
+    /// [`Request::PutNotify`]; the second argument of
+    /// [`armci_proto::completion_sites`]). `None` for everything else.
+    pub fn counted_put(&self) -> Option<(ProcId, Option<u32>)> {
+        match *self {
+            Request::PutNotify { dst, slot, .. } => Some((dst, Some(slot))),
+            Request::Put { dst, .. }
+            | Request::PutStrided { dst, .. }
+            | Request::PutU64 { dst, .. }
+            | Request::PutPair { dst, .. }
+            | Request::PutVector { dst, .. }
+            | Request::AccF64 { dst, .. } => Some((dst, None)),
             _ => None,
         }
     }
+}
 
-    /// Encode onto the end of `out`. Callers pass a pooled buffer to
-    /// encode with zero heap traffic ([`Req::encode`] wraps this for the
-    /// owned-`Vec` case); bulk-data variants delegate to the
-    /// borrowed-payload encoders in [`enc`].
+impl<B: AsRef<[u8]>, R: AsRef<[(u64, u32)]>, F: AsRef<[f64]>> Request<B, R, F> {
+    /// Encode onto the end of `out`. The send paths pass a pooled buffer
+    /// and a [`ReqRef`] over the caller's slices, so framing allocates
+    /// nothing and copies each payload byte once.
     pub fn encode_into(&self, out: &mut Vec<u8>) {
         match self {
-            Req::Put { dst, seg, offset, data } => enc::put(out, *dst, *seg, *offset, data),
-            Req::PutStrided { dst, seg, desc, data } => enc::put_strided(out, *dst, *seg, desc, data),
-            Req::PutU64 { dst, seg, offset, val } => {
+            Request::Put { dst, seg, offset, data } => {
+                let data = data.as_ref();
+                out.reserve(data.len() + 25);
+                BufWriter::new(out).u8(opcode::PUT).u32(dst.0).u32(seg.0).u64(*offset).bytes(data);
+            }
+            Request::PutStrided { dst, seg, desc, data } => {
+                let data = data.as_ref();
+                out.reserve(data.len() + 45);
+                enc_desc(BufWriter::new(out).u8(opcode::PUT_STRIDED).u32(dst.0).u32(seg.0), desc).bytes(data);
+            }
+            Request::PutU64 { dst, seg, offset, val } => {
                 BufWriter::new(out).u8(opcode::PUT_U64).u32(dst.0).u32(seg.0).u64(*offset).u64(*val);
             }
-            Req::PutPair { dst, seg, offset, val } => {
+            Request::PutPair { dst, seg, offset, val } => {
                 BufWriter::new(out).u8(opcode::PUT_PAIR).u32(dst.0).u32(seg.0).u64(*offset).u64(val[0]).u64(val[1]);
             }
-            Req::AccF64 { dst, seg, offset, scale, vals } => enc::acc_f64(out, *dst, *seg, *offset, *scale, vals),
-            Req::Get { dst, seg, offset, len } => {
+            Request::AccF64 { dst, seg, offset, scale, vals } => {
+                let vals = vals.as_ref();
+                out.reserve(vals.len() * 8 + 29);
+                let w = BufWriter::new(out).u8(opcode::ACC_F64).u32(dst.0).u32(seg.0).u64(*offset);
+                w.f64(*scale).f64_slice(vals);
+            }
+            Request::Get { dst, seg, offset, len } => {
                 BufWriter::new(out).u8(opcode::GET).u32(dst.0).u32(seg.0).u64(*offset).u32(*len);
             }
-            Req::GetStrided { dst, seg, desc } => {
+            Request::GetStrided { dst, seg, desc } => {
                 enc_desc(BufWriter::new(out).u8(opcode::GET_STRIDED).u32(dst.0).u32(seg.0), desc);
             }
-            Req::Rmw { dst, seg, offset, op } => {
+            Request::Rmw { dst, seg, offset, op } => {
                 let w = BufWriter::new(out).u8(opcode::RMW).u32(dst.0).u32(seg.0).u64(*offset);
                 match *op {
                     RmwOp::FetchAddU64(v) => w.u8(rmw_code::FETCH_ADD_U64).u64(v),
@@ -381,22 +374,32 @@ impl Req {
                     }
                 };
             }
-            Req::PutVector { dst, seg, runs, data } => enc::put_vector(out, *dst, *seg, runs, data),
-            Req::PutNotify { dst, seg, slot, runs, data } => enc::put_notify(out, *dst, *seg, *slot, runs, data),
-            Req::GetVector { dst, seg, runs } => {
+            Request::PutVector { dst, seg, runs, data } => {
+                let (runs, data) = (runs.as_ref(), data.as_ref());
+                out.reserve(data.len() + runs.len() * RUN_RECORD_BYTES + 17);
+                enc_runs(BufWriter::new(out).u8(opcode::PUT_VECTOR).u32(dst.0).u32(seg.0), runs).bytes(data);
+            }
+            Request::GetVector { dst, seg, runs } => {
+                let runs = runs.as_ref();
                 out.reserve(runs.len() * RUN_RECORD_BYTES + 13);
                 enc_runs(BufWriter::new(out).u8(opcode::GET_VECTOR).u32(dst.0).u32(seg.0), runs);
             }
-            Req::FenceReq => {
+            Request::PutNotify { dst, seg, slot, runs, data } => {
+                let (runs, data) = (runs.as_ref(), data.as_ref());
+                out.reserve(data.len() + runs.len() * RUN_RECORD_BYTES + 21);
+                let w = BufWriter::new(out).u8(opcode::PUT_NOTIFY).u32(dst.0).u32(seg.0).u32(*slot);
+                enc_runs(w, runs).bytes(data);
+            }
+            Request::FenceReq => {
                 BufWriter::new(out).u8(opcode::FENCE);
             }
-            Req::LockReq { owner, idx } => {
+            Request::LockReq { owner, idx } => {
                 BufWriter::new(out).u8(opcode::LOCK).u32(owner.0).u32(*idx);
             }
-            Req::UnlockReq { owner, idx } => {
+            Request::UnlockReq { owner, idx } => {
                 BufWriter::new(out).u8(opcode::UNLOCK).u32(owner.0).u32(*idx);
             }
-            Req::Shutdown => {
+            Request::Shutdown => {
                 BufWriter::new(out).u8(opcode::SHUTDOWN);
             }
         }
@@ -408,72 +411,74 @@ impl Req {
         self.encode_into(&mut out);
         out
     }
+}
 
-    /// Decode a message body.
-    ///
-    /// # Panics
-    /// Panics on malformed input — requests are produced by this library
-    /// only, so corruption is a bug.
-    pub fn decode(body: &[u8]) -> Req {
-        let mut r = Reader::new(body);
-        match r.u8() {
+impl<'a> ReqView<'a> {
+    /// Decode a message body without copying payloads. Never panics: a
+    /// truncated body or an unknown opcode or rmw code is an `Err`.
+    /// Whether a well-formed request may be applied (segment, range,
+    /// alignment) is the server's check, not the codec's.
+    pub fn decode(body: &'a [u8]) -> Result<Self, DecodeError> {
+        let r = &mut Reader::new(body);
+        Ok(match r.u8()? {
             opcode::PUT => {
-                let (dst, seg, offset) = (ProcId(r.u32()), SegId(r.u32()), r.u64());
-                Req::Put { dst, seg, offset, data: r.bytes().to_vec() }
+                Request::Put { dst: ProcId(r.u32()?), seg: SegId(r.u32()?), offset: r.u64()?, data: r.bytes()? }
             }
-            opcode::PUT_STRIDED => {
-                let (dst, seg) = (ProcId(r.u32()), SegId(r.u32()));
-                let desc = dec_desc(&mut r);
-                Req::PutStrided { dst, seg, desc, data: r.bytes().to_vec() }
+            opcode::PUT_STRIDED => Request::PutStrided {
+                dst: ProcId(r.u32()?),
+                seg: SegId(r.u32()?),
+                desc: dec_desc(r)?,
+                data: r.bytes()?,
+            },
+            opcode::PUT_U64 => {
+                Request::PutU64 { dst: ProcId(r.u32()?), seg: SegId(r.u32()?), offset: r.u64()?, val: r.u64()? }
             }
-            opcode::PUT_U64 => Req::PutU64 { dst: ProcId(r.u32()), seg: SegId(r.u32()), offset: r.u64(), val: r.u64() },
-            opcode::PUT_PAIR => {
-                Req::PutPair { dst: ProcId(r.u32()), seg: SegId(r.u32()), offset: r.u64(), val: [r.u64(), r.u64()] }
+            opcode::PUT_PAIR => Request::PutPair {
+                dst: ProcId(r.u32()?),
+                seg: SegId(r.u32()?),
+                offset: r.u64()?,
+                val: [r.u64()?, r.u64()?],
+            },
+            opcode::ACC_F64 => Request::AccF64 {
+                dst: ProcId(r.u32()?),
+                seg: SegId(r.u32()?),
+                offset: r.u64()?,
+                scale: r.f64()?,
+                vals: F64sView { raw: r.records(8)? },
+            },
+            opcode::GET => {
+                Request::Get { dst: ProcId(r.u32()?), seg: SegId(r.u32()?), offset: r.u64()?, len: r.u32()? }
             }
-            opcode::ACC_F64 => {
-                let (dst, seg, offset, scale) = (ProcId(r.u32()), SegId(r.u32()), r.u64(), r.f64());
-                let n = r.u32() as usize;
-                let vals = (0..n).map(|_| r.f64()).collect();
-                Req::AccF64 { dst, seg, offset, scale, vals }
-            }
-            opcode::GET => Req::Get { dst: ProcId(r.u32()), seg: SegId(r.u32()), offset: r.u64(), len: r.u32() },
             opcode::GET_STRIDED => {
-                let (dst, seg) = (ProcId(r.u32()), SegId(r.u32()));
-                Req::GetStrided { dst, seg, desc: dec_desc(&mut r) }
+                Request::GetStrided { dst: ProcId(r.u32()?), seg: SegId(r.u32()?), desc: dec_desc(r)? }
             }
             opcode::RMW => {
-                let (dst, seg, offset) = (ProcId(r.u32()), SegId(r.u32()), r.u64());
-                let op = match r.u8() {
-                    rmw_code::FETCH_ADD_U64 => RmwOp::FetchAddU64(r.u64()),
-                    rmw_code::FETCH_ADD_I64 => RmwOp::FetchAddI64(r.i64()),
-                    rmw_code::SWAP_U64 => RmwOp::SwapU64(r.u64()),
-                    rmw_code::CAS_U64 => RmwOp::CasU64 { expect: r.u64(), new: r.u64() },
-                    rmw_code::PAIR_SWAP => RmwOp::PairSwap([r.u64(), r.u64()]),
-                    rmw_code::PAIR_CAS => RmwOp::PairCas { expect: [r.u64(), r.u64()], new: [r.u64(), r.u64()] },
-                    c => panic!("unknown rmw code {c}"),
-                };
-                Req::Rmw { dst, seg, offset, op }
+                Request::Rmw { dst: ProcId(r.u32()?), seg: SegId(r.u32()?), offset: r.u64()?, op: dec_rmw(r)? }
             }
-            opcode::PUT_VECTOR => {
-                let (dst, seg) = (ProcId(r.u32()), SegId(r.u32()));
-                let runs = dec_runs(&mut r);
-                Req::PutVector { dst, seg, runs, data: r.bytes().to_vec() }
-            }
-            opcode::GET_VECTOR => {
-                let (dst, seg) = (ProcId(r.u32()), SegId(r.u32()));
-                Req::GetVector { dst, seg, runs: dec_runs(&mut r) }
-            }
-            opcode::PUT_NOTIFY => {
-                let (dst, seg, slot) = (ProcId(r.u32()), SegId(r.u32()), r.u32());
-                let runs = dec_runs(&mut r);
-                Req::PutNotify { dst, seg, slot, runs, data: r.bytes().to_vec() }
-            }
-            opcode::FENCE => Req::FenceReq,
-            opcode::LOCK => Req::LockReq { owner: ProcId(r.u32()), idx: r.u32() },
-            opcode::UNLOCK => Req::UnlockReq { owner: ProcId(r.u32()), idx: r.u32() },
-            opcode::SHUTDOWN => Req::Shutdown,
-            c => panic!("unknown opcode {c}"),
-        }
+            opcode::PUT_VECTOR => Request::PutVector {
+                dst: ProcId(r.u32()?),
+                seg: SegId(r.u32()?),
+                runs: RunsView { raw: r.records(RUN_RECORD_BYTES)? },
+                data: r.bytes()?,
+            },
+            opcode::GET_VECTOR => Request::GetVector {
+                dst: ProcId(r.u32()?),
+                seg: SegId(r.u32()?),
+                runs: RunsView { raw: r.records(RUN_RECORD_BYTES)? },
+            },
+            opcode::PUT_NOTIFY => Request::PutNotify {
+                dst: ProcId(r.u32()?),
+                seg: SegId(r.u32()?),
+                slot: r.u32()?,
+                runs: RunsView { raw: r.records(RUN_RECORD_BYTES)? },
+                data: r.bytes()?,
+            },
+            opcode::FENCE => Request::FenceReq,
+            opcode::LOCK => Request::LockReq { owner: ProcId(r.u32()?), idx: r.u32()? },
+            opcode::UNLOCK => Request::UnlockReq { owner: ProcId(r.u32()?), idx: r.u32()? },
+            opcode::SHUTDOWN => Request::Shutdown,
+            c => return Err(DecodeError::BadTag(c)),
+        })
     }
 }
 
@@ -498,13 +503,12 @@ impl<'a> RunsView<'a> {
     /// Iterate the `(offset, len)` records.
     pub fn iter(&self) -> impl Iterator<Item = (u64, u32)> + 'a {
         self.raw.chunks_exact(RUN_RECORD_BYTES).map(|rec| {
-            (u64::from_le_bytes(rec[..8].try_into().unwrap()), u32::from_le_bytes(rec[8..].try_into().unwrap()))
+            let (off, len) = rec.split_at(8);
+            (
+                u64::from_le_bytes(off.try_into().expect("a 12-byte record splits 8 + 4")),
+                u32::from_le_bytes(len.try_into().expect("a 12-byte record splits 8 + 4")),
+            )
         })
-    }
-
-    /// Materialize an owned run list.
-    pub fn to_vec(&self) -> Vec<(u64, u32)> {
-        self.iter().collect()
     }
 }
 
@@ -527,282 +531,7 @@ impl<'a> F64sView<'a> {
 
     /// Iterate the values.
     pub fn iter(&self) -> impl Iterator<Item = f64> + 'a {
-        self.raw.chunks_exact(8).map(|b| f64::from_le_bytes(b.try_into().unwrap()))
-    }
-
-    /// Materialize an owned value list.
-    pub fn to_vec(&self) -> Vec<f64> {
-        self.iter().collect()
-    }
-}
-
-/// A request decoded *in place*: payload fields borrow the message body
-/// instead of being copied out, so a server can apply a put or accumulate
-/// directly from the wire buffer into the target segment.
-///
-/// Mirrors [`Req`] variant-for-variant; [`ReqView::decode`] is written
-/// independently of [`Req::decode`] so property tests can cross-check the
-/// two against each other.
-#[derive(Clone, Copy, PartialEq, Debug)]
-pub enum ReqView<'a> {
-    /// See [`Req::Put`]; `data` borrows the body.
-    Put {
-        /// Destination process.
-        dst: ProcId,
-        /// Destination segment.
-        seg: SegId,
-        /// Destination byte offset.
-        offset: u64,
-        /// Payload, borrowed from the message body.
-        data: &'a [u8],
-    },
-    /// See [`Req::PutStrided`]; `data` borrows the body.
-    PutStrided {
-        /// Destination process.
-        dst: ProcId,
-        /// Destination segment.
-        seg: SegId,
-        /// Remote shape.
-        desc: Strided2D,
-        /// Packed payload, borrowed from the message body.
-        data: &'a [u8],
-    },
-    /// See [`Req::PutU64`].
-    PutU64 {
-        /// Destination process.
-        dst: ProcId,
-        /// Destination segment.
-        seg: SegId,
-        /// Destination byte offset (8-aligned).
-        offset: u64,
-        /// Value to store.
-        val: u64,
-    },
-    /// See [`Req::PutPair`].
-    PutPair {
-        /// Destination process.
-        dst: ProcId,
-        /// Destination segment.
-        seg: SegId,
-        /// Destination byte offset (16-aligned).
-        offset: u64,
-        /// Pair to store.
-        val: [u64; 2],
-    },
-    /// See [`Req::AccF64`]; `vals` reads the body in place.
-    AccF64 {
-        /// Destination process.
-        dst: ProcId,
-        /// Destination segment.
-        seg: SegId,
-        /// Destination byte offset (8-aligned).
-        offset: u64,
-        /// Scale factor applied to each value.
-        scale: f64,
-        /// Values to accumulate, read in place from the body.
-        vals: F64sView<'a>,
-    },
-    /// See [`Req::Get`].
-    Get {
-        /// Source process.
-        dst: ProcId,
-        /// Source segment.
-        seg: SegId,
-        /// Source byte offset.
-        offset: u64,
-        /// Bytes to read.
-        len: u32,
-    },
-    /// See [`Req::GetStrided`].
-    GetStrided {
-        /// Source process.
-        dst: ProcId,
-        /// Source segment.
-        seg: SegId,
-        /// Remote shape.
-        desc: Strided2D,
-    },
-    /// See [`Req::Rmw`].
-    Rmw {
-        /// Target process.
-        dst: ProcId,
-        /// Target segment.
-        seg: SegId,
-        /// Target byte offset.
-        offset: u64,
-        /// The operation.
-        op: RmwOp,
-    },
-    /// See [`Req::PutVector`]; `runs` and `data` borrow the body.
-    PutVector {
-        /// Destination process.
-        dst: ProcId,
-        /// Destination segment.
-        seg: SegId,
-        /// Destination runs, read in place from the body.
-        runs: RunsView<'a>,
-        /// Concatenated payload, borrowed from the body.
-        data: &'a [u8],
-    },
-    /// See [`Req::GetVector`]; `runs` borrows the body.
-    GetVector {
-        /// Source process.
-        dst: ProcId,
-        /// Source segment.
-        seg: SegId,
-        /// Source runs, read in place from the body.
-        runs: RunsView<'a>,
-    },
-    /// See [`Req::PutNotify`]; `runs` and `data` borrow the body.
-    PutNotify {
-        /// Destination process.
-        dst: ProcId,
-        /// Destination segment.
-        seg: SegId,
-        /// Notification slot bumped after the data lands.
-        slot: u32,
-        /// Destination runs, read in place from the body.
-        runs: RunsView<'a>,
-        /// Concatenated payload, borrowed from the body.
-        data: &'a [u8],
-    },
-    /// See [`Req::FenceReq`].
-    FenceReq,
-    /// See [`Req::LockReq`].
-    LockReq {
-        /// Process owning the lock variable.
-        owner: ProcId,
-        /// Lock slot index.
-        idx: u32,
-    },
-    /// See [`Req::UnlockReq`].
-    UnlockReq {
-        /// Process owning the lock variable.
-        owner: ProcId,
-        /// Lock slot index.
-        idx: u32,
-    },
-    /// See [`Req::Shutdown`].
-    Shutdown,
-}
-
-impl<'a> ReqView<'a> {
-    /// Decode a message body without copying payloads (zero-copy
-    /// counterpart of [`Req::decode`]).
-    ///
-    /// # Panics
-    /// Panics on malformed input — requests are produced by this library
-    /// only, so corruption is a bug.
-    pub fn decode(body: &'a [u8]) -> ReqView<'a> {
-        let mut r = Reader::new(body);
-        match r.u8() {
-            opcode::PUT => {
-                let (dst, seg, offset) = (ProcId(r.u32()), SegId(r.u32()), r.u64());
-                ReqView::Put { dst, seg, offset, data: r.bytes() }
-            }
-            opcode::PUT_STRIDED => {
-                let (dst, seg) = (ProcId(r.u32()), SegId(r.u32()));
-                let desc = dec_desc(&mut r);
-                ReqView::PutStrided { dst, seg, desc, data: r.bytes() }
-            }
-            opcode::PUT_U64 => {
-                ReqView::PutU64 { dst: ProcId(r.u32()), seg: SegId(r.u32()), offset: r.u64(), val: r.u64() }
-            }
-            opcode::PUT_PAIR => {
-                ReqView::PutPair { dst: ProcId(r.u32()), seg: SegId(r.u32()), offset: r.u64(), val: [r.u64(), r.u64()] }
-            }
-            opcode::ACC_F64 => {
-                let (dst, seg, offset, scale) = (ProcId(r.u32()), SegId(r.u32()), r.u64(), r.f64());
-                let n = r.u32() as usize;
-                ReqView::AccF64 { dst, seg, offset, scale, vals: F64sView { raw: r.raw(n * 8) } }
-            }
-            opcode::GET => ReqView::Get { dst: ProcId(r.u32()), seg: SegId(r.u32()), offset: r.u64(), len: r.u32() },
-            opcode::GET_STRIDED => {
-                let (dst, seg) = (ProcId(r.u32()), SegId(r.u32()));
-                ReqView::GetStrided { dst, seg, desc: dec_desc(&mut r) }
-            }
-            opcode::RMW => {
-                let (dst, seg, offset) = (ProcId(r.u32()), SegId(r.u32()), r.u64());
-                let op = match r.u8() {
-                    rmw_code::FETCH_ADD_U64 => RmwOp::FetchAddU64(r.u64()),
-                    rmw_code::FETCH_ADD_I64 => RmwOp::FetchAddI64(r.i64()),
-                    rmw_code::SWAP_U64 => RmwOp::SwapU64(r.u64()),
-                    rmw_code::CAS_U64 => RmwOp::CasU64 { expect: r.u64(), new: r.u64() },
-                    rmw_code::PAIR_SWAP => RmwOp::PairSwap([r.u64(), r.u64()]),
-                    rmw_code::PAIR_CAS => RmwOp::PairCas { expect: [r.u64(), r.u64()], new: [r.u64(), r.u64()] },
-                    c => panic!("unknown rmw code {c}"),
-                };
-                ReqView::Rmw { dst, seg, offset, op }
-            }
-            opcode::PUT_VECTOR => {
-                let (dst, seg) = (ProcId(r.u32()), SegId(r.u32()));
-                let runs = dec_runs_view(&mut r);
-                ReqView::PutVector { dst, seg, runs, data: r.bytes() }
-            }
-            opcode::GET_VECTOR => {
-                let (dst, seg) = (ProcId(r.u32()), SegId(r.u32()));
-                ReqView::GetVector { dst, seg, runs: dec_runs_view(&mut r) }
-            }
-            opcode::PUT_NOTIFY => {
-                let (dst, seg, slot) = (ProcId(r.u32()), SegId(r.u32()), r.u32());
-                let runs = dec_runs_view(&mut r);
-                ReqView::PutNotify { dst, seg, slot, runs, data: r.bytes() }
-            }
-            opcode::FENCE => ReqView::FenceReq,
-            opcode::LOCK => ReqView::LockReq { owner: ProcId(r.u32()), idx: r.u32() },
-            opcode::UNLOCK => ReqView::UnlockReq { owner: ProcId(r.u32()), idx: r.u32() },
-            opcode::SHUTDOWN => ReqView::Shutdown,
-            c => panic!("unknown opcode {c}"),
-        }
-    }
-
-    /// Same classification as [`Req::is_counted_put`].
-    pub fn is_counted_put(&self) -> bool {
-        matches!(
-            self,
-            ReqView::Put { .. }
-                | ReqView::PutStrided { .. }
-                | ReqView::PutU64 { .. }
-                | ReqView::PutPair { .. }
-                | ReqView::PutVector { .. }
-                | ReqView::PutNotify { .. }
-                | ReqView::AccF64 { .. }
-        )
-    }
-
-    /// Same accessor as [`Req::notify_slot`].
-    pub fn notify_slot(&self) -> Option<u32> {
-        match self {
-            ReqView::PutNotify { slot, .. } => Some(*slot),
-            _ => None,
-        }
-    }
-
-    /// Materialize an owned [`Req`] (copies borrowed payloads).
-    pub fn to_owned(&self) -> Req {
-        match *self {
-            ReqView::Put { dst, seg, offset, data } => Req::Put { dst, seg, offset, data: data.to_vec() },
-            ReqView::PutStrided { dst, seg, desc, data } => Req::PutStrided { dst, seg, desc, data: data.to_vec() },
-            ReqView::PutU64 { dst, seg, offset, val } => Req::PutU64 { dst, seg, offset, val },
-            ReqView::PutPair { dst, seg, offset, val } => Req::PutPair { dst, seg, offset, val },
-            ReqView::AccF64 { dst, seg, offset, scale, vals } => {
-                Req::AccF64 { dst, seg, offset, scale, vals: vals.to_vec() }
-            }
-            ReqView::Get { dst, seg, offset, len } => Req::Get { dst, seg, offset, len },
-            ReqView::GetStrided { dst, seg, desc } => Req::GetStrided { dst, seg, desc },
-            ReqView::Rmw { dst, seg, offset, op } => Req::Rmw { dst, seg, offset, op },
-            ReqView::PutVector { dst, seg, runs, data } => {
-                Req::PutVector { dst, seg, runs: runs.to_vec(), data: data.to_vec() }
-            }
-            ReqView::GetVector { dst, seg, runs } => Req::GetVector { dst, seg, runs: runs.to_vec() },
-            ReqView::PutNotify { dst, seg, slot, runs, data } => {
-                Req::PutNotify { dst, seg, slot, runs: runs.to_vec(), data: data.to_vec() }
-            }
-            ReqView::FenceReq => Req::FenceReq,
-            ReqView::LockReq { owner, idx } => Req::LockReq { owner, idx },
-            ReqView::UnlockReq { owner, idx } => Req::UnlockReq { owner, idx },
-            ReqView::Shutdown => Req::Shutdown,
-        }
+        self.raw.chunks_exact(8).map(|b| f64::from_le_bytes(b.try_into().expect("exact 8-byte chunk")))
     }
 }
 
@@ -810,73 +539,34 @@ impl<'a> ReqView<'a> {
 mod tests {
     use super::*;
 
-    fn roundtrip(r: Req) {
-        assert_eq!(Req::decode(&r.encode()), r);
-        assert_eq!(ReqView::decode(&r.encode()).to_owned(), r);
-    }
-
-    #[test]
-    fn all_requests_roundtrip() {
-        roundtrip(Req::Put { dst: ProcId(3), seg: SegId(1), offset: 128, data: vec![1, 2, 3] });
-        roundtrip(Req::PutStrided {
-            dst: ProcId(0),
-            seg: SegId(2),
-            desc: Strided2D { offset: 8, rows: 3, row_bytes: 16, stride: 64 },
-            data: vec![9; 48],
-        });
-        roundtrip(Req::PutU64 { dst: ProcId(1), seg: SegId(0), offset: 24, val: u64::MAX });
-        roundtrip(Req::PutPair { dst: ProcId(1), seg: SegId(0), offset: 32, val: [7, u64::MAX] });
-        roundtrip(Req::AccF64 { dst: ProcId(2), seg: SegId(1), offset: 0, scale: -1.5, vals: vec![1.0, 2.5] });
-        roundtrip(Req::Get { dst: ProcId(4), seg: SegId(0), offset: 8, len: 256 });
-        roundtrip(Req::GetStrided {
-            dst: ProcId(4),
-            seg: SegId(0),
-            desc: Strided2D { offset: 0, rows: 2, row_bytes: 8, stride: 8 },
-        });
-        roundtrip(Req::PutVector { dst: ProcId(2), seg: SegId(1), runs: vec![(0, 4), (100, 8)], data: vec![1; 12] });
-        roundtrip(Req::GetVector { dst: ProcId(2), seg: SegId(1), runs: vec![(8, 16)] });
-        roundtrip(Req::PutNotify {
-            dst: ProcId(3),
-            seg: SegId(2),
-            slot: 5,
-            runs: vec![(16, 8), (200, 4)],
-            data: vec![7; 12],
-        });
-        roundtrip(Req::FenceReq);
-        roundtrip(Req::LockReq { owner: ProcId(5), idx: 2 });
-        roundtrip(Req::UnlockReq { owner: ProcId(5), idx: 2 });
-        roundtrip(Req::Shutdown);
-    }
-
-    #[test]
-    fn all_rmw_ops_roundtrip() {
-        for op in [
-            RmwOp::FetchAddU64(7),
-            RmwOp::FetchAddI64(-7),
-            RmwOp::SwapU64(42),
-            RmwOp::CasU64 { expect: 1, new: 2 },
-            RmwOp::PairSwap([3, 4]),
-            RmwOp::PairCas { expect: [1, 2], new: [3, 4] },
-        ] {
-            roundtrip(Req::Rmw { dst: ProcId(0), seg: SegId(0), offset: 16, op });
-        }
-    }
-
     #[test]
     fn counted_put_classification() {
-        assert!(Req::Put { dst: ProcId(0), seg: SegId(0), offset: 0, data: vec![] }.is_counted_put());
-        assert!(Req::PutU64 { dst: ProcId(0), seg: SegId(0), offset: 0, val: 0 }.is_counted_put());
-        assert!(Req::AccF64 { dst: ProcId(0), seg: SegId(0), offset: 0, scale: 1.0, vals: vec![] }.is_counted_put());
-        assert!(!Req::Get { dst: ProcId(0), seg: SegId(0), offset: 0, len: 1 }.is_counted_put());
-        assert!(!Req::FenceReq.is_counted_put());
-        assert!(!Req::LockReq { owner: ProcId(0), idx: 0 }.is_counted_put());
+        let data: &[u8] = &[0; 4];
+        assert_eq!(
+            ReqRef::Put { dst: ProcId(2), seg: SegId(0), offset: 0, data }.counted_put(),
+            Some((ProcId(2), None))
+        );
+        assert!(ReqRef::PutU64 { dst: ProcId(0), seg: SegId(0), offset: 0, val: 0 }.counted_put().is_some());
+        let acc = ReqRef::AccF64 { dst: ProcId(0), seg: SegId(0), offset: 0, scale: 1.0, vals: &[] };
+        assert!(acc.counted_put().is_some());
+        assert_eq!(ReqRef::Get { dst: ProcId(0), seg: SegId(0), offset: 0, len: 1 }.counted_put(), None);
+        assert_eq!(ReqRef::FenceReq.counted_put(), None);
+        assert_eq!(ReqRef::LockReq { owner: ProcId(0), idx: 0 }.counted_put(), None);
         // A notified put is a counted put — its fence accounting must be
-        // identical to a plain vector put's.
-        let pn = Req::PutNotify { dst: ProcId(0), seg: SegId(0), slot: 1, runs: vec![(0, 4)], data: vec![0; 4] };
-        assert!(pn.is_counted_put());
-        assert_eq!(pn.notify_slot(), Some(1));
-        assert_eq!(Req::FenceReq.notify_slot(), None);
-        assert_eq!(ReqView::decode(&pn.encode()).notify_slot(), Some(1));
+        // identical to a plain vector put's — that also names its slot.
+        let pn = ReqRef::PutNotify { dst: ProcId(1), seg: SegId(0), slot: 3, runs: &[(0, 4)], data };
+        assert_eq!(pn.counted_put(), Some((ProcId(1), Some(3))));
+        assert_eq!(ReqView::decode(&pn.encode()).map(|v| v.counted_put()), Ok(Some((ProcId(1), Some(3)))));
+    }
+
+    #[test]
+    fn unknown_opcode_and_rmw_code_are_errors() {
+        assert_eq!(ReqView::decode(&[0]), Err(DecodeError::BadTag(0)));
+        assert_eq!(ReqView::decode(&[16]), Err(DecodeError::BadTag(16)));
+        assert_eq!(ReqView::decode(&[]), Err(DecodeError::Truncated));
+        let mut frame = ReqRef::Rmw { dst: ProcId(0), seg: SegId(0), offset: 0, op: RmwOp::SwapU64(1) }.encode();
+        frame[17] = 9;
+        assert_eq!(ReqView::decode(&frame), Err(DecodeError::BadTag(9)));
     }
 
     #[test]

@@ -27,7 +27,7 @@
 //! §5 future work points at: move per-operation synchronization work to
 //! plan time.
 
-use armci_msglib::{Reader, Writer};
+use armci_msglib::{BufWriter, Reader};
 use armci_transport::{ProcId, SegId};
 
 use crate::armci::{unwrap_op, Armci};
@@ -124,20 +124,17 @@ impl PlanBuilder {
         for b in &batches {
             counts[b.dst as usize] += 1;
         }
-        let mut w = Writer::with_capacity(n * 8);
-        for &c in &counts {
-            w = w.u64(c);
-        }
-        let all = a.world().msg().allgather(a, w.finish());
+        let mut body = Vec::with_capacity(n * 8);
+        counts.iter().fold(BufWriter::new(&mut body), |w, &c| w.u64(c));
+        let all = a.world().msg().allgather(a, body);
         let me = a.rank();
         let mut expected = 0u64;
         let mut producers: Vec<u32> = Vec::new();
         for (r, body) in all.iter().enumerate() {
+            // Word `me` of rank r's counts: its batches toward this rank.
             let mut rd = Reader::new(body);
-            for _ in 0..me {
-                rd.u64();
-            }
-            let toward_me = rd.u64();
+            let toward_me = rd.raw(8 * me).and_then(|_| rd.u64());
+            let toward_me = unwrap_op(toward_me.map_err(|_| ArmciError::Malformed { op: "plan_build" }));
             if toward_me > 0 {
                 expected += toward_me;
                 producers.push(r as u32);

@@ -26,7 +26,7 @@ use crate::config::ArmciCfg;
 use crate::errors::ArmciError;
 use crate::group::ProcGroup;
 use crate::layout;
-use crate::msg::Req;
+use crate::msg::ReqRef;
 use crate::server::server_loop;
 use crate::shm::ShmDataPlane;
 
@@ -115,7 +115,9 @@ where
 
 /// The threads of one node: its server and its user processes.
 struct NodeThreads<T> {
-    server: std::thread::JoinHandle<()>,
+    node: NodeId,
+    /// Yields how many requests the server refused.
+    server: std::thread::JoinHandle<u64>,
     users: Vec<std::thread::JoinHandle<T>>,
 }
 
@@ -162,7 +164,7 @@ where
         })
         .collect();
 
-    NodeThreads { server, users }
+    NodeThreads { node, server, users }
 }
 
 /// The body of one user-process thread: build the [`Armci`] handle, run
@@ -226,7 +228,7 @@ where
     let teardown = armci.try_barrier();
     if armci.rank() == 0 || teardown.is_err() {
         for n in 0..nnodes {
-            armci.send_req(NodeId(n as u32), &Req::Shutdown);
+            armci.send_req(NodeId(n as u32), &ReqRef::Shutdown);
         }
     }
     out
@@ -236,12 +238,21 @@ where
 /// ranks are node-major, so node order is rank order), then its server.
 /// Rank 0 stops every server before it returns, so no join waits on a
 /// server nobody will stop.
+///
+/// Panics, once every thread is joined, if a server refused a request:
+/// every node runs this same program, so a request naming memory its
+/// target never registered is a bug in it, and must not pass silently.
 fn join_nodes<T>(nodes: Vec<NodeThreads<T>>) -> Vec<T> {
     let mut results = Vec::new();
+    let mut refused = Vec::new();
     for nt in nodes {
         results.extend(nt.users.into_iter().map(|h| h.join().expect("user process panicked")));
-        nt.server.join().expect("server thread panicked");
+        match nt.server.join().expect("server thread panicked") {
+            0 => {}
+            n => refused.push(format!("node {} refused {n}", nt.node.0)),
+        }
     }
+    assert!(refused.is_empty(), "servers refused malformed or out-of-range requests: {}", refused.join(", "));
     results
 }
 

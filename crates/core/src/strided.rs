@@ -45,29 +45,33 @@ impl Strided2D {
 
     /// One byte past the highest byte touched in the segment, or `offset`
     /// for an empty shape.
-    pub fn end_offset(&self) -> usize {
-        if self.rows == 0 || self.row_bytes == 0 {
-            return self.offset;
-        }
-        self.offset + (self.rows - 1) * self.stride + self.row_bytes
-    }
-
-    /// Validate the shape against a segment of `seg_len` bytes.
     ///
     /// # Panics
-    /// Panics on overlapping rows (`stride < row_bytes` with more than one
-    /// row) or out-of-bounds extent — both programming errors, as they
-    /// would have been in ARMCI.
-    pub fn validate(&self, seg_len: usize) {
-        if self.rows > 1 {
-            assert!(
-                self.stride >= self.row_bytes,
-                "strided rows overlap: stride {} < row_bytes {}",
-                self.stride,
-                self.row_bytes
-            );
+    /// Panics if the extent overflows `usize`.
+    pub fn end_offset(&self) -> usize {
+        self.checked_end().expect("strided shape extent overflows usize")
+    }
+
+    fn checked_end(&self) -> Option<usize> {
+        if self.rows == 0 || self.row_bytes == 0 {
+            return Some(self.offset);
         }
-        assert!(self.end_offset() <= seg_len, "strided shape [{:?}] exceeds segment length {}", self, seg_len);
+        (self.rows - 1).checked_mul(self.stride)?.checked_add(self.offset)?.checked_add(self.row_bytes)
+    }
+
+    /// Check the shape against a segment of `seg_len` bytes: rows must not
+    /// overlap (`stride >= row_bytes` when there is more than one row) and
+    /// the extent must fit. A shape that passes has `total_bytes() <=
+    /// seg_len`. The local paths treat an `Err` as a programming error,
+    /// as ARMCI did; the server refuses the request.
+    pub fn validate(&self, seg_len: usize) -> Result<(), String> {
+        if self.rows > 1 && self.stride < self.row_bytes {
+            return Err(format!("strided rows overlap: stride {} < row_bytes {}", self.stride, self.row_bytes));
+        }
+        match self.checked_end() {
+            Some(end) if end <= seg_len => Ok(()),
+            _ => Err(format!("strided shape [{self:?}] exceeds segment length {seg_len}")),
+        }
     }
 
     /// Iterate over the segment offsets of each row start.
@@ -75,9 +79,10 @@ impl Strided2D {
         (0..self.rows).map(move |r| self.offset + r * self.stride)
     }
 
-    /// The shape as `(offset, len)` runs, one per row.
+    /// The shape as `(offset, len)` runs, one per row — none when the
+    /// rows are empty, so a validated shape yields at most `seg_len` runs.
     pub(crate) fn runs(&self) -> impl Iterator<Item = (usize, usize)> + '_ {
-        self.row_offsets().map(move |off| (off, self.row_bytes))
+        self.row_offsets().take(if self.row_bytes == 0 { 0 } else { self.rows }).map(move |off| (off, self.row_bytes))
     }
 }
 
@@ -147,18 +152,26 @@ mod tests {
     #[test]
     fn validate_accepts_tight_fit() {
         let s = Strided2D { offset: 0, rows: 4, row_bytes: 8, stride: 8 };
-        s.validate(32);
+        assert_eq!(s.validate(32), Ok(()));
     }
 
     #[test]
-    #[should_panic]
     fn validate_rejects_overlap() {
-        Strided2D { offset: 0, rows: 2, row_bytes: 8, stride: 4 }.validate(1024);
+        assert!(Strided2D { offset: 0, rows: 2, row_bytes: 8, stride: 4 }.validate(1024).is_err());
     }
 
     #[test]
-    #[should_panic]
     fn validate_rejects_overflow() {
-        Strided2D { offset: 0, rows: 4, row_bytes: 8, stride: 16 }.validate(55);
+        assert!(Strided2D { offset: 0, rows: 4, row_bytes: 8, stride: 16 }.validate(55).is_err());
+        // Extents past `usize` are out of bounds, not an arithmetic panic.
+        assert!(Strided2D { offset: 8, rows: usize::MAX, row_bytes: 1, stride: usize::MAX }.validate(64).is_err());
+        assert!(Strided2D { offset: usize::MAX, rows: 1, row_bytes: 1, stride: 1 }.validate(64).is_err());
+    }
+
+    #[test]
+    fn empty_rows_yield_no_runs() {
+        let s = Strided2D { offset: 0, rows: usize::MAX, row_bytes: 0, stride: 0 };
+        assert_eq!(s.validate(0), Ok(()));
+        assert_eq!(s.runs().count(), 0);
     }
 }

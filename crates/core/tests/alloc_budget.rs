@@ -1,11 +1,11 @@
 //! Allocation-budget regression test for the zero-copy wire path.
 //!
 //! Before the pooled-encode/borrowed-decode work, one remote `put_u64`
-//! cost three heap allocations: the encode `Vec` on the client, the
-//! owned payload `Vec` from `Req::decode` on the server, and the ack
-//! body. All three are gone — the request encodes into an inline `Body`
-//! (or a pooled buffer), the server decodes a borrowed [`ReqView`] and
-//! applies it straight into the segment, and the ack is inline. What
+//! cost three heap allocations: the encode `Vec` on the client, an owned
+//! payload `Vec` on the server, and the ack body. All three are gone —
+//! the request encodes into an inline `Body` (or a pooled buffer), the
+//! server decodes a borrowed `ReqView` and applies it straight into the
+//! segment, and the ack is inline. What
 //! remains is the amortized block allocation inside the transport
 //! channel (one block per ~32 sends), so the budget below — **one**
 //! allocation per put, down from three-plus — still leaves an order of

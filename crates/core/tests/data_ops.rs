@@ -2,9 +2,13 @@
 //! strided), accumulate, and read-modify-write, across local and remote
 //! destinations and both ack modes.
 
+use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::{Arc, Mutex};
+use std::time::Duration;
+
 use armci_core::Strided2D;
 use armci_core::{run_cluster, AckMode, ArmciCfg, ArmciCfg as Cfg, GlobalAddr, RmwOp};
-use armci_transport::{LatencyModel, ProcId};
+use armci_transport::{LatencyModel, ProcId, SegId};
 
 fn zero_lat(nodes: u32) -> ArmciCfg {
     Cfg::flat(nodes, LatencyModel::zero())
@@ -310,4 +314,39 @@ fn smp_mixed_local_remote_barrier() {
         (0..n).all(|r| mine.read_u64(8 * r) == (r * 10 + a.rank()) as u64)
     });
     assert!(out.into_iter().all(|ok| ok));
+}
+
+/// Remote puts naming memory the target never allocated — a segment id it
+/// has no segment for, an offset past the end of one it has — are refused
+/// where they land: the server drops them and keeps serving, so a later
+/// put, fence and get to the same node succeed (the refused puts still
+/// count as completed, so fences and the teardown barrier drain). Once
+/// every thread has joined, the run reports the refusals by failing.
+#[test]
+fn server_survives_puts_outside_registered_memory() {
+    for ack in [AckMode::Gm, AckMode::Via] {
+        let cfg = ArmciCfg { ack_mode: ack, ..zero_lat(2) }.with_op_timeout(Duration::from_secs(5));
+        let got = Arc::new(Mutex::new([0u8; 8]));
+        let seen = got.clone();
+        let run = catch_unwind(AssertUnwindSafe(|| {
+            run_cluster(cfg, move |a| {
+                let seg = a.malloc(64);
+                let peer = ProcId(1);
+                if a.rank() == 0 {
+                    a.try_put(GlobalAddr::new(peer, SegId(99), 0), &[1; 8]).expect("put to an unknown segment");
+                    a.try_put(GlobalAddr::new(peer, seg, 4096), &[2; 8]).expect("put past the end");
+                    a.try_put(GlobalAddr::new(peer, seg, 8), &[3; 8]).expect("valid put");
+                    a.try_fence(peer).expect("fence after refused puts");
+                    let mut buf = [0u8; 8];
+                    a.try_get(GlobalAddr::new(peer, seg, 8), &mut buf).expect("get after refused puts");
+                    *seen.lock().unwrap() = buf;
+                }
+                a.barrier();
+            })
+        }));
+        let err = run.expect_err("refused requests must fail the run");
+        let msg = err.downcast_ref::<String>().map_or("", String::as_str);
+        assert!(msg.contains("node 1 refused 2"), "{ack:?}: {msg}");
+        assert_eq!(*got.lock().unwrap(), [3; 8], "{ack:?}");
+    }
 }

@@ -1,8 +1,10 @@
 //! Property-based tests of the ARMCI wire codec: arbitrary requests must
 //! round-trip bit-exactly (a malformed frame would corrupt remote memory,
-//! the worst possible failure mode for a one-sided library).
+//! the worst possible failure mode for a one-sided library), no prefix of
+//! a frame may decode, and the bytes of one frame per opcode and per rmw
+//! code are pinned.
 
-use armci_core::msg::{Req, ReqView, RmwOp};
+use armci_core::msg::{Req, ReqView, Request, RmwOp};
 use armci_core::Strided2D;
 use armci_transport::{ProcId, SegId};
 use proptest::prelude::*;
@@ -87,37 +89,51 @@ fn arb_req() -> impl Strategy<Value = Req> {
     ]
 }
 
+/// The fields a frame decoded to, as an owned request. Tests compare its
+/// encoding, not the fields: bytes tell NaN payloads and -0.0 apart.
+fn fields(v: ReqView<'_>) -> Req {
+    match v {
+        Request::Put { dst, seg, offset, data } => Request::Put { dst, seg, offset, data: data.to_vec() },
+        Request::PutStrided { dst, seg, desc, data } => Request::PutStrided { dst, seg, desc, data: data.to_vec() },
+        Request::PutU64 { dst, seg, offset, val } => Request::PutU64 { dst, seg, offset, val },
+        Request::PutPair { dst, seg, offset, val } => Request::PutPair { dst, seg, offset, val },
+        Request::AccF64 { dst, seg, offset, scale, vals } => {
+            Request::AccF64 { dst, seg, offset, scale, vals: vals.iter().collect() }
+        }
+        Request::Get { dst, seg, offset, len } => Request::Get { dst, seg, offset, len },
+        Request::GetStrided { dst, seg, desc } => Request::GetStrided { dst, seg, desc },
+        Request::Rmw { dst, seg, offset, op } => Request::Rmw { dst, seg, offset, op },
+        Request::PutVector { dst, seg, runs, data } => {
+            Request::PutVector { dst, seg, runs: runs.iter().collect(), data: data.to_vec() }
+        }
+        Request::GetVector { dst, seg, runs } => Request::GetVector { dst, seg, runs: runs.iter().collect() },
+        Request::PutNotify { dst, seg, slot, runs, data } => {
+            Request::PutNotify { dst, seg, slot, runs: runs.iter().collect(), data: data.to_vec() }
+        }
+        Request::FenceReq => Request::FenceReq,
+        Request::LockReq { owner, idx } => Request::LockReq { owner, idx },
+        Request::UnlockReq { owner, idx } => Request::UnlockReq { owner, idx },
+        Request::Shutdown => Request::Shutdown,
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(512))]
 
     #[test]
-    fn any_request_roundtrips(req in arb_req()) {
-        let encoded = req.encode();
-        let decoded = Req::decode(&encoded);
-        // NaN-bearing AccF64 scales/values compare unequal under PartialEq;
-        // compare via re-encoding, which is bit-exact.
-        prop_assert_eq!(decoded.encode(), encoded);
+    fn decode_recovers_the_encoded_fields(req in arb_req()) {
+        let frame = req.encode();
+        prop_assert_eq!(ReqView::decode(&frame).map(|v| fields(v).encode()), Ok(frame));
     }
 
     #[test]
-    fn counted_put_classification_is_stable(req in arb_req()) {
-        // Encoding and decoding must agree on whether the op bumps
-        // op_done — a mismatch would desynchronize ARMCI_Barrier.
-        let decoded = Req::decode(&req.encode());
-        prop_assert_eq!(decoded.is_counted_put(), req.is_counted_put());
-    }
-
-    #[test]
-    fn borrowed_decode_agrees_with_owned(req in arb_req()) {
-        // The server's zero-copy decode (`ReqView`) is written
-        // independently of `Req::decode`; they must see the identical
-        // request in every frame. Compare via re-encoding (bit-exact even
-        // for NaN-bearing floats).
-        let encoded = req.encode();
-        let owned = Req::decode(&encoded);
-        let view = ReqView::decode(&encoded);
-        prop_assert_eq!(view.to_owned().encode(), owned.encode());
-        prop_assert_eq!(view.is_counted_put(), owned.is_counted_put());
+    fn every_strict_prefix_of_a_frame_is_an_error(req in arb_req()) {
+        // Frames are self-delimiting: a body cut anywhere short is
+        // truncated, never a different valid request.
+        let frame = req.encode();
+        for cut in 0..frame.len() {
+            prop_assert!(ReqView::decode(&frame[..cut]).is_err(), "prefix of {} bytes of {:?} decoded", cut, req);
+        }
     }
 
     #[test]
@@ -129,5 +145,97 @@ proptest! {
         pooled.clear();
         req.encode_into(&mut pooled);
         prop_assert_eq!(pooled, fresh);
+    }
+}
+
+fn hex(b: &[u8]) -> String {
+    b.iter().map(|x| format!("{x:02x}")).collect()
+}
+
+/// One frame per opcode and one per rmw code, pinned byte for byte, so a
+/// codec change that alters the wire format fails here rather than
+/// between two builds that disagree.
+#[test]
+fn golden_frames_are_byte_identical() {
+    let mut golden: Vec<(Req, &str)> = vec![
+        (
+            Req::Put { dst: ProcId(1), seg: SegId(2), offset: 0x0102_0304_0506_0708, data: vec![0xAA, 0xBB, 0xCC] },
+            "010100000002000000080706050403020103000000aabbcc",
+        ),
+        (
+            Req::PutStrided {
+                dst: ProcId(3),
+                seg: SegId(1),
+                desc: Strided2D { offset: 8, rows: 2, row_bytes: 4, stride: 16 },
+                data: vec![1, 2, 3, 4, 5, 6, 7, 8],
+            },
+            "0203000000010000000800000000000000020000000000000004000000000000001000000000000000080000000102030405060708",
+        ),
+        (
+            Req::PutU64 { dst: ProcId(1), seg: SegId(0), offset: 24, val: 0xDEAD_BEEF_0123_4567 },
+            "030100000000000000180000000000000067452301efbeadde",
+        ),
+        (
+            Req::PutPair { dst: ProcId(2), seg: SegId(3), offset: 32, val: [7, u64::MAX] },
+            "0c020000000300000020000000000000000700000000000000ffffffffffffffff",
+        ),
+        (
+            Req::AccF64 { dst: ProcId(0), seg: SegId(1), offset: 16, scale: -1.5, vals: vec![1.0, 2.5] },
+            "0400000000010000001000000000000000000000000000f8bf02000000000000000000f03f0000000000000440",
+        ),
+        (
+            // IEEE-754 bits travel untouched: NaN, -0.0, a subnormal, -inf.
+            Req::AccF64 {
+                dst: ProcId(2),
+                seg: SegId(1),
+                offset: 8,
+                scale: f64::NAN,
+                vals: vec![-0.0, f64::from_bits(1), f64::NEG_INFINITY],
+            },
+            "0402000000010000000800000000000000000000000000f87f0300000000000000000000800100000000000000000000000000f0ff",
+        ),
+        (Req::Get { dst: ProcId(4), seg: SegId(0), offset: 8, len: 256 }, "050400000000000000080000000000000000010000"),
+        (
+            Req::GetStrided {
+                dst: ProcId(4),
+                seg: SegId(2),
+                desc: Strided2D { offset: 0, rows: 3, row_bytes: 8, stride: 24 },
+            },
+            "0604000000020000000000000000000000030000000000000008000000000000001800000000000000",
+        ),
+        (
+            Req::PutVector { dst: ProcId(2), seg: SegId(1), runs: vec![(0, 2), (100, 1)], data: vec![9, 8, 7] },
+            "0d02000000010000000200000000000000000000000200000064000000000000000100000003000000090807",
+        ),
+        (
+            Req::GetVector { dst: ProcId(2), seg: SegId(1), runs: vec![(8, 16)] },
+            "0e020000000100000001000000080000000000000010000000",
+        ),
+        (
+            Req::PutNotify { dst: ProcId(3), seg: SegId(2), slot: 5, runs: vec![(16, 2)], data: vec![6, 5] },
+            "0f03000000020000000500000001000000100000000000000002000000020000000605",
+        ),
+        (Req::FenceReq, "08"),
+        (Req::LockReq { owner: ProcId(5), idx: 2 }, "090500000002000000"),
+        (Req::UnlockReq { owner: ProcId(5), idx: 3 }, "0a0500000003000000"),
+        (Req::Shutdown, "0b"),
+    ];
+    for (op, frame) in [
+        (RmwOp::FetchAddU64(7), "0701000000000000001000000000000000010700000000000000"),
+        (RmwOp::FetchAddI64(-7), "070100000000000000100000000000000002f9ffffffffffffff"),
+        (RmwOp::SwapU64(42), "0701000000000000001000000000000000032a00000000000000"),
+        (RmwOp::CasU64 { expect: 1, new: 2 }, "07010000000000000010000000000000000401000000000000000200000000000000"),
+        (RmwOp::PairSwap([3, 4]), "07010000000000000010000000000000000503000000000000000400000000000000"),
+        (
+            RmwOp::PairCas { expect: [1, 2], new: [3, 4] },
+            "0701000000000000001000000000000000060100000000000000020000000000000003000000000000000400000000000000",
+        ),
+    ] {
+        golden.push((Req::Rmw { dst: ProcId(1), seg: SegId(0), offset: 16, op }, frame));
+    }
+    for (req, frame) in golden {
+        let bytes = req.encode();
+        assert_eq!(hex(&bytes), frame, "{req:?}");
+        assert_eq!(ReqView::decode(&bytes).map(|v| fields(v).encode()), Ok(bytes), "{req:?}");
     }
 }

@@ -2,81 +2,34 @@
 //!
 //! Protocol messages in this workspace are hand-framed little-endian
 //! records (as GM/ARMCI headers were), not serde-serialized: the formats
-//! are tiny, fixed, and on the latency-critical path. [`Writer`] builds a
-//! message body; [`Reader`] consumes one, panicking on truncation (a
-//! malformed frame is a protocol bug, never recoverable input).
+//! are tiny, fixed, and on the latency-critical path. [`BufWriter`] builds
+//! a message body into a caller-owned buffer; [`Reader`] consumes one.
+//! Frames arrive from other processes, so every read is checked: a
+//! truncated body is a [`DecodeError`], never a panic.
 
-/// Incrementally builds a little-endian message body.
-#[derive(Default, Debug)]
-pub struct Writer(Vec<u8>);
+/// Why a message body could not be decoded.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum DecodeError {
+    /// The body ended before the field being read.
+    Truncated,
+    /// A tag byte (opcode, operation code, message kind) named nothing.
+    BadTag(u8),
+}
 
-impl Writer {
-    /// Start an empty body.
-    pub fn new() -> Self {
-        Writer(Vec::new())
-    }
-
-    /// Start with capacity for `n` bytes.
-    pub fn with_capacity(n: usize) -> Self {
-        Writer(Vec::with_capacity(n))
-    }
-
-    /// Finish and return the body.
-    pub fn finish(self) -> Vec<u8> {
-        self.0
-    }
-
-    /// Append a `u8`.
-    pub fn u8(mut self, v: u8) -> Self {
-        self.0.push(v);
-        self
-    }
-
-    /// Append a little-endian `u32`.
-    pub fn u32(mut self, v: u32) -> Self {
-        self.0.extend_from_slice(&v.to_le_bytes());
-        self
-    }
-
-    /// Append a little-endian `u64`.
-    pub fn u64(mut self, v: u64) -> Self {
-        self.0.extend_from_slice(&v.to_le_bytes());
-        self
-    }
-
-    /// Append a little-endian `i64`.
-    pub fn i64(self, v: i64) -> Self {
-        self.u64(v as u64)
-    }
-
-    /// Append an `f64` as its IEEE-754 bits.
-    pub fn f64(self, v: f64) -> Self {
-        self.u64(v.to_bits())
-    }
-
-    /// Append raw bytes with a `u32` length prefix.
-    pub fn bytes(mut self, v: &[u8]) -> Self {
-        self = self.u32(v.len() as u32);
-        self.0.extend_from_slice(v);
-        self
-    }
-
-    /// Append a `u64` slice with a `u32` length prefix.
-    pub fn u64_slice(mut self, v: &[u64]) -> Self {
-        self = self.u32(v.len() as u32);
-        for &x in v {
-            self.0.extend_from_slice(&x.to_le_bytes());
+impl std::fmt::Display for DecodeError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            DecodeError::Truncated => write!(f, "truncated message body"),
+            DecodeError::BadTag(t) => write!(f, "unknown tag byte {t}"),
         }
-        self
     }
 }
 
-/// Builds a little-endian message body *into a borrowed buffer* — the
-/// zero-allocation counterpart of [`Writer`], used with pooled encode
-/// buffers (the caller owns and reuses the `Vec`).
-///
-/// Method-for-method identical to [`Writer`], so an encoder can be written
-/// once against either interface.
+impl std::error::Error for DecodeError {}
+
+/// Builds a little-endian message body into a borrowed buffer. The caller
+/// owns (and may pool) the `Vec`, so encoding allocates nothing once the
+/// buffer is warm.
 #[derive(Debug)]
 pub struct BufWriter<'a>(&'a mut Vec<u8>);
 
@@ -122,30 +75,15 @@ impl<'a> BufWriter<'a> {
         s
     }
 
-    /// Append a `u64` slice with a `u32` length prefix.
-    pub fn u64_slice(self, v: &[u64]) -> Self {
-        let s = self.u32(v.len() as u32);
-        for &x in v {
-            s.0.extend_from_slice(&x.to_le_bytes());
-        }
-        s
-    }
-
     /// Append an `f64` slice with a `u32` length prefix.
     pub fn f64_slice(self, v: &[f64]) -> Self {
-        let s = self.u32(v.len() as u32);
-        for &x in v {
-            s.0.extend_from_slice(&x.to_bits().to_le_bytes());
-        }
-        s
+        v.iter().fold(self.u32(v.len() as u32), |s, &x| s.f64(x))
     }
 }
 
-/// Consumes a little-endian message body produced by [`Writer`].
-///
-/// # Panics
-/// Every accessor panics on truncated input: frames are produced by this
-/// workspace's own protocols, so truncation is a bug, not bad input.
+/// Consumes a little-endian message body produced by [`BufWriter`]. Every
+/// accessor returns [`DecodeError::Truncated`] instead of reading past the
+/// end.
 pub struct Reader<'a> {
     buf: &'a [u8],
     pos: usize,
@@ -157,53 +95,56 @@ impl<'a> Reader<'a> {
         Reader { buf, pos: 0 }
     }
 
-    fn take(&mut self, n: usize) -> &'a [u8] {
-        let s = &self.buf[self.pos..self.pos + n];
-        self.pos += n;
-        s
+    /// Read exactly `n` raw bytes (no length prefix) — also how a
+    /// fixed-stride region (e.g. an array of records) is borrowed out of
+    /// the body.
+    pub fn raw(&mut self, n: usize) -> Result<&'a [u8], DecodeError> {
+        let end = self.pos.checked_add(n).ok_or(DecodeError::Truncated)?;
+        let s = self.buf.get(self.pos..end).ok_or(DecodeError::Truncated)?;
+        self.pos = end;
+        Ok(s)
+    }
+
+    fn array<const N: usize>(&mut self) -> Result<[u8; N], DecodeError> {
+        self.raw(N)?.try_into().map_err(|_| DecodeError::Truncated)
     }
 
     /// Read a `u8`.
-    pub fn u8(&mut self) -> u8 {
-        self.take(1)[0]
+    pub fn u8(&mut self) -> Result<u8, DecodeError> {
+        Ok(u8::from_le_bytes(self.array()?))
     }
 
     /// Read a little-endian `u32`.
-    pub fn u32(&mut self) -> u32 {
-        u32::from_le_bytes(self.take(4).try_into().unwrap())
+    pub fn u32(&mut self) -> Result<u32, DecodeError> {
+        Ok(u32::from_le_bytes(self.array()?))
     }
 
     /// Read a little-endian `u64`.
-    pub fn u64(&mut self) -> u64 {
-        u64::from_le_bytes(self.take(8).try_into().unwrap())
+    pub fn u64(&mut self) -> Result<u64, DecodeError> {
+        Ok(u64::from_le_bytes(self.array()?))
     }
 
     /// Read a little-endian `i64`.
-    pub fn i64(&mut self) -> i64 {
-        self.u64() as i64
+    pub fn i64(&mut self) -> Result<i64, DecodeError> {
+        Ok(self.u64()? as i64)
     }
 
     /// Read an `f64` from its IEEE-754 bits.
-    pub fn f64(&mut self) -> f64 {
-        f64::from_bits(self.u64())
+    pub fn f64(&mut self) -> Result<f64, DecodeError> {
+        Ok(f64::from_bits(self.u64()?))
     }
 
     /// Read a length-prefixed byte slice.
-    pub fn bytes(&mut self) -> &'a [u8] {
-        let n = self.u32() as usize;
-        self.take(n)
+    pub fn bytes(&mut self) -> Result<&'a [u8], DecodeError> {
+        let n = self.u32()? as usize;
+        self.raw(n)
     }
 
-    /// Read exactly `n` raw bytes (no length prefix) — for borrowing a
-    /// fixed-stride region (e.g. an array of records) out of the body.
-    pub fn raw(&mut self, n: usize) -> &'a [u8] {
-        self.take(n)
-    }
-
-    /// Read a length-prefixed `u64` vector.
-    pub fn u64_vec(&mut self) -> Vec<u64> {
-        let n = self.u32() as usize;
-        (0..n).map(|_| self.u64()).collect()
+    /// Read a `u32` count of `size`-byte records and borrow them as one
+    /// region.
+    pub fn records(&mut self, size: usize) -> Result<&'a [u8], DecodeError> {
+        let n = self.u32()? as usize;
+        self.raw(n.saturating_mul(size))
     }
 
     /// Bytes remaining.
@@ -216,82 +157,59 @@ impl<'a> Reader<'a> {
 mod tests {
     use super::*;
 
+    fn body(fill: impl FnOnce(BufWriter<'_>) -> BufWriter<'_>) -> Vec<u8> {
+        let mut buf = vec![0xFF]; // stale pooled contents
+        buf.clear();
+        fill(BufWriter::new(&mut buf));
+        buf
+    }
+
     #[test]
     fn roundtrip_all_types() {
-        let body = Writer::new()
-            .u8(7)
-            .u32(0xDEAD_BEEF)
-            .u64(u64::MAX - 1)
-            .i64(-42)
-            .f64(3.5)
-            .bytes(b"hello")
-            .u64_slice(&[1, 2, 3])
-            .finish();
-        let mut r = Reader::new(&body);
-        assert_eq!(r.u8(), 7);
-        assert_eq!(r.u32(), 0xDEAD_BEEF);
-        assert_eq!(r.u64(), u64::MAX - 1);
-        assert_eq!(r.i64(), -42);
-        assert_eq!(r.f64(), 3.5);
-        assert_eq!(r.bytes(), b"hello");
-        assert_eq!(r.u64_vec(), vec![1, 2, 3]);
+        let b = body(|w| w.u8(7).u32(0xDEAD_BEEF).u64(u64::MAX - 1).i64(-42).f64(3.5).bytes(b"hello"));
+        let mut r = Reader::new(&b);
+        assert_eq!(r.u8(), Ok(7));
+        assert_eq!(r.u32(), Ok(0xDEAD_BEEF));
+        assert_eq!(r.u64(), Ok(u64::MAX - 1));
+        assert_eq!(r.i64(), Ok(-42));
+        assert_eq!(r.f64(), Ok(3.5));
+        assert_eq!(r.bytes(), Ok(&b"hello"[..]));
         assert_eq!(r.remaining(), 0);
     }
 
     #[test]
     fn empty_collections() {
-        let body = Writer::new().bytes(&[]).u64_slice(&[]).finish();
-        let mut r = Reader::new(&body);
-        assert!(r.bytes().is_empty());
-        assert!(r.u64_vec().is_empty());
+        let b = body(|w| w.bytes(&[]).f64_slice(&[]));
+        let mut r = Reader::new(&b);
+        assert_eq!(r.bytes(), Ok(&[][..]));
+        assert_eq!(r.records(8), Ok(&[][..]));
     }
 
     #[test]
-    #[should_panic]
-    fn truncated_read_panics() {
-        let body = Writer::new().u32(1).finish();
-        let mut r = Reader::new(&body);
-        let _ = r.u64();
+    fn truncated_read_errors() {
+        let b = body(|w| w.u32(1));
+        let mut r = Reader::new(&b);
+        assert_eq!(r.u64(), Err(DecodeError::Truncated));
+        // A failed read consumes nothing.
+        assert_eq!(r.u32(), Ok(1));
+        // A length prefix promising more than the body holds.
+        let b = body(|w| w.u32(u32::MAX).u8(0));
+        assert_eq!(Reader::new(&b).bytes(), Err(DecodeError::Truncated));
+        assert_eq!(Reader::new(&b).records(12), Err(DecodeError::Truncated));
     }
 
     #[test]
     fn nan_f64_roundtrips_bitwise() {
-        let body = Writer::new().f64(f64::NAN).finish();
-        let mut r = Reader::new(&body);
-        assert!(r.f64().is_nan());
-    }
-
-    #[test]
-    fn buf_writer_matches_writer() {
-        let owned = Writer::new()
-            .u8(7)
-            .u32(0xDEAD_BEEF)
-            .u64(u64::MAX - 1)
-            .i64(-42)
-            .f64(3.5)
-            .bytes(b"hello")
-            .u64_slice(&[1, 2, 3])
-            .finish();
-        let mut buf = vec![0xFF]; // stale pooled contents
-        buf.clear();
-        BufWriter::new(&mut buf)
-            .u8(7)
-            .u32(0xDEAD_BEEF)
-            .u64(u64::MAX - 1)
-            .i64(-42)
-            .f64(3.5)
-            .bytes(b"hello")
-            .u64_slice(&[1, 2, 3]);
-        assert_eq!(buf, owned);
+        let b = body(|w| w.f64(f64::NAN));
+        assert!(Reader::new(&b).f64().is_ok_and(f64::is_nan));
     }
 
     #[test]
     fn f64_slice_is_bytewise_f64s() {
-        let mut buf = Vec::new();
-        BufWriter::new(&mut buf).f64_slice(&[1.5, -2.5]);
-        let mut r = Reader::new(&buf);
-        assert_eq!(r.u32(), 2);
-        assert_eq!(r.f64(), 1.5);
-        assert_eq!(r.f64(), -2.5);
+        let b = body(|w| w.f64_slice(&[1.5, -2.5]));
+        let mut r = Reader::new(&b);
+        assert_eq!(r.u32(), Ok(2));
+        assert_eq!(r.f64(), Ok(1.5));
+        assert_eq!(r.f64(), Ok(-2.5));
     }
 }

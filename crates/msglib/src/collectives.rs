@@ -28,7 +28,7 @@ use std::time::{Duration, Instant};
 
 use armci_proto::{Exchange, XchgAction, XchgEvent, XchgMsg};
 
-use crate::codec::{Reader, Writer};
+use crate::codec::{BufWriter, DecodeError, Reader};
 use crate::comm::{CommError, P2p};
 
 /// A deadline far enough out to mean "block forever": the infallible
@@ -94,7 +94,7 @@ fn drive_exchange<S: ?Sized>(
     deadline: Instant,
     state: &mut S,
     payload: impl Fn(&S) -> Vec<u8>,
-    absorb: impl Fn(&mut S, XchgMsg, &[u8]),
+    absorb: impl Fn(&mut S, XchgMsg, &[u8]) -> Result<(), DecodeError>,
 ) -> Result<(), CommError> {
     let mut ex = Exchange::new(p.size(), p.rank());
     let mut acts = Vec::new();
@@ -107,7 +107,7 @@ fn drive_exchange<S: ?Sized>(
                 XchgAction::Consume(m) => {
                     let (km, body) = inbox.take().expect("consume without a received message");
                     debug_assert_eq!(km, m, "blocking driver consumed out of order");
-                    absorb(state, m, &body);
+                    absorb(state, m, &body)?;
                 }
             }
         }
@@ -153,58 +153,63 @@ pub(crate) fn try_barrier_binary_exchange_impl(p: &mut impl P2p, deadline: Insta
     }
     let tag = barrier_bx_tag(p.next_epoch());
     // Schedule-only: every message is empty, nothing to absorb.
-    drive_exchange(p, tag, deadline, &mut (), |_| Vec::new(), |_, _, _| ())
+    drive_exchange(p, tag, deadline, &mut (), |_| Vec::new(), |_, _, _| Ok(()))
 }
 
 /// Element codec for allreduce vectors.
 pub trait Elem: Copy {
     /// Append `self` to a message body.
-    fn enc(self, w: Writer) -> Writer;
+    fn enc(self, w: BufWriter<'_>) -> BufWriter<'_>;
     /// Read one element from a message body.
-    fn dec(r: &mut Reader<'_>) -> Self;
+    fn dec(r: &mut Reader<'_>) -> Result<Self, DecodeError>;
 }
 
 impl Elem for u64 {
-    fn enc(self, w: Writer) -> Writer {
+    fn enc(self, w: BufWriter<'_>) -> BufWriter<'_> {
         w.u64(self)
     }
-    fn dec(r: &mut Reader<'_>) -> Self {
+    fn dec(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
         r.u64()
     }
 }
 
 impl Elem for i64 {
-    fn enc(self, w: Writer) -> Writer {
+    fn enc(self, w: BufWriter<'_>) -> BufWriter<'_> {
         w.i64(self)
     }
-    fn dec(r: &mut Reader<'_>) -> Self {
+    fn dec(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
         r.i64()
     }
 }
 
 impl Elem for f64 {
-    fn enc(self, w: Writer) -> Writer {
+    fn enc(self, w: BufWriter<'_>) -> BufWriter<'_> {
         w.f64(self)
     }
-    fn dec(r: &mut Reader<'_>) -> Self {
+    fn dec(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
         r.f64()
     }
 }
 
-fn enc_vec<T: Elem>(v: &[T]) -> Vec<u8> {
-    let mut w = Writer::with_capacity(v.len() * 8);
-    for &x in v {
-        w = x.enc(w);
-    }
-    w.finish()
+pub(crate) fn enc_vec<T: Elem>(v: &[T]) -> Vec<u8> {
+    let mut body = Vec::with_capacity(v.len() * 8);
+    v.iter().fold(BufWriter::new(&mut body), |w, &x| x.enc(w));
+    body
 }
 
-fn dec_combine<T: Elem>(local: &mut [T], body: &[u8], combine: &impl Fn(T, T) -> T) {
+/// Fold the vector in `body` into `local` element-wise: `x = f(x, received)`.
+pub(crate) fn dec_fold<T: Elem>(local: &mut [T], body: &[u8], f: impl Fn(T, T) -> T) -> Result<(), DecodeError> {
     let mut r = Reader::new(body);
     for x in local.iter_mut() {
-        *x = combine(*x, T::dec(&mut r));
+        *x = f(*x, T::dec(&mut r)?);
     }
-    debug_assert_eq!(r.remaining(), 0, "allreduce vector length mismatch");
+    Ok(())
+}
+
+/// Unwrap a decoded frame in an infallible collective, which has no error
+/// to return and fails on a malformed frame as it does on a dead transport.
+pub(crate) fn must<T>(op: &str, r: Result<T, DecodeError>) -> T {
+    r.unwrap_or_else(|e| panic!("{op}: {e}"))
 }
 
 /// Allreduce by recursive doubling over an already-scoped endpoint.
@@ -232,15 +237,10 @@ pub(crate) fn try_allreduce_impl<T: Elem, F: Fn(T, T) -> T>(
         |l| enc_vec(l),
         |l, msg, body| match msg {
             // Check-ins and round payloads fold in element-wise...
-            XchgMsg::Enter | XchgMsg::Round(_) => dec_combine(l, body, &combine),
+            XchgMsg::Enter | XchgMsg::Round(_) => dec_fold(l, body, &combine),
             // ...while the release carries the final totals back to the
             // surplus rank and replaces.
-            XchgMsg::Exit => {
-                let mut r = Reader::new(body);
-                for x in l.iter_mut() {
-                    *x = T::dec(&mut r);
-                }
-            }
+            XchgMsg::Exit => dec_fold(l, body, |_, total| total),
         },
     )
 }
@@ -264,11 +264,8 @@ pub(crate) fn scan_impl<T: Elem, F: Fn(T, T) -> T>(p: &mut impl P2p, local: &mut
         }
         if me >= k {
             let body = p.recv_from(me - k, tag);
-            let mut r = Reader::new(&body);
-            for x in local.iter_mut() {
-                // Prefix order: upstream ⊕ mine.
-                *x = combine(T::dec(&mut r), *x);
-            }
+            // Prefix order: upstream ⊕ mine.
+            must("scan", dec_fold(local, &body, |mine, up| combine(up, mine)));
         }
         k <<= 1;
     }
@@ -311,15 +308,17 @@ pub(crate) fn allgather_impl(p: &mut impl P2p, mine: Vec<u8>) -> Vec<Vec<u8>> {
     out[me] = mine;
     let right = (me + 1) % n;
     let left = (me + n - 1) % n;
-    // Step k forwards the block that originated k hops to the left.
+    // Step k forwards the block that originated k hops to the left, so
+    // the block arriving from the left originated k + 1 hops away: the
+    // label on the wire is redundant, and read only to skip it.
     for k in 0..n.saturating_sub(1) {
         let send_idx = (me + n - k) % n;
-        let body = Writer::new().u32(send_idx as u32).bytes(&out[send_idx]).finish();
+        let mut body = Vec::new();
+        BufWriter::new(&mut body).u32(send_idx as u32).bytes(&out[send_idx]);
         p.send_to(right, tag, body);
         let got = p.recv_from(left, tag);
         let mut r = Reader::new(&got);
-        let idx = r.u32() as usize;
-        out[idx] = r.bytes().to_vec();
+        out[(left + n - k) % n] = must("allgather", r.u32().and_then(|_| r.bytes())).to_vec();
     }
     out
 }

@@ -4,6 +4,8 @@ use std::time::Instant;
 
 use armci_transport::{Endpoint, Mailbox, Msg, ProcId, Tag};
 
+use crate::codec::DecodeError;
+
 /// Why a deadline-aware point-to-point receive failed — the error surface
 /// the fallible collectives ([`crate::collectives::try_barrier_binary_exchange`]
 /// and friends) propagate.
@@ -17,6 +19,14 @@ pub enum CommError {
     PeerLost(armci_transport::NodeId),
     /// The local transport is torn down (every channel disconnected).
     Disconnected,
+    /// A peer's frame could not be decoded.
+    Malformed(DecodeError),
+}
+
+impl From<DecodeError> for CommError {
+    fn from(e: DecodeError) -> Self {
+        CommError::Malformed(e)
+    }
 }
 
 impl std::fmt::Display for CommError {
@@ -25,6 +35,7 @@ impl std::fmt::Display for CommError {
             CommError::Timeout => write!(f, "receive deadline expired"),
             CommError::PeerLost(n) => write!(f, "peer {n} lost"),
             CommError::Disconnected => write!(f, "transport disconnected"),
+            CommError::Malformed(e) => write!(f, "malformed frame: {e}"),
         }
     }
 }

@@ -32,7 +32,7 @@ pub mod comm;
 pub mod group;
 pub mod rooted;
 
-pub use codec::{BufWriter, Reader, Writer};
+pub use codec::{BufWriter, DecodeError, Reader};
 pub use collectives::{allreduce_tag, barrier_bx_tag, hier_bx_tag, Elem};
 pub use comm::{Comm, CommError, P2p};
 pub use group::{Group, Scoped};

@@ -3,8 +3,8 @@
 //! MPI companion. All tree-based (`O(log N)` latencies for reduce and
 //! scatter; gather is `O(log N)` rounds with growing payloads).
 
-use crate::codec::{Reader, Writer};
-use crate::collectives::Elem;
+use crate::codec::{BufWriter, DecodeError, Reader};
+use crate::collectives::{dec_fold, enc_vec, must, Elem};
 use crate::comm::P2p;
 
 mod op {
@@ -32,21 +32,14 @@ pub fn reduce<T: Elem, F: Fn(T, T) -> T>(p: &mut impl P2p, root: usize, local: &
     while mask < n {
         if vr & mask != 0 {
             let dst = vr - mask;
-            let mut w = Writer::with_capacity(acc.len() * 8);
-            for &x in &acc {
-                w = x.enc(w);
-            }
-            p.send_to((dst + root) % n, tag, w.finish());
+            p.send_to((dst + root) % n, tag, enc_vec(&acc));
             return None;
         }
         // I receive from vr + mask if that rank exists.
         let src = vr + mask;
         if src < n {
             let body = p.recv_from((src + root) % n, tag);
-            let mut r = Reader::new(&body);
-            for x in acc.iter_mut() {
-                *x = combine(*x, T::dec(&mut r));
-            }
+            must("reduce", dec_fold(&mut acc, &body, &combine));
         }
         mask <<= 1;
     }
@@ -78,29 +71,19 @@ pub fn gather(p: &mut impl P2p, root: usize, mine: Vec<u8>) -> Option<Vec<Vec<u8
     while mask < n {
         if vr & mask != 0 {
             let dst = vr - mask;
-            let mut w = Writer::new().u32(have.len() as u32);
-            for (rank, block) in &have {
-                w = w.u32(*rank).bytes(block);
-            }
-            p.send_to((dst + root) % n, tag, w.finish());
+            p.send_to((dst + root) % n, tag, enc_blocks(&have));
             return None;
         }
         let src = vr + mask;
         if src < n {
             let body = p.recv_from((src + root) % n, tag);
-            let mut r = Reader::new(&body);
-            let cnt = r.u32();
-            for _ in 0..cnt {
-                let rank = r.u32();
-                let block = r.bytes().to_vec();
-                have.push((rank, block));
-            }
+            have.extend(must("gather", dec_blocks(&body)));
         }
         mask <<= 1;
     }
     let mut out = vec![Vec::new(); n];
     for (rank, block) in have {
-        out[rank as usize] = block;
+        *out.get_mut(rank as usize).unwrap_or_else(|| panic!("gather: a frame names rank {rank} of {n}")) = block;
     }
     Some(out)
 }
@@ -115,22 +98,15 @@ pub fn scatter(p: &mut impl P2p, root: usize, blocks: Option<Vec<Vec<u8>>>) -> V
     let vr = (me + n - root) % n;
 
     // My bundle: (virtual_rank, block) pairs for my whole subtree.
-    let mut bundle: Vec<(usize, Vec<u8>)> = if vr == 0 {
+    let mut bundle: Vec<(u32, Vec<u8>)> = if vr == 0 {
         let blocks = blocks.expect("root must supply the blocks");
         assert_eq!(blocks.len(), n, "scatter needs one block per rank");
-        blocks.into_iter().enumerate().map(|(r, b)| ((r + n - root) % n, b)).collect()
+        blocks.into_iter().enumerate().map(|(r, b)| (((r + n - root) % n) as u32, b)).collect()
     } else {
         // Wait for our parent's bundle.
         let parent_vr = vr & (vr - 1); // clear lowest set bit
         let body = p.recv_from((parent_vr + root) % n, tag);
-        let mut r = Reader::new(&body);
-        let cnt = r.u32();
-        (0..cnt)
-            .map(|_| {
-                let v = r.u32() as usize;
-                (v, r.bytes().to_vec())
-            })
-            .collect()
+        must("scatter", dec_blocks(&body))
     };
 
     // Forward sub-bundles to children: child vr = vr + 2^k for each k
@@ -144,21 +120,30 @@ pub fn scatter(p: &mut impl P2p, root: usize, blocks: Option<Vec<Vec<u8>>>) -> V
             if child < n && (vr != 0 || child != 0) {
                 // Child's subtree: virtual ranks in [child, child + 2^k).
                 let (sub, keep): (Vec<_>, Vec<_>) =
-                    bundle.into_iter().partition(|(v, _)| *v >= child && *v < child + (1 << k));
+                    bundle.into_iter().partition(|&(v, _)| (child..child + (1 << k)).contains(&(v as usize)));
                 bundle = keep;
-                let mut w = Writer::new().u32(sub.len() as u32);
-                for (v, b) in &sub {
-                    w = w.u32(*v as u32).bytes(b);
-                }
-                p.send_to((child + root) % n, tag, w.finish());
+                p.send_to((child + root) % n, tag, enc_blocks(&sub));
             }
         }
         k += 1;
     }
     debug_assert_eq!(bundle.len(), 1, "only my own block should remain");
-    let (v, block) = bundle.pop().unwrap();
-    debug_assert_eq!(v, vr);
+    let (v, block) = bundle.pop().expect("scatter: the bundle received lacked my block");
+    debug_assert_eq!(v as usize, vr);
     block
+}
+
+/// A bundle of labelled blocks: a `u32` count, then per block its `u32`
+/// label (a rank) and its length-prefixed bytes.
+fn enc_blocks(blocks: &[(u32, Vec<u8>)]) -> Vec<u8> {
+    let mut body = Vec::new();
+    blocks.iter().fold(BufWriter::new(&mut body).u32(blocks.len() as u32), |w, (label, b)| w.u32(*label).bytes(b));
+    body
+}
+
+fn dec_blocks(body: &[u8]) -> Result<Vec<(u32, Vec<u8>)>, DecodeError> {
+    let mut r = Reader::new(body);
+    (0..r.u32()?).map(|_| Ok((r.u32()?, r.bytes()?.to_vec()))).collect()
 }
 
 #[cfg(test)]

@@ -52,10 +52,6 @@ const SESSION_ACK: u8 = 1;
 const KIND_PROC: u8 = 0;
 const KIND_SERVER: u8 = 1;
 
-/// Sanity cap on body length (1 GiB): a corrupt or misaligned header is
-/// reported as an error instead of an absurd allocation.
-const MAX_BODY: u32 = 1 << 30;
-
 fn encode_endpoint(ep: Endpoint) -> (u8, u32) {
     match ep {
         Endpoint::Proc(p) => (KIND_PROC, p.0),
@@ -133,7 +129,7 @@ pub fn parse_preamble(buf: &[u8; PREAMBLE_LEN]) -> io::Result<Preamble> {
 }
 
 /// A decoded frame header: addressing, tag, and the announced body length
-/// (validated against [`MAX_BODY`] and the topology).
+/// (validated against [`Body::MAX_LEN`] and the topology).
 #[derive(Debug, Clone, Copy)]
 pub struct FrameHeader {
     /// The endpoint on this node the frame is addressed to.
@@ -154,7 +150,9 @@ pub fn parse_header(hdr: &[u8; HEADER_LEN], topo: &Topology) -> io::Result<Frame
     let src = decode_endpoint(hdr[5], u32::from_le_bytes(hdr[6..10].try_into().unwrap()), topo)?;
     let tag = Tag(u32::from_le_bytes(hdr[10..14].try_into().unwrap()));
     let len = u32::from_le_bytes(hdr[14..18].try_into().unwrap());
-    if len > MAX_BODY {
+    // A corrupt or misaligned header is reported as an error instead of
+    // an absurd allocation.
+    if len as usize > Body::MAX_LEN {
         return Err(io::Error::new(io::ErrorKind::InvalidData, format!("frame body of {len} bytes")));
     }
     Ok(FrameHeader { dst, src, tag, len })

@@ -44,6 +44,11 @@ impl Body {
     /// Largest payload stored without touching the heap.
     pub const INLINE_CAP: usize = INLINE_CAP;
 
+    /// Largest payload one message may carry (1 GiB). netfab reports a
+    /// frame announcing more as a corrupt stream, so a server refuses a
+    /// request whose reply would exceed it.
+    pub const MAX_LEN: usize = 1 << 30;
+
     /// The empty payload (no allocation).
     #[inline]
     pub fn empty() -> Self {

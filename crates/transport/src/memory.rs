@@ -415,13 +415,15 @@ impl MemoryRegistry {
     }
 
     /// Look up a segment. Panics if it was never registered — addressing
-    /// unregistered remote memory is a program bug, as in ARMCI.
+    /// unregistered memory is a program bug, as in ARMCI.
     pub fn lookup(&self, proc: ProcId, seg: SegId) -> Arc<Segment> {
-        let map = self.per_proc.read();
-        map[proc.idx()]
-            .get(seg.0 as usize)
-            .unwrap_or_else(|| panic!("segment {seg:?} of {proc} not registered"))
-            .clone()
+        self.get(proc, seg).unwrap_or_else(|| panic!("segment {seg:?} of {proc} not registered"))
+    }
+
+    /// Look up a segment, or `None` if `proc` is out of range or never
+    /// registered `seg` — the check for ids that arrive off the wire.
+    pub fn get(&self, proc: ProcId, seg: SegId) -> Option<Arc<Segment>> {
+        self.per_proc.read().get(proc.idx())?.get(seg.0 as usize).cloned()
     }
 
     /// Number of segments currently registered by `proc`.
