@@ -1,6 +1,6 @@
-//! Micro-benchmarks of the atomic substrate: single-word atomics vs the
-//! stripe-locked paired-long emulation, plus the remote RMW round-trip at
-//! zero network latency (pure software-path cost).
+//! Micro-benchmarks of the atomic substrate: single-word atomics on a
+//! segment, plus the remote RMW round-trip at zero network latency (pure
+//! software-path cost).
 
 use std::time::Duration;
 
@@ -18,15 +18,6 @@ fn bench_word_atomics(c: &mut Criterion) {
     g.finish();
 }
 
-fn bench_pair_atomics(c: &mut Criterion) {
-    let mut g = c.benchmark_group("pair_atomics");
-    let seg = Segment::new(64);
-    g.bench_function("pair_swap", |b| b.iter(|| seg.pair_swap(0, [1, 2])));
-    g.bench_function("pair_compare_swap", |b| b.iter(|| seg.pair_compare_swap(16, [0, 0], [0, 0])));
-    g.bench_function("pair_read", |b| b.iter(|| seg.pair_read(32)));
-    g.finish();
-}
-
 fn bench_remote_rmw_software_path(c: &mut Criterion) {
     let mut g = c.benchmark_group("remote_rmw_zero_latency");
     g.sample_size(10).measurement_time(Duration::from_secs(6));
@@ -34,7 +25,6 @@ fn bench_remote_rmw_software_path(c: &mut Criterion) {
         (RmwOp::FetchAddU64(1), "fetch_add"),
         (RmwOp::SwapU64(1), "swap"),
         (RmwOp::CasU64 { expect: 0, new: 0 }, "cas"),
-        (RmwOp::PairSwap([1, 2]), "pair_swap"),
     ] {
         g.bench_function(name, |b| {
             b.iter_custom(|iters| {
@@ -59,5 +49,5 @@ fn bench_remote_rmw_software_path(c: &mut Criterion) {
     g.finish();
 }
 
-criterion_group!(benches, bench_word_atomics, bench_pair_atomics, bench_remote_rmw_software_path);
+criterion_group!(benches, bench_word_atomics, bench_remote_rmw_software_path);
 criterion_main!(benches);

@@ -211,13 +211,6 @@ impl Armci {
         self.lock_algo
     }
 
-    /// True if `p`'s memory is reachable through shared memory (same
-    /// node), in which case operations bypass the server thread.
-    #[inline]
-    pub fn is_local(&self, p: ProcId) -> bool {
-        self.topology().node_of(p) == self.my_node
-    }
-
     // ------------------------------------------------------------------
     // Failure-aware waiting (the fault plane's receive side)
     // ------------------------------------------------------------------
@@ -548,22 +541,6 @@ impl Armci {
         }
     }
 
-    /// Non-blocking atomic pair put (paired-long variant of
-    /// [`Armci::put_u64`]). Never served by the shm plane: pair atomicity
-    /// comes from stripe locks private to the owning process.
-    pub fn put_pair(&mut self, dst: GlobalAddr, val: [u64; 2]) {
-        match self.route_node_local(dst.proc, dst.seg) {
-            Route::Direct(s, via) => {
-                s.pair_swap(dst.offset, val);
-                self.stats.count(OpClass::Put, via);
-            }
-            Route::Wire(node) => {
-                let req = ReqRef::PutPair { dst: dst.proc, seg: dst.seg, offset: dst.offset as u64, val };
-                self.wire_put(node, dst.proc, &req);
-            }
-        }
-    }
-
     /// Non-blocking strided put: one message carrying the shape and the
     /// packed rows (`data.len() == desc.total_bytes()`), ARMCI's optimized
     /// non-contiguous transfer.
@@ -837,20 +814,17 @@ impl Armci {
     // Read-modify-write
     // ------------------------------------------------------------------
 
-    /// Blocking read-modify-write; returns the two result words (second is
-    /// zero for single-word ops). Local targets are executed directly;
-    /// remote ones round-trip through the server.
-    pub fn rmw(&mut self, dst: GlobalAddr, op: RmwOp) -> [u64; 2] {
+    /// Blocking read-modify-write; returns the word it replaced. Targets on
+    /// a direct route are executed in place; the rest round-trip through
+    /// the server.
+    pub fn rmw(&mut self, dst: GlobalAddr, op: RmwOp) -> u64 {
         unwrap_op(self.try_rmw(dst, op))
     }
 
     /// Fallible [`Armci::rmw`]: a dead target node or an expired deadline
     /// becomes an [`ArmciError`] instead of a hang.
-    pub fn try_rmw(&mut self, dst: GlobalAddr, op: RmwOp) -> Result<[u64; 2], ArmciError> {
-        // Single-word rmws are plain `AtomicU64` operations, safe across
-        // independent mappings of the same page; pair ops are not.
-        let route = if op.is_pair() { self.route_node_local(dst.proc, dst.seg) } else { self.route(dst.proc, dst.seg) };
-        match route {
+    pub fn try_rmw(&mut self, dst: GlobalAddr, op: RmwOp) -> Result<u64, ArmciError> {
+        match self.route(dst.proc, dst.seg) {
             Route::Direct(s, via) => {
                 self.stats.count(OpClass::Rmw, via);
                 Ok(apply_rmw(&s, dst.offset, op))
@@ -882,35 +856,24 @@ impl Armci {
     /// assert_eq!(sorted, vec![0, 1, 2]);
     /// ```
     pub fn fetch_add_u64(&mut self, dst: GlobalAddr, add: u64) -> u64 {
-        self.rmw(dst, RmwOp::FetchAddU64(add))[0]
+        self.rmw(dst, RmwOp::FetchAddU64(add))
     }
 
     /// Atomic fetch-and-add on a remote `i64`; returns the previous value.
     pub fn fetch_add_i64(&mut self, dst: GlobalAddr, add: i64) -> i64 {
-        self.rmw(dst, RmwOp::FetchAddI64(add))[0] as i64
+        self.rmw(dst, RmwOp::FetchAddI64(add)) as i64
     }
 
     /// Atomic swap on a remote `u64`; returns the previous value.
     pub fn swap_u64(&mut self, dst: GlobalAddr, new: u64) -> u64 {
-        self.rmw(dst, RmwOp::SwapU64(new))[0]
+        self.rmw(dst, RmwOp::SwapU64(new))
     }
 
     /// Atomic compare&swap on a remote `u64`; returns the observed value
     /// (success iff it equals `expect`). The operation the paper added to
     /// ARMCI for the queuing lock's release path.
     pub fn cas_u64(&mut self, dst: GlobalAddr, expect: u64, new: u64) -> u64 {
-        self.rmw(dst, RmwOp::CasU64 { expect, new })[0]
-    }
-
-    /// Atomic swap on a remote pair of `u64`s (the paper's paired-long
-    /// operation); returns the previous pair.
-    pub fn pair_swap(&mut self, dst: GlobalAddr, new: [u64; 2]) -> [u64; 2] {
-        self.rmw(dst, RmwOp::PairSwap(new))
-    }
-
-    /// Atomic compare&swap on a remote pair; returns the observed pair.
-    pub fn pair_cas(&mut self, dst: GlobalAddr, expect: [u64; 2], new: [u64; 2]) -> [u64; 2] {
-        self.rmw(dst, RmwOp::PairCas { expect, new })
+        self.rmw(dst, RmwOp::CasU64 { expect, new })
     }
 
     // ------------------------------------------------------------------
@@ -1259,17 +1222,13 @@ impl P2p for Armci {
     }
 }
 
-/// Encode an RMW reply body (used by the server). Sixteen bytes, so the
-/// returned [`Body`] is inline — no heap traffic.
-pub(crate) fn encode_rmw_reply(vals: [u64; 2]) -> Body {
-    let mut b = [0u8; 16];
-    b[..8].copy_from_slice(&vals[0].to_le_bytes());
-    b[8..].copy_from_slice(&vals[1].to_le_bytes());
-    Body::from(b)
+/// Encode an RMW reply body (used by the server): the replaced word, eight
+/// bytes, so the returned [`Body`] is inline — no heap traffic.
+pub(crate) fn encode_rmw_reply(val: u64) -> Body {
+    Body::from(val.to_le_bytes())
 }
 
-/// Decode an RMW reply body: the two result words.
-fn decode_rmw_reply(body: &[u8]) -> Result<[u64; 2], DecodeError> {
-    let mut r = Reader::new(body);
-    Ok([r.u64()?, r.u64()?])
+/// Decode an RMW reply body: the replaced word.
+fn decode_rmw_reply(body: &[u8]) -> Result<u64, DecodeError> {
+    Reader::new(body).u64()
 }

@@ -5,15 +5,12 @@
 //! `compare&swap` such tuples atomically, which drove the paper's authors
 //! to add atomic operations on *pairs of longs* to ARMCI.
 //!
-//! We provide both representations:
+//! We provide two representations:
 //!
 //! * [`GlobalAddr`] — the ergonomic unpacked form used throughout the API;
 //! * [`PackedPtr`] — a single `u64` encoding `(proc, segment, offset)`
 //!   with `0` reserved as NULL, so plain `AtomicU64` swap/CAS implement
-//!   the MCS list operations (the preferred encoding);
-//! * a two-word form ([`GlobalAddr::to_pair`]/[`GlobalAddr::from_pair`])
-//!   that mirrors the paper's paired-long operands, for storing an address
-//!   with the pair atomics.
+//!   the MCS list operations and no pair-of-longs atomic is needed.
 
 use armci_transport::{ProcId, SegId};
 
@@ -97,26 +94,6 @@ impl GlobalAddr {
         assert!(self.offset as u64 <= MAX_PACKED_OFFSET, "offset {} exceeds packed capacity", self.offset);
         PackedPtr(((self.proc.0 as u64 + 1) << 48) | ((self.seg.0 as u64) << OFF_BITS) | self.offset as u64)
     }
-
-    /// Encode as the paper's pair-of-longs operand:
-    /// `[proc+1, seg << 40 | offset]`, with `[0, 0]` as NULL.
-    #[inline]
-    pub fn to_pair(self) -> [u64; 2] {
-        [self.proc.0 as u64 + 1, ((self.seg.0 as u64) << OFF_BITS) | self.offset as u64]
-    }
-
-    /// Decode a pair-of-longs operand; `None` for the NULL pair.
-    #[inline]
-    pub fn from_pair(p: [u64; 2]) -> Option<Self> {
-        if p[0] == 0 {
-            return None;
-        }
-        Some(GlobalAddr {
-            proc: ProcId((p[0] - 1) as u32),
-            seg: SegId((p[1] >> OFF_BITS) as u32),
-            offset: (p[1] & MAX_PACKED_OFFSET) as usize,
-        })
-    }
 }
 
 #[cfg(test)]
@@ -138,17 +115,9 @@ mod tests {
     }
 
     #[test]
-    fn pair_roundtrip() {
-        let a = GlobalAddr::new(ProcId(7), SegId(1), 4096);
-        assert_eq!(GlobalAddr::from_pair(a.to_pair()), Some(a));
-        assert_eq!(GlobalAddr::from_pair([0, 0]), None);
-    }
-
-    #[test]
     fn extreme_values_roundtrip() {
         let a = GlobalAddr::new(ProcId(MAX_PACKED_PROC), SegId(MAX_PACKED_SEG), MAX_PACKED_OFFSET as usize);
         assert_eq!(a.pack().decode(), Some(a));
-        assert_eq!(GlobalAddr::from_pair(a.to_pair()), Some(a));
     }
 
     #[test]

@@ -44,8 +44,7 @@ pub fn hybrid_counter(idx: u32) -> usize {
     hybrid_ticket(idx) + 8
 }
 
-/// Per-slot offset of the MCS `Lock` variable (16-aligned so the same
-/// cell can also be used by pair ops in tests).
+/// Per-slot offset of the MCS `Lock` variable.
 pub fn mcs_lock(idx: u32) -> usize {
     hybrid_ticket(idx) + 16
 }

@@ -34,6 +34,7 @@ use crate::errors::ArmciError;
 use crate::gptr::{GlobalAddr, PackedPtr};
 use crate::layout;
 use crate::msg::{ReqRef, RmwOp, TAG_LOCK_GRANT};
+use crate::route::{Route, Via};
 use crate::server::decode_grant;
 
 impl Armci {
@@ -107,8 +108,13 @@ impl Armci {
     /// operations and message exchanges it asks for.
     pub fn try_lock_hybrid(&mut self, id: LockId) -> Result<(), ArmciError> {
         self.check_lock_id(id);
-        // The ticket fast path exists only on the lock's home node.
-        let home = self.route_node_local(id.owner, SegId(0)).direct();
+        // The ticket fast path exists only on the lock's home node: its
+        // queue is held by the home server, so a shm mapping from another
+        // process would bypass it and goes through `LockReq` instead.
+        let home = match self.route(id.owner, SegId(0)) {
+            Route::Direct(s, Via::Local) => Some(s),
+            _ => None,
+        };
         let mut eng = HybridAcquire::new(home.is_some());
         let mut acts = Vec::new();
         eng.poll(HybridEvent::Start, &mut acts);
@@ -200,7 +206,7 @@ impl Armci {
     /// must not be applied to it.
     fn mcs_lease_epoch_snapshot(&mut self, id: LockId) -> Result<(), ArmciError> {
         if self.recovery {
-            self.mcs_lease_epoch_seen = self.try_rmw(self.mcs_lease_epoch_addr(id), RmwOp::FetchAddU64(0))?[0];
+            self.mcs_lease_epoch_seen = self.try_rmw(self.mcs_lease_epoch_addr(id), RmwOp::FetchAddU64(0))?;
         }
         Ok(())
     }
@@ -213,7 +219,7 @@ impl Armci {
             return false;
         }
         match self.try_rmw(self.mcs_lease_epoch_addr(id), RmwOp::FetchAddU64(0)) {
-            Ok(v) => v[0] != self.mcs_lease_epoch_seen,
+            Ok(v) => v != self.mcs_lease_epoch_seen,
             Err(_) => false,
         }
     }
@@ -269,7 +275,7 @@ impl Armci {
                 McsAcquireAction::SwapLock => {
                     // prev = swap(Lock, mynode) — local atomic or server
                     // round-trip.
-                    let prev = PackedPtr(self.try_rmw(self.mcs_lock_var(id), RmwOp::SwapU64(me_ptr.0))?[0]);
+                    let prev = PackedPtr(self.try_rmw(self.mcs_lock_var(id), RmwOp::SwapU64(me_ptr.0))?);
                     eng.poll(McsAcquireEvent::SwapResult(prev.decode()), &mut acts);
                 }
                 McsAcquireAction::SetMyLocked => {
@@ -403,7 +409,7 @@ impl Armci {
         while i < acts.len() {
             match acts[i] {
                 ReclaimAction::ReadHolder => {
-                    let holder = self.try_rmw(self.mcs_lease_holder_addr(id), RmwOp::FetchAddU64(0))?[0];
+                    let holder = self.try_rmw(self.mcs_lease_holder_addr(id), RmwOp::FetchAddU64(0))?;
                     eng.poll(ReclaimEvent::Holder(holder), &mut acts);
                 }
                 ReclaimAction::CheckAlive(rank) => {
@@ -416,12 +422,12 @@ impl Armci {
                     eng.poll(ReclaimEvent::AliveResult(alive), &mut acts);
                 }
                 ReclaimAction::ReadEpoch => {
-                    let epoch = self.try_rmw(self.mcs_lease_epoch_addr(id), RmwOp::FetchAddU64(0))?[0];
+                    let epoch = self.try_rmw(self.mcs_lease_epoch_addr(id), RmwOp::FetchAddU64(0))?;
                     eng.poll(ReclaimEvent::Epoch(epoch), &mut acts);
                 }
                 ReclaimAction::CasEpoch { expect } => {
                     let epoch_addr = self.mcs_lease_epoch_addr(id);
-                    let observed = self.try_rmw(epoch_addr, RmwOp::CasU64 { expect, new: expect + 1 })?[0];
+                    let observed = self.try_rmw(epoch_addr, RmwOp::CasU64 { expect, new: expect + 1 })?;
                     eng.poll(ReclaimEvent::EpochCas { won: observed == expect }, &mut acts);
                 }
                 // We own this epoch: reset the queue and clear the dead
@@ -467,7 +473,7 @@ impl Armci {
             }
             for idx in 0..self.locks_per_proc {
                 let id = LockId { owner: ProcId(owner as u32), idx };
-                let holder = self.try_rmw(self.mcs_lease_holder_addr(id), RmwOp::FetchAddU64(0))?[0];
+                let holder = self.try_rmw(self.mcs_lease_holder_addr(id), RmwOp::FetchAddU64(0))?;
                 let dead = holder != 0 && !view.alive.contains(holder as usize - 1);
                 if dead && self.try_reclaim_mcs(id)? {
                     reclaimed += 1;

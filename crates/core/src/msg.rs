@@ -28,7 +28,7 @@ pub const TAG_REQ: Tag = Tag(Tag::ARMCI_BASE);
 pub const TAG_PUT_ACK: Tag = Tag(Tag::ARMCI_BASE + 1);
 /// Tag of `Get`/`GetStrided` replies (body: the data).
 pub const TAG_GET_REPLY: Tag = Tag(Tag::ARMCI_BASE + 2);
-/// Tag of read-modify-write replies (body: two `u64`s of previous value).
+/// Tag of read-modify-write replies (body: the previous `u64`).
 pub const TAG_RMW_REPLY: Tag = Tag(Tag::ARMCI_BASE + 3);
 /// Tag of fence confirmations.
 pub const TAG_FENCE_ACK: Tag = Tag(Tag::ARMCI_BASE + 4);
@@ -37,9 +37,9 @@ pub const TAG_LOCK_GRANT: Tag = Tag(Tag::ARMCI_BASE + 5);
 
 /// A read-modify-write operation on remote memory.
 ///
-/// `FetchAdd`/`Swap` existed in ARMCI; `Cas` (compare&swap) and the two
-/// pair-wide operations are the ones the paper *added* to support the
-/// software queuing lock (§3.2.2).
+/// `FetchAdd`/`Swap` existed in ARMCI; `Cas` (compare&swap) is the one the
+/// paper *added* to support the software queuing lock (§3.2.2). Each is one
+/// atomic on one 8-aligned word.
 #[derive(Clone, Copy, PartialEq, Debug)]
 pub enum RmwOp {
     /// Atomic `fetch_add` on a `u64`; returns the previous value.
@@ -56,25 +56,6 @@ pub enum RmwOp {
         /// Replacement value.
         new: u64,
     },
-    /// Atomic swap of a pair of `u64`s (16-aligned); returns the previous
-    /// pair — the paper's new paired-long operation.
-    PairSwap([u64; 2]),
-    /// Atomic compare&swap of a pair of `u64`s; returns the observed pair.
-    PairCas {
-        /// Expected current pair.
-        expect: [u64; 2],
-        /// Replacement pair.
-        new: [u64; 2],
-    },
-}
-
-impl RmwOp {
-    /// True for the paired-long (128-bit) operations. Pair atomicity
-    /// comes from process-local stripe locks, so these must be serialized
-    /// by the owner's server — the shm data plane never routes them.
-    pub fn is_pair(&self) -> bool {
-        matches!(self, RmwOp::PairSwap(_) | RmwOp::PairCas { .. })
-    }
 }
 
 /// A request to a server thread, generic over its payload containers: `B`
@@ -115,19 +96,6 @@ pub enum Request<B, R, F> {
         offset: u64,
         /// Value to store.
         val: u64,
-    },
-    /// Non-blocking atomic store of a pair of `u64`s (16-aligned); the
-    /// paired-long analogue of [`Request::PutU64`], so a two-word value
-    /// (such as a paired global pointer) cannot be observed half-written.
-    PutPair {
-        /// Destination process.
-        dst: ProcId,
-        /// Destination segment.
-        seg: SegId,
-        /// Destination byte offset (16-aligned).
-        offset: u64,
-        /// Pair to store.
-        val: [u64; 2],
     },
     /// Non-blocking atomic accumulate: `mem[i] += scale * vals[i]`.
     AccF64 {
@@ -247,6 +215,8 @@ pub type ReqRef<'a> = Request<&'a [u8], &'a [(u64, u32)], &'a [f64]>;
 /// the target segment.
 pub type ReqView<'a> = Request<&'a [u8], RunsView<'a>, F64sView<'a>>;
 
+/// Request opcodes. 12 is reserved and never reused, so a paired-long put
+/// from an older build is refused as malformed, not read as another request.
 mod opcode {
     pub const PUT: u8 = 1;
     pub const PUT_STRIDED: u8 = 2;
@@ -259,19 +229,18 @@ mod opcode {
     pub const LOCK: u8 = 9;
     pub const UNLOCK: u8 = 10;
     pub const SHUTDOWN: u8 = 11;
-    pub const PUT_PAIR: u8 = 12;
     pub const PUT_VECTOR: u8 = 13;
     pub const GET_VECTOR: u8 = 14;
     pub const PUT_NOTIFY: u8 = 15;
 }
 
+/// Rmw operation codes. 5 and 6 are reserved and never reused, for the same
+/// reason: they carried the paired-long swap and compare&swap.
 mod rmw_code {
     pub const FETCH_ADD_U64: u8 = 1;
     pub const FETCH_ADD_I64: u8 = 2;
     pub const SWAP_U64: u8 = 3;
     pub const CAS_U64: u8 = 4;
-    pub const PAIR_SWAP: u8 = 5;
-    pub const PAIR_CAS: u8 = 6;
 }
 
 /// Bytes of one encoded `(offset, len)` run record.
@@ -300,8 +269,6 @@ fn dec_rmw(r: &mut Reader<'_>) -> Result<RmwOp, DecodeError> {
         rmw_code::FETCH_ADD_I64 => RmwOp::FetchAddI64(r.i64()?),
         rmw_code::SWAP_U64 => RmwOp::SwapU64(r.u64()?),
         rmw_code::CAS_U64 => RmwOp::CasU64 { expect: r.u64()?, new: r.u64()? },
-        rmw_code::PAIR_SWAP => RmwOp::PairSwap([r.u64()?, r.u64()?]),
-        rmw_code::PAIR_CAS => RmwOp::PairCas { expect: [r.u64()?, r.u64()?], new: [r.u64()?, r.u64()?] },
         c => return Err(DecodeError::BadTag(c)),
     })
 }
@@ -319,7 +286,6 @@ impl<B, R, F> Request<B, R, F> {
             Request::Put { dst, .. }
             | Request::PutStrided { dst, .. }
             | Request::PutU64 { dst, .. }
-            | Request::PutPair { dst, .. }
             | Request::PutVector { dst, .. }
             | Request::AccF64 { dst, .. } => Some((dst, None)),
             _ => None,
@@ -346,9 +312,6 @@ impl<B: AsRef<[u8]>, R: AsRef<[(u64, u32)]>, F: AsRef<[f64]>> Request<B, R, F> {
             Request::PutU64 { dst, seg, offset, val } => {
                 BufWriter::new(out).u8(opcode::PUT_U64).u32(dst.0).u32(seg.0).u64(*offset).u64(*val);
             }
-            Request::PutPair { dst, seg, offset, val } => {
-                BufWriter::new(out).u8(opcode::PUT_PAIR).u32(dst.0).u32(seg.0).u64(*offset).u64(val[0]).u64(val[1]);
-            }
             Request::AccF64 { dst, seg, offset, scale, vals } => {
                 let vals = vals.as_ref();
                 out.reserve(vals.len() * 8 + 29);
@@ -368,10 +331,6 @@ impl<B: AsRef<[u8]>, R: AsRef<[(u64, u32)]>, F: AsRef<[f64]>> Request<B, R, F> {
                     RmwOp::FetchAddI64(v) => w.u8(rmw_code::FETCH_ADD_I64).i64(v),
                     RmwOp::SwapU64(v) => w.u8(rmw_code::SWAP_U64).u64(v),
                     RmwOp::CasU64 { expect, new } => w.u8(rmw_code::CAS_U64).u64(expect).u64(new),
-                    RmwOp::PairSwap(p) => w.u8(rmw_code::PAIR_SWAP).u64(p[0]).u64(p[1]),
-                    RmwOp::PairCas { expect, new } => {
-                        w.u8(rmw_code::PAIR_CAS).u64(expect[0]).u64(expect[1]).u64(new[0]).u64(new[1])
-                    }
                 };
             }
             Request::PutVector { dst, seg, runs, data } => {
@@ -433,12 +392,6 @@ impl<'a> ReqView<'a> {
             opcode::PUT_U64 => {
                 Request::PutU64 { dst: ProcId(r.u32()?), seg: SegId(r.u32()?), offset: r.u64()?, val: r.u64()? }
             }
-            opcode::PUT_PAIR => Request::PutPair {
-                dst: ProcId(r.u32()?),
-                seg: SegId(r.u32()?),
-                offset: r.u64()?,
-                val: [r.u64()?, r.u64()?],
-            },
             opcode::ACC_F64 => Request::AccF64 {
                 dst: ProcId(r.u32()?),
                 seg: SegId(r.u32()?),

@@ -67,28 +67,13 @@ impl Armci {
     /// and failure are both cached).
     #[inline]
     pub(crate) fn route(&self, p: ProcId, seg: SegId) -> Route {
-        match self.route_node_local(p, seg) {
-            Route::Wire(node) => match self.shm.as_ref().and_then(|plane| plane.route(p, seg)) {
-                Some(mapped) => Route::Direct(mapped, Via::Shm),
-                None => Route::Wire(node),
-            },
-            local => local,
-        }
-    }
-
-    /// [`Armci::route`] without the shm plane, for operations whose
-    /// atomicity is owned by the target's *process*: 128-bit pair
-    /// operations are serialized by process-local stripe locks, and the
-    /// hybrid/ticket lock's shared-memory fast path pairs with a queue
-    /// held by the home node's server. A mapping from another process
-    /// would bypass both, so these stay on the wire unless node-local.
-    #[inline]
-    pub(crate) fn route_node_local(&self, p: ProcId, seg: SegId) -> Route {
         let node = self.topology().node_of(p);
         if node == self.my_node {
-            Route::Direct(self.registry.lookup(p, seg), Via::Local)
-        } else {
-            Route::Wire(node)
+            return Route::Direct(self.registry.lookup(p, seg), Via::Local);
+        }
+        match self.shm.as_ref().and_then(|plane| plane.route(p, seg)) {
+            Some(mapped) => Route::Direct(mapped, Via::Shm),
+            None => Route::Wire(node),
         }
     }
 

@@ -17,7 +17,7 @@
 //! input where it lands: a frame that does not decode is dropped, and a
 //! request is refused before it touches memory unless its segment is
 //! registered by a rank of this node, every byte it reads or writes lies
-//! inside that segment, and its word or pair accesses are aligned. The
+//! inside that segment, and its word accesses are 8-aligned. The
 //! server never exits on input; it counts what it drops, and the runtime
 //! fails a run whose servers dropped anything at teardown.
 
@@ -37,18 +37,15 @@ use crate::msg::{
 };
 use crate::strided::{gather, scatter, widen};
 
-/// Apply a read-modify-write to a segment; returns the two result words
-/// (second zero for single-word ops). Shared by the server (remote RMWs)
-/// and by [`crate::Armci::rmw`]'s node-local fast path, so both paths have
-/// identical semantics by construction.
-pub(crate) fn apply_rmw(seg: &Segment, offset: usize, op: RmwOp) -> [u64; 2] {
+/// Apply a read-modify-write to a segment; returns the word it replaced.
+/// Shared by the server (remote RMWs) and by [`crate::Armci::rmw`]'s
+/// direct routes, so both paths have identical semantics by construction.
+pub(crate) fn apply_rmw(seg: &Segment, offset: usize, op: RmwOp) -> u64 {
     match op {
-        RmwOp::FetchAddU64(v) => [seg.fetch_add_u64(offset, v), 0],
-        RmwOp::FetchAddI64(v) => [seg.fetch_add_i64(offset, v) as u64, 0],
-        RmwOp::SwapU64(v) => [seg.swap_u64(offset, v), 0],
-        RmwOp::CasU64 { expect, new } => [seg.compare_swap_u64(offset, expect, new), 0],
-        RmwOp::PairSwap(p) => seg.pair_swap(offset, p),
-        RmwOp::PairCas { expect, new } => seg.pair_compare_swap(offset, expect, new),
+        RmwOp::FetchAddU64(v) => seg.fetch_add_u64(offset, v),
+        RmwOp::FetchAddI64(v) => seg.fetch_add_i64(offset, v) as u64,
+        RmwOp::SwapU64(v) => seg.swap_u64(offset, v),
+        RmwOp::CasU64 { expect, new } => seg.compare_swap_u64(offset, expect, new),
     }
 }
 
@@ -183,9 +180,6 @@ impl Server {
             Request::PutU64 { dst, seg, offset, val } => {
                 self.span(dst, seg, offset, 8, 8)?.write_u64(offset as usize, val)
             }
-            Request::PutPair { dst, seg, offset, val } => {
-                self.span(dst, seg, offset, 16, 16)?.pair_swap(offset as usize, val);
-            }
             Request::AccF64 { dst, seg, offset, scale, vals } => {
                 let s = self.span(dst, seg, offset, 8 * vals.len(), 8)?;
                 for (i, v) in vals.iter().enumerate() {
@@ -229,8 +223,7 @@ impl Server {
                 send(src, TAG_GET_REPLY, out);
             }
             Request::Rmw { dst, seg, offset, op } => {
-                let width = if op.is_pair() { 16 } else { 8 };
-                let s = self.span(dst, seg, offset, width, width as u64)?;
+                let s = self.span(dst, seg, offset, 8, 8)?;
                 send(src, TAG_RMW_REPLY, encode_rmw_reply(apply_rmw(&s, offset as usize, op)));
             }
             Request::FenceReq => {
@@ -352,7 +345,6 @@ mod tests {
             Request::Put { dst, seg: data, offset: 8, data: bytes },
             Request::PutStrided { dst, seg: data, desc, data: bytes },
             Request::PutU64 { dst, seg: data, offset: 24, val: 5 },
-            Request::PutPair { dst, seg: data, offset: 32, val: [1, 2] },
             Request::AccF64 { dst, seg: data, offset: 64, scale: 2.0, vals: &[1.0, 2.0] },
             Request::Get { dst, seg: data, offset: 0, len: 16 },
             Request::GetStrided { dst, seg: data, desc },
@@ -364,14 +356,9 @@ mod tests {
             Request::UnlockReq { owner: dst, idx: 1 },
             Request::Shutdown,
         ];
-        for op in [
-            RmwOp::FetchAddU64(1),
-            RmwOp::FetchAddI64(-1),
-            RmwOp::SwapU64(9),
-            RmwOp::CasU64 { expect: 0, new: 1 },
-            RmwOp::PairSwap([3, 4]),
-            RmwOp::PairCas { expect: [0, 0], new: [5, 6] },
-        ] {
+        for op in
+            [RmwOp::FetchAddU64(1), RmwOp::FetchAddI64(-1), RmwOp::SwapU64(9), RmwOp::CasU64 { expect: 0, new: 1 }]
+        {
             reqs.push(Request::Rmw { dst, seg: data, offset: 48, op });
         }
         reqs.iter().map(|r| r.encode()).collect()

@@ -17,9 +17,10 @@
 //!   know the id; sync segments (`SegId(0)`) are created before user
 //!   threads start, and the bounded missing-file retry in `map_peer`
 //!   absorbs the remaining bootstrap skew.
-//! - **Pair (128-bit) operations never route here**: their atomicity
-//!   comes from process-local stripe locks, so they stay on the owner's
-//!   server where they are serialized.
+//! - **Every atomic is one `AtomicU64` op on one word**, so it holds
+//!   across the processes that map a segment. Only the hybrid lock's
+//!   ticket fast path stays node-local: its queue lives in the home
+//!   node's server, which a mapping would bypass.
 
 use std::collections::HashMap;
 use std::sync::atomic::AtomicU64;

@@ -161,29 +161,6 @@ fn cas_succeeds_exactly_once() {
 }
 
 #[test]
-fn pair_ops_roundtrip_remote() {
-    let out = run_cluster(zero_lat(2), |a| {
-        let seg = a.malloc(64);
-        a.barrier();
-        if a.rank() == 1 {
-            let addr = GlobalAddr::new(ProcId(0), seg, 16);
-            assert_eq!(a.pair_swap(addr, [11, 22]), [0, 0]);
-            assert_eq!(a.pair_cas(addr, [11, 22], [33, 44]), [11, 22]);
-            assert_eq!(a.pair_cas(addr, [99, 99], [0, 0]), [33, 44], "failed CAS reports observed");
-            a.put_pair(addr, [55, 66]);
-            a.fence(ProcId(0));
-        }
-        a.barrier();
-        if a.rank() == 0 {
-            assert_eq!(a.local_segment(seg).pair_read(16), [55, 66]);
-        }
-        a.barrier();
-        true
-    });
-    assert!(out.into_iter().all(|ok| ok));
-}
-
-#[test]
 fn rmw_signed_fetch_add() {
     let out = run_cluster(zero_lat(2), |a| {
         let seg = a.malloc(8);
@@ -192,7 +169,7 @@ fn rmw_signed_fetch_add() {
             let addr = GlobalAddr::new(ProcId(0), seg, 0);
             assert_eq!(a.fetch_add_i64(addr, -5), 0);
             assert_eq!(a.fetch_add_i64(addr, 2), -5);
-            assert_eq!(a.rmw(addr, RmwOp::FetchAddI64(3))[0] as i64, -3);
+            assert_eq!(a.rmw(addr, RmwOp::FetchAddI64(3)) as i64, -3);
         }
         a.barrier();
         true

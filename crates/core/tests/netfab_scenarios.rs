@@ -384,21 +384,19 @@ fn route_counters(s: &Stats) -> [u64; 9] {
 }
 
 /// One rank's sweep report: the digest of every byte it read back, the
-/// wire messages its single-word and bulk ops sent, then the route
-/// counters those ops moved and the route counters the pair ops moved.
-const SWEEP_WORDS: usize = 20;
+/// wire messages its ops sent, then the route counters those ops moved.
+const SWEEP_WORDS: usize = 11;
 type Sweep = [u64; SWEEP_WORDS];
 
-fn sweep_parts(w: &Sweep) -> (u64, u64, [u64; 9], [u64; 9]) {
-    (w[0], w[1], w[2..11].try_into().unwrap(), w[11..20].try_into().unwrap())
+fn sweep_parts(w: &Sweep) -> (u64, u64, [u64; 9]) {
+    (w[0], w[1], w[2..11].try_into().unwrap())
 }
 
 /// Every data operation once against the other rank's segment `big`:
 /// each shape of put, the accumulate and the notified put, read back
-/// through each shape of get, then the single-word rmws — and, counted
-/// apart because they are wire-only by design, the pair operations.
-/// Only this rank writes the peer's `big`, so everything read back is a
-/// function of the rank alone and must not depend on the route taken.
+/// through each shape of get, then the rmws. Only this rank writes the
+/// peer's `big`, so everything read back is a function of the rank alone
+/// and must not depend on the route taken.
 fn data_op_sweep(a: &mut Armci, big: SegId) -> Sweep {
     let me = a.rank() as u64;
     let peer = ProcId(((a.rank() + 1) % 2) as u32);
@@ -441,24 +439,14 @@ fn data_op_sweep(a: &mut Armci, big: SegId) -> Sweep {
     let mut theirs = [0u8; 32];
     a.local_segment(big).read_bytes(768, &mut theirs);
     fold(&mut h, &theirs);
-    let bulk = a.stats();
-
-    let old = a.pair_swap(at(2048), [me + 1, me + 2]);
-    a.put_pair(at(2064), [me + 3, me + 4]);
-    a.fence(peer);
-    let put = a.pair_cas(at(2064), [me + 3, me + 4], [me + 5, me + 6]);
-    for v in old.into_iter().chain(put) {
-        fold(&mut h, &v.to_le_bytes());
-    }
-    let pair = a.stats();
+    let after = a.stats();
 
     let mut out = [0; SWEEP_WORDS];
     out[0] = h;
-    out[1] = bulk.wire_msgs - before.wire_msgs;
-    let (c0, c1, c2) = (route_counters(&before), route_counters(&bulk), route_counters(&pair));
+    out[1] = after.wire_msgs - before.wire_msgs;
+    let (c0, c1) = (route_counters(&before), route_counters(&after));
     for i in 0..9 {
         out[2 + i] = c1[i] - c0[i];
-        out[11 + i] = c2[i] - c1[i];
     }
     out
 }
@@ -466,11 +454,15 @@ fn data_op_sweep(a: &mut Armci, big: SegId) -> Sweep {
 /// What rank 0 brings back from one probe run.
 #[derive(Clone, Copy, Debug)]
 struct Probe {
-    /// `(echoed, ticket, counter)`: the data results of the word ops and
-    /// the lock region, identical whatever the route.
-    data: (u64, u64, u64),
-    /// Wire messages each rank sent across that region.
+    /// `(echoed, ticket, mcs counter, hybrid counter)`: the data results
+    /// of the word ops and the two lock regions, identical whatever the
+    /// route.
+    data: (u64, u64, u64, u64),
+    /// Wire messages each rank sent across the word ops and the MCS
+    /// region.
     lock_wire: [u64; 2],
+    /// Wire messages each rank sent across the hybrid region.
+    hybrid_wire: [u64; 2],
     /// Each rank's [`data_op_sweep`] report.
     sweep: [Sweep; 2],
 }
@@ -478,12 +470,14 @@ struct Probe {
 /// The probe every route column runs: one-sided put/get/rmw at the
 /// other process, then an MCS lock ping-pong, with the wire-message
 /// delta measured across the whole contention region (no barriers
-/// inside it), then [`data_op_sweep`]. Each rank ships its delta and its
-/// sweep report to rank 0 so node 0's result carries both.
+/// inside it); then the same ping-pong under the hybrid lock, with its
+/// own delta; then [`data_op_sweep`]. Each rank ships its deltas and its
+/// sweep report to rank 0 so node 0's result carries them all.
 fn shm_probe(a: &mut Armci) -> Probe {
     let seg = a.malloc(256);
     let big = a.malloc(4096);
     let lock = LockId { owner: ProcId(0), idx: 0 };
+    let hybrid = LockId { owner: ProcId(0), idx: 1 };
     let me = a.rank() as u64;
     let peer = ProcId(((a.rank() + 1) % 2) as u32);
     a.barrier();
@@ -504,20 +498,40 @@ fn shm_probe(a: &mut Armci) -> Probe {
         a.unlock(lock);
     }
     let wire_delta = a.stats().wire_msgs - wire_before;
+    // The hybrid lock's ticket fast path is node-local only: its queue
+    // lives in the home node's server, so a rank reaching the home
+    // through a mapping must still ask that server for a ticket.
+    let hybrid_before = a.stats().wire_msgs;
+    let hybrid_ctr = GlobalAddr::new(ProcId(0), seg, 136);
+    for _ in 0..5 {
+        a.lock_hybrid(hybrid);
+        let v = a.get_u64(hybrid_ctr);
+        a.put_u64(hybrid_ctr, v + 1);
+        a.fence(ProcId(0));
+        a.unlock_hybrid(hybrid);
+    }
+    let hybrid_delta = a.stats().wire_msgs - hybrid_before;
     let sweep = data_op_sweep(a, big);
 
     a.barrier();
     // +1 so a genuine zero delta is distinguishable from an unwritten slot.
     a.put_u64(GlobalAddr::new(ProcId(0), seg, 160 + 8 * a.rank()), wire_delta + 1);
+    a.put_u64(GlobalAddr::new(ProcId(0), seg, 176 + 8 * a.rank()), hybrid_delta + 1);
     a.put_u64_slice(GlobalAddr::new(ProcId(0), big, 3072 + 8 * SWEEP_WORDS * a.rank()), &sweep);
     a.barrier();
-    let counter = a.get_u64(ctr);
+    let counters = (a.get_u64(ctr), a.get_u64(hybrid_ctr));
     a.barrier();
-    let mut probe = Probe { data: (echoed, ticket, counter), lock_wire: [0; 2], sweep: [[0; SWEEP_WORDS]; 2] };
+    let mut probe = Probe {
+        data: (echoed, ticket, counters.0, counters.1),
+        lock_wire: [0; 2],
+        hybrid_wire: [0; 2],
+        sweep: [[0; SWEEP_WORDS]; 2],
+    };
     if a.rank() == 0 {
         let (mine, reports) = (a.local_segment(seg), a.local_segment(big));
         for r in 0..2 {
             probe.lock_wire[r] = mine.read_u64(160 + 8 * r) - 1;
+            probe.hybrid_wire[r] = mine.read_u64(176 + 8 * r) - 1;
             for (i, w) in probe.sweep[r].iter_mut().enumerate() {
                 *w = reports.read_u64(3072 + 8 * (SWEEP_WORDS * r + i));
             }
@@ -555,18 +569,23 @@ fn shm_plane_spawned_zero_wire() {
     let on = run_shm_probe(true);
     let off = run_shm_probe(false);
     let local = run_cluster(shm_probe_cfg(1, 2, None), shm_probe)[0];
-    // Identical data results either way — the plane changes the route,
-    // never the bytes.
+    // Identical data results on every route — the plane changes the
+    // route, never the bytes — and neither lock lost an update.
     assert_eq!(on.data, off.data, "shm and wire paths disagree: {on:?} vs {off:?}");
-    assert_eq!(on.data, (0xA0, 0, 10));
+    assert_eq!(on.data, local.data, "shm and node-local paths disagree: {on:?} vs {local:?}");
+    assert_eq!(on.data, (0xA0, 0, 10, 10));
     // With the plane on, the whole put/get/rmw + MCS-lock region crossed
     // the wire exactly zero times in *both* processes...
     assert_eq!(on.lock_wire, [0, 0], "local-target ops sent wire messages with shm plane on: {on:?}");
     // ...and with it off, the same region demonstrably used the wire.
     assert!(off.lock_wire[0] > 0 && off.lock_wire[1] > 0, "wire run produced no wire traffic: {off:?}");
+    // The hybrid lock's non-home rank asks the home server for its ticket
+    // even with the home's sync segment mapped: one `LockReq` and one
+    // `UnlockReq` a round, its counter traffic riding the mapping. The
+    // home rank's requests go to its own node's server, off the wire.
+    assert_eq!(on.hybrid_wire, [0, 2 * 5], "hybrid ticket fast path taken through the mapping: {on:?}");
 
-    // Every data op, per rank: 7 put-class, 6 gets and 3 rmws in the
-    // single-word/bulk region; one put and two rmws in the pair region.
+    // Every data op, per rank: 7 put-class, 6 gets and 3 rmws.
     for r in 0..2 {
         let (on, off, local) = (sweep_parts(&on.sweep[r]), sweep_parts(&off.sweep[r]), sweep_parts(&local.sweep[r]));
         assert!(on.0 == off.0 && on.0 == local.0, "rank {r}: digests differ by route: {on:?} / {off:?} / {local:?}");
@@ -574,11 +593,6 @@ fn shm_plane_spawned_zero_wire() {
         assert_eq!((on.1, on.2), (0, [0, 0, 0, 7, 6, 3, 0, 0, 0]), "rank {r}, shm plane on");
         assert_eq!(off.2, [0, 0, 0, 0, 0, 0, 7, 6, 3], "rank {r}, shm plane off");
         assert!(off.1 > 0, "rank {r}: the wire run sent no wire messages");
-        // Pair atomicity is process-local, so a mapping never serves it:
-        // the plane being on changes nothing.
-        assert_eq!(local.3, [1, 0, 2, 0, 0, 0, 0, 0, 0], "rank {r}, node-local pair ops");
-        assert_eq!(on.3, [0, 0, 0, 0, 0, 0, 1, 0, 2], "rank {r}, pair ops with the shm plane on");
-        assert_eq!(off.3, on.3, "rank {r}, pair ops with the shm plane off");
     }
     assert_ne!(on.sweep[0][0], on.sweep[1][0], "the two ranks wrote different patterns");
 }

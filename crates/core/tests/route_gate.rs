@@ -185,6 +185,35 @@ fn two_locks_and_one_allfence() {
     }
 }
 
+/// One-word atomics: every remote atomic is one `AtomicU64` op on one
+/// word, so `Armci::route` is the only rule that decides locality. The
+/// paired-long family — its requests, rmw codes, API, stripe locks, the
+/// two-word address form and the node-local-only route rule that pair
+/// atomicity needed — is gone from every crate, test and example.
+#[test]
+fn paired_longs_are_gone() {
+    let all = workspace_sources();
+    let needles = [
+        "PutPair",
+        "PairSwap",
+        "PairCas",
+        "put_pair",
+        "pair_swap",
+        "pair_cas",
+        "pair_compare_swap",
+        "pair_read",
+        "PAIR_STRIPES",
+        "is_pair",
+        "route_node_local",
+        "to_pair",
+        "from_pair",
+    ];
+    for needle in needles {
+        let hits = unquoted_uses(&all, needle);
+        assert!(hits.is_empty(), "{needle} is back: {hits:#?}");
+    }
+}
+
 /// One service agent per node: every request to a node rides its
 /// server's FIFO, so a fence confirms with one reply. The second agent —
 /// its endpoint, wire kind, mailboxes, config knob, routing helper and

@@ -1091,8 +1091,9 @@ mod tests {
         // Flat combined barrier: 2 exchange stages, each log2(nodes)
         // inter-node rounds (intra-node rounds are free). Hier, dirty: the
         // same two stages over leaders only — equal steps, a ppn-th of
-        // the inter-node messages. Hier, clean: one stage.
-        for row in sweep_hier_vs_flat(&[(4, 2), (8, 8), (32, 32), (64, 16)]) {
+        // the inter-node messages. Hier, clean: one stage. 16x16, 32x32
+        // and 64x64 are the 256-, 1024- and 4096-rank step-sweep rows.
+        for row in sweep_hier_vs_flat(&[(4, 2), (8, 8), (16, 16), (32, 32), (64, 16), (64, 64)]) {
             let rounds = (row.nprocs / row.ppn).trailing_zeros() as u64;
             assert_eq!(row.flat_steps, 2 * rounds, "nprocs={} ppn={}", row.nprocs, row.ppn);
             assert_eq!(row.hier_dirty_steps, row.flat_steps);

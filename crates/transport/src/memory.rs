@@ -20,19 +20,16 @@
 //! a mix of old and new *words* but never a torn word — the same guarantee
 //! RDMA hardware gives.
 //!
-//! ## Pair (128-bit) operations
-//!
-//! The paper extended ARMCI with atomic operations on *pairs of longs* so
-//! MCS queue pointers, which are `(proc, address)` tuples, could be swapped
-//! and compare&swapped atomically. We reproduce that interface via
-//! per-segment stripe locks (see [`Segment::pair_swap`]); the packed
-//! single-word encoding in `armci-core::gptr` is the preferred alternative
-//! and the two are ablated against each other in the benches.
+//! Every atomic is one `AtomicU64` operation on one word. The paper added
+//! atomics on *pairs* of longs for MCS queue pointers, which are
+//! `(proc, address)` tuples; `armci-core::gptr` packs that pointer into one
+//! word instead, so a single-word swap or compare&swap suffices — and stays
+//! atomic across processes that map the same memory.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use parking_lot::{Mutex, RwLock};
+use parking_lot::RwLock;
 
 use crate::ids::ProcId;
 
@@ -42,9 +39,6 @@ use crate::ids::ProcId;
 /// everywhere.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, PartialOrd, Ord)]
 pub struct SegId(pub u32);
-
-/// Number of stripe locks serializing pair (128-bit) operations.
-const PAIR_STRIPES: usize = 64;
 
 /// Backing storage for a segment's atomic words: either an owned heap
 /// allocation (the default) or a *foreign* region such as an `mmap`ed
@@ -97,16 +91,10 @@ impl WordStore {
 }
 
 /// A registered global-memory segment: `len` bytes backed by 64-bit atomic
-/// words, plus stripe locks for the paper's paired-long atomics.
-///
-/// Note the stripe locks are **process-local**: pair (128-bit) operations
-/// are atomic only among users of the same `Segment` value. Segments
-/// backed by cross-process shared memory must therefore keep pair ops on
-/// the owner's server (the wire path) — the shm plane routes accordingly.
+/// words.
 pub struct Segment {
     store: WordStore,
     len: usize,
-    pair_stripes: Box<[Mutex<()>]>,
 }
 
 impl Segment {
@@ -114,8 +102,7 @@ impl Segment {
     pub fn new(len: usize) -> Self {
         let nwords = len.div_ceil(8);
         let words: Box<[AtomicU64]> = (0..nwords).map(|_| AtomicU64::new(0)).collect();
-        let pair_stripes: Box<[Mutex<()>]> = (0..PAIR_STRIPES).map(|_| Mutex::new(())).collect();
-        Segment { store: WordStore::Heap(words), len, pair_stripes }
+        Segment { store: WordStore::Heap(words), len }
     }
 
     /// Build a segment over `words` foreign `AtomicU64` cells at `ptr`
@@ -135,8 +122,7 @@ impl Segment {
     ) -> Self {
         assert!(len.div_ceil(8) <= words, "len {len} exceeds {words} foreign words");
         assert!((ptr as usize).is_multiple_of(8), "foreign word storage must be 8-aligned");
-        let pair_stripes: Box<[Mutex<()>]> = (0..PAIR_STRIPES).map(|_| Mutex::new(())).collect();
-        Segment { store: WordStore::Foreign { ptr, count: words, _owner: owner }, len, pair_stripes }
+        Segment { store: WordStore::Foreign { ptr, count: words, _owner: owner }, len }
     }
 
     #[inline]
@@ -327,55 +313,6 @@ impl Segment {
     pub fn fetch_add_i64(&self, offset: usize, add: i64) -> i64 {
         self.atomic_u64(offset).fetch_add(add as u64, Ordering::AcqRel) as i64
     }
-
-    #[inline]
-    fn pair_stripe(&self, offset: usize) -> &Mutex<()> {
-        &self.pair_stripes[(offset / 16) % PAIR_STRIPES]
-    }
-
-    /// Atomically swap the *pair* of `u64`s at 16-aligned `offset`,
-    /// returning the previous pair.
-    ///
-    /// This reproduces the paper's new "atomic memory operations which
-    /// operate on pairs of long variables". Atomicity holds with respect
-    /// to the other `pair_*` operations (they serialize on a stripe lock);
-    /// mixing pair and single-word atomics on the same cell is a usage
-    /// error, just as it would have been in ARMCI.
-    pub fn pair_swap(&self, offset: usize, new: [u64; 2]) -> [u64; 2] {
-        assert!(offset.is_multiple_of(16), "pair access requires 16-aligned offset, got {offset}");
-        self.check_range(offset, 16);
-        let _g = self.pair_stripe(offset).lock();
-        let w = offset / 8;
-        let old = [self.word(w).load(Ordering::Acquire), self.word(w + 1).load(Ordering::Acquire)];
-        self.word(w).store(new[0], Ordering::Release);
-        self.word(w + 1).store(new[1], Ordering::Release);
-        old
-    }
-
-    /// Atomically compare&swap the pair of `u64`s at 16-aligned `offset`.
-    /// Returns the pair observed before the operation; the swap succeeded
-    /// iff that equals `expect`.
-    pub fn pair_compare_swap(&self, offset: usize, expect: [u64; 2], new: [u64; 2]) -> [u64; 2] {
-        assert!(offset.is_multiple_of(16), "pair access requires 16-aligned offset, got {offset}");
-        self.check_range(offset, 16);
-        let _g = self.pair_stripe(offset).lock();
-        let w = offset / 8;
-        let old = [self.word(w).load(Ordering::Acquire), self.word(w + 1).load(Ordering::Acquire)];
-        if old == expect {
-            self.word(w).store(new[0], Ordering::Release);
-            self.word(w + 1).store(new[1], Ordering::Release);
-        }
-        old
-    }
-
-    /// Atomically read the pair of `u64`s at 16-aligned `offset`.
-    pub fn pair_read(&self, offset: usize) -> [u64; 2] {
-        assert!(offset.is_multiple_of(16), "pair access requires 16-aligned offset, got {offset}");
-        self.check_range(offset, 16);
-        let _g = self.pair_stripe(offset).lock();
-        let w = offset / 8;
-        [self.word(w).load(Ordering::Acquire), self.word(w + 1).load(Ordering::Acquire)]
-    }
 }
 
 /// Map from `(process, segment id)` to segments, shared by every thread in
@@ -495,19 +432,6 @@ mod tests {
         s.write_u64(8, (-7i64) as u64);
         assert_eq!(s.fetch_add_i64(8, 3), -7);
         assert_eq!(s.read_u64(8) as i64, -4);
-    }
-
-    #[test]
-    fn pair_swap_and_cas() {
-        let s = Segment::new(64);
-        assert_eq!(s.pair_swap(16, [1, 2]), [0, 0]);
-        assert_eq!(s.pair_read(16), [1, 2]);
-        // Failed CAS leaves the pair alone and reports what it saw.
-        assert_eq!(s.pair_compare_swap(16, [9, 9], [3, 4]), [1, 2]);
-        assert_eq!(s.pair_read(16), [1, 2]);
-        // Successful CAS.
-        assert_eq!(s.pair_compare_swap(16, [1, 2], [3, 4]), [1, 2]);
-        assert_eq!(s.pair_read(16), [3, 4]);
     }
 
     #[test]
