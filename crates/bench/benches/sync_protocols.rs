@@ -242,7 +242,7 @@ fn mcs_lock_cycle(iters: u64, n: usize) -> Duration {
                     }
                     McsAcquireAction::LinkAfter(prev) => next[prev as usize] = Some(me as u32),
                     McsAcquireAction::Acquired => holder = Some(me),
-                    McsAcquireAction::SetMyLocked | McsAcquireAction::AwaitWake | McsAcquireAction::SetLease => {}
+                    McsAcquireAction::SetMyLocked | McsAcquireAction::AwaitWake => {}
                 }
                 i += 1;
             }
@@ -279,7 +279,7 @@ fn mcs_lock_cycle(iters: u64, n: usize) -> Duration {
                         out.clear();
                         holder = Some(w);
                     }
-                    McsReleaseAction::TransferLease(_) | McsReleaseAction::ClearLease | McsReleaseAction::Released => {}
+                    McsReleaseAction::Released => {}
                 }
                 i += 1;
             }

@@ -8,16 +8,13 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use armci_msglib::{CommError, DecodeError, P2p, Reader};
-use armci_proto::{
-    FenceEngine, HierRecord, MemberEvent, Membership, MembershipView, NotifyAction, NotifyEngine, NotifyEvent,
-    NotifyRecord, SendRecord,
-};
+use armci_proto::{FenceEngine, HierRecord, NotifyAction, NotifyEngine, NotifyEvent, NotifyRecord, SendRecord};
 use armci_transport::wait::spin_until_deadline;
 use armci_transport::{
     Body, BodyPool, Endpoint, Mailbox, MemoryRegistry, Msg, NodeId, ProcId, SegId, Segment, Tag, Topology,
 };
 
-use crate::config::{AckMode, LockAlgo, OnPeerLoss};
+use crate::config::{AckMode, LockAlgo};
 use crate::errors::ArmciError;
 use crate::gptr::GlobalAddr;
 use crate::group::ProcGroup;
@@ -71,10 +68,6 @@ pub struct Armci {
     /// the fence ledger, so notified puts and fences share one
     /// accounting scheme.
     pub(crate) notify: NotifyEngine,
-    /// Producer set registered per notification slot (who is expected
-    /// to feed it): consulted by degraded-mode waits so a dead producer
-    /// aborts the wait with `PeerLost` instead of wedging it.
-    pub(crate) notify_producers: Vec<Vec<usize>>,
     /// Send log of the most recent `ARMCI_Barrier()`, drained by
     /// [`Armci::take_barrier_log`] for the cross-harness conformance
     /// suite.
@@ -103,10 +96,6 @@ pub struct Armci {
     /// peers (`ArmciCfg::detect_slice`): short enough that a killed node
     /// surfaces promptly, long enough that the wakeups are noise.
     pub(crate) detect_slice: Duration,
-    /// Whether the transport runs session-layer recovery
-    /// (`ArmciCfg::recovery`): gates the lock-lease bookkeeping that lets
-    /// survivors reclaim MCS locks from dead holders.
-    pub(crate) recovery: bool,
     /// Next free lock slot per owner (for [`Armci::create_lock`]).
     pub(crate) lock_alloc: Vec<u32>,
     /// Cross-process shared-memory data plane (`ArmciCfg::shm_plane`):
@@ -114,22 +103,6 @@ pub struct Armci {
     /// mapped and served with direct loads/stores/CAS instead of wire
     /// messages. `None` = every non-node-local target rides the wire.
     pub(crate) shm: Option<Arc<ShmDataPlane>>,
-    /// Lease epoch observed when this process last acquired an MCS lock
-    /// (recovery mode): validated at release so a holder whose lease was
-    /// reclaimed abandons its stale release instead of corrupting the
-    /// queue — the SIGMOD one-sided-CAS guideline.
-    pub(crate) mcs_lease_epoch_seen: u64,
-    /// Epoch-stamped cluster membership (`armci_proto::Membership`):
-    /// confirmed transport-level losses are folded in as evictions, so
-    /// `PeerLost` errors carry the view epoch and degraded-mode callers
-    /// can shrink groups to the survivor set.
-    pub(crate) membership: Membership,
-    /// Reaction to a confirmed peer death (`ArmciCfg::on_peer_loss`):
-    /// `Abort` keeps the historical byte-identical error semantics,
-    /// `Degrade` lets in-flight barrier-stage exchanges fold the dead
-    /// rank out and survivors rebuild groups via
-    /// [`Armci::try_shrink_group`].
-    pub(crate) on_peer_loss: OnPeerLoss,
     pub(crate) stats: Stats,
     /// Reusable request-encode buffers: every outgoing request is framed
     /// into a pooled (or inline) [`Body`], so steady-state sends do not
@@ -220,75 +193,12 @@ impl Armci {
         Instant::now() + self.op_timeout
     }
 
-    /// Fold a confirmed node death into the membership engine: every rank
-    /// hosted on `node` is evicted (idempotent — re-observing a known
-    /// loss emits nothing). In degraded mode the dead node's fence
-    /// counters are also forgotten, so later fences do not wait on
-    /// confirmations that can never arrive. Returns the view epoch.
-    pub(crate) fn observe_loss(&mut self, node: NodeId) -> u64 {
-        let mut acts = Vec::new();
-        for r in 0..self.nprocs() {
-            if self.mb.topology().node_of(ProcId(r as u32)) == node {
-                self.membership.poll(MemberEvent::Dead { rank: r }, &mut acts);
-            }
-        }
-        if !acts.is_empty() && self.on_peer_loss == OnPeerLoss::Degrade {
-            self.fence.forget_node(node.idx());
-        }
-        self.membership.epoch()
-    }
-
-    /// Deterministically inject a membership eviction for every rank
-    /// hosted on `node`, exactly as if the failure detector had confirmed
-    /// the node dead (idempotent — re-evicting a known-dead node changes
-    /// nothing). Returns the resulting view epoch.
-    ///
-    /// Exposed for the cross-harness conformance suite and fault drills:
-    /// the emulator backend never loses peers, so deterministic eviction
-    /// scenarios inject the event instead of scripting a real death. The
-    /// evicted node's processes are *not* informed — membership is a
-    /// local view, converged only because every survivor observes the
-    /// same confirmed losses.
-    pub fn evict_node(&mut self, node: NodeId) -> u64 {
-        self.observe_loss(node)
-    }
-
-    /// Snapshot the epoch-stamped membership view: which world ranks this
-    /// process believes alive, and how many evictions produced the view.
-    /// Views converge across survivors (epoch = eviction count, and node
-    /// death is observed by every survivor), so two live ranks holding
-    /// the same epoch hold the same alive set.
-    pub fn membership_view(&mut self) -> MembershipView {
-        // Fold in any losses the transport knows about but no blocking
-        // wait has surfaced yet.
-        for node in self.mb.lost_peers() {
-            self.observe_loss(node);
-        }
-        self.membership.view()
-    }
-
     /// A wait slice (`detect_slice`) ended with nothing to show: the error
-    /// that ends the whole wait, if any. `on` names the losses that doom
-    /// it — `None`: any dead node (the historical abort semantics);
-    /// `Some(ranks)`: only the eviction of one of those world ranks, the
-    /// only peers that can still satisfy the wait (degraded mode). A
+    /// that ends the whole wait, if any. Any dead node dooms it, and a
     /// confirmed loss wins over an expired deadline.
-    fn slice_expired(&mut self, op: &'static str, deadline: Instant, on: Option<&[usize]>) -> Result<(), ArmciError> {
-        let lost = self.mb.lost_peers();
-        let peer = match on {
-            None => lost.first().copied(),
-            Some(ranks) => {
-                // Transport-confirmed losses become evictions first (those
-                // injected via `evict_node` already are).
-                for &node in &lost {
-                    self.observe_loss(node);
-                }
-                let dead = ranks.iter().find(|&&r| !self.membership.is_alive(r));
-                dead.map(|&r| self.topology().node_of(ProcId(r as u32)))
-            }
-        };
-        match peer {
-            Some(peer) => Err(ArmciError::PeerLost { peer, epoch: self.observe_loss(peer) }),
+    fn slice_expired(&self, op: &'static str, deadline: Instant) -> Result<(), ArmciError> {
+        match self.mb.lost_peers().first() {
+            Some(&peer) => Err(ArmciError::PeerLost { peer }),
             None if Instant::now() >= deadline => Err(ArmciError::Timeout { op }),
             None => Ok(()),
         }
@@ -304,25 +214,13 @@ impl Armci {
         &mut self,
         op: &'static str,
         deadline: Instant,
-        pred: impl FnMut(&Msg) -> bool,
-    ) -> Result<Msg, ArmciError> {
-        self.recv_wait_on(op, deadline, None, pred)
-    }
-
-    /// [`Armci::recv_wait`] with the relevant losses named (see
-    /// [`Armci::slice_expired`]). The one wait loop on the mailbox.
-    fn recv_wait_on(
-        &mut self,
-        op: &'static str,
-        deadline: Instant,
-        senders: Option<&[usize]>,
         mut pred: impl FnMut(&Msg) -> bool,
     ) -> Result<Msg, ArmciError> {
         loop {
             let until = deadline.min(Instant::now() + self.detect_slice);
             match self.mb.recv_match_deadline(&mut pred, until) {
                 Ok(Some(m)) => return Ok(m),
-                Ok(None) => self.slice_expired(op, deadline, senders)?,
+                Ok(None) => self.slice_expired(op, deadline)?,
                 Err(_) => return Err(ArmciError::TransportDown { op }),
             }
         }
@@ -341,18 +239,6 @@ impl Armci {
         &mut self,
         op: &'static str,
         deadline: Instant,
-        cond: impl FnMut() -> bool,
-    ) -> Result<(), ArmciError> {
-        self.wait_local_cond_on(op, deadline, None, cond)
-    }
-
-    /// [`Armci::wait_local_cond`] with the relevant losses named (see
-    /// [`Armci::slice_expired`]). The one wait loop on memory.
-    pub(crate) fn wait_local_cond_on(
-        &mut self,
-        op: &'static str,
-        deadline: Instant,
-        writers: Option<&[usize]>,
         mut cond: impl FnMut() -> bool,
     ) -> Result<(), ArmciError> {
         loop {
@@ -360,39 +246,15 @@ impl Armci {
             if spin_until_deadline(&mut cond, until) {
                 return Ok(());
             }
-            self.slice_expired(op, deadline, writers)?;
+            self.slice_expired(op, deadline)?;
         }
     }
 
-    /// The one msglib receive: a message from rank `src` under the
-    /// collective tag `tag`, in the collective layer's error taxonomy.
-    fn recv_from_on(
-        &mut self,
-        src: usize,
-        tag: u32,
-        deadline: Instant,
-        senders: Option<&[usize]>,
-    ) -> Result<Vec<u8>, CommError> {
-        let want_src = Endpoint::Proc(ProcId(src as u32));
-        let want_tag = Tag(Tag::MSGLIB_BASE + tag);
-        match self.recv_wait_on("collective", deadline, senders, |m| m.src == want_src && m.tag == want_tag) {
-            Ok(m) => Ok(m.body.into_vec()),
-            Err(ArmciError::Timeout { .. }) => Err(CommError::Timeout),
-            Err(ArmciError::PeerLost { peer, .. }) => Err(CommError::PeerLost(peer)),
-            Err(_) => Err(CommError::Disconnected),
-        }
-    }
-
-    /// Map a collective-layer error into the ARMCI taxonomy. `&mut self`
-    /// so a peer loss picks up the membership epoch (the collective layer
-    /// reports the node; membership stamps the view).
-    pub(crate) fn map_comm_err(&mut self, op: &'static str, e: CommError) -> ArmciError {
+    /// Map a collective-layer error into the ARMCI taxonomy.
+    pub(crate) fn map_comm_err(op: &'static str, e: CommError) -> ArmciError {
         match e {
             CommError::Timeout => ArmciError::Timeout { op },
-            CommError::PeerLost(peer) => {
-                let epoch = self.observe_loss(peer);
-                ArmciError::PeerLost { peer, epoch }
-            }
+            CommError::PeerLost(peer) => ArmciError::PeerLost { peer },
             CommError::Disconnected => ArmciError::TransportDown { op },
             CommError::Malformed(_) => ArmciError::Malformed { op },
         }
@@ -421,13 +283,10 @@ impl Armci {
     /// Refuse to queue a one-way request for a node whose link is already
     /// known dead — the only failure a sender can observe at issue time;
     /// later losses surface at the next fence or barrier. Direct routes
-    /// never come here: the memory is mapped, no connection is involved
-    /// (this is how lease reclamation clears a dead holder's words for
-    /// real under shm).
-    fn refuse_lost(&mut self, node: NodeId) -> Result<(), ArmciError> {
+    /// never come here: the memory is mapped, no connection is involved.
+    fn refuse_lost(&self, node: NodeId) -> Result<(), ArmciError> {
         if self.mb.peer_is_lost(node) {
-            let epoch = self.observe_loss(node);
-            return Err(ArmciError::PeerLost { peer: node, epoch });
+            return Err(ArmciError::PeerLost { peer: node });
         }
         Ok(())
     }
@@ -972,15 +831,6 @@ impl Armci {
         debug_assert!(matches!(acts.as_slice(), [NotifyAction::Send { .. }]));
     }
 
-    /// Register the producer set feeding notification slot `slot` — the
-    /// world ranks whose `put_notify` calls target it. Only consulted
-    /// under [`OnPeerLoss::Degrade`]: a wait on a slot fed by an evicted
-    /// producer aborts with [`ArmciError::PeerLost`] (carrying the view
-    /// epoch) instead of wedging until the timeout.
-    pub fn set_notify_producers(&mut self, slot: u32, producers: &[ProcId]) {
-        self.notify_producers[slot as usize] = producers.iter().map(|p| p.idx()).collect();
-    }
-
     /// Current cumulative value of this process's notification counter
     /// `slot`.
     pub fn notify_value(&self, slot: u32) -> u64 {
@@ -994,24 +844,15 @@ impl Armci {
     }
 
     /// Fallible [`Armci::wait_notify`]: an expired deadline or a dead
-    /// peer surfaces as an [`ArmciError`]. Under
-    /// [`OnPeerLoss::Degrade`], only the eviction of a *registered
-    /// producer* ([`Armci::set_notify_producers`]) aborts the wait —
-    /// unrelated deaths leave it running, since the notifications it
-    /// needs can still arrive.
+    /// peer surfaces as an [`ArmciError`].
     pub fn try_wait_notify(&mut self, slot: u32, target: u64) -> Result<(), ArmciError> {
         let deadline = self.op_deadline();
         let at = layout::notify_slot(self.locks_per_proc, self.nprocs() as u32, slot);
-        // The engine's watch gets the one copy of the producer set; the
-        // wait borrows the original, out of `self` for its duration.
-        let producers = std::mem::take(&mut self.notify_producers[slot as usize]);
         let mut acts = Vec::new();
-        self.notify.poll(NotifyEvent::Expect { slot, target, producers: producers.clone() }, &mut acts);
-        let writers = (self.on_peer_loss == OnPeerLoss::Degrade).then_some(&producers[..]);
+        self.notify.poll(NotifyEvent::Expect { slot, target, producers: Vec::new() }, &mut acts);
         let sync = self.my_sync.clone();
         let landed = || sync.atomic_u64(at).load(std::sync::atomic::Ordering::Acquire) >= target;
-        let waited = self.wait_local_cond_on("wait_notify", deadline, writers, landed);
-        self.notify_producers[slot as usize] = producers;
+        let waited = self.wait_local_cond("wait_notify", deadline, landed);
         match waited {
             Ok(()) => {
                 self.notify.poll(NotifyEvent::Observed { slot, value: sync.read_u64(at) }, &mut acts);
@@ -1201,18 +1042,23 @@ impl P2p for Armci {
     }
 
     /// The infallible spelling of [`P2p::recv_from_deadline`] under the
-    /// operation deadline. Under [`OnPeerLoss::Degrade`] only the sender's
-    /// own eviction dooms the receive: a survivors' collective (group
-    /// formation after a shrink) must outlive the death it recovers from.
+    /// operation deadline.
     fn recv_from(&mut self, src: usize, tag: u32) -> Vec<u8> {
-        let from = [src];
-        let senders = (self.on_peer_loss == OnPeerLoss::Degrade).then_some(&from[..]);
-        let r = self.recv_from_on(src, tag, self.op_deadline(), senders);
-        unwrap_op(r.map_err(|e| self.map_comm_err("collective", e)))
+        let r = self.recv_from_deadline(src, tag, self.op_deadline());
+        unwrap_op(r.map_err(|e| Armci::map_comm_err("collective", e)))
     }
 
+    /// The one msglib receive: a message from rank `src` under the
+    /// collective tag `tag`, in the collective layer's error taxonomy.
     fn recv_from_deadline(&mut self, src: usize, tag: u32, deadline: Instant) -> Result<Vec<u8>, CommError> {
-        self.recv_from_on(src, tag, deadline, None)
+        let want_src = Endpoint::Proc(ProcId(src as u32));
+        let want_tag = Tag(Tag::MSGLIB_BASE + tag);
+        match self.recv_wait("collective", deadline, |m| m.src == want_src && m.tag == want_tag) {
+            Ok(m) => Ok(m.body.into_vec()),
+            Err(ArmciError::Timeout { .. }) => Err(CommError::Timeout),
+            Err(ArmciError::PeerLost { peer }) => Err(CommError::PeerLost(peer)),
+            Err(_) => Err(CommError::Disconnected),
+        }
     }
 
     fn next_epoch(&mut self) -> u32 {

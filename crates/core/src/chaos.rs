@@ -1,4 +1,5 @@
-//! Seeded chaos harness for soaking the session-recovery layer.
+//! Seeded fail-stop soak: kill one node at a seeded point of a seeded
+//! operation stream, and check that every survivor gets a typed error.
 //!
 //! Everything here is driven by a single `u64` seed through a
 //! self-contained xorshift64* generator, so a failing soak reproduces
@@ -8,12 +9,9 @@
 //! failure exactly.
 //!
 //! The workload keeps a *shadow model* — a local mirror of every value
-//! it has put — and cross-checks remote memory against it each round,
-//! then folds the final globally-visible state into a digest. Because
-//! the operation stream is a pure function of `(seed, nprocs, rounds)`,
-//! the per-rank digests from a run under recoverable faults must equal
-//! those from a fault-free run with the same seed; any divergence means
-//! the recovery layer lost, duplicated, or reordered a frame.
+//! it has put — and cross-checks remote memory against it each round.
+//! Until the kill, a divergence is a bug; after it, every rank must stop
+//! with [`ArmciError::PeerLost`] or [`ArmciError::Timeout`].
 
 use std::fmt;
 
@@ -53,47 +51,47 @@ impl ChaosRng {
     }
 }
 
-/// Generate a deterministic schedule of `count` *recoverable* faults
-/// (connection resets, mid-frame truncations, writer stalls) spread
-/// across the links of an `nodes`-node cluster. With session recovery
-/// enabled, a run under this plan must behave exactly like a fault-free
-/// run; [`FaultAction::KillNode`] is deliberately excluded — node death
-/// is a different contract (surfaced errors) and is scripted explicitly
-/// by the tests that want it.
-pub fn chaos_plan(seed: u64, nodes: u32, count: u32) -> FaultPlan {
+/// Frames every rank other than 0 sends node 0 per workload round, at
+/// least: the lock swap, the counter get and put, the fence and the
+/// release.
+const FRAMES_TO_NODE0_PER_ROUND: u64 = 4;
+
+/// Frames the workload's prelude (`malloc` and the first barrier) may
+/// send node 0; a kill scheduled past them lands inside the rounds.
+const PRELUDE_FRAMES: u64 = 8;
+
+/// The fail-stop plan for an `nodes`-node run of `rounds` workload
+/// rounds: one seeded victim (never node 0, which hosts the lock and the
+/// counter) is killed just before a seeded frame on its link to node 0.
+/// The frame lies past the workload's prelude and before its last round,
+/// so the kill always lands inside the operation stream.
+pub fn chaos_plan(seed: u64, nodes: u32, rounds: u32) -> FaultPlan {
     assert!(nodes >= 2, "chaos needs at least two nodes");
+    assert!(rounds >= 4, "chaos needs at least four rounds to place the kill");
     let mut rng = ChaosRng::new(seed);
-    let mut plan = FaultPlan::new();
-    for _ in 0..count {
-        let node = rng.below(u64::from(nodes)) as u32;
-        let peer = {
-            let other = rng.below(u64::from(nodes) - 1) as u32;
-            if other >= node {
-                other + 1
-            } else {
-                other
-            }
-        };
-        let action = match rng.below(8) {
-            0..=2 => FaultAction::ResetConn,
-            3..=4 => FaultAction::TruncateFrame,
-            _ => FaultAction::StallWriter { millis: 5 + rng.below(45) },
-        };
-        plan = plan.with(FaultSpec { node, peer, after_frames: rng.below(48), action });
-    }
-    plan
+    let victim = 1 + rng.below(u64::from(nodes) - 1) as u32;
+    let span = FRAMES_TO_NODE0_PER_ROUND * u64::from(rounds) / 2;
+    let after_frames = PRELUDE_FRAMES + rng.below(span);
+    FaultPlan::new().with(FaultSpec { node: victim, peer: 0, after_frames, action: FaultAction::KillNode })
 }
 
-/// Why a chaos run failed: either an ARMCI operation surfaced an error
-/// (expected under node-kill schedules, a bug under recoverable ones) or
-/// the shadow model caught remote memory diverging from what was written
-/// (always a bug — lost, duplicated, or reordered frames).
+/// Why a chaos rank stopped: an ARMCI operation surfaced an error (the
+/// expected end of every rank once a node is killed) or the shadow model
+/// caught remote memory diverging from what was written (always a bug).
 #[derive(Debug)]
 pub enum ChaosError {
     /// An ARMCI `try_*` operation failed.
     Op(ArmciError),
     /// A shadow-model or tally invariant was violated.
     Invariant(String),
+}
+
+impl ChaosError {
+    /// Whether this is how a rank may end after a node kill: a typed
+    /// peer loss or an expired deadline.
+    pub fn is_fail_stop(&self) -> bool {
+        matches!(self, ChaosError::Op(ArmciError::PeerLost { .. } | ArmciError::Timeout { .. }))
+    }
 }
 
 impl From<ArmciError> for ChaosError {
@@ -113,52 +111,35 @@ impl fmt::Display for ChaosError {
 
 impl std::error::Error for ChaosError {}
 
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x1000_0000_01b3;
-
-fn fnv_fold(digest: u64, word: u64) -> u64 {
-    let mut d = digest;
-    for b in word.to_le_bytes() {
-        d = (d ^ u64::from(b)).wrapping_mul(FNV_PRIME);
-    }
-    d
-}
-
 /// The self-checking mixed workload: `rounds` lockstep rounds of
-/// put + fence + read-back (verified against the local shadow copy), a
-/// lock-protected non-atomic counter increment (mutual exclusion check),
-/// and a barrier. Returns this rank's digest of the final
-/// globally-visible state.
+/// put + fence + read-back to a seeded target (verified against the
+/// local shadow copy), a lock-protected non-atomic counter increment at
+/// rank 0, a notified put around the ring and its wait, and a barrier.
+/// Returns the final counter, `nprocs × rounds` in a run nobody killed.
 ///
 /// Layout: every rank registers one segment of `nprocs + 1` u64 slots —
 /// slot `w` on rank `t` is written only by rank `w` (so concurrent
 /// writers never collide), and slot `nprocs` on rank 0 is the shared
 /// counter, guarded by lock `(owner: 0, idx: 0)`.
-///
-/// On an `Err` the rank may still hold the lock; callers run each rank's
-/// workload once per `Armci` handle and treat any error as run-fatal for
-/// that rank.
 pub fn chaos_workload(a: &mut Armci, seed: u64, rounds: u32) -> Result<u64, ChaosError> {
     let nprocs = a.nprocs();
     let me = a.me().0 as usize;
     let seg = a.malloc(8 * (nprocs + 1));
     let lock = LockId { owner: ProcId(0), idx: 0 };
     let ctr_addr = GlobalAddr::new(ProcId(0), seg, 8 * nprocs);
+    let right = ProcId(((me + 1) % nprocs) as u32);
     a.try_barrier()?;
 
     // Per-rank stream: decorrelate ranks, keep determinism per (seed, me).
     let mut rng = ChaosRng::new(seed ^ (me as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15));
-    let mut shadow: Vec<u64> = vec![0; nprocs];
-
     for round in 0..rounds {
-        // Put a fresh value into our slot on a pseudorandom target, flush,
-        // and read it back against the shadow copy.
+        // Put a fresh value into our slot on a seeded target, flush, and
+        // read it back against the shadow copy.
         let t = rng.below(nprocs as u64) as usize;
         let val = rng.next_u64();
         let dst = GlobalAddr::new(ProcId(t as u32), seg, 8 * me);
         a.try_put(dst, &val.to_le_bytes())?;
         a.try_fence(ProcId(t as u32))?;
-        shadow[t] = val;
         let mut buf = [0u8; 8];
         a.try_get(dst, &mut buf)?;
         let got = u64::from_le_bytes(buf);
@@ -176,10 +157,12 @@ pub fn chaos_workload(a: &mut Armci, seed: u64, rounds: u32) -> Result<u64, Chao
         let c = u64::from_le_bytes(cbuf);
         a.try_put(ctr_addr, &(c + 1).to_le_bytes())?;
         a.try_fence(ProcId(0))?;
-        a.unlock(lock);
+        a.try_unlock(lock)?;
 
-        // Lockstep: keeps the final state a pure function of
-        // (seed, nprocs, rounds).
+        // One notified put to the right neighbour, one wait for the left.
+        a.try_put_notify(GlobalAddr::new(right, seg, 8 * me), &val.to_le_bytes(), 0)?;
+        a.try_wait_notify(0, u64::from(round) + 1)?;
+
         a.try_barrier()?;
     }
 
@@ -192,16 +175,7 @@ pub fn chaos_workload(a: &mut Armci, seed: u64, rounds: u32) -> Result<u64, Chao
             "final counter {ctr} != {want} ({nprocs} ranks x {rounds} rounds): lost or torn increment"
         )));
     }
-
-    // Digest this rank's final visible state: every writer's slot on our
-    // segment, plus the shared counter.
-    let mut digest = fnv_fold(FNV_OFFSET, me as u64);
-    for w in 0..nprocs {
-        let mut b = [0u8; 8];
-        a.try_get(GlobalAddr::new(ProcId(me as u32), seg, 8 * w), &mut b)?;
-        digest = fnv_fold(digest, u64::from_le_bytes(b));
-    }
-    Ok(fnv_fold(digest, ctr))
+    Ok(ctr)
 }
 
 #[cfg(test)]
@@ -222,20 +196,19 @@ mod tests {
     }
 
     #[test]
-    fn plan_is_reproducible_and_recoverable_only() {
-        let p1 = chaos_plan(0xfeed, 4, 12);
-        let p2 = chaos_plan(0xfeed, 4, 12);
-        assert_eq!(p1, p2);
-        assert_eq!(p1.entries.len(), 12);
-        for s in &p1.entries {
-            assert_ne!(s.node, s.peer);
-            assert!(s.node < 4 && s.peer < 4);
+    fn plan_is_one_seeded_kill_inside_the_rounds() {
+        let rounds = 24;
+        assert_eq!(chaos_plan(0xfeed, 4, rounds), chaos_plan(0xfeed, 4, rounds));
+        for seed in 0..64 {
+            let plan = chaos_plan(seed, 4, rounds);
+            let [kill] = plan.entries[..] else { panic!("seed {seed}: want exactly one fault, got {plan:?}") };
+            assert_eq!(kill.action, FaultAction::KillNode);
+            assert!((1..4).contains(&kill.node) && kill.peer == 0, "seed {seed}: {kill:?}");
+            assert!(kill.after_frames >= PRELUDE_FRAMES, "seed {seed}: kill inside the prelude");
             assert!(
-                !matches!(s.action, FaultAction::KillNode | FaultAction::DialFail { .. }),
-                "recoverable plans must not contain {:?}",
-                s.action
+                kill.after_frames < FRAMES_TO_NODE0_PER_ROUND * u64::from(rounds),
+                "seed {seed}: kill past the rounds"
             );
         }
-        assert_ne!(p1, chaos_plan(0xbeef, 4, 12), "different seeds should differ");
     }
 }

@@ -49,24 +49,6 @@ pub enum LockAlgo {
     Mcs,
 }
 
-/// What the synchronization layer does when membership confirms a peer
-/// death (see [`ArmciCfg::on_peer_loss`]).
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
-pub enum OnPeerLoss {
-    /// Surface [`crate::ArmciError::PeerLost`] from every affected
-    /// operation and keep doing so — the cluster is considered broken.
-    /// The historical behavior, and the default: wire traffic and error
-    /// semantics are byte-identical to pre-membership revisions.
-    #[default]
-    Abort,
-    /// Degraded mode: in-flight collectives still abort deterministically
-    /// with `PeerLost { epoch }` (or fold the dead rank out of a
-    /// barrier-stage exchange when that is sound), but survivors may then
-    /// call [`crate::Armci::try_shrink_group`] to rebuild groups over the
-    /// epoch-stamped survivor view and continue.
-    Degrade,
-}
-
 /// Configuration for [`crate::runtime::run_cluster`].
 #[derive(Clone, Debug)]
 pub struct ArmciCfg {
@@ -98,32 +80,11 @@ pub struct ArmciCfg {
     /// Scripted fault-injection plan enacted by the netfab backend
     /// (ignored by the emulator). Empty by default.
     pub faults: FaultPlan,
-    /// Enable session-layer recovery in the netfab backend: transient
-    /// connection faults (reset, mid-frame truncation) trigger
-    /// reconnect-with-backoff plus idempotent replay instead of
-    /// permanently poisoning the peer, and MCS locks held by a rank whose
-    /// node died are reclaimed via an epoch-fenced lease takeover. Off by
-    /// default — without it every wire fault is terminal, matching the
-    /// detection-only fault plane of earlier revisions.
-    pub recovery: bool,
-    /// How often the netfab failure detector probes an *idle* link with a
-    /// bare ack/heartbeat (a busy link needs no probes — data frames carry
-    /// liveness). Only meaningful with `recovery` on.
-    pub heartbeat_interval: Duration,
-    /// How long a peer may stay silent (no frames, no heartbeats, no
-    /// successful reconnect) before the failure detector declares it dead:
-    /// pending operations fail with [`crate::ArmciError::PeerLost`] and
-    /// lock leases held by its ranks become reclaimable.
-    pub suspect_after: Duration,
     /// Granularity of failure detection inside blocking waits: every
     /// blocking ARMCI wait re-checks for lost peers at most this often.
     /// Smaller values surface `PeerLost` faster at the cost of more wakeups;
     /// chaos tests shrink it to keep fault turnaround tight.
     pub detect_slice: Duration,
-    /// Maximum unacknowledged frames buffered per peer session for replay
-    /// after a reconnect. A sender that outruns the window by this many
-    /// frames with no acknowledgement progress declares the peer dead.
-    pub replay_window: usize,
     /// Cross-process shared-memory data plane (netfab backends only):
     /// segments are backed by `mmap`ed tmpfs files so same-host peers in
     /// *other processes* serve put/get/acc/rmw with direct loads, stores
@@ -150,16 +111,10 @@ pub struct ArmciCfg {
     /// wire-count and trace suites pin so their expected schedules stay
     /// topology-independent).
     pub hier_collectives: bool,
-    /// Reaction to a confirmed peer death: [`OnPeerLoss::Abort`] (the
-    /// default — every affected operation errors forever, historical
-    /// semantics) or [`OnPeerLoss::Degrade`] (survivors converge on an
-    /// epoch-stamped membership view and may shrink groups to continue
-    /// over the survivor set).
-    pub on_peer_loss: OnPeerLoss,
     /// Unified retry policy for transient-failure loops: rendezvous
-    /// dials, node-process spawn rechecks, and lock-lease reclamation
-    /// retries all derive their attempt budgets and backoff from this
-    /// one policy instead of scattered ad-hoc constants.
+    /// dials, node-process spawn rechecks and shm segment mapping all
+    /// derive their attempt budgets and backoff from this one policy
+    /// instead of scattered ad-hoc constants.
     pub retry: RetryPolicy,
 }
 
@@ -177,15 +132,10 @@ impl Default for ArmciCfg {
             op_timeout: Duration::from_secs(30),
             boot_timeout: Duration::from_secs(30),
             faults: FaultPlan::new(),
-            recovery: false,
-            heartbeat_interval: Duration::from_millis(100),
-            suspect_after: Duration::from_secs(2),
             detect_slice: Duration::from_millis(25),
-            replay_window: 1024,
             shm_plane: None,
             shm_dir: None,
             hier_collectives: true,
-            on_peer_loss: OnPeerLoss::Abort,
             retry: RetryPolicy::default(),
         }
     }
@@ -247,37 +197,10 @@ impl ArmciCfg {
         self
     }
 
-    /// Enable session-layer recovery (see [`ArmciCfg::recovery`]).
-    pub fn with_recovery(mut self, on: bool) -> Self {
-        self.recovery = on;
-        self
-    }
-
-    /// Set the idle-link heartbeat interval (see
-    /// [`ArmciCfg::heartbeat_interval`]).
-    pub fn with_heartbeat_interval(mut self, t: Duration) -> Self {
-        self.heartbeat_interval = t;
-        self
-    }
-
-    /// Set the silence budget before a peer is declared dead (see
-    /// [`ArmciCfg::suspect_after`]).
-    pub fn with_suspect_after(mut self, t: Duration) -> Self {
-        self.suspect_after = t;
-        self
-    }
-
     /// Set the failure-detection slice inside blocking waits (see
     /// [`ArmciCfg::detect_slice`]).
     pub fn with_detect_slice(mut self, t: Duration) -> Self {
         self.detect_slice = t;
-        self
-    }
-
-    /// Set the per-peer replay ring capacity (see
-    /// [`ArmciCfg::replay_window`]).
-    pub fn with_replay_window(mut self, n: usize) -> Self {
-        self.replay_window = n;
         self
     }
 
@@ -300,12 +223,6 @@ impl ArmciCfg {
     /// [`ArmciCfg::hier_collectives`]).
     pub fn with_hier_collectives(mut self, on: bool) -> Self {
         self.hier_collectives = on;
-        self
-    }
-
-    /// Set the peer-loss reaction (see [`ArmciCfg::on_peer_loss`]).
-    pub fn with_on_peer_loss(mut self, p: OnPeerLoss) -> Self {
-        self.on_peer_loss = p;
         self
     }
 
@@ -365,15 +282,6 @@ impl ArmciCfg {
         }
         if self.detect_slice.is_zero() {
             return Err(ConfigError::ZeroTimeout { which: "detect_slice" });
-        }
-        if self.heartbeat_interval.is_zero() {
-            return Err(ConfigError::ZeroTimeout { which: "heartbeat_interval" });
-        }
-        if self.suspect_after.is_zero() {
-            return Err(ConfigError::ZeroTimeout { which: "suspect_after" });
-        }
-        if self.recovery && self.replay_window == 0 {
-            return Err(ConfigError::ZeroReplayWindow);
         }
         if self.retry.attempts == 0 {
             return Err(ConfigError::ZeroRetryAttempts);
@@ -451,31 +359,6 @@ impl Deserialize for LockAlgo {
     }
 }
 
-impl OnPeerLoss {
-    fn name(self) -> &'static str {
-        match self {
-            OnPeerLoss::Abort => "abort",
-            OnPeerLoss::Degrade => "degrade",
-        }
-    }
-}
-
-impl Serialize for OnPeerLoss {
-    fn to_value(&self) -> Value {
-        Value::Str(self.name().to_string())
-    }
-}
-
-impl Deserialize for OnPeerLoss {
-    fn from_value(v: &Value) -> Result<Self, Error> {
-        match v.as_str()? {
-            "abort" => Ok(OnPeerLoss::Abort),
-            "degrade" => Ok(OnPeerLoss::Degrade),
-            other => Err(Error::new(format!("unknown peer-loss policy {other:?}"))),
-        }
-    }
-}
-
 impl Serialize for ArmciCfg {
     fn to_value(&self) -> Value {
         Value::map(vec![
@@ -490,11 +373,7 @@ impl Serialize for ArmciCfg {
             ("op_timeout_us", Value::U64(self.op_timeout.as_micros() as u64)),
             ("boot_timeout_us", Value::U64(self.boot_timeout.as_micros() as u64)),
             ("faults", self.faults.to_value()),
-            ("recovery", Value::Bool(self.recovery)),
-            ("heartbeat_interval_us", Value::U64(self.heartbeat_interval.as_micros() as u64)),
-            ("suspect_after_us", Value::U64(self.suspect_after.as_micros() as u64)),
             ("detect_slice_us", Value::U64(self.detect_slice.as_micros() as u64)),
-            ("replay_window", Value::U64(self.replay_window as u64)),
             (
                 "shm_plane",
                 Value::Str(match self.shm_plane {
@@ -505,7 +384,6 @@ impl Serialize for ArmciCfg {
             ),
             ("shm_dir", self.shm_dir.to_value()),
             ("hier_collectives", Value::Bool(self.hier_collectives)),
-            ("on_peer_loss", self.on_peer_loss.to_value()),
             ("retry", self.retry.to_value()),
         ])
     }
@@ -532,11 +410,7 @@ impl Deserialize for ArmciCfg {
             op_timeout: Duration::from_micros(u64::from_value(v.field("op_timeout_us")?)?),
             boot_timeout: Duration::from_micros(u64::from_value(v.field("boot_timeout_us")?)?),
             faults: FaultPlan::from_value(v.field("faults")?)?,
-            recovery: bool::from_value(v.field("recovery")?)?,
-            heartbeat_interval: Duration::from_micros(u64::from_value(v.field("heartbeat_interval_us")?)?),
-            suspect_after: Duration::from_micros(u64::from_value(v.field("suspect_after_us")?)?),
             detect_slice: Duration::from_micros(u64::from_value(v.field("detect_slice_us")?)?),
-            replay_window: u64::from_value(v.field("replay_window")?)? as usize,
             shm_plane: match v.field("shm_plane")?.as_str()? {
                 "auto" => None,
                 "on" => Some(true),
@@ -545,7 +419,6 @@ impl Deserialize for ArmciCfg {
             },
             shm_dir: Option::<String>::from_value(v.field("shm_dir")?)?,
             hier_collectives: bool::from_value(v.field("hier_collectives")?)?,
-            on_peer_loss: OnPeerLoss::from_value(v.field("on_peer_loss")?)?,
             retry: RetryPolicy::from_value(v.field("retry")?)?,
         })
     }
@@ -590,15 +463,10 @@ mod tests {
             faults: FaultPlan::new()
                 .with(FaultSpec { node: 1, peer: 0, after_frames: 3, action: FaultAction::ResetConn })
                 .with(FaultSpec { node: 2, peer: 1, after_frames: 0, action: FaultAction::KillNode }),
-            recovery: true,
-            heartbeat_interval: Duration::from_millis(40),
-            suspect_after: Duration::from_millis(750),
             detect_slice: Duration::from_millis(5),
-            replay_window: 33,
             shm_plane: Some(true),
             shm_dir: Some("/dev/shm/armci-test".to_string()),
             hier_collectives: true,
-            on_peer_loss: OnPeerLoss::Degrade,
             retry: RetryPolicy {
                 attempts: 5,
                 base: Duration::from_millis(3),
@@ -619,15 +487,10 @@ mod tests {
         assert_eq!(back.op_timeout, Duration::from_millis(2500));
         assert_eq!(back.boot_timeout, Duration::from_secs(9));
         assert_eq!(back.faults, cfg.faults);
-        assert!(back.recovery);
-        assert_eq!(back.heartbeat_interval, Duration::from_millis(40));
-        assert_eq!(back.suspect_after, Duration::from_millis(750));
         assert_eq!(back.detect_slice, Duration::from_millis(5));
-        assert_eq!(back.replay_window, 33);
         assert_eq!(back.shm_plane, Some(true));
         assert_eq!(back.shm_dir.as_deref(), Some("/dev/shm/armci-test"));
         assert!(back.hier_collectives);
-        assert_eq!(back.on_peer_loss, OnPeerLoss::Degrade);
         assert_eq!(back.retry, cfg.retry);
 
         // The default (`None` = resolve via the environment) serializes
@@ -641,7 +504,19 @@ mod tests {
     #[test]
     fn stale_config_keys_are_rejected_by_name() {
         let json = serde::to_string(&ArmciCfg::default());
+        let mut stale_keys = vec![
+            ("recovery", "false"),
+            // Two pieces, so a grep for the deleted knob names finds
+            // only quoted spellings here.
+            (concat!("heartbeat_interval", "_us"), "100000"),
+            (concat!("suspect_after", "_us"), "2000000"),
+            ("replay_window", "1024"),
+            ("on_peer_loss", "\"abort\""),
+        ];
         for (stale, value) in [("nic_assist", "true"), ("io_driver", "\"event\"")] {
+            stale_keys.push((stale, value));
+        }
+        for (stale, value) in stale_keys {
             let with_stale = json.replacen('{', &format!("{{\"{stale}\":{value},"), 1);
             let err = serde::from_str::<ArmciCfg>(&with_stale).unwrap_err();
             assert!(err.to_string().contains(stale), "{stale}: {err}");
@@ -718,36 +593,11 @@ mod tests {
             base().with_detect_slice(Duration::ZERO).build().unwrap_err(),
             ConfigError::ZeroTimeout { which: "detect_slice" }
         );
-        assert_eq!(
-            base().with_heartbeat_interval(Duration::ZERO).build().unwrap_err(),
-            ConfigError::ZeroTimeout { which: "heartbeat_interval" }
-        );
-        assert_eq!(
-            base().with_suspect_after(Duration::ZERO).build().unwrap_err(),
-            ConfigError::ZeroTimeout { which: "suspect_after" }
-        );
-        // A zero replay window is only degenerate when recovery needs it.
-        assert!(base().with_replay_window(0).build().is_ok());
-        assert_eq!(
-            base().with_recovery(true).with_replay_window(0).build().unwrap_err(),
-            ConfigError::ZeroReplayWindow
-        );
         // A retry policy with no attempts can never succeed.
         assert_eq!(
             base().with_retry(RetryPolicy { attempts: 0, ..Default::default() }).build().unwrap_err(),
             ConfigError::ZeroRetryAttempts
         );
-    }
-
-    #[test]
-    fn on_peer_loss_roundtrips_and_rejects_junk() {
-        for p in [OnPeerLoss::Abort, OnPeerLoss::Degrade] {
-            let cfg = ArmciCfg::default().with_on_peer_loss(p);
-            let back: ArmciCfg = serde::from_str(&serde::to_string(&cfg)).unwrap();
-            assert_eq!(back.on_peer_loss, p);
-        }
-        assert!(serde::from_str::<OnPeerLoss>("\"limp\"").is_err());
-        assert_eq!(OnPeerLoss::default(), OnPeerLoss::Abort);
     }
 
     #[test]

@@ -28,11 +28,6 @@ pub enum ArmciError {
     PeerLost {
         /// The node whose link failed.
         peer: NodeId,
-        /// The membership epoch after this process evicted the peer's
-        /// ranks (eviction count — see `armci_proto::MembershipView`).
-        /// Zero when membership is not tracking the loss (emulator
-        /// stubs, transport-level detection before eviction).
-        epoch: u64,
     },
     /// The local transport is torn down (every channel disconnected) —
     /// typically an endpoint used after shutdown.
@@ -57,7 +52,7 @@ impl fmt::Display for ArmciError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             ArmciError::Timeout { op } => write!(f, "{op} timed out"),
-            ArmciError::PeerLost { peer, .. } => write!(f, "peer {peer} lost"),
+            ArmciError::PeerLost { peer } => write!(f, "peer {peer} lost"),
             ArmciError::TransportDown { op } => write!(f, "transport down during {op}"),
             ArmciError::Malformed { op } => write!(f, "malformed frame during {op}"),
             ArmciError::Boot { detail } => write!(f, "bootstrap failed: {detail}"),
@@ -85,9 +80,6 @@ pub enum ConfigError {
         /// What was wrong with it.
         detail: String,
     },
-    /// `recovery` was enabled with a zero `replay_window` — a session that
-    /// can buffer no unacked frames can never replay after a reconnect.
-    ZeroReplayWindow,
     /// The shm-plane settings are unusable: `shm_dir` was empty or
     /// relative (node processes must resolve it identically), or a
     /// directory override was combined with an explicitly disabled plane.
@@ -109,9 +101,6 @@ impl fmt::Display for ConfigError {
                 write!(f, "{which} must be nonzero (use a large value to effectively disable it)")
             }
             ConfigError::BadLatency { detail } => write!(f, "bad latency model: {detail}"),
-            ConfigError::ZeroReplayWindow => {
-                write!(f, "replay_window must be nonzero when recovery is enabled")
-            }
             ConfigError::BadShmDir { detail } => write!(f, "bad shm plane settings: {detail}"),
             ConfigError::ZeroRetryAttempts => write!(f, "retry.attempts must be at least 1"),
         }

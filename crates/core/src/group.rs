@@ -35,7 +35,7 @@ use std::rc::Rc;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
-use armci_msglib::{allreduce_tag, barrier_bx_tag, hier_bx_tag, BufWriter, CommError, DecodeError, Group, P2p, Reader};
+use armci_msglib::{allreduce_tag, barrier_bx_tag, hier_bx_tag, BufWriter, DecodeError, Group, P2p, Reader};
 use armci_proto::{
     BarrierAction, BarrierEvent, CombinedBarrier, HierBarrier, HierEvent, HierExpect, HierMsg, HierRecord, XchgMsg,
     STAGE_ALLREDUCE,
@@ -43,7 +43,7 @@ use armci_proto::{
 use armci_transport::{NodeId, ProcId, SegId, Segment};
 
 use crate::armci::{unwrap_op, Armci};
-use crate::config::{AckMode, OnPeerLoss};
+use crate::config::AckMode;
 use crate::errors::ArmciError;
 use crate::layout;
 
@@ -183,14 +183,16 @@ impl Armci {
     /// Groups may overlap freely; each carries its own message-epoch
     /// space, so collectives on overlapping groups cannot cross-talk.
     pub fn group(&mut self, ranks: &[usize]) -> ProcGroup {
-        self.form_group(Group::from_ranks(ranks))
+        unwrap_op(self.try_group(ranks))
     }
 
-    /// The flat group plus, when one can be formed, its hierarchy.
-    fn form_group(&mut self, msg: Group) -> ProcGroup {
-        let mut g = ProcGroup::flat(msg, self.rank(), self.locks_per_proc);
-        g.hier = self.maybe_form_hier(&g.msg, g.me_g);
-        g
+    /// Fallible [`Armci::group`]: forming the hierarchy is collective, so
+    /// a dead member surfaces as [`ArmciError::PeerLost`] (and a silent
+    /// one as [`ArmciError::Timeout`]) within the operation deadline.
+    pub fn try_group(&mut self, ranks: &[usize]) -> Result<ProcGroup, ArmciError> {
+        let mut g = ProcGroup::flat(Group::from_ranks(ranks), self.rank(), self.locks_per_proc);
+        g.hier = self.maybe_form_hier(&g.msg, g.me_g)?;
+        Ok(g)
     }
 
     /// The cached world group: all ranks in rank order, flat, formed at
@@ -204,62 +206,27 @@ impl Armci {
         self.world.clone()
     }
 
-    /// Shrink a group to its survivors under this process's current
-    /// membership view (see [`Armci::membership_view`]): the members of
-    /// `g` still alive, in `g`'s order, with the shared-memory hierarchy
-    /// re-formed from scratch over the survivors. **Collective among the
-    /// survivors**: after an eviction every surviving member must call
-    /// with the same (converged) view — survivor views agree because the
-    /// alive set is a pure function of the evicted set.
-    ///
-    /// Group-scoped fence accounting needs no rebuild here: eviction
-    /// under [`crate::OnPeerLoss::Degrade`] already folds the dead node
-    /// out of the fence counters (`FenceEngine::forget_node`), and the
-    /// shrunk group's member vector lists survivors only. Hierarchical groups
-    /// claim *fresh* domain counter slots — slots owned by old groups are
-    /// never reused, so a dead rank's stale counters cannot alias a
-    /// survivor's (retired slots are reclaimed only at namespace GC).
-    pub fn shrink_group(&mut self, g: &ProcGroup) -> ProcGroup {
-        unwrap_op(self.try_shrink_group(g))
-    }
-
-    /// Fallible [`Armci::shrink_group`].
-    pub fn try_shrink_group(&mut self, g: &ProcGroup) -> Result<ProcGroup, ArmciError> {
-        let view = self.membership_view();
-        Ok(self.form_group(g.msg.shrink(&view)))
-    }
-
-    /// Form the hierarchy only when the group can actually hold one.
-    ///
-    /// - A group listing an **evicted** member gets no hierarchy: the
-    ///   formation allgathers are collective over the members, and a dead
-    ///   rank will never contribute. Survivors converge on the same view
-    ///   before rebuilding groups (the alive set is a pure function of
-    ///   the evicted set), so every caller skips in lockstep; shrink the
-    ///   group to form a fresh hierarchy over the survivors.
-    /// - An **all-singleton** partition (no two members memory-adjacent)
-    ///   is discarded: there is nothing for the counter legs to exploit,
-    ///   and the flat combined barrier is the paper's protocol at equal
-    ///   or better cost. This keeps every flat-cluster group on the
-    ///   classic schedule even with `hier_collectives` defaulted on.
-    fn maybe_form_hier(&mut self, g: &Group, me_g: usize) -> Option<HierState> {
+    /// Form the hierarchy only when the group can actually hold one. An
+    /// **all-singleton** partition (no two members memory-adjacent) is
+    /// discarded: there is nothing for the counter legs to exploit, and
+    /// the flat combined barrier is the paper's protocol at equal or
+    /// better cost. This keeps every flat-cluster group on the classic
+    /// schedule even with `hier_collectives` defaulted on.
+    fn maybe_form_hier(&mut self, g: &Group, me_g: usize) -> Result<Option<HierState>, ArmciError> {
         if !self.hier_collectives {
-            return None;
+            return Ok(None);
         }
-        let view = self.membership_view();
-        if g.ranks().any(|r| !view.alive.contains(r)) {
-            return None;
-        }
-        let hs = self.form_hier(g, me_g);
-        hs.domains.iter().any(|d| d.len() > 1).then_some(hs)
+        let hs = self.form_hier(g, me_g)?;
+        Ok(hs.domains.iter().any(|d| d.len() > 1).then_some(hs))
     }
 
     /// Form the node-locality hierarchy for a new group (see module docs).
-    fn form_hier(&mut self, g: &Group, me_g: usize) -> HierState {
+    fn form_hier(&mut self, g: &Group, me_g: usize) -> Result<HierState, ArmciError> {
+        let deadline = self.op_deadline();
         let leader0 = ProcId(g.world_rank(0) as u32);
         // Can I reach group-rank 0's sync segment without the wire?
         let reach0 = self.route(leader0, SegId(0)).direct().is_some();
-        let bits = g.allgather(self, vec![reach0 as u8]);
+        let bits = g.try_allgather(self, vec![reach0 as u8], deadline).map_err(|e| Armci::map_comm_err("group", e))?;
 
         // Domain 0: members memory-adjacent to rank 0 (rank 0's own bit is
         // always set). The rest partition by topology node, in group-rank
@@ -292,7 +259,7 @@ impl Armci {
         } else {
             0
         };
-        let slots = g.allgather(self, vec![my_slot]);
+        let slots = g.try_allgather(self, vec![my_slot], deadline).map_err(|e| Armci::map_comm_err("group", e))?;
 
         let counters = multi.then(|| {
             let leader_g = domains[my_dom][0];
@@ -306,7 +273,7 @@ impl Armci {
         });
         let member_syncs =
             if i_lead { domains[my_dom].iter().map(|&gr| self.domain_sync(g, gr)).collect() } else { Vec::new() };
-        HierState {
+        Ok(HierState {
             domains: domains.into(),
             my_dom,
             counters,
@@ -314,7 +281,7 @@ impl Armci {
             round: Cell::new(0),
             contributed: RefCell::new(vec![0; g.len()]),
             totals: Cell::new(vec![0; g.len()]),
-        }
+        })
     }
 
     /// The sync segment of group rank `gr`, a member of this process's
@@ -439,28 +406,7 @@ impl Armci {
             let (stage, from, kind) = eng.expected_recv().expect("blocking barrier driver stalled");
             let tag = if stage == STAGE_ALLREDUCE { ar_tag } else { bx_tag };
             let world_from = g.msg.world_rank(from);
-            let body = match self.recv_from_deadline(world_from, tag, deadline) {
-                Ok(b) => b,
-                Err(CommError::PeerLost(peer)) if self.on_peer_loss == OnPeerLoss::Degrade => {
-                    // Fold the dead node's member ranks out of the
-                    // schedule when the stage allows it (closing barrier
-                    // stage); value-carrying stages must abort — the dead
-                    // members' contributions are unrecoverable.
-                    let epoch = self.observe_loss(peer);
-                    let dead: Vec<usize> = (0..members.len())
-                        .filter(|&gr| self.topology().node_of(ProcId(members[gr] as u32)) == peer)
-                        .collect();
-                    let mut folded = true;
-                    for gr in dead {
-                        folded &= eng.evict(gr, &mut acts);
-                    }
-                    if !folded {
-                        return Err(ArmciError::PeerLost { peer, epoch });
-                    }
-                    continue;
-                }
-                Err(e) => return Err(self.map_comm_err(op, e)),
-            };
+            let body = self.recv_from_deadline(world_from, tag, deadline).map_err(|e| Armci::map_comm_err(op, e))?;
             scratch.clear();
             if stage == STAGE_ALLREDUCE {
                 let mut r = Reader::new(&body);
@@ -567,13 +513,9 @@ impl Armci {
                 HierExpect::Xchg(from_g, _) | HierExpect::Close(from_g, _) => {
                     let reduce = matches!(exp, HierExpect::Xchg(..));
                     let tag = if reduce { reduce_tag } else { close_tag };
-                    let body = match self.recv_from_deadline(g.msg.world_rank(from_g), tag, deadline) {
-                        Ok(b) => b,
-                        // A lost leader is never folded out, in either
-                        // pass: its domain's counts (or its word that
-                        // their puts have landed) are unrecoverable.
-                        Err(e) => return Err(self.map_comm_err("group_barrier", e)),
-                    };
+                    let body = self
+                        .recv_from_deadline(g.msg.world_rank(from_g), tag, deadline)
+                        .map_err(|e| Armci::map_comm_err("group_barrier", e))?;
                     vals.clear();
                     let m = decode_xchg(&body, &mut vals).map_err(|_| ArmciError::Malformed { op: "group_barrier" })?;
                     let msg = if reduce { HierMsg::Xchg(m) } else { HierMsg::Close(m) };

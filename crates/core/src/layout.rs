@@ -9,8 +9,8 @@
 //! * the process's MCS *node structure* (`next` pointer + `locked` flag,
 //!   Figure 5) — one per process regardless of lock count;
 //! * `locks_per_proc` lock slots, each holding the hybrid lock's
-//!   `ticket`/`counter` words, the MCS `Lock` variable and its lease
-//!   words (16 reserved bytes between the last two);
+//!   `ticket`/`counter` words and the MCS `Lock` variable (the rest of
+//!   each 64-byte slot is reserved);
 //! * per-source `op_from` completed-put counters — the server bumps
 //!   the initiator's per landed put, and a barrier's stage-2 wait polls
 //!   their sum over its scope (`op_done` = `Σ op_from`) — and
@@ -29,9 +29,9 @@ pub const MCS_NEXT: usize = 16;
 pub const MCS_LOCKED: usize = 24;
 /// First lock slot.
 pub const LOCK_SLOTS: usize = 64;
-/// Bytes per lock slot (widened from 48 to make room for the lease
-/// holder/epoch words the session-recovery layer uses to reclaim MCS
-/// locks from dead holders).
+/// Bytes per lock slot. Only the first 24 bytes are used (ticket,
+/// counter, MCS lock word); the stride stays 64 so that no other
+/// sync-segment offset moves.
 pub const LOCK_SLOT_SIZE: usize = 64;
 
 /// Per-slot offsets of the hybrid ticket lock's `ticket` word.
@@ -47,22 +47,6 @@ pub fn hybrid_counter(idx: u32) -> usize {
 /// Per-slot offset of the MCS `Lock` variable.
 pub fn mcs_lock(idx: u32) -> usize {
     hybrid_ticket(idx) + 16
-}
-
-/// Per-slot offset of the MCS lease *holder* word: `rank + 1` of the
-/// process currently believed to hold the MCS lock, `0`
-/// when free/unknown. Written by holders only when session recovery is
-/// enabled; consulted by [`crate::Armci::try_lock`]'s reclamation path to
-/// decide whether a wedged lock's holder is dead.
-pub fn mcs_lease_holder(idx: u32) -> usize {
-    hybrid_ticket(idx) + 48
-}
-
-/// Per-slot offset of the MCS lease *epoch* word: bumped by exactly one
-/// survivor (compare&swap-fenced) per reclamation, so concurrent
-/// reclaimers of the same dead holder elect a single winner.
-pub fn mcs_lease_epoch(idx: u32) -> usize {
-    hybrid_ticket(idx) + 56
 }
 
 /// Number of hierarchical-barrier counter slots per process. Each live
@@ -155,9 +139,7 @@ mod tests {
             let end = hybrid_ticket(idx) + LOCK_SLOT_SIZE;
             assert_eq!(end, hybrid_ticket(idx + 1));
             assert!(hybrid_counter(idx) < mcs_lock(idx));
-            assert!(mcs_lock(idx) + 16 <= mcs_lease_holder(idx));
-            assert!(mcs_lease_holder(idx) + 8 <= mcs_lease_epoch(idx));
-            assert!(mcs_lease_epoch(idx) + 8 <= end);
+            assert!(mcs_lock(idx) + 8 <= end);
         }
     }
 
@@ -165,16 +147,13 @@ mod tests {
     fn segment_len_covers_all_slots() {
         let locks = 8;
         let nprocs = 4;
-        assert_eq!(hier_next(locks), mcs_lease_epoch(locks - 1) + 8);
+        assert_eq!(hier_next(locks), hybrid_ticket(locks - 1) + LOCK_SLOT_SIZE);
         assert_eq!(hier_vec(locks, nprocs, 0, 0), notify_slot(locks, nprocs, NOTIFY_SLOTS - 1) + 8);
         let last = hier_vec(locks, nprocs, HIER_SLOTS - 1, nprocs as usize - 1);
         assert_eq!(sync_segment_len(locks, nprocs), last + 8);
         // Absolute offsets for one shape: a retired field's words stay
         // reserved, so no other offset (and no wire byte) moves.
-        assert_eq!(
-            [mcs_lock(2), mcs_lease_holder(2), mcs_lease_epoch(2), hier_next(locks), op_from(locks, 3)],
-            [208, 240, 248, 576, 1120]
-        );
+        assert_eq!([mcs_lock(2), hier_next(locks), op_from(locks, 3)], [208, 576, 1120]);
     }
 
     #[test]

@@ -62,7 +62,7 @@ mod try_error_paths;
 pub use armci::{Armci, LockId};
 pub use armci_netfab::{FaultAction, FaultPlan, FaultSpec, RetryPolicy};
 pub use chaos::{chaos_plan, chaos_workload, ChaosError, ChaosRng};
-pub use config::{AckMode, ArmciCfg, LockAlgo, OnPeerLoss};
+pub use config::{AckMode, ArmciCfg, LockAlgo};
 pub use errors::{ArmciError, ConfigError};
 pub use gptr::{GlobalAddr, PackedPtr};
 pub use group::ProcGroup;

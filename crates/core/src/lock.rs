@@ -23,10 +23,10 @@
 use std::sync::atomic::Ordering;
 
 use armci_proto::{
-    HybridAcquire, HybridAction, HybridEvent, McsAcquire, McsAcquireAction, McsAcquireEvent, McsReclaim, McsRelease,
-    McsReleaseAction, McsReleaseEvent, ReclaimAction, ReclaimEvent,
+    HybridAcquire, HybridAction, HybridEvent, McsAcquire, McsAcquireAction, McsAcquireEvent, McsRelease,
+    McsReleaseAction, McsReleaseEvent,
 };
-use armci_transport::{Endpoint, ProcId, SegId};
+use armci_transport::{Endpoint, SegId};
 
 use crate::armci::{unwrap_op, Armci, LockId};
 use crate::config::LockAlgo;
@@ -88,9 +88,19 @@ impl Armci {
 
     /// Release `id` with the configured default algorithm.
     pub fn unlock(&mut self, id: LockId) {
+        unwrap_op(self.try_unlock(id));
+    }
+
+    /// Fallible [`Armci::unlock`]. The hybrid release is one-way and
+    /// cannot fail; an MCS release that must wait for its successor, or
+    /// compare&swap a remote lock word, can.
+    pub fn try_unlock(&mut self, id: LockId) -> Result<(), ArmciError> {
         match self.lock_algo() {
-            LockAlgo::Hybrid => self.unlock_hybrid(id),
-            LockAlgo::Mcs => self.unlock_mcs(id),
+            LockAlgo::Hybrid => {
+                self.unlock_hybrid(id);
+                Ok(())
+            }
+            LockAlgo::Mcs => self.try_unlock_mcs(id),
         }
     }
 
@@ -179,82 +189,17 @@ impl Armci {
         GlobalAddr::new(id.owner, SegId(0), layout::mcs_lock(id.idx))
     }
 
-    fn mcs_lease_holder_addr(&self, id: LockId) -> GlobalAddr {
-        GlobalAddr::new(id.owner, SegId(0), layout::mcs_lease_holder(id.idx))
-    }
-
-    fn mcs_lease_epoch_addr(&self, id: LockId) -> GlobalAddr {
-        GlobalAddr::new(id.owner, SegId(0), layout::mcs_lease_epoch(id.idx))
-    }
-
-    /// Record (or clear) the lease on an MCS lock slot. `holder` is
-    /// `rank + 1`, or `0` for "free". Only maintained when session
-    /// recovery is on — the plain fail-stop configurations never pay the
-    /// extra put on the lock-handoff path.
-    fn mcs_lease_set(&mut self, id: LockId, holder: u64) -> Result<(), ArmciError> {
-        if !self.recovery {
-            return Ok(());
-        }
-        self.try_put(self.mcs_lease_holder_addr(id), &holder.to_le_bytes())
-    }
-
-    /// Snapshot the lock's reclamation epoch at acquire time. Release
-    /// paths validate against this snapshot before touching the queue
-    /// words (lease-validated one-sided handoff): if a survivor's
-    /// reclamation advanced the epoch while we held the lock — it
-    /// believed our node dead — the queue was reset and our release
-    /// must not be applied to it.
-    fn mcs_lease_epoch_snapshot(&mut self, id: LockId) -> Result<(), ArmciError> {
-        if self.recovery {
-            self.mcs_lease_epoch_seen = self.try_rmw(self.mcs_lease_epoch_addr(id), RmwOp::FetchAddU64(0))?;
-        }
-        Ok(())
-    }
-
-    /// Has the lock been reclaimed since our acquire-time epoch snapshot?
-    /// An unreadable epoch word (lock host unreachable) counts as *not*
-    /// stale: the normal release path will surface the same fault.
-    fn mcs_lease_stale(&mut self, id: LockId) -> bool {
-        if !self.recovery {
-            return false;
-        }
-        match self.try_rmw(self.mcs_lease_epoch_addr(id), RmwOp::FetchAddU64(0)) {
-            Ok(v) => v != self.mcs_lease_epoch_seen,
-            Err(_) => false,
-        }
-    }
-
     /// Acquire with the software queuing lock (Figure 5, `request`).
     pub fn lock_mcs(&mut self, id: LockId) {
         unwrap_op(self.try_lock_mcs(id));
     }
 
-    /// Fallible [`Armci::lock_mcs`]: the `swap` round-trip and the poll on
-    /// our own `locked` flag both observe the operation deadline and peer
-    /// liveness.
-    ///
-    /// When session recovery is enabled and the first attempt fails, the
-    /// lock's lease is consulted: if the recorded holder's node has been
-    /// declared dead, the caller competes to reclaim the lock
-    /// ([`Armci::try_reclaim_mcs`]) and, on winning, retries the acquire
-    /// once over the reset queue.
+    /// Fallible [`Armci::lock_mcs`], driving one [`McsAcquire`] plan: the
+    /// engine decides the word transitions, this loop performs them
+    /// against real segments and the server. The `swap` round-trip and
+    /// the poll on our own `locked` flag both observe the operation
+    /// deadline and peer liveness.
     pub fn try_lock_mcs(&mut self, id: LockId) -> Result<(), ArmciError> {
-        match self.try_lock_mcs_inner(id) {
-            Err(e) if self.recovery => {
-                if self.try_reclaim_mcs(id)? {
-                    self.try_lock_mcs_inner(id)
-                } else {
-                    Err(e)
-                }
-            }
-            r => r,
-        }
-    }
-
-    /// Drive one [`McsAcquire`] plan (Figure 5, `request`): the engine
-    /// decides the word transitions, this loop performs them against real
-    /// segments and the server.
-    fn try_lock_mcs_inner(&mut self, id: LockId) -> Result<(), ArmciError> {
         self.check_lock_id(id);
         assert!(
             self.mcs_held.is_none(),
@@ -262,7 +207,7 @@ impl Armci {
             self.mcs_held
         );
         let me_ptr = self.my_mcs_node().pack();
-        let mut eng: McsAcquire<GlobalAddr> = McsAcquire::new(self.recovery);
+        let mut eng: McsAcquire<GlobalAddr> = McsAcquire::new(false);
         let mut acts = Vec::new();
         eng.poll(McsAcquireEvent::Start, &mut acts);
         let mut i = 0;
@@ -296,14 +241,6 @@ impl Armci {
                     })?;
                     eng.poll(McsAcquireEvent::LockedCleared, &mut acts);
                 }
-                McsAcquireAction::SetLease => {
-                    // Epoch first, lease second: if a reclamation races in
-                    // between, the release sees an advanced epoch and
-                    // abandons — the safe direction.
-                    self.mcs_lease_epoch_snapshot(id)?;
-                    let me_rank = u64::from(self.me().0) + 1;
-                    self.mcs_lease_set(id, me_rank)?;
-                }
                 McsAcquireAction::Acquired => {
                     self.mcs_held = Some(id);
                 }
@@ -314,23 +251,21 @@ impl Armci {
         Ok(())
     }
 
-    /// Release the software queuing lock (Figure 5, `release`), driving
-    /// one [`McsRelease`] plan.
-    ///
-    /// With session recovery on, the release first validates the lease
-    /// epoch captured at acquire time: if reclamation advanced it (a
-    /// survivor believed this node dead and reset the queue), the release
-    /// is abandoned rather than applied to a queue that no longer
-    /// describes us.
+    /// Release the software queuing lock (Figure 5, `release`).
     pub fn unlock_mcs(&mut self, id: LockId) {
+        unwrap_op(self.try_unlock_mcs(id));
+    }
+
+    /// Fallible [`Armci::unlock_mcs`], driving one [`McsRelease`] plan.
+    /// This process stops holding the lock either way: a release that
+    /// fails (a dead successor or lock host) leaves the queue broken, and
+    /// the error says why.
+    pub fn try_unlock_mcs(&mut self, id: LockId) -> Result<(), ArmciError> {
         self.check_lock_id(id);
-        assert_eq!(self.mcs_held, Some(id), "releasing an MCS lock not held");
-        if self.mcs_lease_stale(id) {
-            self.mcs_held = None;
-            return;
-        }
+        let held = self.mcs_held.take();
+        assert_eq!(held, Some(id), "releasing an MCS lock not held");
         let me_ptr = self.my_mcs_node().pack();
-        let mut eng: McsRelease<GlobalAddr> = McsRelease::new(self.recovery);
+        let mut eng: McsRelease<GlobalAddr> = McsRelease::new(false);
         let mut acts = Vec::new();
         eng.poll(McsReleaseEvent::Start, &mut acts);
         let mut i = 0;
@@ -345,7 +280,8 @@ impl Armci {
                     // NULL. This is the compare&swap the paper pays a
                     // round-trip for on remote locks (Figure 10's "new"
                     // curve).
-                    let observed = self.cas_u64(self.mcs_lock_var(id), me_ptr.0, PackedPtr::NULL.0);
+                    let cas = RmwOp::CasU64 { expect: me_ptr.0, new: PackedPtr::NULL.0 };
+                    let observed = self.try_rmw(self.mcs_lock_var(id), cas)?;
                     eng.poll(McsReleaseEvent::CasResult { won: observed == me_ptr.0 }, &mut acts);
                 }
                 McsReleaseAction::AwaitSuccessor => {
@@ -354,17 +290,11 @@ impl Armci {
                     // (Figure 5 line 20).
                     let deadline = self.op_deadline();
                     let sync = self.my_sync.clone();
-                    unwrap_op(self.wait_local_cond("unlock", deadline, move || {
+                    self.wait_local_cond("unlock", deadline, move || {
                         sync.atomic_u64(layout::MCS_NEXT).load(Ordering::Acquire) != 0
-                    }));
+                    })?;
                     let next = PackedPtr(self.my_sync.read_u64(layout::MCS_NEXT));
                     eng.poll(McsReleaseEvent::NextValue(next.decode()), &mut acts);
-                }
-                McsReleaseAction::TransferLease(next_addr) => {
-                    // Transfer the lease *before* waking the successor so
-                    // there is no window where the new holder runs under a
-                    // stale lease entry.
-                    let _ = self.mcs_lease_set(id, u64::from(next_addr.proc.0) + 1);
                 }
                 McsReleaseAction::Wake(next_addr) => {
                     // next->locked = FALSE: direct store if node-local, one
@@ -372,114 +302,11 @@ impl Armci {
                     // handoff.
                     self.put_u64(next_addr.add(8), 0);
                 }
-                McsReleaseAction::ClearLease => {
-                    let _ = self.mcs_lease_set(id, 0);
-                }
-                McsReleaseAction::Released => {
-                    self.mcs_held = None;
-                }
+                McsReleaseAction::Released => {}
             }
             i += 1;
         }
         debug_assert!(eng.is_released());
-    }
-
-    /// Attempt to reclaim an MCS lock whose recorded lease holder's node
-    /// has been declared dead by the session layer's failure detector.
-    ///
-    /// Returns `Ok(true)` when *this* process won the reclamation (the
-    /// lock variable has been reset to NULL and the caller should retry
-    /// its acquire), `Ok(false)` when there was nothing to reclaim — no
-    /// lease recorded, the holder is still believed alive, or another
-    /// survivor won the epoch race (that winner performs the reset).
-    ///
-    /// The epoch word is the fence: every reclaimer reads it, and only
-    /// the one whose `compare&swap(epoch, epoch+1)` observes the value it
-    /// read gets to touch the lock variable, so a dead holder is
-    /// reclaimed exactly once per failure. Reclamation discards the dead
-    /// chain's queue state wholesale — orphaned waiters time out on their
-    /// own `locked` polls and must re-request the lock.
-    pub fn try_reclaim_mcs(&mut self, id: LockId) -> Result<bool, ArmciError> {
-        self.check_lock_id(id);
-        let mut eng = McsReclaim::new();
-        let mut acts = Vec::new();
-        eng.poll(ReclaimEvent::Start, &mut acts);
-        let mut won = false;
-        let mut i = 0;
-        while i < acts.len() {
-            match acts[i] {
-                ReclaimAction::ReadHolder => {
-                    let holder = self.try_rmw(self.mcs_lease_holder_addr(id), RmwOp::FetchAddU64(0))?;
-                    eng.poll(ReclaimEvent::Holder(holder), &mut acts);
-                }
-                ReclaimAction::CheckAlive(rank) => {
-                    // Both failure sources count: a transport-level lost
-                    // link and a membership eviction already recorded by
-                    // this process (the eviction may predate this call,
-                    // e.g. during a post-eviction lease sweep).
-                    let holder_node = self.topology().node_of(ProcId(rank as u32));
-                    let alive = !self.mb.peer_is_lost(holder_node) && self.membership.is_alive(rank as usize);
-                    eng.poll(ReclaimEvent::AliveResult(alive), &mut acts);
-                }
-                ReclaimAction::ReadEpoch => {
-                    let epoch = self.try_rmw(self.mcs_lease_epoch_addr(id), RmwOp::FetchAddU64(0))?;
-                    eng.poll(ReclaimEvent::Epoch(epoch), &mut acts);
-                }
-                ReclaimAction::CasEpoch { expect } => {
-                    let epoch_addr = self.mcs_lease_epoch_addr(id);
-                    let observed = self.try_rmw(epoch_addr, RmwOp::CasU64 { expect, new: expect + 1 })?;
-                    eng.poll(ReclaimEvent::EpochCas { won: observed == expect }, &mut acts);
-                }
-                // We own this epoch: reset the queue and clear the dead
-                // lease.
-                ReclaimAction::ResetLock => {
-                    self.try_rmw(self.mcs_lock_var(id), RmwOp::SwapU64(PackedPtr::NULL.0))?;
-                }
-                ReclaimAction::ClearHolder => {
-                    self.try_put(self.mcs_lease_holder_addr(id), &0u64.to_le_bytes())?;
-                }
-                ReclaimAction::Finished(w) => won = w,
-            }
-            i += 1;
-        }
-        Ok(won)
-    }
-
-    /// Sweep every *reachable* MCS lock slot for a lease still recorded
-    /// to an evicted rank, reclaiming each such lock
-    /// ([`Armci::try_reclaim_mcs`]). Returns how many locks this process
-    /// reclaimed (other survivors may win some of the epoch races —
-    /// those count for the winner, not for us; either way the slot ends
-    /// up clean).
-    ///
-    /// Reachable means slots hosted by *surviving* owners: a slot in an
-    /// evicted rank's own sync segment dies with that rank — no one can
-    /// name it again (`try_lock` toward a dead owner fails with
-    /// `PeerLost`), and its backing file is swept by the shm-plane
-    /// namespace GC. The same holds for hierarchical-barrier counter
-    /// slots led by an evicted rank: shrunk groups claim fresh slots in
-    /// survivors' segments ([`Armci::shrink_group`]), so dead leaders'
-    /// counters need no reclamation, only file-level GC.
-    ///
-    /// Call after observing an eviction (e.g. when a `try_lock` fails
-    /// with `PeerLost` under `OnPeerLoss::Degrade`) to stop dead holders
-    /// from wedging locks until each is individually contended.
-    pub fn try_reclaim_dead_leases(&mut self) -> Result<usize, ArmciError> {
-        let view = self.membership_view();
-        let mut reclaimed = 0;
-        for owner in 0..self.nprocs() {
-            if !view.alive.contains(owner) {
-                continue;
-            }
-            for idx in 0..self.locks_per_proc {
-                let id = LockId { owner: ProcId(owner as u32), idx };
-                let holder = self.try_rmw(self.mcs_lease_holder_addr(id), RmwOp::FetchAddU64(0))?;
-                let dead = holder != 0 && !view.alive.contains(holder as usize - 1);
-                if dead && self.try_reclaim_mcs(id)? {
-                    reclaimed += 1;
-                }
-            }
-        }
-        Ok(reclaimed)
+        Ok(())
     }
 }

@@ -12,8 +12,7 @@
 //!   batch per iteration, no matter how many small puts it carries;
 //! * the collective [`PlanBuilder::build`] allgathers per-destination
 //!   batch counts so every rank learns how many notifications it will
-//!   *receive* per iteration and from whom (the producer set, registered
-//!   for degraded-mode aborts);
+//!   *receive* per iteration and from whom (the producer set);
 //! * [`TransferPlan::post`] ships this iteration's payloads, packed
 //!   back to back in one caller-owned buffer, as
 //!   [`crate::Armci::put_notify_v`] batches sent straight from it;
@@ -109,8 +108,7 @@ impl PlanBuilder {
     /// call `build` (with its own recorded puts, possibly none). One
     /// ring allgather distributes per-destination batch counts, so each
     /// rank learns its expected notifications per iteration and its
-    /// producer set; the producers are registered with the notify engine
-    /// for degraded-mode aborts.
+    /// producer set.
     ///
     /// # Panics
     /// Panics if the puts to some `(dst, seg)` were not recorded
@@ -140,8 +138,6 @@ impl PlanBuilder {
                 producers.push(r as u32);
             }
         }
-        let producer_procs: Vec<ProcId> = producers.iter().map(|&r| ProcId(r)).collect();
-        a.set_notify_producers(self.slot, &producer_procs);
         TransferPlan { slot: self.slot, puts: self.puts, batches, expected_per_iter: expected, producers, iter: 0 }
     }
 }
@@ -248,10 +244,9 @@ impl TransferPlan {
         unwrap_op(self.try_sync(a));
     }
 
-    /// Fallible [`TransferPlan::sync`]: a dead producer (degraded mode)
-    /// or an expired deadline surfaces as an [`ArmciError`]. The
-    /// iteration count still advances on failure, so a survivor that
-    /// rebuilds its plan resumes from a consistent target.
+    /// Fallible [`TransferPlan::sync`]: a dead peer or an expired
+    /// deadline surfaces as an [`ArmciError`]. The iteration count still
+    /// advances on failure.
     pub fn try_sync(&mut self, a: &mut Armci) -> Result<(), ArmciError> {
         self.iter += 1;
         if self.expected_per_iter == 0 {

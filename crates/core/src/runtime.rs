@@ -198,9 +198,6 @@ where
         my_sync,
         fence: armci_proto::FenceEngine::new(cfg.ack_mode.fence_mode(), nprocs, nnodes),
         notify: armci_proto::NotifyEngine::new(nprocs),
-        notify_producers: vec![Vec::new(); layout::NOTIFY_SLOTS as usize],
-        membership: armci_proto::Membership::new(nprocs, p.0 as usize, cfg.suspect_after.as_millis() as u64),
-        on_peer_loss: cfg.on_peer_loss,
         last_barrier_log: Vec::new(),
         hier_collectives: cfg.hier_collectives,
         last_hier_log: Vec::new(),
@@ -214,9 +211,7 @@ where
         encode_pool: armci_transport::BodyPool::new(8),
         op_timeout: cfg.op_timeout,
         detect_slice: cfg.detect_slice,
-        recovery: cfg.recovery,
         shm,
-        mcs_lease_epoch_seen: 0,
     };
     let out = f(&mut armci);
     // When the teardown barrier fails — a peer lost or desynchronized —
@@ -347,8 +342,8 @@ where
     F: Fn(&mut Armci) -> T + Send + Sync + 'static,
 {
     let topo = Topology::new(cfg.nodes, cfg.procs_per_node);
-    let fabrics = armci_netfab::NodeFabric::loopback_cfg(&topo, cfg.trace, cfg.faults.clone(), session_cfg_of(&cfg))
-        .expect("loopback fabric");
+    let fabrics =
+        armci_netfab::NodeFabric::loopback_cfg(&topo, cfg.trace, cfg.faults.clone()).expect("loopback fabric");
     let trace = fabrics[0].trace();
     let f = Arc::new(f);
     // One runner thread per node process-equivalent; teardown inside
@@ -407,19 +402,7 @@ fn net_opts_for(cfg: &ArmciCfg, process_faults: bool) -> armci_netfab::NetOpts {
         faults: cfg.faults.clone(),
         process_faults,
         boot: armci_netfab::BootOpts { dial: cfg.retry, deadline: cfg.boot_timeout, ..Default::default() },
-        session: session_cfg_of(cfg),
         ..Default::default()
-    }
-}
-
-/// The session-layer knobs a netfab fabric runs with, lifted out of the
-/// cluster config.
-fn session_cfg_of(cfg: &ArmciCfg) -> armci_netfab::SessionCfg {
-    armci_netfab::SessionCfg {
-        recovery: cfg.recovery,
-        heartbeat_interval: cfg.heartbeat_interval,
-        suspect_after: cfg.suspect_after,
-        replay_window: cfg.replay_window,
     }
 }
 
@@ -487,7 +470,7 @@ where
     let topo = Topology::new(cfg.nodes, cfg.procs_per_node);
     let nnodes = topo.nnodes();
     if nnodes == 1 {
-        let fabrics = NodeFabric::loopback_cfg(&topo, false, cfg.faults.clone(), session_cfg_of(&cfg));
+        let fabrics = NodeFabric::loopback_cfg(&topo, false, cfg.faults.clone());
         return match fabrics {
             Ok(mut fabrics) => (run_cluster_net(cfg, fabrics.pop().unwrap(), f), Ok(())),
             Err(e) => (Vec::new(), Err(ArmciError::Boot { detail: format!("loopback fabric: {e}") })),

@@ -124,9 +124,6 @@ fn stub_armci(mode: StubMode) -> Armci {
         my_sync,
         fence: armci_proto::FenceEngine::new(AckMode::Gm.fence_mode(), nprocs, nnodes),
         notify: armci_proto::NotifyEngine::new(nprocs),
-        notify_producers: vec![Vec::new(); layout::NOTIFY_SLOTS as usize],
-        membership: armci_proto::Membership::new(nprocs, 0, 1),
-        on_peer_loss: crate::config::OnPeerLoss::Abort,
         last_barrier_log: Vec::new(),
         hier_collectives: false,
         last_hier_log: Vec::new(),
@@ -140,9 +137,7 @@ fn stub_armci(mode: StubMode) -> Armci {
         encode_pool: BodyPool::new(8),
         op_timeout: Duration::from_millis(40),
         detect_slice: Duration::from_millis(5),
-        recovery: false,
         shm: None,
-        mcs_lease_epoch_seen: 0,
     }
 }
 
@@ -166,6 +161,12 @@ fn for_each_blocking_op(mode: StubMode, check: impl Fn(&'static str, Result<(), 
         a.try_lock(remote_lock())
     });
     check("barrier", stub_armci(mode).try_barrier());
+    // Forming a group's hierarchy is collective over its members.
+    check("group", {
+        let mut a = stub_armci(mode);
+        a.hier_collectives = true;
+        a.try_group(&[0, 1]).map(|_| ())
+    });
     // A counted put must be outstanding or the fence is a no-op; the put
     // itself may already refuse if the transport knows the peer is dead,
     // and that refusal is the operation's verdict in that mode.
@@ -190,7 +191,7 @@ fn silent_transport_times_out_every_blocking_op() {
 fn lost_peer_surfaces_peer_lost_from_every_blocking_op() {
     for_each_blocking_op(StubMode::LostPeer(NodeId(1)), |op, r| {
         assert!(
-            matches!(r, Err(ArmciError::PeerLost { peer: NodeId(1), .. })),
+            matches!(r, Err(ArmciError::PeerLost { peer: NodeId(1) })),
             "{op}: expected PeerLost(node 1), got {r:?}"
         );
     });
@@ -213,7 +214,7 @@ fn peer_lost_preempts_a_generous_deadline() {
     let t = Instant::now();
     let r = a.try_barrier();
     let elapsed = t.elapsed();
-    assert!(matches!(r, Err(ArmciError::PeerLost { peer: NodeId(1), .. })), "got {r:?}");
+    assert!(matches!(r, Err(ArmciError::PeerLost { peer: NodeId(1) })), "got {r:?}");
     assert!(elapsed < Duration::from_secs(5), "detection took {elapsed:?}, should be ~detect_slice");
 }
 
@@ -246,32 +247,13 @@ fn msglib_collectives_panic_with_the_typed_error_instead_of_hanging() {
 
 /// `wait_notify` is a pure local-memory wait (no receive channel), so a
 /// silent transport runs it to its deadline, while a confirmed peer loss
-/// in the default Abort mode cuts it short.
+/// cuts it short.
 #[test]
 fn wait_notify_times_out_or_aborts_by_mode() {
     let r = stub_armci(StubMode::Silent).try_wait_notify(0, 1);
     assert!(matches!(r, Err(ArmciError::Timeout { op: "wait_notify" })), "got {r:?}");
     let r = stub_armci(StubMode::LostPeer(NodeId(1))).try_wait_notify(0, 1);
-    assert!(matches!(r, Err(ArmciError::PeerLost { peer: NodeId(1), .. })), "got {r:?}");
-}
-
-/// Degraded mode is membership-aware: a wait on a slot fed by a dead
-/// producer aborts with the view epoch, while a slot with no dead
-/// producers keeps waiting (here: to its deadline) even though *some*
-/// peer died.
-#[test]
-fn degraded_wait_notify_aborts_only_for_dead_producers() {
-    let mut a = stub_armci(StubMode::LostPeer(NodeId(1)));
-    a.on_peer_loss = crate::config::OnPeerLoss::Degrade;
-    a.set_notify_producers(0, &[ProcId(1)]); // rank 1 lives on node 1
-    let r = a.try_wait_notify(0, 1);
-    assert!(matches!(r, Err(ArmciError::PeerLost { peer: NodeId(1), epoch }) if epoch > 0), "got {r:?}");
-
-    let mut a = stub_armci(StubMode::LostPeer(NodeId(1)));
-    a.on_peer_loss = crate::config::OnPeerLoss::Degrade;
-    // No producers registered for slot 1: the dead node is irrelevant.
-    let r = a.try_wait_notify(1, 1);
-    assert!(matches!(r, Err(ArmciError::Timeout { op: "wait_notify" })), "got {r:?}");
+    assert!(matches!(r, Err(ArmciError::PeerLost { peer: NodeId(1) })), "got {r:?}");
 }
 
 /// A failed wait must disarm its engine watch so a retry can re-arm it.
@@ -324,7 +306,7 @@ fn try_put_notify_refuses_a_lost_peer_when_only_the_data_segment_is_mapped() {
     // ...but the notification counter is not, so the notified put is a
     // wire operation and must be refused like one.
     let r = a.try_put_notify(dst, &7u64.to_le_bytes(), 0);
-    assert!(matches!(r, Err(ArmciError::PeerLost { peer: NodeId(1), .. })), "got {r:?}");
+    assert!(matches!(r, Err(ArmciError::PeerLost { peer: NodeId(1) })), "got {r:?}");
     assert!(a.take_notify_log().is_empty(), "a refused put must not be logged as issued");
     assert_eq!(a.stats().remote_puts, 0);
     drop((a, owner));
@@ -339,7 +321,7 @@ fn a_failed_get_does_not_wedge_the_reply_stream() {
     let mut a = stub_armci(StubMode::LostPeer(NodeId(1)));
     for _ in 0..2 {
         let r = a.try_get(remote_addr(), &mut [0u8; 8]);
-        assert!(matches!(r, Err(ArmciError::PeerLost { peer: NodeId(1), .. })), "got {r:?}");
+        assert!(matches!(r, Err(ArmciError::PeerLost { peer: NodeId(1) })), "got {r:?}");
     }
     let h = a.nbget(remote_addr(), 8);
     assert!(a.try_nbget_wait(h).is_err());

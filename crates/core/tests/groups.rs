@@ -9,10 +9,9 @@ use std::time::{Duration, Instant};
 
 use armci_core::{
     run_cluster, run_cluster_net_loopback, ArmciCfg, ArmciError, FaultAction, FaultPlan, FaultSpec, GlobalAddr,
-    OnPeerLoss,
 };
 use armci_proto::HierMsg;
-use armci_transport::{LatencyModel, ProcId};
+use armci_transport::{LatencyModel, NodeId, ProcId};
 
 fn flat(n: u32) -> ArmciCfg {
     // These suites exercise the *flat* member-scoped protocol; pin the
@@ -362,11 +361,10 @@ fn hier_barrier_times_out_on_every_member_when_one_never_enters() {
     }
 }
 
-/// Under `OnPeerLoss::Degrade` a leader lost during the value-carrying
-/// pass is never folded out — its domain's op counts are unrecoverable —
-/// so every survivor's barrier aborts with `PeerLost { epoch }`. Over
-/// loopback TCP: node 1's scripted kill fires while its leader, instead
-/// of entering the barrier, storms puts at rank 0.
+/// A leader lost during the value-carrying pass takes its domain's op
+/// counts with it, so every survivor's barrier aborts with `PeerLost`.
+/// Over loopback TCP: node 1's scripted kill fires while its leader,
+/// instead of entering the barrier, storms puts at rank 0.
 #[test]
 fn hier_barrier_aborts_with_peer_lost_when_a_leader_dies_before_contributing() {
     let faults =
@@ -374,7 +372,6 @@ fn hier_barrier_aborts_with_peer_lost_when_a_leader_dies_before_contributing() {
     let cfg = ArmciCfg::flat(2, LatencyModel::zero())
         .with_procs_per_node(2)
         .with_op_timeout(Duration::from_secs(10))
-        .with_on_peer_loss(OnPeerLoss::Degrade)
         // The kill is driven by frames crossing the wire.
         .with_shm_plane(Some(false))
         .with_faults(faults)
@@ -397,8 +394,48 @@ fn hier_barrier_aborts_with_peer_lost_when_a_leader_dies_before_contributing() {
     });
     for (rank, res) in out.iter().enumerate().take(2) {
         assert!(
-            matches!(res, Err(ArmciError::PeerLost { epoch, .. }) if *epoch >= 1),
+            matches!(res, Err(ArmciError::PeerLost { peer: NodeId(1) })),
             "survivor {rank} must abort with PeerLost, got {res:?}"
         );
+    }
+}
+
+/// Forming a group's hierarchy is collective over its members, so a dead
+/// member must fail the formation on every survivor with `PeerLost`
+/// within the deadline, not panic or hang. Over loopback TCP: node 1's
+/// scripted kill fires while one of its ranks storms puts at rank 0, and
+/// every rank calls `try_group` over the whole world.
+#[test]
+fn try_group_over_a_dead_member_fails_with_peer_lost() {
+    let op_timeout = Duration::from_secs(2);
+    let faults =
+        FaultPlan::new().with(FaultSpec { node: 1, peer: 0, after_frames: 200, action: FaultAction::KillNode });
+    let cfg = ArmciCfg::flat(3, LatencyModel::zero())
+        .with_procs_per_node(2)
+        .with_op_timeout(op_timeout)
+        .with_hier_collectives(true)
+        // The kill is driven by frames crossing the wire.
+        .with_shm_plane(Some(false))
+        .with_faults(faults)
+        .build()
+        .expect("valid config");
+    let out = run_cluster_net_loopback(cfg, |a| {
+        let seg = a.malloc(8);
+        a.try_barrier()?;
+        if a.rank() == 2 {
+            for i in 0..100_000u64 {
+                a.try_put(GlobalAddr::new(ProcId(0), seg, 0), &i.to_le_bytes())?;
+                a.try_fence(ProcId(0))?;
+            }
+            panic!("doomed rank outlived its kill");
+        }
+        let t0 = Instant::now();
+        let r = a.try_group(&[0, 1, 2, 3, 4, 5]).map(|_| ());
+        Ok::<_, ArmciError>((r, t0.elapsed()))
+    });
+    for rank in [0, 1, 4, 5] {
+        let (r, took) = out[rank].as_ref().unwrap_or_else(|e| panic!("survivor {rank} failed early: {e}"));
+        assert!(matches!(r, Err(ArmciError::PeerLost { peer: NodeId(1) })), "survivor {rank} got {r:?}");
+        assert!(*took < 2 * op_timeout, "survivor {rank} gave up after {took:?}");
     }
 }

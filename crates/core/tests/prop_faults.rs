@@ -1,15 +1,14 @@
-//! Property-based tests of the fault-plan and session-config codecs.
+//! Property-based tests of the fault-plan and cluster-config codecs.
 //!
-//! Fault schedules and recovery knobs cross a process boundary in the
-//! spawned-node launch payload; a lossy encoding would make a chaos run
-//! unreproducible (the child would enact a different schedule than the
-//! seed dictates) or silently drop a recovery setting. Arbitrary values
+//! Fault schedules and failure-detection knobs cross a process boundary
+//! in the spawned-node launch payload; a lossy encoding would make a
+//! chaos run unreproducible (the child would enact a different schedule
+//! than the seed dictates) or silently drop a setting. Arbitrary values
 //! must round-trip bit-exactly through the vendored serde.
 
 use std::time::Duration;
 
-use armci_core::{ArmciCfg, FaultAction, FaultPlan, FaultSpec, OnPeerLoss, RetryPolicy};
-use armci_proto::{MembershipView, RankSet};
+use armci_core::{ArmciCfg, FaultAction, FaultPlan, FaultSpec, RetryPolicy};
 use armci_transport::LatencyModel;
 use proptest::prelude::*;
 
@@ -77,33 +76,21 @@ proptest! {
         prop_assert_eq!(back, action);
     }
 
-    /// The session-recovery knobs ride the same launch payload as the
+    /// The failure-detection slice rides the same launch payload as the
     /// fault plan; every combination must survive the trip, and the
     /// re-serialized payload must be byte-identical (the chaos harness
     /// compares schedules on their encoded form).
     #[test]
-    fn session_cfg_fields_roundtrip_through_launch_payload(
-        recovery in any::<bool>(),
-        heartbeat_us in 1u64..10_000_000,
-        suspect_us in 1u64..100_000_000,
+    fn detect_slice_and_faults_roundtrip_through_launch_payload(
         detect_us in 1u64..1_000_000,
-        replay_window in 1usize..1 << 20,
         plan in arb_plan(),
     ) {
         let cfg = ArmciCfg::flat(2, LatencyModel::zero())
-            .with_recovery(recovery)
-            .with_heartbeat_interval(Duration::from_micros(heartbeat_us))
-            .with_suspect_after(Duration::from_micros(suspect_us))
             .with_detect_slice(Duration::from_micros(detect_us))
-            .with_replay_window(replay_window)
             .with_faults(plan.clone());
         let json = serde::to_string(&cfg);
         let back: ArmciCfg = serde::from_str(&json).unwrap();
-        prop_assert_eq!(back.recovery, recovery);
-        prop_assert_eq!(back.heartbeat_interval, Duration::from_micros(heartbeat_us));
-        prop_assert_eq!(back.suspect_after, Duration::from_micros(suspect_us));
         prop_assert_eq!(back.detect_slice, Duration::from_micros(detect_us));
-        prop_assert_eq!(back.replay_window, replay_window);
         prop_assert_eq!(back.faults, plan);
         prop_assert_eq!(serde::to_string(&back), json);
     }
@@ -131,30 +118,6 @@ proptest! {
         prop_assert_eq!(serde::to_string(&back), json);
     }
 
-    /// Membership views cross process boundaries in degraded-mode
-    /// harnesses; an arbitrary epoch/alive-set pair must survive the
-    /// vendored serde bit-exactly (capacity included — a view of a
-    /// 65-rank world with rank 64 alive exercises the bitmap tail).
-    #[test]
-    fn any_membership_view_roundtrips(
-        capacity in 0usize..130,
-        dead in proptest::collection::vec(any::<bool>(), 130..131),
-        epoch in any::<u64>(),
-    ) {
-        let mut alive = RankSet::full(capacity);
-        for (r, d) in dead.iter().enumerate().take(capacity) {
-            if *d {
-                alive.remove(r);
-            }
-        }
-        let view = MembershipView { epoch, alive };
-        let json = serde::to_string(&view);
-        let back: MembershipView = serde::from_str(&json).unwrap();
-        prop_assert_eq!(&back, &view);
-        prop_assert_eq!(back.alive.capacity(), capacity);
-        prop_assert_eq!(serde::to_string(&back), json);
-    }
-
     /// The unified retry policy rides the launch payload; every field
     /// combination must round-trip (durations as whole microseconds —
     /// the codec's resolution).
@@ -177,12 +140,11 @@ proptest! {
         prop_assert_eq!(serde::to_string(&back), json);
     }
 
-    /// `on_peer_loss` and the retry policy travel with the rest of the
-    /// cluster config; both settings must survive the payload and the
-    /// re-encoded form must be byte-identical.
+    /// The retry policy travels with the rest of the cluster config; it
+    /// must survive the payload and the re-encoded form must be
+    /// byte-identical.
     #[test]
-    fn peer_loss_and_retry_roundtrip_through_launch_payload(
-        degrade in any::<bool>(),
+    fn retry_roundtrips_through_launch_payload(
         attempts in 1u32..64,
         base_us in 0u64..10_000_000,
         jitter in any::<bool>(),
@@ -193,14 +155,10 @@ proptest! {
             cap: Duration::from_micros(base_us.saturating_mul(64)),
             jitter,
         };
-        let mode = if degrade { OnPeerLoss::Degrade } else { OnPeerLoss::Abort };
-        let cfg = ArmciCfg::flat(2, LatencyModel::zero())
-            .with_on_peer_loss(mode)
-            .with_retry(policy);
+        let cfg = ArmciCfg::flat(2, LatencyModel::zero()).with_retry(policy);
         cfg.validate().unwrap();
         let json = serde::to_string(&cfg);
         let back: ArmciCfg = serde::from_str(&json).unwrap();
-        prop_assert_eq!(back.on_peer_loss, mode);
         prop_assert_eq!(back.retry, policy);
         prop_assert_eq!(serde::to_string(&back), json);
     }

@@ -214,6 +214,36 @@ fn paired_longs_are_gone() {
     }
 }
 
+/// Fail-stop is the fault model: a dead link poisons its peer and every
+/// survivor returns a typed error. Transparent recovery (sequence
+/// numbers, replay, reconnect, heartbeats, the wire preamble) and
+/// degraded mode (membership epochs, eviction, group shrinking, lease
+/// reclamation of MCS locks) are gone from every crate, test and example.
+#[test]
+fn fail_stop_is_the_fault_model() {
+    let all = workspace_sources();
+    let needles = [
+        "OnPeerLoss",
+        "on_peer_loss",
+        "replay_window",
+        "McsReclaim",
+        "try_reclaim_mcs",
+        "membership_view",
+        "try_shrink_group",
+        "evict_node",
+        "suspect_peers",
+        "DialAttempt",
+        "AcceptAttempt",
+        "PREAMBLE_LEN",
+        "heartbeat_interval",
+        "suspect_after",
+    ];
+    for needle in needles {
+        let hits = unquoted_uses(&all, needle);
+        assert!(hits.is_empty(), "{needle} is back: {hits:#?}");
+    }
+}
+
 /// One service agent per node: every request to a node rides its
 /// server's FIFO, so a fence confirms with one reply. The second agent —
 /// its endpoint, wire kind, mailboxes, config knob, routing helper and

@@ -186,9 +186,9 @@ impl GhostArray {
         }
     }
 
-    /// Fallible [`GhostArray::update_with_plan`]: a dead producer
-    /// (degraded mode) or an expired deadline surfaces as an
-    /// [`ArmciError`] instead of panicking.
+    /// Fallible [`GhostArray::update_with_plan`]: a dead peer or an
+    /// expired deadline surfaces as an [`ArmciError`] instead of
+    /// panicking.
     pub fn try_update_with_plan(&mut self, armci: &mut Armci, plan: &mut GhostUpdatePlan) -> Result<(), ArmciError> {
         let block = armci.local_segment(self.ga.seg_id());
         let mut at = 0;

@@ -299,8 +299,27 @@ pub(crate) fn bcast_impl(p: &mut impl P2p, root: usize, data: Vec<u8>) -> Vec<u8
     have.expect("every rank receives in a binomial bcast")
 }
 
-/// Ring allgather over an already-scoped endpoint.
+/// Ring allgather over an already-scoped endpoint; each receive waits as
+/// the endpoint's own `recv_from` does.
 pub(crate) fn allgather_impl(p: &mut impl P2p, mine: Vec<u8>) -> Vec<Vec<u8>> {
+    must("allgather", ring_allgather(p, mine, |p, from, tag| Ok(p.recv_from(from, tag))))
+}
+
+/// Fallible ring allgather over an already-scoped endpoint.
+pub(crate) fn try_allgather_impl(
+    p: &mut impl P2p,
+    mine: Vec<u8>,
+    deadline: Instant,
+) -> Result<Vec<Vec<u8>>, CommError> {
+    ring_allgather(p, mine, |p, from, tag| p.recv_from_deadline(from, tag, deadline))
+}
+
+/// The ring both allgathers run, receiving through `recv`.
+fn ring_allgather<P: P2p, E: From<DecodeError>>(
+    p: &mut P,
+    mine: Vec<u8>,
+    mut recv: impl FnMut(&mut P, usize, u32) -> Result<Vec<u8>, E>,
+) -> Result<Vec<Vec<u8>>, E> {
     let n = p.size();
     let me = p.rank();
     let tag = mk_tag(op::ALLGATHER, p.next_epoch());
@@ -316,11 +335,11 @@ pub(crate) fn allgather_impl(p: &mut impl P2p, mine: Vec<u8>) -> Vec<Vec<u8>> {
         let mut body = Vec::new();
         BufWriter::new(&mut body).u32(send_idx as u32).bytes(&out[send_idx]);
         p.send_to(right, tag, body);
-        let got = p.recv_from(left, tag);
+        let got = recv(p, left, tag)?;
         let mut r = Reader::new(&got);
-        out[(left + n - k) % n] = must("allgather", r.u32().and_then(|_| r.bytes())).to_vec();
+        out[(left + n - k) % n] = r.u32().and_then(|_| r.bytes())?.to_vec();
     }
-    out
+    Ok(out)
 }
 
 #[cfg(test)]

@@ -96,21 +96,6 @@ impl Group {
         Group::from_ranks(&world)
     }
 
-    /// The surviving subgroup of `self` under a membership view: every
-    /// member still alive in `view`, in parent order. Like
-    /// [`Group::split`], this is communication-free — survivor views
-    /// converge (the alive set is a pure function of the evicted set, see
-    /// `armci_proto::MembershipView`), so every survivor derives the
-    /// identical shrunk group without a message.
-    ///
-    /// # Panics
-    /// Panics if no member survives — callers are members, so a survivor
-    /// calling on its own group always keeps at least itself.
-    pub fn shrink(&self, view: &armci_proto::MembershipView) -> Group {
-        let members: Vec<usize> = self.ranks().filter(|&r| view.alive.contains(r)).collect();
-        Group::from_ranks(&members)
-    }
-
     /// Split `self` by a pure color function over *world ranks*: the
     /// returned group holds every member sharing `color(my world rank)`,
     /// in parent order. Every member evaluates `color` over the whole
@@ -248,6 +233,11 @@ impl Group {
     /// Ring allgather over the members, indexed by group rank.
     pub fn allgather(&self, p: &mut impl P2p, mine: Vec<u8>) -> Vec<Vec<u8>> {
         collectives::allgather_impl(&mut self.scoped(p), mine)
+    }
+
+    /// Fallible [`Group::allgather`] with a deadline.
+    pub fn try_allgather(&self, p: &mut impl P2p, mine: Vec<u8>, deadline: Instant) -> Result<Vec<Vec<u8>>, CommError> {
+        collectives::try_allgather_impl(&mut self.scoped(p), mine, deadline)
     }
 }
 

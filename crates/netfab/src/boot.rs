@@ -126,13 +126,6 @@ pub struct Mesh {
     pub node: NodeId,
     /// `streams[i]` connects to node `i`; `None` for `i == node.idx()`.
     pub streams: Vec<Option<TcpStream>>,
-    /// This node's bootstrap listener, retained so the session layer can
-    /// accept *re*connections from suspect peers after a wire fault.
-    /// `None` for single-node meshes (no network at all).
-    pub listener: Option<TcpListener>,
-    /// The rendezvous address table (`addrs[i]` is node `i`'s listener),
-    /// retained so the session layer can dial peers for reconnection.
-    pub addrs: Vec<String>,
 }
 
 fn write_u32(w: &mut impl Write, v: u32) -> io::Result<()> {
@@ -225,7 +218,7 @@ pub fn join_mesh_opts(rendezvous: &str, topo: &Topology, node: NodeId, opts: &Bo
     let nnodes = topo.nnodes();
     let mut streams: Vec<Option<TcpStream>> = (0..nnodes).map(|_| None).collect();
     if nnodes == 1 {
-        return Ok(Mesh { node, streams, listener: None, addrs: Vec::new() });
+        return Ok(Mesh { node, streams });
     }
     let deadline = Instant::now() + opts.deadline;
 
@@ -272,10 +265,7 @@ pub fn join_mesh_opts(rendezvous: &str, topo: &Topology, node: NodeId, opts: &Bo
             return Err(io::Error::new(io::ErrorKind::InvalidData, format!("node {peer} connected twice")));
         }
     }
-    // Hand the listener back to blocking mode (accept_deadline leaves it
-    // non-blocking); the session layer's accept loop re-tunes it.
-    listener.set_nonblocking(false)?;
-    Ok(Mesh { node, streams, listener: Some(listener), addrs: table })
+    Ok(Mesh { node, streams })
 }
 
 #[cfg(test)]

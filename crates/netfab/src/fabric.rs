@@ -18,13 +18,9 @@
 //!   and demuxes them by the header's destination endpoint into the
 //!   per-endpoint inboxes.
 //!
-//! Every peer link is owned by a [`Session`] (see [`crate::session`]).
-//! With recovery off (the default) a session is a thin wrapper over the
-//! boot-time stream: connection errors are terminal and teardown is
-//! EOF-driven. With recovery on, the loop doubles as the failure detector
-//! (idle heartbeats, staleness checks, reconnect driving) and deduplicates
-//! replayed frames by sequence number, so a transient connection loss is
-//! invisible above the fabric.
+//! Every peer link is owned by a [`Session`] (see [`crate::session`]), a
+//! thin fail-stop wrapper over the boot-time stream: a connection error
+//! is terminal, and the peer is reported lost to every local mailbox.
 //!
 //! Teardown is EOF-driven: when a node drops its fabric (all mailboxes
 //! already returned), its links close, the loop drains and flushes what
@@ -48,9 +44,10 @@ use crate::boot::{self, BootOpts, Mesh};
 use crate::event_loop::{self, LinkTx, LoopCfg};
 use crate::fault::FaultPlan;
 use crate::poller::{WakeHandle, WakePipe};
-use crate::session::{Session, SessionCfg, SESS_SUSPECT};
+use crate::session::Session;
 
 /// Options for building a [`NodeFabric`].
+#[derive(Default)]
 pub struct NetOpts {
     /// Record sends into this trace (shard = sender's dense endpoint
     /// index, as on the emulator). For loopback runs one trace is shared
@@ -68,20 +65,6 @@ pub struct NetOpts {
     /// Bootstrap timeouts and retry policy (dial faults from `faults` are
     /// merged in by [`NodeFabric::bootstrap`]).
     pub boot: BootOpts,
-    /// Session-layer recovery knobs (see [`SessionCfg`]). Off by default.
-    pub session: SessionCfg,
-}
-
-impl Default for NetOpts {
-    fn default() -> Self {
-        NetOpts {
-            trace: None,
-            faults: FaultPlan::new(),
-            process_faults: false,
-            boot: BootOpts::default(),
-            session: SessionCfg::default(),
-        }
-    }
 }
 
 /// Shared trigger for [`crate::FaultAction::KillNode`]: aborts the process in
@@ -91,7 +74,7 @@ pub(crate) struct KillSwitch {
     /// Every peer session of this node, so one fault can cut all links.
     sessions: Vec<Arc<Session>>,
     /// Loopback-mode "this whole node is dead" flag, reported by the
-    /// node's own mailboxes and consulted when a peer dials back.
+    /// node's own mailboxes.
     node_dead: Arc<AtomicBool>,
     /// Abort the OS process instead of soft-killing (spawned mode).
     process_kill: bool,
@@ -247,14 +230,6 @@ impl MailboxBackend for NetMailbox {
         }
         sh.sessions[node.idx()].as_ref().is_some_and(|s| s.is_terminal())
     }
-
-    fn suspect_peers(&self) -> Vec<NodeId> {
-        let sh = &self.shared;
-        (0..sh.topo.nnodes())
-            .filter(|&i| sh.sessions[i].as_ref().is_some_and(|s| s.state() == SESS_SUSPECT))
-            .map(|i| NodeId(i as u32))
-            .collect()
-    }
 }
 
 /// One node's endpoints and event loop, built over a bootstrap [`Mesh`].
@@ -269,8 +244,6 @@ pub struct NodeFabric {
     mailboxes: Vec<Option<Mailbox>>,
     /// The node's event loop; `None` for a node with no IO to do.
     io_thread: Option<JoinHandle<()>>,
-    /// Tells the loop to stop accepting reconnect dials.
-    accept_shutdown: Arc<AtomicBool>,
     /// The rendezvous address this fabric bootstrapped against (empty for
     /// meshes wired without one, e.g. single-node loopback). Every node of
     /// a run shares it, which makes it the run-unique token the shm data
@@ -282,7 +255,7 @@ pub struct NodeFabric {
 impl NodeFabric {
     /// Wire a node over an established mesh.
     pub fn from_mesh(topo: Topology, mesh: Mesh, opts: NetOpts) -> std::io::Result<Self> {
-        let Mesh { node, streams, mut listener, addrs } = mesh;
+        let Mesh { node, streams } = mesh;
         let n_endpoints = endpoint_count(&topo);
 
         let mut local_txs: Vec<Option<Sender<Msg>>> = (0..n_endpoints).map(|_| None).collect();
@@ -296,11 +269,24 @@ impl NodeFabric {
             local_rxs[i] = Some(rx);
         }
 
+        let wire_faults = opts.faults.wire_faults_for(node.0);
+        let wake = WakePipe::new()?;
+        let waker = wake.handle();
         let mut sessions: Vec<Option<Arc<Session>>> = (0..topo.nnodes()).map(|_| None).collect();
+        let mut peer_txs: Vec<Option<Arc<LinkTx>>> = (0..topo.nnodes()).map(|_| None).collect();
+        let mut peers = Vec::new();
         for (peer, stream) in streams.into_iter().enumerate() {
-            if let Some(stream) = stream {
-                sessions[peer] = Some(Session::new(Some(stream)));
-            }
+            let Some(stream) = stream else { continue };
+            // Nonblocking before the dups: the flag is the socket's, so
+            // the write half and the loop's reader share it.
+            stream.set_nonblocking(true)?;
+            let (writer, reader) = (stream.try_clone()?, stream.try_clone()?);
+            let sess = Arc::new(Session::new(stream));
+            let faults = wire_faults.iter().filter(|f| f.peer as usize == peer).map(|&f| Some(f)).collect();
+            let tx = Arc::new(LinkTx::new(sess.clone(), writer, faults, wake.handle()));
+            sessions[peer] = Some(sess);
+            peer_txs[peer] = Some(tx.clone());
+            peers.push((tx, reader));
         }
         let node_dead = Arc::new(AtomicBool::new(false));
         let kill = Arc::new(KillSwitch {
@@ -308,33 +294,9 @@ impl NodeFabric {
             node_dead: node_dead.clone(),
             process_kill: opts.process_faults,
         });
-        let wire_faults = opts.faults.wire_faults_for(node.0);
-
-        let accept_shutdown = Arc::new(AtomicBool::new(false));
-        let wake = WakePipe::new()?;
-        let waker = wake.handle();
-        let mut peer_txs: Vec<Option<Arc<LinkTx>>> = (0..topo.nnodes()).map(|_| None).collect();
-        let mut peers = Vec::new();
-        for (peer, sess) in sessions.iter().enumerate() {
-            let Some(sess) = sess else { continue };
-            let faults = wire_faults.iter().filter(|f| f.peer as usize == peer).map(|&f| Some(f)).collect();
-            let tx = Arc::new(LinkTx::new(sess.clone(), opts.session.clone(), faults, wake.handle()));
-            peer_txs[peer] = Some(tx.clone());
-            peers.push((peer, tx, addrs.get(peer).cloned().unwrap_or_default()));
-        }
-        let lc = LoopCfg {
-            node: node.0,
-            topo: topo.clone(),
-            local_txs: local_txs.clone(),
-            session: opts.session.clone(),
-            kill,
-            node_dead: node_dead.clone(),
-            shutdown: accept_shutdown.clone(),
-            listener: if opts.session.recovery { listener.take() } else { None },
-            peers,
-        };
-        // A node with no peers and no reconnect listener has no IO to do.
-        let io_thread = if lc.peers.is_empty() && lc.listener.is_none() {
+        let lc = LoopCfg { topo: topo.clone(), local_txs: local_txs.clone(), kill, peers };
+        // A node with no peers has no IO to do.
+        let io_thread = if lc.peers.is_empty() {
             None
         } else {
             Some(
@@ -365,7 +327,7 @@ impl NodeFabric {
             mailboxes[i] = Some(Mailbox::from_backend(Box::new(backend)));
         }
 
-        Ok(NodeFabric { topo, node, shared, mailboxes, io_thread, accept_shutdown, rendezvous: String::new() })
+        Ok(NodeFabric { topo, node, shared, mailboxes, io_thread, rendezvous: String::new() })
     }
 
     /// Bootstrap this node against a coordinator at `rendezvous` (see
@@ -387,30 +349,18 @@ impl NodeFabric {
     /// across all nodes so `trace_dump`-style tooling sees the global
     /// picture.
     pub fn loopback(topo: &Topology, trace: bool) -> std::io::Result<Vec<Self>> {
-        Self::loopback_cfg(topo, trace, FaultPlan::new(), SessionCfg::default())
+        Self::loopback_cfg(topo, trace, FaultPlan::new())
     }
 
     /// [`NodeFabric::loopback`] with a scripted fault plan, distributed to
-    /// every node (each enacts its own entries), and session-layer
-    /// configuration, for exercising recovery (reconnect + replay,
-    /// heartbeat membership) in one process.
-    /// [`crate::FaultAction::KillNode`] runs in soft mode here: it severs
-    /// the victim's links instead of aborting, since all nodes share this
-    /// process.
-    pub fn loopback_cfg(
-        topo: &Topology,
-        trace: bool,
-        faults: FaultPlan,
-        session: SessionCfg,
-    ) -> std::io::Result<Vec<Self>> {
+    /// every node (each enacts its own entries), for exercising fail-stop
+    /// detection in one process. [`crate::FaultAction::KillNode`] runs in
+    /// soft mode here: it severs the victim's links instead of aborting,
+    /// since all nodes share this process.
+    pub fn loopback_cfg(topo: &Topology, trace: bool, faults: FaultPlan) -> std::io::Result<Vec<Self>> {
         let nnodes = topo.nnodes();
         let shared_trace = trace.then(|| Arc::new(Trace::new(endpoint_count(topo))));
-        let opts_for = |trace: Option<Arc<Trace>>| NetOpts {
-            trace,
-            faults: faults.clone(),
-            session: session.clone(),
-            ..NetOpts::default()
-        };
+        let opts_for = |trace: Option<Arc<Trace>>| NetOpts { trace, faults: faults.clone(), ..NetOpts::default() };
         if nnodes == 1 {
             // Single node: no coordinator, no sockets (join_mesh
             // short-circuits too, keeping the two paths consistent).
@@ -481,13 +431,6 @@ impl NodeFabric {
         self.take(Endpoint::Server(self.node))
     }
 
-    /// How many bare ack/heartbeat transmissions this node has sent to
-    /// `peer` (observability for tests and diagnostics; only advances in
-    /// recovery mode, where idle links are probed).
-    pub fn heartbeats_sent(&self, peer: NodeId) -> u64 {
-        self.shared.sessions.get(peer.idx()).and_then(|s| s.as_ref()).map_or(0, |s| s.hb_sent.load(Ordering::Relaxed))
-    }
-
     /// How many times this node's senders (or its teardown) actually rang
     /// the event loop's doorbell — one wake-pipe write each. A sender
     /// rings only when it could not finish a socket write itself, so an
@@ -496,7 +439,7 @@ impl NodeFabric {
         self.shared.waker.rings()
     }
 
-    /// The session with `peer` (unit tests reach its socket and ring).
+    /// The session with `peer` (unit tests reach its socket).
     #[cfg(test)]
     pub(crate) fn session(&self, peer: NodeId) -> Arc<Session> {
         self.shared.sessions[peer.idx()].clone().expect("no session with that peer")
@@ -519,12 +462,6 @@ impl NodeFabric {
     /// halves too, so shutdown is effectively collective (like the
     /// barrier-then-shutdown teardown of the layer above).
     pub fn shutdown(mut self) {
-        self.accept_shutdown.store(true, Ordering::Release);
-        // A suspect session stops reconnecting, so teardown does not have
-        // to sit out a suspect window.
-        for sess in self.shared.sessions.iter().flatten() {
-            sess.begin_teardown();
-        }
         let waker = self.shared.waker.clone();
         self.mailboxes.clear();
         let thread = self.io_thread.take();
@@ -545,7 +482,6 @@ impl Drop for NodeFabric {
         // If shutdown() was not called the event loop is left detached
         // rather than joined while mailboxes may still be alive; it exits
         // when the links and sockets die with the process.
-        self.accept_shutdown.store(true, Ordering::Release);
         self.shared.waker.wake();
     }
 }

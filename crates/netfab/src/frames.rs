@@ -2,27 +2,16 @@
 //!
 //! The loop reads incrementally from nonblocking sockets
 //! ([`FrameDecoder`]), parking mid-field on `WouldBlock` and resuming on
-//! the next readable event. Decoding goes through the
-//! [`wire::parse_preamble`] / [`wire::parse_header`] primitives and every
-//! decoded transmission feeds [`session_step`] for the session-layer
-//! bookkeeping (ack accounting, replay dedup by sequence number, desync
-//! detection).
-//!
-//! With recovery on, outgoing frames are encoded once by [`encode_frame`]
-//! into an `Arc<Vec<u8>>` — the exact representation the session replay
-//! ring stores — so a frame is serialized exactly once no matter how many
-//! times a reconnect replays it. With recovery off the event loop's submit
-//! path encodes straight into its output buffer instead.
+//! the next readable event. Decoding goes through the same
+//! [`wire::parse_header`] primitive as the blocking reader, and every
+//! decoded frame is demuxed into its endpoint's inbox by [`deliver`].
 
 use std::io::{self, Read};
-use std::sync::atomic::Ordering;
-use std::sync::Arc;
 
-use armci_transport::{endpoint_index, Body, BodyPool, Endpoint, Msg, Tag, Topology};
+use armci_transport::{endpoint_index, Body, BodyPool, Msg, Topology};
 use crossbeam_channel::Sender;
 
-use crate::session::Session;
-use crate::wire::{self, FrameHeader, HEADER_LEN, PREAMBLE_LEN};
+use crate::wire::{self, FrameHeader, HEADER_LEN};
 
 /// A nonblocking socket that remembers when it ran dry, for use under a
 /// `BufReader`. A read that returns fewer bytes than it asked for emptied
@@ -48,20 +37,19 @@ impl<R: Read> Read for DryReader<R> {
 
 /// Progress of one [`FrameDecoder::poll_step`] call.
 pub(crate) enum Progress {
-    /// A complete transmission (preamble + optional data frame).
-    Item(wire::Preamble, Option<wire::Frame>),
+    /// A complete frame.
+    Item(wire::Frame),
     /// The socket ran dry (`WouldBlock`, or a short read through a
     /// [`DryReader`]); call again on the next readable event.
     NeedMore,
-    /// Clean EOF exactly at a transmission boundary.
+    /// Clean EOF exactly at a frame boundary.
     CleanEof,
 }
 
-/// Where the decoder stands inside the current transmission.
+/// Where the decoder stands inside the current frame.
 enum State {
-    Preamble { got: usize },
-    Header { preamble: wire::Preamble, got: usize },
-    Body { preamble: wire::Preamble, hdr: FrameHeader, got: usize },
+    Header { got: usize },
+    Body { hdr: FrameHeader, got: usize },
 }
 
 /// Outcome of topping up one fixed-size field.
@@ -71,7 +59,7 @@ enum Fill {
     Eof,
 }
 
-/// An incremental, restartable decoder of the session wire format, for
+/// An incremental, restartable decoder of the wire format, for
 /// nonblocking streams. State survives across `WouldBlock`, so a frame
 /// split over many readable events decodes exactly once.
 ///
@@ -82,7 +70,7 @@ enum Fill {
 /// since a pool buffer cannot be held open across loop iterations.
 pub(crate) struct FrameDecoder {
     state: State,
-    /// Scratch for the fixed-size preamble/header fields.
+    /// Scratch for the fixed-size header.
     fixed: [u8; HEADER_LEN],
     /// Reused body accumulation buffer (capacity persists across frames).
     body: Vec<u8>,
@@ -90,14 +78,7 @@ pub(crate) struct FrameDecoder {
 
 impl FrameDecoder {
     pub fn new() -> FrameDecoder {
-        FrameDecoder { state: State::Preamble { got: 0 }, fixed: [0; HEADER_LEN], body: Vec::new() }
-    }
-
-    /// Discard any partial state (a replacement stream restarts at a
-    /// transmission boundary).
-    pub fn reset(&mut self) {
-        self.state = State::Preamble { got: 0 };
-        self.body.clear();
+        FrameDecoder { state: State::Header { got: 0 }, fixed: [0; HEADER_LEN], body: Vec::new() }
     }
 
     /// Top up `self.fixed[..want]` from `r`. `got == 0` distinguishes a
@@ -120,41 +101,21 @@ impl FrameDecoder {
     pub fn poll_step(&mut self, r: &mut impl Read, topo: &Topology, pool: &mut BodyPool) -> io::Result<Progress> {
         loop {
             match &mut self.state {
-                State::Preamble { got } => {
+                State::Header { got } => {
                     let at_boundary = *got == 0;
-                    match Self::fill_fixed(r, &mut self.fixed, got, PREAMBLE_LEN)? {
-                        Fill::NeedMore => return Ok(Progress::NeedMore),
-                        Fill::Eof if at_boundary && *got == 0 => return Ok(Progress::CleanEof),
-                        Fill::Eof => {
-                            return Err(io::Error::new(io::ErrorKind::UnexpectedEof, "connection closed mid-preamble"))
-                        }
-                        Fill::Done => {}
-                    }
-                    let mut pre = [0u8; PREAMBLE_LEN];
-                    pre.copy_from_slice(&self.fixed[..PREAMBLE_LEN]);
-                    let preamble = wire::parse_preamble(&pre)?;
-                    match preamble {
-                        wire::Preamble::Ack { .. } => {
-                            self.state = State::Preamble { got: 0 };
-                            return Ok(Progress::Item(preamble, None));
-                        }
-                        wire::Preamble::Data { .. } => self.state = State::Header { preamble, got: 0 },
-                    }
-                }
-                State::Header { preamble, got } => {
                     match Self::fill_fixed(r, &mut self.fixed, got, HEADER_LEN)? {
                         Fill::NeedMore => return Ok(Progress::NeedMore),
+                        Fill::Eof if at_boundary && *got == 0 => return Ok(Progress::CleanEof),
                         Fill::Eof => {
                             return Err(io::Error::new(io::ErrorKind::UnexpectedEof, "connection closed mid-frame"))
                         }
                         Fill::Done => {}
                     }
                     let hdr = wire::parse_header(&self.fixed, topo)?;
-                    let preamble = *preamble;
                     self.body.clear();
-                    self.state = State::Body { preamble, hdr, got: 0 };
+                    self.state = State::Body { hdr, got: 0 };
                 }
-                State::Body { preamble, hdr, got } => {
+                State::Body { hdr, got } => {
                     let want = hdr.len as usize;
                     if self.body.len() < want {
                         self.body.resize(want, 0);
@@ -173,55 +134,10 @@ impl FrameDecoder {
                         pool.with_buf(|buf| buf.extend_from_slice(bytes))
                     };
                     let frame = wire::Frame { dst: hdr.dst, src: hdr.src, tag: hdr.tag, body };
-                    let preamble = *preamble;
-                    self.state = State::Preamble { got: 0 };
-                    return Ok(Progress::Item(preamble, Some(frame)));
+                    self.state = State::Header { got: 0 };
+                    return Ok(Progress::Item(frame));
                 }
             }
-        }
-    }
-}
-
-/// What the session layer decided about one received transmission.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum SessionStep {
-    /// Fresh in-order data: deliver the frame.
-    Deliver,
-    /// Bare ack, or a replayed duplicate: consume, deliver nothing.
-    Skip,
-    /// Sequence gap — the stream is desynchronized; treat as a
-    /// connection fault.
-    Desync,
-}
-
-/// The session-layer bookkeeping every received transmission goes
-/// through: record peer liveness and acks, deduplicate replays by
-/// sequence, detect desync, advance the delivery cursor.
-pub(crate) fn session_step(sess: &Session, recovery: bool, p: wire::Preamble) -> SessionStep {
-    match p {
-        wire::Preamble::Ack { ack } => {
-            if recovery {
-                sess.note_heard(ack);
-            }
-            SessionStep::Skip
-        }
-        wire::Preamble::Data { seq, ack } => {
-            if recovery {
-                sess.note_heard(ack);
-                let cur = sess.recv_cursor.load(Ordering::Acquire);
-                if seq <= cur {
-                    // Replayed duplicate: body consumed off the stream,
-                    // dropped before delivery.
-                    return SessionStep::Skip;
-                }
-                if seq != cur + 1 {
-                    // Should be impossible over TCP; treat as a
-                    // connection fault.
-                    return SessionStep::Desync;
-                }
-                sess.recv_cursor.store(seq, Ordering::Release);
-            }
-            SessionStep::Deliver
         }
     }
 }
@@ -233,42 +149,10 @@ pub(crate) fn deliver(topo: &Topology, local_txs: &[Option<Sender<Msg>>], f: wir
     }
 }
 
-/// Encode one outgoing frame (header + body, no preamble — the preamble
-/// is rewritten per transmission so replays carry fresh acks) in the
-/// shareable form the replay ring stores. `None` only if encoding into a
-/// `Vec` failed, which cannot happen in practice.
-pub(crate) fn encode_frame(dst: Endpoint, src: Endpoint, tag: Tag, body: &[u8]) -> Option<Arc<Vec<u8>>> {
-    let mut buf = Vec::with_capacity(HEADER_LEN + body.len());
-    wire::write_frame(&mut buf, dst, src, tag, body).ok()?;
-    Some(Arc::new(buf))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use armci_transport::{NodeId, ProcId};
-    use std::io::Write;
-
-    /// The blocking reference reader the incremental decoder is compared
-    /// against: one session preamble plus the data frame it announced (absent
-    /// for bare-ack transmissions). `Ok(None)` is clean EOF at a transmission
-    /// boundary.
-    fn read_transmission(
-        r: &mut impl Read,
-        topo: &Topology,
-        pool: &mut BodyPool,
-    ) -> io::Result<Option<(wire::Preamble, Option<wire::Frame>)>> {
-        let Some(p) = wire::read_preamble(r)? else {
-            return Ok(None);
-        };
-        match p {
-            wire::Preamble::Ack { .. } => Ok(Some((p, None))),
-            wire::Preamble::Data { .. } => match wire::read_frame(r, topo, pool)? {
-                Some(f) => Ok(Some((p, Some(f)))),
-                None => Err(io::Error::new(io::ErrorKind::UnexpectedEof, "connection closed after data preamble")),
-            },
-        }
-    }
+    use armci_transport::{Endpoint, NodeId, ProcId, Tag};
 
     /// Feeds an inner byte stream in `chunk`-sized slices, interposing a
     /// `WouldBlock` after every chunk — a worst-case nonblocking socket.
@@ -296,10 +180,8 @@ mod tests {
     fn sample_stream() -> (Topology, Vec<u8>) {
         let topo = Topology::new(2, 1);
         let mut buf = Vec::new();
-        wire::write_preamble(&mut buf, wire::Preamble::Data { seq: 1, ack: 0 }).unwrap();
         wire::write_frame(&mut buf, Endpoint::Proc(ProcId(0)), Endpoint::Proc(ProcId(1)), Tag(7), &[1, 2, 3]).unwrap();
-        wire::write_preamble(&mut buf, wire::Preamble::Ack { ack: 1 }).unwrap();
-        wire::write_preamble(&mut buf, wire::Preamble::Data { seq: 2, ack: 0 }).unwrap();
+        wire::write_frame(&mut buf, Endpoint::Proc(ProcId(1)), Endpoint::Server(NodeId(0)), Tag(8), &[]).unwrap();
         let big: Vec<u8> = (0..200u8).collect();
         wire::write_frame(&mut buf, Endpoint::Server(NodeId(0)), Endpoint::Server(NodeId(1)), Tag(9), &big).unwrap();
         (topo, buf)
@@ -315,7 +197,7 @@ mod tests {
             let mut items = Vec::new();
             loop {
                 match dec.poll_step(&mut r, &topo, &mut pool).unwrap() {
-                    Progress::Item(p, f) => items.push((p, f)),
+                    Progress::Item(f) => items.push(f),
                     Progress::NeedMore => {
                         if r.pos == buf.len() {
                             break; // source exhausted; Chunked never EOFs
@@ -328,20 +210,13 @@ mod tests {
             let mut rr = &buf[..];
             let mut rpool = BodyPool::new(4);
             let mut expect = Vec::new();
-            while let Some(item) = read_transmission(&mut rr, &topo, &mut rpool).unwrap() {
-                expect.push(item);
+            while let Some(f) = wire::read_frame(&mut rr, &topo, &mut rpool).unwrap() {
+                expect.push(f);
             }
             assert_eq!(items.len(), expect.len(), "chunk {chunk}");
-            for ((p1, f1), (p2, f2)) in items.iter().zip(&expect) {
-                assert_eq!(p1, p2);
-                match (f1, f2) {
-                    (None, None) => {}
-                    (Some(a), Some(b)) => {
-                        assert_eq!((a.dst, a.src, a.tag), (b.dst, b.src, b.tag));
-                        assert_eq!(&a.body[..], &b.body[..]);
-                    }
-                    _ => panic!("frame presence diverged"),
-                }
+            for (a, b) in items.iter().zip(&expect) {
+                assert_eq!((a.dst, a.src, a.tag), (b.dst, b.src, b.tag));
+                assert_eq!(&a.body[..], &b.body[..]);
             }
         }
     }
@@ -387,9 +262,9 @@ mod tests {
     #[test]
     fn clean_eof_only_at_boundaries_truncation_everywhere_else() {
         let (topo, buf) = sample_stream();
-        // Transmission boundaries within the sample stream.
-        let b1 = PREAMBLE_LEN + HEADER_LEN + 3;
-        let b2 = b1 + PREAMBLE_LEN;
+        // Frame boundaries within the sample stream.
+        let b1 = HEADER_LEN + 3;
+        let b2 = b1 + HEADER_LEN;
         let boundaries = [0, b1, b2, buf.len()];
         for cut in 0..=buf.len() {
             let mut dec = FrameDecoder::new();
@@ -409,65 +284,5 @@ mod tests {
                 assert_eq!(res.unwrap_err().kind(), io::ErrorKind::UnexpectedEof, "cut {cut}");
             }
         }
-    }
-
-    #[test]
-    fn reset_discards_partial_state() {
-        let (topo, buf) = sample_stream();
-        let mut dec = FrameDecoder::new();
-        let mut pool = BodyPool::new(4);
-        // Feed half a transmission, then reset (reconnect) and decode a
-        // whole fresh stream: no leakage from the partial frame.
-        let mut r = &buf[..PREAMBLE_LEN + 5];
-        loop {
-            match dec.poll_step(&mut r, &topo, &mut pool) {
-                Ok(Progress::Item(..)) => {}
-                Ok(Progress::CleanEof) | Err(_) => break,
-                Ok(Progress::NeedMore) => break,
-            }
-        }
-        dec.reset();
-        let mut r2 = &buf[..];
-        let mut n = 0;
-        loop {
-            match dec.poll_step(&mut r2, &topo, &mut pool).unwrap() {
-                Progress::Item(..) => n += 1,
-                Progress::CleanEof => break,
-                Progress::NeedMore => unreachable!(),
-            }
-        }
-        assert_eq!(n, 3);
-    }
-
-    #[test]
-    fn session_step_dedups_and_detects_desync() {
-        let sess = Session::new(None);
-        // In-order data advances the cursor and delivers.
-        assert_eq!(session_step(&sess, true, wire::Preamble::Data { seq: 1, ack: 0 }), SessionStep::Deliver);
-        assert_eq!(session_step(&sess, true, wire::Preamble::Data { seq: 2, ack: 0 }), SessionStep::Deliver);
-        // A replayed duplicate is skipped.
-        assert_eq!(session_step(&sess, true, wire::Preamble::Data { seq: 2, ack: 0 }), SessionStep::Skip);
-        // A gap is a desync.
-        assert_eq!(session_step(&sess, true, wire::Preamble::Data { seq: 5, ack: 0 }), SessionStep::Desync);
-        // Bare acks are skipped but note liveness/acks.
-        assert_eq!(session_step(&sess, true, wire::Preamble::Ack { ack: 0 }), SessionStep::Skip);
-        // Without recovery everything data is delivered verbatim.
-        let plain = Session::new(None);
-        assert_eq!(session_step(&plain, false, wire::Preamble::Data { seq: 9, ack: 0 }), SessionStep::Deliver);
-    }
-
-    #[test]
-    fn encode_frame_roundtrips_through_the_decoder() {
-        let topo = Topology::new(2, 1);
-        let enc = encode_frame(Endpoint::Proc(ProcId(1)), Endpoint::Proc(ProcId(0)), Tag(3), &[9; 80]).unwrap();
-        let mut stream = Vec::new();
-        wire::write_preamble(&mut stream, wire::Preamble::Data { seq: 1, ack: 0 }).unwrap();
-        stream.write_all(&enc).unwrap();
-        let mut pool = BodyPool::new(2);
-        let item = read_transmission(&mut &stream[..], &topo, &mut pool).unwrap().unwrap();
-        let f = item.1.unwrap();
-        assert_eq!(f.dst, Endpoint::Proc(ProcId(1)));
-        assert_eq!(f.tag, Tag(3));
-        assert_eq!(&f.body[..], &[9; 80]);
     }
 }

@@ -20,10 +20,10 @@
 //! * [`fabric`] — [`NodeFabric`]: per-endpoint inboxes behind the
 //!   [`armci_transport::MailboxBackend`] contract, fed by one
 //!   nonblocking `poll(2)` event loop per node reading every peer socket
-//!   — O(1) threads regardless of cluster size, idle heartbeats and
-//!   reconnect driving all on a single timer wheel — while the sending
+//!   — O(1) threads regardless of cluster size — while the sending
 //!   thread writes the socket itself through a lock-guarded, combining
-//!   write half per link;
+//!   write half per link. Links are fail-stop: a connection error marks
+//!   the peer lost for good;
 //! * [`launch`] — helpers for spawning one process per node (used by the
 //!   `armci-launch` tool and `armci-core`'s self-spawning
 //!   `run_cluster_spawned`).
@@ -42,7 +42,6 @@
 compile_error!("armci-netfab needs unix: its IO path is poll(2) with a UnixStream doorbell");
 
 pub mod boot;
-mod dial;
 mod event_loop;
 pub mod fabric;
 pub mod fault;
@@ -50,8 +49,7 @@ mod frames;
 pub mod launch;
 mod poller;
 pub mod retry;
-pub mod session;
-mod timer;
+mod session;
 pub mod wire;
 
 pub use boot::{coordinate, coordinate_deadline, join_mesh, join_mesh_opts, BootOpts, Mesh};
@@ -61,4 +59,3 @@ pub use launch::{
     bind_rendezvous, kill_nodes, node_spec_from_env, spawn_nodes, wait_nodes, wait_nodes_deadline, NodeSpec,
 };
 pub use retry::RetryPolicy;
-pub use session::SessionCfg;

@@ -2,7 +2,7 @@
 //!
 //! Hand-rolled over `poll(2)` — consistent with the repo's vendored-serde
 //! stance, no `mio`/`libc` dependency. The fd set is tiny (one socket per
-//! peer plus the wake pipe and the reconnect listener), so the interest
+//! peer plus the wake pipe), so the interest
 //! list is simply rebuilt before every call; at 64 peers that is a
 //! sub-microsecond copy, far below the syscall itself.
 //!
@@ -49,7 +49,6 @@ pub(crate) struct Interest {
 
 impl Interest {
     pub const READ: Interest = Interest { readable: true, writable: false };
-    pub const WRITE: Interest = Interest { readable: false, writable: true };
     pub const READ_WRITE: Interest = Interest { readable: true, writable: true };
 }
 

@@ -1,10 +1,9 @@
 //! One retry policy for every transient-failure loop.
 //!
-//! Rendezvous dials, node-process spawns, shm segment mapping, and lock
-//! lease reclamation all used to carry their own ad-hoc
-//! attempts/backoff constants. [`RetryPolicy`] unifies them: bounded
-//! attempts, exponential backoff from `base` capped at `cap`, and
-//! optional *deterministic* jitter (hashed from a caller-supplied seed,
+//! Rendezvous dials, node-process spawns and shm segment mapping all used
+//! to carry their own ad-hoc attempts/backoff constants. [`RetryPolicy`]
+//! unifies them: bounded attempts, exponential backoff from `base` capped
+//! at `cap`, and optional *deterministic* jitter (hashed from a caller-supplied seed,
 //! so two ranks retrying the same resource desynchronize without any
 //! global randomness — replays stay byte-identical for a given seed).
 

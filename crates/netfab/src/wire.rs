@@ -1,18 +1,7 @@
 //! Length-prefixed wire framing.
 //!
-//! Every transmission on the TCP stream connecting two nodes opens with a
-//! 17-byte **session preamble** carrying the session-layer bookkeeping
-//! (sequence number for idempotent replay, cumulative ack piggybacked on
-//! whatever traffic is flowing anyway):
-//!
-//! ```text
-//! offset  size  field
-//!      0     1  kind      (0 = data frame follows, 1 = bare ack/heartbeat)
-//!      1     8  seq       (sender's frame sequence number; 0 for acks)
-//!      9     8  cum_ack   (highest frame seq the sender has delivered)
-//! ```
-//!
-//! A `kind = data` preamble is followed by one frame:
+//! Every transmission on the TCP stream connecting two nodes is one
+//! frame, an 18-byte header followed by its body:
 //!
 //! ```text
 //! offset  size  field
@@ -24,9 +13,6 @@
 //!     14     4  body length
 //!     18   len  body bytes
 //! ```
-//!
-//! A `kind = ack` preamble stands alone — it is the heartbeat probe and
-//! the explicit ack in one, emitted only when a link is otherwise idle.
 //!
 //! The destination endpoint is part of the header because one socket
 //! carries traffic for *all* endpoints of the destination node (its
@@ -42,12 +28,6 @@ use armci_transport::{Body, BodyPool, Endpoint, NodeId, ProcId, Tag, Topology};
 
 /// Bytes of the fixed frame header.
 pub const HEADER_LEN: usize = 18;
-
-/// Bytes of the session preamble prefixed to every transmission.
-pub const PREAMBLE_LEN: usize = 17;
-
-const SESSION_DATA: u8 = 0;
-const SESSION_ACK: u8 = 1;
 
 const KIND_PROC: u8 = 0;
 const KIND_SERVER: u8 = 1;
@@ -83,51 +63,6 @@ pub struct Frame {
     pub body: Body,
 }
 
-/// The session-layer preamble that opens every transmission.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Preamble {
-    /// A data frame follows; `seq` numbers it within the session so the
-    /// receiver can deduplicate replays, `ack` is the sender's cumulative
-    /// delivered cursor for the reverse direction.
-    Data {
-        /// This frame's sequence number (1-based; 0 is "nothing sent").
-        seq: u64,
-        /// Highest frame sequence the sender has delivered from the peer.
-        ack: u64,
-    },
-    /// A bare ack / heartbeat probe — no frame follows.
-    Ack {
-        /// Highest frame sequence the sender has delivered from the peer.
-        ack: u64,
-    },
-}
-
-/// Serialize one session preamble into `w` (no flush).
-pub fn write_preamble(w: &mut impl Write, p: Preamble) -> io::Result<()> {
-    let mut buf = [0u8; PREAMBLE_LEN];
-    let (kind, seq, ack) = match p {
-        Preamble::Data { seq, ack } => (SESSION_DATA, seq, ack),
-        Preamble::Ack { ack } => (SESSION_ACK, 0, ack),
-    };
-    buf[0] = kind;
-    buf[1..9].copy_from_slice(&seq.to_le_bytes());
-    buf[9..17].copy_from_slice(&ack.to_le_bytes());
-    w.write_all(&buf)
-}
-
-/// Decode a complete preamble from its fixed-size wire image. Shared by
-/// the blocking reference reader ([`read_preamble`]) and the event
-/// loop's incremental decoder, so the two cannot drift.
-pub fn parse_preamble(buf: &[u8; PREAMBLE_LEN]) -> io::Result<Preamble> {
-    let seq = u64::from_le_bytes(buf[1..9].try_into().unwrap());
-    let ack = u64::from_le_bytes(buf[9..17].try_into().unwrap());
-    match buf[0] {
-        SESSION_DATA => Ok(Preamble::Data { seq, ack }),
-        SESSION_ACK => Ok(Preamble::Ack { ack }),
-        k => Err(io::Error::new(io::ErrorKind::InvalidData, format!("bad session preamble kind {k}"))),
-    }
-}
-
 /// A decoded frame header: addressing, tag, and the announced body length
 /// (validated against [`Body::MAX_LEN`] and the topology).
 #[derive(Debug, Clone, Copy)]
@@ -156,27 +91,6 @@ pub fn parse_header(hdr: &[u8; HEADER_LEN], topo: &Topology) -> io::Result<Frame
         return Err(io::Error::new(io::ErrorKind::InvalidData, format!("frame body of {len} bytes")));
     }
     Ok(FrameHeader { dst, src, tag, len })
-}
-
-/// Read one session preamble from `r`.
-///
-/// Returns `Ok(None)` on a clean EOF at a transmission boundary (normal
-/// teardown). EOF inside the preamble is an error, exactly like EOF
-/// inside a frame.
-pub fn read_preamble(r: &mut impl Read) -> io::Result<Option<Preamble>> {
-    let mut buf = [0u8; PREAMBLE_LEN];
-    let mut got = 0;
-    while got < PREAMBLE_LEN {
-        let n = r.read(&mut buf[got..])?;
-        if n == 0 {
-            if got == 0 {
-                return Ok(None);
-            }
-            return Err(io::Error::new(io::ErrorKind::UnexpectedEof, "connection closed mid-preamble"));
-        }
-        got += n;
-    }
-    parse_preamble(&buf).map(Some)
 }
 
 /// Serialize one frame into `w` (no flush — the caller batches).
@@ -303,54 +217,6 @@ mod tests {
                 assert_eq!(err.kind(), io::ErrorKind::UnexpectedEof, "cut {cut}: mid-frame EOF is truncation");
             }
         }
-    }
-
-    #[test]
-    fn preamble_roundtrip_both_kinds() {
-        let mut buf = Vec::new();
-        write_preamble(&mut buf, Preamble::Data { seq: 7, ack: 3 }).unwrap();
-        write_preamble(&mut buf, Preamble::Ack { ack: u64::MAX }).unwrap();
-        let mut r = &buf[..];
-        assert_eq!(read_preamble(&mut r).unwrap(), Some(Preamble::Data { seq: 7, ack: 3 }));
-        assert_eq!(read_preamble(&mut r).unwrap(), Some(Preamble::Ack { ack: u64::MAX }));
-        assert_eq!(read_preamble(&mut r).unwrap(), None);
-    }
-
-    #[test]
-    fn every_mid_transmission_cut_is_truncation() {
-        // A full transmission is preamble + frame; a cut at any interior
-        // byte — inside the preamble or inside the frame — must surface as
-        // UnexpectedEof, and only the two transmission boundaries are
-        // clean EOF.
-        let topo = Topology::new(1, 1);
-        let mut buf = Vec::new();
-        write_preamble(&mut buf, Preamble::Data { seq: 1, ack: 0 }).unwrap();
-        write_frame(&mut buf, Endpoint::Proc(ProcId(0)), Endpoint::Server(NodeId(0)), Tag(7), &[5; 9]).unwrap();
-        let mut pool = BodyPool::new(2);
-        for cut in 0..=buf.len() {
-            let mut r = &buf[..cut];
-            let res = read_preamble(&mut r).and_then(|p| match p {
-                None => Ok(None),
-                Some(Preamble::Ack { .. }) => unreachable!(),
-                Some(Preamble::Data { .. }) => read_frame(&mut r, &topo, &mut pool)?
-                    .map(Some)
-                    .ok_or_else(|| io::Error::new(io::ErrorKind::UnexpectedEof, "EOF after data preamble")),
-            });
-            if cut == 0 {
-                assert!(matches!(res, Ok(None)), "cut 0 is a clean boundary");
-            } else if cut == buf.len() {
-                assert!(matches!(res, Ok(Some(_))), "full transmission decodes");
-            } else {
-                assert_eq!(res.unwrap_err().kind(), io::ErrorKind::UnexpectedEof, "cut {cut}");
-            }
-        }
-    }
-
-    #[test]
-    fn bad_preamble_kind_rejected() {
-        let mut buf = [0u8; PREAMBLE_LEN];
-        buf[0] = 9;
-        assert_eq!(read_preamble(&mut &buf[..]).unwrap_err().kind(), io::ErrorKind::InvalidData);
     }
 
     #[test]

@@ -2,10 +2,8 @@
 //! process via `/proc/self/task`.
 //!
 //! IO costs O(1) threads per node: one `netfab-ev*` loop thread owns every
-//! peer socket, regardless of cluster size — reconnect handshakes
-//! included, since both sides run as nonblocking state machines on the
-//! loop itself (no per-peer writer, reader or accept threads, no transient
-//! dial/handshake helpers).
+//! peer socket, regardless of cluster size (no per-peer writer, reader or
+//! accept threads).
 
 #![cfg(target_os = "linux")]
 

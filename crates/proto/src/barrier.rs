@@ -241,34 +241,6 @@ impl CombinedBarrier {
         }
     }
 
-    /// Deliver a membership eviction into the in-flight barrier. Returns
-    /// `true` when the engine folded the dead rank out and can complete
-    /// over the survivors, `false` when the harness must abort the
-    /// collective (`PeerLost { epoch }`) instead:
-    ///
-    /// * **allreduce / op_done phases** — the dead rank's `op_init`
-    ///   contribution (and the whole subcube folded behind it) is
-    ///   unrecoverable mid-reduction, and the `op_done` target may count
-    ///   puts that died with it: abort, shrink the group, retry.
-    /// * **barrier phase** — schedule-only; the dead rank's slots are
-    ///   vacuously satisfied and the exchange completes over survivors.
-    pub fn evict(&mut self, rank: usize, out: &mut Vec<BarrierAction>) -> bool {
-        match self.phase {
-            Phase::Allreduce | Phase::WaitOpDone => false,
-            Phase::Barrier => {
-                let mut acts = Vec::new();
-                self.barrier.evict(rank, &mut acts);
-                self.relay_barrier(acts, out);
-                if self.barrier.is_complete() {
-                    self.phase = Phase::Done;
-                    out.push(BarrierAction::Done);
-                }
-                true
-            }
-            Phase::Done => true,
-        }
-    }
-
     /// Feed one event; actions are appended to `out`.
     pub fn poll(&mut self, ev: BarrierEvent<'_>, out: &mut Vec<BarrierAction>) {
         match ev {
@@ -470,42 +442,6 @@ mod tests {
         // complete.
         assert_eq!(e.values(), &[1, 1, 1, 1]);
         assert!(matches!(acts[1], BarrierAction::AwaitOpDone { target: 1 }));
-    }
-
-    #[test]
-    fn evict_during_allreduce_or_op_done_wait_demands_abort() {
-        let mut e = CombinedBarrier::new(0, vec![0, 0]);
-        let mut acts = Vec::new();
-        e.poll(BarrierEvent::Start, &mut acts);
-        acts.clear();
-        // Mid-allreduce: the dead rank's op_init is unrecoverable.
-        assert!(!e.evict(1, &mut acts));
-        assert!(acts.is_empty());
-        e.poll(BarrierEvent::Recv { stage: 0, msg: XchgMsg::Round(0), vals: &[1, 2] }, &mut acts);
-        assert!(matches!(acts.last(), Some(BarrierAction::AwaitOpDone { .. })));
-        acts.clear();
-        // Waiting on op_done: the target may count the dead rank's puts.
-        assert!(!e.evict(1, &mut acts));
-    }
-
-    #[test]
-    fn evict_during_barrier_stage_completes_over_survivors() {
-        let mut e = CombinedBarrier::new(0, vec![0, 0]);
-        let mut acts = Vec::new();
-        e.poll(BarrierEvent::Start, &mut acts);
-        acts.clear();
-        e.poll(BarrierEvent::Recv { stage: 0, msg: XchgMsg::Round(0), vals: &[1, 2] }, &mut acts);
-        acts.clear();
-        e.poll(BarrierEvent::OpDoneReached, &mut acts);
-        // Barrier stage open: rank 1 dies before its stage-1 round.
-        acts.clear();
-        assert!(e.evict(1, &mut acts));
-        assert_eq!(acts, vec![BarrierAction::Done]);
-        assert!(e.is_complete());
-        // Evicting once complete stays true and emits nothing.
-        acts.clear();
-        assert!(e.evict(1, &mut acts));
-        assert!(acts.is_empty());
     }
 
     #[test]

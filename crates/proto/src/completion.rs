@@ -155,19 +155,6 @@ impl Ledger {
         }
     }
 
-    /// Membership evicted every rank on `node`: drop all accounting
-    /// that would make a fence wait on it. Cumulative `op_init` is kept
-    /// (group shrink stops summing those slots).
-    pub fn forget_node(&mut self, node: usize) {
-        self.unfenced[node] = 0;
-        self.unacked[node] = 0;
-        for (dst, &n) in self.dst_node.iter().enumerate() {
-            if n == node {
-                self.unfenced_to[dst] = 0;
-            }
-        }
-    }
-
     /// Outstanding acks from `node`.
     pub fn acks_pending(&self, node: usize) -> u64 {
         self.unacked[node]
@@ -219,14 +206,14 @@ pub enum NotifyEvent {
         slot: u32,
     },
     /// Consumer side: start waiting on `slot` to reach `target`
-    /// cumulative notifications, produced by `producers` (world ranks;
-    /// used for membership-aware abort).
+    /// cumulative notifications.
     Expect {
         /// Notification slot being waited on.
         slot: u32,
         /// Cumulative notification count that satisfies the wait.
         target: u64,
-        /// World ranks whose notifications feed this slot.
+        /// World ranks whose notifications feed this slot. Nothing reads
+        /// it; it stays only so that existing callers keep compiling.
         producers: Vec<usize>,
     },
     /// Consumer side: the local notification counter for `slot` was
@@ -236,14 +223,6 @@ pub enum NotifyEvent {
         slot: u32,
         /// Current cumulative counter value.
         value: u64,
-    },
-    /// Membership evicted `rank` at `epoch`: any wait fed by it can
-    /// never complete.
-    Evict {
-        /// Evicted world rank.
-        rank: usize,
-        /// Membership epoch of the eviction.
-        epoch: u64,
     },
 }
 
@@ -266,16 +245,6 @@ pub enum NotifyAction {
         /// Satisfied slot.
         slot: u32,
     },
-    /// A producer feeding the wait on `slot` was evicted: the wait can
-    /// never complete and the caller must surface `PeerLost { epoch }`.
-    Abort {
-        /// Slot whose wait is now unsatisfiable.
-        slot: u32,
-        /// The evicted producer rank.
-        producer: usize,
-        /// Membership epoch of the eviction.
-        epoch: u64,
-    },
 }
 
 /// An armed consumer-side wait.
@@ -283,13 +252,11 @@ pub enum NotifyAction {
 struct Watch {
     slot: u32,
     target: u64,
-    producers: Vec<usize>,
 }
 
 /// Sans-IO put-with-notify engine (see module docs). One per process;
 /// both the producer role (issue counting + send log) and the consumer
-/// role (waits, eviction aborts) live in the same engine because a rank
-/// is usually both.
+/// role (waits) live in the same engine because a rank is usually both.
 #[derive(Clone, Debug)]
 pub struct NotifyEngine {
     /// Cumulative notifications issued toward each rank.
@@ -313,30 +280,17 @@ impl NotifyEngine {
                 self.log.push(NotifyRecord { to: dst as u32, slot, seq });
                 out.push(NotifyAction::Send { to: dst, slot, seq });
             }
-            NotifyEvent::Expect { slot, target, producers } => {
+            NotifyEvent::Expect { slot, target, .. } => {
                 debug_assert!(
                     !self.watches.iter().any(|w| w.slot == slot),
                     "second concurrent wait on notify slot {slot}"
                 );
-                self.watches.push(Watch { slot, target, producers });
+                self.watches.push(Watch { slot, target });
             }
             NotifyEvent::Observed { slot, value } => {
                 if let Some(i) = self.watches.iter().position(|w| w.slot == slot && value >= w.target) {
                     self.watches.swap_remove(i);
                     out.push(NotifyAction::Complete { slot });
-                }
-            }
-            NotifyEvent::Evict { rank, epoch } => {
-                // Every wait fed by the dead rank aborts; unrelated
-                // waits are untouched.
-                let mut i = 0;
-                while i < self.watches.len() {
-                    if self.watches[i].producers.contains(&rank) {
-                        let w = self.watches.swap_remove(i);
-                        out.push(NotifyAction::Abort { slot: w.slot, producer: rank, epoch });
-                    } else {
-                        i += 1;
-                    }
                 }
             }
         }
@@ -451,22 +405,6 @@ mod tests {
         out.clear();
         e.poll(NotifyEvent::Observed { slot: 3, value: 99 }, &mut out);
         assert!(out.is_empty());
-    }
-
-    #[test]
-    fn eviction_aborts_only_waits_fed_by_the_dead_rank() {
-        let mut e = NotifyEngine::new(4);
-        let mut out = Vec::new();
-        e.poll(NotifyEvent::Expect { slot: 0, target: 1, producers: vec![1, 2] }, &mut out);
-        e.poll(NotifyEvent::Expect { slot: 1, target: 1, producers: vec![3] }, &mut out);
-        e.poll(NotifyEvent::Evict { rank: 2, epoch: 1 }, &mut out);
-        assert_eq!(out, vec![NotifyAction::Abort { slot: 0, producer: 2, epoch: 1 }]);
-        assert!(!e.is_waiting(0));
-        assert!(e.is_waiting(1), "unrelated wait survives");
-        // A later eviction of the surviving producer aborts the rest.
-        out.clear();
-        e.poll(NotifyEvent::Evict { rank: 3, epoch: 2 }, &mut out);
-        assert_eq!(out, vec![NotifyAction::Abort { slot: 1, producer: 3, epoch: 2 }]);
     }
 
     #[test]

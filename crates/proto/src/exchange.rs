@@ -193,42 +193,6 @@ impl Exchange {
         None
     }
 
-    /// Fold an evicted rank out of the schedule: every message still
-    /// expected *from* `rank` is treated as delivered (with no payload to
-    /// consume — the dead rank's contribution is discounted), and the
-    /// schedule advances past it. Sends addressed to `rank` are still
-    /// emitted; a harness in degraded mode drops them at the transport,
-    /// which keeps the send log deterministic.
-    ///
-    /// This is sound for *schedule-only* stages (the closing barrier): a
-    /// missing peer cannot be waited on, so its slots are vacuously
-    /// satisfied. Value-carrying stages must NOT be folded mid-flight —
-    /// the subcube behind the dead rank would be silently lost; see
-    /// [`crate::CombinedBarrier::evict`], which aborts in that case.
-    pub fn evict(&mut self, rank: usize, out: &mut Vec<XchgAction>) {
-        if self.complete || rank == self.me || rank >= self.n {
-            return;
-        }
-        if self.is_surplus() {
-            if rank == self.me - self.m {
-                // My core partner died: nobody will ever release me.
-                self.got_exit = true;
-            }
-        } else {
-            if Some(rank) == self.surplus_partner() {
-                self.entered = true;
-            }
-            for r in 0..self.rounds {
-                if self.partner(r) == rank {
-                    self.got_round[r] = true;
-                }
-            }
-        }
-        if self.active {
-            self.advance(out);
-        }
-    }
-
     /// Run the schedule as far as the received set allows.
     fn advance(&mut self, out: &mut Vec<XchgAction>) {
         if self.complete {
@@ -402,97 +366,6 @@ mod tests {
             ]
         );
         assert!(e.is_complete());
-    }
-
-    /// All survivors complete after evicting `dead`, for every (n, dead):
-    /// engines run with messages to the dead rank dropped at the
-    /// "transport" and the eviction delivered right after Start.
-    fn run_survivors(n: usize, dead: usize) {
-        let mut engines: Vec<Option<Exchange>> =
-            (0..n).map(|me| if me == dead { None } else { Some(Exchange::new(n, me)) }).collect();
-        let mut queue: std::collections::VecDeque<(usize, XchgMsg)> = Default::default();
-        let mut out = Vec::new();
-        let drain = |out: &mut Vec<XchgAction>, queue: &mut std::collections::VecDeque<(usize, XchgMsg)>| {
-            for a in out.drain(..) {
-                if let XchgAction::Send { to, msg } = a {
-                    if to != dead {
-                        queue.push_back((to, msg));
-                    }
-                }
-            }
-        };
-        for e in engines.iter_mut().flatten() {
-            e.poll(XchgEvent::Start, &mut out);
-            drain(&mut out, &mut queue);
-        }
-        for e in engines.iter_mut().flatten() {
-            e.evict(dead, &mut out);
-            drain(&mut out, &mut queue);
-        }
-        let mut steps = 0;
-        while let Some((to, msg)) = queue.pop_front() {
-            steps += 1;
-            assert!(steps < 10_000, "survivors do not converge (n={n}, dead={dead})");
-            engines[to].as_mut().unwrap().poll(XchgEvent::Recv(msg), &mut out);
-            drain(&mut out, &mut queue);
-        }
-        for e in engines.iter().flatten() {
-            assert!(e.is_complete(), "rank {} hung after evicting {dead} (n={n})", e.me);
-        }
-    }
-
-    #[test]
-    fn survivors_complete_after_evicting_any_rank() {
-        for n in 2..=9usize {
-            for dead in 0..n {
-                run_survivors(n, dead);
-            }
-        }
-    }
-
-    #[test]
-    fn evicted_round_partner_is_folded_out() {
-        let mut e = Exchange::new(4, 0);
-        let mut out = Vec::new();
-        e.poll(XchgEvent::Start, &mut out);
-        assert_eq!(out, vec![XchgAction::Send { to: 2, msg: XchgMsg::Round(0) }]);
-        out.clear();
-        // Partner 2 dies before replying: its round is vacuously
-        // satisfied and the schedule advances to round 1.
-        e.evict(2, &mut out);
-        assert_eq!(
-            out,
-            vec![XchgAction::Consume(XchgMsg::Round(0)), XchgAction::Send { to: 1, msg: XchgMsg::Round(1) }]
-        );
-        out.clear();
-        e.poll(XchgEvent::Recv(XchgMsg::Round(1)), &mut out);
-        assert!(e.is_complete());
-    }
-
-    #[test]
-    fn surplus_rank_completes_when_core_partner_dies() {
-        let mut e = Exchange::new(6, 5); // folds onto core rank 1
-        let mut out = Vec::new();
-        e.poll(XchgEvent::Start, &mut out);
-        out.clear();
-        e.evict(1, &mut out);
-        assert_eq!(out, vec![XchgAction::Consume(XchgMsg::Exit)]);
-        assert!(e.is_complete());
-    }
-
-    #[test]
-    fn evict_is_idempotent_and_ignores_self_and_foreign_ranks() {
-        let mut e = Exchange::new(4, 0);
-        let mut out = Vec::new();
-        e.poll(XchgEvent::Start, &mut out);
-        out.clear();
-        e.evict(0, &mut out); // self: no-op
-        e.evict(9, &mut out); // out of range: no-op
-        assert!(out.is_empty());
-        e.evict(2, &mut out);
-        out.clear();
-        e.evict(2, &mut out); // second eviction of same rank: no new actions
-        assert!(out.is_empty());
     }
 
     #[test]

@@ -117,16 +117,6 @@ impl FenceEngine {
         self.ledger.node_confirmed(node);
     }
 
-    /// Membership evicted every rank on `node`: drop all accounting that
-    /// would make a fence wait on it — unfenced counters (a confirmation
-    /// round-trip can never complete) and outstanding acks (they died
-    /// with the node). Cumulative `op_init` toward its ranks is kept:
-    /// group shrink removes those ranks from the member set, so the
-    /// counters simply stop being summed.
-    pub fn forget_node(&mut self, node: usize) {
-        self.ledger.forget_node(node);
-    }
-
     /// DrainAcks-mode: outstanding acks from `node`.
     pub fn acks_pending(&self, node: usize) -> u64 {
         self.ledger.acks_pending(node)
@@ -230,19 +220,5 @@ mod tests {
         f.note_put(2, 1, false);
         f.group_confirmed(&[2, 3]);
         assert!(!f.confirm_targets(1));
-    }
-
-    #[test]
-    fn forget_node_clears_every_wait_source_but_keeps_op_init() {
-        let mut f = FenceEngine::new(FenceMode::DrainAcks, 4, 2);
-        f.note_put(2, 1, false);
-        f.note_put(3, 1, false);
-        assert_eq!(f.acks_pending(1), 2);
-        f.forget_node(1);
-        assert!(!f.confirm_targets(1));
-        assert_eq!(f.acks_pending(1), 0);
-        assert!(f.group_confirm_targets(&[2, 3]).is_empty());
-        // op_init survives: the shrunk group stops summing those slots.
-        assert_eq!(f.op_init(), &[0, 0, 1, 1]);
     }
 }

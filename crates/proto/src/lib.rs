@@ -22,8 +22,7 @@
 //!
 //! * [`Ledger`] + [`NotifyEngine`] — unified completion accounting:
 //!   one set of counted-op books shared by fences and notified RMA,
-//!   plus the put-with-notify engine (issue counting, consumer waits,
-//!   membership-aware aborts);
+//!   plus the put-with-notify engine (issue counting, consumer waits);
 //! * [`FenceEngine`] — fence accounting (a mode-policy layer over the
 //!   ledger);
 //! * [`Exchange`] — the binary-exchange schedule (barrier or allreduce
@@ -36,11 +35,8 @@
 //!   `op_done` wait for its whole domain → leaders-only closing
 //!   exchange → domain release (the last three skipped when nothing
 //!   was put);
-//! * [`HybridHome`]/[`HybridAcquire`], [`McsAcquire`]/[`McsRelease`]/
-//!   [`McsReclaim`] — lock word transitions;
-//! * [`Membership`] — epoch-stamped cluster membership views
-//!   (suspect → confirm → evict) that degraded-mode collectives shrink
-//!   to.
+//! * [`HybridHome`]/[`HybridAcquire`], [`McsAcquire`]/[`McsRelease`] —
+//!   lock word transitions.
 
 pub mod barrier;
 pub mod completion;
@@ -49,7 +45,6 @@ pub mod fence;
 pub mod hier;
 pub mod lock;
 pub mod math;
-pub mod membership;
 
 pub use barrier::{BarrierAction, BarrierEvent, CombinedBarrier, STAGE_ALLREDUCE, STAGE_BARRIER};
 pub use completion::{completion_sites, CompletionSite, Ledger, NotifyAction, NotifyEngine, NotifyEvent, NotifyRecord};
@@ -57,7 +52,6 @@ pub use exchange::{Exchange, SendRecord, XchgAction, XchgEvent, XchgMsg};
 pub use fence::{FenceEngine, FenceMode};
 pub use hier::{HierAction, HierBarrier, HierEvent, HierExpect, HierMsg, HierRecord};
 pub use lock::{
-    HybridAcquire, HybridAction, HybridEvent, HybridHome, McsAcquire, McsAcquireAction, McsAcquireEvent, McsReclaim,
-    McsRelease, McsReleaseAction, McsReleaseEvent, ReclaimAction, ReclaimEvent,
+    HybridAcquire, HybridAction, HybridEvent, HybridHome, McsAcquire, McsAcquireAction, McsAcquireEvent, McsRelease,
+    McsReleaseAction, McsReleaseEvent,
 };
-pub use membership::{MemberAction, MemberEvent, Membership, MembershipView, RankSet};

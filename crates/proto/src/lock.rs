@@ -173,8 +173,6 @@ pub enum McsAcquireAction<P> {
     /// Wait until my `locked` flag is cleared by the predecessor's
     /// handoff; feed [`McsAcquireEvent::LockedCleared`].
     AwaitWake,
-    /// Recovery mode: record this rank as lease holder.
-    SetLease,
     /// The lock is held.
     Acquired,
 }
@@ -202,15 +200,15 @@ enum McsAcqState {
 /// predecessor, link behind it and spin on my own `locked` flag.
 #[derive(Clone, Debug)]
 pub struct McsAcquire<P> {
-    lease: bool,
     state: McsAcqState,
     _p: std::marker::PhantomData<P>,
 }
 
 impl<P: Copy> McsAcquire<P> {
-    /// Acquire plan; `lease` adds the recovery lease write.
-    pub fn new(lease: bool) -> Self {
-        McsAcquire { lease, state: McsAcqState::Idle, _p: std::marker::PhantomData }
+    /// Acquire plan. The flag is ignored; it stays only so that existing
+    /// callers keep compiling.
+    pub fn new(_lease: bool) -> Self {
+        McsAcquire { state: McsAcqState::Idle, _p: std::marker::PhantomData }
     }
 
     /// The lock is held.
@@ -244,9 +242,6 @@ impl<P: Copy> McsAcquire<P> {
 
     fn hold(&mut self, out: &mut Vec<McsAcquireAction<P>>) {
         self.state = McsAcqState::Holding;
-        if self.lease {
-            out.push(McsAcquireAction::SetLease);
-        }
         out.push(McsAcquireAction::Acquired);
     }
 }
@@ -262,13 +257,9 @@ pub enum McsReleaseAction<P> {
     /// A successor is swapping in: wait until my `next` is linked, feed
     /// [`McsReleaseEvent::NextValue`] again.
     AwaitSuccessor,
-    /// Recovery mode: move the lease to the successor before waking it.
-    TransferLease(P),
     /// One-way store clearing the successor's `locked` flag — the single
     /// handoff message that makes MCS release O(1).
     Wake(P),
-    /// Recovery mode: the lock went free; clear the lease.
-    ClearLease,
     /// The release is complete.
     Released,
 }
@@ -301,15 +292,15 @@ enum McsRelState {
 /// hand off.
 #[derive(Clone, Debug)]
 pub struct McsRelease<P> {
-    lease: bool,
     state: McsRelState,
     _p: std::marker::PhantomData<P>,
 }
 
 impl<P: Copy> McsRelease<P> {
-    /// Release plan; `lease` adds the recovery lease transfers.
-    pub fn new(lease: bool) -> Self {
-        McsRelease { lease, state: McsRelState::Idle, _p: std::marker::PhantomData }
+    /// Release plan. The flag is ignored; it stays only so that existing
+    /// callers keep compiling.
+    pub fn new(_lease: bool) -> Self {
+        McsRelease { state: McsRelState::Idle, _p: std::marker::PhantomData }
     }
 
     /// The release is complete.
@@ -326,9 +317,6 @@ impl<P: Copy> McsRelease<P> {
             }
             (McsRelState::ReadingNext | McsRelState::AwaitingSuccessor, McsReleaseEvent::NextValue(Some(nxt))) => {
                 self.state = McsRelState::Done;
-                if self.lease {
-                    out.push(McsReleaseAction::TransferLease(nxt));
-                }
                 out.push(McsReleaseAction::Wake(nxt));
                 out.push(McsReleaseAction::Released);
             }
@@ -338,9 +326,6 @@ impl<P: Copy> McsRelease<P> {
             }
             (McsRelState::CasIssued, McsReleaseEvent::CasResult { won: true }) => {
                 self.state = McsRelState::Done;
-                if self.lease {
-                    out.push(McsReleaseAction::ClearLease);
-                }
                 out.push(McsReleaseAction::Released);
             }
             (McsRelState::CasIssued, McsReleaseEvent::CasResult { won: false }) => {
@@ -351,125 +336,6 @@ impl<P: Copy> McsRelease<P> {
             }
             (s, _) => debug_assert!(false, "mcs release: unexpected event in {s:?}"),
         }
-    }
-}
-
-/// Actions of an MCS lease reclamation (recovery mode, paper-external:
-/// see DESIGN "Recovery model").
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum ReclaimAction {
-    /// Read the lease-holder word; feed [`ReclaimEvent::Holder`].
-    ReadHolder,
-    /// Ask the failure detector about rank `holder - 1`; feed
-    /// [`ReclaimEvent::AliveResult`].
-    CheckAlive(u64),
-    /// Read the lease epoch; feed [`ReclaimEvent::Epoch`].
-    ReadEpoch,
-    /// CAS the epoch from `expect` to `expect + 1` — the single-winner
-    /// fence; feed [`ReclaimEvent::EpochCas`].
-    CasEpoch {
-        /// Expected current epoch.
-        expect: u64,
-    },
-    /// Winner only: swap the lock word back to NULL.
-    ResetLock,
-    /// Winner only: clear the lease-holder word.
-    ClearHolder,
-    /// Reclamation finished; `true` if this rank reset the lock.
-    Finished(bool),
-}
-
-/// Inputs to [`McsReclaim::poll`].
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum ReclaimEvent {
-    /// Begin the reclamation attempt.
-    Start,
-    /// Observed lease-holder word (`rank + 1`, 0 = unheld).
-    Holder(u64),
-    /// Whether the holder is still alive.
-    AliveResult(bool),
-    /// Observed lease epoch.
-    Epoch(u64),
-    /// Outcome of the epoch CAS.
-    EpochCas {
-        /// The CAS succeeded — this rank is the single reclaimer.
-        won: bool,
-    },
-}
-
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-enum ReclaimState {
-    Idle,
-    ReadingHolder,
-    CheckingAlive(u64),
-    ReadingEpoch,
-    Casing,
-    Done,
-}
-
-/// Lease-reclamation engine: read holder → liveness check → epoch CAS →
-/// (winner) reset. Exactly one contender can win the epoch CAS, so the
-/// lock word is reset at most once per failed holder.
-#[derive(Clone, Debug)]
-pub struct McsReclaim {
-    state: ReclaimState,
-}
-
-impl Default for McsReclaim {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl McsReclaim {
-    /// Fresh reclamation attempt.
-    pub fn new() -> Self {
-        McsReclaim { state: ReclaimState::Idle }
-    }
-
-    /// Feed one event; actions are appended to `out`.
-    pub fn poll(&mut self, ev: ReclaimEvent, out: &mut Vec<ReclaimAction>) {
-        match (self.state, ev) {
-            (ReclaimState::Idle, ReclaimEvent::Start) => {
-                self.state = ReclaimState::ReadingHolder;
-                out.push(ReclaimAction::ReadHolder);
-            }
-            (ReclaimState::ReadingHolder, ReclaimEvent::Holder(0)) => {
-                // No recorded holder: nothing to reclaim.
-                self.finish(false, out);
-            }
-            (ReclaimState::ReadingHolder, ReclaimEvent::Holder(h)) => {
-                self.state = ReclaimState::CheckingAlive(h);
-                out.push(ReclaimAction::CheckAlive(h - 1));
-            }
-            (ReclaimState::CheckingAlive(_), ReclaimEvent::AliveResult(true)) => {
-                // Holder is alive: the queue is healthy, keep waiting.
-                self.finish(false, out);
-            }
-            (ReclaimState::CheckingAlive(_), ReclaimEvent::AliveResult(false)) => {
-                self.state = ReclaimState::ReadingEpoch;
-                out.push(ReclaimAction::ReadEpoch);
-            }
-            (ReclaimState::ReadingEpoch, ReclaimEvent::Epoch(e)) => {
-                self.state = ReclaimState::Casing;
-                out.push(ReclaimAction::CasEpoch { expect: e });
-            }
-            (ReclaimState::Casing, ReclaimEvent::EpochCas { won: false }) => {
-                // Another contender reclaimed concurrently.
-                self.finish(false, out);
-            }
-            (ReclaimState::Casing, ReclaimEvent::EpochCas { won: true }) => {
-                out.push(ReclaimAction::ResetLock);
-                out.push(ReclaimAction::ClearHolder);
-                self.finish(true, out);
-            }
-            (s, _) => debug_assert!(false, "mcs reclaim: unexpected event in {s:?}"),
-        }
-    }
-
-    fn finish(&mut self, won: bool, out: &mut Vec<ReclaimAction>) {
-        self.state = ReclaimState::Done;
-        out.push(ReclaimAction::Finished(won));
     }
 }
 
@@ -540,7 +406,7 @@ mod tests {
     #[test]
     fn mcs_acquire_contended_links_and_waits() {
         let mut out = Vec::new();
-        let mut a: McsAcquire<u32> = McsAcquire::new(true);
+        let mut a: McsAcquire<u32> = McsAcquire::new(false);
         a.poll(McsAcquireEvent::Start, &mut out);
         out.clear();
         a.poll(McsAcquireEvent::SwapResult(Some(9)), &mut out);
@@ -550,7 +416,7 @@ mod tests {
         );
         out.clear();
         a.poll(McsAcquireEvent::LockedCleared, &mut out);
-        assert_eq!(out, vec![McsAcquireAction::SetLease, McsAcquireAction::Acquired]);
+        assert_eq!(out, vec![McsAcquireAction::Acquired]);
     }
 
     #[test]
@@ -568,20 +434,20 @@ mod tests {
     #[test]
     fn mcs_release_cas_free_path() {
         let mut out = Vec::new();
-        let mut r: McsRelease<u32> = McsRelease::new(true);
+        let mut r: McsRelease<u32> = McsRelease::new(false);
         r.poll(McsReleaseEvent::Start, &mut out);
         out.clear();
         r.poll(McsReleaseEvent::NextValue(None), &mut out);
         assert_eq!(out, vec![McsReleaseAction::CasLockToNull]);
         out.clear();
         r.poll(McsReleaseEvent::CasResult { won: true }, &mut out);
-        assert_eq!(out, vec![McsReleaseAction::ClearLease, McsReleaseAction::Released]);
+        assert_eq!(out, vec![McsReleaseAction::Released]);
     }
 
     #[test]
     fn mcs_release_cas_race_waits_for_link() {
         let mut out = Vec::new();
-        let mut r: McsRelease<u32> = McsRelease::new(true);
+        let mut r: McsRelease<u32> = McsRelease::new(false);
         r.poll(McsReleaseEvent::Start, &mut out);
         out.clear();
         r.poll(McsReleaseEvent::NextValue(None), &mut out);
@@ -590,67 +456,6 @@ mod tests {
         assert_eq!(out, vec![McsReleaseAction::AwaitSuccessor]);
         out.clear();
         r.poll(McsReleaseEvent::NextValue(Some(5)), &mut out);
-        assert_eq!(
-            out,
-            vec![McsReleaseAction::TransferLease(5), McsReleaseAction::Wake(5), McsReleaseAction::Released]
-        );
-    }
-
-    #[test]
-    fn reclaim_paths() {
-        let drive = |events: &[ReclaimEvent]| {
-            let mut out = Vec::new();
-            let mut e = McsReclaim::new();
-            for &ev in events {
-                e.poll(ev, &mut out);
-            }
-            out
-        };
-        // Unheld lock: nothing to do.
-        assert_eq!(
-            drive(&[ReclaimEvent::Start, ReclaimEvent::Holder(0)]),
-            vec![ReclaimAction::ReadHolder, ReclaimAction::Finished(false)]
-        );
-        // Live holder: back off.
-        assert_eq!(
-            drive(&[ReclaimEvent::Start, ReclaimEvent::Holder(3), ReclaimEvent::AliveResult(true)]),
-            vec![ReclaimAction::ReadHolder, ReclaimAction::CheckAlive(2), ReclaimAction::Finished(false)]
-        );
-        // Dead holder, CAS won: full reset.
-        assert_eq!(
-            drive(&[
-                ReclaimEvent::Start,
-                ReclaimEvent::Holder(3),
-                ReclaimEvent::AliveResult(false),
-                ReclaimEvent::Epoch(7),
-                ReclaimEvent::EpochCas { won: true },
-            ]),
-            vec![
-                ReclaimAction::ReadHolder,
-                ReclaimAction::CheckAlive(2),
-                ReclaimAction::ReadEpoch,
-                ReclaimAction::CasEpoch { expect: 7 },
-                ReclaimAction::ResetLock,
-                ReclaimAction::ClearHolder,
-                ReclaimAction::Finished(true),
-            ]
-        );
-        // Dead holder, CAS lost: someone else reclaimed.
-        assert_eq!(
-            drive(&[
-                ReclaimEvent::Start,
-                ReclaimEvent::Holder(3),
-                ReclaimEvent::AliveResult(false),
-                ReclaimEvent::Epoch(7),
-                ReclaimEvent::EpochCas { won: false },
-            ]),
-            vec![
-                ReclaimAction::ReadHolder,
-                ReclaimAction::CheckAlive(2),
-                ReclaimAction::ReadEpoch,
-                ReclaimAction::CasEpoch { expect: 7 },
-                ReclaimAction::Finished(false),
-            ]
-        );
+        assert_eq!(out, vec![McsReleaseAction::Wake(5), McsReleaseAction::Released]);
     }
 }

@@ -59,8 +59,8 @@ pub fn base_dir(dir: Option<&str>) -> PathBuf {
 }
 
 /// One `MAP_SHARED` mapping of a segment file. The mapping stays valid
-/// after the file is unlinked (POSIX), so survivors keep working on a
-/// dead peer's lock words during reclamation.
+/// after the file is unlinked (POSIX), so a survivor's loads and stores
+/// into a dead peer's segment stay memory-safe.
 #[derive(Debug)]
 pub struct ShmSegment {
     ptr: *mut u8,

@@ -199,7 +199,7 @@ impl Proc {
                 McsAcquireAction::SwapLock => ctx.send_after(delay, self.home, Msg::Swap, 0),
                 // The `locked` flag is implicit in the model: Msg::Wake
                 // *is* the predecessor clearing it.
-                McsAcquireAction::SetMyLocked | McsAcquireAction::AwaitWake | McsAcquireAction::SetLease => {}
+                McsAcquireAction::SetMyLocked | McsAcquireAction::AwaitWake => {}
                 McsAcquireAction::LinkAfter(prev) => {
                     // Enqueue: write our identity into the predecessor's
                     // next pointer, then wait for Wake.
@@ -242,7 +242,6 @@ impl Proc {
                     }
                 }
                 McsReleaseAction::Wake(nxt) => ctx.send_after(self.send_overhead, nxt as ActorId, Msg::Wake, 0),
-                McsReleaseAction::TransferLease(_) | McsReleaseAction::ClearLease => {}
                 McsReleaseAction::Released => released = true,
             }
             i += 1;

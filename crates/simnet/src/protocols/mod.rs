@@ -22,7 +22,7 @@ pub use sync_adapter as sync;
 
 pub use lock_adapter::{simulate_lock, LockAlgo, LockResult};
 pub use sync_adapter::{
-    simulate_combined_barrier, simulate_combined_barrier_evicted_logged, simulate_hier_barrier_logged,
-    simulate_hier_barrier_smp, simulate_notify_exchange_logged, simulate_notify_ring, simulate_sync_baseline,
-    sweep_hier_vs_flat, HierEpoch, HierSweepRow, SyncResult,
+    simulate_combined_barrier, simulate_hier_barrier_logged, simulate_hier_barrier_smp,
+    simulate_notify_exchange_logged, simulate_notify_ring, simulate_sync_baseline, sweep_hier_vs_flat, HierEpoch,
+    HierSweepRow, SyncResult,
 };

@@ -64,14 +64,6 @@ pub enum Msg {
         /// Which exchange stage.
         stage: u8,
     },
-    /// Self-timer: the membership layer confirms `rank` dead, and this
-    /// process folds it out of the in-flight closing barrier stage
-    /// (value-carrying stages are never folded — the runtime aborts
-    /// those; see [`armci_proto::CombinedBarrier::evict`]).
-    Evict {
-        /// The evicted rank.
-        rank: usize,
-    },
 }
 
 /// One binary-exchange stage (allreduce or barrier): the shared sans-IO
@@ -107,7 +99,7 @@ impl Exchange {
             Msg::Xchg { stage, round } => Some((stage, XchgMsg::Round(round))),
             Msg::Enter { stage } => Some((stage, XchgMsg::Enter)),
             Msg::Exit { stage } => Some((stage, XchgMsg::Exit)),
-            Msg::Start | Msg::FenceReq | Msg::FenceAck | Msg::Evict { .. } => None,
+            Msg::Start | Msg::FenceReq | Msg::FenceAck => None,
         }
     }
 
@@ -167,9 +159,6 @@ pub struct ProcActor {
     /// skew; 0 in the paper's skew-free methodology).
     start_at: Time,
     started: bool,
-    /// Membership eviction this process observes: `(rank, at)` delivers
-    /// an [`Msg::Evict`] self-timer at virtual time `at`.
-    evict_at: Option<(usize, Time)>,
     /// Virtual time at which this process finished the sync.
     pub finish_at: Option<Time>,
 }
@@ -256,20 +245,6 @@ impl ProcActor {
         }
     }
 
-    /// Fold `rank` out of the schedule-only closing barrier stage — the
-    /// membership eviction a degraded-mode runtime delivers into an
-    /// in-flight collective. Value-carrying stages are left alone (the
-    /// runtime aborts those with `PeerLost` instead of folding).
-    fn evict(&mut self, rank: usize) {
-        for s in &mut self.stages {
-            if let Stage::Exchange(x) = s {
-                if x.stage == 1 {
-                    x.eng.evict(rank, &mut x.out);
-                }
-            }
-        }
-    }
-
     fn on_fence_ack(&mut self, ctx: &mut Ctx<'_, Msg>) {
         match &mut self.stages[self.cur] {
             Stage::SeqFence { targets, next } => {
@@ -292,9 +267,6 @@ impl ProcActor {
 impl Actor<Msg> for SyncNode {
     fn on_start(&mut self, ctx: &mut Ctx<'_, Msg>) {
         if let SyncNode::Proc(p) = self {
-            if let Some((rank, at)) = p.evict_at {
-                ctx.wake_after(at, Msg::Evict { rank });
-            }
             if p.start_at == 0 {
                 p.started = true;
                 p.advance(ctx);
@@ -325,10 +297,6 @@ impl Actor<Msg> for SyncNode {
             },
             SyncNode::Proc(p) => match msg {
                 Msg::Start => unreachable!("duplicate start"),
-                Msg::Evict { rank } => {
-                    p.evict(rank);
-                    p.advance(ctx);
-                }
                 Msg::FenceAck => p.on_fence_ack(ctx),
                 m @ (Msg::Xchg { .. } | Msg::Enter { .. } | Msg::Exit { .. }) => {
                     // Consume if it belongs to the stage we are in; stash
@@ -381,9 +349,6 @@ struct RunCfg {
     ppn: usize,
     /// Per-process start offsets (empty = all start at 0).
     skew: Vec<Time>,
-    /// Membership eviction every *other* process observes: `(victim,
-    /// at)`. The victim gets no event (evicting oneself is a no-op).
-    evict: Option<(usize, Time)>,
     model: NetModel,
 }
 
@@ -402,7 +367,6 @@ fn run_cfg_logged(cfg: RunCfg, mk_stages: impl Fn(usize) -> Vec<Stage>) -> (Sync
             stash: Vec::new(),
             start_at,
             started: false,
-            evict_at: cfg.evict.filter(|&(victim, _)| victim != p),
             finish_at: None,
         }));
         nodes.push(p / cfg.ppn);
@@ -432,7 +396,7 @@ fn run_cfg(cfg: RunCfg, mk_stages: impl Fn(usize) -> Vec<Stage>) -> SyncResult {
 }
 
 fn run(n: usize, model: NetModel, mk_stages: impl Fn(usize) -> Vec<Stage>) -> SyncResult {
-    run_cfg(RunCfg { nprocs: n, ppn: 1, skew: Vec::new(), evict: None, model }, mk_stages)
+    run_cfg(RunCfg { nprocs: n, ppn: 1, skew: Vec::new(), model }, mk_stages)
 }
 
 /// Simulate the baseline `GA_Sync()` where each process fences
@@ -460,31 +424,9 @@ pub fn simulate_combined_barrier(n: usize, model: NetModel) -> SyncResult {
 /// protocol send trace (allreduce stage then barrier stage, in emission
 /// order) for cross-harness conformance checks.
 pub fn simulate_combined_barrier_logged(n: usize, model: NetModel) -> (SyncResult, Vec<Vec<SendRecord>>) {
-    run_cfg_logged(RunCfg { nprocs: n, ppn: 1, skew: Vec::new(), evict: None, model }, |p| {
+    run_cfg_logged(RunCfg { nprocs: n, ppn: 1, skew: Vec::new(), model }, |p| {
         vec![Stage::Exchange(Exchange::new(0, 8 * n, n, p)), Stage::Exchange(Exchange::new(1, 0, n, p))]
     })
-}
-
-/// The combined barrier with `victim` dying at the closing barrier
-/// stage: the victim contributes to the value-carrying allreduce, then
-/// goes silent before its first barrier-stage send; at 1 ms of virtual
-/// time (long after every survivor is parked in the barrier stage)
-/// every survivor observes the membership eviction and folds the victim
-/// out of the in-flight exchange, completing over the survivor set.
-/// Returns per-process traces — the victim's slot holds its
-/// allreduce-only trace — for cross-harness conformance of the
-/// eviction-during-collective schedule.
-pub fn simulate_combined_barrier_evicted_logged(n: usize, victim: usize, model: NetModel) -> Vec<Vec<SendRecord>> {
-    assert!(victim < n, "victim must be a rank");
-    let evict_at = 1_000_000; // ns; allreduce completes in ~µs
-    run_cfg_logged(RunCfg { nprocs: n, ppn: 1, skew: Vec::new(), evict: Some((victim, evict_at)), model }, |p| {
-        let mut stages = vec![Stage::Exchange(Exchange::new(0, 8 * n, n, p))];
-        if p != victim {
-            stages.push(Stage::Exchange(Exchange::new(1, 0, n, p)));
-        }
-        stages
-    })
-    .1
 }
 
 /// Baseline `GA_Sync()` on SMP nodes (`ppn` processes per node): each
@@ -493,7 +435,7 @@ pub fn simulate_combined_barrier_evicted_logged(n: usize, victim: usize, model: 
 /// cheap). The paper's testbed was dual-CPU nodes.
 pub fn simulate_sync_baseline_smp(nodes: usize, ppn: usize, model: NetModel) -> SyncResult {
     let n = nodes * ppn;
-    run_cfg(RunCfg { nprocs: n, ppn, skew: Vec::new(), evict: None, model }, |p| {
+    run_cfg(RunCfg { nprocs: n, ppn, skew: Vec::new(), model }, |p| {
         let my_node = p / ppn;
         let targets: Vec<ActorId> = (0..nodes).filter(|&s| s != my_node).map(|s| n + s).collect();
         vec![Stage::SeqFence { targets, next: 0 }, Stage::Exchange(Exchange::new(1, 0, n, p))]
@@ -503,7 +445,7 @@ pub fn simulate_sync_baseline_smp(nodes: usize, ppn: usize, model: NetModel) -> 
 /// Combined `ARMCI_Barrier()` on SMP nodes.
 pub fn simulate_combined_barrier_smp(nodes: usize, ppn: usize, model: NetModel) -> SyncResult {
     let n = nodes * ppn;
-    run_cfg(RunCfg { nprocs: n, ppn, skew: Vec::new(), evict: None, model }, |p| {
+    run_cfg(RunCfg { nprocs: n, ppn, skew: Vec::new(), model }, |p| {
         vec![Stage::Exchange(Exchange::new(0, 8 * n, n, p)), Stage::Exchange(Exchange::new(1, 0, n, p))]
     })
 }
@@ -522,7 +464,7 @@ pub fn simulate_sync_via(n: usize, model: NetModel) -> SyncResult {
 /// arrival, so early processes observe inflated sync times.
 pub fn simulate_combined_barrier_skewed(n: usize, skew_step: Time, model: NetModel) -> SyncResult {
     let skew: Vec<Time> = (0..n as u64).map(|p| p * skew_step).collect();
-    run_cfg(RunCfg { nprocs: n, ppn: 1, skew, evict: None, model }, |p| {
+    run_cfg(RunCfg { nprocs: n, ppn: 1, skew, model }, |p| {
         vec![Stage::Exchange(Exchange::new(0, 8 * n, n, p)), Stage::Exchange(Exchange::new(1, 0, n, p))]
     })
 }

@@ -118,13 +118,6 @@ pub trait MailboxBackend: Send {
         let _ = node;
         false
     }
-
-    /// Nodes whose connection is currently *suspect*: lost but still
-    /// under active recovery (reconnect + replay), not yet declared dead.
-    /// Backends without a recovery layer never suspect anyone.
-    fn suspect_peers(&self) -> Vec<crate::ids::NodeId> {
-        Vec::new()
-    }
 }
 
 /// Shared, cheaply-clonable sending side of the emulator fabric: one
@@ -494,15 +487,6 @@ impl Mailbox {
         match &self.backend {
             BackendImpl::Emu(_) => false,
             BackendImpl::Ext(b) => b.peer_is_lost(node),
-        }
-    }
-
-    /// Nodes whose connection is suspect (under recovery, not yet dead).
-    /// Always empty on the emulator backend.
-    pub fn suspect_peers(&self) -> Vec<crate::ids::NodeId> {
-        match &self.backend {
-            BackendImpl::Emu(_) => Vec::new(),
-            BackendImpl::Ext(b) => b.suspect_peers(),
         }
     }
 }

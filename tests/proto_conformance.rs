@@ -190,227 +190,6 @@ fn overlapping_group_traces_each_match_simnet() {
     }
 }
 
-// ---- Eviction / degraded-mode conformance -------------------------------
-
-/// Survivor shrunk-group barrier traces (indexed by group rank) after a
-/// deterministically injected eviction of `victim`: every rank quiesces
-/// on a world barrier, the victim goes silent, and the survivors inject
-/// the membership eviction ([`Armci::evict_node`] — the emulator backend
-/// never loses peers, so deterministic scenarios inject instead of
-/// scripting a death), shrink the world group, and barrier over it.
-fn evicted_runtime_logs(n: u32, victim: usize, net: bool) -> Vec<Vec<SendRecord>> {
-    let cfg = ArmciCfg::flat(n, LatencyModel::zero())
-        .with_on_peer_loss(armci_repro::armci_core::OnPeerLoss::Degrade)
-        .with_hier_collectives(false); // flat-schedule trace comparison
-    let body = move |a: &mut Armci| {
-        let seg = a.malloc(8 * a.nprocs());
-        a.barrier();
-        let _ = a.take_barrier_log(); // discard the quiesce trace
-        if a.rank() == victim {
-            return None; // silent from here on: no further collectives
-        }
-        let epoch = a.evict_node(NodeId(victim as u32));
-        assert_eq!(epoch, 1, "exactly one rank evicted");
-        let world: Vec<usize> = (0..a.nprocs()).collect();
-        let g = a.group(&world);
-        let shrunk = a.try_shrink_group(&g).expect("survivor shrinks the world group");
-        assert_eq!(shrunk.len(), a.nprocs() - 1);
-        // Survivor-to-survivor puts so the barrier's op counters are
-        // nonzero (the schedule under test must not depend on them).
-        let (me, np) = (a.rank(), a.nprocs());
-        for (i, dst) in (0..np).filter(|&r| r != victim && r != me).enumerate() {
-            a.put_u64(GlobalAddr::new(ProcId(dst as u32), seg, 8 * me), 0xE0 + i as u64);
-        }
-        a.try_barrier_group(&shrunk).expect("survivors complete the shrunk barrier");
-        Some(a.take_barrier_log())
-    };
-    let per_rank = if net {
-        armci_repro::armci_core::run_cluster_net_loopback(cfg, body)
-    } else {
-        armci_repro::armci_core::run_cluster(cfg, body)
-    };
-    (0..n as usize).filter(|&r| r != victim).map(|r| per_rank[r].clone().expect("survivor produced no log")).collect()
-}
-
-/// After an eviction, the survivors' shrunk-group barrier is a fresh
-/// (n-1)-rank schedule: its trace must be message-identical to the
-/// simulator's whole-world trace at the survivor count — the degraded
-/// runtime converges on exactly the protocol a healthy (n-1)-rank world
-/// would run.
-#[test]
-fn shrunk_barrier_after_eviction_trace_identical_emulator_vs_simnet() {
-    for (n, victim) in [(4usize, 2usize), (5, 0), (8, 7)] {
-        let emu = evicted_runtime_logs(n as u32, victim, false);
-        let sim = simnet_logs(n - 1);
-        assert_eq!(emu.len(), n - 1);
-        for g_rank in 0..n - 1 {
-            assert_eq!(
-                emu[g_rank], sim[g_rank],
-                "n={n} victim={victim} group-rank={g_rank}: degraded runtime and simulator engines diverged"
-            );
-        }
-        assert!(emu.iter().all(|l| !l.is_empty()), "n={n}: empty survivor trace");
-    }
-}
-
-#[test]
-fn shrunk_barrier_after_eviction_trace_identical_netfab_vs_simnet() {
-    let (n, victim) = (4usize, 1usize);
-    let net = evicted_runtime_logs(n as u32, victim, true);
-    let sim = simnet_logs(n - 1);
-    for g_rank in 0..n - 1 {
-        assert_eq!(
-            net[g_rank], sim[g_rank],
-            "victim={victim} group-rank={g_rank}: degraded netfab and simulator engines diverged"
-        );
-    }
-}
-
-/// Deterministic lockstep drive of the sans-IO `Exchange` engines for
-/// the combined barrier with `victim` dying at the closing barrier
-/// stage: the victim contributes to the value-carrying allreduce (stage
-/// 0) and never enters the barrier stage; once the survivor exchange is
-/// quiescent (everyone parked on a victim-dependent slot), the eviction
-/// is folded into every survivor's stage-1 engine and the drive drains
-/// to completion. Mirrors what the simulator's 1 ms eviction timer does
-/// under the virtual clock.
-fn lockstep_evicted_drive(n: usize, victim: usize) -> Vec<Vec<SendRecord>> {
-    use armci_proto::{Exchange, XchgAction, XchgEvent, XchgMsg};
-    use std::collections::VecDeque;
-
-    struct Rank {
-        /// Stage engines (victim: allreduce only; survivors: both).
-        stages: Vec<Exchange>,
-        cur: usize,
-        /// Per-stage send logs; concatenation is the conformance trace.
-        logs: Vec<Vec<SendRecord>>,
-        out: Vec<XchgAction>,
-    }
-    let mut ranks: Vec<Rank> = (0..n)
-        .map(|p| {
-            let nstages = if p == victim { 1 } else { 2 };
-            Rank {
-                stages: (0..nstages).map(|_| Exchange::new(n, p)).collect(),
-                cur: 0,
-                logs: vec![Vec::new(); nstages],
-                out: Vec::new(),
-            }
-        })
-        .collect();
-    let mut queue: VecDeque<(usize, usize, XchgMsg)> = VecDeque::new();
-
-    /// Flush emitted actions (only the current stage ever emits) and
-    /// step into the next stage when the current one completes.
-    fn pump(r: &mut Rank, victim: usize, queue: &mut VecDeque<(usize, usize, XchgMsg)>) {
-        loop {
-            let cur = r.cur;
-            for a in r.out.drain(..) {
-                if let XchgAction::Send { to, msg } = a {
-                    r.logs[cur].push(SendRecord { stage: cur as u8, to: to as u32, msg });
-                    // The dead rank never entered the barrier stage; the
-                    // send is logged (the schedule still emits it) but
-                    // dropped at the "transport", like the degraded
-                    // runtime and the simulator's stash both do.
-                    if !(to == victim && cur == 1) {
-                        queue.push_back((to, cur, msg));
-                    }
-                }
-            }
-            if r.cur < r.stages.len() && r.stages[r.cur].is_complete() {
-                r.cur += 1;
-                if r.cur < r.stages.len() {
-                    let cur = r.cur;
-                    r.stages[cur].poll(XchgEvent::Start, &mut r.out);
-                    continue;
-                }
-            }
-            break;
-        }
-    }
-
-    for r in ranks.iter_mut() {
-        r.stages[0].poll(XchgEvent::Start, &mut r.out);
-        pump(r, victim, &mut queue);
-    }
-    let drain = |ranks: &mut Vec<Rank>, queue: &mut VecDeque<(usize, usize, XchgMsg)>| {
-        let mut steps = 0;
-        while let Some((to, stage, msg)) = queue.pop_front() {
-            steps += 1;
-            assert!(steps < 100_000, "lockstep drive does not converge");
-            let r = &mut ranks[to];
-            // Pre-entry deliveries are legal: the engine records them and
-            // acts at its own Start, exactly like the actors' stash.
-            r.stages[stage].poll(XchgEvent::Recv(msg), &mut r.out);
-            pump(r, victim, queue);
-        }
-    };
-    drain(&mut ranks, &mut queue);
-    // Survivor exchange is quiescent: every survivor still incomplete is
-    // parked on a slot only the dead rank could fill. Fold the eviction
-    // into all survivors before delivering anything further (the
-    // simulator's timers all fire at the same virtual instant).
-    for p in (0..n).filter(|&p| p != victim) {
-        let r = &mut ranks[p];
-        r.stages[1].evict(victim, &mut r.out);
-        pump(r, victim, &mut queue);
-    }
-    drain(&mut ranks, &mut queue);
-    for (p, r) in ranks.iter().enumerate() {
-        assert_eq!(r.cur, r.stages.len(), "rank {p} hung in the lockstep drive");
-    }
-    ranks.into_iter().map(|r| r.logs.into_iter().flatten().collect()).collect()
-}
-
-/// Eviction *during* the collective: the simulator's evicted-barrier run
-/// must emit exactly the schedule the engines produce under a direct
-/// lockstep drive — covering a core victim, a surplus victim, and a
-/// victim whose surplus partner survives (the partner is released by the
-/// fold, not by a message).
-#[test]
-fn evicted_fold_trace_identical_engine_vs_simnet() {
-    for (n, victim) in [(4usize, 2usize), (5, 4), (6, 1), (8, 0)] {
-        let sim = armci_repro::armci_simnet::protocols::sync::simulate_combined_barrier_evicted_logged(
-            n,
-            victim,
-            armci_repro::armci_simnet::NetModel::myrinet_2000(),
-        );
-        let drive = lockstep_evicted_drive(n, victim);
-        assert_eq!(sim.len(), n);
-        for p in 0..n {
-            assert_eq!(
-                drive[p], sim[p],
-                "n={n} victim={victim} rank={p}: lockstep and simulator evicted schedules diverged"
-            );
-        }
-        assert!(sim[victim].iter().all(|r| r.stage == 0), "victim must never reach the barrier stage");
-        for p in (0..n).filter(|&p| p != victim) {
-            assert!(sim[p].iter().any(|r| r.stage == 1), "n={n} rank={p}: survivor never ran the barrier stage");
-        }
-    }
-}
-
-/// The fold keeps survivor schedules *identical to a healthy run*: an
-/// evicted partner's slots are vacuously satisfied but the survivor's
-/// own sends (including those addressed to the dead rank, dropped at the
-/// transport) are unchanged — the property that makes degraded-mode
-/// traces deterministic and comparable at all.
-#[test]
-fn fold_keeps_survivor_schedules_identical_to_healthy_run() {
-    let (n, victim) = (8usize, 3usize);
-    let healthy = simnet_logs(n);
-    let evicted = armci_repro::armci_simnet::protocols::sync::simulate_combined_barrier_evicted_logged(
-        n,
-        victim,
-        armci_repro::armci_simnet::NetModel::myrinet_2000(),
-    );
-    for p in (0..n).filter(|&p| p != victim) {
-        assert_eq!(evicted[p], healthy[p], "rank {p}: fold perturbed a survivor's schedule");
-    }
-    // The victim's trace is the healthy allreduce prefix.
-    assert_eq!(evicted[victim], healthy[victim][..evicted[victim].len()].to_vec());
-    assert!(evicted[victim].len() < healthy[victim].len());
-}
-
 // ---- Hierarchical conformance -------------------------------------------
 
 /// One rank's view of [`hier_logs`]: the domain partition, and the hier
