@@ -12,8 +12,8 @@
 //!   exactly and extends the sweeps beyond the host's core count.
 //!
 //! The `reproduce` binary prints every figure of the paper as a table,
-//! paper-shape expectations alongside; the Criterion benches under
-//! `benches/` wrap the same workloads for regression tracking.
+//! paper-shape expectations alongside. Per-operation latencies are
+//! measured by `perf/` (the benchmark `BENCHMARK.json` declares), not here.
 
 pub mod fig7;
 pub mod fig8_10;

@@ -244,6 +244,37 @@ fn fail_stop_is_the_fault_model() {
     }
 }
 
+/// One measuring stick: `perf/` is the benchmark of record and
+/// `reproduce` prints the paper's figures. The criterion benches, the
+/// vendored criterion stub and the vendored `rand` shim are gone, and no
+/// workspace manifest may declare a bench target or either dependency.
+#[test]
+fn one_measuring_stick() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+    let mut manifests = vec![root.join("Cargo.toml")];
+    for entry in std::fs::read_dir(root.join("crates")).expect("read crates/") {
+        let manifest = entry.expect("dir entry").path().join("Cargo.toml");
+        if manifest.is_file() {
+            manifests.push(manifest);
+        }
+    }
+    assert!(manifests.len() >= 10, "expected the root and crates/* manifests under {}", root.display());
+    for path in &manifests {
+        let text = std::fs::read_to_string(path).expect("read manifest");
+        for line in text.lines().map(str::trim).filter(|l| !l.starts_with('#')) {
+            // Keys and table headers only: a quoted value is prose or a path.
+            let keys = line.split('"').next().unwrap_or("");
+            let named = keys
+                .split(|c: char| !(c.is_alphanumeric() || c == '_' || c == '-'))
+                .any(|t| t == "criterion" || t == "rand");
+            assert!(!named && !line.starts_with("[[bench"), "{}: {line}", path.display());
+        }
+    }
+    for dir in ["crates/bench/benches", "vendor/criterion", "vendor/rand"] {
+        assert!(!root.join(dir).exists(), "{dir} is back");
+    }
+}
+
 /// One service agent per node: every request to a node rides its
 /// server's FIFO, so a fence confirms with one reply. The second agent —
 /// its endpoint, wire kind, mailboxes, config knob, routing helper and

@@ -4,9 +4,13 @@
 //! invariants at every barrier. Shakes out interleavings no directed
 //! test thinks of.
 
+use armci_repro::armci_core::ChaosRng;
 use armci_repro::prelude::*;
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+
+/// A draw from `r`: `r.start + below(r.end - r.start)`.
+fn pick(rng: &mut ChaosRng, r: std::ops::Range<usize>) -> usize {
+    r.start + rng.below((r.end - r.start) as u64) as usize
+}
 
 /// One rank's slice of the chaos: operate on scratch space, maintain a
 /// locked shared counter and a per-rank accumulate tally, barrier
@@ -28,49 +32,49 @@ fn chaos_run(seed: u64, nodes: u32, ppn: u32, algo: LockAlgo, rounds: usize) {
         let seg = a.malloc(1024 + 8 * 64);
         let lock = LockId { owner: ProcId(0), idx: 0 };
         let counter = GlobalAddr::new(ProcId(0), seg, 0);
-        let mut rng = StdRng::seed_from_u64(seed ^ (a.rank() as u64) << 32);
+        let mut rng = ChaosRng::new(seed ^ (a.rank() as u64) << 32);
         a.barrier();
 
         let mut my_lock_increments = 0u64;
         let mut my_acc_total = 0.0f64;
         for round in 0..rounds {
-            for _ in 0..rng.gen_range(3..12) {
-                match rng.gen_range(0..7u32) {
+            for _ in 0..pick(&mut rng, 3..12) {
+                match pick(&mut rng, 0..7) {
                     0 => {
                         // Scratch put somewhere random.
-                        let target = ProcId(rng.gen_range(0..n as u32));
-                        let off = 1024 + 8 * rng.gen_range(0..32usize);
-                        a.put_u64(GlobalAddr::new(target, seg, off), rng.gen());
+                        let target = ProcId(pick(&mut rng, 0..n) as u32);
+                        let off = 1024 + 8 * pick(&mut rng, 0..32);
+                        a.put_u64(GlobalAddr::new(target, seg, off), rng.next_u64());
                     }
                     1 => {
                         // Strided scratch put.
-                        let target = ProcId(rng.gen_range(0..n as u32));
-                        let rowb = 8 * rng.gen_range(1..4usize);
-                        let desc = Strided2D { offset: 1024, rows: rng.gen_range(1..4), row_bytes: rowb, stride: 128 };
-                        let data = vec![rng.gen::<u8>(); desc.total_bytes()];
+                        let target = ProcId(pick(&mut rng, 0..n) as u32);
+                        let rowb = 8 * pick(&mut rng, 1..4);
+                        let desc = Strided2D { offset: 1024, rows: pick(&mut rng, 1..4), row_bytes: rowb, stride: 128 };
+                        let data = vec![rng.next_u64() as u8; desc.total_bytes()];
                         a.put_strided(target, seg, desc, &data);
                     }
                     2 => {
                         // Random remote read (value is arbitrary; must not hang).
-                        let target = ProcId(rng.gen_range(0..n as u32));
+                        let target = ProcId(pick(&mut rng, 0..n) as u32);
                         let mut b = [0u8; 16];
-                        a.get(GlobalAddr::new(target, seg, 1024 + 8 * rng.gen_range(0..16usize)), &mut b);
+                        a.get(GlobalAddr::new(target, seg, 1024 + 8 * pick(&mut rng, 0..16)), &mut b);
                     }
                     3 => {
                         // Accumulate into the tally slot for my rank at a
                         // random host; tracked for verification.
-                        let target = ProcId(rng.gen_range(0..n as u32));
-                        let v = rng.gen_range(1..5) as f64;
+                        let target = ProcId(pick(&mut rng, 0..n) as u32);
+                        let v = pick(&mut rng, 1..5) as f64;
                         a.acc_f64(GlobalAddr::new(target, seg, 8 + 8 * a.rank()), v, &[1.0]);
                         my_acc_total += v;
                     }
                     4 => {
                         // Random fence.
-                        a.fence(ProcId(rng.gen_range(0..n as u32)));
+                        a.fence(ProcId(pick(&mut rng, 0..n) as u32));
                     }
                     5 => {
                         // RMW on scratch.
-                        let target = ProcId(rng.gen_range(0..n as u32));
+                        let target = ProcId(pick(&mut rng, 0..n) as u32);
                         let _ = a.fetch_add_u64(GlobalAddr::new(target, seg, 1016), 1);
                     }
                     _ => {
@@ -145,11 +149,11 @@ fn chaos_with_jitter() {
     let out = armci_repro::armci_core::run_cluster(cfg, |a| {
         let seg = a.malloc(256);
         let lock = LockId { owner: ProcId(1), idx: 0 };
-        let mut rng = StdRng::seed_from_u64(a.rank() as u64);
+        let mut rng = ChaosRng::new(a.rank() as u64);
         a.barrier();
         for _ in 0..30 {
-            if rng.gen_bool(0.5) {
-                a.put_u64(GlobalAddr::new(ProcId(rng.gen_range(0..3)), seg, 8 * rng.gen_range(0..8usize)), 7);
+            if rng.below(2) == 0 {
+                a.put_u64(GlobalAddr::new(ProcId(pick(&mut rng, 0..3) as u32), seg, 8 * pick(&mut rng, 0..8)), 7);
             } else {
                 a.lock(lock);
                 let v = a.get_u64(GlobalAddr::new(ProcId(1), seg, 128));
