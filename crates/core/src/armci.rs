@@ -26,6 +26,11 @@ use crate::shm::ShmDataPlane;
 use crate::stats::{OpClass, Stats};
 use crate::strided::{gather, runs_len, scatter, widen, Strided2D};
 
+/// How often a blocking wait interrupts itself to check for dead peers:
+/// short enough that a killed node surfaces promptly, long enough that
+/// the wakeups are noise.
+const DETECT_SLICE: Duration = Duration::from_millis(25);
+
 /// Unwrap a fallible operation for the classic infallible API: the
 /// original ARMCI would crash the job on a communication failure, and the
 /// infallible spellings keep that contract (use the `try_*` twins to
@@ -41,7 +46,7 @@ pub(crate) fn unwrap_op<T>(r: Result<T, ArmciError>) -> T {
 pub struct LockId {
     /// Process at which the lock variable lives.
     pub owner: ProcId,
-    /// Lock slot index, `0..locks_per_proc`.
+    /// Lock slot index, `0..`[`layout::LOCKS_PER_PROC`].
     pub idx: u32,
 }
 
@@ -55,7 +60,6 @@ pub struct Armci {
     pub(crate) registry: Arc<MemoryRegistry>,
     pub(crate) ack_mode: AckMode,
     pub(crate) lock_algo: LockAlgo,
-    pub(crate) locks_per_proc: u32,
     /// This process's sync segment (always `SegId(0)`).
     pub(crate) my_sync: Arc<Segment>,
     /// Sans-IO fence accounting (paper §3.1.1): the cumulative `op_init[]`
@@ -72,10 +76,6 @@ pub struct Armci {
     /// [`Armci::take_barrier_log`] for the cross-harness conformance
     /// suite.
     pub(crate) last_barrier_log: Vec<SendRecord>,
-    /// Whether groups form the node-locality hierarchy at creation
-    /// (`ArmciCfg::hier_collectives`) and group barriers run the
-    /// combined protocol over domains instead of over the member set.
-    pub(crate) hier_collectives: bool,
     /// Send log of the most recent hierarchical group barrier, drained by
     /// [`Armci::take_hier_log`].
     pub(crate) last_hier_log: Vec<HierRecord>,
@@ -92,10 +92,6 @@ pub struct Armci {
     /// (`ArmciCfg::op_timeout`): past it, a `try_*` call returns
     /// [`ArmciError::Timeout`] and an infallible call panics.
     pub(crate) op_timeout: Duration,
-    /// How often a blocking wait interrupts itself to check for dead
-    /// peers (`ArmciCfg::detect_slice`): short enough that a killed node
-    /// surfaces promptly, long enough that the wakeups are noise.
-    pub(crate) detect_slice: Duration,
     /// Next free lock slot per owner (for [`Armci::create_lock`]).
     pub(crate) lock_alloc: Vec<u32>,
     /// Cross-process shared-memory data plane (`ArmciCfg::shm_plane`):
@@ -172,12 +168,6 @@ impl Armci {
         s
     }
 
-    /// Number of lock slots each process allocated at init.
-    #[inline]
-    pub fn locks_per_proc(&self) -> u32 {
-        self.locks_per_proc
-    }
-
     /// The configured default lock algorithm.
     #[inline]
     pub fn lock_algo(&self) -> LockAlgo {
@@ -193,7 +183,7 @@ impl Armci {
         Instant::now() + self.op_timeout
     }
 
-    /// A wait slice (`detect_slice`) ended with nothing to show: the error
+    /// A wait slice ([`DETECT_SLICE`]) ended with nothing to show: the error
     /// that ends the whole wait, if any. Any dead node dooms it, and a
     /// confirmed loss wins over an expired deadline.
     fn slice_expired(&self, op: &'static str, deadline: Instant) -> Result<(), ArmciError> {
@@ -207,7 +197,7 @@ impl Armci {
     /// Wait for a message matching `pred`, giving up at `deadline` or as
     /// soon as a peer is known dead. Every message-wait in the fallible
     /// API funnels through here: waits happen in short slices
-    /// (`detect_slice`) so a peer death surfaces promptly, and delivered
+    /// ([`DETECT_SLICE`]) so a peer death surfaces promptly, and delivered
     /// data always wins over a concurrently-detected loss (the slice is
     /// drained before the peer state is consulted).
     pub(crate) fn recv_wait(
@@ -217,7 +207,7 @@ impl Armci {
         mut pred: impl FnMut(&Msg) -> bool,
     ) -> Result<Msg, ArmciError> {
         loop {
-            let until = deadline.min(Instant::now() + self.detect_slice);
+            let until = deadline.min(Instant::now() + DETECT_SLICE);
             match self.mb.recv_match_deadline(&mut pred, until) {
                 Ok(Some(m)) => return Ok(m),
                 Ok(None) => self.slice_expired(op, deadline)?,
@@ -242,7 +232,7 @@ impl Armci {
         mut cond: impl FnMut() -> bool,
     ) -> Result<(), ArmciError> {
         loop {
-            let until = deadline.min(Instant::now() + self.detect_slice);
+            let until = deadline.min(Instant::now() + DETECT_SLICE);
             if spin_until_deadline(&mut cond, until) {
                 return Ok(());
             }
@@ -331,10 +321,14 @@ impl Armci {
     /// `owner` (SPMD discipline, enforced by the included barrier).
     ///
     /// # Panics
-    /// Panics when `owner`'s `locks_per_proc` slots are exhausted.
+    /// Panics when `owner`'s [`layout::LOCKS_PER_PROC`] slots are exhausted.
     pub fn create_lock(&mut self, owner: ProcId) -> LockId {
         let idx = self.lock_alloc[owner.idx()];
-        assert!(idx < self.locks_per_proc, "no free lock slots at {owner} (locks_per_proc = {})", self.locks_per_proc);
+        assert!(
+            idx < layout::LOCKS_PER_PROC,
+            "no free lock slots at {owner} (LOCKS_PER_PROC = {})",
+            layout::LOCKS_PER_PROC
+        );
         self.lock_alloc[owner.idx()] += 1;
         self.world().msg().barrier(self);
         LockId { owner, idx }
@@ -806,7 +800,7 @@ impl Armci {
                 // Bump strictly after the data, mirroring the server's
                 // completion-site order: a consumer observing the counter
                 // sees the payload.
-                sync.fetch_add_u64(layout::notify_slot(self.locks_per_proc, self.nprocs() as u32, slot), 1);
+                sync.fetch_add_u64(layout::notify_slot(self.nprocs() as u32, slot), 1);
                 self.stats.count(OpClass::Put, via);
             }
             // A notified put is a counted put: it feeds the same ledger
@@ -834,7 +828,7 @@ impl Armci {
     /// Current cumulative value of this process's notification counter
     /// `slot`.
     pub fn notify_value(&self, slot: u32) -> u64 {
-        self.my_sync.read_u64(layout::notify_slot(self.locks_per_proc, self.mb.topology().nprocs() as u32, slot))
+        self.my_sync.read_u64(layout::notify_slot(self.mb.topology().nprocs() as u32, slot))
     }
 
     /// Block until this process's notification counter `slot` reaches
@@ -847,7 +841,7 @@ impl Armci {
     /// peer surfaces as an [`ArmciError`].
     pub fn try_wait_notify(&mut self, slot: u32, target: u64) -> Result<(), ArmciError> {
         let deadline = self.op_deadline();
-        let at = layout::notify_slot(self.locks_per_proc, self.nprocs() as u32, slot);
+        let at = layout::notify_slot(self.nprocs() as u32, slot);
         let mut acts = Vec::new();
         self.notify.poll(NotifyEvent::Expect { slot, target, producers: Vec::new() }, &mut acts);
         let sync = self.my_sync.clone();

@@ -1,10 +1,10 @@
 //! Runtime configuration: cluster shape, acknowledgement mode, default
-//! lock algorithm, failure-detection timeouts and the fault-injection
-//! plan.
+//! lock algorithm, deadlines, the fault-injection plan and the shm data
+//! plane. Everything else is a constant of the code, not a knob.
 
 use std::time::Duration;
 
-use armci_netfab::{FaultPlan, RetryPolicy};
+use armci_netfab::FaultPlan;
 use armci_transport::LatencyModel;
 use serde::{Deserialize, Error, Serialize, Value};
 
@@ -62,10 +62,6 @@ pub struct ArmciCfg {
     pub ack_mode: AckMode,
     /// Default lock algorithm for `lock`/`unlock`.
     pub lock_algo: LockAlgo,
-    /// Lock slots allocated per process at init.
-    pub locks_per_proc: u32,
-    /// Seed for deterministic transport jitter.
-    pub seed: u64,
     /// Record every message send into a transport trace, retrievable via
     /// [`crate::runtime::run_cluster_traced`].
     pub trace: bool,
@@ -80,42 +76,19 @@ pub struct ArmciCfg {
     /// Scripted fault-injection plan enacted by the netfab backend
     /// (ignored by the emulator). Empty by default.
     pub faults: FaultPlan,
-    /// Granularity of failure detection inside blocking waits: every
-    /// blocking ARMCI wait re-checks for lost peers at most this often.
-    /// Smaller values surface `PeerLost` faster at the cost of more wakeups;
-    /// chaos tests shrink it to keep fault turnaround tight.
-    pub detect_slice: Duration,
     /// Cross-process shared-memory data plane (netfab backends only):
     /// segments are backed by `mmap`ed tmpfs files so same-host peers in
     /// *other processes* serve put/get/acc/rmw with direct loads, stores
     /// and `AtomicU64` CAS — zero wire messages for reachable targets,
     /// with a per-peer fallback to the wire when mapping fails.
-    /// `Some(true)`/`Some(false)` pin it; `None` (the default) resolves
-    /// via the `ARMCI_SHM_PLANE` environment variable (`on`/`off`) — off
-    /// for in-process runs, **on** for [`crate::run_cluster_spawned`]
-    /// (which resolves the default to a pin before serializing the config
-    /// for its child node processes).
+    /// `Some(true)`/`Some(false)` pin it; `None` (the default) is off
+    /// for in-process runs and **on** for [`crate::run_cluster_spawned`]
+    /// where the plane is supported (see [`ArmciCfg::shm_plane_enabled`]).
     pub shm_plane: Option<bool>,
     /// Base directory for shm-plane segment files. `None` (the default)
     /// picks `/dev/shm` when present, else the system temp dir. Must be
     /// an absolute path when set.
     pub shm_dir: Option<String>,
-    /// Topology-hierarchical group collectives: when on (the default), a
-    /// group barrier synchronizes each node's co-located members through
-    /// shared counters (shm plane or in-process atomics), and one leader
-    /// per node carries the node's op counts through the inter-node
-    /// passes — the combined fence + barrier at `2·log2(nodes)`
-    /// inter-node rounds, `log2(nodes)` when nothing was put since the
-    /// last barrier. Set to `false` for
-    /// the flat combined protocol over all members (the escape hatch
-    /// wire-count and trace suites pin so their expected schedules stay
-    /// topology-independent).
-    pub hier_collectives: bool,
-    /// Unified retry policy for transient-failure loops: rendezvous
-    /// dials, node-process spawn rechecks and shm segment mapping all
-    /// derive their attempt budgets and backoff from this one policy
-    /// instead of scattered ad-hoc constants.
-    pub retry: RetryPolicy,
 }
 
 impl Default for ArmciCfg {
@@ -126,17 +99,12 @@ impl Default for ArmciCfg {
             latency: LatencyModel::myrinet_like(),
             ack_mode: AckMode::Gm,
             lock_algo: LockAlgo::Mcs,
-            locks_per_proc: 4,
-            seed: 1,
             trace: false,
             op_timeout: Duration::from_secs(30),
             boot_timeout: Duration::from_secs(30),
             faults: FaultPlan::new(),
-            detect_slice: Duration::from_millis(25),
             shm_plane: None,
             shm_dir: None,
-            hier_collectives: true,
-            retry: RetryPolicy::default(),
         }
     }
 }
@@ -167,18 +135,6 @@ impl ArmciCfg {
         self
     }
 
-    /// Set the lock slot count.
-    pub fn with_locks_per_proc(mut self, n: u32) -> Self {
-        self.locks_per_proc = n;
-        self
-    }
-
-    /// Set the jitter seed.
-    pub fn with_seed(mut self, s: u64) -> Self {
-        self.seed = s;
-        self
-    }
-
     /// Set the per-operation deadline (see [`ArmciCfg::op_timeout`]).
     pub fn with_op_timeout(mut self, t: Duration) -> Self {
         self.op_timeout = t;
@@ -197,17 +153,8 @@ impl ArmciCfg {
         self
     }
 
-    /// Set the failure-detection slice inside blocking waits (see
-    /// [`ArmciCfg::detect_slice`]).
-    pub fn with_detect_slice(mut self, t: Duration) -> Self {
-        self.detect_slice = t;
-        self
-    }
-
     /// Pin the shm data plane on or off (see [`ArmciCfg::shm_plane`]);
-    /// `None` restores `ARMCI_SHM_PLANE` resolution. Tests comparing wire
-    /// traffic against the emulator pin `Some(false)` to stay immune to
-    /// the env override.
+    /// `None` restores the per-backend default.
     pub fn with_shm_plane(mut self, on: Option<bool>) -> Self {
         self.shm_plane = on;
         self
@@ -219,28 +166,12 @@ impl ArmciCfg {
         self
     }
 
-    /// Enable topology-hierarchical group collectives (see
-    /// [`ArmciCfg::hier_collectives`]).
-    pub fn with_hier_collectives(mut self, on: bool) -> Self {
-        self.hier_collectives = on;
-        self
-    }
-
-    /// Set the unified retry policy (see [`ArmciCfg::retry`]).
-    pub fn with_retry(mut self, r: RetryPolicy) -> Self {
-        self.retry = r;
-        self
-    }
-
-    /// Resolve the effective shm-plane switch: an explicit
-    /// [`ArmciCfg::shm_plane`] wins, else the `ARMCI_SHM_PLANE`
-    /// environment variable (`on`/`1`/`true` enable, anything else —
-    /// including unset — disables).
-    pub fn shm_plane_enabled(&self) -> bool {
-        if let Some(on) = self.shm_plane {
-            return on;
-        }
-        matches!(std::env::var("ARMCI_SHM_PLANE").ok().as_deref().map(str::trim), Some("on") | Some("1") | Some("true"))
+    /// The effective shm-plane switch, the one place it is decided: an
+    /// explicit [`ArmciCfg::shm_plane`] wins; `None` is on for `spawned`
+    /// runs (one OS process per node) wherever the plane is supported,
+    /// and off for runs whose nodes share this process.
+    pub fn shm_plane_enabled(&self, spawned: bool) -> bool {
+        self.shm_plane.unwrap_or(spawned && cfg!(unix))
     }
 
     /// Validating finisher for a `with_*` chain: rejects degenerate
@@ -279,12 +210,6 @@ impl ArmciCfg {
         }
         if self.boot_timeout.is_zero() {
             return Err(ConfigError::ZeroTimeout { which: "boot_timeout" });
-        }
-        if self.detect_slice.is_zero() {
-            return Err(ConfigError::ZeroTimeout { which: "detect_slice" });
-        }
-        if self.retry.attempts == 0 {
-            return Err(ConfigError::ZeroRetryAttempts);
         }
         if let Some(dir) = &self.shm_dir {
             if dir.is_empty() {
@@ -367,13 +292,10 @@ impl Serialize for ArmciCfg {
             ("latency", self.latency.to_value()),
             ("ack_mode", self.ack_mode.to_value()),
             ("lock_algo", self.lock_algo.to_value()),
-            ("locks_per_proc", Value::U64(self.locks_per_proc as u64)),
-            ("seed", Value::U64(self.seed)),
             ("trace", Value::Bool(self.trace)),
             ("op_timeout_us", Value::U64(self.op_timeout.as_micros() as u64)),
             ("boot_timeout_us", Value::U64(self.boot_timeout.as_micros() as u64)),
             ("faults", self.faults.to_value()),
-            ("detect_slice_us", Value::U64(self.detect_slice.as_micros() as u64)),
             (
                 "shm_plane",
                 Value::Str(match self.shm_plane {
@@ -383,8 +305,6 @@ impl Serialize for ArmciCfg {
                 }),
             ),
             ("shm_dir", self.shm_dir.to_value()),
-            ("hier_collectives", Value::Bool(self.hier_collectives)),
-            ("retry", self.retry.to_value()),
         ])
     }
 }
@@ -404,13 +324,10 @@ impl Deserialize for ArmciCfg {
             latency: LatencyModel::from_value(v.field("latency")?)?,
             ack_mode: AckMode::from_value(v.field("ack_mode")?)?,
             lock_algo: LockAlgo::from_value(v.field("lock_algo")?)?,
-            locks_per_proc: u32::from_value(v.field("locks_per_proc")?)?,
-            seed: u64::from_value(v.field("seed")?)?,
             trace: bool::from_value(v.field("trace")?)?,
             op_timeout: Duration::from_micros(u64::from_value(v.field("op_timeout_us")?)?),
             boot_timeout: Duration::from_micros(u64::from_value(v.field("boot_timeout_us")?)?),
             faults: FaultPlan::from_value(v.field("faults")?)?,
-            detect_slice: Duration::from_micros(u64::from_value(v.field("detect_slice_us")?)?),
             shm_plane: match v.field("shm_plane")?.as_str()? {
                 "auto" => None,
                 "on" => Some(true),
@@ -418,8 +335,6 @@ impl Deserialize for ArmciCfg {
                 other => return Err(Error::new(format!("unknown shm_plane setting {other:?}"))),
             },
             shm_dir: Option::<String>::from_value(v.field("shm_dir")?)?,
-            hier_collectives: bool::from_value(v.field("hier_collectives")?)?,
-            retry: RetryPolicy::from_value(v.field("retry")?)?,
         })
     }
 }
@@ -439,11 +354,10 @@ mod tests {
 
     #[test]
     fn flat_builder() {
-        let c = ArmciCfg::flat(16, LatencyModel::zero()).with_ack_mode(AckMode::Via).with_locks_per_proc(2);
+        let c = ArmciCfg::flat(16, LatencyModel::zero()).with_ack_mode(AckMode::Via);
         assert_eq!(c.nodes, 16);
         assert_eq!(c.procs_per_node, 1);
         assert_eq!(c.ack_mode, AckMode::Via);
-        assert_eq!(c.locks_per_proc, 2);
     }
 
     #[test]
@@ -455,24 +369,14 @@ mod tests {
             latency: armci_transport::LatencyModel::myrinet_like(),
             ack_mode: AckMode::Via,
             lock_algo: LockAlgo::Hybrid,
-            locks_per_proc: 7,
-            seed: 99,
             trace: true,
             op_timeout: Duration::from_millis(2500),
             boot_timeout: Duration::from_secs(9),
             faults: FaultPlan::new()
                 .with(FaultSpec { node: 1, peer: 0, after_frames: 3, action: FaultAction::ResetConn })
                 .with(FaultSpec { node: 2, peer: 1, after_frames: 0, action: FaultAction::KillNode }),
-            detect_slice: Duration::from_millis(5),
             shm_plane: Some(true),
             shm_dir: Some("/dev/shm/armci-test".to_string()),
-            hier_collectives: true,
-            retry: RetryPolicy {
-                attempts: 5,
-                base: Duration::from_millis(3),
-                cap: Duration::from_millis(96),
-                jitter: true,
-            },
         };
         let json = serde::to_string(&cfg);
         let back: ArmciCfg = serde::from_str(&json).unwrap();
@@ -481,20 +385,15 @@ mod tests {
         assert_eq!(back.latency, cfg.latency);
         assert_eq!(back.ack_mode, AckMode::Via);
         assert_eq!(back.lock_algo, LockAlgo::Hybrid);
-        assert_eq!(back.locks_per_proc, 7);
-        assert_eq!(back.seed, 99);
         assert!(back.trace);
         assert_eq!(back.op_timeout, Duration::from_millis(2500));
         assert_eq!(back.boot_timeout, Duration::from_secs(9));
         assert_eq!(back.faults, cfg.faults);
-        assert_eq!(back.detect_slice, Duration::from_millis(5));
         assert_eq!(back.shm_plane, Some(true));
         assert_eq!(back.shm_dir.as_deref(), Some("/dev/shm/armci-test"));
-        assert!(back.hier_collectives);
-        assert_eq!(back.retry, cfg.retry);
 
-        // The default (`None` = resolve via the environment) serializes
-        // as "auto" and survives the trip too.
+        // The default (`None` = the per-backend default) serializes as
+        // "auto" and survives the trip too.
         let auto = ArmciCfg::default();
         let back: ArmciCfg = serde::from_str(&serde::to_string(&auto)).unwrap();
         assert_eq!(back.shm_plane, None);
@@ -516,6 +415,14 @@ mod tests {
         for (stale, value) in [("nic_assist", "true"), ("io_driver", "\"event\"")] {
             stale_keys.push((stale, value));
         }
+        // Knobs nothing set: each is now a constant of the code.
+        stale_keys.extend([
+            ("hier_collectives", "true"),
+            ("locks_per_proc", "4"),
+            ("detect_slice_us", "25000"),
+            ("retry", "{\"attempts\":8}"),
+            ("seed", "1"),
+        ]);
         for (stale, value) in stale_keys {
             let with_stale = json.replacen('{', &format!("{{\"{stale}\":{value},"), 1);
             let err = serde::from_str::<ArmciCfg>(&with_stale).unwrap_err();
@@ -557,12 +464,13 @@ mod tests {
     }
 
     #[test]
-    fn shm_plane_env_resolution_prefers_explicit() {
-        // Explicit pins ignore the environment entirely; we only test the
-        // explicit arms here because tests run concurrently and the env
-        // var is process-global.
-        assert!(ArmciCfg::default().with_shm_plane(Some(true)).shm_plane_enabled());
-        assert!(!ArmciCfg::default().with_shm_plane(Some(false)).shm_plane_enabled());
+    fn shm_plane_resolution_prefers_explicit() {
+        for spawned in [false, true] {
+            assert!(ArmciCfg::default().with_shm_plane(Some(true)).shm_plane_enabled(spawned));
+            assert!(!ArmciCfg::default().with_shm_plane(Some(false)).shm_plane_enabled(spawned));
+        }
+        assert!(!ArmciCfg::default().shm_plane_enabled(false));
+        assert_eq!(ArmciCfg::default().shm_plane_enabled(true), cfg!(unix));
     }
 
     #[test]
@@ -588,15 +496,6 @@ mod tests {
         assert_eq!(
             base().with_boot_timeout(Duration::ZERO).build().unwrap_err(),
             ConfigError::ZeroTimeout { which: "boot_timeout" }
-        );
-        assert_eq!(
-            base().with_detect_slice(Duration::ZERO).build().unwrap_err(),
-            ConfigError::ZeroTimeout { which: "detect_slice" }
-        );
-        // A retry policy with no attempts can never succeed.
-        assert_eq!(
-            base().with_retry(RetryPolicy { attempts: 0, ..Default::default() }).build().unwrap_err(),
-            ConfigError::ZeroRetryAttempts
         );
     }
 

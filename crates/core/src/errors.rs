@@ -87,9 +87,6 @@ pub enum ConfigError {
         /// What was wrong with it.
         detail: String,
     },
-    /// The unified retry policy allows zero attempts — no retried
-    /// operation could ever run, let alone succeed.
-    ZeroRetryAttempts,
 }
 
 impl fmt::Display for ConfigError {
@@ -102,7 +99,6 @@ impl fmt::Display for ConfigError {
             }
             ConfigError::BadLatency { detail } => write!(f, "bad latency model: {detail}"),
             ConfigError::BadShmDir { detail } => write!(f, "bad shm plane settings: {detail}"),
-            ConfigError::ZeroRetryAttempts => write!(f, "retry.attempts must be at least 1"),
         }
     }
 }

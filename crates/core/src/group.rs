@@ -2,7 +2,7 @@
 //!
 //! A [`ProcGroup`] is the runtime's communicator: the msglib [`Group`]
 //! (ordered member list, group↔world rank translation, per-group message
-//! epochs) plus, when [`crate::ArmciCfg::hier_collectives`] is on, the
+//! epochs) plus, when any two members share memory, the
 //! *hierarchy* formed at group creation — the partition of members into
 //! shared-memory domains, the elected per-domain leaders, and handles on
 //! the domain counter block each member synchronizes through.
@@ -16,7 +16,9 @@
 //! first-listed member of each domain is its leader; leaders of
 //! multi-member domains claim one counter slot
 //! ([`layout::hier_arrive`]/[`layout::hier_release`]) in their own sync
-//! segment and the slot index is allgathered so members can map it.
+//! segment and the slot index is allgathered so members can map it. A
+//! leader with no slot left publishes none, and every member then runs
+//! the group flat.
 //!
 //! The barrier itself ([`Armci::barrier_group`]) drives the sans-IO
 //! [`HierBarrier`] engine — the paper's combined fence + barrier run over
@@ -76,8 +78,9 @@ impl ProcGroup {
         self.msg.len()
     }
 
-    /// Whether this group synchronizes hierarchically
-    /// ([`crate::ArmciCfg::hier_collectives`]).
+    /// Whether this group synchronizes hierarchically: some members share
+    /// memory, and every multi-member domain's leader had a counter slot
+    /// ([`layout::HIER_SLOTS`]) to give it.
     pub fn is_hierarchical(&self) -> bool {
         self.hier.is_some()
     }
@@ -91,10 +94,10 @@ impl ProcGroup {
 
     /// A group with no hierarchy, formed without a message: everything a
     /// flat barrier or fence needs per call, resolved once.
-    pub(crate) fn flat(msg: Group, me: usize, locks_per_proc: u32) -> ProcGroup {
+    pub(crate) fn flat(msg: Group, me: usize) -> ProcGroup {
         let me_g = msg.group_rank(me).expect("group creation is collective among the members only");
         let members: Vec<usize> = msg.ranks().collect();
-        let op_from = members.iter().map(|&m| layout::op_from(locks_per_proc, m as u32)).collect();
+        let op_from = members.iter().map(|&m| layout::op_from(m as u32)).collect();
         ProcGroup { msg, members, me_g, op_from, hier: None }
     }
 
@@ -176,9 +179,9 @@ impl Armci {
     /// Create a processor group from `ranks` (world ranks, any order, no
     /// duplicates). **Collective among the members and only the members**:
     /// every member must call with the identical list, non-members must
-    /// not call. With [`crate::ArmciCfg::hier_collectives`] on, creation
-    /// also forms the shared-memory hierarchy (one allgather over the
-    /// group for the reachability bits, one for the counter slots).
+    /// not call. Creation also forms the shared-memory hierarchy (one
+    /// allgather over the group for the reachability bits, one for the
+    /// counter slots).
     ///
     /// Groups may overlap freely; each carries its own message-epoch
     /// space, so collectives on overlapping groups cannot cross-talk.
@@ -190,8 +193,8 @@ impl Armci {
     /// a dead member surfaces as [`ArmciError::PeerLost`] (and a silent
     /// one as [`ArmciError::Timeout`]) within the operation deadline.
     pub fn try_group(&mut self, ranks: &[usize]) -> Result<ProcGroup, ArmciError> {
-        let mut g = ProcGroup::flat(Group::from_ranks(ranks), self.rank(), self.locks_per_proc);
-        g.hier = self.maybe_form_hier(&g.msg, g.me_g)?;
+        let mut g = ProcGroup::flat(Group::from_ranks(ranks), self.rank());
+        g.hier = self.form_hier(&g.msg, g.me_g)?;
         Ok(g)
     }
 
@@ -206,22 +209,9 @@ impl Armci {
         self.world.clone()
     }
 
-    /// Form the hierarchy only when the group can actually hold one. An
-    /// **all-singleton** partition (no two members memory-adjacent) is
-    /// discarded: there is nothing for the counter legs to exploit, and
-    /// the flat combined barrier is the paper's protocol at equal or
-    /// better cost. This keeps every flat-cluster group on the classic
-    /// schedule even with `hier_collectives` defaulted on.
-    fn maybe_form_hier(&mut self, g: &Group, me_g: usize) -> Result<Option<HierState>, ArmciError> {
-        if !self.hier_collectives {
-            return Ok(None);
-        }
-        let hs = self.form_hier(g, me_g)?;
-        Ok(hs.domains.iter().any(|d| d.len() > 1).then_some(hs))
-    }
-
-    /// Form the node-locality hierarchy for a new group (see module docs).
-    fn form_hier(&mut self, g: &Group, me_g: usize) -> Result<HierState, ArmciError> {
+    /// Form the node-locality hierarchy for a new group (see module docs),
+    /// or `None` when the group cannot hold one and runs flat.
+    fn form_hier(&mut self, g: &Group, me_g: usize) -> Result<Option<HierState>, ArmciError> {
         let deadline = self.op_deadline();
         let leader0 = ProcId(g.world_rank(0) as u32);
         // Can I reach group-rank 0's sync segment without the wire?
@@ -249,31 +239,47 @@ impl Armci {
 
         // Leaders of multi-member domains claim one counter slot in their
         // own sync segment; the slot (+1, so 0 reads as "none") is
-        // allgathered for the members to map.
+        // allgathered for the members to map. A leader whose slots are
+        // all spent publishes 0.
         let i_lead = domains[my_dom][0] == me_g;
         let multi = domains[my_dom].len() > 1;
         let my_slot = if i_lead && multi {
-            let s = self.my_sync.fetch_add_u64(layout::hier_next(self.locks_per_proc), 1);
-            assert!(s < layout::HIER_SLOTS as u64, "out of hierarchical-barrier counter slots (HIER_SLOTS)");
-            s as u8 + 1
+            let s = self.my_sync.fetch_add_u64(layout::HIER_NEXT, 1);
+            if s < u64::from(layout::HIER_SLOTS) {
+                s as u8 + 1
+            } else {
+                0
+            }
         } else {
             0
         };
         let slots = g.try_allgather(self, vec![my_slot], deadline).map_err(|e| Armci::map_comm_err("group", e))?;
 
+        // Every member reads the same partition and slot table, so all
+        // agree on discarding the hierarchy. An **all-singleton** partition
+        // (no two members memory-adjacent) has nothing for the counter
+        // legs to exploit, and the flat combined barrier is the paper's
+        // protocol at equal or better cost: this keeps every flat-cluster
+        // group on the classic schedule. A multi-member domain whose
+        // leader had no slot cannot run its counter legs at all.
+        let multis = || domains.iter().filter(|d| d.len() > 1);
+        if multis().next().is_none() || multis().any(|d| slots[d[0]][0] == 0) {
+            return Ok(None);
+        }
+
         let counters = multi.then(|| {
             let leader_g = domains[my_dom][0];
-            let slot = u32::from(slots[leader_g][0].checked_sub(1).expect("domain leader claimed no counter slot"));
+            let slot = u32::from(slots[leader_g][0] - 1);
             DomainCounters {
                 seg: self.domain_sync(g, leader_g),
-                arrive: layout::hier_arrive(self.locks_per_proc, slot),
-                release: layout::hier_release(self.locks_per_proc, slot),
-                vec: layout::hier_vec(self.locks_per_proc, self.nprocs() as u32, slot, 0),
+                arrive: layout::hier_arrive(slot),
+                release: layout::hier_release(slot),
+                vec: layout::hier_vec(self.nprocs() as u32, slot, 0),
             }
         });
         let member_syncs =
             if i_lead { domains[my_dom].iter().map(|&gr| self.domain_sync(g, gr)).collect() } else { Vec::new() };
-        Ok(HierState {
+        Ok(Some(HierState {
             domains: domains.into(),
             my_dom,
             counters,
@@ -281,7 +287,7 @@ impl Armci {
             round: Cell::new(0),
             contributed: RefCell::new(vec![0; g.len()]),
             totals: Cell::new(vec![0; g.len()]),
-        })
+        }))
     }
 
     /// The sync segment of group rank `gr`, a member of this process's

@@ -8,7 +8,7 @@
 //!   offsets below are what every mapping of the segment agrees on);
 //! * the process's MCS *node structure* (`next` pointer + `locked` flag,
 //!   Figure 5) — one per process regardless of lock count;
-//! * `locks_per_proc` lock slots, each holding the hybrid lock's
+//! * [`LOCKS_PER_PROC`] lock slots, each holding the hybrid lock's
 //!   `ticket`/`counter` words and the MCS `Lock` variable (the rest of
 //!   each 64-byte slot is reserved);
 //! * per-source `op_from` completed-put counters — the server bumps
@@ -34,6 +34,12 @@ pub const LOCK_SLOTS: usize = 64;
 /// sync-segment offset moves.
 pub const LOCK_SLOT_SIZE: usize = 64;
 
+/// Lock slots in every process's sync segment: the slot indices
+/// [`crate::Armci::create_lock`] hands out and a [`crate::LockId`] names.
+/// A constant, so every mapping of a sync segment agrees on its layout
+/// by construction.
+pub const LOCKS_PER_PROC: u32 = 4;
+
 /// Per-slot offsets of the hybrid ticket lock's `ticket` word.
 pub fn hybrid_ticket(idx: u32) -> usize {
     LOCK_SLOTS + idx as usize * LOCK_SLOT_SIZE
@@ -49,39 +55,37 @@ pub fn mcs_lock(idx: u32) -> usize {
     hybrid_ticket(idx) + 16
 }
 
-/// Number of hierarchical-barrier counter slots per process. Each live
-/// group with a shared-memory domain led from this process consumes one
-/// slot for the lifetime of the group; 32 concurrent groups per leader is
-/// far beyond any workload in the repo.
+/// Number of hierarchical-barrier counter slots per process. Every
+/// multi-member domain this process ever leads claims one slot, and slots
+/// are never reclaimed: the 33rd such group finds none left, and every
+/// member then runs that group flat.
 pub const HIER_SLOTS: u32 = 32;
 
 /// Offset of the hier-slot allocation cursor: leaders `fetch_add(1)` it
 /// to claim a counter slot for a new group's domain.
-pub fn hier_next(locks_per_proc: u32) -> usize {
-    LOCK_SLOTS + locks_per_proc as usize * LOCK_SLOT_SIZE
-}
+pub const HIER_NEXT: usize = LOCK_SLOTS + LOCKS_PER_PROC as usize * LOCK_SLOT_SIZE;
 
 /// Per-slot offset of a hier domain's *arrive* counter: each non-leader
 /// member increments it once per barrier; the leader spins until it
 /// reaches `round · (members − 1)`.
-pub fn hier_arrive(locks_per_proc: u32, slot: u32) -> usize {
-    hier_next(locks_per_proc) + 8 + slot as usize * 16
+pub fn hier_arrive(slot: u32) -> usize {
+    HIER_NEXT + 8 + slot as usize * 16
 }
 
 /// Per-slot offset of a hier domain's *release* counter: the leader
 /// increments it once per barrier; members spin until it reaches the
 /// round number. Both counters are cumulative — never reset — so
 /// back-to-back barriers on the same group cannot race a slow reader.
-pub fn hier_release(locks_per_proc: u32, slot: u32) -> usize {
-    hier_arrive(locks_per_proc, slot) + 8
+pub fn hier_release(slot: u32) -> usize {
+    hier_arrive(slot) + 8
 }
 
 /// Offset of the per-source completed-put counter for initiator `src`.
 /// The paper's `op_done` (§3.1.2) is the sum of these over a barrier's
 /// scope: all sources for `ARMCI_Barrier()`, the members for a group
 /// barrier, whose stage-2 wait must count only member-initiated puts.
-pub fn op_from(locks_per_proc: u32, src: u32) -> usize {
-    hier_arrive(locks_per_proc, HIER_SLOTS) + src as usize * 8
+pub fn op_from(src: u32) -> usize {
+    hier_arrive(HIER_SLOTS) + src as usize * 8
 }
 
 /// Number of notification-counter slots per process (notified RMA:
@@ -92,9 +96,9 @@ pub fn op_from(locks_per_proc: u32, src: u32) -> usize {
 pub const NOTIFY_SLOTS: u32 = 16;
 
 /// Offset of notification counter `slot` in the sync segment.
-pub fn notify_slot(locks_per_proc: u32, nprocs: u32, slot: u32) -> usize {
+pub fn notify_slot(nprocs: u32, slot: u32) -> usize {
     debug_assert!(slot < NOTIFY_SLOTS, "notify slot {slot} out of range");
-    op_from(locks_per_proc, nprocs) + slot as usize * 8
+    op_from(nprocs) + slot as usize * 8
 }
 
 /// Offset of word `i` of hier slot `slot`'s *domain vector*: `nprocs`
@@ -104,14 +108,13 @@ pub fn notify_slot(locks_per_proc: u32, nprocs: u32, slot: u32) -> usize {
 /// [`hier_arrive`], so a leader that has seen the arrivals reads the
 /// domain's whole contribution. Like the counters it is never reset.
 /// The vectors sit past the notify slots so no older offset moves.
-pub fn hier_vec(locks_per_proc: u32, nprocs: u32, slot: u32, i: usize) -> usize {
-    op_from(locks_per_proc, nprocs) + (NOTIFY_SLOTS as usize + slot as usize * nprocs as usize + i) * 8
+pub fn hier_vec(nprocs: u32, slot: u32, i: usize) -> usize {
+    op_from(nprocs) + (NOTIFY_SLOTS as usize + slot as usize * nprocs as usize + i) * 8
 }
 
-/// Total sync-segment size for `locks_per_proc` lock slots in a world of
-/// `nprocs` processes.
-pub fn sync_segment_len(locks_per_proc: u32, nprocs: u32) -> usize {
-    hier_vec(locks_per_proc, nprocs, HIER_SLOTS, 0)
+/// Total sync-segment size in a world of `nprocs` processes.
+pub fn sync_segment_len(nprocs: u32) -> usize {
+    hier_vec(nprocs, HIER_SLOTS, 0)
 }
 
 #[cfg(test)]
@@ -135,7 +138,7 @@ mod tests {
 
     #[test]
     fn slots_are_disjoint() {
-        for idx in 0..4u32 {
+        for idx in 0..LOCKS_PER_PROC - 1 {
             let end = hybrid_ticket(idx) + LOCK_SLOT_SIZE;
             assert_eq!(end, hybrid_ticket(idx + 1));
             assert!(hybrid_counter(idx) < mcs_lock(idx));
@@ -145,45 +148,43 @@ mod tests {
 
     #[test]
     fn segment_len_covers_all_slots() {
-        let locks = 8;
         let nprocs = 4;
-        assert_eq!(hier_next(locks), hybrid_ticket(locks - 1) + LOCK_SLOT_SIZE);
-        assert_eq!(hier_vec(locks, nprocs, 0, 0), notify_slot(locks, nprocs, NOTIFY_SLOTS - 1) + 8);
-        let last = hier_vec(locks, nprocs, HIER_SLOTS - 1, nprocs as usize - 1);
-        assert_eq!(sync_segment_len(locks, nprocs), last + 8);
-        // Absolute offsets for one shape: a retired field's words stay
-        // reserved, so no other offset (and no wire byte) moves.
-        assert_eq!([mcs_lock(2), hier_next(locks), op_from(locks, 3)], [208, 576, 1120]);
+        assert_eq!(HIER_NEXT, hybrid_ticket(LOCKS_PER_PROC - 1) + LOCK_SLOT_SIZE);
+        assert_eq!(hier_vec(nprocs, 0, 0), notify_slot(nprocs, NOTIFY_SLOTS - 1) + 8);
+        let last = hier_vec(nprocs, HIER_SLOTS - 1, nprocs as usize - 1);
+        assert_eq!(sync_segment_len(nprocs), last + 8);
+        // Absolute offsets: a retired field's words stay reserved, so no
+        // other offset (and no wire byte) moves.
+        assert_eq!([mcs_lock(2), HIER_NEXT, op_from(3)], [208, 320, 864]);
     }
 
     #[test]
     fn hier_vectors_are_disjoint_per_slot() {
-        let (locks, nprocs) = (4u32, 6u32);
+        let nprocs = 6u32;
         for s in 0..HIER_SLOTS - 1 {
-            assert_eq!(hier_vec(locks, nprocs, s, nprocs as usize - 1) + 8, hier_vec(locks, nprocs, s + 1, 0));
+            assert_eq!(hier_vec(nprocs, s, nprocs as usize - 1) + 8, hier_vec(nprocs, s + 1, 0));
         }
     }
 
     #[test]
     fn hier_slots_are_disjoint_from_op_from() {
-        let locks = 2;
         for s in 0..HIER_SLOTS {
-            assert!(hier_arrive(locks, s) > hier_next(locks));
-            assert_eq!(hier_release(locks, s), hier_arrive(locks, s) + 8);
-            assert!(hier_release(locks, s) + 8 <= op_from(locks, 0));
+            assert!(hier_arrive(s) > HIER_NEXT);
+            assert_eq!(hier_release(s), hier_arrive(s) + 8);
+            assert!(hier_release(s) + 8 <= op_from(0));
         }
     }
 
     #[test]
     fn notify_slots_follow_op_from_and_are_disjoint() {
-        let (locks, nprocs) = (4u32, 6u32);
+        let nprocs = 6u32;
         // The op_from region ends exactly where the notify region starts.
-        assert_eq!(notify_slot(locks, nprocs, 0), op_from(locks, nprocs));
+        assert_eq!(notify_slot(nprocs, 0), op_from(nprocs));
         for s in 0..NOTIFY_SLOTS - 1 {
-            assert_eq!(notify_slot(locks, nprocs, s) + 8, notify_slot(locks, nprocs, s + 1));
+            assert_eq!(notify_slot(nprocs, s) + 8, notify_slot(nprocs, s + 1));
         }
-        assert!(notify_slot(locks, nprocs, NOTIFY_SLOTS - 1) + 8 <= sync_segment_len(locks, nprocs));
+        assert!(notify_slot(nprocs, NOTIFY_SLOTS - 1) + 8 <= sync_segment_len(nprocs));
         // Word-aligned, like every other sync-segment counter.
-        assert_eq!(notify_slot(locks, nprocs, 3) % 8, 0);
+        assert_eq!(notify_slot(nprocs, 3) % 8, 0);
     }
 }

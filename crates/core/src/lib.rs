@@ -60,7 +60,7 @@ pub mod strided;
 mod try_error_paths;
 
 pub use armci::{Armci, LockId};
-pub use armci_netfab::{FaultAction, FaultPlan, FaultSpec, RetryPolicy};
+pub use armci_netfab::{FaultAction, FaultPlan, FaultSpec};
 pub use chaos::{chaos_plan, chaos_workload, ChaosError, ChaosRng};
 pub use config::{AckMode, ArmciCfg, LockAlgo};
 pub use errors::{ArmciError, ConfigError};

@@ -41,10 +41,10 @@ impl Armci {
     fn check_lock_id(&self, id: LockId) {
         assert!(id.owner.idx() < self.nprocs(), "lock owner {} out of range", id.owner);
         assert!(
-            id.idx < self.locks_per_proc(),
-            "lock index {} exceeds locks_per_proc {}",
+            id.idx < layout::LOCKS_PER_PROC,
+            "lock index {} exceeds LOCKS_PER_PROC {}",
             id.idx,
-            self.locks_per_proc()
+            layout::LOCKS_PER_PROC
         );
     }
 

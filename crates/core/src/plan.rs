@@ -256,67 +256,6 @@ impl TransferPlan {
     }
 }
 
-// ---- serde (vendored shim): persist/restore a built plan ------------
-
-impl serde::Serialize for PlannedPut {
-    fn to_value(&self) -> serde::Value {
-        serde::Value::map(vec![
-            ("dst", self.dst.to_value()),
-            ("seg", self.seg.to_value()),
-            ("off", self.off.to_value()),
-            ("len", self.len.to_value()),
-        ])
-    }
-}
-
-impl serde::Deserialize for PlannedPut {
-    fn from_value(v: &serde::Value) -> Result<Self, serde::Error> {
-        Ok(PlannedPut {
-            dst: u32::from_value(v.field("dst")?)?,
-            seg: u32::from_value(v.field("seg")?)?,
-            off: u64::from_value(v.field("off")?)?,
-            len: u32::from_value(v.field("len")?)?,
-        })
-    }
-}
-
-impl serde::Serialize for TransferPlan {
-    fn to_value(&self) -> serde::Value {
-        serde::Value::map(vec![
-            ("slot", self.slot.to_value()),
-            ("puts", self.puts.to_value()),
-            ("expected_per_iter", self.expected_per_iter.to_value()),
-            ("producers", self.producers.to_value()),
-            ("iter", self.iter.to_value()),
-        ])
-    }
-}
-
-impl serde::Deserialize for TransferPlan {
-    fn from_value(v: &serde::Value) -> Result<Self, serde::Error> {
-        let slot = u32::from_value(v.field("slot")?)?;
-        if slot >= layout::NOTIFY_SLOTS {
-            return Err(serde::Error::new(format!("notify slot {slot} out of range")));
-        }
-        let puts: Vec<PlannedPut> = Vec::from_value(v.field("puts")?)?;
-        // Batches are derived, not stored: the aggregation is
-        // deterministic, so a restored plan is structurally identical to
-        // the one serialized.
-        let batches = batches_of(&puts);
-        if !grouped(&batches) {
-            return Err(serde::Error::new("puts to one (dst, seg) are not recorded consecutively"));
-        }
-        Ok(TransferPlan {
-            slot,
-            batches,
-            puts,
-            expected_per_iter: u64::from_value(v.field("expected_per_iter")?)?,
-            producers: Vec::from_value(v.field("producers")?)?,
-            iter: u64::from_value(v.field("iter")?)?,
-        })
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -359,16 +298,6 @@ mod tests {
         let _ = TransferPlan::builder(layout::NOTIFY_SLOTS);
     }
 
-    #[test]
-    fn serde_roundtrip_rederives_batches() {
-        let puts = vec![put(1, 0, 0, 8), put(1, 0, 8, 8), put(0, 0, 0, 8)];
-        let batches = batches_of(&puts);
-        let plan = TransferPlan { slot: 2, puts, batches, expected_per_iter: 3, producers: vec![0, 2], iter: 7 };
-        let s = serde::to_string(&plan);
-        let back: TransferPlan = serde::from_str(&s).expect("roundtrip");
-        assert_eq!(back, plan);
-    }
-
     mod prop {
         use super::*;
         use proptest::prelude::*;
@@ -407,47 +336,6 @@ mod tests {
                 seen.sort_unstable();
                 prop_assert_eq!(seen, (0..puts.len()).collect::<Vec<_>>());
             }
-
-            /// Any buildable plan (puts grouped by `(dst, seg)`) survives
-            /// serialize → deserialize intact, including the re-derived
-            /// batches.
-            #[test]
-            fn plan_serde_roundtrips(
-                puts in arb_puts(),
-                slot in 0..layout::NOTIFY_SLOTS,
-                expected_per_iter in any::<u64>(),
-                iter in any::<u64>(),
-                producers in proptest::collection::vec(0u32..8, 0..8),
-            ) {
-                let mut puts = puts;
-                puts.sort_by_key(|p| (p.dst, p.seg));
-                let batches = batches_of(&puts);
-                let plan = TransferPlan { slot, puts, batches, expected_per_iter, producers, iter };
-                let back: TransferPlan = serde::from_str(&serde::to_string(&plan)).expect("roundtrip");
-                prop_assert_eq!(back, plan);
-            }
         }
-    }
-
-    #[test]
-    fn deserialize_rejects_interleaved_puts() {
-        let puts = vec![put(1, 0, 0, 8), put(0, 0, 0, 8), put(1, 0, 8, 8)];
-        let batches = batches_of(&puts);
-        let plan = TransferPlan { slot: 0, puts, batches, expected_per_iter: 0, producers: Vec::new(), iter: 0 };
-        assert!(serde::from_str::<TransferPlan>(&serde::to_string(&plan)).is_err());
-    }
-
-    #[test]
-    fn deserialize_rejects_bad_slot() {
-        let plan = TransferPlan {
-            slot: 0,
-            puts: Vec::new(),
-            batches: Vec::new(),
-            expected_per_iter: 0,
-            producers: Vec::new(),
-            iter: 0,
-        };
-        let s = serde::to_string(&plan).replace("\"slot\":0", &format!("\"slot\":{}", layout::NOTIFY_SLOTS));
-        assert!(serde::from_str::<TransferPlan>(&s).is_err());
     }
 }

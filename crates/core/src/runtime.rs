@@ -84,7 +84,6 @@ where
         .nodes(cfg.nodes)
         .procs_per_node(cfg.procs_per_node)
         .latency(cfg.latency)
-        .seed(cfg.seed)
         .trace(cfg.trace)
         .build();
     let trace = cluster.trace();
@@ -93,7 +92,7 @@ where
 
     // Register every process's sync segment up front (deterministically
     // SegId(0)) so servers and peers can address them immediately.
-    let sync_len = layout::sync_segment_len(cfg.locks_per_proc, topo.nprocs() as u32);
+    let sync_len = layout::sync_segment_len(topo.nprocs() as u32);
     for p in topo.all_procs() {
         let (id, _) = registry.register(p, sync_len);
         assert_eq!(id, SegId(0), "sync segment must be the first registration");
@@ -144,10 +143,10 @@ where
     F: Fn(&mut Armci) -> T + Send + Sync + 'static,
 {
     let registry = mem.registry.clone();
-    let (ack, locks) = (cfg.ack_mode, cfg.locks_per_proc);
+    let ack = cfg.ack_mode;
     let server = std::thread::Builder::new()
         .name(format!("server-{}", node.0))
-        .spawn(move || server_loop(server_mb, registry, ack, locks))
+        .spawn(move || server_loop(server_mb, registry, ack))
         .expect("spawn server thread");
 
     let users = procs
@@ -194,14 +193,12 @@ where
         registry,
         ack_mode: cfg.ack_mode,
         lock_algo: cfg.lock_algo,
-        locks_per_proc: cfg.locks_per_proc,
         my_sync,
         fence: armci_proto::FenceEngine::new(cfg.ack_mode.fence_mode(), nprocs, nnodes),
         notify: armci_proto::NotifyEngine::new(nprocs),
         last_barrier_log: Vec::new(),
-        hier_collectives: cfg.hier_collectives,
         last_hier_log: Vec::new(),
-        world: ProcGroup::flat(Group::world(nprocs), p.idx(), cfg.locks_per_proc).into(),
+        world: ProcGroup::flat(Group::world(nprocs), p.idx()).into(),
         epoch: 0,
         mcs_held: None,
         nbget_issued: vec![0; nnodes],
@@ -210,7 +207,6 @@ where
         stats: Default::default(),
         encode_pool: armci_transport::BodyPool::new(8),
         op_timeout: cfg.op_timeout,
-        detect_slice: cfg.detect_slice,
         shm,
     };
     let out = f(&mut armci);
@@ -298,7 +294,7 @@ where
     let shm = ShmDataPlane::for_run(&cfg, fabric.rendezvous());
 
     let registry = Arc::new(MemoryRegistry::new(topo.nprocs()));
-    let sync_len = layout::sync_segment_len(cfg.locks_per_proc, topo.nprocs() as u32);
+    let sync_len = layout::sync_segment_len(topo.nprocs() as u32);
     for r in topo.procs_on(node) {
         // Sync segments are created before any user thread exists, so
         // peers' bounded map retry covers the remaining bootstrap skew.
@@ -401,7 +397,7 @@ fn net_opts_for(cfg: &ArmciCfg, process_faults: bool) -> armci_netfab::NetOpts {
     armci_netfab::NetOpts {
         faults: cfg.faults.clone(),
         process_faults,
-        boot: armci_netfab::BootOpts { dial: cfg.retry, deadline: cfg.boot_timeout, ..Default::default() },
+        boot: armci_netfab::BootOpts { deadline: cfg.boot_timeout, ..Default::default() },
         ..Default::default()
     }
 }
@@ -453,19 +449,11 @@ where
         std::process::exit(0);
     }
 
-    // Spawned runs default the shm plane **on**: an explicit cfg pin
-    // wins, then the `ARMCI_SHM_PLANE` escape hatch (`off`/`0`/`false`
-    // disables), then on wherever the plane is supported. The decision is
-    // resolved to a pin *here*, before the config is serialized, so child
-    // node processes inherit it through the payload instead of each
-    // re-reading the environment.
-    if cfg.shm_plane.is_none() {
-        cfg.shm_plane = Some(match std::env::var("ARMCI_SHM_PLANE").ok().as_deref().map(str::trim) {
-            Some("off") | Some("0") | Some("false") => false,
-            Some("on") | Some("1") | Some("true") => true,
-            _ => cfg!(unix),
-        });
-    }
+    // Spawned runs default the shm plane **on** (see
+    // [`ArmciCfg::shm_plane_enabled`]). The decision is resolved to a pin
+    // *here*, before the config is serialized, so child node processes
+    // inherit it through the payload.
+    cfg.shm_plane = Some(cfg.shm_plane_enabled(true));
 
     let topo = Topology::new(cfg.nodes, cfg.procs_per_node);
     let nnodes = topo.nnodes();
@@ -521,7 +509,7 @@ where
     }
     // All node processes are reaped: sweep the run's shm namespace so
     // segment files leaked by killed children don't accumulate in tmpfs.
-    if cfg.shm_plane_enabled() {
+    if cfg.shm_plane == Some(true) {
         ShmDataPlane::purge_run(&cfg, &addr);
     }
     (results, verdict)

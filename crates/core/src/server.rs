@@ -51,17 +51,12 @@ pub(crate) fn apply_rmw(seg: &Segment, offset: usize, op: RmwOp) -> u64 {
 
 /// Run a node's server loop until a `Shutdown` request arrives; returns
 /// how many requests it refused.
-pub(crate) fn server_loop(
-    mut mb: Mailbox,
-    registry: Arc<MemoryRegistry>,
-    ack_mode: AckMode,
-    locks_per_proc: u32,
-) -> u64 {
+pub(crate) fn server_loop(mut mb: Mailbox, registry: Arc<MemoryRegistry>, ack_mode: AckMode) -> u64 {
     let my_node = match mb.me() {
         Endpoint::Server(n) => n,
         Endpoint::Proc(_) => unreachable!("server loop started on a process endpoint"),
     };
-    let mut server = Server::new(registry, mb.topology().clone(), my_node, ack_mode, locks_per_proc);
+    let mut server = Server::new(registry, mb.topology().clone(), my_node, ack_mode);
     // Serve until a Shutdown request arrives or the fabric is torn down
     // (every sender dropped).
     while let Ok(m) = mb.recv() {
@@ -85,7 +80,6 @@ pub(crate) struct Server {
     topo: Topology,
     my_node: NodeId,
     ack_mode: AckMode,
-    locks_per_proc: u32,
     /// Server side of the hybrid lock (§3.2.1): the grant/queue decisions
     /// live in the sans-IO engine; the server only does the word ops and
     /// sends the grants.
@@ -99,19 +93,12 @@ pub(crate) struct Server {
 }
 
 impl Server {
-    pub(crate) fn new(
-        registry: Arc<MemoryRegistry>,
-        topo: Topology,
-        my_node: NodeId,
-        ack_mode: AckMode,
-        locks_per_proc: u32,
-    ) -> Self {
+    pub(crate) fn new(registry: Arc<MemoryRegistry>, topo: Topology, my_node: NodeId, ack_mode: AckMode) -> Self {
         Server {
             registry,
             topo,
             my_node,
             ack_mode,
-            locks_per_proc,
             lock_home: HybridHome::new(),
             reply_pool: BodyPool::new(4),
             refused: 0,
@@ -256,7 +243,7 @@ impl Server {
     /// The sync segment holding hybrid lock `idx` of `owner`, if both exist
     /// here.
     fn lock_word(&self, owner: ProcId, idx: u32) -> Option<Arc<Segment>> {
-        self.segment(owner, SegId(0)).filter(|_| idx < self.locks_per_proc)
+        self.segment(owner, SegId(0)).filter(|_| idx < layout::LOCKS_PER_PROC)
     }
 
     /// Completion accounting for a counted put: bump the destination's
@@ -272,8 +259,8 @@ impl Server {
             let nprocs = self.topo.nprocs() as u32;
             for site in completion_sites(initiator.0 as usize, notify) {
                 let at = match site {
-                    CompletionSite::OpFrom { src } => layout::op_from(self.locks_per_proc, src as u32),
-                    CompletionSite::Notify { slot } => layout::notify_slot(self.locks_per_proc, nprocs, slot),
+                    CompletionSite::OpFrom { src } => layout::op_from(src as u32),
+                    CompletionSite::Notify { slot } => layout::notify_slot(nprocs, slot),
                 };
                 sync.fetch_add_u64(at, 1);
             }
@@ -311,7 +298,6 @@ mod tests {
     use crate::msg::ReqRef;
     use crate::strided::Strided2D;
 
-    const LOCKS: u32 = 4;
     /// Canary words on each side of a segment.
     const GUARD: usize = 8;
     const CANARY: u64 = 0x5AFE_C0DE_5AFE_C0DE;
@@ -411,11 +397,11 @@ mod tests {
     #[test]
     fn mutated_frames_never_panic_the_server_or_escape_the_segment() {
         let registry = Arc::new(MemoryRegistry::new(2));
-        let (sync_words, sync) = guarded(layout::sync_segment_len(LOCKS, 2));
+        let (sync_words, sync) = guarded(layout::sync_segment_len(2));
         let (data_words, data) = guarded(252);
         registry.register_segment(ProcId(1), sync);
         let data_id = registry.register_segment(ProcId(1), data.clone());
-        let mut server = Server::new(registry, Topology::new(2, 1), NodeId(1), AckMode::Via, LOCKS);
+        let mut server = Server::new(registry, Topology::new(2, 1), NodeId(1), AckMode::Via);
 
         let seeds = seed_frames(data_id);
         let mut rng = ChaosRng::new(29);
@@ -448,7 +434,7 @@ mod tests {
         const MIB: usize = 1 << 20;
         let registry = Arc::new(MemoryRegistry::new(2));
         let (seg, _) = registry.register(ProcId(1), MIB);
-        let mut server = Server::new(registry, Topology::new(2, 1), NodeId(1), AckMode::Gm, LOCKS);
+        let mut server = Server::new(registry, Topology::new(2, 1), NodeId(1), AckMode::Gm);
         let mut replies = Vec::new();
         for n in [Body::MAX_LEN / MIB + 1, 1] {
             let runs = vec![(0, MIB as u32); n];

@@ -38,6 +38,13 @@ use crate::config::ArmciCfg;
 /// owner's segment file to appear before falling back to the wire.
 const MAP_RETRY_CAP: Duration = Duration::from_secs(2);
 
+/// Paces the missing-file retry in `map_peer` at file-poll granularity:
+/// the segment file usually appears within a few ms, so the backoff
+/// starts at 1 ms and caps low enough to stay responsive. The deadline,
+/// not the attempt count, has the final word.
+const MAP_PACING: RetryPolicy =
+    RetryPolicy { attempts: 8, base: Duration::from_millis(1), cap: Duration::from_millis(10) };
+
 /// Mapping outcome per peer segment: `Some` = shared-memory route,
 /// `None` = permanent wire fallback for this target.
 type RouteMap = HashMap<(ProcId, SegId), Option<Arc<Segment>>>;
@@ -46,9 +53,6 @@ pub(crate) struct ShmDataPlane {
     plane: ShmPlane,
     routes: RwLock<RouteMap>,
     map_timeout: Duration,
-    /// Paces the missing-file retry in `map_peer` (unified policy; the
-    /// deadline still has the final word).
-    retry: RetryPolicy,
 }
 
 impl ShmDataPlane {
@@ -56,7 +60,7 @@ impl ShmDataPlane {
     /// has no rendezvous identity (emulator, hand-built meshes), or the
     /// namespace directory cannot be created (non-unix, bad `shm_dir`).
     pub(crate) fn for_run(cfg: &ArmciCfg, rendezvous: &str) -> Option<Arc<ShmDataPlane>> {
-        if !cfg.shm_plane_enabled() || rendezvous.is_empty() {
+        if !cfg.shm_plane_enabled(false) || rendezvous.is_empty() {
             return None;
         }
         let base = base_dir(cfg.shm_dir.as_deref());
@@ -69,10 +73,6 @@ impl ShmDataPlane {
             plane,
             routes: RwLock::new(HashMap::new()),
             map_timeout: cfg.boot_timeout.min(MAP_RETRY_CAP),
-            // Rescale the policy to file-poll granularity: the segment
-            // file usually appears within a few ms, so the backoff starts
-            // at 1 ms and caps low enough to stay responsive.
-            retry: RetryPolicy { base: Duration::from_millis(1), cap: Duration::from_millis(10), ..cfg.retry },
         }))
     }
 
@@ -92,14 +92,10 @@ impl ShmDataPlane {
             return cached.clone();
         }
         let deadline = Instant::now() + self.map_timeout;
-        // Pace the missing-file retry with the unified policy, seeded by
-        // the target so contending mappers spread deterministically.
-        let seed = u64::from(proc.0) << 32 | u64::from(seg.0);
-        let mapped =
-            self.plane.map_peer_paced(proc.0, seg.0, deadline, |a| self.retry.delay(a, seed)).ok().map(|shm| {
-                let len = shm.len();
-                Arc::new(wrap(shm, len))
-            });
+        let mapped = self.plane.map_peer_paced(proc.0, seg.0, deadline, |a| MAP_PACING.delay(a)).ok().map(|shm| {
+            let len = shm.len();
+            Arc::new(wrap(shm, len))
+        });
         // A racing mapper may have inserted first; keep that one so every
         // caller agrees on the route (both mappings would be valid).
         self.routes.write().entry((proc, seg)).or_insert(mapped).clone()

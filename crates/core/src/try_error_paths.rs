@@ -93,16 +93,14 @@ impl MailboxBackend for StubBackend {
     }
 }
 
-const LOCKS_PER_PROC: u32 = 8;
-
 /// Rank 0 of a 2-node cluster whose only link is the scripted stub.
-/// Short deadline and detection slice keep the Timeout tests quick.
+/// A short deadline keeps the Timeout tests quick.
 fn stub_armci(mode: StubMode) -> Armci {
     let topo = Topology::new(2, 1);
     let me = ProcId(0);
     let registry = Arc::new(MemoryRegistry::new(topo.nprocs()));
     for r in 0..topo.nprocs() {
-        registry.register(ProcId(r as u32), layout::sync_segment_len(LOCKS_PER_PROC, topo.nprocs() as u32));
+        registry.register(ProcId(r as u32), layout::sync_segment_len(topo.nprocs() as u32));
     }
     let my_sync = registry.lookup(me, SegId(0));
     let mb = Mailbox::from_backend(Box::new(StubBackend {
@@ -120,14 +118,12 @@ fn stub_armci(mode: StubMode) -> Armci {
         registry,
         ack_mode: AckMode::Gm,
         lock_algo: LockAlgo::Hybrid,
-        locks_per_proc: LOCKS_PER_PROC,
         my_sync,
         fence: armci_proto::FenceEngine::new(AckMode::Gm.fence_mode(), nprocs, nnodes),
         notify: armci_proto::NotifyEngine::new(nprocs),
         last_barrier_log: Vec::new(),
-        hier_collectives: false,
         last_hier_log: Vec::new(),
-        world: crate::group::ProcGroup::flat(armci_msglib::Group::world(nprocs), me.idx(), LOCKS_PER_PROC).into(),
+        world: crate::group::ProcGroup::flat(armci_msglib::Group::world(nprocs), me.idx()).into(),
         epoch: 0,
         mcs_held: None,
         nbget_issued: vec![0; nnodes],
@@ -136,7 +132,6 @@ fn stub_armci(mode: StubMode) -> Armci {
         stats: Default::default(),
         encode_pool: BodyPool::new(8),
         op_timeout: Duration::from_millis(40),
-        detect_slice: Duration::from_millis(5),
         shm: None,
     }
 }
@@ -162,11 +157,7 @@ fn for_each_blocking_op(mode: StubMode, check: impl Fn(&'static str, Result<(), 
     });
     check("barrier", stub_armci(mode).try_barrier());
     // Forming a group's hierarchy is collective over its members.
-    check("group", {
-        let mut a = stub_armci(mode);
-        a.hier_collectives = true;
-        a.try_group(&[0, 1]).map(|_| ())
-    });
+    check("group", stub_armci(mode).try_group(&[0, 1]).map(|_| ()));
     // A counted put must be outstanding or the fence is a no-op; the put
     // itself may already refuse if the transport knows the peer is dead,
     // and that refusal is the operation's verdict in that mode.
@@ -205,7 +196,7 @@ fn dead_channel_surfaces_transport_down_from_every_blocking_op() {
 }
 
 /// Peer death must beat the deadline: detection latency is bounded by
-/// `detect_slice`, not by `op_timeout` (the wait is sliced precisely so
+/// the detection slice, not by `op_timeout` (the wait is sliced precisely so
 /// a dead peer surfaces promptly even under a generous deadline).
 #[test]
 fn peer_lost_preempts_a_generous_deadline() {
@@ -215,7 +206,7 @@ fn peer_lost_preempts_a_generous_deadline() {
     let r = a.try_barrier();
     let elapsed = t.elapsed();
     assert!(matches!(r, Err(ArmciError::PeerLost { peer: NodeId(1) })), "got {r:?}");
-    assert!(elapsed < Duration::from_secs(5), "detection took {elapsed:?}, should be ~detect_slice");
+    assert!(elapsed < Duration::from_secs(5), "detection took {elapsed:?}, should be ~one detection slice");
 }
 
 /// The msglib collectives receive through the infallible `recv_from`,
@@ -262,7 +253,7 @@ fn failed_wait_notify_can_be_retried() {
     let mut a = stub_armci(StubMode::Silent);
     assert!(a.try_wait_notify(0, 1).is_err());
     // Satisfy the counter by hand, then retry the same slot.
-    let at = layout::notify_slot(LOCKS_PER_PROC, 2, 0);
+    let at = layout::notify_slot(2, 0);
     a.my_sync.fetch_add_u64(at, 1);
     assert!(a.try_wait_notify(0, 1).is_ok());
 }

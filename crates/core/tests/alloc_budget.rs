@@ -160,8 +160,7 @@ fn hier_group_barrier_stays_within_allocation_budget() {
     let _window = WINDOW.lock().unwrap_or_else(|e| e.into_inner());
     const BARRIERS: u64 = 400;
     const BUDGET_PER_BARRIER: u64 = 44;
-    let cfg = ArmciCfg { nodes: 2, procs_per_node: 2, latency: LatencyModel::zero(), ..Default::default() }
-        .with_hier_collectives(true);
+    let cfg = ArmciCfg { nodes: 2, procs_per_node: 2, latency: LatencyModel::zero(), ..Default::default() };
     let deltas = run_cluster(cfg, |a| {
         let n = a.nprocs();
         let seg = a.malloc(8 * n);

@@ -8,15 +8,15 @@
 use std::time::{Duration, Instant};
 
 use armci_core::{
-    run_cluster, run_cluster_net_loopback, ArmciCfg, ArmciError, FaultAction, FaultPlan, FaultSpec, GlobalAddr,
+    layout, run_cluster, run_cluster_net_loopback, ArmciCfg, ArmciError, FaultAction, FaultPlan, FaultSpec, GlobalAddr,
 };
 use armci_proto::HierMsg;
 use armci_transport::{LatencyModel, NodeId, ProcId};
 
 fn flat(n: u32) -> ArmciCfg {
-    // These suites exercise the *flat* member-scoped protocol; pin the
-    // hierarchy off so an active shm plane can't promote the groups.
-    ArmciCfg::flat(n, LatencyModel::zero()).with_hier_collectives(false)
+    // One process per node: no two members share memory, so every group
+    // runs the *flat* member-scoped protocol.
+    ArmciCfg::flat(n, LatencyModel::zero())
 }
 
 /// A flat subset group: each member puts into the next member's segment,
@@ -142,8 +142,7 @@ fn allfence_group_completes_member_directed_puts() {
 /// back (dirty → clean → dirty …) on the same cumulative counters.
 #[test]
 fn hier_barrier_domains_are_nodes_and_leaders_exchange_log2_rounds() {
-    let cfg = ArmciCfg { nodes: 4, procs_per_node: 2, latency: LatencyModel::zero(), ..Default::default() }
-        .with_hier_collectives(true);
+    let cfg = ArmciCfg { nodes: 4, procs_per_node: 2, latency: LatencyModel::zero(), ..Default::default() };
     let out = run_cluster(cfg, |a| {
         let n = a.nprocs();
         let members: Vec<usize> = (0..n).collect();
@@ -189,8 +188,7 @@ fn hier_barrier_domains_are_nodes_and_leaders_exchange_log2_rounds() {
 /// nodes split 2 + 1 — complete an all-to-all scatter among the members.
 #[test]
 fn hier_subset_groups_with_ragged_domains() {
-    let cfg = ArmciCfg { nodes: 4, procs_per_node: 2, latency: LatencyModel::zero(), ..Default::default() }
-        .with_hier_collectives(true);
+    let cfg = ArmciCfg { nodes: 4, procs_per_node: 2, latency: LatencyModel::zero(), ..Default::default() };
     let shapes: [(&[usize], &[&[usize]]); 2] =
         [(&[0, 1, 2, 3, 4], &[&[0, 1], &[2, 3], &[4]]), (&[5, 2, 3], &[&[0], &[1, 2]])];
     let out = run_cluster(cfg, move |a| {
@@ -219,8 +217,7 @@ fn hier_subset_groups_with_ragged_domains() {
 /// counter slots: barriers on both, interleaved, stay correct.
 #[test]
 fn two_hier_groups_claim_distinct_counter_slots() {
-    let cfg = ArmciCfg { nodes: 2, procs_per_node: 2, latency: LatencyModel::zero(), ..Default::default() }
-        .with_hier_collectives(true);
+    let cfg = ArmciCfg { nodes: 2, procs_per_node: 2, latency: LatencyModel::zero(), ..Default::default() };
     let g2_m = [0usize, 1]; // single-node group: one domain, no exchange
     let out = run_cluster(cfg, move |a| {
         let n = a.nprocs();
@@ -246,6 +243,36 @@ fn two_hier_groups_claim_distinct_counter_slots() {
     assert!(out.into_iter().all(|ok| ok));
 }
 
+/// Counter slots are never reclaimed: a leader runs out after
+/// `HIER_SLOTS` groups and publishes no slot, and every member then runs
+/// the group flat instead of panicking or hanging. Each round's barrier
+/// still completes its put.
+#[test]
+fn groups_past_the_counter_slots_run_flat() {
+    const ROUNDS: usize = 40;
+    let cfg = ArmciCfg { nodes: 1, procs_per_node: 2, latency: LatencyModel::zero(), ..Default::default() };
+    let out = run_cluster(cfg, |a| {
+        let seg = a.malloc(8 * 2 * ROUNDS);
+        let (me, other) = (a.rank(), 1 - a.rank());
+        let mut hierarchical = Vec::new();
+        for round in 0..ROUNDS {
+            let g = a.group(&[0, 1]);
+            hierarchical.push(g.is_hierarchical());
+            let val = (round * 10 + me) as u64;
+            a.put_u64(GlobalAddr::new(ProcId(other as u32), seg, 8 * (2 * round + me)), val);
+            a.barrier_group(&g);
+            let got = a.local_segment(seg).read_u64(8 * (2 * round + other));
+            assert_eq!(got, (round * 10 + other) as u64, "round {round}: put from {other} not visible");
+        }
+        hierarchical
+    });
+    let slots = layout::HIER_SLOTS as usize;
+    for flags in out {
+        assert_eq!(flags.iter().filter(|&&h| h).count(), slots);
+        assert!(flags[..slots].iter().all(|&h| h) && flags[slots..].iter().all(|&h| !h), "{flags:?}");
+    }
+}
+
 /// The paper's cost restored where the hierarchy engages: on 4 nodes × 2
 /// ppn at 100 µs one-way, a Figure-7 scatter plus the hierarchical
 /// barrier lands every put in two leader passes — `2·log2(4) = 4`
@@ -259,8 +286,7 @@ fn hier_scatter_barrier_costs_two_leader_passes_and_no_fence_round_trip() {
         procs_per_node: 2,
         latency: LatencyModel::zero().with_inter_node(L),
         ..Default::default()
-    }
-    .with_hier_collectives(true);
+    };
     let out = run_cluster(cfg, |a| {
         let (me, n) = (a.rank(), a.nprocs());
         let seg = a.malloc(8 * n);
@@ -303,7 +329,7 @@ fn hier_wait_is_not_satisfied_by_non_member_traffic() {
     const WORDS: usize = 8192;
     let latency =
         LatencyModel::zero().with_inter_node(Duration::from_micros(200)).with_per_byte(Duration::from_nanos(100));
-    let cfg = ArmciCfg { nodes: 2, procs_per_node: 2, latency, ..Default::default() }.with_hier_collectives(true);
+    let cfg = ArmciCfg { nodes: 2, procs_per_node: 2, latency, ..Default::default() };
     let members = [0usize, 1, 2];
     let out = run_cluster(cfg, move |a| {
         let seg = a.malloc(8 * WORDS);
@@ -344,7 +370,6 @@ fn hier_wait_is_not_satisfied_by_non_member_traffic() {
 fn hier_barrier_times_out_on_every_member_when_one_never_enters() {
     let op_timeout = Duration::from_millis(300);
     let cfg = ArmciCfg { nodes: 2, procs_per_node: 2, latency: LatencyModel::zero(), ..Default::default() }
-        .with_hier_collectives(true)
         .with_op_timeout(op_timeout);
     let out = run_cluster(cfg, move |a| {
         let g = a.group(&[0, 1, 2, 3]);
@@ -376,8 +401,7 @@ fn hier_barrier_aborts_with_peer_lost_when_a_leader_dies_before_contributing() {
         .with_shm_plane(Some(false))
         .with_faults(faults)
         .build()
-        .expect("valid config")
-        .with_hier_collectives(true);
+        .expect("valid config");
     let out = run_cluster_net_loopback(cfg, |a| {
         let seg = a.malloc(8);
         let g = a.group(&[0, 1, 2, 3]);
@@ -413,7 +437,6 @@ fn try_group_over_a_dead_member_fails_with_peer_lost() {
     let cfg = ArmciCfg::flat(3, LatencyModel::zero())
         .with_procs_per_node(2)
         .with_op_timeout(op_timeout)
-        .with_hier_collectives(true)
         // The kill is driven by frames crossing the wire.
         .with_shm_plane(Some(false))
         .with_faults(faults)

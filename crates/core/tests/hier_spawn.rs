@@ -40,8 +40,7 @@ fn hier_group_barrier_is_zero_wire_intra_host() {
         .iter()
         .map(|s| s.to_string())
         .collect();
-    let base = ArmciCfg { nodes: 2, procs_per_node: 1, latency: LatencyModel::zero(), ..Default::default() }
-        .with_hier_collectives(true);
+    let base = ArmciCfg { nodes: 2, procs_per_node: 1, latency: LatencyModel::zero(), ..Default::default() };
 
     // Shm plane on: both processes land in one shm domain; the put is a
     // direct store and the barrier runs entirely on shared counters.

@@ -24,7 +24,7 @@ fn faulty_cfg(op_timeout: Duration, faults: FaultPlan) -> ArmciCfg {
         .with_op_timeout(op_timeout)
         // These tests assert that *wire* faults surface as errors; the
         // shm plane would legitimately route around a dead link, so it
-        // stays off regardless of `ARMCI_SHM_PLANE`.
+        // stays off, spawned runs included.
         .with_shm_plane(Some(false))
         .with_faults(faults)
         .build()

@@ -1,11 +1,11 @@
 //! The core SPMD scenarios — data operations, locks, non-blocking gets
-//! and fences — run over *both* transport backends: the deterministic
-//! emulator and netfab loopback TCP (real sockets, frames, reader/writer
+//! and fences — run over every transport backend: the deterministic
+//! emulator, and netfab loopback TCP (real sockets, frames, reader/writer
 //! threads, all nodes as threads of this process — no spawning in unit
-//! tests).
+//! tests) with the shm data plane off and on.
 //!
-//! Every scenario is a plain `fn` so one definition runs under both
-//! backends; results must agree wherever the scenario is deterministic.
+//! Every scenario is a plain `fn` so one definition runs under every
+//! backend; results must agree wherever the scenario is deterministic.
 
 use armci_core::runtime::{run_cluster, run_cluster_net_loopback};
 use armci_core::{run_cluster_spawned, AckMode, Armci, ArmciCfg, GlobalAddr, LockAlgo, LockId, Stats, Strided2D};
@@ -15,9 +15,12 @@ use armci_transport::{LatencyModel, ProcId, SegId};
 enum Backend {
     Emu,
     Tcp,
+    /// Loopback TCP with the shm plane on: every node shares this host,
+    /// so data ops and locks ride mapped segments instead of the wire.
+    TcpShm,
 }
 
-const BOTH: [Backend; 2] = [Backend::Emu, Backend::Tcp];
+const ALL: [Backend; 3] = [Backend::Emu, Backend::Tcp, Backend::TcpShm];
 
 fn run<T>(backend: Backend, cfg: ArmciCfg, f: fn(&mut Armci) -> T) -> Vec<T>
 where
@@ -26,6 +29,7 @@ where
     match backend {
         Backend::Emu => run_cluster(cfg, f),
         Backend::Tcp => run_cluster_net_loopback(cfg, f),
+        Backend::TcpShm => run_cluster_net_loopback(cfg.with_shm_plane(Some(true)), f),
     }
 }
 
@@ -47,8 +51,8 @@ fn put_fence_get(a: &mut Armci) -> u64 {
 }
 
 #[test]
-fn put_fence_get_roundtrip_both_backends() {
-    for b in BOTH {
+fn put_fence_get_roundtrip_all_backends() {
+    for b in ALL {
         let out = run(b, zero_lat(3), put_fence_get);
         assert_eq!(out, vec![102, 100, 101], "{b:?}");
     }
@@ -66,8 +70,8 @@ fn barrier_visibility(a: &mut Armci) -> bool {
 }
 
 #[test]
-fn barrier_makes_all_pairs_visible_both_backends() {
-    for b in BOTH {
+fn barrier_makes_all_pairs_visible_all_backends() {
+    for b in ALL {
         assert!(run(b, zero_lat(4), barrier_visibility).into_iter().all(|ok| ok), "{b:?}");
     }
 }
@@ -93,8 +97,8 @@ fn strided_and_vector(a: &mut Armci) -> bool {
 }
 
 #[test]
-fn strided_and_vector_roundtrip_both_backends() {
-    for b in BOTH {
+fn strided_and_vector_roundtrip_all_backends() {
+    for b in ALL {
         assert!(run(b, zero_lat(2), strided_and_vector).into_iter().all(|ok| ok), "{b:?}");
     }
 }
@@ -111,8 +115,8 @@ fn acc_scaled(a: &mut Armci) -> f64 {
 }
 
 #[test]
-fn accumulate_sums_both_backends() {
-    for b in BOTH {
+fn accumulate_sums_all_backends() {
+    for b in ALL {
         let out = run(b, zero_lat(4), acc_scaled);
         // 2.0 * (1+2+3+4)
         assert_eq!(out[0], 20.0, "{b:?}");
@@ -128,8 +132,8 @@ fn ticket_permutation(a: &mut Armci) -> u64 {
 }
 
 #[test]
-fn fetch_add_tickets_unique_both_backends() {
-    for b in BOTH {
+fn fetch_add_tickets_unique_all_backends() {
+    for b in ALL {
         let mut tickets = run(b, zero_lat(5), ticket_permutation);
         tickets.sort_unstable();
         assert_eq!(tickets, (0..5).collect::<Vec<u64>>(), "{b:?}");
@@ -145,8 +149,8 @@ fn cas_winner(a: &mut Armci) -> bool {
 }
 
 #[test]
-fn cas_single_winner_both_backends() {
-    for b in BOTH {
+fn cas_single_winner_all_backends() {
+    for b in ALL {
         let out = run(b, zero_lat(4), cas_winner);
         assert_eq!(out.into_iter().filter(|&w| w).count(), 1, "{b:?}");
     }
@@ -164,8 +168,8 @@ fn via_put_fence(a: &mut Armci) -> bool {
 }
 
 #[test]
-fn via_ack_mode_fence_both_backends() {
-    for b in BOTH {
+fn via_ack_mode_fence_all_backends() {
+    for b in ALL {
         let cfg = zero_lat(2).with_ack_mode(AckMode::Via);
         assert!(run(b, cfg, via_put_fence).into_iter().all(|ok| ok), "{b:?}");
     }
@@ -199,8 +203,8 @@ fn lock_torture(a: &mut Armci) -> u64 {
 }
 
 #[test]
-fn mcs_mutual_exclusion_both_backends() {
-    for b in BOTH {
+fn mcs_mutual_exclusion_all_backends() {
+    for b in ALL {
         let cfg = ArmciCfg {
             nodes: 2,
             procs_per_node: 2,
@@ -214,8 +218,8 @@ fn mcs_mutual_exclusion_both_backends() {
 }
 
 #[test]
-fn hybrid_mutual_exclusion_both_backends() {
-    for b in BOTH {
+fn hybrid_mutual_exclusion_all_backends() {
+    for b in ALL {
         let cfg = zero_lat(3).with_lock_algo(LockAlgo::Hybrid);
         let out = run(b, cfg, lock_torture);
         assert!(out.into_iter().all(|v| v == 3 * 15), "{b:?}: lost updates");
@@ -242,8 +246,8 @@ fn nbget_overlap(a: &mut Armci) -> bool {
 }
 
 #[test]
-fn nbget_overlap_both_backends() {
-    for b in BOTH {
+fn nbget_overlap_all_backends() {
+    for b in ALL {
         assert!(run(b, zero_lat(4), nbget_overlap).into_iter().all(|ok| ok), "{b:?}");
     }
 }
@@ -263,8 +267,8 @@ fn allfence_visibility(a: &mut Armci) -> bool {
 }
 
 #[test]
-fn allfence_then_barrier_both_backends() {
-    for b in BOTH {
+fn allfence_then_barrier_all_backends() {
+    for b in ALL {
         assert!(run(b, zero_lat(3), allfence_visibility).into_iter().all(|ok| ok), "{b:?}");
     }
 }
@@ -274,9 +278,9 @@ fn allfence_then_barrier_both_backends() {
 // ----------------------------------------------------------------------
 
 /// The wire-count checks below compare *wire* structure between
-/// backends, so they pin the shm plane off: under `ARMCI_SHM_PLANE=on`
-/// (the shm CI leg) loopback nodes would serve each other through
-/// mapped segments and the counts they assert would legitimately drop.
+/// backends, so they pin the shm plane off: with it on, loopback nodes
+/// would serve each other through mapped segments and the counts they
+/// assert would legitimately drop.
 fn wire_pinned(nodes: u32) -> ArmciCfg {
     zero_lat(nodes).with_shm_plane(Some(false))
 }

@@ -1,14 +1,12 @@
 //! Property-based tests of the fault-plan and cluster-config codecs.
 //!
-//! Fault schedules and failure-detection knobs cross a process boundary
+//! Fault schedules and the shm-plane settings cross a process boundary
 //! in the spawned-node launch payload; a lossy encoding would make a
 //! chaos run unreproducible (the child would enact a different schedule
 //! than the seed dictates) or silently drop a setting. Arbitrary values
 //! must round-trip bit-exactly through the vendored serde.
 
-use std::time::Duration;
-
-use armci_core::{ArmciCfg, FaultAction, FaultPlan, FaultSpec, RetryPolicy};
+use armci_core::{ArmciCfg, FaultAction, FaultPlan, FaultSpec};
 use armci_transport::LatencyModel;
 use proptest::prelude::*;
 
@@ -76,21 +74,14 @@ proptest! {
         prop_assert_eq!(back, action);
     }
 
-    /// The failure-detection slice rides the same launch payload as the
-    /// fault plan; every combination must survive the trip, and the
-    /// re-serialized payload must be byte-identical (the chaos harness
-    /// compares schedules on their encoded form).
+    /// The fault plan rides the launch payload; every plan must survive
+    /// the trip, and the re-serialized payload must be byte-identical (the
+    /// chaos harness compares schedules on their encoded form).
     #[test]
-    fn detect_slice_and_faults_roundtrip_through_launch_payload(
-        detect_us in 1u64..1_000_000,
-        plan in arb_plan(),
-    ) {
-        let cfg = ArmciCfg::flat(2, LatencyModel::zero())
-            .with_detect_slice(Duration::from_micros(detect_us))
-            .with_faults(plan.clone());
+    fn faults_roundtrip_through_launch_payload(plan in arb_plan()) {
+        let cfg = ArmciCfg::flat(2, LatencyModel::zero()).with_faults(plan.clone());
         let json = serde::to_string(&cfg);
         let back: ArmciCfg = serde::from_str(&json).unwrap();
-        prop_assert_eq!(back.detect_slice, Duration::from_micros(detect_us));
         prop_assert_eq!(back.faults, plan);
         prop_assert_eq!(serde::to_string(&back), json);
     }
@@ -115,51 +106,6 @@ proptest! {
         let back: ArmciCfg = serde::from_str(&json).unwrap();
         prop_assert_eq!(back.shm_plane, shm_plane);
         prop_assert_eq!(back.shm_dir, shm_dir);
-        prop_assert_eq!(serde::to_string(&back), json);
-    }
-
-    /// The unified retry policy rides the launch payload; every field
-    /// combination must round-trip (durations as whole microseconds —
-    /// the codec's resolution).
-    #[test]
-    fn any_retry_policy_roundtrips(
-        attempts in 1u32..10_000,
-        base_us in 0u64..100_000_000,
-        cap_us in 0u64..100_000_000,
-        jitter in any::<bool>(),
-    ) {
-        let p = RetryPolicy {
-            attempts,
-            base: Duration::from_micros(base_us),
-            cap: Duration::from_micros(cap_us),
-            jitter,
-        };
-        let json = serde::to_string(&p);
-        let back: RetryPolicy = serde::from_str(&json).unwrap();
-        prop_assert_eq!(back, p);
-        prop_assert_eq!(serde::to_string(&back), json);
-    }
-
-    /// The retry policy travels with the rest of the cluster config; it
-    /// must survive the payload and the re-encoded form must be
-    /// byte-identical.
-    #[test]
-    fn retry_roundtrips_through_launch_payload(
-        attempts in 1u32..64,
-        base_us in 0u64..10_000_000,
-        jitter in any::<bool>(),
-    ) {
-        let policy = RetryPolicy {
-            attempts,
-            base: Duration::from_micros(base_us),
-            cap: Duration::from_micros(base_us.saturating_mul(64)),
-            jitter,
-        };
-        let cfg = ArmciCfg::flat(2, LatencyModel::zero()).with_retry(policy);
-        cfg.validate().unwrap();
-        let json = serde::to_string(&cfg);
-        let back: ArmciCfg = serde::from_str(&json).unwrap();
-        prop_assert_eq!(back.retry, policy);
         prop_assert_eq!(serde::to_string(&back), json);
     }
 

@@ -307,3 +307,27 @@ fn one_agent_per_node() {
     let hits = unquoted_uses(&all, "via_nic");
     assert!(hits.is_empty(), "via_nic outside FenceEngine::note_put: {hits:#?}");
 }
+
+/// One way to configure: `ArmciCfg` is the only source of a setting. The
+/// environment override of the shm plane and the builders of the knobs
+/// nothing set are gone from every crate, test and example; each of
+/// those knobs is a constant of the code now.
+#[test]
+fn one_way_to_configure() {
+    let all = workspace_sources();
+    let needles = [
+        "ARMCI_SHM_PLANE",
+        "with_hier_collectives",
+        "with_locks_per_proc",
+        "with_detect_slice",
+        "with_retry",
+        "with_seed",
+    ];
+    for needle in needles {
+        // Quoted spellings count too: an environment variable is read by
+        // its quoted name.
+        let hits: Vec<String> =
+            all.iter().flat_map(|(p, t)| code_lines(t, needle).map(move |l| format!("{p}: {}", l.trim()))).collect();
+        assert!(hits.is_empty(), "{needle} is back: {hits:#?}");
+    }
+}

@@ -260,11 +260,6 @@ pub struct GhostUpdatePlan {
 }
 
 impl GhostUpdatePlan {
-    /// The halo segment updates are pushed into (two halves).
-    pub fn halo_seg(&self) -> SegId {
-        self.halo
-    }
-
     /// Notifications this rank receives per exchange.
     pub fn expected_per_iter(&self) -> u64 {
         self.plans[0].expected_per_iter()

@@ -112,11 +112,6 @@ impl Comm {
     pub fn mailbox(&mut self) -> &mut Mailbox {
         &mut self.mailbox
     }
-
-    /// Unwrap the mailbox.
-    pub fn into_mailbox(self) -> Mailbox {
-        self.mailbox
-    }
 }
 
 impl P2p for Comm {

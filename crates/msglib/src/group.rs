@@ -195,16 +195,6 @@ impl Group {
         self.allreduce(p, local, |a, b| a.wrapping_add(b));
     }
 
-    /// Fallible [`Group::allreduce_sum_u64`] with a deadline.
-    pub fn try_allreduce_sum_u64(
-        &self,
-        p: &mut impl P2p,
-        local: &mut [u64],
-        deadline: Instant,
-    ) -> Result<(), CommError> {
-        self.try_allreduce(p, local, |a, b| a.wrapping_add(b), deadline)
-    }
-
     /// Sum-allreduce of an `f64` vector over the members.
     pub fn allreduce_sum_f64(&self, p: &mut impl P2p, local: &mut [f64]) {
         self.allreduce(p, local, |a, b| a + b);

@@ -56,14 +56,12 @@ impl Default for BootOpts {
 
 /// Dial `addr` under the policy's retry/backoff, bounded by `deadline`.
 /// `fail_budget` artificially fails that many leading attempts (scripted
-/// dial faults). The jitter seed is hashed from the address, so two nodes
-/// redialing the same target desynchronize while staying deterministic.
+/// dial faults).
 fn connect_retry(addr: &str, opts: &BootOpts, deadline: Instant, fail_budget: &mut u32) -> io::Result<TcpStream> {
-    let seed = addr.bytes().fold(0xcbf2_9ce4_8422_2325u64, |h, b| (h ^ u64::from(b)).wrapping_mul(0x100_0000_01b3));
     let mut last_err = None;
     for attempt in 0..opts.dial.attempts.max(1) {
         if attempt > 0 {
-            let pause = opts.dial.delay(attempt - 1, seed);
+            let pause = opts.dial.delay(attempt - 1);
             if Instant::now() + pause > deadline {
                 break;
             }

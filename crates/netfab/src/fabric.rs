@@ -445,14 +445,6 @@ impl NodeFabric {
         self.shared.sessions[peer.idx()].clone().expect("no session with that peer")
     }
 
-    /// Total wire traffic sent by this node's endpoints.
-    pub fn wire_totals(&self) -> WireCounters {
-        WireCounters {
-            msgs: self.shared.wire_msgs.iter().map(|c| c.load(Ordering::Relaxed)).sum(),
-            bytes: self.shared.wire_bytes.iter().map(|c| c.load(Ordering::Relaxed)).sum(),
-        }
-    }
-
     /// Tear down: close every link (the loop drains what is queued and
     /// half-closes each socket) and join the event loop.
     ///

@@ -92,9 +92,8 @@ pub fn spawn_nodes(
                 attempts: 3,
                 base: Duration::from_millis(10),
                 cap: Duration::from_millis(40),
-                jitter: false,
             };
-            retry.run(u64::from(n), |_| cmd.spawn())
+            retry.run(|_| cmd.spawn())
         })
         .collect()
 }

@@ -409,11 +409,6 @@ impl Mailbox {
         self.recv_match(|m| m.tag == tag)
     }
 
-    /// Receive the next message carrying `tag` from endpoint `src`.
-    pub fn recv_tag_from(&mut self, src: Endpoint, tag: Tag) -> Result<Msg, RecvError> {
-        self.recv_match(|m| m.tag == tag && m.src == src)
-    }
-
     /// Non-blocking receive in arrival order. Returns `Ok(None)` if no
     /// message is currently deliverable (empty inbox, or the head of the
     /// inbox has a future delivery stamp).

@@ -7,8 +7,7 @@
 //! its column — and synchronizes each independently: puts to row peers
 //! are completed by a *row* barrier (the column, and the rest of the
 //! machine, is never touched), then a column-group allreduce combines
-//! per-column results. With `hier_collectives` on, each group barrier
-//! synchronizes co-located members through shared-memory counters and
+//! per-column results. Each group barrier synchronizes co-located members through shared-memory counters and
 //! sends only `log2(domains)` inter-node messages per leader and pass
 //! (two passes when puts were outstanding, one when not).
 //!
@@ -24,8 +23,7 @@ const COLS: usize = 4;
 
 fn main() {
     // 4 dual-process nodes; groups exploit the node locality.
-    let cfg = ArmciCfg { nodes: 4, procs_per_node: 2, latency: LatencyModel::myrinet_like(), ..Default::default() }
-        .with_hier_collectives(true);
+    let cfg = ArmciCfg { nodes: 4, procs_per_node: 2, latency: LatencyModel::myrinet_like(), ..Default::default() };
     run_cluster(cfg, |armci| {
         let me = armci.rank();
         let (row, col) = (me / COLS, me % COLS);

@@ -17,14 +17,8 @@ fn pick(rng: &mut ChaosRng, r: std::ops::Range<usize>) -> usize {
 /// periodically and verify.
 fn chaos_run(seed: u64, nodes: u32, ppn: u32, algo: LockAlgo, rounds: usize) {
     let nprocs = (nodes * ppn) as u64;
-    let cfg = ArmciCfg {
-        nodes,
-        procs_per_node: ppn,
-        latency: LatencyModel::zero(),
-        lock_algo: algo,
-        seed,
-        ..Default::default()
-    };
+    let cfg =
+        ArmciCfg { nodes, procs_per_node: ppn, latency: LatencyModel::zero(), lock_algo: algo, ..Default::default() };
     let out = armci_repro::armci_core::run_cluster(cfg, move |a| {
         let n = a.nprocs();
         // Layout per rank's segment: [0..8) locked counter (rank 0 only),
@@ -143,7 +137,6 @@ fn chaos_with_jitter() {
             .with_inter_node(std::time::Duration::from_micros(10))
             .with_jitter(std::time::Duration::from_micros(100)),
         lock_algo: LockAlgo::Mcs,
-        seed: 99,
         ..Default::default()
     };
     let out = armci_repro::armci_core::run_cluster(cfg, |a| {

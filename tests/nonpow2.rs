@@ -77,14 +77,14 @@ fn nonpow2_collectives_on_netfab_loopback() {
 #[test]
 fn nonpow2_collectives_under_jitter() {
     // Reordered deliveries must not confuse the fold-in/fold-out steps.
-    for (n, seed) in [(3u32, 3u64), (5, 13), (6, 29)] {
+    for n in [3u32, 5, 6] {
         let lat = LatencyModel::zero()
             .with_inter_node(std::time::Duration::from_micros(10))
             .with_jitter(std::time::Duration::from_micros(100));
-        let cfg = ArmciCfg { nodes: n, procs_per_node: 1, latency: lat, seed, ..Default::default() };
+        let cfg = ArmciCfg { nodes: n, procs_per_node: 1, latency: lat, ..Default::default() };
         let out = armci_repro::armci_core::run_cluster(cfg, workload);
         for (sum, _) in out {
-            assert_eq!(sum, expected_sum(n as usize), "n={n} seed={seed}");
+            assert_eq!(sum, expected_sum(n as usize), "n={n}");
         }
     }
 }

@@ -15,8 +15,10 @@ use armci_repro::prelude::*;
 /// rank `put_notify`s one word to every rank in its `dests` row (slot
 /// 0), then waits for the cumulative notification count from its
 /// producers — exactly the schedule the simulator's `NotifyProc` actor
-/// runs. Returns every rank's engine send trace.
-fn runtime_notify_logs(dests: &'static [&'static [usize]], iters: u64, net: bool) -> Vec<Vec<NotifyRecord>> {
+/// runs. Returns every rank's engine send trace. `net` selects netfab
+/// loopback with the shm plane pinned to the given setting; `None` runs
+/// the emulator.
+fn runtime_notify_logs(dests: &'static [&'static [usize]], iters: u64, net: Option<bool>) -> Vec<Vec<NotifyRecord>> {
     let n = dests.len();
     let cfg = ArmciCfg::flat(n as u32, LatencyModel::zero());
     let body = move |a: &mut Armci| {
@@ -35,10 +37,9 @@ fn runtime_notify_logs(dests: &'static [&'static [usize]], iters: u64, net: bool
         a.barrier();
         a.take_notify_log()
     };
-    if net {
-        armci_repro::armci_core::run_cluster_net_loopback(cfg, body)
-    } else {
-        armci_repro::armci_core::run_cluster(cfg, body)
+    match net {
+        Some(shm_plane) => armci_repro::armci_core::run_cluster_net_loopback(cfg.with_shm_plane(Some(shm_plane)), body),
+        None => armci_repro::armci_core::run_cluster(cfg, body),
     }
 }
 
@@ -62,7 +63,7 @@ fn notify_ring_trace_identical_emulator_vs_simnet() {
     static RING4: [&[usize]; 4] = [&[1, 3], &[2, 0], &[3, 1], &[0, 2]];
     static RING5: [&[usize]; 5] = [&[1, 4], &[2, 0], &[3, 1], &[4, 2], &[0, 3]];
     for dests in [&RING4[..], &RING5[..]] {
-        let emu = runtime_notify_logs(dests, 3, false);
+        let emu = runtime_notify_logs(dests, 3, None);
         let sim = simnet_notify_logs(dests, 3);
         assert_eq!(emu.len(), dests.len());
         for rank in 0..dests.len() {
@@ -84,7 +85,7 @@ fn notify_ring_trace_identical_emulator_vs_simnet() {
 #[test]
 fn notify_asymmetric_trace_identical_emulator_vs_simnet() {
     static DESTS: [&[usize]; 3] = [&[1, 2], &[2], &[]];
-    let emu = runtime_notify_logs(&DESTS, 2, false);
+    let emu = runtime_notify_logs(&DESTS, 2, None);
     let sim = simnet_notify_logs(&DESTS, 2);
     assert_eq!(emu, sim, "runtime and simulator notify engines diverged");
     assert!(emu[2].is_empty(), "a pure consumer never sends a notification");
@@ -103,10 +104,15 @@ fn notify_asymmetric_trace_identical_emulator_vs_simnet() {
 #[test]
 fn notify_trace_identical_netfab_vs_simnet() {
     static RING3: [&[usize]; 3] = [&[1, 2], &[2, 0], &[0, 1]];
-    let net = runtime_notify_logs(&RING3, 2, true);
     let sim = simnet_notify_logs(&RING3, 2);
-    for rank in 0..3 {
-        assert_eq!(net[rank], sim[rank], "rank={rank}: netfab and simulator notify engines diverged");
+    for shm_plane in [false, true] {
+        let net = runtime_notify_logs(&RING3, 2, Some(shm_plane));
+        for rank in 0..3 {
+            assert_eq!(
+                net[rank], sim[rank],
+                "rank={rank} shm_plane={shm_plane}: netfab and simulator notify engines diverged"
+            );
+        }
     }
 }
 
@@ -117,7 +123,7 @@ fn notify_trace_identical_netfab_vs_simnet() {
 #[test]
 fn group_scoped_notify_trace_identical_emulator_vs_simnet() {
     static DESTS: [&[usize]; 6] = [&[], &[3, 4], &[], &[4, 1], &[1, 3], &[]];
-    let emu = runtime_notify_logs(&DESTS, 2, false);
+    let emu = runtime_notify_logs(&DESTS, 2, None);
     let sim = simnet_notify_logs(&DESTS, 2);
     for rank in 0..DESTS.len() {
         assert_eq!(emu[rank], sim[rank], "rank={rank}: group-scoped notify engines diverged");

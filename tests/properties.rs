@@ -145,9 +145,8 @@ proptest! {
     #[test]
     fn random_put_patterns_are_visible_after_barrier(
         writes in proptest::collection::vec((0usize..4, 0usize..16, any::<u64>()), 1..20),
-        seed in 1u64..1000,
     ) {
-        let cfg = ArmciCfg::flat(4, LatencyModel::zero()).with_seed(seed);
+        let cfg = ArmciCfg::flat(4, LatencyModel::zero());
         let writes2 = writes.clone();
         let out = armci_core::run_cluster(cfg, move |a| {
             let seg = a.malloc(16 * 8);

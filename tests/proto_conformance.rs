@@ -34,9 +34,11 @@ fn emulator_logs(n: u32, seed: u64) -> Vec<Vec<SendRecord>> {
     })
 }
 
-/// Per-rank barrier send trace over real loopback TCP (netfab).
-fn netfab_logs(n: u32, seed: u64) -> Vec<Vec<SendRecord>> {
-    let cfg = ArmciCfg::flat(n, LatencyModel::zero());
+/// Per-rank barrier send trace over real loopback TCP (netfab), with the
+/// shm plane pinned to `shm_plane`: the plane changes the puts' route,
+/// never the barrier's schedule.
+fn netfab_logs(n: u32, seed: u64, shm_plane: bool) -> Vec<Vec<SendRecord>> {
+    let cfg = ArmciCfg::flat(n, LatencyModel::zero()).with_shm_plane(Some(shm_plane));
     armci_repro::armci_core::run_cluster_net_loopback(cfg, move |a| {
         let seg = a.malloc(8 * a.nprocs());
         seeded_puts(a, seg, seed);
@@ -70,11 +72,16 @@ fn combined_barrier_trace_identical_emulator_vs_simnet() {
 
 #[test]
 fn combined_barrier_trace_identical_netfab_vs_simnet() {
-    for (n, seed) in [(3usize, 41u64), (4, 7)] {
-        let net = netfab_logs(n as u32, seed);
-        let sim = simnet_logs(n);
-        for rank in 0..n {
-            assert_eq!(net[rank], sim[rank], "n={n} rank={rank}: netfab and simulator engines diverged");
+    for shm_plane in [false, true] {
+        for (n, seed) in [(3usize, 41u64), (4, 7)] {
+            let net = netfab_logs(n as u32, seed, shm_plane);
+            let sim = simnet_logs(n);
+            for rank in 0..n {
+                assert_eq!(
+                    net[rank], sim[rank],
+                    "n={n} rank={rank} shm_plane={shm_plane}: netfab and simulator engines diverged"
+                );
+            }
         }
     }
 }
@@ -104,9 +111,9 @@ fn seeded_member_puts(a: &mut Armci, seg: SegId, members: &[usize], seed: u64) {
 /// Per-member flat group-barrier trace (indexed by group rank) from
 /// either in-process runtime (`net` selects netfab loopback).
 fn group_logs(n: u32, members: &'static [usize], seed: u64, net: bool) -> Vec<Vec<SendRecord>> {
-    // The *flat* group protocol is under test; pin the hierarchy off so
-    // an active shm plane can't merge same-host ranks into one domain.
-    let cfg = ArmciCfg::flat(n, LatencyModel::zero()).with_hier_collectives(false);
+    // The *flat* group protocol is under test: one process per node and
+    // no shm plane, so no two members share memory.
+    let cfg = ArmciCfg::flat(n, LatencyModel::zero());
     let body = move |a: &mut Armci| {
         let seg = a.malloc(8 * a.nprocs());
         if !members.contains(&a.rank()) {
@@ -163,7 +170,7 @@ fn group_barrier_trace_identical_netfab_vs_simnet() {
 fn overlapping_group_traces_each_match_simnet() {
     let g1_m: &[usize] = &[0, 1, 2, 3, 4];
     let g2_m: &[usize] = &[3, 4, 5];
-    let cfg = ArmciCfg::flat(6, LatencyModel::zero()).with_hier_collectives(false);
+    let cfg = ArmciCfg::flat(6, LatencyModel::zero());
     let logs = armci_repro::armci_core::run_cluster(cfg, move |a| {
         let seg = a.malloc(8 * a.nprocs());
         let g1 = g1_m.contains(&a.rank()).then(|| a.group(g1_m));
@@ -205,14 +212,13 @@ fn hier_logs(nodes: u32, ppn: u32, net: bool) -> Vec<HierRun> {
     // them: with the shm plane on, loopback nodes share a host, fall into
     // one domain and store directly (`hier_spawn` covers that shape).
     let cfg = ArmciCfg { nodes, procs_per_node: ppn, latency: LatencyModel::zero(), ..Default::default() }
-        .with_hier_collectives(true)
         .with_shm_plane(Some(false));
     let body = move |a: &mut Armci| {
         let (me, n) = (a.rank(), a.nprocs());
         let seg = a.malloc(8 * n);
         let members: Vec<usize> = (0..n).collect();
         let g = a.group(&members);
-        let domains = g.domains().expect("hier_collectives on").to_vec();
+        let domains = g.domains().expect("SMP nodes form a hierarchy").to_vec();
         for dst in (0..n).filter(|&r| r as u32 / ppn != me as u32 / ppn) {
             a.put_u64(GlobalAddr::new(ProcId(dst as u32), seg, 8 * me), 0xF7 + me as u64);
         }
