@@ -12,7 +12,9 @@
 //! * every survivor stops with a typed `PeerLost` or `Timeout`, within
 //!   2× `op_timeout` of the first rank that stopped;
 //! * no shadow-model check failed before the kill;
-//! * no runtime thread (event loops, servers, ranks) outlives the run.
+//! * no runtime thread (event loops, node runners, ranks) is still
+//!   listed 2 s after the run: a joined thread leaves `/proc/self/task` a
+//!   moment after its join returns, one that is never joined stays.
 //!
 //! The shm plane is pinned off, because the kill trigger counts wire
 //! frames. Every failure prints the exact command that replays it: the
@@ -25,6 +27,7 @@ use std::process::ExitCode;
 use std::time::{Duration, Instant};
 
 use armci_core::{chaos_plan, chaos_workload, run_cluster_net_loopback, ArmciCfg, LockAlgo};
+use armci_netfab::threads::await_threads_gone;
 use armci_transport::LatencyModel;
 
 const OP_TIMEOUT: Duration = Duration::from_secs(3);
@@ -76,15 +79,12 @@ fn parse_opts() -> Result<Opts, String> {
     Ok(opts)
 }
 
-/// Live threads of this process that belong to a cluster run: event
-/// loops and boot helpers (`netfab-*`), node runners, servers and ranks.
-fn runtime_threads() -> usize {
-    let Ok(tasks) = std::fs::read_dir("/proc/self/task") else { return 0 };
-    tasks
-        .filter_map(|t| std::fs::read_to_string(t.ok()?.path().join("comm")).ok())
-        .filter(|name| ["netfab-", "netnode-", "server-", "proc-"].iter().any(|p| name.starts_with(p)))
-        .count()
-}
+/// Name prefixes of the threads a cluster run starts: event loops and
+/// boot helpers (`netfab-*`), node runners, servers and ranks.
+const RUNTIME_THREADS: [&str; 4] = ["netfab-", "netnode-", "server-", "proc-"];
+
+/// How long a joined thread may stay listed in `/proc/self/task`.
+const THREAD_EXIT_GRACE: Duration = Duration::from_secs(2);
 
 /// Run one seeded iteration; returns the failure description if any
 /// check broke.
@@ -118,9 +118,8 @@ fn run_iteration(seed: u64, nodes: u32, rounds: u32) -> Result<(), String> {
             Err(_) => {}
         }
     }
-    let left = runtime_threads();
-    if left > 0 {
-        return Err(format!("{left} runtime thread(s) outlived the run"));
+    if let Err(left) = await_threads_gone(&RUNTIME_THREADS, THREAD_EXIT_GRACE) {
+        return Err(format!("{} runtime thread(s) outlived the run: {left:?}", left.len()));
     }
     Ok(())
 }

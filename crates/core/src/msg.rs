@@ -1,4 +1,4 @@
-//! ARMCI wire protocol: requests user processes send to server threads,
+//! ARMCI wire protocol: requests user processes send to node servers,
 //! and the reply tags servers answer with.
 //!
 //! One request tag carries every request type (servers process their inbox
@@ -22,7 +22,7 @@ use armci_transport::{ProcId, SegId, Tag};
 
 use crate::strided::Strided2D;
 
-/// Tag of every request sent to a server thread.
+/// Tag of every request sent to a node server.
 pub const TAG_REQ: Tag = Tag(Tag::ARMCI_BASE);
 /// Tag of VIA-mode per-put acknowledgements (body: destination node id).
 pub const TAG_PUT_ACK: Tag = Tag(Tag::ARMCI_BASE + 1);
@@ -58,7 +58,7 @@ pub enum RmwOp {
     },
 }
 
-/// A request to a server thread, generic over its payload containers: `B`
+/// A request to a node server, generic over its payload containers: `B`
 /// holds bytes, `R` the `(offset, len)` runs of a vector request, `F`
 /// accumulate values. Name it through [`Req`], [`ReqRef`] or [`ReqView`].
 #[derive(Clone, Copy, PartialEq, Debug)]

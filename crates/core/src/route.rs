@@ -3,7 +3,7 @@
 //!
 //! The paper's cost model rests on a single distinction — a node-local
 //! target is served "directly through shared memory", everything else
-//! goes through the destination's server thread (§2) — and the shm data
+//! goes through the destination's server (§2) — and the shm data
 //! plane adds a third answer: same host, other process, segment mapped.
 //! Every data operation, the lock fast paths and hierarchy formation
 //! `match` on the [`Route`] resolved here; nothing else in the crate

@@ -1,5 +1,5 @@
-//! Runtime entry points: build a cluster, spawn server threads and user
-//! processes, run an SPMD function, tear everything down.
+//! Runtime entry points: build a cluster, start each node's server and
+//! user processes, run an SPMD function, tear everything down.
 //!
 //! Two transport backends share all of the machinery here:
 //!
@@ -12,14 +12,20 @@
 //!   the unit-test mode), while [`run_cluster_spawned`] actually spawns
 //!   one child process per extra node.
 //!
-//! Either way, a node's endpoints are identical: one thread per user
-//! process (each receiving its own [`Armci`] handle) and one server
-//! thread, all sharing the node's `Segment`s.
+//! Either way, a node hosts one thread per user process (each receiving
+//! its own [`Armci`] handle) and one [`Server`], all sharing the node's
+//! `Segment`s. Where the server runs is the one difference: the emulator
+//! gives it the paper's server thread ([`server_loop`]); on netfab the
+//! node's event loop serves every request where its frame lands, and a
+//! node-local request is served on the thread that sends it, so a netfab
+//! node starts no server thread.
 
 use std::sync::Arc;
+use std::thread::JoinHandle;
 
 use armci_msglib::Group;
 use armci_transport::{Cluster, Mailbox, MemoryRegistry, NodeId, ProcId, SegId, Topology};
+use parking_lot::Mutex;
 
 use crate::armci::Armci;
 use crate::config::ArmciCfg;
@@ -27,7 +33,7 @@ use crate::errors::ArmciError;
 use crate::group::ProcGroup;
 use crate::layout;
 use crate::msg::ReqRef;
-use crate::server::server_loop;
+use crate::server::{server_loop, Server};
 use crate::shm::ShmDataPlane;
 
 /// Run `f` as an SPMD program on an emulated cluster described by `cfg`:
@@ -99,25 +105,32 @@ where
     }
 
     let f = Arc::new(f);
-    let nodes: Vec<NodeThreads<T>> = topo
+    let nodes: Vec<_> = topo
         .all_nodes()
         .map(|n| {
+            let (mb, reg, ack) = (cluster.take_server(n), registry.clone(), cfg.ack_mode);
+            let server = std::thread::Builder::new()
+                .name(format!("server-{}", n.0))
+                .spawn(move || server_loop(mb, reg, ack))
+                .expect("spawn server thread");
             let procs = topo.procs_on(n).map(|r| (ProcId(r), cluster.take_proc(ProcId(r)))).collect();
             // The emulator keeps every node in this process: the in-process
             // registry already covers all memory, so no shm plane.
             let mem = MemPlanes { registry: &registry, shm: &None };
-            spawn_node(n, procs, cluster.take_server(n), mem, &cfg, &f)
+            (n, server, spawn_procs(procs, mem, &cfg, &f))
         })
         .collect();
-    (join_nodes(nodes), trace)
-}
-
-/// The threads of one node: its server and its user processes.
-struct NodeThreads<T> {
-    node: NodeId,
-    /// Yields how many requests the server refused.
-    server: std::thread::JoinHandle<u64>,
-    users: Vec<std::thread::JoinHandle<T>>,
+    // Ranks are node-major, so node order is rank order. Rank 0 stops
+    // every server before it returns, so no join waits on a server nobody
+    // will stop.
+    let mut results = Vec::new();
+    let mut refused = Vec::new();
+    for (n, server, users) in nodes {
+        results.extend(join_procs(users));
+        refused.push((n, server.join().expect("server thread panicked")));
+    }
+    assert_nothing_refused(&refused);
+    (results, trace)
 }
 
 /// The memory planes a node's endpoint threads share: the process-wide
@@ -127,29 +140,20 @@ struct MemPlanes<'a> {
     shm: &'a Option<Arc<ShmDataPlane>>,
 }
 
-/// Spawn one node's endpoint threads over already-taken mailboxes: the
-/// node's one server and one user-process thread per local rank.
-/// Backend-agnostic — the mailboxes may be emulator or netfab ones.
-fn spawn_node<T, F>(
-    node: NodeId,
+/// Spawn one user-process thread per local rank over already-taken
+/// mailboxes. Backend-agnostic — the mailboxes may be emulator or netfab
+/// ones.
+fn spawn_procs<T, F>(
     procs: Vec<(ProcId, Mailbox)>,
-    server_mb: Mailbox,
     mem: MemPlanes<'_>,
     cfg: &ArmciCfg,
     f: &Arc<F>,
-) -> NodeThreads<T>
+) -> Vec<JoinHandle<T>>
 where
     T: Send + 'static,
     F: Fn(&mut Armci) -> T + Send + Sync + 'static,
 {
-    let registry = mem.registry.clone();
-    let ack = cfg.ack_mode;
-    let server = std::thread::Builder::new()
-        .name(format!("server-{}", node.0))
-        .spawn(move || server_loop(server_mb, registry, ack))
-        .expect("spawn server thread");
-
-    let users = procs
+    procs
         .into_iter()
         .map(|(p, mb)| {
             let registry = mem.registry.clone();
@@ -161,9 +165,7 @@ where
                 .spawn(move || user_proc_main(p, mb, registry, shm, &cfg, &*f))
                 .expect("spawn user process thread")
         })
-        .collect();
-
-    NodeThreads { node, server, users }
+        .collect()
 }
 
 /// The body of one user-process thread: build the [`Armci`] handle, run
@@ -215,7 +217,9 @@ where
     // failure stops all servers itself: the local server is always
     // reachable (in-process channel), sends over dead links are dropped
     // silently, and a server consumes at most one Shutdown before exiting,
-    // so duplicates are harmless.
+    // so duplicates are harmless. On netfab, where the event loop serves
+    // until the fabric closes, `Shutdown` is a no-op that keeps the trace
+    // identical to the emulator's.
     let teardown = armci.try_barrier();
     if armci.rank() == 0 || teardown.is_err() {
         for n in 0..nnodes {
@@ -225,26 +229,19 @@ where
     out
 }
 
-/// Join each node's user threads (collecting results in rank order —
-/// ranks are node-major, so node order is rank order), then its server.
-/// Rank 0 stops every server before it returns, so no join waits on a
-/// server nobody will stop.
-///
-/// Panics, once every thread is joined, if a server refused a request:
-/// every node runs this same program, so a request naming memory its
-/// target never registered is a bug in it, and must not pass silently.
-fn join_nodes<T>(nodes: Vec<NodeThreads<T>>) -> Vec<T> {
-    let mut results = Vec::new();
-    let mut refused = Vec::new();
-    for nt in nodes {
-        results.extend(nt.users.into_iter().map(|h| h.join().expect("user process panicked")));
-        match nt.server.join().expect("server thread panicked") {
-            0 => {}
-            n => refused.push(format!("node {} refused {n}", nt.node.0)),
-        }
-    }
+/// Join one node's user threads, collecting results in rank order.
+fn join_procs<T>(users: Vec<JoinHandle<T>>) -> Vec<T> {
+    users.into_iter().map(|h| h.join().expect("user process panicked")).collect()
+}
+
+/// Panics, once every node's server has stopped serving, if one refused a
+/// request: every node runs this same program, so a request naming memory
+/// its target never registered is a bug in it, and must not pass
+/// silently.
+fn assert_nothing_refused(refused: &[(NodeId, u64)]) {
+    let refused: Vec<String> =
+        refused.iter().filter(|&&(_, k)| k > 0).map(|(n, k)| format!("node {} refused {k}", n.0)).collect();
     assert!(refused.is_empty(), "servers refused malformed or out-of-range requests: {}", refused.join(", "));
-    results
 }
 
 // ----------------------------------------------------------------------
@@ -252,14 +249,15 @@ fn join_nodes<T>(nodes: Vec<NodeThreads<T>>) -> Vec<T> {
 // ----------------------------------------------------------------------
 
 /// Run this *node's* share of an SPMD program over an established netfab
-/// fabric: spawn the node's server plus one thread per local rank, run
-/// `f` on each, tear down collectively.
+/// fabric: install the node's server as the fabric's agent (the event
+/// loop serves every request where it lands — no server thread), spawn
+/// one thread per local rank, run `f` on each, tear down collectively.
 ///
 /// Returns the results of the ranks hosted on this node, in rank order.
 /// Teardown matches the emulator path — after the final barrier, rank 0
-/// (wherever it lives) sends `Shutdown` to every server over the wire —
-/// so every node process converges on [`armci_netfab::NodeFabric::shutdown`]
-/// together.
+/// (wherever it lives) sends `Shutdown` to every server over the wire (a
+/// no-op here, kept so traces match) — and every node process converges
+/// on [`armci_netfab::NodeFabric::shutdown`] together.
 ///
 /// Unlike the emulator, each node process holds a *per-node* memory
 /// registry: only local ranks' segments are registered. That is safe
@@ -305,11 +303,21 @@ where
         assert_eq!(id, SegId(0), "sync segment must be the first registration");
     }
 
+    // The node's one server, behind one lock: the event loop and any
+    // local rank sending to its own node's server may serve at once.
+    let server = Arc::new(Mutex::new(Server::new(registry.clone(), topo.clone(), node, cfg.ack_mode)));
+    let agent = server.clone();
+    fabric.serve_with(Box::new(move |m, mut reply| {
+        agent.lock().serve_frame(m.src, &m.body, &mut reply);
+    }));
+
     let procs = topo.procs_on(node).map(|r| (ProcId(r), fabric.take_proc(ProcId(r)))).collect();
     let mem = MemPlanes { registry: &registry, shm: &shm };
-    let nt = spawn_node(node, procs, fabric.take_server(), mem, &cfg, &f);
-    let results = join_nodes(vec![nt]);
+    let results = join_procs(spawn_procs(procs, mem, &cfg, &f));
+    // Joins the event loop: nothing is served after this.
     fabric.shutdown();
+    let refused = server.lock().refused();
+    assert_nothing_refused(&[(node, refused)]);
     results
 }
 
@@ -357,7 +365,9 @@ where
         .collect();
     let mut results = Vec::new();
     for h in handles {
-        results.extend(h.join().expect("node runner panicked"));
+        // A node's failure (a refused request, a rank's panic) carries its
+        // own message: re-raise it rather than wrap it.
+        results.extend(h.join().unwrap_or_else(|e| std::panic::resume_unwind(e)));
     }
     (results, trace)
 }

@@ -1,12 +1,23 @@
-//! The per-node server thread (paper §2, Figure 1).
+//! The per-node server (paper §2, Figure 1).
 //!
-//! One server thread runs per node, handling remote-memory requests for
-//! every user process hosted there; it is the node's only service agent,
-//! so data, atomics, lock traffic and fence confirmations share one
-//! inbox. It shares the node's memory segments (through the registry),
-//! processes that inbox strictly in arrival order — the FIFO property
-//! GM-mode fencing relies on — and sleeps in a blocking receive when
-//! idle, as the paper describes.
+//! One [`Server`] per node handles remote-memory requests for every user
+//! process hosted there; it is the node's only service agent, so data,
+//! atomics, lock traffic and fence confirmations share one FIFO per
+//! source. It shares the node's memory segments (through the registry)
+//! and serves each source's requests strictly in arrival order — the
+//! FIFO property GM-mode fencing relies on. Where it runs depends on the
+//! backend:
+//!
+//! * on the **emulator** it is the paper's server thread: [`server_loop`]
+//!   sleeps in a blocking receive on the node's inbox when idle (the
+//!   latency-stamped inbox needs a thread that waits);
+//! * on **netfab** there is no server thread: the node's event loop is
+//!   the agent. It calls [`Server::serve_frame`] inline for every frame
+//!   addressed to the node's server, in the order it reads them, and a
+//!   node-local request (a hybrid unlock, `Shutdown`) is served on the
+//!   sending thread. The runtime keeps the `Server` behind one lock, and
+//!   `Shutdown` — still sent, so traces match the emulator's — is a
+//!   no-op there.
 //!
 //! The server also implements the *server side* of the baseline hybrid
 //! lock (§3.2.1): it takes tickets on behalf of remote requesters, queues
@@ -60,21 +71,14 @@ pub(crate) fn server_loop(mut mb: Mailbox, registry: Arc<MemoryRegistry>, ack_mo
     // Serve until a Shutdown request arrives or the fabric is torn down
     // (every sender dropped).
     while let Ok(m) = mb.recv() {
-        // Borrowed decode: put/accumulate payloads are applied straight
-        // from the message body into the target segment — no intermediate
-        // copy. A frame that does not decode is refused.
-        let Ok(req) = ReqView::decode(&m.body) else {
-            server.refused += 1;
-            continue;
-        };
-        if !server.serve(m.src, req, &mut |to, tag, body| mb.send(to, tag, body)) {
+        if !server.serve_frame(m.src, &m.body, &mut |to, tag, body| mb.send(to, tag, body)) {
             break;
         }
     }
     server.refused
 }
 
-/// One node's service agent: what [`server_loop`] keeps between requests.
+/// One node's service agent: what it keeps between requests.
 pub(crate) struct Server {
     registry: Arc<MemoryRegistry>,
     topo: Topology,
@@ -103,6 +107,31 @@ impl Server {
             reply_pool: BodyPool::new(4),
             refused: 0,
         }
+    }
+
+    /// Decode and serve one request frame from `src`, handing every reply
+    /// to `send`; a frame that does not decode is refused. Returns `false`
+    /// once the request is `Shutdown`.
+    pub(crate) fn serve_frame(
+        &mut self,
+        src: Endpoint,
+        frame: &[u8],
+        send: &mut impl FnMut(Endpoint, Tag, Body),
+    ) -> bool {
+        // Borrowed decode: put/accumulate payloads are applied straight
+        // from the frame into the target segment — no intermediate copy.
+        match ReqView::decode(frame) {
+            Ok(req) => self.serve(src, req, send),
+            Err(_) => {
+                self.refused += 1;
+                true
+            }
+        }
+    }
+
+    /// Requests refused so far: undecodable, or refused by the checks.
+    pub(crate) fn refused(&self) -> u64 {
+        self.refused
     }
 
     /// Serve one request from `src`, handing every reply to `send`.

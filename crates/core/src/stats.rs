@@ -21,7 +21,7 @@ pub(crate) enum OpClass {
 /// Counts of operations performed by one process since init.
 #[derive(Clone, Copy, Default, Debug, PartialEq, Eq)]
 pub struct Stats {
-    /// Messages sent to server threads (requests of any kind).
+    /// Messages sent to node servers (requests of any kind).
     pub server_msgs: u64,
     /// Messages sent to other processes (collectives, user P2P).
     pub p2p_msgs: u64,

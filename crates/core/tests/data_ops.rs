@@ -7,7 +7,7 @@ use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 use armci_core::Strided2D;
-use armci_core::{run_cluster, AckMode, ArmciCfg, ArmciCfg as Cfg, GlobalAddr, RmwOp};
+use armci_core::{run_cluster, run_cluster_net_loopback, AckMode, Armci, ArmciCfg, ArmciCfg as Cfg, GlobalAddr, RmwOp};
 use armci_transport::{LatencyModel, ProcId, SegId};
 
 fn zero_lat(nodes: u32) -> ArmciCfg {
@@ -298,15 +298,19 @@ fn smp_mixed_local_remote_barrier() {
 /// where they land: the server drops them and keeps serving, so a later
 /// put, fence and get to the same node succeed (the refused puts still
 /// count as completed, so fences and the teardown barrier drain). Once
-/// every thread has joined, the run reports the refusals by failing.
+/// every thread has joined, the run reports the refusals by failing. The
+/// loopback-TCP leg (plane pinned off, so the puts ride the wire) counts
+/// them on node 1's event loop, which serves its requests.
 #[test]
 fn server_survives_puts_outside_registered_memory() {
     for ack in [AckMode::Gm, AckMode::Via] {
-        let cfg = ArmciCfg { ack_mode: ack, ..zero_lat(2) }.with_op_timeout(Duration::from_secs(5));
-        let got = Arc::new(Mutex::new([0u8; 8]));
-        let seen = got.clone();
-        let run = catch_unwind(AssertUnwindSafe(|| {
-            run_cluster(cfg, move |a| {
+        for tcp in [false, true] {
+            let cfg = ArmciCfg { ack_mode: ack, ..zero_lat(2) }
+                .with_op_timeout(Duration::from_secs(5))
+                .with_shm_plane(Some(false));
+            let got = Arc::new(Mutex::new([0u8; 8]));
+            let seen = got.clone();
+            let body = move |a: &mut Armci| {
                 let seg = a.malloc(64);
                 let peer = ProcId(1);
                 if a.rank() == 0 {
@@ -319,11 +323,18 @@ fn server_survives_puts_outside_registered_memory() {
                     *seen.lock().unwrap() = buf;
                 }
                 a.barrier();
-            })
-        }));
-        let err = run.expect_err("refused requests must fail the run");
-        let msg = err.downcast_ref::<String>().map_or("", String::as_str);
-        assert!(msg.contains("node 1 refused 2"), "{ack:?}: {msg}");
-        assert_eq!(*got.lock().unwrap(), [3; 8], "{ack:?}");
+            };
+            let run = catch_unwind(AssertUnwindSafe(|| {
+                if tcp {
+                    run_cluster_net_loopback(cfg, body)
+                } else {
+                    run_cluster(cfg, body)
+                }
+            }));
+            let err = run.expect_err("refused requests must fail the run");
+            let msg = err.downcast_ref::<String>().map_or("", String::as_str);
+            assert!(msg.contains("node 1 refused 2"), "{ack:?}, tcp {tcp}: {msg}");
+            assert_eq!(*got.lock().unwrap(), [3; 8], "{ack:?}, tcp {tcp}");
+        }
     }
 }

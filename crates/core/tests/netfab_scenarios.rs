@@ -175,6 +175,38 @@ fn via_ack_mode_fence_all_backends() {
     }
 }
 
+/// A bulk put, then a word put over its first word, then a fence: the
+/// read-back shows the word. Both requests ride one link to one agent,
+/// which applies each source's requests in arrival order — per-link FIFO
+/// is all that orders them, since nothing queues requests on netfab.
+fn bulk_then_word(a: &mut Armci) -> bool {
+    const BULK: usize = 64 << 10;
+    let seg = a.malloc(BULK);
+    a.barrier();
+    let dst = GlobalAddr::new(ProcId(1), seg, 0);
+    let mut ok = true;
+    if a.rank() == 0 {
+        a.try_put(dst, &vec![0xAB; BULK]).expect("bulk put");
+        a.try_put(dst, &7u64.to_le_bytes()).expect("word put");
+        a.try_fence(ProcId(1)).expect("fence");
+        let mut back = [0u8; 16];
+        a.try_get(dst, &mut back).expect("read-back");
+        ok = back[..8] == 7u64.to_le_bytes() && back[8..] == [0xAB; 8];
+    }
+    a.barrier();
+    ok
+}
+
+#[test]
+fn word_put_after_bulk_put_lands_last_all_backends() {
+    for b in ALL {
+        for ack in [AckMode::Gm, AckMode::Via] {
+            let out = run(b, zero_lat(2).with_ack_mode(ack), bulk_then_word);
+            assert!(out.into_iter().all(|ok| ok), "{b:?} {ack:?}: the bulk put overwrote the word");
+        }
+    }
+}
+
 // ----------------------------------------------------------------------
 // locks scenarios
 // ----------------------------------------------------------------------

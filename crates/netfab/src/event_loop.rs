@@ -14,18 +14,21 @@
 //!
 //! **Everything else is the loop's.** It multiplexes the links over
 //! [`crate::poller::PollSet`] (`poll(2)`): readiness-driven reads feed the
-//! shared [`crate::frames::FrameDecoder`] and land in the per-endpoint
-//! inboxes through [`crate::frames::deliver`]. A scripted `StallWriter`
-//! is a deadline on the link's write half that bounds the `poll`
-//! timeout. The loop never blocks outside `poll`; each node's IO is
-//! exactly one thread.
+//! shared [`crate::frames::FrameDecoder`]. A frame for a local process
+//! lands in its inbox; a request to `Server(node)` is served right here,
+//! by the node's agent, in the order the loop reads it — the loop is the
+//! node's service agent, and each source link is one FIFO. A scripted
+//! `StallWriter` is a deadline on the link's write half that bounds the
+//! `poll` timeout. The loop never blocks outside `poll` (and the agent's
+//! lock, held only while one request is applied); each node's IO and
+//! service is exactly one thread.
 //!
 //! **Fail-stop.** A link that errors, desynchronises or is cut by a fault
 //! marks its [`Session`] dead and is never reconnected; a clean EOF marks
 //! it closed. Either way every local mailbox reports the peer lost.
 //!
-//! Lock order: a [`LinkTx`]'s write half, then its queue (a leaf).
-//! Nothing blocks while holding either.
+//! Lock order: the agent's lock, then a [`LinkTx`]'s write half, then its
+//! queue (a leaf). Nothing blocks while holding either link lock.
 
 #![deny(clippy::unwrap_used, clippy::expect_used)] // IO loop: every failure must become a session transition
 
@@ -37,12 +40,11 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError, TryLockError};
 use std::time::{Duration, Instant};
 
-use armci_transport::{BodyPool, Msg, Topology};
-use crossbeam_channel::Sender;
+use armci_transport::{BodyPool, Endpoint, Msg};
 
-use crate::fabric::{KillSwitch, WireMsg};
+use crate::fabric::{KillSwitch, Outbox, WireMsg};
 use crate::fault::{FaultAction, FaultSpec};
-use crate::frames::{self, DryReader, FrameDecoder, Progress};
+use crate::frames::{DryReader, FrameDecoder, Progress};
 use crate::poller::{Interest, PollSet, WakeHandle, WakePipe};
 use crate::session::{Session, SESS_UP};
 use crate::wire::{self, HEADER_LEN};
@@ -288,8 +290,8 @@ impl LinkTx {
 
 /// Everything [`run`] needs for one node's loop.
 pub(crate) struct LoopCfg {
-    pub topo: Topology,
-    pub local_txs: Vec<Option<Sender<Msg>>>,
+    /// The node's send path: inboxes, links and the server agent.
+    pub out: Arc<Outbox>,
     pub kill: Arc<KillSwitch>,
     /// Per peer link: its shared write half and its nonblocking read
     /// handle.
@@ -333,13 +335,38 @@ impl PeerLink {
     }
 }
 
-/// Loop-wide context (only `local_txs` is ever mutated: the senders are
-/// dropped once every link's reader is done, so blocked receivers see the
-/// disconnect).
+/// Loop-wide context.
 struct Ctx {
-    topo: Topology,
-    local_txs: Vec<Option<Sender<Msg>>>,
+    out: Arc<Outbox>,
     kill: Arc<KillSwitch>,
+    /// Requests to `Server(node)` read before the runtime installed the
+    /// agent, in arrival order; served first once it is.
+    early: Vec<Msg>,
+}
+
+impl Ctx {
+    /// Hand one decoded frame to its endpoint: a process's inbox, or the
+    /// node's agent, which serves it here on the loop thread.
+    fn deliver(&mut self, f: wire::Frame) {
+        let m = Msg { src: f.src, tag: f.tag, body: f.body };
+        if f.dst != Endpoint::Server(self.out.node) {
+            self.out.to_inbox(f.dst, m);
+        } else if !self.early.is_empty() {
+            // Behind the held ones: one FIFO per source.
+            self.early.push(m);
+        } else if let Err(m) = self.out.serve(m) {
+            self.early.push(m);
+        }
+    }
+
+    /// Serve the held requests once the agent is installed.
+    fn serve_early(&mut self) {
+        if !self.early.is_empty() && self.out.has_agent() {
+            for m in self.early.drain(..) {
+                let _ = self.out.serve(m);
+            }
+        }
+    }
 }
 
 /// Enact one scripted fault (see [`crate::fault`]) against `link`. The
@@ -420,15 +447,15 @@ fn pump_writes(link: &mut PeerLink, tx: &LinkTx, ctx: &Ctx, now: Instant) {
 }
 
 /// Decode and deliver everything the socket has for us right now.
-fn pump_reads(link: &mut PeerLink, tx: &LinkTx, ctx: &Ctx) {
+fn pump_reads(link: &mut PeerLink, tx: &LinkTx, ctx: &mut Ctx) {
     if let Some(r) = &mut link.reader {
         r.get_mut().dry = false; // a readable event: the socket holds data again
     }
     loop {
         let Some(r) = &mut link.reader else { return };
-        match link.dec.poll_step(r, &ctx.topo, &mut link.pool) {
+        match link.dec.poll_step(r, &ctx.out.topo, &mut link.pool) {
             Ok(Progress::NeedMore) => return,
-            Ok(Progress::Item(f)) => frames::deliver(&ctx.topo, &ctx.local_txs, f),
+            Ok(Progress::Item(f)) => ctx.deliver(f),
             Ok(Progress::CleanEof) => {
                 // Collective teardown (or a peer death at an exact
                 // boundary, which is indistinguishable).
@@ -446,8 +473,8 @@ fn pump_reads(link: &mut PeerLink, tx: &LinkTx, ctx: &Ctx) {
 
 /// The node's IO loop. Returns once every peer link is finished.
 pub(crate) fn run(cfg: LoopCfg, mut wake: WakePipe) {
-    let LoopCfg { topo, local_txs, kill, peers } = cfg;
-    let mut ctx = Ctx { topo, local_txs, kill };
+    let LoopCfg { out, kill, peers } = cfg;
+    let mut ctx = Ctx { out, kill, early: Vec::new() };
     let mut links = Vec::with_capacity(peers.len());
     let mut txs = Vec::with_capacity(peers.len());
     for (tx, stream) in peers {
@@ -463,8 +490,8 @@ pub(crate) fn run(cfg: LoopCfg, mut wake: WakePipe) {
     }
 
     let mut set = PollSet::new();
-    let mut inboxes_open = true;
     loop {
+        ctx.serve_early();
         let now = Instant::now();
         let mut stall_ends: Option<Instant> = None;
         for (link, tx) in links.iter_mut().zip(&txs) {
@@ -483,15 +510,6 @@ pub(crate) fn run(cfg: LoopCfg, mut wake: WakePipe) {
                 }
                 link.write_shut = true;
             }
-        }
-        if inboxes_open && links.iter().all(|l| l.sess.is_terminal()) {
-            // Nothing more can arrive: drop our inbox senders so
-            // endpoints blocked in recv get their RecvError as soon as
-            // the fabric side lets go too.
-            for tx in ctx.local_txs.iter_mut() {
-                *tx = None;
-            }
-            inboxes_open = false;
         }
         if links.iter().all(|l| l.write_shut && l.sess.is_terminal()) {
             return;
@@ -521,7 +539,7 @@ pub(crate) fn run(cfg: LoopCfg, mut wake: WakePipe) {
                 // resumes the partial write and refills from the queue.
                 _ if readable => {
                     let i = tok - TOK_BASE;
-                    pump_reads(&mut links[i], &txs[i], &ctx);
+                    pump_reads(&mut links[i], &txs[i], &mut ctx);
                 }
                 _ => {}
             }
@@ -536,7 +554,7 @@ mod tests {
     use crate::boot::Mesh;
     use crate::fabric::{NetOpts, NodeFabric};
     use crate::fault::{FaultPlan, FaultSpec};
-    use armci_transport::{Endpoint, NodeId, ProcId, Tag};
+    use armci_transport::{NodeId, ProcId, Tag, Topology};
     use std::net::TcpListener;
 
     fn loopback(topo: &Topology, faults: FaultPlan) -> Vec<NodeFabric> {

@@ -1,12 +1,14 @@
 //! The per-node network fabric: endpoint mailboxes backed by TCP.
 //!
 //! One OS process hosts one *node* — its user processes (threads) and its
-//! server thread, exactly the SMP-node model of the emulator. Intra-node
+//! service agent, exactly the SMP-node model of the emulator. Intra-node
 //! messages hop directly between in-process channels (node-local
 //! endpoints share `Segment`s anyway); inter-node messages go through:
 //!
 //! ```text
-//! sender thread ── peer_txs[n].submit ──▶ TCP ──▶ peer's event loop ── local_txs[ep] ──▶ inbox
+//! sender thread ── peer_txs[n].submit ──▶ TCP ──▶ peer's event loop ─┬─ Proc(p) ───▶ local_txs[p] ──▶ inbox
+//!                                                                    └─ Server(n) ──▶ agent, inline
+//!                                                                                     (replies: submit)
 //! ```
 //!
 //! * **writes happen on the sending thread**: `send` submits to the
@@ -15,8 +17,17 @@
 //!   write, and whatever a sender cannot finish is handed to the loop;
 //! * **one event-loop thread per node** (see `event_loop.rs`) does all the
 //!   reading: it decodes frames into [`armci_transport::BodyPool`] buffers
-//!   and demuxes them by the header's destination endpoint into the
-//!   per-endpoint inboxes.
+//!   and demuxes them by the header's destination endpoint — a process's
+//!   frame into its inbox, a request to `Server(node)` straight into the
+//!   node's service agent ([`ServerAgent`], installed by
+//!   [`NodeFabric::serve_with`]), in the order the loop reads them. So the
+//!   loop *is* the node's server: there is no server thread and no server
+//!   inbox, one FIFO per source link, and a node-local send to
+//!   `Server(node)` is served on the sending thread.
+//!
+//! Every send — a mailbox's, or a reply of the agent wherever it runs —
+//! goes through one function (`Outbox::send`), so the trace and the
+//! wire counters see the same messages whichever thread sent them.
 //!
 //! Every peer link is owned by a [`Session`] (see [`crate::session`]), a
 //! thin fail-stop wrapper over the boot-time stream: a connection error
@@ -25,12 +36,12 @@
 //! Teardown is EOF-driven: when a node drops its fabric (all mailboxes
 //! already returned), its links close, the loop drains and flushes what
 //! was queued and shuts down each socket's write half; the peer's loop
-//! sees clean EOF and drops its inbox senders. An endpoint blocked in
-//! `recv` then gets [`RecvError`] exactly as on the emulator.
+//! sees clean EOF and exits. The agent serves until then, so requests
+//! still in flight at teardown are answered.
 
 use std::net::TcpListener;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 use std::thread::JoinHandle;
 use std::time::Instant;
 
@@ -103,16 +114,24 @@ pub(crate) struct WireMsg {
     pub(crate) body: Body,
 }
 
-/// State shared by every local endpoint's mailbox (and nothing else: the
-/// event loop deliberately holds only what it needs, so dropping the
-/// fabric and its mailboxes is what closes the links).
-struct NodeShared {
-    topo: Topology,
-    node: NodeId,
-    /// Zero: the real wire charges its own latency.
-    latency: LatencyModel,
+/// A node's service agent: applies one request addressed to
+/// `Server(node)` and hands every reply to `reply`. The event loop calls
+/// it for each such frame it reads, in the order it reads them; a
+/// node-local send to `Server(node)` calls it on the sending thread. It
+/// may therefore run on two threads at once, and must order its own state
+/// (the runtime keeps its server behind one lock).
+pub type ServerAgent = Box<dyn Fn(Msg, &mut dyn FnMut(Endpoint, Tag, Body)) + Send + Sync>;
+
+/// The node's one send path: where every local mailbox's sends and every
+/// reply of the server agent go, so the trace and the wire counters see
+/// the same messages whichever thread sent them. Shared by the mailboxes
+/// (through [`NodeShared`]) and by the event loop, which serves requests
+/// through it; it holds nothing that keeps the links open.
+pub(crate) struct Outbox {
+    pub(crate) topo: Topology,
+    pub(crate) node: NodeId,
     /// Inbox senders, indexed by dense endpoint index; `Some` only for
-    /// this node's endpoints.
+    /// this node's processes.
     local_txs: Vec<Option<Sender<Msg>>>,
     /// Each peer link's shared write half, indexed by peer node; `None`
     /// at our index. The sending thread usually writes the socket itself.
@@ -122,12 +141,78 @@ struct NodeShared {
     wire_msgs: Vec<AtomicU64>,
     wire_bytes: Vec<AtomicU64>,
     trace: Option<Arc<Trace>>,
+    /// The node's service agent, once the runtime installs it.
+    agent: OnceLock<ServerAgent>,
+}
+
+impl Outbox {
+    /// Send `body` from local endpoint `src` (dense index `from`) to `dst`:
+    /// into a local inbox, into the agent for `Server(node)`, or onto the
+    /// destination node's link.
+    pub(crate) fn send(&self, from: usize, src: Endpoint, dst: Endpoint, tag: Tag, body: Body) {
+        if let Some(trace) = &self.trace {
+            trace.record(from, src, dst, tag, body.len());
+        }
+        let dst_node = node_of_endpoint(&self.topo, dst);
+        if dst == Endpoint::Server(self.node) {
+            // Node-local request: served here, on the sending thread.
+            if self.serve(Msg { src, tag, body }).is_err() {
+                panic!("request to {dst:?} before NodeFabric::serve_with installed its agent");
+            }
+        } else if dst_node == self.node {
+            // Node-local: straight into the destination inbox, no wire.
+            self.to_inbox(dst, Msg { src, tag, body });
+        } else {
+            self.wire_msgs[from].fetch_add(1, Ordering::Relaxed);
+            self.wire_bytes[from].fetch_add(body.len() as u64, Ordering::Relaxed);
+            if let Some(link) = &self.peer_txs[dst_node.idx()] {
+                link.submit(WireMsg { dst, src, tag, body });
+            }
+        }
+    }
+
+    /// Run the agent on one request, its replies sent as `Server(node)`.
+    /// Hands the request back if no agent is installed yet.
+    pub(crate) fn serve(&self, m: Msg) -> Result<(), Msg> {
+        let Some(agent) = self.agent.get() else { return Err(m) };
+        let me = Endpoint::Server(self.node);
+        let from = endpoint_index(&self.topo, me);
+        agent(m, &mut |dst, tag, body| {
+            // A reply to the agent itself would re-enter it; only a forged
+            // source names it, so the reply is dropped.
+            if dst != me {
+                self.send(from, me, dst, tag, body);
+            }
+        });
+        Ok(())
+    }
+
+    pub(crate) fn has_agent(&self) -> bool {
+        self.agent.get().is_some()
+    }
+
+    /// Put `m` in local process `dst`'s inbox.
+    pub(crate) fn to_inbox(&self, dst: Endpoint, m: Msg) {
+        if let Some(tx) = &self.local_txs[endpoint_index(&self.topo, dst)] {
+            let _ = tx.send(m);
+        }
+    }
+}
+
+/// State shared by every local endpoint's mailbox (and by nothing else:
+/// the event loop holds only the [`Outbox`], so dropping the fabric and
+/// its mailboxes is what closes the links).
+struct NodeShared {
+    out: Arc<Outbox>,
+    /// Zero: the real wire charges its own latency.
+    latency: LatencyModel,
     /// Per-peer sessions, indexed by peer node; `None` at our index.
     sessions: Vec<Option<Arc<Session>>>,
     /// Set by a soft [`crate::FaultAction::KillNode`]: this node itself is gone.
     node_dead: Arc<AtomicBool>,
-    /// Event-loop doorbell, rung here only at teardown (senders ring it
-    /// through their link when they cannot finish a write themselves).
+    /// Event-loop doorbell, rung here only at install and teardown
+    /// (senders ring it through their link when they cannot finish a
+    /// write themselves).
     waker: Arc<WakeHandle>,
 }
 
@@ -135,7 +220,7 @@ impl Drop for NodeShared {
     fn drop(&mut self) {
         // The last mailbox is gone: no sender is left, so the loop may
         // drain each link and half-close it.
-        for link in self.peer_txs.iter().flatten() {
+        for link in self.out.peer_txs.iter().flatten() {
             link.close();
         }
     }
@@ -155,7 +240,7 @@ impl MailboxBackend for NetMailbox {
     }
 
     fn topology(&self) -> &Topology {
-        &self.shared.topo
+        &self.shared.out.topo
     }
 
     fn latency_model(&self) -> &LatencyModel {
@@ -163,23 +248,7 @@ impl MailboxBackend for NetMailbox {
     }
 
     fn send(&mut self, dst: Endpoint, tag: Tag, body: Body) {
-        let sh = &self.shared;
-        if let Some(trace) = &sh.trace {
-            trace.record(self.my_index, self.me, dst, tag, body.len());
-        }
-        let dst_node = node_of_endpoint(&sh.topo, dst);
-        if dst_node == sh.node {
-            // Node-local: straight into the destination inbox, no wire.
-            if let Some(tx) = &sh.local_txs[endpoint_index(&sh.topo, dst)] {
-                let _ = tx.send(Msg { src: self.me, tag, body });
-            }
-        } else {
-            sh.wire_msgs[self.my_index].fetch_add(1, Ordering::Relaxed);
-            sh.wire_bytes[self.my_index].fetch_add(body.len() as u64, Ordering::Relaxed);
-            if let Some(link) = &sh.peer_txs[dst_node.idx()] {
-                link.submit(WireMsg { dst, src: self.me, tag, body });
-            }
-        }
+        self.shared.out.send(self.my_index, self.me, dst, tag, body);
     }
 
     fn recv_raw(&mut self) -> Result<Msg, RecvError> {
@@ -203,17 +272,18 @@ impl MailboxBackend for NetMailbox {
     }
 
     fn wire_counters(&self) -> WireCounters {
+        let out = &self.shared.out;
         WireCounters {
-            msgs: self.shared.wire_msgs[self.my_index].load(Ordering::Relaxed),
-            bytes: self.shared.wire_bytes[self.my_index].load(Ordering::Relaxed),
+            msgs: out.wire_msgs[self.my_index].load(Ordering::Relaxed),
+            bytes: out.wire_bytes[self.my_index].load(Ordering::Relaxed),
         }
     }
 
     fn lost_peers(&self) -> Vec<NodeId> {
         let sh = &self.shared;
-        (0..sh.topo.nnodes())
+        (0..sh.out.topo.nnodes())
             .filter(|&i| {
-                if i == sh.node.idx() {
+                if i == sh.out.node.idx() {
                     sh.node_dead.load(Ordering::Acquire)
                 } else {
                     sh.sessions[i].as_ref().is_some_and(|s| s.is_terminal())
@@ -225,7 +295,7 @@ impl MailboxBackend for NetMailbox {
 
     fn peer_is_lost(&self, node: NodeId) -> bool {
         let sh = &self.shared;
-        if node == sh.node {
+        if node == sh.out.node {
             return sh.node_dead.load(Ordering::Acquire);
         }
         sh.sessions[node.idx()].as_ref().is_some_and(|s| s.is_terminal())
@@ -260,8 +330,7 @@ impl NodeFabric {
 
         let mut local_txs: Vec<Option<Sender<Msg>>> = (0..n_endpoints).map(|_| None).collect();
         let mut local_rxs: Vec<Option<Receiver<Msg>>> = (0..n_endpoints).map(|_| None).collect();
-        let local_endpoints: Vec<Endpoint> =
-            topo.procs_on(node).map(|p| Endpoint::Proc(ProcId(p))).chain([Endpoint::Server(node)]).collect();
+        let local_endpoints: Vec<Endpoint> = topo.procs_on(node).map(|p| Endpoint::Proc(ProcId(p))).collect();
         for &ep in &local_endpoints {
             let (tx, rx) = crossbeam_channel::unbounded();
             let i = endpoint_index(&topo, ep);
@@ -294,7 +363,17 @@ impl NodeFabric {
             node_dead: node_dead.clone(),
             process_kill: opts.process_faults,
         });
-        let lc = LoopCfg { topo: topo.clone(), local_txs: local_txs.clone(), kill, peers };
+        let out = Arc::new(Outbox {
+            topo: topo.clone(),
+            node,
+            local_txs,
+            peer_txs,
+            wire_msgs: (0..n_endpoints).map(|_| AtomicU64::new(0)).collect(),
+            wire_bytes: (0..n_endpoints).map(|_| AtomicU64::new(0)).collect(),
+            trace: opts.trace,
+            agent: OnceLock::new(),
+        });
+        let lc = LoopCfg { out: out.clone(), kill, peers };
         // A node with no peers has no IO to do.
         let io_thread = if lc.peers.is_empty() {
             None
@@ -306,19 +385,7 @@ impl NodeFabric {
             )
         };
 
-        let shared = Arc::new(NodeShared {
-            topo: topo.clone(),
-            node,
-            latency: LatencyModel::zero(),
-            local_txs,
-            peer_txs,
-            wire_msgs: (0..n_endpoints).map(|_| AtomicU64::new(0)).collect(),
-            wire_bytes: (0..n_endpoints).map(|_| AtomicU64::new(0)).collect(),
-            trace: opts.trace,
-            sessions,
-            node_dead,
-            waker,
-        });
+        let shared = Arc::new(NodeShared { out, latency: LatencyModel::zero(), sessions, node_dead, waker });
 
         let mut mailboxes: Vec<Option<Mailbox>> = (0..n_endpoints).map(|_| None).collect();
         for &ep in &local_endpoints {
@@ -403,7 +470,7 @@ impl NodeFabric {
 
     /// The shared trace, if one was configured.
     pub fn trace(&self) -> Option<Arc<Trace>> {
-        self.shared.trace.clone()
+        self.shared.out.trace.clone()
     }
 
     /// The rendezvous address this fabric bootstrapped against, or `""`
@@ -426,9 +493,16 @@ impl NodeFabric {
         self.take(Endpoint::Proc(p))
     }
 
-    /// Take ownership of this node's server mailbox.
-    pub fn take_server(&mut self) -> Mailbox {
-        self.take(Endpoint::Server(self.node))
+    /// Install this node's service agent: from now on every request to
+    /// `Server(node)` runs through `agent` where it lands — on the event
+    /// loop for a frame off the wire, on the sending thread for a
+    /// node-local send. Requests that arrived earlier were held, in
+    /// arrival order, and are served first. Install it before any local
+    /// process sends to its own node's server (panics if one already is).
+    pub fn serve_with(&mut self, agent: ServerAgent) {
+        assert!(self.shared.out.agent.set(agent).is_ok(), "{} already has a server agent", self.node);
+        // The loop serves what arrived before the agent on its next turn.
+        self.shared.waker.wake();
     }
 
     /// How many times this node's senders (or its teardown) actually rang
@@ -611,6 +685,58 @@ mod tests {
         assert_eq!(trace.len(), 2);
         assert_eq!(trace.total_bytes(), 14);
         assert_eq!(trace.sent_by(Endpoint::Proc(ProcId(0))), 1);
+        drop(a);
+        drop(b);
+        shutdown_all([f0, f1]);
+    }
+
+    /// An agent that sends each request's body back to its source, tagged
+    /// with the order it served them in, and notes which thread served.
+    fn echo_agent(served_on: Arc<std::sync::Mutex<Vec<String>>>) -> ServerAgent {
+        let order = AtomicU64::new(0);
+        Box::new(move |m, reply| {
+            served_on.lock().unwrap().push(std::thread::current().name().unwrap_or_default().to_string());
+            reply(m.src, Tag(order.fetch_add(1, Ordering::Relaxed) as u32), m.body);
+        })
+    }
+
+    #[test]
+    fn requests_are_served_where_they_land() {
+        let mut fabrics = NodeFabric::loopback(&Topology::new(2, 1), true).unwrap();
+        let trace = fabrics[0].trace().unwrap();
+        let mut f1 = fabrics.pop().unwrap();
+        let mut f0 = fabrics.pop().unwrap();
+        let mut a = f0.take_proc(ProcId(0));
+        let mut b = f1.take_proc(ProcId(1));
+        let server = Endpoint::Server(NodeId(1));
+        // Requests that land before node 1 has an agent are held, then
+        // served first, in arrival order. The link is FIFO, so once `b`
+        // has the frame sent after them, node 1's loop has read them all.
+        for i in 0..3u8 {
+            a.send(server, Tag(1), vec![i]);
+        }
+        a.send(Endpoint::Proc(ProcId(1)), Tag(2), vec![]);
+        assert_eq!(b.recv().unwrap().tag, Tag(2));
+        let served_on = Arc::new(std::sync::Mutex::new(Vec::new()));
+        f1.serve_with(echo_agent(served_on.clone()));
+        for i in 3..6u8 {
+            a.send(server, Tag(1), vec![i]);
+        }
+        for i in 0..6u8 {
+            let r = a.recv_timeout(std::time::Duration::from_secs(10)).unwrap().expect("every request is answered");
+            assert_eq!((r.src, r.tag, &r.body[..]), (server, Tag(u32::from(i)), &[i][..]));
+        }
+        // Every wire request ran on node 1's event loop: no server thread.
+        assert!(served_on.lock().unwrap().iter().all(|t| t == "netfab-ev1"), "{served_on:?}");
+        assert_eq!(trace.sent_by(server), 6, "replies are traced as the server's sends");
+
+        // A node-local request runs on the sending thread.
+        b.send(server, Tag(1), vec![9]);
+        let r = b.recv().unwrap();
+        assert_eq!((r.tag, &r.body[..]), (Tag(6), &[9][..]));
+        let here = std::thread::current().name().unwrap_or_default().to_string();
+        assert_eq!(served_on.lock().unwrap().last(), Some(&here));
+        assert_eq!(b.wire_counters(), WireCounters::default());
         drop(a);
         drop(b);
         shutdown_all([f0, f1]);

@@ -3,13 +3,12 @@
 //! The loop reads incrementally from nonblocking sockets
 //! ([`FrameDecoder`]), parking mid-field on `WouldBlock` and resuming on
 //! the next readable event. Decoding goes through the same
-//! [`wire::parse_header`] primitive as the blocking reader, and every
-//! decoded frame is demuxed into its endpoint's inbox by [`deliver`].
+//! [`wire::parse_header`] primitive as the blocking reader; the loop then
+//! hands every decoded frame to its endpoint.
 
 use std::io::{self, Read};
 
-use armci_transport::{endpoint_index, Body, BodyPool, Msg, Topology};
-use crossbeam_channel::Sender;
+use armci_transport::{Body, BodyPool, Topology};
 
 use crate::wire::{self, FrameHeader, HEADER_LEN};
 
@@ -139,13 +138,6 @@ impl FrameDecoder {
                 }
             }
         }
-    }
-}
-
-/// Demux one decoded frame into its destination endpoint's inbox.
-pub(crate) fn deliver(topo: &Topology, local_txs: &[Option<Sender<Msg>>], f: wire::Frame) {
-    if let Some(tx) = &local_txs[endpoint_index(topo, f.dst)] {
-        let _ = tx.send(Msg { src: f.src, tag: f.tag, body: f.body });
     }
 }
 

@@ -16,8 +16,9 @@
 //!
 //! The destination endpoint is part of the header because one socket
 //! carries traffic for *all* endpoints of the destination node (its
-//! processes and its server thread): the receiving node's
-//! event loop demuxes frames into per-endpoint inboxes by this field.
+//! processes and its server): the receiving node's event loop demuxes
+//! frames by this field, into a process's inbox or into the node's
+//! service agent.
 //! Received bodies land in [`BodyPool`] buffers, so the zero-copy apply
 //! path downstream (borrowed decode, direct-to-segment writes) works
 //! unchanged on the network path.

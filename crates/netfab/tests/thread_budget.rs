@@ -7,29 +7,11 @@
 
 #![cfg(target_os = "linux")]
 
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
+use armci_netfab::threads::{await_threads_gone, live_threads};
 use armci_netfab::NodeFabric;
 use armci_transport::{Endpoint, Mailbox, ProcId, Tag, Topology};
-
-/// Names of live threads in this process that belong to a netfab fabric.
-/// (`/proc` comm names are truncated to 15 bytes — long enough for every
-/// netfab thread name at these node counts.)
-fn netfab_threads() -> Vec<String> {
-    let mut out = Vec::new();
-    for entry in std::fs::read_dir("/proc/self/task").expect("read /proc/self/task") {
-        let mut path = entry.expect("task dir entry").path();
-        path.push("comm");
-        // A thread may exit between readdir and this read; skip the hole.
-        if let Ok(name) = std::fs::read_to_string(&path) {
-            let name = name.trim();
-            if name.starts_with("netfab-") {
-                out.push(name.to_string());
-            }
-        }
-    }
-    out
-}
 
 /// Prove every cross-node link is live: each rank sends one frame to
 /// rank 0, which drains them all.
@@ -51,18 +33,6 @@ fn shutdown_all(fabrics: Vec<NodeFabric>) {
     }
 }
 
-fn wait_for_drain() {
-    let deadline = Instant::now() + Duration::from_secs(10);
-    loop {
-        let left = netfab_threads();
-        if left.is_empty() {
-            return;
-        }
-        assert!(Instant::now() < deadline, "netfab threads leaked after shutdown: {left:?}");
-        std::thread::sleep(Duration::from_millis(10));
-    }
-}
-
 /// Thread counting is process-global, so this file holds exactly one
 /// #[test]: nothing else may run a fabric concurrently.
 #[test]
@@ -75,11 +45,13 @@ fn each_node_runs_exactly_one_io_thread() {
 
     // One loop thread per node and no other netfab thread of any name
     // (`netfab-w*`, `-r*`, `-a*`, boot or handshake helpers).
-    let mut names = netfab_threads();
+    let mut names = live_threads(&["netfab-"]);
     names.sort();
     let mut want: Vec<String> = (0..nodes).map(|n| format!("netfab-ev{n}")).collect();
     want.sort();
     assert_eq!(names, want);
     shutdown_all(fabrics);
-    wait_for_drain();
+    if let Err(left) = await_threads_gone(&["netfab-"], Duration::from_secs(10)) {
+        panic!("netfab threads leaked after shutdown: {left:?}");
+    }
 }
