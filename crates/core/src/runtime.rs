@@ -13,9 +13,9 @@
 //!   one child process per extra node.
 //!
 //! Either way, a node hosts one thread per user process (each receiving
-//! its own [`Armci`] handle) and one [`Server`], all sharing the node's
+//! its own [`Armci`] handle) and one `Server`, all sharing the node's
 //! `Segment`s. Where the server runs is the one difference: the emulator
-//! gives it the paper's server thread ([`server_loop`]); on netfab the
+//! gives it the paper's server thread (`server_loop`); on netfab the
 //! node's event loop serves every request where its frame lands, and a
 //! node-local request is served on the thread that sends it, so a netfab
 //! node starts no server thread.

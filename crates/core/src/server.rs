@@ -1,6 +1,6 @@
 //! The per-node server (paper §2, Figure 1).
 //!
-//! One [`Server`] per node handles remote-memory requests for every user
+//! One `Server` per node handles remote-memory requests for every user
 //! process hosted there; it is the node's only service agent, so data,
 //! atomics, lock traffic and fence confirmations share one FIFO per
 //! source. It shares the node's memory segments (through the registry)
@@ -8,11 +8,11 @@
 //! FIFO property GM-mode fencing relies on. Where it runs depends on the
 //! backend:
 //!
-//! * on the **emulator** it is the paper's server thread: [`server_loop`]
+//! * on the **emulator** it is the paper's server thread: `server_loop`
 //!   sleeps in a blocking receive on the node's inbox when idle (the
 //!   latency-stamped inbox needs a thread that waits);
 //! * on **netfab** there is no server thread: the node's event loop is
-//!   the agent. It calls [`Server::serve_frame`] inline for every frame
+//!   the agent. It calls `Server::serve_frame` inline for every frame
 //!   addressed to the node's server, in the order it reads them, and a
 //!   node-local request (a hybrid unlock, `Shutdown`) is served on the
 //!   sending thread. The runtime keeps the `Server` behind one lock, and

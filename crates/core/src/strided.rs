@@ -11,7 +11,7 @@
 //!
 //! Every non-contiguous shape — a strided region, an I/O-vector run list,
 //! and the degenerate single run of a contiguous transfer — reduces to a
-//! sequence of `(offset, len)` runs, and [`scatter`]/[`gather`] are the
+//! sequence of `(offset, len)` runs, and `scatter`/`gather` are the
 //! only loops that move packed bytes through one: the initiator's direct
 //! path and the server's apply path both call them.
 

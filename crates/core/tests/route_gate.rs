@@ -127,7 +127,6 @@ fn the_world_is_a_group() {
         ("core/src/armci.rs", "pub fn sync_baseline("),
         ("core/src/armci.rs", "pub fn take_barrier_log("),
         ("ga/src/array.rs", "pub fn sync_world("),
-        ("ga/src/vector.rs", "pub fn sync_world("),
     ];
     for (file, sig) in thin {
         let text = std::fs::read_to_string(crates.join(file)).expect("read source");
@@ -328,6 +327,36 @@ fn one_way_to_configure() {
         // its quoted name.
         let hits: Vec<String> =
             all.iter().flat_map(|(p, t)| code_lines(t, needle).map(move |l| format!("{p}: {}", l.trim()))).collect();
+        assert!(hits.is_empty(), "{needle} is back: {hits:#?}");
+    }
+}
+
+/// Only what something calls: msglib keeps the process group and the
+/// collectives the runtime, the figures and the examples use, and GA keeps
+/// its 2-D array, ghosts and counters. The rooted collectives, scan, the
+/// communicator split/subset, the deadline-taking allreduce, the 1-D
+/// vector and the whole-array ops are gone from both crates, comments
+/// included.
+#[test]
+fn msglib_and_ga_carry_only_what_is_used() {
+    let crates = Path::new(env!("CARGO_MANIFEST_DIR")).parent().expect("crates/").to_path_buf();
+    let mut all = Vec::new();
+    rs_files(&crates.join("msglib/src"), &mut all);
+    rs_files(&crates.join("ga/src"), &mut all);
+    assert!(all.len() >= 10, "expected the msglib and ga sources under {}", crates.display());
+    let needles =
+        ["rooted", "GlobalVector", "scan_impl", "fn split", "fn subset", "fn transpose_into", "fn try_allreduce"];
+    for needle in needles {
+        // A whole name only: `fn split_by_owner` is not `fn split`.
+        let hits: Vec<String> = all
+            .iter()
+            .flat_map(|(p, t)| t.lines().map(move |l| (p, l)))
+            .filter(|(_, l)| {
+                l.match_indices(needle)
+                    .any(|(i, _)| !l[i + needle.len()..].starts_with(|c: char| c.is_alphanumeric() || c == '_'))
+            })
+            .map(|(p, l)| format!("{p}: {}", l.trim()))
+            .collect();
         assert!(hits.is_empty(), "{needle} is back: {hits:#?}");
     }
 }

@@ -29,32 +29,6 @@ pub enum SyncAlg {
     Notify,
 }
 
-/// The one sync implementation behind every `sync` surface in the crate
-/// ([`GlobalArray::sync`], [`crate::GlobalVector::sync`] and their
-/// `sync_world` conveniences, which pass [`Armci::world`]): completion of
-/// outstanding one-sided operations *toward the group* plus a barrier
-/// *over the group*, with the selected algorithm.
-pub(crate) fn run_sync(armci: &mut Armci, alg: SyncAlg, group: &ProcGroup) {
-    match alg {
-        SyncAlg::Baseline => {
-            armci.allfence_group(group);
-            group.msg().barrier_binary_exchange(armci);
-        }
-        SyncAlg::CombinedBarrier => armci.barrier_group(group),
-        SyncAlg::Notify => notify_needs_a_plan(),
-    }
-}
-
-/// [`SyncAlg::Notify`] cannot synchronize an unknown transfer pattern —
-/// the whole point is waiting on counts a plan predicted in advance.
-fn notify_needs_a_plan() -> ! {
-    panic!(
-        "SyncAlg::Notify requires a transfer plan: build an \
-         armci_core::TransferPlan (or GhostArray::plan_update) and call \
-         its post/sync methods instead of the pattern-free sync surfaces"
-    )
-}
-
 /// A dense `rows x cols` array of `f64`, block-distributed over all
 /// processes. Created collectively; all operations are one-sided except
 /// [`GlobalArray::sync`] and [`GlobalArray::fill`].
@@ -164,12 +138,25 @@ impl GlobalArray {
     /// members. Use [`GlobalArray::sync_world`] for the classic
     /// whole-world sync.
     pub fn sync(&self, armci: &mut Armci, alg: SyncAlg, group: &ProcGroup) {
-        run_sync(armci, alg, group);
+        match alg {
+            SyncAlg::Baseline => {
+                armci.allfence_group(group);
+                group.msg().barrier_binary_exchange(armci);
+            }
+            SyncAlg::CombinedBarrier => armci.barrier_group(group),
+            // Notify cannot synchronize an unknown transfer pattern: the
+            // whole point is waiting on counts a plan predicted in advance.
+            SyncAlg::Notify => panic!(
+                "SyncAlg::Notify requires a transfer plan: build an \
+                 armci_core::TransferPlan (or GhostArray::plan_update) and call \
+                 its post/sync methods instead of the pattern-free sync surfaces"
+            ),
+        }
     }
 
     /// `GA_Sync()` over all processes — the historical surface.
     pub fn sync_world(&self, armci: &mut Armci, alg: SyncAlg) {
-        run_sync(armci, alg, &armci.world());
+        self.sync(armci, alg, &armci.world());
     }
 
     /// Collectively fill the whole array with `value`.

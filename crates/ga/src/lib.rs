@@ -33,13 +33,10 @@ pub mod array;
 pub mod dist;
 pub mod ghost;
 pub mod nxtval;
-pub mod ops;
 pub mod patch;
-pub mod vector;
 
 pub use array::{GlobalArray, SyncAlg};
 pub use dist::{Distribution, ProcGrid};
 pub use ghost::{GhostArray, GhostUpdatePlan};
 pub use nxtval::SharedCounters;
 pub use patch::Patch;
-pub use vector::GlobalVector;

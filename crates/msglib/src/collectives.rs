@@ -21,8 +21,15 @@
 //! [`Group::allreduce`](crate::Group::allreduce) is the recursive-doubling
 //! exchange of Figure 2 of the paper — the "all-scatter/all-to-all" step
 //! that distributes and sums the `op_init[]` arrays in `ARMCI_Barrier()` —
-//! generalized to arbitrary element types and non-power-of-two process
-//! counts.
+//! generalized to `u64`/`f64` elements and non-power-of-two process
+//! counts. Both it and the binary-exchange barrier are driven by the
+//! `armci-proto` [`Exchange`] schedule.
+//!
+//! [`Group::bcast`](crate::Group::bcast) (binomial tree) and
+//! [`Group::allgather`](crate::Group::allgather) (ring, with a fallible
+//! [`Group::try_allgather`](crate::Group::try_allgather) for the runtime's
+//! group setup) complete the set. Nothing else is here: the paper needs
+//! the barrier and the allreduce, and the runtime the rest.
 
 use std::time::{Duration, Instant};
 
@@ -31,21 +38,15 @@ use armci_proto::{Exchange, XchgAction, XchgEvent, XchgMsg};
 use crate::codec::{BufWriter, DecodeError, Reader};
 use crate::comm::{CommError, P2p};
 
-/// A deadline far enough out to mean "block forever": the infallible
-/// collectives delegate to their `try_` twins with this, so both spellings
-/// share one implementation (and one message structure).
-pub(crate) fn far_future() -> Instant {
-    Instant::now() + Duration::from_secs(60 * 60 * 24 * 365)
-}
-
-/// Collective op codes, mixed into tags (see [`mk_tag`]).
+/// Collective op codes, mixed into tags (see [`mk_tag`]). Tags go on the
+/// wire, so each value is fixed; 6 belonged to a deleted scan and stays
+/// unused.
 mod op {
     pub const BARRIER_DISS: u32 = 1;
     pub const BARRIER_BX: u32 = 2;
     pub const BCAST: u32 = 3;
     pub const ALLREDUCE: u32 = 4;
     pub const ALLGATHER: u32 = 5;
-    pub const SCAN: u32 = 6;
     pub const HIER_BX: u32 = 7;
 }
 
@@ -88,14 +89,16 @@ pub fn hier_bx_tag(epoch: u32) -> u32 {
 /// schedule expects next, and fold received bodies into `state` at their
 /// in-order consume points. The engine owns the schedule (partners,
 /// rounds, non-power-of-two folding); this loop owns bytes and blocking.
+/// It blocks as good as forever: its receives take a deadline a year out,
+/// so an endpoint that detects dead peers still ends the wait on one.
 fn drive_exchange<S: ?Sized>(
     p: &mut impl P2p,
     tag: u32,
-    deadline: Instant,
     state: &mut S,
     payload: impl Fn(&S) -> Vec<u8>,
     absorb: impl Fn(&mut S, XchgMsg, &[u8]) -> Result<(), DecodeError>,
 ) -> Result<(), CommError> {
+    let deadline = Instant::now() + Duration::from_secs(60 * 60 * 24 * 365);
     let mut ex = Exchange::new(p.size(), p.rank());
     let mut acts = Vec::new();
     ex.poll(XchgEvent::Start, &mut acts);
@@ -141,19 +144,12 @@ pub(crate) fn barrier_impl(p: &mut impl P2p) {
 
 /// Binary-exchange barrier over an already-scoped endpoint.
 pub(crate) fn barrier_binary_exchange_impl(p: &mut impl P2p) {
-    try_barrier_binary_exchange_impl(p, far_future()).expect("transport disconnected during barrier")
-}
-
-/// Fallible binary-exchange barrier over an already-scoped endpoint.
-/// Sends are identical to the infallible barrier — only the receive waits
-/// differ — so the two spellings are indistinguishable on the wire.
-pub(crate) fn try_barrier_binary_exchange_impl(p: &mut impl P2p, deadline: Instant) -> Result<(), CommError> {
     if p.size() == 1 {
-        return Ok(());
+        return;
     }
     let tag = barrier_bx_tag(p.next_epoch());
     // Schedule-only: every message is empty, nothing to absorb.
-    drive_exchange(p, tag, deadline, &mut (), |_| Vec::new(), |_, _, _| Ok(()))
+    drive_exchange(p, tag, &mut (), |_| Vec::new(), |_, _, _| Ok(())).expect("transport disconnected during barrier")
 }
 
 /// Element codec for allreduce vectors.
@@ -173,15 +169,6 @@ impl Elem for u64 {
     }
 }
 
-impl Elem for i64 {
-    fn enc(self, w: BufWriter<'_>) -> BufWriter<'_> {
-        w.i64(self)
-    }
-    fn dec(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
-        r.i64()
-    }
-}
-
 impl Elem for f64 {
     fn enc(self, w: BufWriter<'_>) -> BufWriter<'_> {
         w.f64(self)
@@ -191,14 +178,14 @@ impl Elem for f64 {
     }
 }
 
-pub(crate) fn enc_vec<T: Elem>(v: &[T]) -> Vec<u8> {
+fn enc_vec<T: Elem>(v: &[T]) -> Vec<u8> {
     let mut body = Vec::with_capacity(v.len() * 8);
     v.iter().fold(BufWriter::new(&mut body), |w, &x| x.enc(w));
     body
 }
 
 /// Fold the vector in `body` into `local` element-wise: `x = f(x, received)`.
-pub(crate) fn dec_fold<T: Elem>(local: &mut [T], body: &[u8], f: impl Fn(T, T) -> T) -> Result<(), DecodeError> {
+fn dec_fold<T: Elem>(local: &mut [T], body: &[u8], f: impl Fn(T, T) -> T) -> Result<(), DecodeError> {
     let mut r = Reader::new(body);
     for x in local.iter_mut() {
         *x = f(*x, T::dec(&mut r)?);
@@ -206,33 +193,15 @@ pub(crate) fn dec_fold<T: Elem>(local: &mut [T], body: &[u8], f: impl Fn(T, T) -
     Ok(())
 }
 
-/// Unwrap a decoded frame in an infallible collective, which has no error
-/// to return and fails on a malformed frame as it does on a dead transport.
-pub(crate) fn must<T>(op: &str, r: Result<T, DecodeError>) -> T {
-    r.unwrap_or_else(|e| panic!("{op}: {e}"))
-}
-
 /// Allreduce by recursive doubling over an already-scoped endpoint.
 pub(crate) fn allreduce_impl<T: Elem, F: Fn(T, T) -> T>(p: &mut impl P2p, local: &mut [T], combine: F) {
-    try_allreduce_impl(p, local, combine, far_future()).expect("transport disconnected during allreduce")
-}
-
-/// Fallible allreduce over an already-scoped endpoint. On `Err`, `local`
-/// holds a partial reduction and must not be used.
-pub(crate) fn try_allreduce_impl<T: Elem, F: Fn(T, T) -> T>(
-    p: &mut impl P2p,
-    local: &mut [T],
-    combine: F,
-    deadline: Instant,
-) -> Result<(), CommError> {
     if p.size() == 1 {
-        return Ok(());
+        return;
     }
     let tag = allreduce_tag(p.next_epoch());
     drive_exchange(
         p,
         tag,
-        deadline,
         local,
         |l| enc_vec(l),
         |l, msg, body| match msg {
@@ -243,32 +212,7 @@ pub(crate) fn try_allreduce_impl<T: Elem, F: Fn(T, T) -> T>(
             XchgMsg::Exit => dec_fold(l, body, |_, total| total),
         },
     )
-}
-
-/// Inclusive prefix reduction by Hillis–Steele doubling over an
-/// already-scoped endpoint.
-pub(crate) fn scan_impl<T: Elem, F: Fn(T, T) -> T>(p: &mut impl P2p, local: &mut [T], combine: F) {
-    let n = p.size();
-    if n == 1 {
-        return;
-    }
-    let me = p.rank();
-    let tag = mk_tag(op::SCAN, p.next_epoch());
-    let mut k = 1usize;
-    while k < n {
-        // Send my current prefix downstream before folding the upstream
-        // contribution in (the value sent must cover ranks me-k+1..=me of
-        // the original inputs, which it does by induction).
-        if me + k < n {
-            p.send_to(me + k, tag, enc_vec(local));
-        }
-        if me >= k {
-            let body = p.recv_from(me - k, tag);
-            // Prefix order: upstream ⊕ mine.
-            must("scan", dec_fold(local, &body, |mine, up| combine(up, mine)));
-        }
-        k <<= 1;
-    }
+    .expect("transport disconnected during allreduce")
 }
 
 /// Binomial-tree broadcast over an already-scoped endpoint.
@@ -302,7 +246,9 @@ pub(crate) fn bcast_impl(p: &mut impl P2p, root: usize, data: Vec<u8>) -> Vec<u8
 /// Ring allgather over an already-scoped endpoint; each receive waits as
 /// the endpoint's own `recv_from` does.
 pub(crate) fn allgather_impl(p: &mut impl P2p, mine: Vec<u8>) -> Vec<Vec<u8>> {
-    must("allgather", ring_allgather(p, mine, |p, from, tag| Ok(p.recv_from(from, tag))))
+    // No error to return: a malformed frame fails as a dead transport does.
+    ring_allgather(p, mine, |p, from, tag| Ok(p.recv_from(from, tag)))
+        .unwrap_or_else(|e: DecodeError| panic!("allgather: {e}"))
 }
 
 /// Fallible ring allgather over an already-scoped endpoint.
@@ -420,49 +366,16 @@ mod tests {
     }
 
     #[test]
-    fn allreduce_max_f64_picks_max() {
+    fn allreduce_sum_f64_sums() {
         let out = cluster(5).run_spmd(|mb| {
             let mut comm = Comm::new(mb);
             let world = Group::world(comm.size());
-            let mut v = vec![comm.rank() as f64, -(comm.rank() as f64)];
-            world.allreduce_max_f64(&mut comm, &mut v);
+            let mut v = vec![comm.rank() as f64 + 0.5, -(comm.rank() as f64)];
+            world.allreduce_sum_f64(&mut comm, &mut v);
             v
         });
         for v in out {
-            assert_eq!(v, vec![4.0, 0.0]);
-        }
-    }
-
-    #[test]
-    fn scan_prefix_sums() {
-        for n in 1..=9u32 {
-            let out = cluster(n).run_spmd(|mb| {
-                let mut comm = Comm::new(mb);
-                let world = Group::world(comm.size());
-                let mut v = vec![comm.rank() as u64 + 1, 1u64];
-                world.scan_sum_u64(&mut comm, &mut v);
-                v
-            });
-            for (r, v) in out.into_iter().enumerate() {
-                let expect: u64 = (1..=r as u64 + 1).sum();
-                assert_eq!(v, vec![expect, r as u64 + 1], "n={n} rank={r}");
-            }
-        }
-    }
-
-    #[test]
-    fn scan_with_noncommutative_safety() {
-        // Scan only requires associativity; check with prefix max, where
-        // order cannot matter but prefix coverage still checks.
-        let out = cluster(5).run_spmd(|mb| {
-            let mut comm = Comm::new(mb);
-            let world = Group::world(comm.size());
-            let mut v = vec![comm.rank() as u64 + 1];
-            world.scan(&mut comm, &mut v, u64::max);
-            v[0]
-        });
-        for (r, v) in out.into_iter().enumerate() {
-            assert_eq!(v, r as u64 + 1, "prefix max of 1..=r+1");
+            assert_eq!(v, vec![12.5, -10.0]);
         }
     }
 

@@ -7,8 +7,7 @@ use armci_transport::{Endpoint, Mailbox, Msg, ProcId, Tag};
 use crate::codec::DecodeError;
 
 /// Why a deadline-aware point-to-point receive failed — the error surface
-/// the fallible collectives ([`crate::collectives::try_barrier_binary_exchange`]
-/// and friends) propagate.
+/// the fallible collectives ([`crate::Group::try_allgather`]) propagate.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum CommError {
     /// The deadline expired with no matching message and no evidence of a
@@ -67,28 +66,13 @@ pub trait P2p {
     /// As [`P2p::recv_from`], but give up at `deadline` (or as soon as the
     /// expected peer is known dead) instead of blocking forever — the
     /// receive primitive the `try_*` collectives are written against.
-    ///
-    /// The default implementation ignores the deadline and delegates to
-    /// the blocking receive, so implementations without failure detection
-    /// (or tests that never need it) keep working unchanged.
-    fn recv_from_deadline(&mut self, src: usize, tag: u32, deadline: Instant) -> Result<Vec<u8>, CommError> {
-        let _ = deadline;
-        Ok(self.recv_from(src, tag))
-    }
+    /// Required, so no implementation can drop a deadline silently.
+    fn recv_from_deadline(&mut self, src: usize, tag: u32, deadline: Instant) -> Result<Vec<u8>, CommError>;
 
     /// A monotonically increasing counter, bumped once per collective
     /// call, mixed into tags so that back-to-back collectives on the same
     /// ranks cannot capture each other's messages.
     fn next_epoch(&mut self) -> u32;
-
-    /// Combined send-then-receive with the same partner; the two transfers
-    /// overlap (send is non-blocking), so an exchange phase costs one
-    /// one-way latency — the property the paper's binary-exchange analysis
-    /// relies on.
-    fn exchange(&mut self, peer: usize, tag: u32, body: Vec<u8>) -> Vec<u8> {
-        self.send_to(peer, tag, body);
-        self.recv_from(peer, tag)
-    }
 }
 
 /// A plain message-passing communicator over one transport [`Mailbox`].
@@ -184,18 +168,6 @@ mod tests {
             assert_eq!(rank, r);
             assert_eq!(size, 6);
         }
-    }
-
-    #[test]
-    fn exchange_swaps_payloads() {
-        let c = Cluster::builder().nodes(2).procs_per_node(1).latency(LatencyModel::zero()).build();
-        let out = c.run_spmd(|mb| {
-            let mut comm = Comm::new(mb);
-            let me = comm.rank();
-            let peer = 1 - me;
-            comm.exchange(peer, 9, vec![me as u8])
-        });
-        assert_eq!(out, vec![vec![1], vec![0]]);
     }
 
     #[test]

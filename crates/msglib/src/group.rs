@@ -7,16 +7,13 @@
 //! endpoint), and every collective is a method scoped to the group's
 //! members: `group.barrier(p)`, `group.allreduce_sum_u64(p, v)`, and so
 //! on. The world itself is just the trivial group ([`Group::world`]), so
-//! one implementation serves both scopes — the historical free functions
-//! (`barrier(p)`, `allreduce(p, ...)`) survive as deprecated shims over
-//! `Group::world`.
+//! one implementation serves both scopes.
 //!
 //! Group construction is **communication-free**, unlike `MPI_Comm_split`:
-//! [`Group::split`] takes a pure color function every member evaluates
-//! over the whole parent, so all members derive identical member lists
-//! without a message. This matches how the paper's runtime uses groups —
-//! they are derived from topology or from a statically known work
-//! decomposition, not negotiated.
+//! [`Group::from_ranks`] takes the ordered member list, which every
+//! member derives on its own from topology or from a statically known
+//! work decomposition. This matches how the paper's runtime uses groups —
+//! they are computed, not negotiated.
 //!
 //! ## Tag scoping for overlapping groups
 //!
@@ -28,8 +25,8 @@
 //! rates can in principle still collide after thousands of collectives
 //! (exactly the pre-existing mod-4096 wrap caveat); per-pair FIFO
 //! delivery keeps this theoretical. The world group delegates to the
-//! endpoint's own epoch counter so its wire traffic stays bit-identical
-//! with the historical free functions.
+//! endpoint's own epoch counter so its wire traffic matches a plain
+//! world-scoped collective bit for bit.
 
 use std::cell::Cell;
 use std::time::Instant;
@@ -87,26 +84,6 @@ impl Group {
         assert!(seen.windows(2).all(|w| w[0] != w[1]), "duplicate rank in group");
         let fp = fingerprint(&ranks);
         Group { ranks, world: false, epoch: Cell::new(fp) }
-    }
-
-    /// The subgroup at the given *group-rank* positions of `self`,
-    /// in the given order.
-    pub fn subset(&self, positions: &[usize]) -> Group {
-        let world: Vec<usize> = positions.iter().map(|&g| self.world_rank(g)).collect();
-        Group::from_ranks(&world)
-    }
-
-    /// Split `self` by a pure color function over *world ranks*: the
-    /// returned group holds every member sharing `color(my world rank)`,
-    /// in parent order. Every member evaluates `color` over the whole
-    /// parent, so no communication happens and all members of one color
-    /// derive identical groups (the function must be rank-pure — same
-    /// result on every caller).
-    pub fn split(&self, my_world_rank: usize, color: impl Fn(usize) -> u64) -> Group {
-        assert!(self.contains(my_world_rank), "split caller not in parent group");
-        let mine = color(my_world_rank);
-        let members: Vec<usize> = self.ranks.iter().map(|&r| r as usize).filter(|&r| color(r) == mine).collect();
-        Group::from_ranks(&members)
     }
 
     /// Number of members.
@@ -169,25 +146,9 @@ impl Group {
         collectives::barrier_binary_exchange_impl(&mut self.scoped(p));
     }
 
-    /// Fallible [`Group::barrier_binary_exchange`] with a deadline.
-    pub fn try_barrier_binary_exchange(&self, p: &mut impl P2p, deadline: Instant) -> Result<(), CommError> {
-        collectives::try_barrier_binary_exchange_impl(&mut self.scoped(p), deadline)
-    }
-
     /// Element-wise allreduce over the members by recursive doubling.
     pub fn allreduce<T: Elem, F: Fn(T, T) -> T>(&self, p: &mut impl P2p, local: &mut [T], combine: F) {
         collectives::allreduce_impl(&mut self.scoped(p), local, combine);
-    }
-
-    /// Fallible [`Group::allreduce`] with a deadline.
-    pub fn try_allreduce<T: Elem, F: Fn(T, T) -> T>(
-        &self,
-        p: &mut impl P2p,
-        local: &mut [T],
-        combine: F,
-        deadline: Instant,
-    ) -> Result<(), CommError> {
-        collectives::try_allreduce_impl(&mut self.scoped(p), local, combine, deadline)
     }
 
     /// Sum-allreduce of a `u64` vector over the members.
@@ -198,21 +159,6 @@ impl Group {
     /// Sum-allreduce of an `f64` vector over the members.
     pub fn allreduce_sum_f64(&self, p: &mut impl P2p, local: &mut [f64]) {
         self.allreduce(p, local, |a, b| a + b);
-    }
-
-    /// Max-allreduce of an `f64` vector over the members.
-    pub fn allreduce_max_f64(&self, p: &mut impl P2p, local: &mut [f64]) {
-        self.allreduce(p, local, f64::max);
-    }
-
-    /// Inclusive prefix reduction over the members (group-rank order).
-    pub fn scan<T: Elem, F: Fn(T, T) -> T>(&self, p: &mut impl P2p, local: &mut [T], combine: F) {
-        collectives::scan_impl(&mut self.scoped(p), local, combine);
-    }
-
-    /// Inclusive prefix sum of a `u64` vector over the members.
-    pub fn scan_sum_u64(&self, p: &mut impl P2p, local: &mut [u64]) {
-        self.scan(p, local, |a, b| a.wrapping_add(b));
     }
 
     /// Binomial-tree broadcast from group rank `root` to the members.
@@ -310,19 +256,6 @@ mod tests {
     }
 
     #[test]
-    fn split_and_subset_derive_consistent_groups() {
-        let w = Group::world(6);
-        // Even/odd split: every even member computes the same group.
-        let evens = w.split(2, |r| (r % 2) as u64);
-        assert_eq!(evens.ranks().collect::<Vec<_>>(), vec![0, 2, 4]);
-        let odds = w.split(3, |r| (r % 2) as u64);
-        assert_eq!(odds.ranks().collect::<Vec<_>>(), vec![1, 3, 5]);
-        // Subset by group-rank positions.
-        let g = evens.subset(&[2, 0]);
-        assert_eq!(g.ranks().collect::<Vec<_>>(), vec![4, 0]);
-    }
-
-    #[test]
     fn overlapping_groups_have_distinct_fingerprints() {
         let a = Group::from_ranks(&[0, 1, 2, 3]);
         let b = Group::from_ranks(&[2, 3, 4, 5]);
@@ -335,7 +268,7 @@ mod tests {
         let out = cluster(5).run_spmd(|mb| {
             let mut comm = Comm::new(mb);
             let me = comm.rank();
-            let g = Group::world(5).split(me, |r| u64::from(r % 2 == 0));
+            let g = if me.is_multiple_of(2) { Group::from_ranks(&[0, 2, 4]) } else { Group::from_ranks(&[1, 3]) };
             let mut v = [me as u64 + 1];
             g.allreduce_sum_u64(&mut comm, &mut v);
             v[0]
@@ -349,7 +282,7 @@ mod tests {
         let out = cluster(6).run_spmd(|mb| {
             let mut comm = Comm::new(mb);
             let me = comm.rank();
-            let g = Group::world(6).split(me, |r| u64::from(r >= 2));
+            let g = if me >= 2 { Group::from_ranks(&[2, 3, 4, 5]) } else { Group::from_ranks(&[0, 1]) };
             g.barrier(&mut comm);
             g.barrier_binary_exchange(&mut comm);
             // Root is group rank 0 = the lowest member.
@@ -410,23 +343,5 @@ mod tests {
             }
             assert_eq!(acc, want, "rank {me}");
         }
-    }
-
-    #[test]
-    fn scan_over_subset_prefixes_in_group_order() {
-        let out = cluster(5).run_spmd(|mb| {
-            let mut comm = Comm::new(mb);
-            let me = comm.rank();
-            let g = Group::from_ranks(&[4, 2, 0]);
-            if let Some(_gr) = g.group_rank(me) {
-                let mut v = [me as u64];
-                g.scan_sum_u64(&mut comm, &mut v);
-                Some(v[0])
-            } else {
-                None
-            }
-        });
-        // Group order 4, 2, 0 → prefixes 4, 6, 6.
-        assert_eq!(out, vec![Some(6), None, Some(6), None, Some(4)]);
     }
 }

@@ -14,15 +14,18 @@
 //! * [`Comm`], the canonical implementation over a transport [`Mailbox`](armci_transport::Mailbox)
 //!   (`armci_core::Armci` implements `P2p` too, so the same collectives
 //!   run inside the ARMCI runtime);
-//! * [`Group`], the communicator handle: an ordered subset of world ranks
-//!   owning group↔world rank translation, with the collectives as
-//!   methods — dissemination and binary-exchange barriers, binomial
-//!   broadcast, recursive-doubling allreduce (the exact Figure 2
-//!   algorithm, generalized to non-powers of two), ring allgather —
-//!   all scoped to the group's members. `Group::world(n)` is the
-//!   classical world scope (the historical world-scoped free functions
-//!   have been removed in its favour).
+//! * [`Group`], the communicator handle: an ordered, duplicate-free list
+//!   of world ranks ([`Group::world`] or [`Group::from_ranks`]) owning
+//!   group↔world rank translation, with the collectives as methods —
+//!   dissemination and binary-exchange barriers, binomial broadcast,
+//!   recursive-doubling allreduce (the exact Figure 2 algorithm,
+//!   generalized to non-powers of two) and ring allgather — all scoped to
+//!   the group's members.
 //!
+//! That is the whole surface: what the paper's runtime uses (the process
+//! group, `MPI_Barrier`'s binary exchange, the `op_init` allreduce) plus
+//! the broadcast and allgather its group setup and examples need. There
+//! is no reduce-to-root, gather, scatter, scan or communicator split.
 //! All collectives cost `O(log N)` one-way latencies except allgather,
 //! matching the structures the paper reasons with.
 
@@ -30,10 +33,8 @@ pub mod codec;
 pub mod collectives;
 pub mod comm;
 pub mod group;
-pub mod rooted;
 
 pub use codec::{BufWriter, DecodeError, Reader};
 pub use collectives::{allreduce_tag, barrier_bx_tag, hier_bx_tag, Elem};
 pub use comm::{Comm, CommError, P2p};
 pub use group::{Group, Scoped};
-pub use rooted::{gather, reduce, reduce_sum_f64, reduce_sum_u64, scatter};

@@ -1,8 +1,7 @@
 //! Property-based tests: every collective against a straightforward
-//! sequential reference, over random process counts, roots, vector sizes
-//! and contents.
+//! sequential reference, over random process counts, roots, vector sizes,
+//! contents and subset-group member lists.
 
-use armci_msglib::rooted::{gather, reduce_sum_u64, scatter};
 use armci_msglib::{Comm, Group, P2p};
 use armci_transport::{Cluster, LatencyModel};
 use proptest::prelude::*;
@@ -36,55 +35,6 @@ proptest! {
     }
 
     #[test]
-    fn scan_matches_reference(n in 1usize..10, seed in any::<u64>()) {
-        let inputs: Vec<u64> = (0..n).map(|r| seed.wrapping_add(r as u64 * 31)).collect();
-        let inputs2 = inputs.clone();
-        let out = cluster(n).run_spmd(move |mb| {
-            let mut c = Comm::new(mb);
-            let mut v = vec![inputs2[c.rank()]];
-            Group::world(n).scan_sum_u64(&mut c, &mut v);
-            v[0]
-        });
-        let mut acc = 0u64;
-        for (r, got) in out.into_iter().enumerate() {
-            acc = acc.wrapping_add(inputs[r]);
-            prop_assert_eq!(got, acc, "rank {}", r);
-        }
-    }
-
-    #[test]
-    fn reduce_gather_scatter_roundtrip(n in 1usize..9, root in 0usize..9, seed in any::<u64>()) {
-        let root = root % n;
-        let out = cluster(n).run_spmd(move |mb| {
-            let mut c = Comm::new(mb);
-            let me = c.rank() as u64;
-            // reduce: sum of (me+seed)
-            let mine = [me.wrapping_add(seed)];
-            let red = reduce_sum_u64(&mut c, root, &mine);
-            // gather rank-stamped blocks, then scatter them back rotated.
-            let my_block = vec![c.rank() as u8; 3];
-            let g = gather(&mut c, root, my_block);
-            let size = c.size();
-            let blocks = g.map(|mut blocks| {
-                blocks.rotate_left(1 % size.max(1));
-                blocks
-            });
-            let got = scatter(&mut c, root, blocks);
-            (red, got)
-        });
-        let total: u64 = (0..n as u64).map(|m| m.wrapping_add(seed)).fold(0, u64::wrapping_add);
-        for (r, (red, got)) in out.into_iter().enumerate() {
-            if r == root {
-                prop_assert_eq!(red, Some(vec![total]));
-            } else {
-                prop_assert_eq!(red, None);
-            }
-            // After rotation, rank r receives rank (r+1) % n's block.
-            prop_assert_eq!(got, vec![((r + 1) % n) as u8; 3]);
-        }
-    }
-
-    #[test]
     fn bcast_and_allgather_random_payloads(n in 1usize..9, root in 0usize..9, len in 0usize..40, seed in any::<u64>()) {
         let root = root % n;
         let payload: Vec<u8> = (0..len).map(|i| (seed as usize).wrapping_add(i * 13) as u8).collect();
@@ -102,6 +52,48 @@ proptest! {
             prop_assert_eq!(&b, &payload);
             for (r, block) in all.iter().enumerate() {
                 prop_assert_eq!(block, &vec![r as u8]);
+            }
+        }
+    }
+
+    #[test]
+    fn subset_group_collectives_match_reference(n in 1usize..9, pick in any::<u64>(), order in any::<u64>(), seed in any::<u64>()) {
+        // A random nonempty member list in random order: the bits of
+        // `pick` choose members, `order` shuffles them.
+        let mut members: Vec<usize> = (0..n).filter(|&r| pick >> r & 1 == 1).collect();
+        if members.is_empty() {
+            members.push((pick as usize) % n);
+        }
+        let mut o = order;
+        for i in (1..members.len()).rev() {
+            members.swap(i, (o % (i as u64 + 1)) as usize);
+            o = o.rotate_left(7) ^ 0x9E37_79B9_7F4A_7C15;
+        }
+        let value = move |w: usize| seed.wrapping_mul(w as u64 + 3);
+        let m2 = members.clone();
+        let out = cluster(n).run_spmd(move |mb| {
+            let mut c = Comm::new(mb);
+            let me = c.rank();
+            let g = Group::from_ranks(&m2);
+            if !g.contains(me) {
+                return None; // non-members stay idle
+            }
+            let mut v = [value(me), 1];
+            g.allreduce_sum_u64(&mut c, &mut v);
+            let all = g.allgather(&mut c, me.to_le_bytes().to_vec());
+            g.barrier_binary_exchange(&mut c);
+            Some((v, all))
+        });
+        let sum = members.iter().map(|&w| value(w)).fold(0u64, u64::wrapping_add);
+        let gathered: Vec<Vec<u8>> = members.iter().map(|w| w.to_le_bytes().to_vec()).collect();
+        for (w, got) in out.into_iter().enumerate() {
+            if members.contains(&w) {
+                let (v, all) = got.expect("members return results");
+                prop_assert_eq!(v, [sum, members.len() as u64], "rank {}", w);
+                // Indexed by group rank, i.e. position in the member list.
+                prop_assert_eq!(&all, &gathered, "rank {}", w);
+            } else {
+                prop_assert!(got.is_none());
             }
         }
     }

@@ -29,7 +29,7 @@
 //! goes through one function (`Outbox::send`), so the trace and the
 //! wire counters see the same messages whichever thread sent them.
 //!
-//! Every peer link is owned by a [`Session`] (see [`crate::session`]), a
+//! Every peer link is owned by a `Session` (in the `session` module), a
 //! thin fail-stop wrapper over the boot-time stream: a connection error
 //! is terminal, and the peer is reported lost to every local mailbox.
 //!
@@ -227,6 +227,12 @@ impl Drop for NodeShared {
 }
 
 /// The TCP implementation of [`MailboxBackend`].
+///
+/// Its receives never return `RecvError`: `shared` keeps the node's
+/// `Outbox` alive, and the outbox holds every local inbox sender, this
+/// mailbox's own included. A receive here ends only at its deadline, and
+/// every runtime wait carries one (`recv_wait` under `op_deadline` in
+/// `armci-core`).
 pub struct NetMailbox {
     me: Endpoint,
     my_index: usize,

@@ -13,7 +13,7 @@
 //!   means draining acks rather than a confirmation round-trip.
 //!
 //! The counters themselves live in the unified completion
-//! [`Ledger`](crate::completion::Ledger); [`FenceEngine`] is the
+//! [`crate::completion::Ledger`]; [`FenceEngine`] is the
 //! fence-mode policy layer over it.
 
 use crate::completion::Ledger;

@@ -18,7 +18,7 @@
 //!   way MPI tags share one rank.
 //! * **Backends**: the tag-matching layer is transport-agnostic. The raw
 //!   move-bytes-between-endpoints contract is [`MailboxBackend`]; the
-//!   in-process emulator ([`EmuMailbox`], built by [`crate::Cluster`]) is
+//!   in-process emulator (`EmuMailbox`, built by [`crate::Cluster`]) is
 //!   the default, and real-network transports (e.g. the TCP backend in
 //!   `armci-netfab`) plug in via [`Mailbox::from_backend`]. The emulator
 //!   stays enum-dispatched (not boxed) so its hot path is unchanged.
@@ -76,9 +76,12 @@ pub struct WireCounters {
 /// * sends are non-blocking and fire-and-forget; sending to a torn-down
 ///   endpoint is silently dropped (only happens during teardown);
 /// * receives deliver in per-(src → dst) FIFO order;
-/// * once teardown is complete (no sender can ever reach this endpoint
-///   again) receives return [`RecvError`], *after* draining anything
-///   already in flight.
+/// * on the emulator, once teardown is complete (no sender can ever reach
+///   this endpoint again) receives return [`RecvError`], *after* draining
+///   anything already in flight. Not every backend can promise that: a
+///   netfab mailbox (`NetMailbox`) never returns it, so a receive there
+///   ends only at its deadline. Every runtime wait carries one
+///   (`armci_core`'s `recv_wait`, under the operation deadline).
 pub trait MailboxBackend: Send {
     /// This endpoint's identity.
     fn me(&self) -> Endpoint;
