@@ -67,11 +67,15 @@ pub struct Armci {
     /// `armci-proto` engine the simulator drives.
     pub(crate) fence: FenceEngine,
     /// Sans-IO notified-RMA engine (`put_notify`/`wait_notify`):
-    /// per-destination issue counts, armed consumer waits, and the
-    /// route-independent conformance log — same `armci-proto` module as
-    /// the fence ledger, so notified puts and fences share one
-    /// accounting scheme.
+    /// per-destination issue counts and armed consumer waits — same
+    /// `armci-proto` module as the fence ledger, so notified puts and
+    /// fences share one accounting scheme.
     pub(crate) notify: NotifyEngine,
+    /// The notifications this process issued, in order, drained by
+    /// [`Armci::take_notify_log`] for the cross-harness conformance
+    /// suite. Kept only in a traced run (`ArmciCfg::trace`), so an
+    /// untraced run does not grow it for its whole life.
+    pub(crate) notify_log: Option<Vec<NotifyRecord>>,
     /// Send log of the most recent `ARMCI_Barrier()`, drained by
     /// [`Armci::take_barrier_log`] for the cross-harness conformance
     /// suite.
@@ -177,11 +181,6 @@ impl Armci {
     // ------------------------------------------------------------------
     // Failure-aware waiting (the fault plane's receive side)
     // ------------------------------------------------------------------
-
-    /// The deadline a blocking operation starting now must finish by.
-    pub(crate) fn op_deadline(&self) -> Instant {
-        Instant::now() + self.op_timeout
-    }
 
     /// A wait slice ([`DETECT_SLICE`]) ended with nothing to show: the error
     /// that ends the whole wait, if any. Any dead node dooms it, and a
@@ -822,7 +821,12 @@ impl Armci {
     fn notify_issue(&mut self, dst: ProcId, slot: u32) {
         let mut acts = Vec::new();
         self.notify.poll(NotifyEvent::Issue { dst: dst.idx(), slot }, &mut acts);
-        debug_assert!(matches!(acts.as_slice(), [NotifyAction::Send { .. }]));
+        let [NotifyAction::Send { to, slot, seq }] = acts[..] else {
+            unreachable!("an issue emits exactly one send, got {acts:?}");
+        };
+        if let Some(log) = &mut self.notify_log {
+            log.push(NotifyRecord { to: to as u32, slot, seq });
+        }
     }
 
     /// Current cumulative value of this process's notification counter
@@ -870,9 +874,10 @@ impl Armci {
     /// Drain the issue log of this process's notified puts — the
     /// `(to, slot, seq)` sequence the notify engine emitted — used by
     /// the cross-harness conformance suite to compare the runtime
-    /// against the simulator.
+    /// against the simulator. Empty unless the run is traced
+    /// (`ArmciCfg::trace`).
     pub fn take_notify_log(&mut self) -> Vec<NotifyRecord> {
-        self.notify.take_log()
+        self.notify_log.as_mut().map(std::mem::take).unwrap_or_default()
     }
 
     // ------------------------------------------------------------------
@@ -1035,13 +1040,6 @@ impl P2p for Armci {
         self.mb.send(Endpoint::Proc(ProcId(dst as u32)), Tag(Tag::MSGLIB_BASE + tag), body);
     }
 
-    /// The infallible spelling of [`P2p::recv_from_deadline`] under the
-    /// operation deadline.
-    fn recv_from(&mut self, src: usize, tag: u32) -> Vec<u8> {
-        let r = self.recv_from_deadline(src, tag, self.op_deadline());
-        unwrap_op(r.map_err(|e| Armci::map_comm_err("collective", e)))
-    }
-
     /// The one msglib receive: a message from rank `src` under the
     /// collective tag `tag`, in the collective layer's error taxonomy.
     fn recv_from_deadline(&mut self, src: usize, tag: u32, deadline: Instant) -> Result<Vec<u8>, CommError> {
@@ -1053,6 +1051,13 @@ impl P2p for Armci {
             Err(ArmciError::PeerLost { peer }) => Err(CommError::PeerLost(peer)),
             Err(_) => Err(CommError::Disconnected),
         }
+    }
+
+    /// The deadline a blocking operation starting now must finish by:
+    /// now + `ArmciCfg::op_timeout`. A compound operation takes it once
+    /// and shares it across every wait.
+    fn op_deadline(&self) -> Instant {
+        Instant::now() + self.op_timeout
     }
 
     fn next_epoch(&mut self) -> u32 {

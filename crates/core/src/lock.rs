@@ -22,6 +22,7 @@
 
 use std::sync::atomic::Ordering;
 
+use armci_msglib::P2p;
 use armci_proto::{
     HybridAcquire, HybridAction, HybridEvent, McsAcquire, McsAcquireAction, McsAcquireEvent, McsRelease,
     McsReleaseAction, McsReleaseEvent,

@@ -51,29 +51,6 @@ pub fn allfence_crossover(n: usize) -> f64 {
     mpi_barrier_cost(n) as f64 / 2.0
 }
 
-/// Messages to pass a held lock to an already-waiting *remote* process:
-/// hybrid = release-to-server + server-to-waiter (two); MCS = releaser
-/// writes the waiter's flag directly (one) (§3.2.2).
-pub fn lock_handoff_msgs(mcs: bool) -> u64 {
-    if mcs {
-        1
-    } else {
-        2
-    }
-}
-
-/// One-way latencies spent by a process releasing an *uncontended remote*
-/// lock: hybrid fires a release message without waiting (0 observed);
-/// MCS must round-trip a compare&swap (2) — the regression Figure 10
-/// shows.
-pub fn uncontended_remote_release_cost(mcs: bool) -> u64 {
-    if mcs {
-        2
-    } else {
-        0
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -113,13 +90,5 @@ mod tests {
     fn crossover_is_half_log() {
         assert_eq!(allfence_crossover(16), 2.0);
         assert_eq!(allfence_crossover(1024), 5.0);
-    }
-
-    #[test]
-    fn lock_message_counts() {
-        assert_eq!(lock_handoff_msgs(true), 1);
-        assert_eq!(lock_handoff_msgs(false), 2);
-        assert_eq!(uncontended_remote_release_cost(true), 2);
-        assert_eq!(uncontended_remote_release_cost(false), 0);
     }
 }

@@ -121,6 +121,7 @@ fn stub_armci(mode: StubMode) -> Armci {
         my_sync,
         fence: armci_proto::FenceEngine::new(AckMode::Gm.fence_mode(), nprocs, nnodes),
         notify: armci_proto::NotifyEngine::new(nprocs),
+        notify_log: None,
         last_barrier_log: Vec::new(),
         last_hier_log: Vec::new(),
         world: crate::group::ProcGroup::flat(armci_msglib::Group::world(nprocs), me.idx()).into(),
@@ -209,30 +210,48 @@ fn peer_lost_preempts_a_generous_deadline() {
     assert!(elapsed < Duration::from_secs(5), "detection took {elapsed:?}, should be ~one detection slice");
 }
 
-/// The msglib collectives receive through the infallible `recv_from`,
-/// which is the same deadline-bound wait unwrapped: the dissemination
-/// barrier inside `malloc`/`create_lock` (and every `bcast`/`allgather`)
-/// panics with the typed error on a silent or dead peer instead of
-/// blocking forever. Run under a watchdog so a regression to an unbounded
-/// receive fails the test rather than wedging it.
+/// Every msglib collective receives under one deadline it takes at entry
+/// (`op_timeout` on an `Armci`), so each blocking `Group` collective —
+/// the dissemination barrier inside `malloc`/`create_lock`, the binary
+/// exchange of `sync_baseline`, the allreduce, a `bcast` rooted at the
+/// silent peer and the allgather of group setup — panics with its name
+/// and the typed error on a silent or dead peer instead of blocking
+/// forever. Run under a watchdog so a regression to an unbounded receive
+/// fails the test rather than wedging it.
 #[test]
 fn msglib_collectives_panic_with_the_typed_error_instead_of_hanging() {
-    for (mode, want) in [(StubMode::Silent, "collective timed out"), (StubMode::LostPeer(NodeId(1)), "peer n1 lost")] {
-        let (tx, rx) = std::sync::mpsc::channel();
-        std::thread::spawn(move || {
-            let mut a = stub_armci(mode);
-            let t = Instant::now();
-            let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                armci_msglib::Group::world(2).barrier(&mut a);
-            }));
-            let _ = tx.send((r.map_err(|p| p.downcast_ref::<String>().cloned().unwrap_or_default()), t.elapsed()));
-        });
-        let (r, elapsed) =
-            rx.recv_timeout(Duration::from_secs(20)).expect("Group::barrier hung on a stub that never answers");
-        let msg = r.expect_err("a barrier with a peer that never answers cannot complete");
-        assert!(msg.contains(want), "expected a panic naming {want:?}, got {msg:?}");
-        // `op_timeout` is 40 ms; allow a loaded machine its scheduling noise.
-        assert!(elapsed < Duration::from_secs(5), "gave up after {elapsed:?}, should be ~op_timeout");
+    type Collective = fn(&armci_msglib::Group, &mut Armci);
+    let collectives: [(&str, Collective); 5] = [
+        ("barrier", |g, a| g.barrier(a)),
+        ("barrier_binary_exchange", |g, a| g.barrier_binary_exchange(a)),
+        ("allreduce", |g, a| g.allreduce_sum_u64(a, &mut [1])),
+        ("bcast", |g, a| drop(g.bcast(a, 1, Vec::new()))),
+        ("allgather", |g, a| drop(g.allgather(a, vec![0]))),
+    ];
+    for (name, run) in collectives {
+        for (mode, want) in
+            [(StubMode::Silent, "receive deadline expired"), (StubMode::LostPeer(NodeId(1)), "peer n1 lost")]
+        {
+            let (tx, rx) = std::sync::mpsc::channel();
+            std::thread::spawn(move || {
+                let mut a = stub_armci(mode);
+                let t = Instant::now();
+                let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                    run(&armci_msglib::Group::world(2), &mut a);
+                }));
+                let _ = tx.send((r.map_err(|p| p.downcast_ref::<String>().cloned().unwrap_or_default()), t.elapsed()));
+            });
+            let (r, elapsed) = rx
+                .recv_timeout(Duration::from_secs(20))
+                .unwrap_or_else(|_| panic!("Group::{name} hung on a stub that never answers"));
+            let msg = r.expect_err("a collective with a peer that never answers cannot complete");
+            assert!(
+                msg.contains(name) && msg.contains(want),
+                "{name}: expected a panic naming {name:?} and {want:?}, got {msg:?}"
+            );
+            // `op_timeout` is 40 ms; allow a loaded machine its scheduling noise.
+            assert!(elapsed < Duration::from_secs(5), "{name}: gave up after {elapsed:?}, should be ~op_timeout");
+        }
     }
 }
 
@@ -289,6 +308,7 @@ fn try_put_notify_refuses_a_lost_peer_when_only_the_data_segment_is_mapped() {
     let _data = owner.create_local(ProcId(1), 1, 64).expect("create");
 
     let mut a = stub_armci(StubMode::LostPeer(NodeId(1)));
+    a.notify_log = Some(Vec::new()); // log as a traced run does
     a.shm = ShmDataPlane::for_run(&cfg, &rendezvous);
     let dst = GlobalAddr::new(ProcId(1), SegId(1), 0);
     // The mapped data segment alone is reachable without the link...

@@ -347,16 +347,59 @@ fn msglib_and_ga_carry_only_what_is_used() {
     let needles =
         ["rooted", "GlobalVector", "scan_impl", "fn split", "fn subset", "fn transpose_into", "fn try_allreduce"];
     for needle in needles {
-        // A whole name only: `fn split_by_owner` is not `fn split`.
-        let hits: Vec<String> = all
-            .iter()
-            .flat_map(|(p, t)| t.lines().map(move |l| (p, l)))
-            .filter(|(_, l)| {
-                l.match_indices(needle)
-                    .any(|(i, _)| !l[i + needle.len()..].starts_with(|c: char| c.is_alphanumeric() || c == '_'))
-            })
-            .map(|(p, l)| format!("{p}: {}", l.trim()))
-            .collect();
+        let hits = whole_name_hits(&all, needle);
+        assert!(hits.is_empty(), "{needle} is back: {hits:#?}");
+    }
+}
+
+/// Lines of `files` naming `needle` as a whole name, comments included:
+/// `fn split_by_owner` is not `fn split`.
+fn whole_name_hits(files: &[(String, String)], needle: &str) -> Vec<String> {
+    files
+        .iter()
+        .flat_map(|(p, t)| t.lines().map(move |l| (p, l)))
+        .filter(|(_, l)| {
+            l.match_indices(needle)
+                .any(|(i, _)| !l[i + needle.len()..].starts_with(|c: char| c.is_alphanumeric() || c == '_'))
+        })
+        .map(|(p, l)| format!("{p}: {}", l.trim()))
+        .collect()
+}
+
+/// One wait per collective: msglib and the runtime receive a collective's
+/// messages only under a deadline (`P2p::recv_from_deadline`), so neither
+/// has a deadline-less `recv_from` nor a far-future deadline standing in
+/// for one. The accessors nothing called are gone from every crate, test
+/// and example.
+#[test]
+fn one_wait_per_collective_and_no_uncalled_accessors() {
+    let crates = Path::new(env!("CARGO_MANIFEST_DIR")).parent().expect("crates/").to_path_buf();
+    let mut msglib = Vec::new();
+    rs_files(&crates.join("msglib/src"), &mut msglib);
+    let mut receivers = msglib.clone();
+    rs_files(&crates.join("core/src"), &mut receivers);
+    assert!(receivers.len() >= 20, "expected the msglib and core sources under {}", crates.display());
+    let hits = whole_name_hits(&receivers, "fn recv_from(");
+    assert!(hits.is_empty(), "a deadline-less receive is back: {hits:#?}");
+    for far in ["60 * 60", "from_secs(31536000)"] {
+        let hits = whole_name_hits(&msglib, far);
+        assert!(hits.is_empty(), "a far-future deadline is back in msglib: {hits:#?}");
+    }
+
+    let all = workspace_sources();
+    let needles = [
+        "lock_handoff_msgs",
+        "uncontended_remote_release_cost",
+        "with_intra_node",
+        "src_proc",
+        "issued_to",
+        "issued_total",
+        "barrier_vector",
+        "inter_domain_rounds",
+    ];
+    for needle in needles {
+        // A whole name only: `barrier_vector_for` is not `barrier_vector`.
+        let hits = whole_name_hits(&all, needle);
         assert!(hits.is_empty(), "{needle} is back: {hits:#?}");
     }
 }

@@ -30,8 +30,15 @@
 //! [`Group::try_allgather`](crate::Group::try_allgather) for the runtime's
 //! group setup) complete the set. Nothing else is here: the paper needs
 //! the barrier and the allreduce, and the runtime the rest.
+//!
+//! Every implementation has one wait: it receives only through
+//! [`P2p::recv_from_deadline`], under one deadline its caller takes once,
+//! at entry ([`P2p::op_deadline`], or the deadline of a compound runtime
+//! operation), and returns the receive's [`CommError`]. A silent or lost
+//! peer therefore ends every collective within that deadline; none can
+//! block forever.
 
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 use armci_proto::{Exchange, XchgAction, XchgEvent, XchgMsg};
 
@@ -86,49 +93,44 @@ pub fn hier_bx_tag(epoch: u32) -> u32 {
 
 /// Drive one [`Exchange`] schedule to completion over a blocking [`P2p`]
 /// endpoint: perform emitted sends, wait for the single message the
-/// schedule expects next, and fold received bodies into `state` at their
-/// in-order consume points. The engine owns the schedule (partners,
-/// rounds, non-power-of-two folding); this loop owns bytes and blocking.
-/// It blocks as good as forever: its receives take a deadline a year out,
-/// so an endpoint that detects dead peers still ends the wait on one.
+/// schedule expects next, and fold each received body into `state` at
+/// its in-order consume point (for a blocking driver, the message just
+/// received). The engine owns the schedule (partners, rounds,
+/// non-power-of-two folding); this loop owns bytes and the wait, which
+/// ends at `deadline` with the receive's error.
 fn drive_exchange<S: ?Sized>(
     p: &mut impl P2p,
     tag: u32,
+    deadline: Instant,
     state: &mut S,
     payload: impl Fn(&S) -> Vec<u8>,
     absorb: impl Fn(&mut S, XchgMsg, &[u8]) -> Result<(), DecodeError>,
 ) -> Result<(), CommError> {
-    let deadline = Instant::now() + Duration::from_secs(60 * 60 * 24 * 365);
     let mut ex = Exchange::new(p.size(), p.rank());
     let mut acts = Vec::new();
     ex.poll(XchgEvent::Start, &mut acts);
-    let mut inbox: Option<(XchgMsg, Vec<u8>)> = None;
+    let mut body = Vec::new();
     loop {
         for a in acts.drain(..) {
             match a {
                 XchgAction::Send { to, .. } => p.send_to(to, tag, payload(state)),
-                XchgAction::Consume(m) => {
-                    let (km, body) = inbox.take().expect("consume without a received message");
-                    debug_assert_eq!(km, m, "blocking driver consumed out of order");
-                    absorb(state, m, &body)?;
-                }
+                XchgAction::Consume(m) => absorb(state, m, &body)?,
             }
         }
-        if ex.is_complete() {
+        // Nothing left to wait for once the schedule is complete.
+        let Some((from, kind)) = ex.expected_recv() else {
             return Ok(());
-        }
-        let (from, kind) = ex.expected_recv().expect("blocking exchange driver stalled");
-        let body = p.recv_from_deadline(from, tag, deadline)?;
-        inbox = Some((kind, body));
+        };
+        body = p.recv_from_deadline(from, tag, deadline)?;
         ex.poll(XchgEvent::Recv(kind), &mut acts);
     }
 }
 
 /// Dissemination barrier over an already-scoped endpoint.
-pub(crate) fn barrier_impl(p: &mut impl P2p) {
+pub(crate) fn barrier_impl(p: &mut impl P2p, deadline: Instant) -> Result<(), CommError> {
     let n = p.size();
     if n == 1 {
-        return;
+        return Ok(());
     }
     let me = p.rank();
     let tag = mk_tag(op::BARRIER_DISS, p.next_epoch());
@@ -137,19 +139,20 @@ pub(crate) fn barrier_impl(p: &mut impl P2p) {
         let to = (me + k) % n;
         let from = (me + n - k) % n;
         p.send_to(to, tag, Vec::new());
-        let _ = p.recv_from(from, tag);
+        p.recv_from_deadline(from, tag, deadline)?;
         k <<= 1;
     }
+    Ok(())
 }
 
 /// Binary-exchange barrier over an already-scoped endpoint.
-pub(crate) fn barrier_binary_exchange_impl(p: &mut impl P2p) {
+pub(crate) fn barrier_binary_exchange_impl(p: &mut impl P2p, deadline: Instant) -> Result<(), CommError> {
     if p.size() == 1 {
-        return;
+        return Ok(());
     }
     let tag = barrier_bx_tag(p.next_epoch());
     // Schedule-only: every message is empty, nothing to absorb.
-    drive_exchange(p, tag, &mut (), |_| Vec::new(), |_, _, _| Ok(())).expect("transport disconnected during barrier")
+    drive_exchange(p, tag, deadline, &mut (), |_| Vec::new(), |_, _, _| Ok(()))
 }
 
 /// Element codec for allreduce vectors.
@@ -194,14 +197,20 @@ fn dec_fold<T: Elem>(local: &mut [T], body: &[u8], f: impl Fn(T, T) -> T) -> Res
 }
 
 /// Allreduce by recursive doubling over an already-scoped endpoint.
-pub(crate) fn allreduce_impl<T: Elem, F: Fn(T, T) -> T>(p: &mut impl P2p, local: &mut [T], combine: F) {
+pub(crate) fn allreduce_impl<T: Elem, F: Fn(T, T) -> T>(
+    p: &mut impl P2p,
+    deadline: Instant,
+    local: &mut [T],
+    combine: F,
+) -> Result<(), CommError> {
     if p.size() == 1 {
-        return;
+        return Ok(());
     }
     let tag = allreduce_tag(p.next_epoch());
     drive_exchange(
         p,
         tag,
+        deadline,
         local,
         |l| enc_vec(l),
         |l, msg, body| match msg {
@@ -212,14 +221,18 @@ pub(crate) fn allreduce_impl<T: Elem, F: Fn(T, T) -> T>(p: &mut impl P2p, local:
             XchgMsg::Exit => dec_fold(l, body, |_, total| total),
         },
     )
-    .expect("transport disconnected during allreduce")
 }
 
 /// Binomial-tree broadcast over an already-scoped endpoint.
-pub(crate) fn bcast_impl(p: &mut impl P2p, root: usize, data: Vec<u8>) -> Vec<u8> {
+pub(crate) fn bcast_impl(
+    p: &mut impl P2p,
+    deadline: Instant,
+    root: usize,
+    data: Vec<u8>,
+) -> Result<Vec<u8>, CommError> {
     let n = p.size();
     if n == 1 {
-        return data;
+        return Ok(data);
     }
     let me = p.rank();
     let tag = mk_tag(op::BCAST, p.next_epoch());
@@ -236,36 +249,15 @@ pub(crate) fn bcast_impl(p: &mut impl P2p, root: usize, data: Vec<u8>) -> Vec<u8
             }
         } else if vr < 2 * mask && have.is_none() {
             let src = vr - mask;
-            have = Some(p.recv_from((src + root) % n, tag));
+            have = Some(p.recv_from_deadline((src + root) % n, tag, deadline)?);
         }
         mask <<= 1;
     }
-    have.expect("every rank receives in a binomial bcast")
+    Ok(have.expect("every rank receives in a binomial bcast"))
 }
 
-/// Ring allgather over an already-scoped endpoint; each receive waits as
-/// the endpoint's own `recv_from` does.
-pub(crate) fn allgather_impl(p: &mut impl P2p, mine: Vec<u8>) -> Vec<Vec<u8>> {
-    // No error to return: a malformed frame fails as a dead transport does.
-    ring_allgather(p, mine, |p, from, tag| Ok(p.recv_from(from, tag)))
-        .unwrap_or_else(|e: DecodeError| panic!("allgather: {e}"))
-}
-
-/// Fallible ring allgather over an already-scoped endpoint.
-pub(crate) fn try_allgather_impl(
-    p: &mut impl P2p,
-    mine: Vec<u8>,
-    deadline: Instant,
-) -> Result<Vec<Vec<u8>>, CommError> {
-    ring_allgather(p, mine, |p, from, tag| p.recv_from_deadline(from, tag, deadline))
-}
-
-/// The ring both allgathers run, receiving through `recv`.
-fn ring_allgather<P: P2p, E: From<DecodeError>>(
-    p: &mut P,
-    mine: Vec<u8>,
-    mut recv: impl FnMut(&mut P, usize, u32) -> Result<Vec<u8>, E>,
-) -> Result<Vec<Vec<u8>>, E> {
+/// Ring allgather over an already-scoped endpoint.
+pub(crate) fn allgather_impl(p: &mut impl P2p, deadline: Instant, mine: Vec<u8>) -> Result<Vec<Vec<u8>>, CommError> {
     let n = p.size();
     let me = p.rank();
     let tag = mk_tag(op::ALLGATHER, p.next_epoch());
@@ -281,7 +273,7 @@ fn ring_allgather<P: P2p, E: From<DecodeError>>(
         let mut body = Vec::new();
         BufWriter::new(&mut body).u32(send_idx as u32).bytes(&out[send_idx]);
         p.send_to(right, tag, body);
-        let got = recv(p, left, tag)?;
+        let got = p.recv_from_deadline(left, tag, deadline)?;
         let mut r = Reader::new(&got);
         out[(left + n - k) % n] = r.u32().and_then(|_| r.bytes())?.to_vec();
     }

@@ -1,13 +1,14 @@
 //! The [`P2p`] trait and its canonical transport-backed implementation.
 
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
-use armci_transport::{Endpoint, Mailbox, Msg, ProcId, Tag};
+use armci_transport::{Endpoint, Mailbox, ProcId, Tag};
 
 use crate::codec::DecodeError;
 
-/// Why a deadline-aware point-to-point receive failed — the error surface
-/// the fallible collectives ([`crate::Group::try_allgather`]) propagate.
+/// Why a point-to-point receive failed — the error every collective
+/// returns ([`crate::Group::try_allgather`]) or panics with (the blocking
+/// `Group` methods).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum CommError {
     /// The deadline expired with no matching message and no evidence of a
@@ -59,15 +60,17 @@ pub trait P2p {
     /// Non-blocking, reliable, FIFO per (source, destination) pair.
     fn send_to(&mut self, dst: usize, tag: u32, body: Vec<u8>);
 
-    /// Block until a message with tag `tag` from rank `src` arrives;
-    /// messages that do not match are deferred, not dropped.
-    fn recv_from(&mut self, src: usize, tag: u32) -> Vec<u8>;
-
-    /// As [`P2p::recv_from`], but give up at `deadline` (or as soon as the
-    /// expected peer is known dead) instead of blocking forever — the
-    /// receive primitive the `try_*` collectives are written against.
-    /// Required, so no implementation can drop a deadline silently.
+    /// Wait for a message with tag `tag` from rank `src`, giving up at
+    /// `deadline` (or as soon as the expected peer is known dead);
+    /// messages that do not match are deferred, not dropped. The one
+    /// receive the collectives are written against, so none can wait
+    /// without a deadline.
     fn recv_from_deadline(&mut self, src: usize, tag: u32, deadline: Instant) -> Result<Vec<u8>, CommError>;
+
+    /// The deadline an operation starting now must finish by. A
+    /// collective takes it once, at entry, and every receive it makes
+    /// shares it.
+    fn op_deadline(&self) -> Instant;
 
     /// A monotonically increasing counter, bumped once per collective
     /// call, mixed into tags so that back-to-back collectives on the same
@@ -75,7 +78,12 @@ pub trait P2p {
     fn next_epoch(&mut self) -> u32;
 }
 
-/// A plain message-passing communicator over one transport [`Mailbox`].
+/// How long one collective over a bare [`Comm`] may take: the default
+/// `op_timeout` of the ARMCI runtime.
+const COMM_OP_TIMEOUT: Duration = Duration::from_secs(30);
+
+/// A plain message-passing communicator over one transport [`Mailbox`];
+/// a collective over it gives up after 30 s.
 pub struct Comm {
     mailbox: Mailbox,
     epoch: u32,
@@ -111,22 +119,12 @@ impl P2p for Comm {
         self.mailbox.send(Endpoint::Proc(ProcId(dst as u32)), Tag(Tag::MSGLIB_BASE + tag), body);
     }
 
-    fn recv_from(&mut self, src: usize, tag: u32) -> Vec<u8> {
-        let want_src = Endpoint::Proc(ProcId(src as u32));
-        let want_tag = Tag(Tag::MSGLIB_BASE + tag);
-        let Msg { body, .. } = self
-            .mailbox
-            .recv_match(|m| m.src == want_src && m.tag == want_tag)
-            .expect("transport disconnected during collective");
-        body.into_vec()
-    }
-
     fn recv_from_deadline(&mut self, src: usize, tag: u32, deadline: Instant) -> Result<Vec<u8>, CommError> {
         let want_src = Endpoint::Proc(ProcId(src as u32));
         let want_tag = Tag(Tag::MSGLIB_BASE + tag);
         // Wait in short slices so a peer death surfaces promptly even
         // under a generous deadline.
-        let slice = std::time::Duration::from_millis(25);
+        let slice = Duration::from_millis(25);
         loop {
             let until = deadline.min(Instant::now() + slice);
             match self.mailbox.recv_match_deadline(|m| m.src == want_src && m.tag == want_tag, until) {
@@ -143,6 +141,10 @@ impl P2p for Comm {
                 Err(_) => return Err(CommError::Disconnected),
             }
         }
+    }
+
+    fn op_deadline(&self) -> Instant {
+        Instant::now() + COMM_OP_TIMEOUT
     }
 
     fn next_epoch(&mut self) -> u32 {

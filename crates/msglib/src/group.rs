@@ -134,21 +134,28 @@ impl Group {
     }
 
     // ---- collectives -------------------------------------------------
+    //
+    // Each blocking collective takes the endpoint's operation deadline
+    // once, at entry, and panics with the collective's name and the
+    // receive error when a peer stays silent or is lost past it.
 
     /// Dissemination barrier over the members (`ceil(log2 len)` rounds).
     pub fn barrier(&self, p: &mut impl P2p) {
-        collectives::barrier_impl(&mut self.scoped(p));
+        let deadline = p.op_deadline();
+        or_panic("barrier", collectives::barrier_impl(&mut self.scoped(p), deadline));
     }
 
     /// Binary-exchange (pairwise XOR) barrier over the members — the
     /// paper's `MPI_Barrier()` pattern.
     pub fn barrier_binary_exchange(&self, p: &mut impl P2p) {
-        collectives::barrier_binary_exchange_impl(&mut self.scoped(p));
+        let deadline = p.op_deadline();
+        or_panic("barrier_binary_exchange", collectives::barrier_binary_exchange_impl(&mut self.scoped(p), deadline));
     }
 
     /// Element-wise allreduce over the members by recursive doubling.
     pub fn allreduce<T: Elem, F: Fn(T, T) -> T>(&self, p: &mut impl P2p, local: &mut [T], combine: F) {
-        collectives::allreduce_impl(&mut self.scoped(p), local, combine);
+        let deadline = p.op_deadline();
+        or_panic("allreduce", collectives::allreduce_impl(&mut self.scoped(p), deadline, local, combine));
     }
 
     /// Sum-allreduce of a `u64` vector over the members.
@@ -163,18 +170,27 @@ impl Group {
 
     /// Binomial-tree broadcast from group rank `root` to the members.
     pub fn bcast(&self, p: &mut impl P2p, root: usize, data: Vec<u8>) -> Vec<u8> {
-        collectives::bcast_impl(&mut self.scoped(p), root, data)
+        let deadline = p.op_deadline();
+        or_panic("bcast", collectives::bcast_impl(&mut self.scoped(p), deadline, root, data))
     }
 
     /// Ring allgather over the members, indexed by group rank.
     pub fn allgather(&self, p: &mut impl P2p, mine: Vec<u8>) -> Vec<Vec<u8>> {
-        collectives::allgather_impl(&mut self.scoped(p), mine)
+        let deadline = p.op_deadline();
+        or_panic("allgather", self.try_allgather(p, mine, deadline))
     }
 
-    /// Fallible [`Group::allgather`] with a deadline.
+    /// Fallible [`Group::allgather`] under the caller's `deadline` (a
+    /// compound operation shares one across its collectives).
     pub fn try_allgather(&self, p: &mut impl P2p, mine: Vec<u8>, deadline: Instant) -> Result<Vec<Vec<u8>>, CommError> {
-        collectives::try_allgather_impl(&mut self.scoped(p), mine, deadline)
+        collectives::allgather_impl(&mut self.scoped(p), deadline, mine)
     }
+}
+
+/// The blocking spelling of a collective: a failed receive ends the
+/// program with a message naming the collective and the error.
+fn or_panic<T>(collective: &str, r: Result<T, CommError>) -> T {
+    r.unwrap_or_else(|e| panic!("msglib {collective} failed: {e}"))
 }
 
 /// A group-scoped view of a world-scoped [`P2p`] endpoint (see
@@ -201,12 +217,12 @@ impl<P: P2p> P2p for Scoped<'_, P> {
         self.inner.send_to(self.group.world_rank(dst), tag, body);
     }
 
-    fn recv_from(&mut self, src: usize, tag: u32) -> Vec<u8> {
-        self.inner.recv_from(self.group.world_rank(src), tag)
-    }
-
     fn recv_from_deadline(&mut self, src: usize, tag: u32, deadline: Instant) -> Result<Vec<u8>, CommError> {
         self.inner.recv_from_deadline(self.group.world_rank(src), tag, deadline)
+    }
+
+    fn op_deadline(&self) -> Instant {
+        self.inner.op_deadline()
     }
 
     fn next_epoch(&mut self) -> u32 {

@@ -10,7 +10,9 @@
 //! This crate provides that substrate over `armci-transport`:
 //!
 //! * a [`P2p`] trait — ranked, tagged, source-matched point-to-point
-//!   send/recv, the minimal surface MPI-style collectives need;
+//!   send and one receive, which always carries a deadline, plus the
+//!   endpoint's operation deadline: the minimal surface MPI-style
+//!   collectives need;
 //! * [`Comm`], the canonical implementation over a transport [`Mailbox`](armci_transport::Mailbox)
 //!   (`armci_core::Armci` implements `P2p` too, so the same collectives
 //!   run inside the ARMCI runtime);
@@ -27,7 +29,10 @@
 //! the broadcast and allgather its group setup and examples need. There
 //! is no reduce-to-root, gather, scatter, scan or communicator split.
 //! All collectives cost `O(log N)` one-way latencies except allgather,
-//! matching the structures the paper reasons with.
+//! matching the structures the paper reasons with. Each takes one
+//! deadline at entry and shares it across its receives, so a silent or
+//! lost peer ends it with a [`CommError`] (the blocking `Group` methods
+//! panic with it, naming the collective) instead of hanging it.
 
 pub mod codec;
 pub mod collectives;

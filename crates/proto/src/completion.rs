@@ -17,8 +17,8 @@
 //!   producer issues data + a notification-counter bump in one
 //!   operation, the consumer waits on the counter instead of anyone
 //!   fencing the world. Pure `poll(Event) -> [Action]` like every other
-//!   engine in this crate, with a send log for cross-harness
-//!   conformance.
+//!   engine in this crate. It keeps no log: a harness that compares
+//!   schedules records the `Send`s it performs as [`NotifyRecord`]s.
 
 /// A symbolic sync-segment counter the target side must bump when a
 /// counted operation completes. The core server maps these onto
@@ -179,9 +179,10 @@ impl Ledger {
     }
 }
 
-/// One issued notification, as logged for cross-harness conformance:
-/// the runtime-driven engine and the simulator-driven engine must
-/// produce identical sequences of these for identical schedules.
+/// One issued notification, as a harness logs a [`NotifyAction::Send`]
+/// for cross-harness conformance: the runtime (when traced) and the
+/// simulator must log identical sequences of these for identical
+/// schedules.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub struct NotifyRecord {
     /// Destination world rank.
@@ -255,20 +256,19 @@ struct Watch {
 }
 
 /// Sans-IO put-with-notify engine (see module docs). One per process;
-/// both the producer role (issue counting + send log) and the consumer
-/// role (waits) live in the same engine because a rank is usually both.
+/// both the producer role (issue counting) and the consumer role (waits)
+/// live in the same engine because a rank is usually both.
 #[derive(Clone, Debug)]
 pub struct NotifyEngine {
     /// Cumulative notifications issued toward each rank.
     issued: Vec<u64>,
     watches: Vec<Watch>,
-    log: Vec<NotifyRecord>,
 }
 
 impl NotifyEngine {
     /// Fresh engine for a world of `nprocs` ranks.
     pub fn new(nprocs: usize) -> Self {
-        NotifyEngine { issued: vec![0; nprocs], watches: Vec::new(), log: Vec::new() }
+        NotifyEngine { issued: vec![0; nprocs], watches: Vec::new() }
     }
 
     /// Feed one event; emitted actions are appended to `out`.
@@ -276,9 +276,7 @@ impl NotifyEngine {
         match ev {
             NotifyEvent::Issue { dst, slot } => {
                 self.issued[dst] += 1;
-                let seq = self.issued[dst];
-                self.log.push(NotifyRecord { to: dst as u32, slot, seq });
-                out.push(NotifyAction::Send { to: dst, slot, seq });
+                out.push(NotifyAction::Send { to: dst, slot, seq: self.issued[dst] });
             }
             NotifyEvent::Expect { slot, target, .. } => {
                 debug_assert!(
@@ -296,30 +294,9 @@ impl NotifyEngine {
         }
     }
 
-    /// Cumulative notifications issued toward `dst` (the producer-side
-    /// twin of the counter the consumer's segment accumulates).
-    pub fn issued_to(&self, dst: usize) -> u64 {
-        self.issued[dst]
-    }
-
-    /// Total notifications issued toward anyone.
-    pub fn issued_total(&self) -> u64 {
-        self.issued.iter().sum()
-    }
-
     /// Is a wait currently armed on `slot`?
     pub fn is_waiting(&self, slot: u32) -> bool {
         self.watches.iter().any(|w| w.slot == slot)
-    }
-
-    /// The conformance send log accumulated so far.
-    pub fn log(&self) -> &[NotifyRecord] {
-        &self.log
-    }
-
-    /// Drain the conformance send log.
-    pub fn take_log(&mut self) -> Vec<NotifyRecord> {
-        std::mem::take(&mut self.log)
     }
 }
 
@@ -368,7 +345,7 @@ mod tests {
     }
 
     #[test]
-    fn issue_logs_and_sends_with_monotone_seq() {
+    fn issue_sends_with_monotone_per_dst_seq() {
         let mut e = NotifyEngine::new(4);
         let mut out = Vec::new();
         e.poll(NotifyEvent::Issue { dst: 2, slot: 0 }, &mut out);
@@ -382,12 +359,6 @@ mod tests {
                 NotifyAction::Send { to: 3, slot: 0, seq: 1 },
             ]
         );
-        assert_eq!(e.issued_to(2), 2);
-        assert_eq!(e.issued_total(), 3);
-        let log = e.take_log();
-        assert_eq!(log.len(), 3);
-        assert_eq!(log[1], NotifyRecord { to: 2, slot: 1, seq: 2 });
-        assert!(e.take_log().is_empty(), "take_log drains");
     }
 
     #[test]
@@ -419,6 +390,6 @@ mod tests {
         e.poll(NotifyEvent::Issue { dst: 1, slot: 0 }, &mut out);
         ledger.note(1, 1); // the notified put is counted too
         assert_eq!(ledger.op_init(), &[0, 2, 0]);
-        assert_eq!(e.issued_to(1), 1);
+        assert_eq!(out, vec![NotifyAction::Send { to: 1, slot: 0, seq: 1 }]);
     }
 }

@@ -73,15 +73,10 @@ impl FenceEngine {
         self.ledger.op_init()
     }
 
-    /// Snapshot of [`FenceEngine::op_init`] to seed a
-    /// [`crate::CombinedBarrier`].
-    pub fn barrier_vector(&self) -> Vec<u64> {
-        self.ledger.op_init().to_vec()
-    }
-
-    /// [`FenceEngine::barrier_vector`] restricted to `members` (world
-    /// ranks, in group order) — the vector a *group-scoped* combined
-    /// barrier allreduces over the group.
+    /// [`FenceEngine::op_init`] restricted to `members` (world ranks, in
+    /// group order) — the vector a *group-scoped* combined barrier
+    /// allreduces over the group, and seeds its
+    /// [`crate::CombinedBarrier`] with.
     pub fn barrier_vector_for(&self, members: &[usize]) -> Vec<u64> {
         self.ledger.op_init_for(members)
     }
@@ -178,7 +173,7 @@ mod tests {
         f.note_put(1, 1, false);
         f.all_confirmed();
         assert!(!f.confirm_targets(1));
-        assert_eq!(f.barrier_vector(), vec![0, 1]);
+        assert_eq!(f.op_init(), &[0, 1]);
     }
 
     #[test]

@@ -40,7 +40,6 @@ use std::sync::Arc;
 
 use crate::barrier::{Allreduce, ValueSend};
 use crate::exchange::{Exchange, XchgAction, XchgEvent, XchgMsg};
-use crate::math::{log2_exact, pow2_floor};
 
 /// A protocol message of the hierarchical schedule.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -232,15 +231,6 @@ impl HierBarrier {
     /// The members of this rank's domain, leader first.
     pub fn my_domain(&self) -> &[usize] {
         &self.domains[self.my_dom]
-    }
-
-    /// Pairwise rounds of one leader pass:
-    /// `log2(pow2_floor(domains))` — the `log2(nodes)` inter-node step
-    /// count the hierarchy exists to deliver (surplus domains add the
-    /// usual two-latency fold). A clean epoch runs one pass, a dirty one
-    /// two.
-    pub fn inter_domain_rounds(&self) -> usize {
-        log2_exact(pow2_floor(self.domains.len()))
     }
 
     /// Leaders: the reduce pass's vector — the group totals once the
@@ -592,13 +582,6 @@ mod tests {
             ]
         );
         assert!(e.is_complete());
-    }
-
-    #[test]
-    fn rounds_accessor_matches_domain_count() {
-        assert_eq!(HierBarrier::new(0, chunked(8, 2)).inter_domain_rounds(), 3);
-        assert_eq!(HierBarrier::new(0, chunked(5, 1)).inter_domain_rounds(), 2);
-        assert_eq!(HierBarrier::new(0, chunked(1, 4)).inter_domain_rounds(), 0);
     }
 
     // ---- Exhaustive schedule exploration --------------------------------

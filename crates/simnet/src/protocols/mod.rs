@@ -3,8 +3,8 @@
 //!
 //! * [`sync`] — Figure 7: the baseline `GA_Sync()`
 //!   (`ARMCI_AllFence()` + binary-exchange `MPI_Barrier()`) vs the new
-//!   combined `ARMCI_Barrier()`, exchange stages driven by
-//!   [`armci_proto::Exchange`];
+//!   combined `ARMCI_Barrier()`, driven by [`armci_proto::Exchange`] and
+//!   [`armci_proto::CombinedBarrier`];
 //! * [`lock`] — Figures 8–10: the hybrid ticket/server lock vs the MCS
 //!   software queuing lock under varying contention, word transitions
 //!   driven by the [`armci_proto::lock`] engines.

@@ -1,15 +1,14 @@
 //! Discrete-event model of the Figure 7 experiment: `GA_Sync()` with the
 //! original algorithm vs the paper's combined `ARMCI_Barrier()`.
 //!
-//! The binary-exchange *schedule* — who sends what to whom, in which
-//! round, including the non-power-of-two fold — is not modeled here: each
-//! exchange stage is a thin actor adapter around [`armci_proto::Exchange`],
-//! the same sans-IO engine the runtime's `ARMCI_Barrier()` drives over
-//! real transports. The adapter translates simulated message deliveries
-//! into engine events and engine `Send` actions into modeled messages
-//! under the virtual clock, and records every send so the cross-harness
-//! conformance suite can compare the simulated schedule against the
-//! runtime's, message for message.
+//! No protocol is modeled here: each process drives the same sans-IO
+//! engine the runtime drives — [`armci_proto::CombinedBarrier`] for the
+//! combined barrier, [`armci_proto::Exchange`] for the baseline's
+//! binary-exchange barrier. The actor translates simulated message
+//! deliveries into engine events and engine `Send` actions into modeled
+//! messages under the virtual clock, and hands the combined barrier's
+//! own send log to the cross-harness conformance suite, which compares
+//! it with the runtime's, message for message.
 //!
 //! Topology: `n` single-process nodes; actor `i` is user process `i`,
 //! actor `n + node` is that node's server thread. All processes start the
@@ -29,9 +28,11 @@
 //!   (message size `8·n` bytes), a zero-cost `op_done` wait (puts are
 //!   complete), and the binary-exchange barrier: `2·log2(n)` latencies.
 
+use std::collections::VecDeque;
+
 use armci_proto::{
-    Exchange as XchgEngine, HierBarrier, HierEvent, HierExpect, HierMsg, HierRecord, NotifyAction, NotifyEngine,
-    NotifyEvent, NotifyRecord, SendRecord, XchgAction, XchgEvent, XchgMsg,
+    BarrierAction, BarrierEvent, CombinedBarrier, Exchange, HierBarrier, HierEvent, HierExpect, HierMsg, HierRecord,
+    NotifyAction, NotifyEngine, NotifyEvent, NotifyRecord, SendRecord, XchgAction, XchgEvent, XchgMsg, STAGE_BARRIER,
 };
 
 use crate::net::NetModel;
@@ -46,145 +47,139 @@ pub enum Msg {
     FenceReq,
     /// Fence confirmation reply.
     FenceAck,
-    /// Binary-exchange message of `stage` (0 = allreduce, 1 = barrier),
-    /// round `round`.
+    /// Exchange-schedule message `msg` of `stage` (0 = allreduce, 1 =
+    /// barrier; the baseline's lone barrier is stage 1 too).
     Xchg {
         /// Which exchange stage.
         stage: u8,
-        /// Round within the stage.
-        round: u8,
-    },
-    /// Non-power-of-two fold: surplus rank checks in with its core partner.
-    Enter {
-        /// Which exchange stage.
-        stage: u8,
-    },
-    /// Non-power-of-two fold: core partner releases the surplus rank.
-    Exit {
-        /// Which exchange stage.
-        stage: u8,
+        /// Schedule position.
+        msg: XchgMsg,
     },
 }
 
-/// One binary-exchange stage (allreduce or barrier): the shared sans-IO
-/// engine plus the glue that turns its actions into modeled messages.
-struct Exchange {
-    stage: u8,
-    /// Payload bytes per message in this stage.
-    size: usize,
-    eng: XchgEngine,
-    started: bool,
-    /// Engine actions emitted but not yet translated to the network.
-    out: Vec<XchgAction>,
-    /// Every send this stage issued, for conformance comparison against
-    /// the runtime-driven engine.
-    log: Vec<SendRecord>,
+/// The one engine a process runs once its fences are confirmed.
+enum Engine {
+    /// The paper's combined `ARMCI_Barrier()`; its allreduce messages
+    /// carry the `8·n`-byte `op_init[]` vector.
+    Combined(Box<CombinedBarrier>),
+    /// The baseline's (and VIA's) payload-less binary-exchange barrier.
+    Barrier(Exchange),
 }
 
-impl Exchange {
-    fn new(stage: u8, size: usize, n: usize, me: usize) -> Self {
-        Exchange { stage, size, eng: XchgEngine::new(n, me), started: false, out: Vec::new(), log: Vec::new() }
-    }
-
-    fn encode(stage: u8, msg: XchgMsg) -> Msg {
-        match msg {
-            XchgMsg::Enter => Msg::Enter { stage },
-            XchgMsg::Exit => Msg::Exit { stage },
-            XchgMsg::Round(round) => Msg::Xchg { stage, round },
-        }
-    }
-
-    fn decode(m: &Msg) -> Option<(u8, XchgMsg)> {
-        match *m {
-            Msg::Xchg { stage, round } => Some((stage, XchgMsg::Round(round))),
-            Msg::Enter { stage } => Some((stage, XchgMsg::Enter)),
-            Msg::Exit { stage } => Some((stage, XchgMsg::Exit)),
-            Msg::Start | Msg::FenceReq | Msg::FenceAck => None,
-        }
-    }
-
-    /// Drive the stage as far as possible; returns true when complete.
-    fn advance(&mut self, ctx: &mut Ctx<'_, Msg>) -> bool {
-        if !self.started {
-            self.started = true;
-            self.eng.poll(XchgEvent::Start, &mut self.out);
-        }
-        for a in self.out.drain(..) {
-            // Consume markers order the value fold; the model carries no
-            // payload data, so only Sends become network traffic.
-            if let XchgAction::Send { to, msg } = a {
-                self.log.push(SendRecord { stage: self.stage, to: to as u32, msg });
-                ctx.send(to, Self::encode(self.stage, msg), self.size);
-            }
-        }
-        self.eng.is_complete()
-    }
-
-    /// Feed a delivered message; false if it belongs to another stage.
-    /// Deliveries before this stage is entered are legal — the engine
-    /// records them and acts on them at `Start` (see
-    /// [`armci_proto::XchgEvent::Start`]).
-    fn on_msg(&mut self, msg: &Msg) -> bool {
-        match Self::decode(msg) {
-            Some((stage, kind)) if stage == self.stage => {
-                self.eng.poll(XchgEvent::Recv(kind), &mut self.out);
-                true
-            }
-            _ => false,
-        }
-    }
-}
-
-/// Exchange-stage id carried by a message, if any.
-fn msg_stage(m: &Msg) -> Option<u8> {
-    Exchange::decode(m).map(|(stage, _)| stage)
-}
-
-/// What a user process does in sequence.
-enum Stage {
-    /// Sequentially round-trip fence confirmations with `targets` servers.
-    SeqFence { targets: Vec<ActorId>, next: usize },
-    /// One binary-exchange stage.
-    Exchange(Exchange),
-}
-
-/// A user process running the selected `GA_Sync()` algorithm once.
+/// A user process running the selected `GA_Sync()` algorithm once:
+/// fence confirmations with `fences`, in order, then its engine. Exchange
+/// messages are fed to the engine as they arrive — both engines buffer
+/// deliveries made before `Start` — so a peer may run ahead freely.
 pub struct ProcActor {
-    stages: Vec<Stage>,
-    cur: usize,
-    /// Messages for stages this process has not reached yet (a faster
-    /// peer can run ahead by a whole stage).
-    stash: Vec<Msg>,
+    /// Servers whose fence confirmation is still outstanding; the first
+    /// is the one being asked.
+    fences: VecDeque<ActorId>,
+    engine: Engine,
+    /// Engine actions emitted but not yet performed.
+    xchg_out: Vec<XchgAction>,
+    barrier_out: Vec<BarrierAction>,
     /// Virtual time at which this process *begins* the sync (process
     /// skew; 0 in the paper's skew-free methodology).
     start_at: Time,
-    started: bool,
     /// Virtual time at which this process finished the sync.
     pub finish_at: Option<Time>,
 }
 
 impl ProcActor {
+    fn new(fences: Vec<ActorId>, engine: Engine, start_at: Time) -> Self {
+        ProcActor {
+            fences: fences.into(),
+            engine,
+            xchg_out: Vec::new(),
+            barrier_out: Vec::new(),
+            start_at,
+            finish_at: None,
+        }
+    }
+
     /// Time this process spent inside the sync (finish − start).
     pub fn sync_time(&self) -> Option<Time> {
         self.finish_at.map(|f| f - self.start_at)
     }
 
-    /// Every protocol send this process's exchange stages issued, in
-    /// emission order (stages run sequentially, so concatenation *is*
-    /// emission order). This is the trace the conformance suite compares
-    /// against [`take_barrier_log`] on the runtime side.
-    ///
-    /// [`take_barrier_log`]: https://docs.rs/armci-core
-    pub fn xchg_log(&self) -> Vec<SendRecord> {
-        self.stages
-            .iter()
-            .filter_map(|s| match s {
-                Stage::Exchange(x) => Some(&x.log),
-                _ => None,
-            })
-            .flatten()
-            .copied()
-            .collect()
+    /// Ask the next server still owing a confirmation, or start the
+    /// engine once none is left.
+    fn fence_or_start(&mut self, ctx: &mut Ctx<'_, Msg>) {
+        match self.fences.front() {
+            Some(&server) => ctx.send(server, Msg::FenceReq, 0),
+            None => self.start_engine(ctx),
+        }
+    }
+
+    /// The awaited confirmation arrived: ask the next server, or start
+    /// the engine after the last.
+    fn on_fence_ack(&mut self, ctx: &mut Ctx<'_, Msg>) {
+        self.fences.pop_front().expect("FenceAck with no fence outstanding");
+        self.fence_or_start(ctx);
+    }
+
+    fn start_engine(&mut self, ctx: &mut Ctx<'_, Msg>) {
+        match &mut self.engine {
+            Engine::Combined(b) => b.poll(BarrierEvent::Start, &mut self.barrier_out),
+            Engine::Barrier(x) => x.poll(XchgEvent::Start, &mut self.xchg_out),
+        }
+        self.pump(ctx);
+    }
+
+    fn on_xchg(&mut self, ctx: &mut Ctx<'_, Msg>, stage: u8, msg: XchgMsg) {
+        match &mut self.engine {
+            // The model carries no payload data: empty `vals`.
+            Engine::Combined(b) => b.poll(BarrierEvent::Recv { stage, msg, vals: &[] }, &mut self.barrier_out),
+            Engine::Barrier(x) => x.poll(XchgEvent::Recv(msg), &mut self.xchg_out),
+        }
+        self.pump(ctx);
+    }
+
+    /// Perform the engine's actions: sends become modeled messages, the
+    /// `op_done` wait is answered at once (puts have landed), and a
+    /// complete engine ends the sync.
+    fn pump(&mut self, ctx: &mut Ctx<'_, Msg>) {
+        let done = match &mut self.engine {
+            Engine::Combined(b) => {
+                while !self.barrier_out.is_empty() {
+                    for a in std::mem::take(&mut self.barrier_out) {
+                        match a {
+                            BarrierAction::Send { stage, to, msg, vals } => {
+                                ctx.send(to, Msg::Xchg { stage, msg }, 8 * vals.len())
+                            }
+                            BarrierAction::AwaitOpDone { .. } => {
+                                b.poll(BarrierEvent::OpDoneReached, &mut self.barrier_out)
+                            }
+                            BarrierAction::Done => {}
+                        }
+                    }
+                }
+                b.is_complete()
+            }
+            Engine::Barrier(x) => {
+                // Consume markers order the value fold; the barrier
+                // carries no payload, so only Sends become traffic.
+                for a in self.xchg_out.drain(..) {
+                    if let XchgAction::Send { to, msg } = a {
+                        ctx.send(to, Msg::Xchg { stage: STAGE_BARRIER, msg }, 0);
+                    }
+                }
+                x.is_complete()
+            }
+        };
+        if done && self.finish_at.is_none() {
+            self.finish_at = Some(ctx.now);
+        }
+    }
+
+    /// Every protocol send the combined barrier issued, in emission
+    /// order: the trace the conformance suite compares against the
+    /// runtime's `take_barrier_log`. Empty for the baseline's barrier.
+    fn take_log(&mut self) -> Vec<SendRecord> {
+        match &mut self.engine {
+            Engine::Combined(b) => b.take_log(),
+            Engine::Barrier(_) => Vec::new(),
+        }
     }
 }
 
@@ -204,72 +199,11 @@ pub enum SyncNode {
     Server(ServerActor),
 }
 
-impl ProcActor {
-    fn advance(&mut self, ctx: &mut Ctx<'_, Msg>) {
-        while self.cur < self.stages.len() {
-            // Replay any stashed messages that belong to the stage we just
-            // entered.
-            if let Stage::Exchange(x) = &mut self.stages[self.cur] {
-                let stage = x.stage;
-                let (mine, rest): (Vec<_>, Vec<_>) =
-                    std::mem::take(&mut self.stash).into_iter().partition(|m| msg_stage(m) == Some(stage));
-                self.stash = rest;
-                for m in &mine {
-                    assert!(x.on_msg(m), "stashed message {m:?} not consumed by its stage");
-                }
-            }
-            match &mut self.stages[self.cur] {
-                Stage::SeqFence { targets, next } => {
-                    if *next < targets.len() {
-                        // Waiting for the ack of targets[next-1] or need to
-                        // fire the first request.
-                        if *next == 0 {
-                            ctx.send(targets[0], Msg::FenceReq, 0);
-                            *next = 1;
-                        }
-                        return; // resume on FenceAck
-                    }
-                    self.cur += 1;
-                }
-                Stage::Exchange(x) => {
-                    if x.advance(ctx) {
-                        self.cur += 1;
-                    } else {
-                        return;
-                    }
-                }
-            }
-        }
-        if self.finish_at.is_none() {
-            self.finish_at = Some(ctx.now);
-        }
-    }
-
-    fn on_fence_ack(&mut self, ctx: &mut Ctx<'_, Msg>) {
-        match &mut self.stages[self.cur] {
-            Stage::SeqFence { targets, next } => {
-                if *next < targets.len() {
-                    let t = targets[*next];
-                    *next += 1;
-                    ctx.send(t, Msg::FenceReq, 0);
-                    return; // still inside SeqFence
-                }
-                // All acks in: mark done by moving next past the end.
-                *next = targets.len();
-                self.cur += 1;
-                self.advance(ctx);
-            }
-            Stage::Exchange(_) => panic!("unexpected FenceAck inside an exchange stage"),
-        }
-    }
-}
-
 impl Actor<Msg> for SyncNode {
     fn on_start(&mut self, ctx: &mut Ctx<'_, Msg>) {
         if let SyncNode::Proc(p) = self {
             if p.start_at == 0 {
-                p.started = true;
-                p.advance(ctx);
+                p.fence_or_start(ctx);
             } else {
                 ctx.wake_after(p.start_at, Msg::Start);
             }
@@ -277,43 +211,17 @@ impl Actor<Msg> for SyncNode {
     }
 
     fn on_message(&mut self, ctx: &mut Ctx<'_, Msg>, from: ActorId, msg: Msg) {
-        match self {
-            SyncNode::Server(s) => match msg {
-                Msg::FenceReq => {
-                    s.handled += 1;
-                    ctx.busy(s.occupancy);
-                    ctx.send(from, Msg::FenceAck, 0);
-                }
-                other => panic!("server received non-fence message {other:?}"),
-            },
-            SyncNode::Proc(p) if !p.started => match msg {
-                Msg::Start => {
-                    p.started = true;
-                    p.advance(ctx);
-                }
-                // A peer started earlier and is already exchanging with
-                // us; hold everything until our own start.
-                m => p.stash.push(m),
-            },
-            SyncNode::Proc(p) => match msg {
-                Msg::Start => unreachable!("duplicate start"),
-                Msg::FenceAck => p.on_fence_ack(ctx),
-                m @ (Msg::Xchg { .. } | Msg::Enter { .. } | Msg::Exit { .. }) => {
-                    // Consume if it belongs to the stage we are in; stash
-                    // it otherwise (a peer may be a full stage ahead, or we
-                    // may still be fencing).
-                    let consumed = match p.stages.get_mut(p.cur) {
-                        Some(Stage::Exchange(x)) if msg_stage(&m) == Some(x.stage) => x.on_msg(&m),
-                        _ => false,
-                    };
-                    if consumed {
-                        p.advance(ctx);
-                    } else {
-                        p.stash.push(m);
-                    }
-                }
-                Msg::FenceReq => panic!("process received a FenceReq"),
-            },
+        match (self, msg) {
+            (SyncNode::Server(s), Msg::FenceReq) => {
+                s.handled += 1;
+                ctx.busy(s.occupancy);
+                ctx.send(from, Msg::FenceAck, 0);
+            }
+            (SyncNode::Server(_), other) => panic!("server received non-fence message {other:?}"),
+            (SyncNode::Proc(p), Msg::Start) => p.fence_or_start(ctx),
+            (SyncNode::Proc(p), Msg::FenceAck) => p.on_fence_ack(ctx),
+            (SyncNode::Proc(p), Msg::Xchg { stage, msg }) => p.on_xchg(ctx, stage, msg),
+            (SyncNode::Proc(_), Msg::FenceReq) => panic!("process received a FenceReq"),
         }
     }
 }
@@ -352,7 +260,10 @@ struct RunCfg {
     model: NetModel,
 }
 
-fn run_cfg_logged(cfg: RunCfg, mk_stages: impl Fn(usize) -> Vec<Stage>) -> (SyncResult, Vec<Vec<SendRecord>>) {
+fn run_cfg_logged(
+    cfg: RunCfg,
+    mk_proc: impl Fn(usize) -> (Vec<ActorId>, Engine),
+) -> (SyncResult, Vec<Vec<SendRecord>>) {
     let n = cfg.nprocs;
     assert!(n >= 1 && cfg.ppn >= 1 && n.is_multiple_of(cfg.ppn), "nprocs must be a multiple of ppn");
     let nnodes = n / cfg.ppn;
@@ -360,15 +271,8 @@ fn run_cfg_logged(cfg: RunCfg, mk_stages: impl Fn(usize) -> Vec<Stage>) -> (Sync
     let mut actors = Vec::with_capacity(n + nnodes);
     let mut nodes = Vec::with_capacity(n + nnodes);
     for p in 0..n {
-        let start_at = cfg.skew.get(p).copied().unwrap_or(0);
-        actors.push(SyncNode::Proc(ProcActor {
-            stages: mk_stages(p),
-            cur: 0,
-            stash: Vec::new(),
-            start_at,
-            started: false,
-            finish_at: None,
-        }));
+        let (fences, engine) = mk_proc(p);
+        actors.push(SyncNode::Proc(ProcActor::new(fences, engine, cfg.skew.get(p).copied().unwrap_or(0))));
         nodes.push(p / cfg.ppn);
     }
     for s in 0..nnodes {
@@ -377,26 +281,34 @@ fn run_cfg_logged(cfg: RunCfg, mk_stages: impl Fn(usize) -> Vec<Stage>) -> (Sync
     }
     let mut sim = Sim::new(actors, nodes, cfg.model);
     sim.run(10_000_000);
+    let (messages, inter_node_messages) = (sim.delivered(), sim.delivered_inter_node());
     let mut per_proc = Vec::with_capacity(n);
     let mut logs = Vec::with_capacity(n);
-    for p in 0..n {
-        match sim.actor(p) {
-            SyncNode::Proc(pa) => {
-                per_proc.push(pa.sync_time().unwrap_or_else(|| panic!("proc {p} never finished sync")));
-                logs.push(pa.xchg_log());
-            }
-            SyncNode::Server(_) => unreachable!(),
-        }
+    for (p, actor) in sim.into_actors().into_iter().take(n).enumerate() {
+        let SyncNode::Proc(mut pa) = actor else { unreachable!("actors 0..n are processes") };
+        per_proc.push(pa.sync_time().unwrap_or_else(|| panic!("proc {p} never finished sync")));
+        logs.push(pa.take_log());
     }
-    (SyncResult { per_proc, messages: sim.delivered(), inter_node_messages: sim.delivered_inter_node() }, logs)
+    (SyncResult { per_proc, messages, inter_node_messages }, logs)
 }
 
-fn run_cfg(cfg: RunCfg, mk_stages: impl Fn(usize) -> Vec<Stage>) -> SyncResult {
-    run_cfg_logged(cfg, mk_stages).0
+fn run_cfg(cfg: RunCfg, mk_proc: impl Fn(usize) -> (Vec<ActorId>, Engine)) -> SyncResult {
+    run_cfg_logged(cfg, mk_proc).0
 }
 
-fn run(n: usize, model: NetModel, mk_stages: impl Fn(usize) -> Vec<Stage>) -> SyncResult {
-    run_cfg(RunCfg { nprocs: n, ppn: 1, skew: Vec::new(), model }, mk_stages)
+fn run(n: usize, model: NetModel, mk_proc: impl Fn(usize) -> (Vec<ActorId>, Engine)) -> SyncResult {
+    run_cfg(RunCfg { nprocs: n, ppn: 1, skew: Vec::new(), model }, mk_proc)
+}
+
+/// The combined barrier of rank `p` of `n`. The model moves no data, so
+/// every `op_init[]` slot is 0 and the `op_done` wait is free.
+fn combined(n: usize, p: usize) -> Engine {
+    Engine::Combined(Box::new(CombinedBarrier::new(p, vec![0; n])))
+}
+
+/// The binary-exchange barrier of rank `p` of `n`.
+fn barrier(n: usize, p: usize) -> Engine {
+    Engine::Barrier(Exchange::new(n, p))
 }
 
 /// Simulate the baseline `GA_Sync()` where each process fences
@@ -410,7 +322,7 @@ pub fn simulate_sync_baseline(n: usize, targets_per_proc: usize, model: NetModel
         // the same servers — the convoy that makes the measured baseline
         // worse than its ideal 2(n-1)·L once server occupancy is nonzero.
         let targets: Vec<ActorId> = (0..n).filter(|&s| s != p).take(targets_per_proc).map(|s| n + s).collect();
-        vec![Stage::SeqFence { targets, next: 0 }, Stage::Exchange(Exchange::new(1, 0, n, p))]
+        (targets, barrier(n, p))
     })
 }
 
@@ -424,9 +336,7 @@ pub fn simulate_combined_barrier(n: usize, model: NetModel) -> SyncResult {
 /// protocol send trace (allreduce stage then barrier stage, in emission
 /// order) for cross-harness conformance checks.
 pub fn simulate_combined_barrier_logged(n: usize, model: NetModel) -> (SyncResult, Vec<Vec<SendRecord>>) {
-    run_cfg_logged(RunCfg { nprocs: n, ppn: 1, skew: Vec::new(), model }, |p| {
-        vec![Stage::Exchange(Exchange::new(0, 8 * n, n, p)), Stage::Exchange(Exchange::new(1, 0, n, p))]
-    })
+    run_cfg_logged(RunCfg { nprocs: n, ppn: 1, skew: Vec::new(), model }, |p| (Vec::new(), combined(n, p)))
 }
 
 /// Baseline `GA_Sync()` on SMP nodes (`ppn` processes per node): each
@@ -438,16 +348,14 @@ pub fn simulate_sync_baseline_smp(nodes: usize, ppn: usize, model: NetModel) -> 
     run_cfg(RunCfg { nprocs: n, ppn, skew: Vec::new(), model }, |p| {
         let my_node = p / ppn;
         let targets: Vec<ActorId> = (0..nodes).filter(|&s| s != my_node).map(|s| n + s).collect();
-        vec![Stage::SeqFence { targets, next: 0 }, Stage::Exchange(Exchange::new(1, 0, n, p))]
+        (targets, barrier(n, p))
     })
 }
 
 /// Combined `ARMCI_Barrier()` on SMP nodes.
 pub fn simulate_combined_barrier_smp(nodes: usize, ppn: usize, model: NetModel) -> SyncResult {
     let n = nodes * ppn;
-    run_cfg(RunCfg { nprocs: n, ppn, skew: Vec::new(), model }, |p| {
-        vec![Stage::Exchange(Exchange::new(0, 8 * n, n, p)), Stage::Exchange(Exchange::new(1, 0, n, p))]
-    })
+    run_cfg(RunCfg { nprocs: n, ppn, skew: Vec::new(), model }, |p| (Vec::new(), combined(n, p)))
 }
 
 /// Baseline `GA_Sync()` under a VIA/LAPI-style *acknowledged-put*
@@ -455,7 +363,7 @@ pub fn simulate_combined_barrier_smp(nodes: usize, ppn: usize, model: NetModel) 
 /// completed, so the AllFence is a local drain (zero messages here,
 /// where puts pre-completed) and the sync reduces to the barrier alone.
 pub fn simulate_sync_via(n: usize, model: NetModel) -> SyncResult {
-    run(n, model, |p| vec![Stage::Exchange(Exchange::new(1, 0, n, p))])
+    run(n, model, |p| (Vec::new(), barrier(n, p)))
 }
 
 /// Combined barrier with linear process skew: process `p` starts its
@@ -464,9 +372,7 @@ pub fn simulate_sync_via(n: usize, model: NetModel) -> SyncResult {
 /// arrival, so early processes observe inflated sync times.
 pub fn simulate_combined_barrier_skewed(n: usize, skew_step: Time, model: NetModel) -> SyncResult {
     let skew: Vec<Time> = (0..n as u64).map(|p| p * skew_step).collect();
-    run_cfg(RunCfg { nprocs: n, ppn: 1, skew, model }, |p| {
-        vec![Stage::Exchange(Exchange::new(0, 8 * n, n, p)), Stage::Exchange(Exchange::new(1, 0, n, p))]
-    })
+    run_cfg(RunCfg { nprocs: n, ppn: 1, skew, model }, |p| (Vec::new(), combined(n, p)))
 }
 
 // ---------------------------------------------------------------------
@@ -509,6 +415,8 @@ struct NotifyProc {
     received: u64,
     bytes: usize,
     out: Vec<NotifyAction>,
+    /// Every notification sent, in order, for conformance comparison.
+    log: Vec<NotifyRecord>,
     finish_at: Option<Time>,
 }
 
@@ -530,6 +438,7 @@ impl NotifyProc {
                     self.eng.poll(NotifyEvent::Issue { dst, slot: self.slot }, &mut self.out);
                     for a in self.out.drain(..) {
                         if let NotifyAction::Send { to, slot, seq } = a {
+                            self.log.push(NotifyRecord { to: to as u32, slot, seq });
                             ctx.send(to, NotifyMsg { slot, seq }, self.bytes);
                         }
                     }
@@ -606,6 +515,7 @@ pub fn simulate_notify_exchange_logged(
             received: 0,
             bytes,
             out: Vec::new(),
+            log: Vec::new(),
             finish_at: None,
         })
         .collect();
@@ -616,7 +526,7 @@ pub fn simulate_notify_exchange_logged(
     for p in 0..n {
         let a = sim.actor(p);
         per_proc.push(a.finish_at.unwrap_or_else(|| panic!("rank {p} never finished the notified exchange")));
-        logs.push(a.eng.log().to_vec());
+        logs.push(a.log.clone());
     }
     (SyncResult { per_proc, messages: sim.delivered(), inter_node_messages: sim.delivered_inter_node() }, logs)
 }

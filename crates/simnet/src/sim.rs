@@ -210,6 +210,11 @@ impl<M, A: Actor<M>> Sim<M, A> {
     pub fn actors(&self) -> impl Iterator<Item = &A> {
         self.actors.iter()
     }
+
+    /// The actors, in id order, once the run is over.
+    pub fn into_actors(self) -> Vec<A> {
+        self.actors
+    }
 }
 
 #[cfg(test)]

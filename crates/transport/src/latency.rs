@@ -72,12 +72,6 @@ impl LatencyModel {
         self
     }
 
-    /// Set the intra-node latency.
-    pub fn with_intra_node(mut self, d: Duration) -> Self {
-        self.intra_node = d;
-        self
-    }
-
     /// Set the maximum uniform jitter added to inter-node messages.
     pub fn with_jitter(mut self, d: Duration) -> Self {
         self.jitter = d;
@@ -145,8 +139,7 @@ mod tests {
 
     #[test]
     fn builder_chain_overrides() {
-        let m = LatencyModel::myrinet_like().with_inter_node(Duration::from_millis(1)).with_intra_node(Duration::ZERO);
+        let m = LatencyModel::myrinet_like().with_inter_node(Duration::from_millis(1));
         assert_eq!(m.one_way(false, 0), Duration::from_millis(1));
-        assert_eq!(m.one_way(true, 0), Duration::ZERO);
     }
 }

@@ -74,17 +74,6 @@ pub struct Msg {
     pub body: Body,
 }
 
-impl Msg {
-    /// Sending process id; panics if the sender was a server.
-    ///
-    /// Convenience for protocols (like the msglib collectives) that only
-    /// ever talk process-to-process.
-    #[inline]
-    pub fn src_proc(&self) -> ProcId {
-        self.src.proc().expect("message sent by a server, not a process")
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -104,12 +93,5 @@ mod tests {
             assert!(Tag::ARMCI_BASE < Tag::GA_BASE);
             assert!(Tag::GA_BASE < Tag::INTERNAL_BASE);
         }
-    }
-
-    #[test]
-    #[should_panic]
-    fn src_proc_panics_for_server() {
-        let m = Msg { src: Endpoint::Server(NodeId(0)), tag: Tag(0), body: Body::empty() };
-        let _ = m.src_proc();
     }
 }

@@ -15,12 +15,13 @@ use armci_repro::prelude::*;
 /// rank `put_notify`s one word to every rank in its `dests` row (slot
 /// 0), then waits for the cumulative notification count from its
 /// producers — exactly the schedule the simulator's `NotifyProc` actor
-/// runs. Returns every rank's engine send trace. `net` selects netfab
-/// loopback with the shm plane pinned to the given setting; `None` runs
-/// the emulator.
+/// runs. Returns every rank's engine send trace, which only a traced run
+/// keeps. `net` selects netfab loopback with the shm plane pinned to the
+/// given setting; `None` runs the emulator.
 fn runtime_notify_logs(dests: &'static [&'static [usize]], iters: u64, net: Option<bool>) -> Vec<Vec<NotifyRecord>> {
     let n = dests.len();
-    let cfg = ArmciCfg::flat(n as u32, LatencyModel::zero());
+    let mut cfg = ArmciCfg::flat(n as u32, LatencyModel::zero());
+    cfg.trace = true;
     let body = move |a: &mut Armci| {
         let seg = a.malloc(8 * a.nprocs());
         let me = a.rank();
@@ -131,6 +132,27 @@ fn group_scoped_notify_trace_identical_emulator_vs_simnet() {
     for idle in [0usize, 2, 5] {
         assert!(emu[idle].is_empty(), "idle rank {idle} must not notify");
     }
+}
+
+/// The notify log is a tracing aid: an untraced run keeps none, however
+/// many notifications it issues, instead of one record per `put_notify`
+/// for the life of the handle.
+#[test]
+fn untraced_runs_keep_no_notify_log() {
+    const PUTS: u64 = 10_000;
+    let out = run_cluster(ArmciCfg::flat(2, LatencyModel::zero()), |a| {
+        let seg = a.malloc(8);
+        if a.rank() == 0 {
+            for i in 0..PUTS {
+                a.put_notify(GlobalAddr::new(ProcId(1), seg, 0), &i.to_le_bytes(), 0);
+            }
+        } else {
+            a.wait_notify(0, PUTS);
+        }
+        a.barrier();
+        a.take_notify_log().len()
+    });
+    assert_eq!(out, vec![0, 0], "an untraced run logged notifications");
 }
 
 // ---- Ghost-exchange wire-count gate ---------------------------------
