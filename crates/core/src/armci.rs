@@ -8,7 +8,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use armci_msglib::{CommError, DecodeError, P2p, Reader};
-use armci_proto::{FenceEngine, HierRecord, NotifyAction, NotifyEngine, NotifyEvent, NotifyRecord, SendRecord};
+use armci_proto::{FenceEngine, NotifyAction, NotifyEngine, NotifyEvent, SendRecord, SentMsg};
 use armci_transport::wait::spin_until_deadline;
 use armci_transport::{
     Body, BodyPool, Endpoint, Mailbox, MemoryRegistry, Msg, NodeId, ProcId, SegId, Segment, Tag, Topology,
@@ -67,22 +67,17 @@ pub struct Armci {
     /// `armci-proto` engine the simulator drives.
     pub(crate) fence: FenceEngine,
     /// Sans-IO notified-RMA engine (`put_notify`/`wait_notify`):
-    /// per-destination issue counts and armed consumer waits — same
-    /// `armci-proto` module as the fence ledger, so notified puts and
-    /// fences share one accounting scheme.
+    /// per-destination issue counts and armed consumer waits. A notified
+    /// wire put is also noted in `fence`, like any counted put.
     pub(crate) notify: NotifyEngine,
-    /// The notifications this process issued, in order, drained by
-    /// [`Armci::take_notify_log`] for the cross-harness conformance
-    /// suite. Kept only in a traced run (`ArmciCfg::trace`), so an
-    /// untraced run does not grow it for its whole life.
-    pub(crate) notify_log: Option<Vec<NotifyRecord>>,
-    /// Send log of the most recent `ARMCI_Barrier()`, drained by
-    /// [`Armci::take_barrier_log`] for the cross-harness conformance
-    /// suite.
-    pub(crate) last_barrier_log: Vec<SendRecord>,
-    /// Send log of the most recent hierarchical group barrier, drained by
-    /// [`Armci::take_hier_log`].
-    pub(crate) last_hier_log: Vec<HierRecord>,
+    /// Scratch for the notify engine's actions, reused by every call.
+    pub(crate) notify_acts: Vec<NotifyAction>,
+    /// Every engine send this process performed — barrier, hierarchical
+    /// barrier and notify alike — in order, drained by
+    /// [`Armci::take_send_log`] for the cross-harness conformance suite.
+    /// Kept only in a traced run (`ArmciCfg::trace`), so an untraced run
+    /// records nothing.
+    pub(crate) send_log: Option<Vec<SendRecord>>,
     /// The world scope as a group ([`Armci::world`]): all ranks, flat.
     pub(crate) world: Rc<ProcGroup>,
     pub(crate) epoch: u32,
@@ -261,7 +256,7 @@ impl Armci {
     }
 
     /// The `Wire` arm of every put-class operation: frame the request to
-    /// the server of `dst`'s node and enter it in the fence ledger as one
+    /// the server of `dst`'s node and note it in the fence engine as one
     /// counted put.
     fn wire_put(&mut self, node: NodeId, dst: ProcId, req: &ReqRef<'_>) {
         self.send_req(node, req);
@@ -802,8 +797,8 @@ impl Armci {
                 sync.fetch_add_u64(layout::notify_slot(self.nprocs() as u32, slot), 1);
                 self.stats.count(OpClass::Put, via);
             }
-            // A notified put is a counted put: it feeds the same ledger
-            // fences and barriers drain.
+            // A notified put is a counted put: it feeds the same
+            // `op_init` books fences and barriers drain.
             NotifyRoute::Wire(node) => {
                 if refuse_lost {
                     self.refuse_lost(node)?;
@@ -819,14 +814,12 @@ impl Armci {
     /// be issued: issue accounting and the conformance log are
     /// route-independent by construction.
     fn notify_issue(&mut self, dst: ProcId, slot: u32) {
-        let mut acts = Vec::new();
-        self.notify.poll(NotifyEvent::Issue { dst: dst.idx(), slot }, &mut acts);
-        let [NotifyAction::Send { to, slot, seq }] = acts[..] else {
-            unreachable!("an issue emits exactly one send, got {acts:?}");
+        self.notify.poll(NotifyEvent::Issue { dst: dst.idx(), slot }, &mut self.notify_acts);
+        let [NotifyAction::Send { to, slot, seq }] = self.notify_acts[..] else {
+            unreachable!("an issue emits exactly one send, got {:?}", self.notify_acts);
         };
-        if let Some(log) = &mut self.notify_log {
-            log.push(NotifyRecord { to: to as u32, slot, seq });
-        }
+        self.notify_acts.clear();
+        self.log_send(to, SentMsg::Notify { slot, seq });
     }
 
     /// Current cumulative value of this process's notification counter
@@ -846,15 +839,15 @@ impl Armci {
     pub fn try_wait_notify(&mut self, slot: u32, target: u64) -> Result<(), ArmciError> {
         let deadline = self.op_deadline();
         let at = layout::notify_slot(self.nprocs() as u32, slot);
-        let mut acts = Vec::new();
-        self.notify.poll(NotifyEvent::Expect { slot, target, producers: Vec::new() }, &mut acts);
+        self.notify.poll(NotifyEvent::Expect { slot, target, producers: Vec::new() }, &mut self.notify_acts);
         let sync = self.my_sync.clone();
         let landed = || sync.atomic_u64(at).load(std::sync::atomic::Ordering::Acquire) >= target;
         let waited = self.wait_local_cond("wait_notify", deadline, landed);
         match waited {
             Ok(()) => {
-                self.notify.poll(NotifyEvent::Observed { slot, value: sync.read_u64(at) }, &mut acts);
-                debug_assert!(acts.contains(&NotifyAction::Complete { slot }));
+                self.notify.poll(NotifyEvent::Observed { slot, value: sync.read_u64(at) }, &mut self.notify_acts);
+                debug_assert_eq!(self.notify_acts, [NotifyAction::Complete { slot }]);
+                self.notify_acts.clear();
             }
             Err(_) => self.disarm_notify_wait(slot),
         }
@@ -866,18 +859,26 @@ impl Armci {
     /// waits on one slot).
     fn disarm_notify_wait(&mut self, slot: u32) {
         if self.notify.is_waiting(slot) {
-            let mut acts = Vec::new();
-            self.notify.poll(NotifyEvent::Observed { slot, value: u64::MAX }, &mut acts);
+            self.notify.poll(NotifyEvent::Observed { slot, value: u64::MAX }, &mut self.notify_acts);
+            self.notify_acts.clear();
         }
     }
 
-    /// Drain the issue log of this process's notified puts — the
-    /// `(to, slot, seq)` sequence the notify engine emitted — used by
-    /// the cross-harness conformance suite to compare the runtime
-    /// against the simulator. Empty unless the run is traced
-    /// (`ArmciCfg::trace`).
-    pub fn take_notify_log(&mut self) -> Vec<NotifyRecord> {
-        self.notify_log.as_mut().map(std::mem::take).unwrap_or_default()
+    /// Record one engine send about to be performed, in a traced run.
+    pub(crate) fn log_send(&mut self, to: usize, msg: SentMsg) {
+        if let Some(log) = &mut self.send_log {
+            log.push(SendRecord { to: to as u32, msg });
+        }
+    }
+
+    /// Drain the log of engine sends this process performed since the
+    /// last drain — every combined barrier, hierarchical barrier (one
+    /// `Release` per member, though the domain is released with one
+    /// counter add) and notified put, in order — used by the
+    /// cross-harness conformance suite to compare the runtime against the
+    /// simulator. Empty unless the run is traced (`ArmciCfg::trace`).
+    pub fn take_send_log(&mut self) -> Vec<SendRecord> {
+        self.send_log.as_mut().map(std::mem::take).unwrap_or_default()
     }
 
     // ------------------------------------------------------------------
@@ -1012,14 +1013,6 @@ impl Armci {
     /// hanging the rank forever.
     pub fn try_barrier(&mut self) -> Result<(), ArmciError> {
         self.try_barrier_group(&self.world())
-    }
-
-    /// Drain the send log of the most recent [`Armci::barrier`] — the
-    /// `(stage, to, msg)` sequence the protocol engine emitted — used by
-    /// the cross-harness conformance suite to compare the runtime against
-    /// the simulator.
-    pub fn take_barrier_log(&mut self) -> Vec<SendRecord> {
-        std::mem::take(&mut self.last_barrier_log)
     }
 }
 

@@ -63,7 +63,8 @@ pub struct ArmciCfg {
     /// Default lock algorithm for `lock`/`unlock`.
     pub lock_algo: LockAlgo,
     /// Record every message send into a transport trace, retrievable via
-    /// [`crate::runtime::run_cluster_traced`].
+    /// [`crate::runtime::run_cluster_traced`], and keep each handle's
+    /// engine send log ([`crate::Armci::take_send_log`]).
     pub trace: bool,
     /// Deadline for each blocking ARMCI operation (fence, barrier, get
     /// reply, lock grant, …): past it, a `try_*` call returns

@@ -39,7 +39,7 @@ use std::sync::Arc;
 
 use armci_msglib::{allreduce_tag, barrier_bx_tag, hier_bx_tag, BufWriter, DecodeError, Group, P2p, Reader};
 use armci_proto::{
-    BarrierAction, BarrierEvent, CombinedBarrier, HierBarrier, HierEvent, HierExpect, HierMsg, HierRecord, XchgMsg,
+    BarrierAction, BarrierEvent, CombinedBarrier, HierBarrier, HierEvent, HierExpect, HierMsg, SentMsg, XchgMsg,
     STAGE_ALLREDUCE,
 };
 use armci_transport::{NodeId, ProcId, SegId, Segment};
@@ -380,7 +380,8 @@ impl Armci {
             let mut i = 0;
             while i < acts.len() {
                 match std::mem::replace(&mut acts[i], BarrierAction::Done) {
-                    BarrierAction::Send { stage, to, vals, .. } => {
+                    BarrierAction::Send { stage, to, msg, vals } => {
+                        self.log_send(to, SentMsg::Barrier { stage, msg });
                         let (tag, body) = if stage == STAGE_ALLREDUCE {
                             let mut body = Vec::with_capacity(vals.len() * 8);
                             vals.iter().fold(BufWriter::new(&mut body), |w, &v| w.u64(v));
@@ -422,7 +423,6 @@ impl Armci {
             }
             eng.poll(BarrierEvent::Recv { stage, msg: kind, vals: &scratch }, &mut acts);
         }
-        self.last_barrier_log = eng.take_log();
         // Only member-directed traffic is known complete (at world scope:
         // everything outstanding anywhere).
         self.fence.group_confirmed(members);
@@ -465,6 +465,7 @@ impl Armci {
         eng.poll(HierEvent::Start, &mut acts);
         loop {
             for a in acts.drain(..) {
+                self.log_send(a.to, SentMsg::Hier(a.msg));
                 match a.msg {
                     HierMsg::Arrive { .. } => {
                         // Check in with my leader: my new op counts into
@@ -486,9 +487,9 @@ impl Armci {
                     HierMsg::Close(m) => self.send_to(g.msg.world_rank(a.to), close_tag, encode_xchg(m, &[])),
                     HierMsg::Release => {
                         // One add releases the whole domain (members spin
-                        // on the same counter); the engine logs one
-                        // Release per member either way, so its trace
-                        // matches the simulator's message-based one.
+                        // on the same counter); the log still records one
+                        // Release per member, so the trace matches the
+                        // simulator's message-based one.
                         if !released {
                             released = true;
                             let c = hs.counters.as_ref().expect("Release action in a single-member domain");
@@ -555,19 +556,10 @@ impl Armci {
                 }
             }
         }
-        self.last_hier_log = eng.take_log();
         hs.totals.set(eng.into_totals());
         // Only member-directed traffic is known complete.
         self.fence.group_confirmed(&g.members);
         Ok(())
-    }
-
-    /// Drain the send log of the most recent hierarchical
-    /// [`Armci::barrier_group`] — the [`HierBarrier`] engine's emitted
-    /// schedule, counter legs included — for the cross-harness
-    /// conformance suite.
-    pub fn take_hier_log(&mut self) -> Vec<HierRecord> {
-        std::mem::take(&mut self.last_hier_log)
     }
 }
 

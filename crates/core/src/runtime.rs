@@ -198,9 +198,8 @@ where
         my_sync,
         fence: armci_proto::FenceEngine::new(cfg.ack_mode.fence_mode(), nprocs, nnodes),
         notify: armci_proto::NotifyEngine::new(nprocs),
-        notify_log: cfg.trace.then(Vec::new),
-        last_barrier_log: Vec::new(),
-        last_hier_log: Vec::new(),
+        notify_acts: Vec::new(),
+        send_log: cfg.trace.then(Vec::new),
         world: ProcGroup::flat(Group::world(nprocs), p.idx()).into(),
         epoch: 0,
         mcs_held: None,

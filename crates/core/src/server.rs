@@ -281,7 +281,8 @@ impl Server {
     /// bump — the initiator's op_from (every barrier's stage-2 wait sums
     /// these over its scope) and a notification slot for notified puts,
     /// ordered last so a consumer observing it sees everything — is the
-    /// completion module's plan, shared with the initiator-side ledger.
+    /// completion module's plan, the target side of the initiator's
+    /// fence accounting.
     /// Only processes initiate counted operations.
     fn complete(&self, src: Endpoint, dst: ProcId, notify: Option<u32>, send: &mut impl FnMut(Endpoint, Tag, Body)) {
         if let (Some(initiator), Some(sync)) = (src.proc(), self.segment(dst, SegId(0))) {

@@ -121,9 +121,8 @@ fn stub_armci(mode: StubMode) -> Armci {
         my_sync,
         fence: armci_proto::FenceEngine::new(AckMode::Gm.fence_mode(), nprocs, nnodes),
         notify: armci_proto::NotifyEngine::new(nprocs),
-        notify_log: None,
-        last_barrier_log: Vec::new(),
-        last_hier_log: Vec::new(),
+        notify_acts: Vec::new(),
+        send_log: None,
         world: crate::group::ProcGroup::flat(armci_msglib::Group::world(nprocs), me.idx()).into(),
         epoch: 0,
         mcs_held: None,
@@ -308,7 +307,7 @@ fn try_put_notify_refuses_a_lost_peer_when_only_the_data_segment_is_mapped() {
     let _data = owner.create_local(ProcId(1), 1, 64).expect("create");
 
     let mut a = stub_armci(StubMode::LostPeer(NodeId(1)));
-    a.notify_log = Some(Vec::new()); // log as a traced run does
+    a.send_log = Some(Vec::new()); // log as a traced run does
     a.shm = ShmDataPlane::for_run(&cfg, &rendezvous);
     let dst = GlobalAddr::new(ProcId(1), SegId(1), 0);
     // The mapped data segment alone is reachable without the link...
@@ -318,7 +317,7 @@ fn try_put_notify_refuses_a_lost_peer_when_only_the_data_segment_is_mapped() {
     // wire operation and must be refused like one.
     let r = a.try_put_notify(dst, &7u64.to_le_bytes(), 0);
     assert!(matches!(r, Err(ArmciError::PeerLost { peer: NodeId(1) })), "got {r:?}");
-    assert!(a.take_notify_log().is_empty(), "a refused put must not be logged as issued");
+    assert!(a.take_send_log().is_empty(), "a refused put must not be logged as issued");
     assert_eq!(a.stats().remote_puts, 0);
     drop((a, owner));
     ShmDataPlane::purge_run(&cfg, &rendezvous);

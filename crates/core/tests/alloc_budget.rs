@@ -12,13 +12,15 @@
 //! magnitude of headroom while catching any reintroduced per-message
 //! `Vec`.
 //!
-//! The second scenario budgets the hierarchical group barrier the same
-//! way: everything that scales with the group — the domain table, the
-//! member list, the `op_from` offsets — is built once at group formation,
-//! so a barrier allocates only its engine's fixed handful of small
-//! buffers and one body per leader message.
+//! The second and third scenarios budget the barriers the same way. The
+//! hierarchical group barrier: everything that scales with the group —
+//! the domain table, the member list, the `op_from` offsets — is built
+//! once at group formation, so a barrier allocates only its engine's
+//! fixed handful of small buffers and one body per leader message. The
+//! flat world barrier: its engine's buffers and one body per message,
+//! with no send log unless the run is traced.
 //!
-//! The third budgets `fence` alone: a node has one service agent, so a
+//! The fourth budgets `fence` alone: a node has one service agent, so a
 //! fence is one confirmation round-trip with nothing to collect, and the
 //! only allocation left on its path is the channel's amortized block.
 //!
@@ -152,7 +154,7 @@ fn fence_stays_within_allocation_budget() {
 /// the delegated completion wait) with clean ones, must average at most
 /// 44 allocations per barrier *process-wide* — all four ranks' engines,
 /// the leaders' four (dirty) or two (clean) messages and every other
-/// put together; measured: 37.4. Cloning the domain table per call, as
+/// put together; measured: 33.4. Cloning the domain table per call, as
 /// the driver used to, alone adds three per rank — twelve here, past the
 /// budget — and grows with the group.
 #[test]
@@ -185,6 +187,46 @@ fn hier_group_barrier_stays_within_allocation_budget() {
     });
     let delta = deltas[0];
     eprintln!("{BARRIERS} hier barrier_group on 2x2: {delta} allocations process-wide");
+    assert!(
+        delta <= BARRIERS * BUDGET_PER_BARRIER,
+        "allocation budget exceeded: {delta} allocations for {BARRIERS} barriers (budget: {BUDGET_PER_BARRIER} each)"
+    );
+}
+
+/// The flat world `barrier` on 4 nodes x 1, alternating dirty epochs (one
+/// counted put per rank outstanding) with clean ones, must average at
+/// most 76 allocations per barrier *process-wide* — all four ranks'
+/// engines, their `2·log2(4)` messages each and every other put
+/// together; measured: 72.8. A send log kept by the engine in an
+/// untraced run, as it used to be, alone read 76.8.
+#[test]
+fn flat_world_barrier_stays_within_allocation_budget() {
+    let _window = WINDOW.lock().unwrap_or_else(|e| e.into_inner());
+    const BARRIERS: u64 = 400;
+    const BUDGET_PER_BARRIER: u64 = 76;
+    let cfg = ArmciCfg::flat(4, LatencyModel::zero());
+    let deltas = run_cluster(cfg, |a| {
+        let n = a.nprocs();
+        let seg = a.malloc(8 * n);
+        let next = GlobalAddr::new(ProcId(((a.rank() + 1) % n) as u32), seg, 8 * a.rank());
+        let epochs = |a: &mut armci_core::Armci, count: u64| {
+            for i in 0..count {
+                if i % 2 == 0 {
+                    a.put_u64(next, i);
+                }
+                a.barrier();
+            }
+        };
+        epochs(a, 200);
+        let before = ALLOCS.load(Ordering::SeqCst);
+        epochs(a, BARRIERS);
+        // Every rank is past its last measured barrier once this one
+        // completes.
+        a.barrier();
+        ALLOCS.load(Ordering::SeqCst) - before
+    });
+    let delta = deltas[0];
+    eprintln!("{BARRIERS} flat world barrier on 4x1: {delta} allocations process-wide");
     assert!(
         delta <= BARRIERS * BUDGET_PER_BARRIER,
         "allocation budget exceeded: {delta} allocations for {BARRIERS} barriers (budget: {BUDGET_PER_BARRIER} each)"

@@ -10,7 +10,7 @@ use std::time::{Duration, Instant};
 use armci_core::{
     layout, run_cluster, run_cluster_net_loopback, ArmciCfg, ArmciError, FaultAction, FaultPlan, FaultSpec, GlobalAddr,
 };
-use armci_proto::HierMsg;
+use armci_proto::{HierMsg, SentMsg};
 use armci_transport::{LatencyModel, NodeId, ProcId};
 
 fn flat(n: u32) -> ArmciCfg {
@@ -142,7 +142,9 @@ fn allfence_group_completes_member_directed_puts() {
 /// back (dirty → clean → dirty …) on the same cumulative counters.
 #[test]
 fn hier_barrier_domains_are_nodes_and_leaders_exchange_log2_rounds() {
-    let cfg = ArmciCfg { nodes: 4, procs_per_node: 2, latency: LatencyModel::zero(), ..Default::default() };
+    // Traced, so the handle keeps the send log checked below.
+    let cfg =
+        ArmciCfg { nodes: 4, procs_per_node: 2, latency: LatencyModel::zero(), trace: true, ..Default::default() };
     let out = run_cluster(cfg, |a| {
         let n = a.nprocs();
         let members: Vec<usize> = (0..n).collect();
@@ -156,23 +158,24 @@ fn hier_barrier_domains_are_nodes_and_leaders_exchange_log2_rounds() {
         for round in 1..=3u64 {
             let next = ProcId(((a.rank() + 1) % n) as u32);
             a.put_u64(GlobalAddr::new(next, seg, 8 * a.rank()), round * 1000 + a.rank() as u64);
+            a.take_send_log(); // malloc's barrier and the last round's
             a.barrier_group(&g);
             let prev = (a.rank() + n - 1) % n;
             assert_eq!(a.local_segment(seg).read_u64(8 * prev), round * 1000 + prev as u64);
-            let dirty = a.take_hier_log();
+            let dirty = a.take_send_log();
             // Separate the read from the next round's overwrite; nothing
             // was put since the barrier above, so this epoch is clean.
             a.barrier_group(&g);
-            let clean = a.take_hier_log();
+            let clean = a.take_send_log();
             for (log, passes) in [(&dirty, 2), (&clean, 1)] {
-                let reduces = log.iter().filter(|r| matches!(r.msg, HierMsg::Xchg(_))).count();
-                let closes = log.iter().filter(|r| matches!(r.msg, HierMsg::Close(_))).count();
+                let reduces = log.iter().filter(|r| matches!(r.msg, SentMsg::Hier(HierMsg::Xchg(_)))).count();
+                let closes = log.iter().filter(|r| matches!(r.msg, SentMsg::Hier(HierMsg::Close(_)))).count();
                 if a.rank() % 2 == 0 {
                     assert_eq!(reduces, 2, "log2(4 nodes) reduce rounds per leader");
                     assert_eq!(closes, 2 * (passes - 1), "a closing pass only when something was put");
                 } else {
                     assert_eq!(reduces + closes, 0, "non-leaders never touch the wire");
-                    let arrives = log.iter().filter(|r| matches!(r.msg, HierMsg::Arrive { .. })).count();
+                    let arrives = log.iter().filter(|r| matches!(r.msg, SentMsg::Hier(HierMsg::Arrive { .. }))).count();
                     assert_eq!(arrives, 1, "non-leaders check in exactly once");
                 }
             }

@@ -160,6 +160,7 @@ fn world_spellings_trace_identically_to_the_group_drivers_on_world() {
             let (logs, trace) = run_cluster_traced(cfg, move |a| {
                 let seg = a.malloc(8 * a.nprocs());
                 let world = a.world();
+                a.take_send_log(); // malloc's barrier
                 let mut logs = Vec::new();
                 for round in 0..3u64 {
                     for r in 0..a.nprocs() {
@@ -176,7 +177,7 @@ fn world_spellings_trace_identically_to_the_group_drivers_on_world() {
                             world.msg().barrier_binary_exchange(a);
                         }
                     }
-                    logs.push(a.take_barrier_log());
+                    logs.push(a.take_send_log());
                 }
                 logs
             });

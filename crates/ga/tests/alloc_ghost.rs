@@ -3,11 +3,13 @@
 //! A planned `GhostArray` step gathers its boundary rows into a buffer
 //! sized when the plan is built, posts them straight from it and copies
 //! the ghost ring and the interior into the local buffer in place, so the
-//! ghost layer itself allocates nothing per step. What remains is the
-//! notify path underneath: the action `Vec` the notify engine fills on
-//! issue, and the wait's action `Vec` plus its copy of the producer set.
-//! A `Vec` per gathered row, or routing the interior through the plan,
-//! costs more than 250 allocations per step on this 128-row block.
+//! ghost layer itself allocates nothing per step. Neither does the notify
+//! path underneath: `Armci` reuses one buffer for the notify engine's
+//! actions on issue and on wait. What remains is the channels' amortized
+//! blocks (one per 31 messages queued). A `Vec` per gathered row, or
+//! routing the interior through the plan, costs more than 250
+//! allocations per step on this 128-row block; one `Vec` per notified
+//! put or wait costs more than one.
 //!
 //! This file is its own binary so the counting `#[global_allocator]`
 //! observes only this scenario.
@@ -49,10 +51,10 @@ static GLOBAL: CountingAlloc = CountingAlloc;
 
 const WARMUP: u64 = 200;
 const MEASURED: u64 = 1000;
-/// Per step, process-wide: the notify path's three small `Vec`s on each
-/// of the two ranks (the peer's step overlaps rank 0's), plus the
-/// channels' amortized blocks. Measured: 6.07.
-const BUDGET_PER_STEP: u64 = 8;
+/// Per step, process-wide (the peer's step overlaps rank 0's): the
+/// channels' amortized blocks only. Measured: 0.064–0.074 on a 2-vCPU
+/// box, idle or loaded.
+const BUDGET_PER_STEP: f64 = 0.15;
 
 /// 1000 planned updates of a 256x64 array on 2 nodes x 1 (128x64 blocks,
 /// ghost width 1, zero latency), counting process-wide allocations inside
@@ -82,7 +84,7 @@ fn planned_ghost_step_stays_within_allocation_budget() {
     let delta = deltas[0];
     eprintln!("{MEASURED} planned ghost steps: {delta} allocations inside rank 0's steps, process-wide");
     assert!(
-        delta <= MEASURED * BUDGET_PER_STEP,
+        delta as f64 <= MEASURED as f64 * BUDGET_PER_STEP,
         "allocation budget exceeded: {delta} allocations in {MEASURED} steps (budget: {BUDGET_PER_STEP} each)"
     );
 }

@@ -16,15 +16,15 @@
 //! The engine owns the value vector so the reduction arithmetic cannot
 //! drift between harnesses: the runtime decodes received bodies to `u64`s
 //! and feeds them in, the simulator feeds empty slices (it models time,
-//! not data), and both replay the identical message schedule, captured in
-//! a [`SendRecord`] log for the cross-harness conformance suite. Each
+//! not data), and both replay the identical message schedule, which the
+//! cross-harness conformance suite compares send for send. Each
 //! emitted stage-0 [`BarrierAction::Send`] carries the value snapshot to
 //! transmit; payloads received out of order are buffered and folded in at
 //! their in-order schedule position (see [`XchgAction::Consume`]), which
 //! keeps the recursive-doubling dataflow exact under event-driven
 //! delivery.
 
-use crate::exchange::{Exchange, SendRecord, XchgAction, XchgEvent, XchgMsg};
+use crate::exchange::{Exchange, XchgAction, XchgEvent, XchgMsg};
 
 /// Stage id of the allreduce exchange (wire-visible in the simulator).
 pub const STAGE_ALLREDUCE: u8 = 0;
@@ -197,7 +197,6 @@ pub struct CombinedBarrier {
     allreduce: Allreduce,
     barrier: Exchange,
     phase: Phase,
-    log: Vec<SendRecord>,
 }
 
 impl CombinedBarrier {
@@ -210,7 +209,6 @@ impl CombinedBarrier {
             allreduce: Allreduce::new(n, me, op_init),
             barrier: Exchange::new(n, me),
             phase: Phase::Allreduce,
-            log: Vec::new(),
         }
     }
 
@@ -223,11 +221,6 @@ impl CombinedBarrier {
     /// Whether the barrier has completed.
     pub fn is_complete(&self) -> bool {
         self.phase == Phase::Done
-    }
-
-    /// Drain the send log (for the conformance suite).
-    pub fn take_log(&mut self) -> Vec<SendRecord> {
-        std::mem::take(&mut self.log)
     }
 
     /// The message a blocking driver must wait for next, as
@@ -281,23 +274,17 @@ impl CombinedBarrier {
         let mut sends = Vec::new();
         self.allreduce.poll(ev, vals, &mut sends);
         for ValueSend { to, msg, vals } in sends {
-            self.log.push(SendRecord { stage: STAGE_ALLREDUCE, to: to as u32, msg });
             out.push(BarrierAction::Send { stage: STAGE_ALLREDUCE, to, msg, vals });
         }
     }
 
+    /// Run the schedule-only barrier stage: only its sends become
+    /// actions, its `Consume` markers carry nothing.
     fn poll_barrier(&mut self, ev: XchgEvent, out: &mut Vec<BarrierAction>) {
         let mut acts = Vec::new();
         self.barrier.poll(ev, &mut acts);
-        self.relay_barrier(acts, out);
-    }
-
-    /// Translate the schedule-only barrier stage's sends; its `Consume`
-    /// markers carry nothing.
-    fn relay_barrier(&mut self, acts: Vec<XchgAction>, out: &mut Vec<BarrierAction>) {
         for a in acts {
             if let XchgAction::Send { to, msg } = a {
-                self.log.push(SendRecord { stage: STAGE_BARRIER, to: to as u32, msg });
                 out.push(BarrierAction::Send { stage: STAGE_BARRIER, to, msg, vals: Vec::new() });
             }
         }
@@ -360,9 +347,8 @@ mod tests {
         }
         engines
             .into_iter()
-            .map(|mut e| {
+            .map(|e| {
                 assert!(e.is_complete());
-                e.take_log(); // exercised; content checked in conformance suite
                 e.values().to_vec()
             })
             .collect()
@@ -445,24 +431,21 @@ mod tests {
     }
 
     #[test]
-    fn log_records_every_send_in_order() {
+    fn sends_are_emitted_in_order() {
         let mut e = CombinedBarrier::new(0, vec![1, 2]);
         let mut acts = Vec::new();
         e.poll(BarrierEvent::Start, &mut acts);
-        acts.clear();
         e.poll(BarrierEvent::Recv { stage: 0, msg: XchgMsg::Round(0), vals: &[5, 6] }, &mut acts);
-        acts.clear();
         e.poll(BarrierEvent::OpDoneReached, &mut acts);
-        acts.clear();
         e.poll(BarrierEvent::Recv { stage: 1, msg: XchgMsg::Round(0), vals: &[] }, &mut acts);
-        let log = e.take_log();
-        assert_eq!(
-            log,
-            vec![
-                SendRecord { stage: 0, to: 1, msg: XchgMsg::Round(0) },
-                SendRecord { stage: 1, to: 1, msg: XchgMsg::Round(0) },
-            ]
-        );
+        let sends: Vec<_> = acts
+            .iter()
+            .filter_map(|a| match a {
+                BarrierAction::Send { stage, to, msg, .. } => Some((*stage, *to, *msg)),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(sends, [(0, 1, XchgMsg::Round(0)), (1, 1, XchgMsg::Round(0))]);
         assert!(e.is_complete());
         assert_eq!(e.values(), &[6, 8]);
     }

@@ -70,20 +70,6 @@ pub enum XchgAction {
     Consume(XchgMsg),
 }
 
-/// One send a protocol engine performed, for conformance tracing: the
-/// cross-harness suite asserts these sequences are identical between the
-/// simulator-driven and runtime-driven engines.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub struct SendRecord {
-    /// Which stage of a multi-stage operation emitted the send (0 =
-    /// allreduce, 1 = barrier for the combined barrier).
-    pub stage: u8,
-    /// Destination rank.
-    pub to: u32,
-    /// Which schedule message was sent.
-    pub msg: XchgMsg,
-}
-
 /// One rank's binary-exchange schedule (see module docs).
 #[derive(Clone, Debug)]
 pub struct Exchange {

@@ -33,7 +33,8 @@
 //! counter operations (zero wire messages) and only the leaders' passes
 //! onto real sends; the *simulator* harness maps everything onto modelled
 //! messages. Both drive the identical schedule, which is what the
-//! cross-harness conformance suite asserts via [`HierBarrier::take_log`].
+//! cross-harness conformance suite asserts by comparing the sends each
+//! harness records.
 
 use std::collections::VecDeque;
 use std::sync::Arc;
@@ -85,16 +86,6 @@ pub struct HierAction {
     /// Destination group rank.
     pub to: usize,
     /// Which schedule message to send.
-    pub msg: HierMsg,
-}
-
-/// One send the engine performed, for cross-harness conformance tracing
-/// (the hierarchical counterpart of [`crate::SendRecord`]).
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub struct HierRecord {
-    /// Destination group rank.
-    pub to: u32,
-    /// Which schedule message was sent.
     pub msg: HierMsg,
 }
 
@@ -158,7 +149,6 @@ pub struct HierBarrier {
     complete: bool,
     /// Payloads of the emitted value-carrying sends, in emission order.
     payloads: VecDeque<Vec<u64>>,
-    log: Vec<HierRecord>,
 }
 
 impl HierBarrier {
@@ -209,7 +199,6 @@ impl HierBarrier {
             released: false,
             complete: false,
             payloads: VecDeque::new(),
-            log: Vec::new(),
         }
     }
 
@@ -221,11 +210,6 @@ impl HierBarrier {
     /// True if this rank leads its domain (first-listed member).
     pub fn is_leader(&self) -> bool {
         self.lead.is_some()
-    }
-
-    /// Number of domains (= participants in the inter-domain passes).
-    pub fn ndomains(&self) -> usize {
-        self.domains.len()
     }
 
     /// The members of this rank's domain, leader first.
@@ -251,16 +235,6 @@ impl HierBarrier {
     /// engines ([`HierBarrier::new`]) queue none.
     pub fn take_payload(&mut self) -> Vec<u64> {
         self.payloads.pop_front().unwrap_or_default()
-    }
-
-    /// Drain the send log (for conformance tracing).
-    pub fn take_log(&mut self) -> Vec<HierRecord> {
-        std::mem::take(&mut self.log)
-    }
-
-    /// Borrow the send log without draining it (simulator-side tracing).
-    pub fn log(&self) -> &[HierRecord] {
-        &self.log
     }
 
     /// Feed one event that carries no payload; emitted actions are
@@ -346,7 +320,7 @@ impl HierBarrier {
                 if !self.counts.is_empty() {
                     self.payloads.push_back(std::mem::take(&mut self.counts));
                 }
-                self.send(leader, HierMsg::Arrive { from: self.me as u32 }, out);
+                out.push(HierAction { to: leader, msg: HierMsg::Arrive { from: self.me as u32 } });
             }
             self.complete = self.released;
             return;
@@ -375,9 +349,7 @@ impl HierBarrier {
     }
 
     fn release(&mut self, out: &mut Vec<HierAction>) {
-        for i in 1..self.domains[self.my_dom].len() {
-            self.send(self.domains[self.my_dom][i], HierMsg::Release, out);
-        }
+        out.extend(self.domains[self.my_dom][1..].iter().map(|&to| HierAction { to, msg: HierMsg::Release }));
         self.complete = true;
     }
 
@@ -388,21 +360,16 @@ impl HierBarrier {
             if !vals.is_empty() {
                 self.payloads.push_back(vals);
             }
-            self.send(self.domains[to][0], HierMsg::Xchg(msg), out);
+            out.push(HierAction { to: self.domains[to][0], msg: HierMsg::Xchg(msg) });
         }
     }
 
-    fn relay_close(&mut self, acts: Vec<XchgAction>, out: &mut Vec<HierAction>) {
+    fn relay_close(&self, acts: Vec<XchgAction>, out: &mut Vec<HierAction>) {
         for a in acts {
             if let XchgAction::Send { to, msg } = a {
-                self.send(self.domains[to][0], HierMsg::Close(msg), out);
+                out.push(HierAction { to: self.domains[to][0], msg: HierMsg::Close(msg) });
             }
         }
-    }
-
-    fn send(&mut self, to: usize, msg: HierMsg, out: &mut Vec<HierAction>) {
-        self.log.push(HierRecord { to: to as u32, msg });
-        out.push(HierAction { to, msg });
     }
 }
 
@@ -411,35 +378,30 @@ mod tests {
     use super::*;
 
     /// Drive all ranks to completion with a FIFO mail loop; returns the
-    /// per-rank send logs.
-    fn run_all(domains: Vec<Vec<usize>>) -> Vec<Vec<HierRecord>> {
+    /// per-rank sends, in emission order.
+    fn run_all(domains: Vec<Vec<usize>>) -> Vec<Vec<HierAction>> {
         let n: usize = domains.iter().map(Vec::len).sum();
         let mut engines: Vec<HierBarrier> = (0..n).map(|me| HierBarrier::new(me, domains.clone())).collect();
-        let mut queue: std::collections::VecDeque<(usize, HierMsg)> = Default::default();
+        let mut sent: Vec<Vec<HierAction>> = vec![Vec::new(); n];
+        let mut queue: std::collections::VecDeque<HierAction> = Default::default();
         let mut out = Vec::new();
-        for e in engines.iter_mut() {
+        for (me, e) in engines.iter_mut().enumerate() {
             e.poll(HierEvent::Start, &mut out);
-            for a in out.drain(..) {
-                queue.push_back((a.to, a.msg));
-            }
+            sent[me].extend_from_slice(&out);
+            queue.extend(out.drain(..));
         }
         let mut delivered = 0;
-        while let Some((to, msg)) = queue.pop_front() {
+        while let Some(HierAction { to, msg }) = queue.pop_front() {
             delivered += 1;
             assert!(delivered < 10_000, "hierarchical barrier does not converge");
             engines[to].poll(HierEvent::Recv(msg), &mut out);
-            for a in out.drain(..) {
-                queue.push_back((a.to, a.msg));
-            }
+            sent[to].extend_from_slice(&out);
+            queue.extend(out.drain(..));
         }
-        engines
-            .iter_mut()
-            .enumerate()
-            .map(|(me, e)| {
-                assert!(e.is_complete(), "rank {me} incomplete");
-                e.take_log()
-            })
-            .collect()
+        for (me, e) in engines.iter().enumerate() {
+            assert!(e.is_complete(), "rank {me} incomplete");
+        }
+        sent
     }
 
     fn chunked(nodes: usize, ppn: usize) -> Vec<Vec<usize>> {
@@ -476,7 +438,7 @@ mod tests {
                 continue;
             }
             assert_eq!(log.len(), 1);
-            assert_eq!(log[0], HierRecord { to: (me / 3 * 3) as u32, msg: HierMsg::Arrive { from: me as u32 } });
+            assert_eq!(log[0], HierAction { to: me / 3 * 3, msg: HierMsg::Arrive { from: me as u32 } });
         }
     }
 
@@ -484,9 +446,9 @@ mod tests {
     fn leaders_release_every_member_once() {
         let logs = run_all(chunked(2, 4));
         for leader in [0usize, 4] {
-            let releases: Vec<u32> =
+            let releases: Vec<usize> =
                 logs[leader].iter().filter(|r| matches!(r.msg, HierMsg::Release)).map(|r| r.to).collect();
-            let want: Vec<u32> = (leader as u32 + 1..leader as u32 + 4).collect();
+            let want: Vec<usize> = (leader + 1..leader + 4).collect();
             assert_eq!(releases, want);
         }
     }

@@ -16,15 +16,17 @@
 //! * the simulator (`armci-simnet`) translates them into modeled
 //!   messages under a virtual clock;
 //! * the cross-harness conformance suite replays identical schedules
-//!   through both and asserts the send sequences are identical.
+//!   through both and asserts the send sequences are identical. The
+//!   engines record nothing: each harness records the sends it performs
+//!   as [`SendRecord`]s — the runtime only in a traced run.
 //!
 //! Engines:
 //!
-//! * [`Ledger`] + [`NotifyEngine`] — unified completion accounting:
-//!   one set of counted-op books shared by fences and notified RMA,
-//!   plus the put-with-notify engine (issue counting, consumer waits);
-//! * [`FenceEngine`] — fence accounting (a mode-policy layer over the
-//!   ledger);
+//! * [`FenceEngine`] — the initiator's counted-op books: fence
+//!   accounting for every counted put, notified ones included, and the
+//!   `op_init[]` vector the combined barriers reduce;
+//! * [`NotifyEngine`] — put-with-notify: issue numbering and consumer
+//!   waits ([`completion_sites`] is the target side's counter plan);
 //! * [`Exchange`] — the binary-exchange schedule (barrier or allreduce
 //!   stage), non-power-of-two folding included;
 //! * [`CombinedBarrier`] — the full `ARMCI_Barrier()`:
@@ -47,11 +49,45 @@ pub mod lock;
 pub mod math;
 
 pub use barrier::{BarrierAction, BarrierEvent, CombinedBarrier, STAGE_ALLREDUCE, STAGE_BARRIER};
-pub use completion::{completion_sites, CompletionSite, Ledger, NotifyAction, NotifyEngine, NotifyEvent, NotifyRecord};
-pub use exchange::{Exchange, SendRecord, XchgAction, XchgEvent, XchgMsg};
+pub use completion::{completion_sites, CompletionSite, NotifyAction, NotifyEngine, NotifyEvent};
+pub use exchange::{Exchange, XchgAction, XchgEvent, XchgMsg};
 pub use fence::{FenceEngine, FenceMode};
-pub use hier::{HierAction, HierBarrier, HierEvent, HierExpect, HierMsg, HierRecord};
+pub use hier::{HierAction, HierBarrier, HierEvent, HierExpect, HierMsg};
 pub use lock::{
     HybridAcquire, HybridAction, HybridEvent, HybridHome, McsAcquire, McsAcquireAction, McsAcquireEvent, McsRelease,
     McsReleaseAction, McsReleaseEvent,
 };
+
+/// One send a harness performed on an engine's behalf, for
+/// cross-harness conformance tracing: the runtime (in a traced run) and
+/// the simulator record the sends they perform, and the conformance
+/// suite asserts the sequences are identical.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub struct SendRecord {
+    /// Destination rank: a group rank for the barriers, a world rank for
+    /// notifications.
+    pub to: u32,
+    /// What was sent.
+    pub msg: SentMsg,
+}
+
+/// The message of a [`SendRecord`], in the emitting engine's terms.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub enum SentMsg {
+    /// A [`CombinedBarrier`] send.
+    Barrier {
+        /// [`STAGE_ALLREDUCE`] or [`STAGE_BARRIER`].
+        stage: u8,
+        /// Schedule position.
+        msg: XchgMsg,
+    },
+    /// A [`HierBarrier`] send, intra-domain counter legs included.
+    Hier(HierMsg),
+    /// A [`NotifyEngine`] send.
+    Notify {
+        /// Notification slot in the destination's sync segment.
+        slot: u32,
+        /// 1-based sequence number of this notification toward `to`.
+        seq: u64,
+    },
+}

@@ -6,9 +6,9 @@
 //! combined barrier, [`armci_proto::Exchange`] for the baseline's
 //! binary-exchange barrier. The actor translates simulated message
 //! deliveries into engine events and engine `Send` actions into modeled
-//! messages under the virtual clock, and hands the combined barrier's
-//! own send log to the cross-harness conformance suite, which compares
-//! it with the runtime's, message for message.
+//! messages under the virtual clock, and records the combined barrier's
+//! sends for the cross-harness conformance suite, which compares them
+//! with the runtime's, message for message.
 //!
 //! Topology: `n` single-process nodes; actor `i` is user process `i`,
 //! actor `n + node` is that node's server thread. All processes start the
@@ -31,8 +31,8 @@
 use std::collections::VecDeque;
 
 use armci_proto::{
-    BarrierAction, BarrierEvent, CombinedBarrier, Exchange, HierBarrier, HierEvent, HierExpect, HierMsg, HierRecord,
-    NotifyAction, NotifyEngine, NotifyEvent, NotifyRecord, SendRecord, XchgAction, XchgEvent, XchgMsg, STAGE_BARRIER,
+    BarrierAction, BarrierEvent, CombinedBarrier, Exchange, HierBarrier, HierEvent, HierExpect, HierMsg, NotifyAction,
+    NotifyEngine, NotifyEvent, SendRecord, SentMsg, XchgAction, XchgEvent, XchgMsg, STAGE_BARRIER,
 };
 
 use crate::net::NetModel;
@@ -78,6 +78,10 @@ pub struct ProcActor {
     /// Engine actions emitted but not yet performed.
     xchg_out: Vec<XchgAction>,
     barrier_out: Vec<BarrierAction>,
+    /// Every send the combined barrier issued, in emission order: the
+    /// trace the conformance suite compares against the runtime's. Empty
+    /// for the baseline's barrier.
+    log: Vec<SendRecord>,
     /// Virtual time at which this process *begins* the sync (process
     /// skew; 0 in the paper's skew-free methodology).
     start_at: Time,
@@ -92,6 +96,7 @@ impl ProcActor {
             engine,
             xchg_out: Vec::new(),
             barrier_out: Vec::new(),
+            log: Vec::new(),
             start_at,
             finish_at: None,
         }
@@ -145,6 +150,7 @@ impl ProcActor {
                     for a in std::mem::take(&mut self.barrier_out) {
                         match a {
                             BarrierAction::Send { stage, to, msg, vals } => {
+                                self.log.push(SendRecord { to: to as u32, msg: SentMsg::Barrier { stage, msg } });
                                 ctx.send(to, Msg::Xchg { stage, msg }, 8 * vals.len())
                             }
                             BarrierAction::AwaitOpDone { .. } => {
@@ -169,16 +175,6 @@ impl ProcActor {
         };
         if done && self.finish_at.is_none() {
             self.finish_at = Some(ctx.now);
-        }
-    }
-
-    /// Every protocol send the combined barrier issued, in emission
-    /// order: the trace the conformance suite compares against the
-    /// runtime's `take_barrier_log`. Empty for the baseline's barrier.
-    fn take_log(&mut self) -> Vec<SendRecord> {
-        match &mut self.engine {
-            Engine::Combined(b) => b.take_log(),
-            Engine::Barrier(_) => Vec::new(),
         }
     }
 }
@@ -285,9 +281,9 @@ fn run_cfg_logged(
     let mut per_proc = Vec::with_capacity(n);
     let mut logs = Vec::with_capacity(n);
     for (p, actor) in sim.into_actors().into_iter().take(n).enumerate() {
-        let SyncNode::Proc(mut pa) = actor else { unreachable!("actors 0..n are processes") };
+        let SyncNode::Proc(pa) = actor else { unreachable!("actors 0..n are processes") };
         per_proc.push(pa.sync_time().unwrap_or_else(|| panic!("proc {p} never finished sync")));
-        logs.push(pa.take_log());
+        logs.push(pa.log);
     }
     (SyncResult { per_proc, messages, inter_node_messages }, logs)
 }
@@ -386,7 +382,8 @@ pub fn simulate_combined_barrier_skewed(n: usize, skew_step: Time, model: NetMod
 pub struct NotifyMsg {
     /// Notification slot the put bumps.
     pub slot: u32,
-    /// Producer-side sequence number (see [`NotifyRecord::seq`]).
+    /// Producer-side sequence number: the 1-based count of
+    /// notifications toward this consumer.
     pub seq: u64,
 }
 
@@ -416,7 +413,7 @@ struct NotifyProc {
     bytes: usize,
     out: Vec<NotifyAction>,
     /// Every notification sent, in order, for conformance comparison.
-    log: Vec<NotifyRecord>,
+    log: Vec<SendRecord>,
     finish_at: Option<Time>,
 }
 
@@ -438,7 +435,7 @@ impl NotifyProc {
                     self.eng.poll(NotifyEvent::Issue { dst, slot: self.slot }, &mut self.out);
                     for a in self.out.drain(..) {
                         if let NotifyAction::Send { to, slot, seq } = a {
-                            self.log.push(NotifyRecord { to: to as u32, slot, seq });
+                            self.log.push(SendRecord { to: to as u32, msg: SentMsg::Notify { slot, seq } });
                             ctx.send(to, NotifyMsg { slot, seq }, self.bytes);
                         }
                     }
@@ -489,7 +486,7 @@ pub fn simulate_notify_exchange_logged(
     bytes: usize,
     iters: u64,
     model: NetModel,
-) -> (SyncResult, Vec<Vec<NotifyRecord>>) {
+) -> (SyncResult, Vec<Vec<SendRecord>>) {
     let n = dests.len();
     let mut producers: Vec<Vec<usize>> = vec![Vec::new(); n];
     for (p, ds) in dests.iter().enumerate() {
@@ -554,6 +551,8 @@ pub fn simulate_notify_ring(n: usize, bytes: usize, iters: u64, model: NetModel)
 struct HierProc {
     eng: HierBarrier,
     out: Vec<armci_proto::HierAction>,
+    /// Every send, in emission order, for conformance comparison.
+    log: Vec<SendRecord>,
     /// Bytes of one value-carrying message (`8·|group|`).
     vec_bytes: usize,
     finish_at: Option<Time>,
@@ -570,6 +569,7 @@ impl HierProc {
     fn advance(&mut self, ctx: &mut Ctx<'_, HierSimMsg>) {
         loop {
             for a in std::mem::take(&mut self.out) {
+                self.log.push(SendRecord { to: a.to as u32, msg: SentMsg::Hier(a.msg) });
                 let (vals, size) = match a.msg {
                     HierMsg::Arrive { .. } | HierMsg::Xchg(_) => (self.eng.take_payload(), self.vec_bytes),
                     HierMsg::Close(_) | HierMsg::Release => (Vec::new(), 0),
@@ -622,7 +622,7 @@ pub fn simulate_hier_barrier_logged(
     domains: &[Vec<usize>],
     epoch: HierEpoch,
     model: NetModel,
-) -> (SyncResult, Vec<Vec<HierRecord>>) {
+) -> (SyncResult, Vec<Vec<SendRecord>>) {
     let n: usize = domains.iter().map(|d| d.len()).sum();
     let mut node_of = vec![0usize; n];
     for (d, members) in domains.iter().enumerate() {
@@ -636,6 +636,7 @@ pub fn simulate_hier_barrier_logged(
         .map(|g| HierProc {
             eng: HierBarrier::counted(g, shared.clone(), vec![puts], vec![0]),
             out: Vec::new(),
+            log: Vec::new(),
             vec_bytes: 8 * n,
             finish_at: None,
         })
@@ -647,7 +648,7 @@ pub fn simulate_hier_barrier_logged(
     for g in 0..n {
         let p = sim.actor(g);
         per_proc.push(p.finish_at.unwrap_or_else(|| panic!("rank {g} never finished the hier barrier")));
-        logs.push(p.eng.log().to_vec());
+        logs.push(p.log.clone());
     }
     (SyncResult { per_proc, messages: sim.delivered(), inter_node_messages: sim.delivered_inter_node() }, logs)
 }
@@ -903,10 +904,10 @@ mod tests {
         assert_eq!(
             logs[0],
             vec![
-                NotifyRecord { to: 1, slot: 0, seq: 1 },
-                NotifyRecord { to: 2, slot: 0, seq: 1 },
-                NotifyRecord { to: 1, slot: 0, seq: 2 },
-                NotifyRecord { to: 2, slot: 0, seq: 2 },
+                SendRecord { to: 1, msg: SentMsg::Notify { slot: 0, seq: 1 } },
+                SendRecord { to: 2, msg: SentMsg::Notify { slot: 0, seq: 1 } },
+                SendRecord { to: 1, msg: SentMsg::Notify { slot: 0, seq: 2 } },
+                SendRecord { to: 2, msg: SentMsg::Notify { slot: 0, seq: 2 } },
             ]
         );
         assert_eq!(logs[2], vec![], "pure consumer issues nothing");
@@ -966,7 +967,8 @@ mod tests {
             assert!(r.max() >= passes * l && r.max() <= passes * 4 * l, "{epoch:?}: got {}", r.max());
             // Every non-leader logs exactly one Arrive to its leader.
             for &g in domains.iter().flat_map(|d| &d[1..]) {
-                assert_eq!(logs[g], vec![HierRecord { to: logs[g][0].to, msg: HierMsg::Arrive { from: g as u32 } }]);
+                let arrive = SentMsg::Hier(HierMsg::Arrive { from: g as u32 });
+                assert_eq!(logs[g], vec![SendRecord { to: logs[g][0].to, msg: arrive }]);
             }
         }
     }
@@ -977,9 +979,11 @@ mod tests {
         for (epoch, closes) in [(HierEpoch::Clean, 0), (HierEpoch::Dirty, 3)] {
             let (_, logs) = simulate_hier_barrier_logged(&domains, epoch, NetModel::latency_only(1000));
             for d in 0..8 {
-                let count = |f: fn(&HierMsg) -> bool| logs[d * 2].iter().filter(|rec| f(&rec.msg)).count();
-                assert_eq!(count(|m| matches!(m, HierMsg::Xchg(_))), 3, "leader {}: log2(8) reduce rounds", d * 2);
-                assert_eq!(count(|m| matches!(m, HierMsg::Close(_))), closes, "leader {}: {epoch:?}", d * 2);
+                let count = |f: fn(&SentMsg) -> bool| logs[d * 2].iter().filter(|rec| f(&rec.msg)).count();
+                let reduces = count(|m| matches!(m, SentMsg::Hier(HierMsg::Xchg(_))));
+                assert_eq!(reduces, 3, "leader {}: log2(8) reduce rounds", d * 2);
+                let closes_sent = count(|m| matches!(m, SentMsg::Hier(HierMsg::Close(_))));
+                assert_eq!(closes_sent, closes, "leader {}: {epoch:?}", d * 2);
             }
         }
     }
@@ -992,7 +996,8 @@ mod tests {
         for (p, log) in logs.iter().enumerate() {
             // Core ranks of a pow2 run send log2(n) rounds per stage.
             assert_eq!(log.len(), 6, "rank {p}: {log:?}");
-            assert!(log[..3].iter().all(|r| r.stage == 0) && log[3..].iter().all(|r| r.stage == 1));
+            let stage_is = |r: &SendRecord, s: u8| matches!(r.msg, SentMsg::Barrier { stage, .. } if stage == s);
+            assert!(log[..3].iter().all(|r| stage_is(r, 0)) && log[3..].iter().all(|r| stage_is(r, 1)));
         }
     }
 }

@@ -22,8 +22,15 @@ const ROWS: usize = 2;
 const COLS: usize = 4;
 
 fn main() {
-    // 4 dual-process nodes; groups exploit the node locality.
-    let cfg = ArmciCfg { nodes: 4, procs_per_node: 2, latency: LatencyModel::myrinet_like(), ..Default::default() };
+    // 4 dual-process nodes; groups exploit the node locality. Traced, so
+    // each handle keeps the send log read below.
+    let cfg = ArmciCfg {
+        nodes: 4,
+        procs_per_node: 2,
+        latency: LatencyModel::myrinet_like(),
+        trace: true,
+        ..Default::default()
+    };
     run_cluster(cfg, |armci| {
         let me = armci.rank();
         let (row, col) = (me / COLS, me % COLS);
@@ -38,13 +45,18 @@ fn main() {
         }
         // Completes row-directed puts + barriers the row: the other row
         // proceeds independently.
+        armci.take_send_log();
         armci.barrier_group(&rg);
         let mine = armci.local_segment(seg);
         let row_sum: u64 = (0..COLS).map(|c| mine.read_u64(8 * c)).sum();
 
         // The hierarchical trace: row members on the same node checked in
         // through a shared counter; only per-node leaders exchanged.
-        let xchg = armci.take_hier_log().iter().filter(|r| matches!(r.msg, armci_proto::HierMsg::Xchg(_))).count();
+        let xchg = armci
+            .take_send_log()
+            .iter()
+            .filter(|r| matches!(r.msg, armci_proto::SentMsg::Hier(armci_proto::HierMsg::Xchg(_))))
+            .count();
 
         // --- Column group (overlaps every row group) ------------------
         let col_members: Vec<usize> = (0..ROWS).map(|r| r * COLS + col).collect();

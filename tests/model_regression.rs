@@ -2,7 +2,7 @@
 //! pinned on the deterministic simulator so any change to the shared
 //! protocol engines or the cost model that flips a conclusion fails CI.
 
-use armci_proto::{SendRecord, XchgMsg};
+use armci_proto::{SendRecord, SentMsg, XchgMsg};
 use armci_repro::armci_simnet::protocols::lock::{simulate_lock, simulate_lock_single_avg, LockAlgo};
 use armci_repro::armci_simnet::protocols::sync::{
     simulate_combined_barrier, simulate_combined_barrier_logged, simulate_combined_barrier_skewed,
@@ -182,9 +182,10 @@ const LOG_PINS: &[(usize, &str)] = &[
 /// One rank's send log in the `LOG_PINS` spelling.
 fn render_log(log: &[SendRecord]) -> String {
     let rec = |r: &SendRecord| match r.msg {
-        XchgMsg::Enter => format!("{}E>{}", r.stage, r.to),
-        XchgMsg::Exit => format!("{}X>{}", r.stage, r.to),
-        XchgMsg::Round(k) => format!("{}R{k}>{}", r.stage, r.to),
+        SentMsg::Barrier { stage, msg: XchgMsg::Enter } => format!("{stage}E>{}", r.to),
+        SentMsg::Barrier { stage, msg: XchgMsg::Exit } => format!("{stage}X>{}", r.to),
+        SentMsg::Barrier { stage, msg: XchgMsg::Round(k) } => format!("{stage}R{k}>{}", r.to),
+        other => panic!("the combined barrier sent {other:?}"),
     };
     log.iter().map(rec).collect::<Vec<_>>().join(" ")
 }

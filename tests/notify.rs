@@ -8,7 +8,7 @@
 //! ghost-cell exchange must beat the baseline `op_init`-exchange sync on
 //! wire messages, the structural claim of the notified-RMA design.
 
-use armci_proto::NotifyRecord;
+use armci_proto::{SendRecord, SentMsg};
 use armci_repro::prelude::*;
 
 /// Drive `iters` rounds of a notified exchange on the runtime: each
@@ -16,14 +16,16 @@ use armci_repro::prelude::*;
 /// 0), then waits for the cumulative notification count from its
 /// producers — exactly the schedule the simulator's `NotifyProc` actor
 /// runs. Returns every rank's engine send trace, which only a traced run
-/// keeps. `net` selects netfab loopback with the shm plane pinned to the
-/// given setting; `None` runs the emulator.
-fn runtime_notify_logs(dests: &'static [&'static [usize]], iters: u64, net: Option<bool>) -> Vec<Vec<NotifyRecord>> {
+/// keeps, drained after `malloc`'s barrier and before the closing one.
+/// `net` selects netfab loopback with the shm plane pinned to the given
+/// setting; `None` runs the emulator.
+fn runtime_notify_logs(dests: &'static [&'static [usize]], iters: u64, net: Option<bool>) -> Vec<Vec<SendRecord>> {
     let n = dests.len();
     let mut cfg = ArmciCfg::flat(n as u32, LatencyModel::zero());
     cfg.trace = true;
     let body = move |a: &mut Armci| {
         let seg = a.malloc(8 * a.nprocs());
+        a.take_send_log();
         let me = a.rank();
         let expected = dests.iter().filter(|row| row.contains(&me)).count() as u64;
         for i in 0..iters {
@@ -35,8 +37,9 @@ fn runtime_notify_logs(dests: &'static [&'static [usize]], iters: u64, net: Opti
                 a.wait_notify(0, (i + 1) * expected);
             }
         }
+        let log = a.take_send_log();
         a.barrier();
-        a.take_notify_log()
+        log
     };
     match net {
         Some(shm_plane) => armci_repro::armci_core::run_cluster_net_loopback(cfg.with_shm_plane(Some(shm_plane)), body),
@@ -45,7 +48,7 @@ fn runtime_notify_logs(dests: &'static [&'static [usize]], iters: u64, net: Opti
 }
 
 /// The simulator's per-rank notify traces for the same schedule.
-fn simnet_notify_logs(dests: &[&[usize]], iters: u64) -> Vec<Vec<NotifyRecord>> {
+fn simnet_notify_logs(dests: &[&[usize]], iters: u64) -> Vec<Vec<SendRecord>> {
     let owned: Vec<Vec<usize>> = dests.iter().map(|row| row.to_vec()).collect();
     armci_repro::armci_simnet::protocols::sync::simulate_notify_exchange_logged(
         &owned,
@@ -93,10 +96,10 @@ fn notify_asymmetric_trace_identical_emulator_vs_simnet() {
     assert_eq!(
         emu[0],
         vec![
-            NotifyRecord { to: 1, slot: 0, seq: 1 },
-            NotifyRecord { to: 2, slot: 0, seq: 1 },
-            NotifyRecord { to: 1, slot: 0, seq: 2 },
-            NotifyRecord { to: 2, slot: 0, seq: 2 },
+            SendRecord { to: 1, msg: SentMsg::Notify { slot: 0, seq: 1 } },
+            SendRecord { to: 2, msg: SentMsg::Notify { slot: 0, seq: 1 } },
+            SendRecord { to: 1, msg: SentMsg::Notify { slot: 0, seq: 2 } },
+            SendRecord { to: 2, msg: SentMsg::Notify { slot: 0, seq: 2 } },
         ],
         "per-destination sequence numbers must be cumulative"
     );
@@ -134,25 +137,38 @@ fn group_scoped_notify_trace_identical_emulator_vs_simnet() {
     }
 }
 
-/// The notify log is a tracing aid: an untraced run keeps none, however
-/// many notifications it issues, instead of one record per `put_notify`
-/// for the life of the handle.
+/// The send log is a tracing aid: an untraced run keeps none — not for
+/// the flat world barrier, the hierarchical group barrier, nor however
+/// many notifications it issues — instead of one record per send for the
+/// life of the handle. The same program traced logs on every rank, so
+/// the empty logs are not vacuous.
 #[test]
 fn untraced_runs_keep_no_notify_log() {
     const PUTS: u64 = 10_000;
-    let out = run_cluster(ArmciCfg::flat(2, LatencyModel::zero()), |a| {
-        let seg = a.malloc(8);
-        if a.rank() == 0 {
-            for i in 0..PUTS {
-                a.put_notify(GlobalAddr::new(ProcId(1), seg, 0), &i.to_le_bytes(), 0);
+    for trace in [false, true] {
+        let cfg = ArmciCfg { nodes: 2, procs_per_node: 2, latency: LatencyModel::zero(), trace, ..Default::default() };
+        let out = run_cluster(cfg, |a| {
+            let seg = a.malloc(8);
+            let members: Vec<usize> = (0..a.nprocs()).collect();
+            let g = a.group(&members);
+            assert!(g.is_hierarchical(), "SMP nodes form a hierarchy");
+            a.barrier(); // the world group stays flat
+            a.barrier_group(&g);
+            match a.rank() {
+                0 => (0..PUTS).for_each(|i| a.put_notify(GlobalAddr::new(ProcId(2), seg, 0), &i.to_le_bytes(), 0)),
+                2 => a.wait_notify(0, PUTS),
+                _ => {}
             }
+            a.barrier();
+            a.take_send_log().len()
+        });
+        if trace {
+            assert!(out.iter().all(|&n| n > 0), "a traced run logged nothing: {out:?}");
+            assert!(out[0] as u64 > PUTS, "the traced producer logged every notification: {out:?}");
         } else {
-            a.wait_notify(0, PUTS);
+            assert_eq!(out, vec![0; 4], "an untraced run logged sends");
         }
-        a.barrier();
-        a.take_notify_log().len()
-    });
-    assert_eq!(out, vec![0, 0], "an untraced run logged notifications");
+    }
 }
 
 // ---- Ghost-exchange wire-count gate ---------------------------------

@@ -5,8 +5,9 @@
 //! through each and assert the engines emitted *identical* protocol
 //! message sequences (stage, destination, schedule message), so the
 //! model plane provably simulates the protocol the runtime executes.
+//! Runtime runs are traced: only a traced run keeps a send log.
 
-use armci_proto::{HierMsg, HierRecord, SendRecord};
+use armci_proto::{HierMsg, SendRecord, SentMsg};
 use armci_repro::armci_simnet::protocols::sync::{simulate_hier_barrier_logged, HierEpoch};
 use armci_repro::prelude::*;
 
@@ -23,14 +24,26 @@ fn seeded_puts(a: &mut Armci, seg: SegId, seed: u64) {
     }
 }
 
+/// A traced run of `cfg`: the runtime keeps its send log.
+fn traced(cfg: ArmciCfg) -> ArmciCfg {
+    ArmciCfg { trace: true, ..cfg }
+}
+
+/// The sends `op` performs: the log is drained just before it, since
+/// `malloc` and earlier barriers log sends of their own.
+fn sends_of(a: &mut Armci, op: impl FnOnce(&mut Armci)) -> Vec<SendRecord> {
+    a.take_send_log();
+    op(a);
+    a.take_send_log()
+}
+
 /// Per-rank barrier send trace from the threaded emulator.
 fn emulator_logs(n: u32, seed: u64) -> Vec<Vec<SendRecord>> {
-    let cfg = ArmciCfg::flat(n, LatencyModel::zero());
+    let cfg = traced(ArmciCfg::flat(n, LatencyModel::zero()));
     armci_repro::armci_core::run_cluster(cfg, move |a| {
         let seg = a.malloc(8 * a.nprocs());
         seeded_puts(a, seg, seed);
-        a.barrier();
-        a.take_barrier_log()
+        sends_of(a, Armci::barrier)
     })
 }
 
@@ -38,12 +51,11 @@ fn emulator_logs(n: u32, seed: u64) -> Vec<Vec<SendRecord>> {
 /// shm plane pinned to `shm_plane`: the plane changes the puts' route,
 /// never the barrier's schedule.
 fn netfab_logs(n: u32, seed: u64, shm_plane: bool) -> Vec<Vec<SendRecord>> {
-    let cfg = ArmciCfg::flat(n, LatencyModel::zero()).with_shm_plane(Some(shm_plane));
+    let cfg = traced(ArmciCfg::flat(n, LatencyModel::zero())).with_shm_plane(Some(shm_plane));
     armci_repro::armci_core::run_cluster_net_loopback(cfg, move |a| {
         let seg = a.malloc(8 * a.nprocs());
         seeded_puts(a, seg, seed);
-        a.barrier();
-        a.take_barrier_log()
+        sends_of(a, Armci::barrier)
     })
 }
 
@@ -113,7 +125,7 @@ fn seeded_member_puts(a: &mut Armci, seg: SegId, members: &[usize], seed: u64) {
 fn group_logs(n: u32, members: &'static [usize], seed: u64, net: bool) -> Vec<Vec<SendRecord>> {
     // The *flat* group protocol is under test: one process per node and
     // no shm plane, so no two members share memory.
-    let cfg = ArmciCfg::flat(n, LatencyModel::zero());
+    let cfg = traced(ArmciCfg::flat(n, LatencyModel::zero()));
     let body = move |a: &mut Armci| {
         let seg = a.malloc(8 * a.nprocs());
         if !members.contains(&a.rank()) {
@@ -122,8 +134,7 @@ fn group_logs(n: u32, members: &'static [usize], seed: u64, net: bool) -> Vec<Ve
         }
         let g = a.group(members);
         seeded_member_puts(a, seg, members, seed);
-        a.barrier_group(&g);
-        let log = a.take_barrier_log();
+        let log = sends_of(a, |a| a.barrier_group(&g));
         a.barrier();
         Some(log)
     };
@@ -170,20 +181,16 @@ fn group_barrier_trace_identical_netfab_vs_simnet() {
 fn overlapping_group_traces_each_match_simnet() {
     let g1_m: &[usize] = &[0, 1, 2, 3, 4];
     let g2_m: &[usize] = &[3, 4, 5];
-    let cfg = ArmciCfg::flat(6, LatencyModel::zero());
+    let cfg = traced(ArmciCfg::flat(6, LatencyModel::zero()));
     let logs = armci_repro::armci_core::run_cluster(cfg, move |a| {
         let seg = a.malloc(8 * a.nprocs());
         let g1 = g1_m.contains(&a.rank()).then(|| a.group(g1_m));
         let g2 = g2_m.contains(&a.rank()).then(|| a.group(g2_m));
         let l1 = g1.map(|g| {
             seeded_member_puts(a, seg, g1_m, 3);
-            a.barrier_group(&g);
-            a.take_barrier_log()
+            sends_of(a, |a| a.barrier_group(&g))
         });
-        let l2 = g2.map(|g| {
-            a.barrier_group(&g);
-            a.take_barrier_log()
-        });
+        let l2 = g2.map(|g| sends_of(a, |a| a.barrier_group(&g)));
         a.barrier();
         (l1, l2)
     });
@@ -199,9 +206,9 @@ fn overlapping_group_traces_each_match_simnet() {
 
 // ---- Hierarchical conformance -------------------------------------------
 
-/// One rank's view of [`hier_logs`]: the domain partition, and the hier
-/// log of the dirty epoch then of the clean one.
-type HierRun = (Vec<Vec<usize>>, [Vec<HierRecord>; 2]);
+/// One rank's view of [`hier_logs`]: the domain partition, and the sends
+/// of the dirty epoch's barrier then of the clean one's.
+type HierRun = (Vec<Vec<usize>>, [Vec<SendRecord>; 2]);
 
 /// Per-rank domains and hier logs of a dirty epoch (a Figure-7 scatter
 /// to every rank on another node, then the barrier) followed by a clean
@@ -211,7 +218,7 @@ fn hier_logs(nodes: u32, ppn: u32, net: bool) -> Vec<HierRun> {
     // A dirty epoch needs counted puts, and only the wire produces
     // them: with the shm plane on, loopback nodes share a host, fall into
     // one domain and store directly (`hier_spawn` covers that shape).
-    let cfg = ArmciCfg { nodes, procs_per_node: ppn, latency: LatencyModel::zero(), ..Default::default() }
+    let cfg = ArmciCfg { nodes, procs_per_node: ppn, latency: LatencyModel::zero(), trace: true, ..Default::default() }
         .with_shm_plane(Some(false));
     let body = move |a: &mut Armci| {
         let (me, n) = (a.rank(), a.nprocs());
@@ -223,13 +230,11 @@ fn hier_logs(nodes: u32, ppn: u32, net: bool) -> Vec<HierRun> {
             a.put_u64(GlobalAddr::new(ProcId(dst as u32), seg, 8 * me), 0xF7 + me as u64);
         }
         let fences = a.stats().fence_roundtrips;
-        a.barrier_group(&g);
-        let dirty = a.take_hier_log();
+        let dirty = sends_of(a, |a| a.barrier_group(&g));
         for src in (0..n).filter(|&r| r as u32 / ppn != me as u32 / ppn) {
             assert_eq!(a.local_segment(seg).read_u64(8 * src), 0xF7 + src as u64, "put from {src} not landed");
         }
-        a.barrier_group(&g);
-        let clean = a.take_hier_log();
+        let clean = sends_of(a, |a| a.barrier_group(&g));
         assert_eq!(a.stats().fence_roundtrips, fences, "the hier barrier sends no fence request");
         a.barrier();
         (domains, [dirty, clean])
@@ -254,8 +259,8 @@ fn assert_hier_traces_match_simnet(per_rank: &[HierRun], nodes: usize, what: &st
             assert_eq!(doms, domains, "rank {rank}: divergent domain partition");
             let log = &logs[i];
             assert_eq!(log, &sim[rank], "{what} nodes={nodes} rank={rank} {epoch:?}: hier engines diverged");
-            let reduces = log.iter().filter(|r| matches!(r.msg, HierMsg::Xchg(_))).count();
-            let closes = log.iter().filter(|r| matches!(r.msg, HierMsg::Close(_))).count();
+            let reduces = log.iter().filter(|r| matches!(r.msg, SentMsg::Hier(HierMsg::Xchg(_)))).count();
+            let closes = log.iter().filter(|r| matches!(r.msg, SentMsg::Hier(HierMsg::Close(_)))).count();
             let is_leader = domains.iter().any(|d| d[0] == rank);
             assert_eq!(reduces, if is_leader { rounds } else { 0 }, "reduce pass: log2(nodes) rounds, leaders only");
             let want_closes = if is_leader && epoch == HierEpoch::Dirty { rounds } else { 0 };
