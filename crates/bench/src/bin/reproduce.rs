@@ -8,45 +8,40 @@
 //! Each figure is printed twice: on the **model plane** (deterministic
 //! discrete-event simulation with Myrinet-2000-like parameters — the
 //! quantitative reproduction) and on the **wall-clock plane** (the real
-//! library on the threaded emulation — the end-to-end check). Absolute
-//! values are not expected to match the 2003 testbed; the shapes are.
+//! library on the threaded emulation — the end-to-end check). `--net`
+//! runs an experiment's spawned-process row instead (real TCP, one OS
+//! process per node); only experiments that have one accept `--net` and
+//! `--nodes`. Absolute values are not expected to match the 2003
+//! testbed; the shapes are.
 
+use std::sync::OnceLock;
 use std::time::Instant;
 
-use armci_bench::fig7::{measure_ga_sync, measure_ga_sync_net_pair};
-use armci_bench::fig8_10::measure_lock;
-use armci_bench::model_runs::{crossover_sweep, lock_sweep, sync_sweep};
+use armci_bench::model_runs::{crossover_sweep, lock_sweep, sync_sweep, LockRow};
+use armci_bench::scenario::{self, run, Params, Plane, ALLFENCE, GA_SYNC, LOCK_CYCLE};
 use armci_bench::table::{ratio, us, Table};
 use armci_bench::{PAPER_PROCS, WALLCLOCK_LATENCY_NS};
-use armci_core::{model, run_cluster, AckMode, ArmciCfg, GlobalAddr, LockAlgo};
-use armci_ga::SyncAlg;
-use armci_msglib::Group;
+use armci_core::{model, AckMode, ArmciCfg, GlobalAddr, LockAlgo};
 use armci_simnet::NetModel;
 use armci_transport::{LatencyModel, ProcId};
 
-/// Command-line switches every experiment may read.
-struct Opts {
-    quick: bool,
-    net: bool,
-    nodes: Option<usize>,
-}
-
-/// A `reproduce` subcommand: its name and what it runs.
-type Experiment = (&'static str, fn(&Opts));
+/// A `reproduce` subcommand: its name, what it runs, and what it runs
+/// under `--net --nodes N`, if it has a spawned-process row.
+type Experiment = (&'static str, fn(bool), Option<fn(bool, usize)>);
 
 /// Every experiment, in the order `all` runs them: the dispatch, `all`
 /// and the usage line are all read from this one table.
 const EXPERIMENTS: [Experiment; 10] = [
-    ("fig7", |o| if o.net { fig7_net(o.quick, o.nodes.unwrap_or(4)) } else { fig7(o.quick) }),
-    ("fig8", |o| fig8(o.quick)),
-    ("fig9", |o| fig9(o.quick)),
-    ("fig10", |o| fig10(o.quick)),
-    ("model", |_| model_scaling()),
-    ("ablation-ack", |o| ablation_ack(o.quick)),
-    ("ablation-crossover", |_| ablation_crossover()),
-    ("lock-hold", |_| lock_hold_sweep()),
-    ("smp", |_| smp_and_skew()),
-    ("lock-detail", |o| lock_detail(o.quick)),
+    ("fig7", fig7, Some(fig7_net)),
+    ("fig8", fig8, None),
+    ("fig9", fig9, None),
+    ("fig10", fig10, None),
+    ("model", |_| model_scaling(), None),
+    ("ablation-ack", ablation_ack, None),
+    ("ablation-crossover", |_| ablation_crossover(), None),
+    ("lock-hold", |_| lock_hold_sweep(), None),
+    ("smp", |_| smp_and_skew(), None),
+    ("lock-detail", lock_detail, None),
 ];
 
 /// The launcher smoke test: dispatched by name, never part of `all`.
@@ -54,14 +49,26 @@ const SELFTEST: &str = "net-selftest";
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
+    // A spawned node process of a `--net` run: straight to its scenario.
+    if args.first().map(String::as_str) == Some(scenario::NODE_ROUTE) {
+        if let Err(e) = scenario::run_node(&args[1..]) {
+            usage(&e);
+        }
+        return;
+    }
+    let quick = args.iter().any(|a| a == "--quick");
     let nodes = args.iter().position(|a| a == "--nodes").map(|p| {
         let v = args.get(p + 1).map(String::as_str).unwrap_or("");
-        v.parse::<usize>().ok().filter(|&n| n >= 2).unwrap_or_else(|| {
-            eprintln!("--nodes takes an integer >= 2, got {v:?}");
-            std::process::exit(2);
-        })
+        v.parse::<usize>()
+            .ok()
+            .filter(|&n| n >= 2)
+            .unwrap_or_else(|| usage(&format!("--nodes takes an integer >= 2, got {v:?}")))
     });
-    let opts = Opts { quick: args.iter().any(|a| a == "--quick"), net: args.iter().any(|a| a == "--net"), nodes };
+    let nodes = match (args.iter().any(|a| a == "--net"), nodes) {
+        (true, nodes) => Some(nodes.unwrap_or(4)),
+        (false, None) => None,
+        (false, Some(_)) => usage("--nodes needs --net"),
+    };
     if let Some(pos) = args.iter().position(|a| a == "--csv") {
         let dir = args.get(pos + 1).map(String::as_str).unwrap_or("results");
         armci_bench::table::set_csv_dir(dir);
@@ -76,41 +83,31 @@ fn main() {
         .unwrap_or("all");
 
     let t0 = Instant::now();
-    match what {
-        "all" => EXPERIMENTS.iter().for_each(|(_, run)| run(&opts)),
-        name if name == SELFTEST => net_selftest(),
-        name => match EXPERIMENTS.iter().find(|(n, _)| *n == name) {
-            Some((_, run)) => run(&opts),
-            None => {
-                let names: Vec<&str> = EXPERIMENTS.iter().map(|(n, _)| *n).collect();
-                eprintln!("unknown experiment '{name}'");
-                eprintln!(
-                    "usage: reproduce [all|{}|{SELFTEST}] [--quick] \
-                     [--net (fig7 only: real TCP, one process per node)] \
-                     [--nodes N (fig7 --net only: node-process count, default 4)] [--csv DIR]",
-                    names.join("|")
-                );
-                std::process::exit(2);
-            }
-        },
+    let found = EXPERIMENTS.iter().find(|(n, _, _)| *n == what);
+    if found.is_none() && what != "all" && what != SELFTEST {
+        usage(&format!("unknown experiment '{what}'"));
+    }
+    match (what, found, nodes) {
+        ("all", _, None) => EXPERIMENTS.iter().for_each(|(_, run, _)| run(quick)),
+        (SELFTEST, _, None) => net_selftest(),
+        (_, Some((_, run, _)), None) => run(quick),
+        (_, Some((_, _, Some(net))), Some(n)) => net(quick, n),
+        _ => usage(&format!("'{what}' takes no --net or --nodes")),
     }
     eprintln!("\n(total harness time: {:.1}s)", t0.elapsed().as_secs_f64());
 }
 
-fn wall_iters(quick: bool) -> usize {
-    if quick {
-        5
-    } else {
-        25
-    }
-}
-
-fn lock_iters(quick: bool) -> usize {
-    if quick {
-        25
-    } else {
-        200
-    }
+/// Print `why` and the usage line, then exit 2.
+fn usage(why: &str) -> ! {
+    let names = |net: bool| EXPERIMENTS.iter().filter(|e| !net || e.2.is_some()).map(|e| e.0).collect::<Vec<_>>();
+    let (all, net) = (names(false).join("|"), names(true).join("|"));
+    eprintln!("{why}");
+    eprintln!(
+        "usage: reproduce [all|{all}|{SELFTEST}] [--quick] \
+         [--net ({net} only: real TCP, one process per node)] \
+         [--nodes N ({net} --net only: node-process count, default 4)] [--csv DIR]"
+    );
+    std::process::exit(2);
 }
 
 // ---------------------------------------------------------------------
@@ -140,45 +137,44 @@ fn fig7(quick: bool) {
     t.print();
 
     // Wall-clock plane.
-    let iters = wall_iters(quick);
+    let iters = if quick { 5 } else { 25 };
     let mut t = Table::new(
         format!("Fig 7 — wall-clock plane ({iters} iters, {}us one-way)", WALLCLOCK_LATENCY_NS / 1000),
         &["procs", "current(us)", "new(us)", "factor"],
     );
     for &n in &PAPER_PROCS {
-        let base = measure_ga_sync(n, SyncAlg::Baseline, iters, WALLCLOCK_LATENCY_NS);
-        let new = measure_ga_sync(n, SyncAlg::CombinedBarrier, iters, WALLCLOCK_LATENCY_NS);
-        t.row(vec![n.to_string(), us(base.mean_ns), us(new.mean_ns), ratio(base.mean_ns / new.mean_ns)]);
+        ga_sync_row(&mut t, Plane::Emu(WALLCLOCK_LATENCY_NS), n, iters);
     }
     t.print();
 }
 
-/// Figure 7 over netfab: real TCP, one OS process per node. The spawned
-/// node processes re-execute this binary with the same `fig7 --net`
-/// argv, which routes them back into the single `run_cluster_spawned`
-/// call inside `measure_ga_sync_net_pair` — so nothing may print before
-/// the measurement (the children share our stdout until they exit).
+/// Time Figure 7 at `n` processes on `plane`, add its row to `t`, and
+/// return `[current, new]` (ns). Both planes take an untimed warm-up
+/// first: real sockets have cold-start noise.
+fn ga_sync_row(t: &mut Table, plane: Plane, n: usize, iters: usize) -> [f64; 2] {
+    let m = run(&GA_SYNC, plane, n, Params { warmup: (iters / 4).max(2), ..Params::iters(iters) }).mean_ns;
+    t.row(vec![n.to_string(), us(m[0]), us(m[1]), ratio(m[0] / m[1])]);
+    [m[0], m[1]]
+}
+
+/// Figure 7 over netfab: real TCP, one OS process per node.
 fn fig7_net(quick: bool, n: usize) {
     // The per-iteration work grows with the node count (the baseline sync
     // is O(N) fences per process), so scale the iteration budget down as
     // N grows: `--nodes 64` is a scaling smoke, not a timing sample.
     let base_iters = if quick { 25 } else { 100 };
     let iters = (base_iters * 4 / n.max(4)).max(2);
-    let mut child_args: Vec<String> = vec!["fig7".into(), "--net".into(), "--nodes".into(), n.to_string()];
-    if quick {
-        child_args.push("--quick".into());
-    }
-    let (base, comb) = measure_ga_sync_net_pair(n, iters, &child_args);
-
-    println!("\n################ Figure 7 over netfab: real TCP, {n} node processes ################");
-    println!("# Same workload as the wall-clock plane, but the latency is a real");
-    println!("# kernel socket round-trip instead of an injected model. Absolute");
-    println!("# numbers are host-dependent; the winner should not be.");
     let mut t = Table::new(
         format!("Fig 7 — netfab plane ({iters} iters, loopback TCP)"),
         &["procs", "current(us)", "new(us)", "factor"],
     );
-    t.row(vec![n.to_string(), us(base), us(comb), ratio(base / comb)]);
+    // Measure before printing: under an external launcher every node
+    // process runs this function, and all but node 0 exit inside `run`.
+    let [base, comb] = ga_sync_row(&mut t, Plane::Net, n, iters);
+    println!("\n################ Figure 7 over netfab: real TCP, {n} node processes ################");
+    println!("# Same workload as the wall-clock plane, but the latency is a real");
+    println!("# kernel socket round-trip instead of an injected model. Absolute");
+    println!("# numbers are host-dependent; the winner should not be.");
     t.print();
     let winner = if comb <= base { "new (combined ARMCI_Barrier)" } else { "current (AllFence+MPI_Barrier)" };
     println!("winner over TCP: {winner}");
@@ -208,38 +204,48 @@ fn net_selftest() {
 // Figures 8-10: locks
 // ---------------------------------------------------------------------
 
-/// Wall-clock lock numbers per proc count: `(n, hybrid acquire, hybrid release, mcs acquire, mcs release)`.
-type WallLockRow = (usize, f64, f64, f64, f64);
+/// Figures 8–10's wall-clock cells per process count: `[hybrid, mcs]`,
+/// each `[acquire, release]` in ns.
+type WallLockRow = (usize, [[f64; 2]; 2]);
 
-fn lock_tables(quick: bool) -> (Vec<armci_bench::model_runs::LockRow>, Vec<WallLockRow>) {
-    let ns = [1usize, 2, 4, 8, 16];
-    let model_rows = lock_sweep(&ns, if quick { 200 } else { 2000 }, NetModel::myrinet_2000());
-    let iters = lock_iters(quick);
-    let wall: Vec<_> = ns
-        .iter()
-        .map(|&n| {
-            let h = measure_lock(LockAlgo::Hybrid, n, iters, WALLCLOCK_LATENCY_NS);
-            let m = measure_lock(LockAlgo::Mcs, n, iters, WALLCLOCK_LATENCY_NS);
-            (n, h.acquire_ns, h.release_ns, m.acquire_ns, m.release_ns)
-        })
-        .collect();
-    (model_rows, wall)
+/// Figures 8–10 are three views of one lock sweep per process: it is
+/// measured on first use and then shared, so every Figure 8 cell is its
+/// Figure 9 cell plus its Figure 10 cell.
+fn lock_sweeps(quick: bool) -> &'static (Vec<LockRow>, Vec<WallLockRow>) {
+    static SWEEPS: OnceLock<(Vec<LockRow>, Vec<WallLockRow>)> = OnceLock::new();
+    SWEEPS.get_or_init(|| {
+        let ns = [1usize, 2, 4, 8, 16];
+        let model_rows = lock_sweep(&ns, if quick { 200 } else { 2000 }, NetModel::myrinet_2000());
+        let (iters, emu) = (if quick { 25 } else { 200 }, Plane::Emu(WALLCLOCK_LATENCY_NS));
+        let wall = ns
+            .iter()
+            .map(|&n| {
+                // n = 1 is the paper's single-process point: rank 0 of two
+                // alternates a lock at itself and one at rank 1.
+                let (procs, solo) = if n == 1 { (2, true) } else { (n, false) };
+                let cell = |lock| run(&LOCK_CYCLE, emu, procs, Params { lock, solo, ..Params::iters(iters) }).mean_ns;
+                let [h, m] = [cell(LockAlgo::Hybrid), cell(LockAlgo::Mcs)];
+                (n, [[h[0], h[1]], [m[0], m[1]]])
+            })
+            .collect();
+        (model_rows, wall)
+    })
 }
 
 fn fig8(quick: bool) {
     println!("\n################ Figure 8: lock request+release cycle ################");
     println!("# Paper: new (MCS) wins for >=2 procs, factor up to ~1.25 at 8 nodes,");
     println!("# slight dip at 16 but still ahead; current is slower and grows faster.");
-    let (model_rows, wall) = lock_tables(quick);
+    let (model_rows, wall) = lock_sweeps(quick);
 
     let mut t = Table::new("Fig 8(a)+(b) — model plane (us)", &["procs", "current", "new", "factor"]);
-    for r in &model_rows {
+    for r in model_rows {
         t.row(vec![r.n.to_string(), us(r.hybrid.cycle_ns), us(r.mcs.cycle_ns), ratio(r.factor())]);
     }
     t.print();
 
     let mut t = Table::new("Fig 8 — wall-clock plane (us)", &["procs", "current", "new", "factor"]);
-    for &(n, ha, hr, ma, mr) in &wall {
+    for &(n, [[ha, hr], [ma, mr]]) in wall {
         let (hc, mc) = (ha + hr, ma + mr);
         t.row(vec![n.to_string(), us(hc), us(mc), ratio(hc / mc)]);
     }
@@ -249,36 +255,31 @@ fn fig8(quick: bool) {
 fn fig9(quick: bool) {
     println!("\n################ Figure 9: time to request and acquire ################");
     println!("# Paper: new always faster — handoff is 1 message instead of 2.");
-    let (model_rows, wall) = lock_tables(quick);
-
-    let mut t = Table::new("Fig 9 — model plane (us)", &["procs", "current", "new"]);
-    for r in &model_rows {
-        t.row(vec![r.n.to_string(), us(r.hybrid.acquire_ns), us(r.mcs.acquire_ns)]);
-    }
-    t.print();
-
-    let mut t = Table::new("Fig 9 — wall-clock plane (us)", &["procs", "current", "new"]);
-    for &(n, ha, _, ma, _) in &wall {
-        t.row(vec![n.to_string(), us(ha), us(ma)]);
-    }
-    t.print();
+    lock_phase(quick, 9);
 }
 
 fn fig10(quick: bool) {
     println!("\n################ Figure 10: time to release ################");
     println!("# Paper: new is *slower* to release (uncontended compare&swap round");
     println!("# trip); the gap shrinks as contention makes a waiter likely.");
-    let (model_rows, wall) = lock_tables(quick);
+    lock_phase(quick, 10);
+}
 
-    let mut t = Table::new("Fig 10 — model plane (us)", &["procs", "current", "new"]);
-    for r in &model_rows {
-        t.row(vec![r.n.to_string(), us(r.hybrid.release_ns), us(r.mcs.release_ns)]);
+/// The tables of one phase of the lock cycle: Figure 9 (acquire) or
+/// Figure 10 (release).
+fn lock_phase(quick: bool, fig: u32) {
+    let (model_rows, wall) = lock_sweeps(quick);
+    let release = fig == 10;
+    let mut t = Table::new(format!("Fig {fig} — model plane (us)"), &["procs", "current", "new"]);
+    for r in model_rows {
+        let [h, m] = [r.hybrid, r.mcs].map(|l| if release { l.release_ns } else { l.acquire_ns });
+        t.row(vec![r.n.to_string(), us(h), us(m)]);
     }
     t.print();
 
-    let mut t = Table::new("Fig 10 — wall-clock plane (us)", &["procs", "current", "new"]);
-    for &(n, _, hr, _, mr) in &wall {
-        t.row(vec![n.to_string(), us(hr), us(mr)]);
+    let mut t = Table::new(format!("Fig {fig} — wall-clock plane (us)"), &["procs", "current", "new"]);
+    for &(n, [h, m]) in wall {
+        t.row(vec![n.to_string(), us(h[release as usize]), us(m[release as usize])]);
     }
     t.print();
 }
@@ -318,32 +319,13 @@ fn ablation_ack(quick: bool) {
     println!("\n################ Ablation: fence under GM vs VIA ack modes ################");
     println!("# Paper 3.1.1: with acked puts a fence just drains acks; without,");
     println!("# every fence is an explicit confirmation round-trip per server.");
-    let iters = wall_iters(quick);
+    let iters = if quick { 5 } else { 25 };
     let n = 8usize;
     let mut t =
         Table::new(format!("AllFence after scattering puts to all peers, {n} procs (us)"), &["mode", "allfence(us)"]);
-    for (mode, name) in [(AckMode::Gm, "GM (no acks)"), (AckMode::Via, "VIA (acked)")] {
-        let cfg = ArmciCfg::flat(n as u32, lat_model()).with_ack_mode(mode);
-        let out = run_cluster(cfg, move |a| {
-            let seg = a.malloc(8 * a.nprocs());
-            let mut total = 0.0;
-            for _ in 0..iters {
-                for r in 0..a.nprocs() {
-                    if r != a.rank() {
-                        a.put_u64(GlobalAddr::new(ProcId(r as u32), seg, 8 * a.rank()), 1);
-                    }
-                }
-                Group::world(a.nprocs()).barrier_binary_exchange(a);
-                let t0 = Instant::now();
-                a.allfence();
-                total += t0.elapsed().as_nanos() as f64;
-                a.barrier();
-            }
-            let mut v = [total / iters as f64];
-            Group::world(a.nprocs()).allreduce_sum_f64(a, &mut v);
-            v[0] / a.nprocs() as f64
-        });
-        t.row(vec![name.to_string(), us(out[0])]);
+    for (ack, name) in [(AckMode::Gm, "GM (no acks)"), (AckMode::Via, "VIA (acked)")] {
+        let m = run(&ALLFENCE, Plane::Emu(WALLCLOCK_LATENCY_NS), n, Params { ack, ..Params::iters(iters) });
+        t.row(vec![name.to_string(), us(m.mean_ns[0])]);
     }
     t.print();
 
@@ -415,14 +397,13 @@ fn lock_detail(quick: bool) {
     println!("# a release is either a cheap one-way handoff (successor known) or a");
     println!("# full compare&swap round-trip (queue looked empty). Percentiles of a");
     println!("# remote rank's release times make the two modes visible.");
-    use armci_bench::fig8_10::measure_lock_samples;
     use armci_bench::profile::Summary;
     let iters = if quick { 60 } else { 400 };
     let mut t = Table::new("release time percentiles, remote rank (us)", &["procs", "algo", "p50", "p95", "mean"]);
     for n in [2usize, 8] {
-        for (algo, name) in [(LockAlgo::Hybrid, "current"), (LockAlgo::Mcs, "new")] {
-            let samples = measure_lock_samples(algo, n, iters, WALLCLOCK_LATENCY_NS);
-            let rel: Vec<u64> = samples.iter().map(|&(_, r)| r).collect();
+        for (lock, name) in [(LockAlgo::Hybrid, "current"), (LockAlgo::Mcs, "new")] {
+            let m = run(&LOCK_CYCLE, Plane::Emu(WALLCLOCK_LATENCY_NS), n, Params { lock, ..Params::iters(iters) });
+            let rel: Vec<u64> = m.last_rank_ns[1].iter().map(|&ns| ns as u64).collect();
             let s = Summary::from_ns(&rel).unwrap();
             t.row(vec![n.to_string(), name.to_string(), us(s.p50 as f64), us(s.p95 as f64), us(s.mean)]);
         }
@@ -473,8 +454,4 @@ fn smp_and_skew() {
     }
     t.print();
     println!("(the paper's pre-timing MPI_Barrier exists exactly to zero this skew)");
-}
-
-fn lat_model() -> LatencyModel {
-    LatencyModel::zero().with_inter_node(std::time::Duration::from_nanos(WALLCLOCK_LATENCY_NS))
 }

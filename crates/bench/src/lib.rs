@@ -1,26 +1,30 @@
 #![warn(missing_docs)]
 //! # armci-bench — the reproduction harness
 //!
-//! One module per experiment in the paper's evaluation (§4), each able to
-//! run on two measurement planes:
+//! The paper's evaluation (§4) on three measurement planes:
 //!
-//! * **wall-clock** — the real library on the threaded cluster emulation
-//!   with injected network latency (noisy on small hosts, but it is the
-//!   actual code paths end to end);
 //! * **model** — the deterministic discrete-event simulator
-//!   (`armci-simnet`), which reproduces the paper's latency analysis
-//!   exactly and extends the sweeps beyond the host's core count.
+//!   (`armci-simnet`, [`model_runs`]), which reproduces the paper's
+//!   latency analysis exactly and extends the sweeps beyond the host's
+//!   core count;
+//! * **wall-clock** — the real library on the threaded cluster emulation
+//!   with injected network latency ([`scenario::Plane::Emu`]; noisy on
+//!   small hosts, but it is the actual code paths end to end);
+//! * **spawned** — the real library over real sockets, one OS process
+//!   per node ([`scenario::Plane::Net`]); absolute times are the host's.
+//!
+//! The wall-clock and spawned planes run the same timed loops: the
+//! [`scenario`] table holds each figure's loop once, and
+//! [`scenario::run`] runs it on either plane.
 //!
 //! The `reproduce` binary prints every figure of the paper as a table,
 //! paper-shape expectations alongside. Per-operation latencies are
 //! measured by `perf/` (the benchmark `BENCHMARK.json` declares), not here.
 
-pub mod fig7;
-pub mod fig8_10;
 pub mod model_runs;
 pub mod profile;
+pub mod scenario;
 pub mod table;
-pub mod workloads;
 
 /// Default emulated one-way network latency for wall-clock runs (ns).
 /// Chosen well above OS timer granularity so sleep-based delivery stamps
