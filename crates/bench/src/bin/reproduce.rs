@@ -319,13 +319,20 @@ fn ablation_ack(quick: bool) {
     println!("\n################ Ablation: fence under GM vs VIA ack modes ################");
     println!("# Paper 3.1.1: with acked puts a fence just drains acks; without,");
     println!("# every fence is an explicit confirmation round-trip per server.");
+    println!("# The mean is over every rank's iterations; the median and max are");
+    println!("# over the highest rank's, so one slow iteration shows as its own.");
+    use armci_bench::profile::Summary;
     let iters = if quick { 5 } else { 25 };
     let n = 8usize;
-    let mut t =
-        Table::new(format!("AllFence after scattering puts to all peers, {n} procs (us)"), &["mode", "allfence(us)"]);
+    let mut t = Table::new(
+        format!("AllFence after scattering puts to all peers, {n} procs (us)"),
+        &["mode", "allfence(us)", "median(us)", "max(us)"],
+    );
     for (ack, name) in [(AckMode::Gm, "GM (no acks)"), (AckMode::Via, "VIA (acked)")] {
         let m = run(&ALLFENCE, Plane::Emu(WALLCLOCK_LATENCY_NS), n, Params { ack, ..Params::iters(iters) });
-        t.row(vec![name.to_string(), us(m.mean_ns[0])]);
+        let samples: Vec<u64> = m.last_rank_ns[0].iter().map(|&ns| ns as u64).collect();
+        let s = Summary::from_ns(&samples).expect("the highest rank timed every iteration");
+        t.row(vec![name.to_string(), us(m.mean_ns[0]), us(s.p50 as f64), us(s.max as f64)]);
     }
     t.print();
 

@@ -19,12 +19,14 @@ use crate::errors::ArmciError;
 use crate::gptr::GlobalAddr;
 use crate::group::ProcGroup;
 use crate::layout;
-use crate::msg::{ReqRef, RmwOp, TAG_FENCE_ACK, TAG_GET_REPLY, TAG_PUT_ACK, TAG_REQ, TAG_RMW_REPLY};
+use crate::msg::{Payload, ReqRef, Request, RmwOp, TAG_FENCE_ACK, TAG_GET_REPLY, TAG_PUT_ACK, TAG_REQ, TAG_RMW_REPLY};
 use crate::route::{NotifyRoute, Route, Via};
 use crate::server::apply_rmw;
 use crate::shm::ShmDataPlane;
 use crate::stats::{OpClass, Stats};
-use crate::strided::{gather, runs_len, scatter, widen, Strided2D};
+use crate::strided::{
+    gather, get_rows, put_rows, row_width, runs_len, scatter, unpack_rows, widen, Elem, Rows, Strided2D,
+};
 
 /// How often a blocking wait interrupts itself to check for dead peers:
 /// short enough that a killed node surfaces promptly, long enough that
@@ -105,9 +107,8 @@ pub struct Armci {
     pub(crate) encode_pool: BodyPool,
 }
 
-/// Handle to a (possibly already completed) non-blocking get. Produced by
-/// [`Armci::nbget`]/[`Armci::nbget_strided`], consumed by
-/// [`Armci::nbget_wait`].
+/// Handle to a (possibly already completed) non-blocking contiguous get.
+/// Produced by [`Armci::nbget`], consumed by [`Armci::nbget_wait`].
 #[must_use = "a non-blocking get must be waited, or its reply will corrupt later matching"]
 pub enum NbGet {
     /// The source was on a direct route (node-local or shm-mapped); data
@@ -122,6 +123,20 @@ pub enum NbGet {
         /// Expected payload length.
         len: usize,
     },
+}
+
+/// Handle to a non-blocking strided get, produced by
+/// [`Armci::nbget_strided`] and consumed by [`Armci::nbget_wait_strided`].
+/// A direct route has already filled the caller's rows; a wire route's
+/// reply is still in flight.
+#[must_use = "a non-blocking get must be waited, or its reply will corrupt later matching"]
+#[derive(Debug)]
+pub struct NbGetStrided {
+    /// The node and FIFO sequence of the reply in flight; `None` once the
+    /// rows are in place.
+    reply: Option<(NodeId, u64)>,
+    /// The remote shape, which the reply's length and rows follow.
+    desc: Strided2D,
 }
 
 impl Armci {
@@ -249,7 +264,7 @@ impl Armci {
     /// through, so all of them get the zero-allocation encode path and are
     /// counted in [`Stats::server_msgs`]. Payloads are framed straight
     /// from the caller's slices: no intermediate copy.
-    pub(crate) fn send_req(&mut self, node: NodeId, req: &ReqRef<'_>) {
+    pub(crate) fn send_req<B: Payload>(&mut self, node: NodeId, req: &Request<B, &[(u64, u32)], &[f64]>) {
         self.stats.server_msgs += 1;
         let body = self.encode_pool.with_buf(|buf| req.encode_into(buf));
         self.mb.send(Endpoint::Server(node), TAG_REQ, body);
@@ -258,7 +273,7 @@ impl Armci {
     /// The `Wire` arm of every put-class operation: frame the request to
     /// the server of `dst`'s node and note it in the fence engine as one
     /// counted put.
-    fn wire_put(&mut self, node: NodeId, dst: ProcId, req: &ReqRef<'_>) {
+    fn wire_put<B: Payload>(&mut self, node: NodeId, dst: ProcId, req: &Request<B, &[(u64, u32)], &[f64]>) {
         self.send_req(node, req);
         self.fence.note_put(dst.idx(), node.idx(), false);
         self.stats.count(OpClass::Put, Via::Wire);
@@ -388,9 +403,13 @@ impl Armci {
         }
     }
 
-    /// Non-blocking strided put: one message carrying the shape and the
-    /// packed rows (`data.len() == desc.total_bytes()`), ARMCI's optimized
-    /// non-contiguous transfer.
+    /// Non-blocking strided put (`ARMCI_PutS`): one message carrying the
+    /// remote shape `desc` and the caller's rows, ARMCI's optimized
+    /// non-contiguous transfer. The rows are `desc.rows` runs of
+    /// `desc.row_bytes` bytes in `src`, the first at `src[0]` and each next
+    /// `ld` elements after the one before — a packed buffer is `ld` = one
+    /// row. Each byte is copied once: into the segment on a direct route,
+    /// into the frame on the wire.
     ///
     /// ```
     /// use armci_core::{run_cluster, ArmciCfg, Strided2D};
@@ -399,24 +418,34 @@ impl Armci {
     /// run_cluster(ArmciCfg::flat(2, LatencyModel::zero()), |a| {
     ///     let seg = a.malloc(256);
     ///     if a.rank() == 0 {
-    ///         // Two 8-byte rows, 64 bytes apart, in rank 1's segment.
+    ///         // Column 1 of a local 2x3 row-major matrix (ld 3) into two
+    ///         // words 64 bytes apart in rank 1's segment.
+    ///         let local = [1.0, 2.0, 3.0, 4.0, 5.0, 6.0];
     ///         let desc = Strided2D { offset: 0, rows: 2, row_bytes: 8, stride: 64 };
-    ///         a.put_strided(ProcId(1), seg, desc, &[7u8; 16]);
+    ///         a.put_strided(ProcId(1), seg, desc, &local[1..], 3);
     ///         a.fence(ProcId(1));
-    ///         assert_eq!(a.get_strided(ProcId(1), seg, desc), vec![7u8; 16]);
+    ///         let mut back = [0.0; 2];
+    ///         a.get_strided(ProcId(1), seg, desc, &mut back, 1);
+    ///         assert_eq!(back, [2.0, 5.0]);
     ///     }
     ///     a.barrier();
     /// });
     /// ```
-    pub fn put_strided(&mut self, dst: ProcId, seg: SegId, desc: Strided2D, data: &[u8]) {
-        assert_eq!(data.len(), desc.total_bytes(), "payload does not match strided shape");
+    ///
+    /// # Panics
+    /// Panics if a row is not a whole number of elements, if the caller's
+    /// rows overlap (`ld` below a row's elements), if `src` ends before
+    /// the last row, or, on a direct route, if `desc` does not fit the
+    /// segment.
+    pub fn put_strided<T: Elem>(&mut self, dst: ProcId, seg: SegId, desc: Strided2D, src: &[T], ld: usize) {
+        let rows = Rows::new(&desc, src, ld);
         match self.route(dst, seg) {
             Route::Direct(s, via) => {
                 desc.validate(s.len()).unwrap_or_else(|e| panic!("{e}"));
-                scatter(&s, desc.runs(), data);
+                put_rows(&s, &desc, rows);
                 self.stats.count(OpClass::Put, via);
             }
-            Route::Wire(node) => self.wire_put(node, dst, &ReqRef::PutStrided { dst, seg, desc, data }),
+            Route::Wire(node) => self.wire_put(node, dst, &Request::PutStrided { dst, seg, desc, data: rows }),
         }
     }
 
@@ -482,10 +511,12 @@ impl Armci {
         Ok(())
     }
 
-    /// Blocking strided get; returns the packed rows.
-    pub fn get_strided(&mut self, src: ProcId, seg: SegId, desc: Strided2D) -> Vec<u8> {
-        let h = self.nbget_strided(src, seg, desc);
-        unwrap_op(self.nbget_complete("get_strided", h))
+    /// Blocking strided get (`ARMCI_GetS`) of the remote shape `desc` into
+    /// the caller's rows: `out[0..]`, each row `ld` elements after the one
+    /// before, as in [`Armci::put_strided`].
+    pub fn get_strided<T: Elem>(&mut self, src: ProcId, seg: SegId, desc: Strided2D, out: &mut [T], ld: usize) {
+        let h = self.nbget_strided(src, seg, desc, out, ld);
+        unwrap_op(self.complete_strided("get_strided", h, out, ld))
     }
 
     /// Blocking generalized I/O-vector get (`ARMCI_GetV`): gather the
@@ -521,19 +552,74 @@ impl Armci {
         }
     }
 
-    /// Issue a non-blocking strided get; same ordering rules as
-    /// [`Armci::nbget`].
-    pub fn nbget_strided(&mut self, src: ProcId, seg: SegId, desc: Strided2D) -> NbGet {
-        match self.route(src, seg) {
+    /// Issue a non-blocking strided get into the caller's rows (laid out as
+    /// in [`Armci::get_strided`]); complete it with
+    /// [`Armci::nbget_wait_strided`], passing the same rows. A direct
+    /// route fills them now; a wire route fills them at the wait, straight
+    /// from the reply. Same ordering rules as [`Armci::nbget`], shared
+    /// with it: waits to one node go in issue order.
+    pub fn nbget_strided<T: Elem>(
+        &mut self,
+        src: ProcId,
+        seg: SegId,
+        desc: Strided2D,
+        out: &mut [T],
+        ld: usize,
+    ) -> NbGetStrided {
+        // A layout that cannot hold the rows fails here, on either route.
+        row_width::<T>(&desc, out.len(), ld);
+        let reply = match self.route(src, seg) {
             Route::Direct(s, via) => {
                 desc.validate(s.len()).unwrap_or_else(|e| panic!("{e}"));
-                self.read_runs(&s, via, desc.total_bytes(), desc.runs())
+                get_rows(&s, &desc, out, ld);
+                self.stats.count(OpClass::Get, via);
+                None
             }
-            Route::Wire(node) => {
-                let seq = self.wire_get(node, &ReqRef::GetStrided { dst: src, seg, desc });
-                NbGet::Pending { node, seq, len: desc.total_bytes() }
-            }
+            Route::Wire(node) => Some((node, self.wire_get(node, &ReqRef::GetStrided { dst: src, seg, desc }))),
+        };
+        NbGetStrided { reply, desc }
+    }
+
+    /// Complete a strided get into `out` with rows `ld` apart — the rows
+    /// it was issued with.
+    ///
+    /// # Panics
+    /// Panics if an older get to the same node is still outstanding
+    /// (waits must be FIFO per node), or if the wait fails.
+    pub fn nbget_wait_strided<T: Elem>(&mut self, h: NbGetStrided, out: &mut [T], ld: usize) {
+        unwrap_op(self.try_nbget_wait_strided(h, out, ld))
+    }
+
+    /// Fallible [`Armci::nbget_wait_strided`]: a dead reply source, an
+    /// expired deadline or a reply of the wrong length becomes an
+    /// [`ArmciError`] instead of a hang or a panic.
+    ///
+    /// # Panics
+    /// Panics if an older get to the same node is still outstanding
+    /// (waits must be FIFO per node — a usage error, not a fault).
+    pub fn try_nbget_wait_strided<T: Elem>(
+        &mut self,
+        h: NbGetStrided,
+        out: &mut [T],
+        ld: usize,
+    ) -> Result<(), ArmciError> {
+        self.complete_strided("nbget_wait", h, out, ld)
+    }
+
+    /// Complete a strided get handle under the error label `op`: decode a
+    /// wire reply straight into the caller's rows.
+    fn complete_strided<T: Elem>(
+        &mut self,
+        op: &'static str,
+        h: NbGetStrided,
+        out: &mut [T],
+        ld: usize,
+    ) -> Result<(), ArmciError> {
+        if let Some((node, seq)) = h.reply {
+            let body = self.wire_get_reply(op, node, seq, h.desc.total_bytes())?;
+            unpack_rows(&body, &h.desc, out, ld);
         }
+        Ok(())
     }
 
     /// The `Direct` arm of every get that returns its data: gather `runs`

@@ -73,4 +73,4 @@ pub use runtime::{
     run_cluster_spawned_result, run_cluster_traced,
 };
 pub use stats::Stats;
-pub use strided::Strided2D;
+pub use strided::{Elem, Strided2D};

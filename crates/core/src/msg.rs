@@ -12,7 +12,9 @@
 //! [`Req`] owns them, [`ReqRef`] borrows the caller's slices (what the
 //! send paths encode, so a payload is copied once, into the frame), and
 //! [`ReqView`] borrows a received frame (what the server decodes and
-//! applies in place). Each opcode has one encoder,
+//! applies in place). A put's payload is any [`Payload`]: packed bytes,
+//! or a strided put's rows framed straight from the caller's slice with
+//! the same bytes on the wire. Each opcode has one encoder,
 //! [`Request::encode_into`], and one decoder, [`ReqView::decode`], which
 //! answers a malformed frame with an error rather than a panic.
 
@@ -74,7 +76,8 @@ pub enum Request<B, R, F> {
         /// Payload.
         data: B,
     },
-    /// Non-blocking strided put; `data` is the packed rows.
+    /// Non-blocking strided put; `data` holds the rows, which the frame
+    /// carries packed.
     PutStrided {
         /// Destination process.
         dst: ProcId,
@@ -82,7 +85,7 @@ pub enum Request<B, R, F> {
         seg: SegId,
         /// Remote shape.
         desc: Strided2D,
-        /// Packed payload, `desc.total_bytes()` long.
+        /// The rows: `desc.total_bytes()` bytes on the wire.
         data: B,
     },
     /// Non-blocking atomic word store (Release); used by the MCS lock for
@@ -243,6 +246,42 @@ mod rmw_code {
     pub const CAS_U64: u8 = 4;
 }
 
+/// A put payload as the encoder frames it: a `u32` byte count, then the
+/// bytes. Packed bytes are one; the caller's rows of a strided put are
+/// another, appended row by row from wherever they lie.
+pub trait Payload {
+    /// Bytes the payload puts on the wire.
+    fn byte_len(&self) -> usize;
+    /// Append exactly those bytes to `out`.
+    fn append_to(&self, out: &mut Vec<u8>);
+}
+
+impl Payload for &[u8] {
+    fn byte_len(&self) -> usize {
+        self.len()
+    }
+
+    fn append_to(&self, out: &mut Vec<u8>) {
+        out.extend_from_slice(self);
+    }
+}
+
+impl Payload for Vec<u8> {
+    fn byte_len(&self) -> usize {
+        self.len()
+    }
+
+    fn append_to(&self, out: &mut Vec<u8>) {
+        out.extend_from_slice(self);
+    }
+}
+
+/// Frame `data` onto the end of `out`, length first.
+fn enc_payload(out: &mut Vec<u8>, data: &impl Payload) {
+    BufWriter::new(out).u32(data.byte_len() as u32);
+    data.append_to(out);
+}
+
 /// Bytes of one encoded `(offset, len)` run record.
 const RUN_RECORD_BYTES: usize = 12;
 
@@ -293,21 +332,21 @@ impl<B, R, F> Request<B, R, F> {
     }
 }
 
-impl<B: AsRef<[u8]>, R: AsRef<[(u64, u32)]>, F: AsRef<[f64]>> Request<B, R, F> {
+impl<B: Payload, R: AsRef<[(u64, u32)]>, F: AsRef<[f64]>> Request<B, R, F> {
     /// Encode onto the end of `out`. The send paths pass a pooled buffer
-    /// and a [`ReqRef`] over the caller's slices, so framing allocates
+    /// and a request over the caller's slices, so framing allocates
     /// nothing and copies each payload byte once.
     pub fn encode_into(&self, out: &mut Vec<u8>) {
         match self {
             Request::Put { dst, seg, offset, data } => {
-                let data = data.as_ref();
-                out.reserve(data.len() + 25);
-                BufWriter::new(out).u8(opcode::PUT).u32(dst.0).u32(seg.0).u64(*offset).bytes(data);
+                out.reserve(data.byte_len() + 25);
+                BufWriter::new(out).u8(opcode::PUT).u32(dst.0).u32(seg.0).u64(*offset);
+                enc_payload(out, data);
             }
             Request::PutStrided { dst, seg, desc, data } => {
-                let data = data.as_ref();
-                out.reserve(data.len() + 45);
-                enc_desc(BufWriter::new(out).u8(opcode::PUT_STRIDED).u32(dst.0).u32(seg.0), desc).bytes(data);
+                out.reserve(data.byte_len() + 45);
+                enc_desc(BufWriter::new(out).u8(opcode::PUT_STRIDED).u32(dst.0).u32(seg.0), desc);
+                enc_payload(out, data);
             }
             Request::PutU64 { dst, seg, offset, val } => {
                 BufWriter::new(out).u8(opcode::PUT_U64).u32(dst.0).u32(seg.0).u64(*offset).u64(*val);
@@ -334,9 +373,10 @@ impl<B: AsRef<[u8]>, R: AsRef<[(u64, u32)]>, F: AsRef<[f64]>> Request<B, R, F> {
                 };
             }
             Request::PutVector { dst, seg, runs, data } => {
-                let (runs, data) = (runs.as_ref(), data.as_ref());
-                out.reserve(data.len() + runs.len() * RUN_RECORD_BYTES + 17);
-                enc_runs(BufWriter::new(out).u8(opcode::PUT_VECTOR).u32(dst.0).u32(seg.0), runs).bytes(data);
+                let runs = runs.as_ref();
+                out.reserve(data.byte_len() + runs.len() * RUN_RECORD_BYTES + 17);
+                enc_runs(BufWriter::new(out).u8(opcode::PUT_VECTOR).u32(dst.0).u32(seg.0), runs);
+                enc_payload(out, data);
             }
             Request::GetVector { dst, seg, runs } => {
                 let runs = runs.as_ref();
@@ -344,10 +384,11 @@ impl<B: AsRef<[u8]>, R: AsRef<[(u64, u32)]>, F: AsRef<[f64]>> Request<B, R, F> {
                 enc_runs(BufWriter::new(out).u8(opcode::GET_VECTOR).u32(dst.0).u32(seg.0), runs);
             }
             Request::PutNotify { dst, seg, slot, runs, data } => {
-                let (runs, data) = (runs.as_ref(), data.as_ref());
-                out.reserve(data.len() + runs.len() * RUN_RECORD_BYTES + 21);
+                let runs = runs.as_ref();
+                out.reserve(data.byte_len() + runs.len() * RUN_RECORD_BYTES + 21);
                 let w = BufWriter::new(out).u8(opcode::PUT_NOTIFY).u32(dst.0).u32(seg.0).u32(*slot);
-                enc_runs(w, runs).bytes(data);
+                enc_runs(w, runs);
+                enc_payload(out, data);
             }
             Request::FenceReq => {
                 BufWriter::new(out).u8(opcode::FENCE);

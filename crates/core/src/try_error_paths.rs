@@ -336,3 +336,19 @@ fn a_failed_get_does_not_wedge_the_reply_stream() {
     let h = a.nbget(remote_addr(), 8);
     assert!(a.try_nbget_wait(h).is_err());
 }
+
+/// A strided get into the caller's rows surfaces the same faults: its
+/// wait reports the lost peer, leaves the rows as they were, and frees its
+/// reply slot for the next get to that node.
+#[test]
+fn a_failed_strided_get_leaves_the_rows_and_the_reply_stream() {
+    let mut a = stub_armci(StubMode::LostPeer(NodeId(1)));
+    let desc = crate::strided::Strided2D { offset: 0, rows: 2, row_bytes: 16, stride: 32 };
+    let mut rows = [7.0f64; 5];
+    let h = a.nbget_strided(ProcId(1), SegId(0), desc, &mut rows, 3);
+    let r = a.try_nbget_wait_strided(h, &mut rows, 3);
+    assert!(matches!(r, Err(ArmciError::PeerLost { peer: NodeId(1) })), "got {r:?}");
+    assert_eq!(rows, [7.0; 5]);
+    let h = a.nbget(remote_addr(), 8);
+    assert!(a.try_nbget_wait(h).is_err());
+}

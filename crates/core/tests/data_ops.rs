@@ -77,14 +77,53 @@ fn strided_put_and_get_roundtrip() {
             // 4 rows of 8 bytes, stride 32, into rank 1.
             let desc = Strided2D { offset: 64, rows: 4, row_bytes: 8, stride: 32 };
             let data: Vec<u8> = (0..32).collect();
-            a.put_strided(ProcId(1), seg, desc, &data);
+            a.put_strided(ProcId(1), seg, desc, &data, 8);
             a.fence(ProcId(1));
-            let back = a.get_strided(ProcId(1), seg, desc);
+            let mut back = vec![0u8; 32];
+            a.get_strided(ProcId(1), seg, desc, &mut back, 8);
             assert_eq!(back, data);
             // Check the gaps were untouched (still zero).
             let mut gap = vec![0u8; 8];
             a.get(GlobalAddr::new(ProcId(1), seg, 64 + 8), &mut gap);
             assert_eq!(gap, vec![0u8; 8]);
+        }
+        a.barrier();
+        true
+    });
+    assert!(out.into_iter().all(|ok| ok));
+}
+
+/// The caller's side of a strided transfer has its own leading dimension,
+/// wider than a row: a 3-column sub-block of a local 4x5 `f64` matrix
+/// goes out, and comes back into every third row of a wider buffer whose
+/// other elements stay untouched — on the remote route (rank 0 to rank 2,
+/// another node) and on the node-local one (rank 0 to rank 1).
+#[test]
+fn strided_rows_with_a_wider_leading_dimension() {
+    let out = run_cluster(zero_lat(2).with_procs_per_node(2), |a| {
+        let seg = a.malloc(1024);
+        if a.rank() == 0 {
+            let local: Vec<f64> = (0..20).map(|x| x as f64 + 0.25).collect();
+            let desc = Strided2D { offset: 40, rows: 4, row_bytes: 3 * 8, stride: 64 };
+            for target in [ProcId(2), ProcId(1)] {
+                // Columns 1..4 of each row: start at element 1, rows 5 apart.
+                a.put_strided(target, seg, desc, &local[1..], 5);
+                a.fence(target);
+                let mut back = vec![-1.0; 3 * 7 + 3];
+                a.get_strided(target, seg, desc, &mut back, 7);
+                for (i, v) in back.iter().enumerate() {
+                    let (r, c) = (i / 7, i % 7);
+                    let want = if c < 3 { local[r * 5 + 1 + c] } else { -1.0 };
+                    assert_eq!(*v, want, "{target:?} element ({r},{c})");
+                }
+                // The same bytes as a packed byte get.
+                let mut bytes = vec![0u8; desc.total_bytes()];
+                a.get_strided(target, seg, desc, &mut bytes, desc.row_bytes);
+                let want: Vec<u8> =
+                    (0..4).flat_map(|r| &local[r * 5 + 1..r * 5 + 4]).flat_map(|v| v.to_le_bytes()).collect();
+                assert_eq!(bytes, want, "{target:?}");
+            }
+            assert_eq!((a.stats().local_puts, a.stats().remote_puts), (1, 1));
         }
         a.barrier();
         true
@@ -100,8 +139,9 @@ fn strided_local_fast_path_matches_remote() {
         if a.rank() == 0 {
             let data: Vec<u8> = (0..48).map(|i| i as u8 ^ 0x5A).collect();
             // Rank 1 shares our node: this exercises the local path.
-            a.put_strided(ProcId(1), seg, desc, &data);
-            let back = a.get_strided(ProcId(1), seg, desc);
+            a.put_strided(ProcId(1), seg, desc, &data, 16);
+            let mut back = vec![0u8; 48];
+            a.get_strided(ProcId(1), seg, desc, &mut back, 16);
             assert_eq!(back, data);
             assert_eq!(a.stats().local_puts, 1);
             assert_eq!(a.stats().remote_puts, 0);

@@ -66,14 +66,19 @@ fn nbget_strided_roundtrip() {
         let desc = Strided2D { offset: 0, rows: 4, row_bytes: 8, stride: 32 };
         if a.rank() == 1 {
             let data: Vec<u8> = (0..32).collect();
-            a.put_strided(ProcId(0), seg, desc, &data);
+            a.put_strided(ProcId(0), seg, desc, &data, 8);
             a.fence(ProcId(0));
         }
         a.barrier();
         if a.rank() == 1 {
-            let h = a.nbget_strided(ProcId(0), seg, desc);
-            let got = a.nbget_wait(h);
-            assert_eq!(got, (0..32).collect::<Vec<u8>>());
+            // Into rows 12 bytes apart: the 4 bytes after each row stay.
+            let mut got = vec![0xFFu8; 3 * 12 + 8];
+            let h = a.nbget_strided(ProcId(0), seg, desc, &mut got, 12);
+            a.nbget_wait_strided(h, &mut got, 12);
+            for (r, row) in got.chunks(12).enumerate() {
+                assert_eq!(&row[..8], (8 * r as u8..8 * r as u8 + 8).collect::<Vec<u8>>(), "row {r}");
+                assert!(row[8..].iter().all(|&b| b == 0xFF), "row {r} padding");
+            }
         }
         a.barrier();
         true

@@ -82,9 +82,11 @@ fn strided_and_vector(a: &mut Armci) -> bool {
     if a.rank() == 0 {
         let desc = Strided2D { offset: 64, rows: 4, row_bytes: 8, stride: 32 };
         let data: Vec<u8> = (0..32).collect();
-        a.put_strided(ProcId(1), seg, desc, &data);
+        a.put_strided(ProcId(1), seg, desc, &data, 8);
         a.fence(ProcId(1));
-        assert_eq!(a.get_strided(ProcId(1), seg, desc), data);
+        let mut back = vec![0u8; 32];
+        a.get_strided(ProcId(1), seg, desc, &mut back, 8);
+        assert_eq!(back, data);
 
         let runs = [(512u64, 4u32), (600, 8), (700, 2)];
         let vdata: Vec<u8> = (0..14).map(|i| i ^ 0x5A).collect();
@@ -446,7 +448,10 @@ fn data_op_sweep(a: &mut Armci, big: SegId) -> Sweep {
 
     let before = a.stats();
     a.put(at(3), &bytes(100, 1)); // unaligned head and tail
-    a.put_strided(peer, big, desc, &bytes(desc.total_bytes(), 2));
+                                  // The strided put's rows lie 29 bytes apart on this side: each is
+                                  // followed by 5 bytes that must not travel.
+    let padded: Vec<u8> = bytes(desc.total_bytes(), 2).chunks(24).flat_map(|row| [row, &[0xEE; 5]].concat()).collect();
+    a.put_strided(peer, big, desc, &padded, 29);
     a.put_vector(peer, big, &runs, &bytes(64, 3));
     a.put_notify(at(768), &bytes(32, 4), 0);
     a.acc_f64(at(1024), 2.0, &[1.5, 2.5, 3.5]);
@@ -457,12 +462,17 @@ fn data_op_sweep(a: &mut Armci, big: SegId) -> Sweep {
     let mut contiguous = [0u8; 100];
     a.get(at(3), &mut contiguous);
     fold(&mut h, &contiguous);
-    fold(&mut h, &a.get_strided(peer, big, desc));
+    let mut rows = vec![0u8; desc.total_bytes()];
+    a.get_strided(peer, big, desc, &mut rows, 24);
+    fold(&mut h, &rows);
     fold(&mut h, &a.get_vector(peer, big, &runs));
     let notified = a.nbget(at(768), 32);
-    let rows = a.nbget_strided(peer, big, desc);
+    // Read back into rows 27 bytes apart; the gaps keep their 0x11.
+    let mut spread = vec![0x11u8; 3 * 27 + 24];
+    let pending = a.nbget_strided(peer, big, desc, &mut spread, 27);
     fold(&mut h, &a.nbget_wait(notified));
-    fold(&mut h, &a.nbget_wait(rows));
+    a.nbget_wait_strided(pending, &mut spread, 27);
+    fold(&mut h, &spread);
     for v in a.get_f64_slice(at(1024), 3) {
         fold(&mut h, &v.to_le_bytes());
     }

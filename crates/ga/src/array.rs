@@ -1,5 +1,6 @@
 //! The distributed dense 2-D array and its one-sided patch operations.
 
+use armci_core::armci::NbGetStrided;
 use armci_core::{Armci, GlobalAddr, ProcGroup, Strided2D};
 use armci_transport::ProcId;
 
@@ -38,20 +39,10 @@ pub struct GlobalArray {
     dist: Distribution,
 }
 
-/// Convert an `f64` slice to little-endian bytes.
-fn to_bytes(v: &[f64]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(v.len() * 8);
-    for &x in v {
-        out.extend_from_slice(&x.to_le_bytes());
-    }
-    out
-}
-
-/// Convert little-endian bytes back to `f64`s.
-fn from_bytes(b: &[u8]) -> Vec<f64> {
-    debug_assert_eq!(b.len() % 8, 0);
-    b.chunks_exact(8).map(|c| f64::from_le_bytes(c.try_into().unwrap())).collect()
-}
+/// Owner pieces one [`GlobalArray::get`] keeps in flight at once: a patch
+/// spanning up to this many owners costs one round trip, a larger one
+/// one round trip per this many.
+const GETS_IN_FLIGHT: usize = 64;
 
 impl GlobalArray {
     /// Collectively create a `rows x cols` array distributed over all
@@ -84,18 +75,17 @@ impl GlobalArray {
         self.dist.owned_patch(rank)
     }
 
-    /// Per-owner piece of `patch` translated into a strided descriptor in
-    /// the owner's local block.
-    fn pieces(&self, patch: &Patch) -> Vec<(ProcId, Strided2D, Patch)> {
-        self.dist
-            .split_by_owner(patch)
-            .into_iter()
-            .map(|(rank, piece)| {
-                let (offset, ld) = self.dist.local_layout(rank, piece.row_lo, piece.col_lo);
-                let desc = Strided2D { offset, rows: piece.rows(), row_bytes: piece.cols() * 8, stride: ld * 8 };
-                (ProcId(rank as u32), desc, piece)
-            })
-            .collect()
+    /// The per-owner pieces of `patch`: each owner, its piece as a strided
+    /// descriptor in the owner's local block, and the index of the
+    /// piece's first element in a caller's buffer that holds `patch` with
+    /// rows `ld` elements apart.
+    fn pieces(&self, patch: Patch, ld: usize) -> impl Iterator<Item = (ProcId, Strided2D, usize)> + '_ {
+        self.dist.split_by_owner(&patch).map(move |(rank, piece)| {
+            let (offset, owner_ld) = self.dist.local_layout(rank, piece.row_lo, piece.col_lo);
+            let desc = Strided2D { offset, rows: piece.rows(), row_bytes: piece.cols() * 8, stride: owner_ld * 8 };
+            let at = (piece.row_lo - patch.row_lo) * ld + (piece.col_lo - patch.col_lo);
+            (ProcId(rank as u32), desc, at)
+        })
     }
 
     /// One-sided put of `data` (row-major, `patch.len()` elements) into
@@ -103,30 +93,54 @@ impl GlobalArray {
     /// guaranteed only after a fence or [`GlobalArray::sync`].
     pub fn put(&self, armci: &mut Armci, patch: Patch, data: &[f64]) {
         assert_eq!(data.len(), patch.len(), "data length does not match patch");
-        for (owner, desc, piece) in self.pieces(&patch) {
-            let chunk = extract_rows(data, &patch, &piece);
-            armci.put_strided(owner, self.seg, desc, &to_bytes(&chunk));
+        self.put_rows(armci, patch, data, patch.cols());
+    }
+
+    /// [`GlobalArray::put`] from a caller's buffer holding `patch` with
+    /// rows `ld` elements apart: one strided put per owner, straight from
+    /// `src`.
+    pub(crate) fn put_rows(&self, armci: &mut Armci, patch: Patch, src: &[f64], ld: usize) {
+        for (owner, desc, at) in self.pieces(patch, ld) {
+            armci.put_strided(owner, self.seg, desc, &src[at..], ld);
         }
     }
 
     /// One-sided get of the global patch as a row-major `f64` vector.
+    /// Every owner's request is sent before any reply is awaited, so a
+    /// patch spanning several remote owners costs one round trip.
     pub fn get(&self, armci: &mut Armci, patch: Patch) -> Vec<f64> {
         let mut out = vec![0.0f64; patch.len()];
-        for (owner, desc, piece) in self.pieces(&patch) {
-            let bytes = armci.get_strided(owner, self.seg, desc);
-            scatter_rows(&mut out, &patch, &piece, &from_bytes(&bytes));
-        }
+        self.get_rows(armci, patch, &mut out, patch.cols());
         out
+    }
+
+    /// [`GlobalArray::get`] into a caller's buffer holding `patch` with
+    /// rows `ld` elements apart. Issues up to [`GETS_IN_FLIGHT`] owners'
+    /// gets, then waits for them in issue order — the per-node FIFO order
+    /// the replies arrive in.
+    pub(crate) fn get_rows(&self, armci: &mut Armci, patch: Patch, out: &mut [f64], ld: usize) {
+        let mut inflight: [Option<(NbGetStrided, usize)>; GETS_IN_FLIGHT] = std::array::from_fn(|_| None);
+        let mut n = 0;
+        for (owner, desc, at) in self.pieces(patch, ld) {
+            if n == GETS_IN_FLIGHT {
+                wait_gets(armci, &mut inflight, out, ld);
+                n = 0;
+            }
+            inflight[n] = Some((armci.nbget_strided(owner, self.seg, desc, &mut out[at..], ld), at));
+            n += 1;
+        }
+        wait_gets(armci, &mut inflight[..n], out, ld);
     }
 
     /// One-sided atomic accumulate: `A[patch] += scale * data`.
     pub fn acc(&self, armci: &mut Armci, patch: Patch, scale: f64, data: &[f64]) {
         assert_eq!(data.len(), patch.len(), "data length does not match patch");
-        for (owner, desc, piece) in self.pieces(&patch) {
-            let chunk = extract_rows(data, &patch, &piece);
+        let ld = patch.cols();
+        for (owner, desc, at) in self.pieces(patch, ld) {
             // Accumulate row by row (each row is contiguous remotely).
             for (row, off) in desc.row_offsets().enumerate() {
-                let row_vals = &chunk[row * piece.cols()..(row + 1) * piece.cols()];
+                let start = at + row * ld;
+                let row_vals = &data[start..start + desc.row_bytes / 8];
                 armci.acc_f64(GlobalAddr::new(owner, self.seg, off), scale, row_vals);
             }
         }
@@ -172,60 +186,15 @@ impl GlobalArray {
 
     /// Read this process's own block (row-major), via shared memory.
     pub fn local_block(&self, armci: &Armci) -> Vec<f64> {
-        let own = self.owned_patch(armci.rank());
-        let seg = armci.local_segment(self.seg);
-        let mut bytes = vec![0u8; own.len() * 8];
-        seg.read_bytes(0, &mut bytes);
-        from_bytes(&bytes)
+        let mut out = vec![0.0; self.owned_patch(armci.rank()).len()];
+        armci.local_segment(self.seg).read_f64s(0, &mut out);
+        out
     }
 }
 
-/// Copy the rows of `piece` out of `data` (laid out as `patch`,
-/// row-major) into a dense row-major chunk.
-fn extract_rows(data: &[f64], patch: &Patch, piece: &Patch) -> Vec<f64> {
-    let mut out = Vec::with_capacity(piece.len());
-    for r in piece.row_lo..piece.row_hi {
-        let src_row = r - patch.row_lo;
-        let src_start = src_row * patch.cols() + (piece.col_lo - patch.col_lo);
-        out.extend_from_slice(&data[src_start..src_start + piece.cols()]);
-    }
-    out
-}
-
-/// Inverse of [`extract_rows`]: scatter a dense `piece` chunk into `out`
-/// laid out as `patch`.
-fn scatter_rows(out: &mut [f64], patch: &Patch, piece: &Patch, chunk: &[f64]) {
-    for (i, r) in (piece.row_lo..piece.row_hi).enumerate() {
-        let dst_row = r - patch.row_lo;
-        let dst_start = dst_row * patch.cols() + (piece.col_lo - patch.col_lo);
-        out[dst_start..dst_start + piece.cols()].copy_from_slice(&chunk[i * piece.cols()..(i + 1) * piece.cols()]);
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn extract_and_scatter_are_inverses() {
-        let patch = Patch::new(0, 4, 0, 6);
-        let piece = Patch::new(1, 3, 2, 5);
-        let data: Vec<f64> = (0..24).map(|x| x as f64).collect();
-        let chunk = extract_rows(&data, &patch, &piece);
-        assert_eq!(chunk.len(), 6);
-        assert_eq!(chunk, vec![8.0, 9.0, 10.0, 14.0, 15.0, 16.0]);
-        let mut out = vec![0.0; 24];
-        scatter_rows(&mut out, &patch, &piece, &chunk);
-        for r in 1..3 {
-            for c in 2..5 {
-                assert_eq!(out[r * 6 + c], (r * 6 + c) as f64);
-            }
-        }
-    }
-
-    #[test]
-    fn byte_conversions_roundtrip() {
-        let v = vec![0.0, -1.5, f64::MAX, f64::MIN_POSITIVE];
-        assert_eq!(from_bytes(&to_bytes(&v)), v);
+/// Wait for `gets` in issue order, each into its rows of `out`.
+fn wait_gets(armci: &mut Armci, gets: &mut [Option<(NbGetStrided, usize)>], out: &mut [f64], ld: usize) {
+    for (h, at) in gets.iter_mut().filter_map(Option::take) {
+        armci.nbget_wait_strided(h, &mut out[at..], ld);
     }
 }

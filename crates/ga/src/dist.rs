@@ -96,26 +96,25 @@ impl Distribution {
 
     /// Split `patch` into `(owner_rank, sub_patch)` pieces, one per owner
     /// it intersects, in row-major grid order. Empty pieces are skipped.
-    pub fn split_by_owner(&self, patch: &Patch) -> Vec<(usize, Patch)> {
+    /// Lazy: walking the pieces builds nothing.
+    ///
+    /// # Panics
+    /// Panics if `patch` reaches past the array.
+    pub fn split_by_owner(&self, patch: &Patch) -> impl Iterator<Item = (usize, Patch)> + '_ {
         assert!(patch.row_hi <= self.rows && patch.col_hi <= self.cols, "patch {patch:?} out of bounds");
-        let mut out = Vec::new();
-        if patch.is_empty() {
-            return out;
-        }
-        let gr_lo = patch.row_lo / self.block_rows;
-        let gr_hi = (patch.row_hi - 1) / self.block_rows;
-        let gc_lo = patch.col_lo / self.block_cols;
-        let gc_hi = (patch.col_hi - 1) / self.block_cols;
-        for gr in gr_lo..=gr_hi {
-            for gc in gc_lo..=gc_hi {
-                let rank = self.grid.rank_at(gr, gc);
-                let piece = patch.intersect(&self.owned_patch(rank));
-                if !piece.is_empty() {
-                    out.push((rank, piece));
-                }
-            }
-        }
-        out
+        let patch = *patch;
+        // Grid rows and columns the patch touches, half-open; none when empty.
+        let (grs, gcs) = if patch.is_empty() {
+            (0..0, 0..0)
+        } else {
+            (
+                patch.row_lo / self.block_rows..(patch.row_hi - 1) / self.block_rows + 1,
+                patch.col_lo / self.block_cols..(patch.col_hi - 1) / self.block_cols + 1,
+            )
+        };
+        grs.flat_map(move |gr| gcs.clone().map(move |gc| self.grid.rank_at(gr, gc)))
+            .map(move |rank| (rank, patch.intersect(&self.owned_patch(rank))))
+            .filter(|(_, piece)| !piece.is_empty())
     }
 
     /// Byte offset of element `(r, c)` within its owner's row-major local
@@ -179,7 +178,7 @@ mod tests {
     #[test]
     fn split_spanning_patch() {
         let d = Distribution::new(8, 8, 4); // 2x2 grid, 4x4 blocks
-        let pieces = d.split_by_owner(&Patch::new(2, 6, 2, 6));
+        let pieces: Vec<_> = d.split_by_owner(&Patch::new(2, 6, 2, 6)).collect();
         assert_eq!(pieces.len(), 4);
         let total: usize = pieces.iter().map(|(_, p)| p.len()).sum();
         assert_eq!(total, 16);
@@ -191,14 +190,14 @@ mod tests {
     #[test]
     fn split_fully_local_patch() {
         let d = Distribution::new(8, 8, 4);
-        let pieces = d.split_by_owner(&Patch::new(0, 2, 0, 2));
+        let pieces: Vec<_> = d.split_by_owner(&Patch::new(0, 2, 0, 2)).collect();
         assert_eq!(pieces, vec![(0, Patch::new(0, 2, 0, 2))]);
     }
 
     #[test]
     fn split_empty_patch() {
         let d = Distribution::new(8, 8, 4);
-        assert!(d.split_by_owner(&Patch::new(3, 3, 0, 8)).is_empty());
+        assert_eq!(d.split_by_owner(&Patch::new(3, 3, 0, 8)).count(), 0);
     }
 
     #[test]

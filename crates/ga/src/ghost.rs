@@ -19,7 +19,7 @@
 //! [`GlobalArray`] block, and the step allocates nothing.
 
 use armci_core::{Armci, ArmciError, TransferPlan};
-use armci_transport::{ProcId, SegId, Segment};
+use armci_transport::{ProcId, SegId};
 
 use crate::array::{GlobalArray, SyncAlg};
 use crate::patch::Patch;
@@ -79,11 +79,13 @@ impl GhostArray {
     }
 
     /// Refresh the local buffer (interior + ghosts) from the distributed
-    /// array — `GA_Update_ghosts`. Collective: ends with a barrier so no
-    /// process reads ghosts while a neighbour is still writing.
+    /// array — `GA_Update_ghosts`: one get of the extended patch, refilled
+    /// in place, whose neighbours' requests all go out before any reply
+    /// is awaited. Collective: ends with a barrier so no process reads
+    /// ghosts while a neighbour is still writing.
     pub fn update(&mut self, armci: &mut Armci) {
         self.ga.sync_world(armci, SyncAlg::CombinedBarrier);
-        self.buf = self.ga.get(armci, self.ext);
+        self.ga.get_rows(armci, self.ext, &mut self.buf, self.ext.cols());
         armci.world().msg().barrier(armci);
     }
 
@@ -108,15 +110,11 @@ impl GhostArray {
     }
 
     /// Publish the interior back to the distributed array (one-sided put
-    /// of this block) and sync.
+    /// of this block, straight from the local buffer) and sync.
     pub fn flush(&self, armci: &mut Armci) {
-        let mut interior = Vec::with_capacity(self.own.len());
-        for r in self.own.row_lo..self.own.row_hi {
-            for c in self.own.col_lo..self.own.col_hi {
-                interior.push(self.at(r, c));
-            }
-        }
-        self.ga.put(armci, self.own, &interior);
+        let (ext, own) = (self.ext, self.own);
+        let first = (own.row_lo - ext.row_lo) * ext.cols() + (own.col_lo - ext.col_lo);
+        self.ga.put_rows(armci, own, &self.buf[first..], ext.cols());
         self.ga.sync_world(armci, SyncAlg::CombinedBarrier);
     }
 
@@ -207,14 +205,14 @@ impl GhostArray {
             let row = (r - ext.row_lo) * ext.cols();
             let dst = &mut self.buf[row..row + ext.cols()];
             if !(own.row_lo..own.row_hi).contains(&r) {
-                read_f64s(&halo, half + row * 8, dst);
+                halo.read_f64s(half + row * 8, dst);
                 continue;
             }
             let (west, rest) = dst.split_at_mut(own.col_lo - ext.col_lo);
             let (mid, east) = rest.split_at_mut(own.cols());
-            read_f64s(&halo, half + row * 8, west);
-            read_f64s(&block, (r - own.row_lo) * own.cols() * 8, mid);
-            read_f64s(&halo, half + (row + ext.cols() - east.len()) * 8, east);
+            halo.read_f64s(half + row * 8, west);
+            block.read_f64s((r - own.row_lo) * own.cols() * 8, mid);
+            halo.read_f64s(half + (row + ext.cols() - east.len()) * 8, east);
         }
         Ok(())
     }
@@ -226,20 +224,6 @@ impl GhostArray {
 #[inline(never)]
 fn outside(r: usize, c: usize, patch: &Patch, what: &str) -> ! {
     panic!("({r},{c}) outside the {what} {patch:?}")
-}
-
-/// Fill `dst` with the little-endian `f64`s at byte `off` of `seg`,
-/// through a stack buffer.
-fn read_f64s(seg: &Segment, off: usize, dst: &mut [f64]) {
-    const WORDS: usize = 64;
-    let mut bytes = [0u8; WORDS * 8];
-    for (k, part) in dst.chunks_mut(WORDS).enumerate() {
-        let chunk = &mut bytes[..part.len() * 8];
-        seg.read_bytes(off + k * WORDS * 8, chunk);
-        for (v, b) in part.iter_mut().zip(chunk.chunks_exact(8)) {
-            *v = f64::from_le_bytes(b.try_into().unwrap());
-        }
-    }
 }
 
 /// A built notified ghost-exchange schedule — see

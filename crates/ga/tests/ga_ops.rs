@@ -2,12 +2,29 @@
 //! runtime: patch consistency across distributions, both sync
 //! algorithms, and accumulate semantics.
 
-use armci_core::{run_cluster, ArmciCfg};
+use armci_core::{run_cluster, run_cluster_net_loopback, Armci, ArmciCfg};
 use armci_ga::{GlobalArray, Patch, SyncAlg};
 use armci_transport::LatencyModel;
 
 fn cfg(nodes: u32) -> ArmciCfg {
     ArmciCfg::flat(nodes, LatencyModel::zero())
+}
+
+/// Run `scenario` on four ranks three ways — the emulator, one per node;
+/// loopback TCP, one per node; and loopback TCP on 2 nodes x 2 procs,
+/// where a patch's owners can share a node, so one get has requests
+/// outstanding to one node and to two nodes at once — and require every
+/// rank to report success on each.
+fn on_every_leg(scenario: fn(&mut Armci) -> bool) {
+    let two_by_two = ArmciCfg { nodes: 2, procs_per_node: 2, latency: LatencyModel::zero(), ..Default::default() };
+    let legs = [
+        ("emulator 4x1", run_cluster(cfg(4), scenario)),
+        ("loopback 4x1", run_cluster_net_loopback(cfg(4), scenario)),
+        ("loopback 2x2", run_cluster_net_loopback(two_by_two, scenario)),
+    ];
+    for (leg, out) in legs {
+        assert!(out.into_iter().all(|ok| ok), "{leg}");
+    }
 }
 
 #[test]
@@ -51,7 +68,7 @@ fn each_rank_writes_remote_patches_paper_workload() {
 
 #[test]
 fn spanning_patch_put_get() {
-    let out = run_cluster(cfg(4), |a| {
+    on_every_leg(|a| {
         let ga = GlobalArray::create(a, 8, 8);
         ga.fill(a, 0.0);
         if a.rank() == 2 {
@@ -65,9 +82,9 @@ fn spanning_patch_put_get() {
         let inside_ok = got == (0..16).map(|x| 100.0 + x as f64).collect::<Vec<_>>();
         let border = ga.get(a, Patch::new(0, 2, 0, 8));
         let outside_ok = border.iter().all(|&v| v == 0.0);
+        a.barrier();
         inside_ok && outside_ok
     });
-    assert!(out.into_iter().all(|ok| ok));
 }
 
 #[test]
@@ -87,8 +104,9 @@ fn accumulate_from_all_ranks() {
 
 #[test]
 fn uneven_array_dimensions() {
-    let out = run_cluster(cfg(3), |a| {
-        // 7x10 over 3 procs (1x3 grid): blocks of 7x4, 7x4, 7x2.
+    fn scenario(a: &mut Armci) -> bool {
+        // 7x10 over 3 procs (1x3 grid): blocks of 7x4, 7x4, 7x2; over 4
+        // (2x2 grid): blocks of 4x5, edges 3 rows high.
         let ga = GlobalArray::create(a, 7, 10);
         if a.rank() == 1 {
             let p = Patch::new(0, 7, 0, 10);
@@ -96,9 +114,15 @@ fn uneven_array_dimensions() {
             ga.put(a, p, &data);
         }
         ga.sync_world(a, SyncAlg::CombinedBarrier);
-        ga.get(a, Patch::new(6, 7, 8, 10)) == vec![34.0, 34.5]
-    });
-    assert!(out.into_iter().all(|ok| ok));
+        let corner_ok = ga.get(a, Patch::new(6, 7, 8, 10)) == vec![34.0, 34.5];
+        // A ragged patch across every owner, read into its own rows.
+        let ragged = ga.get(a, Patch::new(1, 6, 3, 9));
+        let ragged_ok = (0..30).all(|i| ragged[i] == ((1 + i / 6) * 10 + 3 + i % 6) as f64 * 0.5);
+        a.barrier();
+        corner_ok && ragged_ok
+    }
+    assert!(run_cluster(cfg(3), scenario).into_iter().all(|ok| ok), "emulator 3x1");
+    on_every_leg(scenario);
 }
 
 #[test]

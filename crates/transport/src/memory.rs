@@ -90,6 +90,9 @@ impl WordStore {
     }
 }
 
+/// Elements per stack chunk of an unaligned `f64` copy.
+const F64_CHUNK: usize = 64;
+
 /// A registered global-memory segment: `len` bytes backed by 64-bit atomic
 /// words.
 pub struct Segment {
@@ -236,6 +239,47 @@ impl Segment {
             let v = self.word(w).load(Ordering::Relaxed).to_le_bytes();
             let n = dst.len();
             dst.copy_from_slice(&v[..n]);
+        }
+    }
+
+    /// Copy `src` into the segment as little-endian `f64`s starting at
+    /// byte `offset`. An 8-aligned `offset` (every `f64` array's) costs one
+    /// relaxed word store per element; any other goes through
+    /// [`Segment::write_bytes`] in stack-sized chunks.
+    pub fn write_f64s(&self, offset: usize, src: &[f64]) {
+        self.check_range(offset, src.len() * 8);
+        if offset.is_multiple_of(8) {
+            for (cell, v) in self.store.words(offset / 8, src.len()).iter().zip(src) {
+                cell.store(v.to_bits(), Ordering::Relaxed);
+            }
+            return;
+        }
+        let mut bytes = [0u8; F64_CHUNK * 8];
+        for (k, part) in src.chunks(F64_CHUNK).enumerate() {
+            for (b, v) in bytes.chunks_exact_mut(8).zip(part) {
+                b.copy_from_slice(&v.to_le_bytes());
+            }
+            self.write_bytes(offset + k * F64_CHUNK * 8, &bytes[..part.len() * 8]);
+        }
+    }
+
+    /// Fill `dst` with the little-endian `f64`s at byte `offset`: the
+    /// inverse of [`Segment::write_f64s`], with the same two paths.
+    pub fn read_f64s(&self, offset: usize, dst: &mut [f64]) {
+        self.check_range(offset, dst.len() * 8);
+        if offset.is_multiple_of(8) {
+            for (cell, v) in self.store.words(offset / 8, dst.len()).iter().zip(dst) {
+                *v = f64::from_bits(cell.load(Ordering::Relaxed));
+            }
+            return;
+        }
+        let mut bytes = [0u8; F64_CHUNK * 8];
+        for (k, part) in dst.chunks_mut(F64_CHUNK).enumerate() {
+            let chunk = &mut bytes[..part.len() * 8];
+            self.read_bytes(offset + k * F64_CHUNK * 8, chunk);
+            for (v, b) in part.iter_mut().zip(chunk.chunks_exact(8)) {
+                *v = f64::from_le_bytes(b.try_into().unwrap());
+            }
         }
     }
 
@@ -395,6 +439,30 @@ mod tests {
                 assert_eq!(out, data, "off={off} len={len}");
             }
         }
+    }
+
+    #[test]
+    fn f64s_match_their_little_endian_bytes_at_any_offset() {
+        let s = Segment::new(8 * 160);
+        // More than one stack chunk, so the unaligned path loops.
+        let vals: Vec<f64> = (0..150).map(|i| i as f64 * -1.25 + 0.5).collect();
+        let le: Vec<u8> = vals.iter().flat_map(|v| v.to_le_bytes()).collect();
+        for off in [0, 3, 8, 13] {
+            s.write_f64s(off, &vals);
+            let mut bytes = vec![0u8; le.len()];
+            s.read_bytes(off, &mut bytes);
+            assert_eq!(bytes, le, "off={off}");
+            s.write_bytes(off, &le);
+            let mut back = vec![0.0; vals.len()];
+            s.read_f64s(off, &mut back);
+            assert_eq!(back, vals, "off={off}");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "out of bounds")]
+    fn f64s_out_of_bounds_panics() {
+        Segment::new(16).write_f64s(8, &[1.0, 2.0]);
     }
 
     #[test]

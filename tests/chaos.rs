@@ -45,8 +45,10 @@ fn chaos_run(seed: u64, nodes: u32, ppn: u32, algo: LockAlgo, rounds: usize) {
                         let target = ProcId(pick(&mut rng, 0..n) as u32);
                         let rowb = 8 * pick(&mut rng, 1..4);
                         let desc = Strided2D { offset: 1024, rows: pick(&mut rng, 1..4), row_bytes: rowb, stride: 128 };
-                        let data = vec![rng.next_u64() as u8; desc.total_bytes()];
-                        a.put_strided(target, seg, desc, &data);
+                        // Packed rows, or rows with a gap after each.
+                        let ld = rowb + 8 * pick(&mut rng, 0..2);
+                        let data = vec![rng.next_u64() as u8; (desc.rows - 1) * ld + rowb];
+                        a.put_strided(target, seg, desc, &data, ld);
                     }
                     2 => {
                         // Random remote read (value is arbitrary; must not hang).

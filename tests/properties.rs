@@ -93,13 +93,12 @@ proptest! {
                               rl in 0usize..10, rh_d in 1usize..8, cl in 0usize..10, ch_d in 1usize..8) {
         let dist = armci_ga::Distribution::new(rows, cols, nprocs);
         let patch = Patch::new(rl.min(rows-1), (rl + rh_d).min(rows), cl.min(cols-1), (cl + ch_d).min(cols));
-        let pieces = dist.split_by_owner(&patch);
         let mut seen = std::collections::HashMap::new();
-        for (rank, piece) in &pieces {
+        for (rank, piece) in dist.split_by_owner(&patch) {
             for r in piece.row_lo..piece.row_hi {
                 for c in piece.col_lo..piece.col_hi {
-                    prop_assert_eq!(dist.owner_of(r, c), *rank, "element assigned to wrong owner");
-                    prop_assert!(seen.insert((r, c), *rank).is_none(), "element covered twice");
+                    prop_assert_eq!(dist.owner_of(r, c), rank, "element assigned to wrong owner");
+                    prop_assert!(seen.insert((r, c), rank).is_none(), "element covered twice");
                 }
             }
         }
